@@ -270,23 +270,16 @@ pub fn known_failing_verdicts() -> Vec<Problem> {
     ]
 }
 
-/// The cold problem set: the ladders plus `per_cell` draws for every
-/// family × input alphabet (1–3) × output alphabet (3–8) cell that `admit`
-/// accepts, drawn from one fixed generator seed, then relabeled by the
-/// run's seed ([`relabeled`]). Classification cost is heavy-tailed in the
-/// draw, so drawing per seed made seeds incomparable; relabeling gives
-/// every seed problems that are new to the service with the same cost.
-/// Returns the set, in a seeded order, and the number of draws refused.
-pub fn cold_set(
-    rng: &mut Rng,
-    per_cell: usize,
-    admit: &mut dyn FnMut(&NormalizedLcl) -> bool,
-) -> (Vec<Problem>, usize) {
+/// The cold problem base: the ladders plus `per_cell` structurally new
+/// draws for every family × input alphabet (1–3) × output alphabet (3–8)
+/// cell, drawn from one fixed generator seed. Classification cost is
+/// heavy-tailed in the draw, so drawing per seed made seeds incomparable;
+/// each round sends a seeded relabeling of this base ([`cold_round`]).
+pub fn cold_base(per_cell: usize) -> Vec<Problem> {
     const BASE_SEED: u64 = 0x636f_6c64_6261_7365;
     let mut base_rng = Rng::new(BASE_SEED);
     let mut set = ladders();
     let mut seen: HashSet<Vec<u8>> = set.iter().map(|p| p.problem.structural_key()).collect();
-    let mut refused = 0;
     for family in Family::ALL {
         for inputs in 1..=3 {
             for outputs in 3..=8 {
@@ -301,22 +294,24 @@ pub fn cold_set(
                     if !seen.insert(problem.structural_key()) {
                         continue;
                     }
-                    if !admit(&problem) {
-                        refused += 1;
-                        continue;
-                    }
                     let origin = format!("GenConfig {}", config.to_json().to_json_string());
-                    set.push(relabeled(
-                        &Problem::new(problem, Expect::of_family(family), origin),
-                        rng,
-                    ));
+                    set.push(Problem::new(problem, Expect::of_family(family), origin));
                     drawn += 1;
                 }
             }
         }
     }
+    set
+}
+
+/// One `cold_classify` round: every base problem relabeled ([`relabeled`])
+/// and the set shuffled, both by `rng`. The classifier's cost depends on
+/// the order of the labels, so a fresh relabeling per round lets a run
+/// average over many orders instead of resting on the one its seed drew.
+pub fn cold_round(base: &[Problem], rng: &mut Rng) -> Vec<Problem> {
+    let mut set: Vec<Problem> = base.iter().map(|p| relabeled(p, rng)).collect();
     rng.shuffle(&mut set);
-    (set, refused)
+    set
 }
 
 /// `p` with its input and output labels permuted by seeded permutations:
@@ -379,20 +374,13 @@ pub fn stream_problems() -> Vec<Problem> {
         .collect()
 }
 
-/// Whether an input is seeded-random or periodic.
-#[derive(Clone, Debug)]
-pub enum CaseInputs {
-    Seeded(u64),
-    Periodic(Vec<u16>),
-}
-
-/// One `solve_stream` instance of a problem.
+/// One `solve_stream` instance with seeded inputs.
 #[derive(Clone, Debug)]
 pub struct StreamCase {
-    pub problem: usize,
     pub topology: Topology,
     pub length: u64,
-    pub inputs: CaseInputs,
+    pub seed: u64,
+    /// The problem's input alphabet size.
     pub alphabet: usize,
 }
 
@@ -401,25 +389,13 @@ impl StreamCase {
         StreamInstanceSpec {
             topology: self.topology,
             length: self.length,
-            inputs: match &self.inputs {
-                CaseInputs::Seeded(seed) => StreamInputs::Seeded { seed: *seed },
-                CaseInputs::Periodic(pattern) => StreamInputs::Pattern {
-                    pattern: pattern.clone(),
-                },
-            },
+            inputs: StreamInputs::Seeded { seed: self.seed },
         }
-    }
-
-    pub fn periodic(&self) -> bool {
-        matches!(self.inputs, CaseInputs::Periodic(_))
     }
 
     /// The input label of node `i`, from the wire definition of the rule.
     pub fn input_at(&self, i: u64) -> u16 {
-        match &self.inputs {
-            CaseInputs::Seeded(seed) => (splitmix64(seed ^ i) % self.alphabet.max(1) as u64) as u16,
-            CaseInputs::Periodic(pattern) => pattern[(i % pattern.len() as u64) as usize],
-        }
+        (splitmix64(self.seed ^ i) % self.alphabet.max(1) as u64) as u16
     }
 
     pub fn describe(&self) -> String {
@@ -427,60 +403,12 @@ impl StreamCase {
     }
 }
 
-/// The instance shapes of `stream_solve`: `(problem, topology, periodic
-/// pattern or seeded, nodes)`. Cost per node differs by orders of magnitude
-/// between problems and shapes at this revision, so the shapes are fixed
-/// and the seed only draws the seeded inputs and the pattern rotation.
-const STREAM_SHAPES: &[(&str, Topology, Option<&[u16]>, u64)] = &[
-    ("copy-input", Topology::Cycle, Some(&[0]), 50_000),
-    ("unconstrained-2", Topology::Path, Some(&[0, 1]), 50_000),
-    ("input-boundary", Topology::Cycle, Some(&[0, 1]), 50_000),
-    ("copy-input", Topology::Path, None, 1_000),
-    ("unconstrained-2", Topology::Path, None, 1_000),
-    ("copy-input", Topology::Cycle, None, 500),
-    ("maximal-matching", Topology::Path, None, 300),
-    ("3-coloring", Topology::Cycle, None, 300),
-    ("4-coloring", Topology::Cycle, None, 300),
-    ("mis", Topology::Cycle, None, 300),
-    ("3-coloring", Topology::Cycle, None, 280),
-    ("mis", Topology::Cycle, None, 320),
-];
-
-/// Instance combinations that fail at this revision (see
-/// `--known-failures`), excluded from the timed workload.
+/// Instances that fail at this revision, probed by `--known-failures`.
 pub fn known_failing_case(problem: &Problem, case: &StreamCase) -> bool {
     let name = problem.problem.name();
     let log_star = matches!(name, "3-coloring" | "4-coloring" | "mis");
-    (name == "input-boundary" && !case.periodic() && case.length >= 1000)
+    (name == "input-boundary" && case.length >= 1000)
         || (log_star && case.topology == Topology::Path && case.length >= 300)
-}
-
-/// The `stream_solve` instances, inputs drawn from `rng`.
-pub fn stream_cases(rng: &mut Rng, set: &[Problem]) -> Vec<StreamCase> {
-    STREAM_SHAPES
-        .iter()
-        .map(|&(name, topology, pattern, length)| {
-            let problem = set
-                .iter()
-                .position(|p| p.problem.name() == name)
-                .expect("shape names a corpus problem");
-            let inputs = match pattern {
-                Some(pattern) => {
-                    let mut rotated = pattern.to_vec();
-                    rotated.rotate_left(rng.range(0, pattern.len() - 1));
-                    CaseInputs::Periodic(rotated)
-                }
-                None => CaseInputs::Seeded(rng.next_u64() >> 1),
-            };
-            StreamCase {
-                problem,
-                topology,
-                length,
-                inputs,
-                alphabet: set[problem].problem.num_inputs(),
-            }
-        })
-        .collect()
 }
 
 /// The node and edge tables of a spec JSON, read independently of the

@@ -45,6 +45,28 @@ impl Tracer {
         }
     }
 
+    /// An empty tracer on the same clock, for another thread to fill and
+    /// hand back to [`Tracer::absorb`].
+    pub fn fork(&self) -> Tracer {
+        Tracer {
+            t0: self.t0,
+            spans: Vec::new(),
+            counts: BTreeMap::new(),
+        }
+    }
+
+    /// Takes over the spans and counts of a fork.
+    pub fn absorb(&mut self, fork: Tracer) {
+        let base = self.spans.len() as u32;
+        self.spans.extend(fork.spans.into_iter().map(|mut s| {
+            s.parent = s.parent.map(|p| p + base);
+            s
+        }));
+        for (name, values) in fork.counts {
+            self.counts.entry(name).or_default().extend(values);
+        }
+    }
+
     pub fn record(
         &mut self,
         name: &'static str,
@@ -309,16 +331,7 @@ pub fn replay_stream(
             Some(Err(e)) => return Err(e.to_string()),
         }
     }
-    let per_node = ns as f64 / nodes.max(1) as f64;
-    t.count("core.stream.ns_per_node", per_node);
-    t.count(
-        if case.periodic() {
-            "core.stream.ns_per_node.periodic"
-        } else {
-            "core.stream.ns_per_node.seeded"
-        },
-        per_node,
-    );
+    t.count("core.stream.ns_per_node", ns as f64 / nodes.max(1) as f64);
     t.count(
         "core.stream.peak_resident_nodes",
         solution.peak_resident_nodes() as f64,

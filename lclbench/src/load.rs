@@ -5,7 +5,7 @@ use crate::inputs::{
     reply_complexity, split_reply, Expect, Frame, LabelingCheck, StreamCase, Tables,
 };
 use crate::layers::Tracer;
-use crate::util::{undisturbed_time, Hist};
+use crate::util::Hist;
 use lcl_paths::Engine;
 use lcl_server::{Backend, Server, ServerHandle, Service};
 use std::io::{self, BufRead, BufReader, Write};
@@ -13,6 +13,11 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// The CPU the server's threads (reactor and pool) run on.
+pub const SERVER_CPU: usize = 0;
+/// The CPU the load generator's threads run on.
+pub const GENERATOR_CPU: usize = 1;
 
 /// The served system: one `Service` on the reactor backend with two pool
 /// workers, listening on an ephemeral loopback port.
@@ -23,12 +28,13 @@ pub struct Served {
 }
 
 impl Served {
-    /// Starts the server with its threads on CPU 0, then moves the calling
-    /// thread (and every generator thread it spawns later) to CPU 1.
+    /// Starts the server with its threads on `SERVER_CPU`, then moves the
+    /// calling thread (and every generator thread it spawns later) to
+    /// `GENERATOR_CPU`.
     pub fn start() -> io::Result<Served> {
-        pin_to_cpu(0);
+        pin_to_cpu(SERVER_CPU);
         let served = Self::start_here();
-        pin_to_cpu(1);
+        pin_to_cpu(GENERATOR_CPU);
         served
     }
 
@@ -210,18 +216,16 @@ impl WarmPlan {
     }
 }
 
-/// Counters sampled while a phase runs.
+/// Pool queue depths sampled while a phase runs.
 #[derive(Default)]
 pub struct Sampled {
     pub queue_depth: Vec<f64>,
-    /// Closed-loop turnaround: from a reply's arrival to the next send.
-    pub lag_us: Vec<f64>,
 }
 
 /// Closed loop over one pipelined connection: `window` requests stay in
-/// flight, refilled in half-window bursts, until `duration` has passed.
-/// Returns the completions in each whole `SLICE` and the total completed
-/// with the time it took.
+/// flight, refilled in half-window bursts, until `duration` has passed;
+/// then the window drains. Returns the requests completed and the time
+/// they took.
 #[allow(clippy::too_many_arguments)]
 pub fn closed_pipelined(
     conn: &mut Conn,
@@ -233,12 +237,11 @@ pub fn closed_pipelined(
     sampled: &mut Sampled,
     engine: &Engine,
     mut tracer: Option<&mut Tracer>,
-) -> io::Result<(Vec<u64>, u64, Duration)> {
+) -> io::Result<(u64, Duration)> {
     let started = Instant::now();
     let deadline = started + duration;
     let mut in_flight: std::collections::VecDeque<(usize, i64, Instant)> = Default::default();
     let mut burst = Vec::with_capacity(window * 1024);
-    let mut per_slice = vec![0u64; (duration.as_secs_f64() / SLICE.as_secs_f64()) as usize];
     let mut done = 0u64;
     loop {
         let now = Instant::now();
@@ -262,10 +265,6 @@ pub fn closed_pipelined(
         if let Some(t) = tracer.as_deref_mut() {
             t.record("loadgen.request", sent, arrived, None, id as u64);
         }
-        let slice = (arrived.duration_since(started).as_secs_f64() / SLICE.as_secs_f64()) as usize;
-        if let Some(count) = per_slice.get_mut(slice) {
-            *count += 1;
-        }
         done += 1;
         if done.is_multiple_of(64) {
             sampled
@@ -273,38 +272,28 @@ pub fn closed_pipelined(
                 .push(engine.pool_stats().queue_depth as f64);
         }
     }
-    Ok((per_slice, done, started.elapsed()))
+    Ok((done, started.elapsed()))
 }
 
-/// What an open-loop phase measured. Latency is timed from each request's
-/// due time; each percentile is the undisturbed level
-/// ([`crate::util::undisturbed_time`]) of that percentile over the valid
-/// slices (over all slices if none was valid).
+/// What one open-loop segment measured: each reply's latency from its
+/// request's due time, how late the sender wrote each request, and how
+/// many requests were unanswered when sending stopped.
 pub struct OpenLoop {
-    pub p50_us: f64,
-    pub tail_us: f64,
-    pub tail_pct: f64,
-    pub samples: u64,
-    pub lag_p99_us: f64,
+    pub latency: Hist,
+    pub lag: Hist,
     pub backlog_end: u64,
-    pub slices: usize,
-    pub valid_slices: usize,
     pub sent: u64,
 }
 
-/// Throughput and latency are measured per slice of this length, so
-/// interference from other tenants of the host spoils whole slices that the
-/// reported statistics then pass over.
-pub const SLICE: Duration = Duration::from_millis(250);
-/// A slice of the open-loop schedule is invalid when the generator's p99
-/// send lag in it exceeds this: the offered load then was not the rate.
+/// A segment of the open-loop schedule is invalid when the generator's
+/// p99 send lag in it exceeds this: the offered load then was not the rate.
 pub const LAG_LIMIT_US: f64 = 1000.0;
 const SENTINEL_ID: i64 = -7;
 
-/// Open loop at a fixed `rate`: a sender thread writes every request at
-/// its due time (batching those already due), a receiver thread times each
-/// reply from its due time, so a stall counts against every request queued
-/// behind it.
+/// Open loop at a fixed `rate` on a new connection: a sender thread writes
+/// every request at its due time (batching those already due), a receiver
+/// thread times each reply from its due time, so a stall counts against
+/// every request queued behind it.
 #[allow(clippy::too_many_arguments)]
 pub fn open_loop(
     addr: SocketAddr,
@@ -323,17 +312,14 @@ pub fn open_loop(
         ..
     } = conn;
     let total = (duration.as_secs_f64() * rate).max(1.0) as u64;
-    let per_slice = ((SLICE.as_secs_f64() * rate) as u64).max(1);
-    let slices = (total / per_slice).max(1) as usize;
-    let slice_of = |j: u64| ((j / per_slice) as usize).min(slices - 1);
     let received = AtomicU64::new(0);
     let receiver_tally = Mutex::new(Tally::default());
     let t0 = Instant::now() + Duration::from_millis(5);
     let due = |j: u64| t0 + Duration::from_secs_f64(j as f64 / rate);
     let base_id = 1i64 << 40;
-    let (lags, backlog, latencies, depths) = std::thread::scope(|scope| {
-        let receiver = scope.spawn(|| -> io::Result<(Vec<Hist>, Vec<f64>)> {
-            let mut latencies = vec![Hist::new(); slices];
+    let (lag, backlog, latency, depths) = std::thread::scope(|scope| {
+        let receiver = scope.spawn(|| -> io::Result<(Hist, Vec<f64>)> {
+            let mut latency = Hist::new();
             let mut depths = Vec::new();
             let mut line = String::new();
             let mut local = Tally::default();
@@ -359,7 +345,7 @@ pub fn open_loop(
                     local.fail("-", "-", format!("unexpected reply id {id}"));
                     continue;
                 }
-                latencies[slice_of(j)].record_us(now.duration_since(due(j)).as_secs_f64() * 1e6);
+                latency.record_us(now.duration_since(due(j)).as_secs_f64() * 1e6);
                 let frame = plan.ops[(cursor + j as usize) % plan.ops.len()] as usize;
                 plan.check(frame, id, trimmed, &mut local);
                 let n = received.fetch_add(1, Ordering::Relaxed) + 1;
@@ -368,10 +354,10 @@ pub fn open_loop(
                 }
             }
             receiver_tally.lock().expect("tally lock").merge(local);
-            Ok((latencies, depths))
+            Ok((latency, depths))
         });
         tight_timer_slack();
-        let mut lags = vec![Hist::new(); slices];
+        let mut lag = Hist::new();
         let mut burst = Vec::new();
         let mut next = 0u64;
         let mut send_error = None;
@@ -386,7 +372,7 @@ pub fn open_loop(
             while next < total && due(next) <= now {
                 let frame = plan.ops[(cursor + next as usize) % plan.ops.len()] as usize;
                 plan.frames[frame].write_with_id(&mut burst, base_id + next as i64);
-                lags[slice_of(next)].record_us(now.duration_since(due(next)).as_secs_f64() * 1e6);
+                lag.record_us(now.duration_since(due(next)).as_secs_f64() * 1e6);
                 next += 1;
             }
             if let Err(e) = writer.write_all(&burst) {
@@ -402,39 +388,15 @@ pub fn open_loop(
             return Err(e);
         }
         sentinel_sent?;
-        let (latencies, depths) = received_all?;
-        Ok::<_, io::Error>((lags, backlog, latencies, depths))
+        let (latency, depths) = received_all?;
+        Ok::<_, io::Error>((lag, backlog, latency, depths))
     })?;
     tally.merge(receiver_tally.into_inner().expect("tally lock"));
     sampled.queue_depth.extend(depths);
-    let valid: Vec<bool> = lags
-        .iter()
-        .map(|h| h.quantile_us(0.99) <= LAG_LIMIT_US)
-        .collect();
-    let valid_slices = valid.iter().filter(|v| **v).count();
-    let counted: Vec<&Hist> = latencies
-        .iter()
-        .zip(&valid)
-        .filter(|(_, ok)| valid_slices == 0 || **ok)
-        .map(|(h, _)| h)
-        .collect();
-    let samples = counted.iter().map(|h| h.len()).min().unwrap_or(0);
-    let tail_pct = crate::util::tail_pct(samples);
-    let per =
-        |p: f64| undisturbed_time(&counted.iter().map(|h| h.quantile_us(p)).collect::<Vec<_>>());
-    let mut all_lags = Hist::new();
-    for h in &lags {
-        all_lags.merge(h);
-    }
     Ok(OpenLoop {
-        p50_us: per(0.5),
-        tail_us: per(tail_pct),
-        tail_pct,
-        samples: counted.iter().map(|h| h.len()).sum(),
-        lag_p99_us: all_lags.quantile_us(0.99),
+        latency,
+        lag,
         backlog_end: backlog,
-        slices,
-        valid_slices,
         sent: total,
     })
 }
@@ -468,20 +430,31 @@ pub fn classify_once(
     Ok(rtt)
 }
 
+/// One client's share of a lock-step round: round trips, turnaround lags,
+/// its tally and its spans.
+type ClientRound = (Vec<f64>, Vec<f64>, Tally, Option<Tracer>);
+
 /// Two lock-step clients drain `problems` in order from a shared index.
-/// Returns every round trip (µs) and the wall time of the round.
+/// With a tracer, each client records a span per request inside the timed
+/// round. Returns every round trip (µs) and the wall time of the round.
 pub fn lockstep_round(
     addr: SocketAddr,
     problems: &[crate::inputs::Problem],
     tally: &mut Tally,
     lag_us: &mut Vec<f64>,
+    mut tracer: Option<&mut Tracer>,
 ) -> io::Result<(Vec<f64>, Duration)> {
     let next = AtomicUsize::new(0);
+    let forks: Vec<Option<Tracer>> = (0..2)
+        .map(|_| tracer.as_deref().map(Tracer::fork))
+        .collect();
     let started = Instant::now();
     let results = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..2)
-            .map(|_| {
-                scope.spawn(|| -> io::Result<(Vec<f64>, Vec<f64>, Tally)> {
+        let workers: Vec<_> = forks
+            .into_iter()
+            .map(|mut fork| {
+                let next = &next;
+                scope.spawn(move || -> io::Result<ClientRound> {
                     let mut conn = Conn::connect(addr)?;
                     let mut rtts = Vec::new();
                     let mut lags = Vec::new();
@@ -493,6 +466,7 @@ pub fn lockstep_round(
                         if let Some(at) = last_reply {
                             lags.push(at.elapsed().as_secs_f64() * 1e6);
                         }
+                        let sent = Instant::now();
                         let rtt = classify_once(
                             &mut conn,
                             &p.spec_json,
@@ -500,10 +474,14 @@ pub fn lockstep_round(
                             &p.origin,
                             &mut local,
                         )?;
-                        last_reply = Some(Instant::now());
+                        let arrived = Instant::now();
+                        if let Some(t) = fork.as_mut() {
+                            t.record("loadgen.request", sent, arrived, None, i as u64);
+                        }
+                        last_reply = Some(arrived);
                         rtts.push(rtt.as_secs_f64() * 1e6);
                     }
-                    Ok((rtts, lags, local))
+                    Ok((rtts, lags, local, fork))
                 })
             })
             .collect();
@@ -515,20 +493,15 @@ pub fn lockstep_round(
     let wall = started.elapsed();
     let mut rtts = Vec::new();
     for r in results {
-        let (r, lags, local) = r?;
+        let (r, lags, local, fork) = r?;
         rtts.extend(r);
         lag_us.extend(lags);
         tally.merge(local);
+        if let (Some(t), Some(fork)) = (tracer.as_deref_mut(), fork) {
+            t.absorb(fork);
+        }
     }
     Ok((rtts, wall))
-}
-
-/// What one `solve_stream` exchange delivered.
-pub struct Streamed {
-    pub first_chunk: Duration,
-    pub total: Duration,
-    pub nodes: u64,
-    pub frames: u64,
 }
 
 /// Parses a chunk payload `{"offset":O,"outputs":[…],"seq":S}}` without a
@@ -557,20 +530,14 @@ pub fn stream_once(
     case: &StreamCase,
     tables: &Tables,
     expect: Expect,
-) -> io::Result<Result<Streamed, String>> {
+) -> io::Result<Result<(), String>> {
     let id = conn.take_id();
-    let text = frame.with_id(id);
-    let sent = Instant::now();
-    conn.send_line(&text)?;
+    conn.send_line(&frame.with_id(id))?;
     let mut check = LabelingCheck::new(tables, case);
     let mut outputs = Vec::new();
-    let mut first_chunk = None;
-    let mut frames = 0u64;
     let mut next_seq = 0u64;
     loop {
         let line = conn.recv()?;
-        frames += 1;
-        first_chunk.get_or_insert_with(|| sent.elapsed());
         let Some((got, rest)) = split_reply(line) else {
             return Ok(Err(format!(
                 "error reply or unparseable frame: {line:.160}"
@@ -587,7 +554,6 @@ pub fn stream_once(
             check.chunk(offset, &outputs);
             continue;
         }
-        let total = sent.elapsed();
         let value = lcl_paths::problem::json::JsonValue::parse(line).ok();
         let payload = value.as_ref().and_then(|v| v.get("payload"));
         let done = payload
@@ -620,11 +586,6 @@ pub fn stream_once(
                 "summary complexity {complexity}, expected {expect:?}"
             )));
         }
-        return Ok(Ok(Streamed {
-            first_chunk: first_chunk.unwrap_or(total),
-            total,
-            nodes: case.length,
-            frames,
-        }));
+        return Ok(Ok(()));
     }
 }

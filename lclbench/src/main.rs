@@ -1,40 +1,43 @@
 //! `lclbench`: the repository benchmark. It drives an in-process
 //! `lcl-serve` (reactor backend, two pool workers) over loopback TCP with
-//! one of four seeded workloads (three of them in `BENCHMARK.json`), checks
-//! every reply with oracles that share no code with the classifier, and
-//! prints the metrics named in `BENCHMARK.json` as the last line of
-//! standard output.
+//! one of two seeded workloads, checks every reply with oracles that share
+//! no code with the classifier, and prints the metrics named in
+//! `BENCHMARK.json` as the last line of standard output.
 //!
 //! ```text
 //! cargo run --release --manifest-path lclbench/Cargo.toml -- \
-//!     --workload warm_wide --seed 1 --seconds 30 --trace 0
+//!     --workload warm_wide --seed 1 --seconds 40 --trace 0
 //! ```
 //!
-//! `--trace 0` reports the end-to-end metrics; `--trace 1` runs the same
+//! `--trace 0` reports the end-to-end metrics, their times scaled to a
+//! reference host speed measured during the run (see `calib`) so that the
+//! shared host's drift cancels; `--trace 1` runs the same
 //! inputs with spans around the public call into each layer and reports the
 //! per-layer metrics, writing the spans to
 //! `$CARGO_TARGET_DIR/lclbench-traces/` (default `lclbench/target/`).
 //! `--known-failures` probes the inputs known to fail at this revision and
 //! prints one reproducer line for each. See `lclbench/WORKLOADS.md`.
 
+mod calib;
 mod inputs;
 mod layers;
 mod load;
+mod steal;
 mod util;
 
+use calib::HostSpeed;
 use inputs::{Frame, Problem, Spelling, StreamCase, Tables};
 use layers::{replay_classify, replay_front, replay_stream, Feasibility, Tracer};
-use load::{Conn, Sampled, Served, Tally, WarmPlan};
+use load::{Conn, Sampled, Served, Tally, WarmPlan, GENERATOR_CPU, SERVER_CPU};
 use std::collections::HashSet;
 use std::io;
 use std::time::{Duration, Instant};
-use util::{
-    json_str, median, percentile, sorted, undisturbed_rate, undisturbed_time, Metrics, Rng,
-};
+use steal::{Clean, StealWatch};
+use util::{json_str, median, percentile, sorted, Hist, Metrics, Rng};
 
-const WORKLOADS: [&str; 4] = ["warm_hot", "warm_wide", "cold_classify", "stream_solve"];
+const WORKLOADS: [&str; 2] = ["warm_wide", "cold_classify"];
 /// Set-up runs at least this many times per run; `setup_s` is the median.
-const SETUP_REPS: usize = 3;
+const SETUP_REPS: usize = 5;
 /// Requests the closed-loop client keeps in flight on its pipelined
 /// connection. Warm replies resolve in the server's fast lane and take no
 /// slot of its 32-frame per-connection window, so a deeper client window
@@ -42,12 +45,15 @@ const SETUP_REPS: usize = 3;
 const WINDOW: usize = 128;
 /// Labels per chunk frame under the server's default 256 KiB chunk cap.
 const CHUNK_NODES: usize = (256 * 1024 - 128) / 8;
-/// Nodes of the seeded cycle each `stream_solve` problem streams once in
-/// the warm-up pass.
-const WARM_STREAM_NODES: u64 = 64;
 /// Generated problems per family × alphabet cell in a `cold_classify`
 /// round (72 cells, plus the 27 ladder problems).
 const COLD_PER_CELL: usize = 4;
+/// The closed loop of `warm_wide` runs in segments of this length, each
+/// checked for steal.
+const CLOSED_SEGMENT: Duration = Duration::from_millis(500);
+/// The open loop of `warm_wide` runs in segments of this length, each on a
+/// new connection and checked for steal and generator lag.
+const OPEN_SEGMENT: Duration = Duration::from_secs(1);
 
 struct Args {
     workload: String,
@@ -118,10 +124,8 @@ fn main() {
         }
     }
     let run = match args.workload.as_str() {
-        "warm_hot" => warm(&args, &WARM_HOT),
-        "warm_wide" => warm(&args, &WARM_WIDE),
-        "cold_classify" => cold(&args),
-        _ => stream(&args),
+        "warm_wide" => warm(&args),
+        _ => cold(&args),
     };
     match run {
         Ok(run) => run.print(&args),
@@ -179,31 +183,30 @@ impl Run {
         );
     }
 
-    /// The metrics every untraced run reports. `tail_pct` is the
-    /// percentile `tail_us` is, and `samples` the count it rests on.
-    /// `rows_per_s` (labels per second) only applies to `stream_solve`,
-    /// which is not in `BENCHMARK.json`.
-    #[allow(clippy::too_many_arguments)]
+    /// The metrics every untraced run reports. `latency` holds every
+    /// counted request's latency, `tail_us` is the tail latency and
+    /// `tail_basis` says how it was taken; times are scaled to the
+    /// reference host ([`calib`]), and `slowness` is the host's median
+    /// slowness.
     fn end_to_end(
         &mut self,
         setup_s: f64,
         ops_per_s: f64,
-        p50_us: f64,
-        tail_us: f64,
-        tail_pct: f64,
-        samples: u64,
-        rows_per_s: Option<f64>,
+        latency: &Hist,
+        (tail_us, tail_basis): (f64, String),
+        slowness: f64,
     ) {
         self.metrics.put("setup_s", setup_s, "s");
         self.metrics.put("ops_per_s", ops_per_s, "1/s");
-        self.metrics.put("lat_p50_us", p50_us, "us");
+        self.metrics
+            .put("lat_p50_us", latency.quantile_us(0.5), "us");
         self.metrics.put("lat_tail_us", tail_us, "us");
         self.metrics.put("peak_rss_mb", util::peak_rss_mb(), "MB");
-        if let Some(rows_per_s) = rows_per_s {
-            self.metrics.put("rows_per_s", rows_per_s, "1/s");
-        }
-        self.note("lat_tail_percentile", tail_pct * 100.0);
-        self.note("lat_samples", samples);
+        self.note("host_slowness", slowness);
+        self.note("lat_tail_basis", json_str(&tail_basis));
+        self.note("lat_p90_us", latency.quantile_us(0.9));
+        self.note("lat_p99_us", latency.quantile_us(0.99));
+        self.note("lat_samples", latency.len());
         self.note(
             "failed_frac",
             self.tally.failed as f64 / self.tally.attempted.max(1) as f64,
@@ -211,17 +214,23 @@ impl Run {
     }
 }
 
-/// Runs set-up at least `SETUP_REPS` times, and more (up to 15) while
-/// they take under half a second together, each discarding the previous
-/// state; keeps the last and returns it with the median set-up time.
-fn timed_setup<S>(mut setup: impl FnMut() -> io::Result<S>) -> io::Result<(S, f64)> {
+/// Runs set-up at least `SETUP_REPS` times, and more (up to 25) while
+/// they take under a second together, each discarding the previous state;
+/// keeps the last and returns it with the median set-up time, each scaled
+/// to the reference host ([`calib`]) by the slowness of `cpu`, the CPU
+/// that does most of the set-up's work.
+fn timed_setup<S>(cpu: usize, mut setup: impl FnMut() -> io::Result<S>) -> io::Result<(S, f64)> {
     let mut times: Vec<f64> = Vec::new();
+    let mut total = 0.0;
     let mut state = None;
-    while times.len() < SETUP_REPS || (times.len() < 15 && times.iter().sum::<f64>() < 0.5) {
+    let mut speed = HostSpeed::start(cpu);
+    while times.len() < SETUP_REPS || (times.len() < 25 && total < 1.0) {
         drop(state.take());
         let started = Instant::now();
         state = Some(setup()?);
-        times.push(started.elapsed().as_secs_f64());
+        let took = started.elapsed().as_secs_f64();
+        total += took;
+        times.push(took / speed.segment());
     }
     Ok((state.expect("SETUP_REPS > 0"), median(&times)))
 }
@@ -283,9 +292,8 @@ fn ratio(num: u64, den: u64) -> f64 {
 /// What the load phase of a traced run observed.
 struct LoadObs {
     delta: Counters,
-    /// Reply frames the client read during the load phase.
+    /// Classify reply frames the client read during the load phase.
     frames: u64,
-    classify_frames: u64,
     sampled: Sampled,
     lag_p99_us: f64,
     backlog_end: u64,
@@ -319,7 +327,7 @@ fn per_layer(run: &mut Run, t: &Tracer, feas: &[Feasibility], obs: &LoadObs) {
         ("server.service.us", dur("server.service"), "us"),
         (
             "server.spliced_share",
-            ratio(d.spliced, obs.classify_frames),
+            ratio(d.spliced, obs.frames),
             "ratio",
         ),
         ("problem.parse.us", dur("problem.parse"), "us"),
@@ -390,12 +398,6 @@ fn per_layer(run: &mut Run, t: &Tracer, feas: &[Feasibility], obs: &LoadObs) {
         run.metrics.put(name, value, unit);
     }
     run.note("server.service.self_frac", own_frac("server.service"));
-    for split in [
-        "core.stream.ns_per_node.seeded",
-        "core.stream.ns_per_node.periodic",
-    ] {
-        run.note(split, count(split));
-    }
     run.note("feasibility_by_beta", feasibility_buckets(feas));
     run.note("spans", t.spans.len());
 }
@@ -461,10 +463,9 @@ fn stream_probe(
     });
     for (i, p) in solvable.take(4).enumerate() {
         let case = StreamCase {
-            problem: 0,
             topology: lcl_paths::problem::Topology::Cycle,
             length: 256,
-            inputs: inputs::CaseInputs::Seeded(seed ^ i as u64),
+            seed: seed ^ i as u64,
             alphabet: p.problem.num_inputs(),
         };
         if replay_stream(
@@ -486,44 +487,21 @@ fn stream_probe(
 
 // ---------------------------------------------------------------- warm ---
 
-struct WarmParams {
-    salt: u64,
-    /// The open-loop phase's fixed request rate: about a third of the
-    /// closed-loop throughput measured on a 2-vCPU host, where throughput
-    /// drifts by a third between runs; at half of it the queue, and with it
-    /// the latency, swung with the drift.
-    open_rate: f64,
-    distinct: usize,
-    twins: usize,
-    inputs: (usize, usize),
-    outputs: (usize, usize),
-    /// Share of frames spelled non-canonically (parse path, no memo).
-    non_canonical_pct: u64,
-}
-
-/// About 256 problems: they fit the server's 1024-line raw-text memo.
-const WARM_HOT: WarmParams = WarmParams {
-    salt: 0x686f74,
-    open_rate: 120_000.0,
-    distinct: 256,
-    twins: 0,
-    inputs: (1, 2),
-    outputs: (2, 4),
-    non_canonical_pct: 0,
-};
-
-/// A few thousand names over fewer structures: more than the memo holds,
-/// within the engine cache's 4096 entries; half the frames non-canonical,
-/// and twins force the rendered reply lane.
-const WARM_WIDE: WarmParams = WarmParams {
-    salt: 0x77696465,
-    open_rate: 24_000.0,
-    distinct: 1500,
-    twins: 500,
-    inputs: (1, 3),
-    outputs: (2, 5),
-    non_canonical_pct: 50,
-};
+/// `warm_wide` draws its structures from this generator seed and salts
+/// the run seed with it.
+const WARM_SALT: u64 = 0x77696465;
+/// Structures warmed: more canonical lines than the server's 1024-line
+/// raw-text memo holds, fewer than its 4096-entry engine cache.
+const WARM_DISTINCT: usize = 1500;
+/// Renamed copies of warmed structures, which the cache can only serve
+/// through the rendered reply lane.
+const WARM_TWINS: usize = 500;
+/// Share of frames spelled non-canonically (parse path, no memo).
+const NON_CANONICAL_PCT: u64 = 50;
+/// The open loop's request rate: about a third of the closed-loop
+/// throughput on the 2-vCPU host the benchmark was tuned on; at half of it
+/// the queue, and with it the latency, swung with the host's drift.
+const OPEN_RATE: f64 = 24_000.0;
 
 struct Warm {
     served: Served,
@@ -551,26 +529,22 @@ fn warm_pass(conn: &mut Conn, problems: &[&Problem]) -> io::Result<Vec<String>> 
     Ok(replies)
 }
 
-fn warm_setup(seed: u64, params: &WarmParams) -> io::Result<Warm> {
+fn warm_setup(seed: u64) -> io::Result<Warm> {
     let served = Served::start()?;
-    let mut rng = Rng::new(seed ^ params.salt);
+    let mut rng = Rng::new(seed ^ WARM_SALT);
     let problems = inputs::warm_set(
         &mut rng,
-        params.salt,
-        params.distinct,
-        params.twins,
-        params.inputs,
-        params.outputs,
+        WARM_SALT,
+        WARM_DISTINCT,
+        WARM_TWINS,
+        (1, 3),
+        (2, 5),
     );
+    let spellings = [Spelling::Canonical, Spelling::Spaced, Spelling::Reordered];
     let mut frames = Vec::new();
     let mut frame_problem = Vec::new();
-    let spellings: &[Spelling] = if params.non_canonical_pct > 0 {
-        &[Spelling::Canonical, Spelling::Spaced, Spelling::Reordered]
-    } else {
-        &[Spelling::Canonical]
-    };
     for (i, p) in problems.iter().enumerate() {
-        for &s in spellings {
+        for s in spellings {
             frames.push(Frame::classify(&p.spec_json, s));
             frame_problem.push(i);
         }
@@ -578,7 +552,7 @@ fn warm_setup(seed: u64, params: &WarmParams) -> io::Result<Warm> {
     let ops = (0..1 << 16)
         .map(|_| {
             let p = rng.range(0, problems.len() - 1);
-            let s = if rng.chance(params.non_canonical_pct) {
+            let s = if rng.chance(NON_CANONICAL_PCT) {
                 rng.range(1, 2)
             } else {
                 0
@@ -590,8 +564,8 @@ fn warm_setup(seed: u64, params: &WarmParams) -> io::Result<Warm> {
     // so their reply bytes attach and the memo learns their lines, then the
     // twins (which the cache can only serve through the render lane).
     let mut conn = Conn::connect(served.addr)?;
-    let originals: Vec<&Problem> = problems[..params.distinct].iter().collect();
-    let twins: Vec<&Problem> = problems[params.distinct..].iter().collect();
+    let originals: Vec<&Problem> = problems[..WARM_DISTINCT].iter().collect();
+    let twins: Vec<&Problem> = problems[WARM_DISTINCT..].iter().collect();
     warm_pass(&mut conn, &originals)?;
     let mut replies = warm_pass(&mut conn, &originals)?;
     replies.extend(warm_pass(&mut conn, &twins)?);
@@ -628,8 +602,71 @@ fn warm_setup(seed: u64, params: &WarmParams) -> io::Result<Warm> {
     })
 }
 
-fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
-    let (warm, setup_s) = timed_setup(|| warm_setup(args.seed, params))?;
+/// What the open-loop phase of `warm_wide` measured.
+struct OpenPhase {
+    /// Latency over the valid segments (over all of them if none was).
+    latency: Hist,
+    lag: Hist,
+    /// The largest backlog at the end of a segment.
+    backlog_end: u64,
+    segments: usize,
+    valid: usize,
+    sent: u64,
+}
+
+/// Open loop at `OPEN_RATE` in `OPEN_SEGMENT`s until `duration` has
+/// passed. A segment is valid when the host stole no time from either CPU
+/// during it ([`StealWatch`]) and the sender's p99 lag stayed within
+/// `LAG_LIMIT_US`. The latencies of the valid segments, each scaled by the
+/// host's slowness over its segment ([`HostSpeed`]), are pooled.
+fn open_phase(
+    served: &Served,
+    plan: &WarmPlan,
+    cursor: &mut usize,
+    duration: Duration,
+    tally: &mut Tally,
+    sampled: &mut Sampled,
+) -> io::Result<OpenPhase> {
+    let deadline = Instant::now() + duration;
+    let mut steal = StealWatch::start();
+    let mut speed = HostSpeed::start(SERVER_CPU);
+    let mut latency = Clean::<Hist>::default();
+    let mut phase = OpenPhase {
+        latency: Hist::new(),
+        lag: Hist::new(),
+        backlog_end: 0,
+        segments: 0,
+        valid: 0,
+        sent: 0,
+    };
+    while phase.segments == 0 || Instant::now() < deadline {
+        let seg = load::open_loop(
+            served.addr,
+            plan,
+            *cursor,
+            OPEN_RATE,
+            OPEN_SEGMENT,
+            tally,
+            sampled,
+            served.service.engine(),
+        )?;
+        let valid = steal.segment_clean() && seg.lag.quantile_us(0.99) <= load::LAG_LIMIT_US;
+        let scale = 1.0 / speed.segment();
+        *cursor += seg.sent as usize;
+        phase.sent += seg.sent;
+        phase.segments += 1;
+        phase.valid += usize::from(valid);
+        phase.backlog_end = phase.backlog_end.max(seg.backlog_end);
+        latency.add(valid, |h| h.merge_scaled(&seg.latency, scale));
+        phase.lag.merge(&seg.lag);
+    }
+    phase.latency = latency.take();
+    Ok(phase)
+}
+
+fn warm(args: &Args) -> io::Result<Run> {
+    // Most of set-up is the warm-up's classification on the server's CPU.
+    let (warm, setup_s) = timed_setup(SERVER_CPU, || warm_setup(args.seed))?;
     let Warm {
         served,
         problems,
@@ -642,48 +679,58 @@ fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
     let mut sampled = Sampled::default();
     let s = args.seconds;
     if !args.trace {
-        let (per_slice, _, _) = load::closed_pipelined(
-            &mut conn,
+        // Closed loop in segments; segments with steal are left out, and
+        // each segment's time is scaled to the reference host.
+        let deadline = Instant::now() + secs(s, 1.0 / 3.0);
+        let mut steal = StealWatch::start();
+        let mut speed = HostSpeed::start(SERVER_CPU);
+        let mut rate = Clean::<(u64, f64)>::default();
+        while steal.segments == 0 || Instant::now() < deadline {
+            let (done, took) = load::closed_pipelined(
+                &mut conn,
+                &plan,
+                &mut cursor,
+                CLOSED_SEGMENT,
+                WINDOW,
+                &mut tally,
+                &mut sampled,
+                engine,
+                None,
+            )?;
+            let took = took.as_secs_f64() / speed.segment();
+            rate.add(steal.segment_clean(), |r| *r = (r.0 + done, r.1 + took));
+        }
+        let open = open_phase(
+            &served,
             &plan,
             &mut cursor,
-            secs(s, 0.5),
-            WINDOW,
+            secs(s, 2.0 / 3.0),
             &mut tally,
             &mut sampled,
-            engine,
-            None,
-        )?;
-        let per_slice: Vec<f64> = per_slice
-            .iter()
-            .map(|&n| n as f64 / load::SLICE.as_secs_f64())
-            .collect();
-        let ops_per_s = undisturbed_rate(&per_slice);
-        let open = load::open_loop(
-            served.addr,
-            &plan,
-            cursor,
-            params.open_rate,
-            secs(s, 0.5),
-            &mut tally,
-            &mut sampled,
-            engine,
         )?;
         let mut run = Run::new(tally);
-        run.note("open_loop_rate", params.open_rate);
+        run.note("closed_loop_clean_segments", steal.summary());
+        run.note("open_loop_rate", OPEN_RATE);
         run.note(
-            "open_loop_valid_slices",
-            format!("\"{}/{}\"", open.valid_slices, open.slices),
+            "open_loop_valid_segments",
+            format!("\"{}/{}\"", open.valid, open.segments),
         );
-        run.note("open_loop_lag_p99_us", open.lag_p99_us);
+        run.note("open_loop_lag_p99_us", open.lag.quantile_us(0.99));
         run.note("open_loop_backlog_end", open.backlog_end);
+        let (done, busy) = rate.take();
+        // The tail is p90, not p99: on a shared VM, vCPU stalls the steal
+        // counter does not show moved the pooled p99 between 0.4 and 3.8 ms
+        // from run to run. The p99 is in the detail line.
+        let tail = (
+            open.latency.quantile_us(0.9),
+            "p90 of the valid open-loop segments' pooled latencies".to_string(),
+        );
         run.end_to_end(
             setup_s,
-            ops_per_s,
-            open.p50_us,
-            open.tail_us,
-            open.tail_pct,
-            open.samples,
-            None,
+            done as f64 / busy,
+            &open.latency,
+            tail,
+            speed.median(),
         );
         return Ok(run);
     }
@@ -695,7 +742,7 @@ fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
     for slice in 0..8 {
         let tracer = (slice % 2 == 1).then_some(&mut t);
         let traced = tracer.is_some();
-        let (_, d, e) = load::closed_pipelined(
+        let (d, e) = load::closed_pipelined(
             &mut conn,
             &plan,
             &mut cursor,
@@ -713,26 +760,21 @@ fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
         }
     }
     let untraced = d0 as f64 / e0.as_secs_f64();
-    let open = load::open_loop(
-        served.addr,
+    let open = open_phase(
+        &served,
         &plan,
-        cursor,
-        params.open_rate,
+        &mut cursor,
         secs(s, 0.25),
         &mut tally,
         &mut sampled,
-        engine,
     )?;
-    cursor += open.sent as usize;
     let mut delta = Counters::default();
     delta.add_delta(before, Counters::read(&served));
-    let frames = d0 + d1 + open.sent;
     let obs = LoadObs {
         delta,
-        frames,
-        classify_frames: frames,
+        frames: d0 + d1 + open.sent,
         sampled,
-        lag_p99_us: open.lag_p99_us,
+        lag_p99_us: open.lag.quantile_us(0.99),
         backlog_end: open.backlog_end,
         overhead_frac: 1.0 - (d1 as f64 / e1.as_secs_f64()) / untraced,
     };
@@ -771,8 +813,8 @@ fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
     per_layer(&mut run, &t, &feas, &obs);
     run.note("stream_probe_errors", probe_errors);
     run.note(
-        "open_loop_valid_slices",
-        format!("\"{}/{}\"", open.valid_slices, open.slices),
+        "open_loop_valid_segments",
+        format!("\"{}/{}\"", open.valid, open.segments),
     );
     finish_trace(&mut run, args, &t);
     Ok(run)
@@ -780,129 +822,78 @@ fn warm(args: &Args, params: &WarmParams) -> io::Result<Run> {
 
 // ---------------------------------------------------------------- cold ---
 
-struct Cold {
-    served: Served,
-    problems: Vec<Problem>,
-    refused: usize,
-}
-
-/// Search budget of the screen that generated problems pass before they
-/// join the workload, far below the service's 5,000,000 nodes. At this
-/// revision a few draws in a thousand exhaust the service's budget after
-/// seconds of work and fail, and the workload must be one on which no
-/// operation fails.
-const SCREEN_SEARCH_BUDGET: usize = 100_000;
-
-fn cold_setup(seed: u64) -> io::Result<Cold> {
-    let served = Served::start()?;
-    let mut rng = Rng::new(seed ^ 0x636f6c64);
-    let screen = lcl_paths::Engine::builder()
-        .parallelism(1)
-        .cache_capacity(1)
-        .search_budget(SCREEN_SEARCH_BUDGET)
-        .build();
-    let (problems, refused) = inputs::cold_set(&mut rng, COLD_PER_CELL, &mut |p| {
-        !matches!(
-            screen.classify(p),
-            Err(lcl_paths::classifier::ClassifierError::SearchBudgetExceeded { .. })
-        )
-    });
-    Ok(Cold {
-        served,
-        problems,
-        refused,
-    })
-}
-
-/// Per-round statistics of `cold_classify`.
-#[derive(Default)]
-struct Rounds {
-    ops_per_s: Vec<f64>,
-    p50_us: Vec<f64>,
-    tail_us: Vec<f64>,
-    tail_pct: f64,
-    samples: u64,
-}
-
-impl Rounds {
-    fn add(&mut self, rtts: Vec<f64>, wall: Duration) {
-        let n = rtts.len() as u64;
-        let rtts = sorted(rtts);
-        self.tail_pct = util::tail_pct(n);
-        self.ops_per_s.push(n as f64 / wall.as_secs_f64());
-        self.p50_us.push(percentile(&rtts, 0.5));
-        self.tail_us.push(percentile(&rtts, self.tail_pct));
-        self.samples += n;
-    }
-}
-
 fn cold(args: &Args) -> io::Result<Run> {
-    let (state, setup_s) = timed_setup(|| cold_setup(args.seed))?;
-    let Cold {
-        served,
-        problems,
-        refused,
-    } = state;
+    // Set-up generates the inputs on the generator's CPU.
+    let ((served, base, mut problems, mut rng), setup_s) = timed_setup(GENERATOR_CPU, || {
+        let served = Served::start()?;
+        let base = inputs::cold_base(COLD_PER_CELL);
+        let mut rng = Rng::new(args.seed ^ 0x636f6c64);
+        let first = inputs::cold_round(&base, &mut rng);
+        Ok((served, base, first, rng))
+    })?;
     let engine = served.service.engine();
     let mut tally = Tally::default();
     let mut lag = Vec::new();
     let s = args.seconds;
     let load_deadline = Instant::now() + secs(s, if args.trace { 0.5 } else { 1.0 });
-    // Every round sends the same problems to an emptied cache, so each
-    // request is a cold classification.
-    let mut rounds = Rounds::default();
+    // Every round sends a fresh relabeling of the base to an emptied cache,
+    // so each request is a cold classification. Rounds with steal are left
+    // out of the end-to-end metrics, and each round's times are scaled to
+    // the reference host.
+    let mut steal = StealWatch::start();
+    let mut speed = HostSpeed::start(SERVER_CPU);
+    let mut rate = Clean::<(u64, f64)>::default();
+    let mut latency = Clean::<Hist>::default();
     let mut t = Tracer::new();
     let (mut plain, mut spanned) = ((0u64, 0f64), (0u64, 0f64));
     let mut delta = Counters::default();
     let mut sampled = Sampled::default();
     let mut round = 0u64;
     while round == 0 || Instant::now() < load_deadline {
+        if round > 0 {
+            problems = inputs::cold_round(&base, &mut rng);
+        }
         engine.clear_cache();
         let before = Counters::read(&served);
-        let (rtts, took) = load::lockstep_round(served.addr, &problems, &mut tally, &mut lag)?;
+        // Traced runs record every odd round's requests as spans inside
+        // the timed round; the two rates give the tracing overhead.
+        let traced = args.trace && round % 2 == 1;
+        let (rtts, took) = load::lockstep_round(
+            served.addr,
+            &problems,
+            &mut tally,
+            &mut lag,
+            traced.then_some(&mut t),
+        )?;
         delta.add_delta(before, Counters::read(&served));
         sampled
             .queue_depth
             .push(engine.pool_stats().queue_depth as f64);
-        let n = rtts.len() as u64;
-        // Traced runs also record every odd round's requests as spans; the
-        // two rates give the tracing overhead.
-        if args.trace && round % 2 == 1 {
-            let base = Instant::now();
-            for (i, rtt) in rtts.iter().enumerate() {
-                t.record(
-                    "loadgen.request",
-                    base,
-                    base + Duration::from_secs_f64(rtt / 1e6),
-                    None,
-                    round << 32 | i as u64,
-                );
+        let slow = speed.segment();
+        let (n, took) = (rtts.len() as u64, took.as_secs_f64() / slow);
+        let side = if traced { &mut spanned } else { &mut plain };
+        *side = (side.0 + n, side.1 + took);
+        let clean = steal.segment_clean();
+        rate.add(clean, |r| *r = (r.0 + n, r.1 + took));
+        latency.add(clean, |h| {
+            for rtt in &rtts {
+                h.record_us(rtt / slow);
             }
-            spanned = (spanned.0 + n, spanned.1 + took.as_secs_f64());
-        } else {
-            plain = (plain.0 + n, plain.1 + took.as_secs_f64());
-        }
-        rounds.add(rtts, took);
+        });
         round += 1;
     }
     if !args.trace {
         let mut run = Run::new(tally);
         run.note("rounds", round);
-        run.note("screened_out", refused);
-        let ops_per_s = undisturbed_rate(&rounds.ops_per_s);
-        let (p50, tail) = (
-            undisturbed_time(&rounds.p50_us),
-            undisturbed_time(&rounds.tail_us),
+        run.note("clean_rounds", steal.summary());
+        let (done, busy) = rate.take();
+        let latency = latency.take();
+        let pct = util::tail_pct(latency.len());
+        let tail = (
+            latency.quantile_us(pct),
+            format!("p{} of all round trips", pct * 100.0),
         );
-        run.end_to_end(
-            setup_s,
-            ops_per_s,
-            p50,
-            tail,
-            rounds.tail_pct,
-            rounds.samples,
-            None,
-        );
+        run.end_to_end(setup_s, done as f64 / busy, &latency, tail, speed.median());
         return Ok(run);
     }
     let overhead = if plain.1 > 0.0 && spanned.1 > 0.0 {
@@ -955,8 +946,7 @@ fn cold(args: &Args) -> io::Result<Run> {
     let probe_errors = stream_probe(&mut t, b.engine(), &small, args.seed);
     let obs = LoadObs {
         delta,
-        frames: rounds.samples,
-        classify_frames: rounds.samples,
+        frames: plain.0 + spanned.0,
         sampled,
         lag_p99_us: percentile(&sorted(lag), 0.99),
         backlog_end: 0,
@@ -966,221 +956,6 @@ fn cold(args: &Args) -> io::Result<Run> {
     per_layer(&mut run, &t, &feas, &obs);
     run.note("stream_probe_errors", probe_errors);
     run.note("rounds", round);
-    run.note("screened_out", refused);
-    finish_trace(&mut run, args, &t);
-    Ok(run)
-}
-
-// -------------------------------------------------------------- stream ---
-
-struct Stream {
-    served: Served,
-    problems: Vec<Problem>,
-    cases: Vec<StreamCase>,
-    frames: Vec<Frame>,
-    tables: Vec<Tables>,
-    tally: Tally,
-}
-
-fn stream_setup(seed: u64) -> io::Result<Stream> {
-    let served = Served::start()?;
-    let mut rng = Rng::new(seed ^ 0x73747265616d);
-    let problems = inputs::stream_problems();
-    let mut cases = inputs::stream_cases(&mut rng, &problems);
-    rng.shuffle(&mut cases);
-    let frames = cases
-        .iter()
-        .map(|c| Frame::solve_stream(&problems[c.problem].spec_json, c))
-        .collect();
-    let tables: Vec<Tables> = problems
-        .iter()
-        .map(|p| Tables::from_spec_json(&p.spec_json))
-        .collect();
-    // Warm-up: per problem, one classify and one short stream (a seeded
-    // cycle of `WARM_STREAM_NODES`), both checked. Without the stream the
-    // set-up was a few milliseconds of thread start-up and its median moved
-    // by half between runs.
-    let mut tally = Tally::default();
-    let mut conn = Conn::connect(served.addr)?;
-    for (index, p) in problems.iter().enumerate() {
-        load::classify_once(&mut conn, &p.spec_json, p.expect, &p.origin, &mut tally)?;
-        let case = StreamCase {
-            problem: index,
-            topology: lcl_paths::problem::Topology::Cycle,
-            length: WARM_STREAM_NODES,
-            inputs: inputs::CaseInputs::Seeded(rng.next_u64() >> 1),
-            alphabet: p.problem.num_inputs(),
-        };
-        let frame = Frame::solve_stream(&p.spec_json, &case);
-        match load::stream_once(&mut conn, &frame, &case, &tables[index], p.expect)? {
-            Ok(_) => tally.ok(),
-            Err(why) => {
-                tally.fail(&p.origin, &case.describe(), why);
-                conn = Conn::connect(served.addr)?;
-            }
-        }
-    }
-    Ok(Stream {
-        served,
-        problems,
-        cases,
-        frames,
-        tables,
-        tally,
-    })
-}
-
-fn stream(args: &Args) -> io::Result<Run> {
-    let (state, setup_s) = timed_setup(|| stream_setup(args.seed))?;
-    let Stream {
-        served,
-        problems,
-        cases,
-        frames,
-        tables,
-        mut tally,
-    } = state;
-    let s = args.seconds;
-    let mut conn = Conn::connect(served.addr)?;
-    let load_deadline = Instant::now() + secs(s, if args.trace { 0.5 } else { 1.0 });
-    let mut first_chunk = Vec::new();
-    let (mut nodes, mut busy, mut done) = (0u64, Duration::ZERO, 0u64);
-    let (mut rows_per_s, mut ops_per_s, mut round_p50) = (Vec::new(), Vec::new(), Vec::new());
-    let mut round_first = Vec::new();
-    let mut sampled = Sampled::default();
-    let mut t = Tracer::new();
-    let (mut plain, mut spanned) = ((0u64, 0f64), (0u64, 0f64));
-    let mut reply_frames = 0u64;
-    let before = Counters::read(&served);
-    let mut i = 0usize;
-    let mut last_end: Option<Instant> = None;
-    // Whole rounds only, so every run labels the same mix of shapes.
-    while !i.is_multiple_of(cases.len()) || Instant::now() < load_deadline {
-        let k = i % cases.len();
-        i += 1;
-        let case = &cases[k];
-        let p = &problems[case.problem];
-        if let Some(at) = last_end {
-            sampled.lag_us.push(at.elapsed().as_secs_f64() * 1e6);
-        }
-        let sent = Instant::now();
-        match load::stream_once(&mut conn, &frames[k], case, &tables[case.problem], p.expect)? {
-            Ok(out) => {
-                tally.ok();
-                first_chunk.push(out.first_chunk.as_secs_f64() * 1e6);
-                round_first.push(out.first_chunk.as_secs_f64() * 1e6);
-                nodes += out.nodes;
-                busy += out.total;
-                done += 1;
-                reply_frames += out.frames;
-                if args.trace && (i - 1) / cases.len() % 2 == 1 {
-                    t.record("loadgen.request", sent, sent + out.total, None, i as u64);
-                    spanned = (spanned.0 + out.nodes, spanned.1 + out.total.as_secs_f64());
-                } else {
-                    plain = (plain.0 + out.nodes, plain.1 + out.total.as_secs_f64());
-                }
-            }
-            Err(why) => {
-                tally.fail(&p.origin, &case.describe(), why);
-                conn = Conn::connect(served.addr)?;
-            }
-        }
-        sampled
-            .queue_depth
-            .push(served.service.engine().pool_stats().queue_depth as f64);
-        last_end = Some(Instant::now());
-        if i.is_multiple_of(cases.len()) {
-            let busy_s = busy.as_secs_f64().max(1e-9);
-            rows_per_s.push(nodes as f64 / busy_s);
-            ops_per_s.push(done as f64 / busy_s);
-            round_p50.push(median(&round_first));
-            round_first.clear();
-            (nodes, busy, done) = (0, Duration::ZERO, 0);
-        }
-    }
-    if !args.trace {
-        let mut run = Run::new(tally);
-        run.note("rounds", i / cases.len());
-        let first_chunk = sorted(first_chunk);
-        let pct = util::tail_pct(first_chunk.len() as u64);
-        run.end_to_end(
-            setup_s,
-            undisturbed_rate(&ops_per_s),
-            undisturbed_time(&round_p50),
-            percentile(&first_chunk, pct),
-            pct,
-            first_chunk.len() as u64,
-            Some(undisturbed_rate(&rows_per_s)),
-        );
-        return Ok(run);
-    }
-    let mut delta = Counters::default();
-    delta.add_delta(before, Counters::read(&served));
-    let overhead = if plain.1 > 0.0 && spanned.1 > 0.0 {
-        1.0 - (spanned.0 as f64 / spanned.1) / (plain.0 as f64 / plain.1)
-    } else {
-        0.0
-    };
-    let obs = LoadObs {
-        delta,
-        frames: reply_frames,
-        classify_frames: 0,
-        lag_p99_us: percentile(&sorted(sampled.lag_us.clone()), 0.99),
-        sampled,
-        backlog_end: 0,
-        overhead_frac: overhead,
-    };
-    // Replay: each case over the wire, through `handle_line` (which labels
-    // the whole instance in-process), through the request front, and
-    // through `Engine::solve_stream`; each problem through the classifier.
-    let engine = served.service.engine();
-    let deadline = Instant::now() + secs(s, 0.5);
-    let mut feas = Vec::new();
-    let mut classified = HashSet::new();
-    let mut op = 0u64;
-    while Instant::now() < deadline {
-        let k = i % cases.len();
-        i += 1;
-        op += 1;
-        let case = &cases[k];
-        let p = &problems[case.problem];
-        let id = conn.next_id;
-        let text = frames[k].with_id(id);
-        let sent = Instant::now();
-        let wire = match load::stream_once(
-            &mut conn,
-            &frames[k],
-            case,
-            &tables[case.problem],
-            p.expect,
-        )? {
-            Ok(_) => {
-                tally.ok();
-                t.record("server.wire", sent, Instant::now(), None, op)
-            }
-            Err(why) => {
-                tally.fail(&p.origin, &case.describe(), why);
-                conn = Conn::connect(served.addr)?;
-                continue;
-            }
-        };
-        let (_, service) = t.time("server.service", Some(wire), op, || {
-            served.service.handle_line(&text)
-        });
-        replay_front(&mut t, engine, &text, service, op, None);
-        if classified.insert(case.problem) {
-            replay_classify(&mut t, &mut feas, &p.problem, None, op);
-        }
-        if let Err(why) = replay_stream(&mut t, engine, &p.problem, case, CHUNK_NODES, None, op) {
-            tally.fail(
-                &p.origin,
-                &case.describe(),
-                format!("in-process stream: {why}"),
-            );
-        }
-    }
-    let mut run = Run::new(tally);
-    per_layer(&mut run, &t, &feas, &obs);
     finish_trace(&mut run, args, &t);
     Ok(run)
 }
@@ -1196,9 +971,8 @@ fn known_failures(args: &Args) -> io::Result<()> {
     for p in inputs::known_failing_verdicts() {
         load::classify_once(&mut conn, &p.spec_json, p.expect, &p.origin, &mut tally)?;
     }
-    let problems = inputs::stream_problems();
     let mut rng = Rng::new(args.seed);
-    for (index, p) in problems.iter().enumerate() {
+    for p in inputs::stream_problems() {
         let tables = Tables::from_spec_json(&p.spec_json);
         for topology in [
             lcl_paths::problem::Topology::Path,
@@ -1206,18 +980,17 @@ fn known_failures(args: &Args) -> io::Result<()> {
         ] {
             for length in [300u64, 1000] {
                 let case = StreamCase {
-                    problem: index,
                     topology,
                     length,
-                    inputs: inputs::CaseInputs::Seeded(rng.next_u64() >> 1),
+                    seed: rng.next_u64() >> 1,
                     alphabet: p.problem.num_inputs(),
                 };
-                if !inputs::known_failing_case(p, &case) {
+                if !inputs::known_failing_case(&p, &case) {
                     continue;
                 }
                 let frame = Frame::solve_stream(&p.spec_json, &case);
                 match load::stream_once(&mut conn, &frame, &case, &tables, p.expect)? {
-                    Ok(_) => tally.ok(),
+                    Ok(()) => tally.ok(),
                     Err(why) => {
                         tally.fail(&p.origin, &case.describe(), why);
                         conn = Conn::connect(served.addr)?;

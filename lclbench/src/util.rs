@@ -60,22 +60,6 @@ pub fn median(values: &[f64]) -> f64 {
     percentile(&sorted(values.to_vec()), 0.5)
 }
 
-/// The undisturbed level of a rate measured over many slices: its 90th
-/// percentile. Other tenants of a shared host only ever slow a slice down,
-/// by up to a third here and for seconds at a time, so the fast end of the
-/// distribution is what repeats from run to run (the minimum-time estimator
-/// of Chen and Revels, "Robust benchmarking in noisy environments", 2016);
-/// the very best slices are left out as outliers of the other kind.
-pub fn undisturbed_rate(per_slice: &[f64]) -> f64 {
-    percentile(&sorted(per_slice.to_vec()), 0.9)
-}
-
-/// The undisturbed level of a time measured over many slices: its 10th
-/// percentile (see [`undisturbed_rate`]).
-pub fn undisturbed_time(per_slice: &[f64]) -> f64 {
-    percentile(&sorted(per_slice.to_vec()), 0.1)
-}
-
 /// The process's peak resident set (`VmHWM`) in MB.
 pub fn peak_rss_mb() -> f64 {
     let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
@@ -176,6 +160,18 @@ impl Hist {
         self.n += other.n;
     }
 
+    /// Adds `other` with every latency multiplied by `factor`, each bucket
+    /// moved as a whole by its midpoint.
+    pub fn merge_scaled(&mut self, other: &Hist, factor: f64) {
+        for (b, &c) in other.counts.iter().enumerate() {
+            if c > 0 {
+                let (low, width) = Self::range(b);
+                self.counts[Self::bucket(((low + width / 2.0) * factor) as u64)] += c;
+            }
+        }
+        self.n += other.n;
+    }
+
     pub fn len(&self) -> u64 {
         self.n
     }
@@ -197,14 +193,17 @@ impl Hist {
     }
 }
 
-/// The tail percentile: p90, or p50 when fewer than ten samples lie beyond
-/// p90. Not p99: on the shared 2-vCPU host this was tuned on, sporadic
-/// vCPU stalls of several milliseconds move a slice's p99 between 0.15 and
-/// 11 ms within one run, so p99 cannot carry a regression bound there.
-pub fn tail_pct(samples: u64) -> f64 {
-    if samples as f64 * 0.1 >= 10.0 {
-        0.9
-    } else {
-        0.5
+impl Default for Hist {
+    fn default() -> Hist {
+        Hist::new()
     }
+}
+
+/// The tail percentile: the highest of p99, p90 and p50 with at least ten
+/// samples beyond it.
+pub fn tail_pct(samples: u64) -> f64 {
+    [0.99, 0.9]
+        .into_iter()
+        .find(|p| samples as f64 * (1.0 - p) >= 10.0)
+        .unwrap_or(0.5)
 }
