@@ -42,5 +42,5 @@ fn main() {
             verify
         );
     }
-    println!("all good-input labelings accepted ✓ (see EXPERIMENTS.md, E-F1)");
+    println!("all good-input labelings accepted ✓ (E-F1)");
 }

@@ -29,24 +29,26 @@
 //! 6. **observability overhead** — warm pipelined sweeps with detailed
 //!    metrics (latency histograms + stage traces) enabled vs the no-op
 //!    recorder (`set_detailed(false)`), interleaved on one server and one
-//!    connection so clock drift cannot land on one side. The observability
-//!    layer must cost under 5% of throughput; the run asserts it.
+//!    connection so clock drift cannot land on one side. Each round yields
+//!    one on/off time ratio; the median ratio must show the observability
+//!    layer costing under 5% of throughput, and the run asserts it.
 //! 7. **zero-serialization hit path** — warm corpus sweeps through the
 //!    stdio front-end with the reply-bytes splice lane on vs off
-//!    (`set_reply_splice` is a live toggle), interleaved and fastest-of
-//!    like experiment 6. The off mode is the verdict-cache-only baseline:
-//!    every hit re-serializes its reply; the on mode answers hits by
-//!    splicing the request id into the cached payload bytes. Printed as
-//!    ns/frame; the outputs of the two modes are asserted byte-identical
-//!    and the spliced mode must cut hit-path time at least 2x.
+//!    (`set_reply_splice` is a live toggle), interleaved every round and
+//!    fastest-of per mode. The off mode is the verdict-cache-only baseline:
+//!    every hit takes a pool job that re-serializes its reply; the on mode
+//!    answers hits on the reading thread by splicing the request id into
+//!    the cached payload bytes. Printed as ns/frame; the outputs of the two
+//!    modes are asserted byte-identical and the spliced mode must cut
+//!    hit-path time at least 2x.
 //! 8. **admission + persistence** — the production-posture gates. Three
 //!    measurements: (a) with thresholds far above the workload, warm
 //!    pipelined sweeps must shed exactly zero frames (admission is
-//!    invisible below its limits); (b) with one worker pinned by slow
-//!    solves and queue-depth shedding armed, a probe connection's
-//!    rejections must come back under 1ms at p99 — a shed takes no pool
-//!    slot, so its cost is parse + admission check + a pre-rendered error
-//!    frame; (c) a verdict cache snapshotted to disk and restored into a
+//!    invisible below its limits); (b) with the one worker held by gate
+//!    jobs (one running, the shed threshold's worth queued) and queue-depth
+//!    shedding armed, a probe connection's rejections must come back under
+//!    1ms at p99 — a shed takes no pool slot, so its cost is the admission
+//!    check + a pre-rendered error frame; (c) a verdict cache snapshotted to disk and restored into a
 //!    fresh engine must answer the first corpus sweep at a > 0.9 hit
 //!    ratio.
 //!
@@ -262,10 +264,14 @@ fn main() {
     }
 
     println!("\n-- observability overhead: detailed metrics on vs off (warm) --");
-    let (on, off) = obs_compare(&specs);
-    let overhead = on.as_secs_f64() / off.as_secs_f64().max(1e-12) - 1.0;
+    let ratios = obs_compare(&specs);
+    let overhead = ratios[ratios.len() / 2] - 1.0;
     println!(
-        "detailed on {on:>10.2?}   no-op recorder {off:>10.2?}   overhead {:+.2}%",
+        "on/off time ratio over {} rounds: min {:.3}  median {:.3}  max {:.3}   overhead {:+.2}%",
+        ratios.len(),
+        ratios[0],
+        ratios[ratios.len() / 2],
+        ratios[ratios.len() - 1],
         overhead * 100.0
     );
     assert!(
@@ -348,22 +354,26 @@ fn clean_path_sheds(specs: &[lcl_problem::ProblemSpec]) -> u64 {
         .sum()
 }
 
-/// Experiment 8b: shed-path reply latency. A burst of slow solves pins the
-/// single worker and fills the queue to the shed threshold; a separate
-/// probe connection then times rejected classify round-trips. The probe
-/// connection has nothing pending, so each rejection's latency is pure
-/// shed path: parse, admission check, pre-rendered `overloaded` frame.
+/// Experiment 8b: shed-path reply latency. The single worker is held by
+/// gate jobs blocked on a channel — one running and `SHED_QUEUE_DEPTH`
+/// queued — so the pool reads as saturated for exactly as long as the
+/// probes take, however fast real work would have drained. A probe
+/// connection then times rejected classify round-trips; it has nothing
+/// pending, so each rejection's latency is pure shed path: admission check
+/// plus a pre-rendered `overloaded` frame. Releasing the gates afterwards
+/// drains the pool.
 fn shed_latency() -> (Duration, usize) {
     use lcl_problem::json::JsonValue;
-    use lcl_problem::{Instance, RequestEnvelope, ResponseEnvelope, Topology};
+    use lcl_problem::{RequestEnvelope, ResponseEnvelope};
     use lcl_server::AdmissionConfig;
     use std::io::{BufRead, BufReader, Write};
 
     const PROBES: usize = 200;
+    const SHED_QUEUE_DEPTH: usize = 2;
     let service = Arc::new(
         Service::new(Engine::builder().parallelism(1).cache_shards(1).build()).with_admission(
             AdmissionConfig {
-                shed_queue_depth: 2,
+                shed_queue_depth: SHED_QUEUE_DEPTH,
                 shed_p99_micros: 0,
                 quota_rps: 0,
                 quota_burst: 0,
@@ -378,29 +388,24 @@ fn shed_latency() -> (Duration, usize) {
         .start()
         .expect("start server");
 
-    // Pin the pool: the solve burst arrives faster than the one worker can
-    // drain it, so the queue settles at the threshold (excess solves shed)
-    // and stays there for the duration of the running solve — hundreds of
-    // milliseconds, plenty for a 200-probe measurement that takes tens.
-    let spec = lcl_problems::coloring(3).to_spec();
-    let instance = Instance::from_indices(Topology::Cycle, &[0; 1200]);
-    let mut flood = std::net::TcpStream::connect(handle.addr()).expect("connect flood");
-    flood.set_nodelay(true).expect("nodelay");
-    for id in 0..8i64 {
-        let mut line = RequestEnvelope::new(
-            id,
-            "solve",
-            JsonValue::object([
-                ("problem", spec.to_json()),
-                ("instance", instance.to_json()),
-            ]),
-        )
-        .to_json_string();
-        line.push('\n');
-        flood.write_all(line.as_bytes()).expect("flood send");
+    let (gates, finished): (Vec<mpsc::Sender<()>>, Vec<mpsc::Receiver<()>>) = (0
+        ..=SHED_QUEUE_DEPTH)
+        .map(|_| {
+            let (release, hold) = mpsc::channel::<()>();
+            let done = service.engine().dispatch(move || {
+                let _ = hold.recv(); // returns once the sender drops
+            });
+            (release, done)
+        })
+        .unzip();
+    // Once the worker has picked up the first gate, the rest stay queued.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while service.engine().pool_stats().queue_depth != SHED_QUEUE_DEPTH {
+        assert!(Instant::now() < deadline, "the worker never took a gate");
+        thread::yield_now();
     }
-    flood.flush().expect("flood flush");
 
+    let spec = lcl_problems::coloring(3).to_spec();
     let probe_stream = std::net::TcpStream::connect(handle.addr()).expect("connect probe");
     probe_stream.set_nodelay(true).expect("nodelay");
     let mut probe_writer = probe_stream.try_clone().expect("clone probe stream");
@@ -412,7 +417,9 @@ fn shed_latency() -> (Duration, usize) {
     )
     .to_json_string();
     probe_line.push('\n');
-    let mut round_trip = || -> ResponseEnvelope {
+    let mut latencies = Vec::with_capacity(PROBES);
+    for _ in 0..PROBES {
+        let start = Instant::now();
         probe_writer
             .write_all(probe_line.as_bytes())
             .expect("probe send");
@@ -421,33 +428,21 @@ fn shed_latency() -> (Duration, usize) {
             probe_reader.read_line(&mut reply).expect("probe reply") > 0,
             "probe connection closed"
         );
-        ResponseEnvelope::from_json_str(reply.trim_end()).expect("probe reply parses")
-    };
-
-    // Settle: probe until the first rejection, so the timed loop below
-    // measures sheds only (the solves need a moment to reach the queue).
-    let deadline = Instant::now() + Duration::from_secs(10);
-    loop {
-        if round_trip().result.is_err() {
-            break;
-        }
-        assert!(Instant::now() < deadline, "queue shedding never engaged");
-    }
-    let mut latencies = Vec::with_capacity(PROBES);
-    for _ in 0..PROBES {
-        let start = Instant::now();
-        let reply = round_trip();
         latencies.push(start.elapsed());
-        let error = reply
+        let error = ResponseEnvelope::from_json_str(reply.trim_end())
+            .expect("probe reply parses")
             .result
             .expect_err("probe sheds while the pool is pinned");
         assert_eq!(error.category, "overloaded", "{}", error.message);
         assert_eq!(error.retryable, Some(true));
         assert!(error.retry_after_millis.unwrap_or(0) >= 1);
     }
+    drop(gates);
+    for done in finished {
+        done.recv().expect("gate job finishes once released");
+    }
     drop(probe_writer);
     drop(probe_reader);
-    drop(flood);
     handle.shutdown();
     latencies.sort();
     let p99 = latencies[latencies.len() - 1 - latencies.len() / 100];
@@ -504,17 +499,15 @@ fn restored_warmth(specs: &[lcl_problem::ProblemSpec]) -> (u64, usize) {
 
 /// Experiment 6: warm pipelined corpus sweeps with the observability layer
 /// (histograms + stage traces) enabled vs replaced by the no-op recorder,
-/// returning `(detailed, no-op)` as the fastest batch per mode.
+/// returning the per-round detailed/no-op time ratios, sorted.
 ///
-/// Both modes run on the *same* server and connection, alternating every
-/// round (`set_detailed` is a live toggle), so frequency scaling or noisy
-/// neighbors degrade both sides alike instead of whichever mode happened to
-/// run second. Fastest-of, not mean-of: both configurations hit the same
-/// cache-warm path, so the minimum is the least noisy estimate of the
-/// per-request cost.
-fn obs_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration) {
+/// Both modes run on the *same* server and connection, back to back in
+/// every round (`set_detailed` is a live toggle), so frequency scaling or
+/// noisy neighbors degrade both sides of a round alike; the median ratio
+/// then discards the rounds a burst of noise landed on one side of.
+fn obs_compare(specs: &[lcl_problem::ProblemSpec]) -> Vec<f64> {
     const OBS_SWEEPS: usize = 20;
-    const OBS_ROUNDS: usize = 8;
+    const OBS_ROUNDS: usize = 9;
     let service = Arc::new(Service::new(Engine::builder().parallelism(4).build()));
     let server = Server::bind(Arc::clone(&service), "127.0.0.1:0").expect("bind loopback");
     let handle = server.start().expect("start server");
@@ -526,8 +519,9 @@ fn obs_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration) {
         assert!(outcomes.iter().all(Result::is_ok));
     };
     sweep(&mut client); // warm the cache and the connection
-    let mut fastest = [Duration::MAX; 2];
+    let mut ratios = Vec::with_capacity(OBS_ROUNDS);
     for _ in 0..OBS_ROUNDS {
+        let mut elapsed = [Duration::ZERO; 2];
         for (mode, detailed) in [(0, true), (1, false)] {
             service.metrics().set_detailed(detailed);
             sweep(&mut client); // settle: drain requests dispatched pre-toggle
@@ -535,12 +529,14 @@ fn obs_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration) {
             for _ in 0..OBS_SWEEPS {
                 sweep(&mut client);
             }
-            fastest[mode] = fastest[mode].min(start.elapsed());
+            elapsed[mode] = start.elapsed();
         }
+        ratios.push(elapsed[0].as_secs_f64() / elapsed[1].as_secs_f64().max(1e-12));
     }
     drop(client);
     handle.shutdown();
-    (fastest[0], fastest[1])
+    ratios.sort_by(f64::total_cmp);
+    ratios
 }
 
 /// Experiment 7: warm corpus sweeps through the stdio front-end with the
@@ -548,8 +544,9 @@ fn obs_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration) {
 /// frames per timed mode)` with the fastest batch per mode.
 ///
 /// The stdio front-end isolates the hit path: no sockets, no pipelining —
-/// each frame is parse + memoized lookup + reply emission, which is
-/// exactly the work the splice lane changes. Both modes run on the *same*
+/// each frame is dispatched and its reply written before the next is read,
+/// so the spliced mode costs the calling thread's cache probe + id-splice
+/// and the off mode a pool job's parse + memoized lookup + serialization. Both modes run on the *same*
 /// service (the cache stays warm and `set_reply_splice` toggles live),
 /// interleaved every round like experiment 6 so noise lands on both sides.
 /// Every reply line of the two modes is asserted byte-identical, and the
@@ -561,7 +558,7 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
 
     const SPLICE_SWEEPS: usize = 30;
     const SPLICE_ROUNDS: usize = 8;
-    let service = Service::new(Engine::builder().parallelism(1).build());
+    let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
     let input: String = specs
         .iter()
         .enumerate()
@@ -570,7 +567,7 @@ fn splice_compare(specs: &[lcl_problem::ProblemSpec]) -> (Duration, Duration, us
             RequestEnvelope::new(i as i64, "classify", payload).to_json_string() + "\n"
         })
         .collect();
-    let sweep = |service: &Service| -> Vec<u8> {
+    let sweep = |service: &Arc<Service>| -> Vec<u8> {
         let mut output = Vec::with_capacity(64 * 1024);
         serve_stdio(service, input.as_bytes(), &mut output).expect("stdio sweep");
         output

@@ -1,5 +1,4 @@
-//! Shared helpers for the benchmark harness (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded results).
+//! Shared helpers for the benchmark harness.
 //!
 //! Every bench target is a standalone experiment binary (`harness = false`)
 //! that regenerates one figure- or theorem-level artifact of the paper and

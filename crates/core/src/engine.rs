@@ -529,9 +529,9 @@ impl Engine {
     /// directly on the calling thread, misses are computed by a pool worker
     /// while the caller blocks on the reply.
     ///
-    /// This is the request-dispatch path of the network service: connection
-    /// threads stay I/O-bound and all classification CPU burns on the
-    /// engine's persistent workers, without spawning any thread. Must not be
+    /// For callers off the pool ([`Engine::solve`], [`Engine::solve_stream`]):
+    /// the calling thread stays I/O-bound and all classification CPU burns
+    /// on the engine's persistent workers, without spawning any thread. Must not be
     /// called from a pool worker itself (a single-worker pool would
     /// deadlock); the engine never does this internally.
     ///

@@ -334,8 +334,9 @@ fn blocks_exist(
 ///
 /// # Errors
 ///
-/// Returns [`ClassifierError::TooLarge`] if the output alphabet exceeds 64
-/// labels (the bitmask representation) and
+/// Returns [`ClassifierError::TooLarge`] if the output alphabet has 64 or
+/// more labels (candidate subsets are `u64` bitmasks enumerated up to
+/// `1 << beta`) and
 /// [`ClassifierError::SearchBudgetExceeded`] if the search budget runs out.
 pub fn find_feasible(
     info: &GapTypes,
@@ -344,9 +345,9 @@ pub fn find_feasible(
 ) -> Result<Option<FeasibleStructure>> {
     let problem = info.problem();
     let beta = problem.num_outputs();
-    if beta > 64 {
+    if beta >= 64 {
         return Err(ClassifierError::TooLarge {
-            what: format!("output alphabet of size {beta} exceeds the 64-label limit"),
+            what: format!("output alphabet of size {beta} exceeds the 63-label limit"),
         });
     }
     let num_types = info.quantified().len();
@@ -645,6 +646,21 @@ mod tests {
             result,
             Err(ClassifierError::SearchBudgetExceeded { .. })
         ));
+    }
+
+    #[test]
+    fn a_64_label_output_alphabet_is_too_large_not_misclassified() {
+        // Candidate subsets are enumerated up to `1 << beta`, which
+        // overflows a u64 at beta = 64: the guard must reject it before the
+        // walk (it used to wrap in release and classify both as linear).
+        for problem in [lcl_problems::unconstrained(64), lcl_problems::coloring(64)] {
+            let result = crate::Engine::new().classify(&problem);
+            assert!(
+                matches!(result, Err(ClassifierError::TooLarge { .. })),
+                "{}: {result:?}",
+                problem.name()
+            );
+        }
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! produce an asymptotically optimal LOCAL algorithm for the class.
 //!
 //! The crate follows the paper's proof plan, with the type machinery of
-//! `lcl-semigroup` standing in for the equivalence classes of §4.1 (see
-//! DESIGN.md for the documented substitutions):
+//! `lcl-semigroup` standing in for the equivalence classes of §4.1:
 //!
 //! * **Solvability** — a problem that admits no valid labeling on some
 //!   input-labeled cycle is reported as [`Complexity::Unsolvable`] together
@@ -80,7 +79,7 @@ pub use engine::{
 };
 pub use error::ClassifierError;
 pub use feasibility::{FeasibleStructure, PatternLabeling};
-pub use obs::{HistogramSnapshot, LatencyHistogram, TraceRecord, TraceRing};
+pub use obs::{HistogramSnapshot, LatencyHistogram, TraceRecord};
 pub use pool::PoolStats;
 pub use snapshot::{RestoreReport, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use stream::{StreamSolution, STREAM_RADIUS_CAP};

@@ -1,5 +1,5 @@
 //! Dependency-free observability primitives: lock-free log-bucketed latency
-//! histograms and a lock-free ring buffer of recent request traces.
+//! histograms and the per-request stage-timing record.
 //!
 //! Built for `lcl-server`'s request path but deliberately generic — nothing
 //! in here knows about protocols or sockets:
@@ -11,13 +11,10 @@
 //!   be estimated with bounded relative error (≤ 1/[`SUB_BUCKETS`], i.e.
 //!   12.5%) from a [`HistogramSnapshot`]. Snapshots are mergeable, which is
 //!   what makes per-shard or per-thread histograms aggregatable.
-//! * [`TraceRing`] — a fixed-size lock-free ring of [`TraceRecord`]s (the
-//!   per-stage timing of one finished request). Writers claim slots with one
-//!   `fetch_add` and publish through a per-slot sequence counter (a seqlock
-//!   flattened onto atomics — no `unsafe`, which this crate forbids);
-//!   readers that race a writer simply skip the torn slot.
+//! * [`TraceRecord`] — the per-stage timing of one finished request, as
+//!   the server's slow-request log line reports it.
 //!
-//! Recording into either structure never blocks and never allocates.
+//! Recording into a histogram never blocks and never allocates.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -205,16 +202,13 @@ impl HistogramSnapshot {
     }
 }
 
-/// Number of `u64` words one [`TraceRecord`] flattens into inside the ring.
-const TRACE_WORDS: usize = 10;
-
 /// Request kinds a [`TraceRecord`] can carry: an opaque small integer the
 /// embedder maps to its own kind enum (`lcl-server` uses the protocol
 /// order, with [`TraceRecord::KIND_INVALID`] for unparseable frames).
 pub type TraceKind = u8;
 
-/// The per-stage timing of one finished request, as stored in a
-/// [`TraceRing`] and emitted on a slow-trace log line.
+/// The per-stage timing of one finished request, as emitted on a
+/// slow-trace log line.
 ///
 /// Stage durations are microseconds and **disjoint**: `queue` is the wait
 /// between dispatch and a pool worker picking the job up, `parse` /
@@ -274,129 +268,6 @@ impl TraceRecord {
     /// The [`TraceRecord::kind`] of a frame that never resolved to a
     /// request kind.
     pub const KIND_INVALID: TraceKind = u8::MAX;
-
-    fn encode(&self) -> [u64; TRACE_WORDS] {
-        let flags = u64::from(self.ok)
-            | (u64::from(self.id.is_some()) << 1)
-            | (u64::from(self.problem_hash.is_some()) << 2)
-            | (u64::from(self.cache_hit.is_some()) << 3)
-            | (u64::from(self.cache_hit.unwrap_or(false)) << 4)
-            | (u64::from(self.kind) << 8);
-        [
-            flags,
-            self.id.unwrap_or(0) as u64,
-            self.problem_hash.unwrap_or(0),
-            self.queue_micros,
-            self.parse_micros,
-            self.compute_micros,
-            self.serialize_micros,
-            self.write_micros,
-            self.total_micros,
-            0,
-        ]
-    }
-
-    fn decode(words: &[u64; TRACE_WORDS]) -> TraceRecord {
-        let flags = words[0];
-        TraceRecord {
-            id: (flags & 2 != 0).then_some(words[1] as i64),
-            kind: ((flags >> 8) & 0xff) as TraceKind,
-            ok: flags & 1 != 0,
-            problem_hash: (flags & 4 != 0).then_some(words[2]),
-            cache_hit: (flags & 8 != 0).then_some(flags & 16 != 0),
-            queue_micros: words[3],
-            parse_micros: words[4],
-            compute_micros: words[5],
-            serialize_micros: words[6],
-            write_micros: words[7],
-            total_micros: words[8],
-        }
-    }
-}
-
-/// One ring slot: a per-slot sequence counter (odd = a writer is mid-store)
-/// plus the record flattened into relaxed atomics. A flattened seqlock —
-/// readers detect torn reads by re-checking the sequence, writers never
-/// wait.
-#[derive(Debug)]
-struct TraceSlot {
-    seq: AtomicU64,
-    words: [AtomicU64; TRACE_WORDS],
-}
-
-/// A fixed-size lock-free ring buffer of the most recent [`TraceRecord`]s.
-///
-/// [`TraceRing::push`] claims a slot with one `fetch_add` and overwrites the
-/// oldest record; [`TraceRing::recent`] returns the still-readable records,
-/// oldest first, skipping any slot a concurrent writer holds. Pushing is
-/// wait-free and allocation-free — suitable for a request hot path.
-#[derive(Debug)]
-pub struct TraceRing {
-    slots: Vec<TraceSlot>,
-    next: AtomicU64,
-}
-
-impl TraceRing {
-    /// A ring holding the `capacity` (at least 1) most recent records.
-    pub fn new(capacity: usize) -> TraceRing {
-        TraceRing {
-            slots: (0..capacity.max(1))
-                .map(|_| TraceSlot {
-                    seq: AtomicU64::new(0),
-                    words: [0u64; TRACE_WORDS].map(AtomicU64::new),
-                })
-                .collect(),
-            next: AtomicU64::new(0),
-        }
-    }
-
-    /// How many records the ring retains.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Records pushed since construction (≥ retained records).
-    pub fn pushed(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
-    }
-
-    /// Stores one record, overwriting the oldest.
-    pub fn push(&self, record: &TraceRecord) {
-        let ticket = self.next.fetch_add(1, Ordering::Relaxed);
-        let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Odd sequence marks the slot as mid-write; Release on the final
-        // even store publishes the words to readers' Acquire loads.
-        let seq = slot.seq.fetch_add(1, Ordering::AcqRel);
-        debug_assert_eq!(seq % 2, 0, "slot writers are serialized by tickets");
-        for (word, value) in slot.words.iter().zip(record.encode()) {
-            word.store(value, Ordering::Relaxed);
-        }
-        slot.seq.fetch_add(1, Ordering::Release);
-    }
-
-    /// The retained records, oldest first. Slots a concurrent writer is
-    /// mid-overwrite in are skipped rather than read torn.
-    pub fn recent(&self) -> Vec<TraceRecord> {
-        let end = self.next.load(Ordering::Acquire);
-        let len = self.slots.len() as u64;
-        let start = end.saturating_sub(len);
-        let mut out = Vec::with_capacity((end - start) as usize);
-        for ticket in start..end {
-            let slot = &self.slots[(ticket % len) as usize];
-            let before = slot.seq.load(Ordering::Acquire);
-            if !before.is_multiple_of(2) {
-                continue; // mid-write
-            }
-            let mut words = [0u64; TRACE_WORDS];
-            for (value, word) in words.iter_mut().zip(slot.words.iter()) {
-                *value = word.load(Ordering::Relaxed);
-            }
-            if slot.seq.load(Ordering::Acquire) == before {
-                out.push(TraceRecord::decode(&words));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -514,94 +385,5 @@ mod tests {
         assert_eq!(snapshot.quantile(0.5), 0);
         assert_eq!(snapshot.mean(), 0);
         assert_eq!(snapshot.nonzero_buckets().count(), 0);
-    }
-
-    #[test]
-    fn trace_records_round_trip_through_the_ring() {
-        let ring = TraceRing::new(4);
-        let record = TraceRecord {
-            id: Some(-7),
-            kind: 3,
-            ok: true,
-            problem_hash: Some(0xdead_beef_cafe_f00d),
-            cache_hit: Some(true),
-            queue_micros: 10,
-            parse_micros: 20,
-            compute_micros: 30,
-            serialize_micros: 40,
-            write_micros: 50,
-            total_micros: 160,
-        };
-        ring.push(&record);
-        assert_eq!(ring.recent(), vec![record]);
-
-        // Overflow keeps only the newest `capacity` records, oldest first.
-        for i in 0..10i64 {
-            ring.push(&TraceRecord {
-                id: Some(i),
-                kind: TraceRecord::KIND_INVALID,
-                ..TraceRecord::default()
-            });
-        }
-        let recent = ring.recent();
-        assert_eq!(recent.len(), 4);
-        assert_eq!(
-            recent.iter().map(|r| r.id.unwrap()).collect::<Vec<_>>(),
-            vec![6, 7, 8, 9]
-        );
-        assert_eq!(ring.pushed(), 11);
-        assert_eq!(ring.capacity(), 4);
-
-        // None-valued fields survive the flattening.
-        let bare = TraceRecord::default();
-        ring.push(&bare);
-        assert_eq!(*ring.recent().last().unwrap(), bare);
-    }
-
-    #[test]
-    fn concurrent_pushes_never_tear_reads() {
-        use std::sync::Arc;
-        let ring = Arc::new(TraceRing::new(8));
-        let writers: Vec<_> = (0..4)
-            .map(|t| {
-                let ring = Arc::clone(&ring);
-                std::thread::spawn(move || {
-                    for i in 0..500u64 {
-                        // Every field derived from one seed: a torn read
-                        // would produce an inconsistent tuple.
-                        let seed = t * 1_000 + i;
-                        ring.push(&TraceRecord {
-                            id: Some(seed as i64),
-                            kind: (seed % 7) as TraceKind,
-                            ok: true,
-                            problem_hash: Some(seed * 31),
-                            cache_hit: Some(seed % 2 == 0),
-                            queue_micros: seed,
-                            parse_micros: seed + 1,
-                            compute_micros: seed + 2,
-                            serialize_micros: seed + 3,
-                            write_micros: seed + 4,
-                            total_micros: seed * 5 + 10,
-                        });
-                    }
-                })
-            })
-            .collect();
-        for _ in 0..200 {
-            for record in ring.recent() {
-                let seed = record.queue_micros;
-                assert_eq!(record.id, Some(seed as i64));
-                assert_eq!(record.kind, (seed % 7) as TraceKind);
-                assert_eq!(record.problem_hash, Some(seed * 31));
-                assert_eq!(record.cache_hit, Some(seed % 2 == 0));
-                assert_eq!(record.parse_micros, seed + 1);
-                assert_eq!(record.write_micros, seed + 4);
-                assert_eq!(record.total_micros, seed * 5 + 10);
-            }
-        }
-        for writer in writers {
-            writer.join().unwrap();
-        }
-        assert_eq!(ring.pushed(), 2_000);
     }
 }

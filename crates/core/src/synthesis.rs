@@ -13,8 +13,7 @@
 //!   boundaries, Lemma 26); the remaining nodes complete the gaps between
 //!   labeled regions with the same dynamic program. Small networks and
 //!   networks whose irregular stretches exceed the practical constant fall
-//!   back to gathering everything (see DESIGN.md for the documented scope of
-//!   this fallback).
+//!   back to gathering everything.
 //! * [`SynthesizedAlgorithm`] — the tagged union returned by the classifier;
 //!   `Θ(n)` and unsolvable problems get the trivial gather-everything
 //!   algorithm.
@@ -339,7 +338,7 @@ impl ConstantAlgorithm {
         let kappa = kappa.max(1);
         // The core radius must exceed min_gap + 2κ so that two distinct
         // periodic regions are always separated by a gap of at least min_gap
-        // unlabeled nodes (Fine–Wilf argument, see DESIGN.md).
+        // unlabeled nodes (Fine–Wilf argument).
         let count = (core.min_gap + 2 * kappa + 2).div_ceil(kappa) + 2;
         let params = PartitionParams::new(kappa, count, 1);
         let d = params.core_radius();

@@ -12,8 +12,8 @@
 //! introduces the escape labels `E`, `El`, `Er` for instances that are not
 //! valid encodings; this implementation covers the encoding itself, the
 //! in-block output agreement, and the original constraints across block
-//! boundaries, which is the part exercised by valid encodings — see
-//! DESIGN.md, experiment E-F3).
+//! boundaries, which is the part exercised by valid encodings and measured
+//! by the `fig3_normalization` bench, E-F3).
 
 use lcl_problem::{
     Alphabet, InLabel, Instance, Labeling, NormalizedLcl, OutLabel, ProblemError, Result,

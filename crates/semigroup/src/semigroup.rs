@@ -9,8 +9,7 @@
 //! eventual periodicity of *which types are realized by words of length n*.
 //!
 //! The derived constants replace the paper's astronomically large worst-case
-//! pumping constant `ℓ_pump` with the tight value for the problem at hand (see
-//! DESIGN.md §2, substitution 1).
+//! pumping constant `ℓ_pump` with the tight value for the problem at hand.
 
 use crate::{OutRelation, Result, SemigroupError, TransferSystem};
 use lcl_problem::InLabel;

@@ -1,10 +1,12 @@
 //! Bounded NDJSON frame reading and writing.
 //!
-//! Both the TCP connection handler and the stdio loop read frames through
-//! [`read_frame`], which enforces [`MAX_FRAME_BYTES`]: an oversized line is
-//! consumed (and discarded) up to its terminating newline, so the connection
-//! stays usable and the offender gets a structured error reply instead of
-//! unbounded buffering or a dropped stream. Responses leave through
+//! The thread backend's connection reader and the stdio loop read frames
+//! through [`read_frame`] (the reactor scans its own buffer the same way),
+//! which enforces [`MAX_FRAME_BYTES`]: an oversized line is consumed (and
+//! discarded) up to its terminating newline, so the connection stays usable
+//! and the offender gets a structured error reply instead of unbounded
+//! buffering or a dropped stream. Every [`Frame`] goes to
+//! [`Service::dispatch`](crate::Service::dispatch). Responses leave through
 //! [`write_frame`], which appends the newline terminator but deliberately
 //! does **not** flush — the TCP writer thread batches several pipelined
 //! replies per flush, while the stdio loop flushes after every frame.
@@ -17,9 +19,10 @@ use std::time::Instant;
 /// terminate the connection.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
-/// Outcome of reading one frame.
+/// One frame read off a connection, as handed to
+/// [`Service::dispatch`](crate::Service::dispatch).
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Frame {
+pub enum Frame {
     /// A complete line (without its newline). Invalid UTF-8 is replaced
     /// lossily — the JSON parser then rejects the frame with a structured
     /// error rather than the reader killing the connection.
@@ -32,20 +35,17 @@ pub(crate) enum Frame {
         /// When the overflow was detected — draining the rest of a multi-MB
         /// frame can take real time, and accounting it from this instant
         /// (rather than from after the drain) keeps the `invalid` latency
-        /// histogram honest ([`Service::reject_oversized_at`]).
-        ///
-        /// [`Service::reject_oversized_at`]: crate::Service::reject_oversized_at
+        /// histogram honest.
         started: Instant,
     },
-    /// Clean end of stream.
-    Eof,
 }
 
-/// Reads one `\n`-terminated frame of at most `max` bytes.
+/// Reads the next `\n`-terminated frame of at most `max` bytes, skipping
+/// blank lines (they get no reply); `None` at a clean end of stream.
 ///
 /// A final unterminated line at EOF is returned as a normal line (pipes often
 /// omit the trailing newline). I/O errors abort the read.
-pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Frame> {
+pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Option<Frame>> {
     let mut buf: Vec<u8> = Vec::new();
     let mut overflowed: Option<Instant> = None;
     let mut discarded = 0usize;
@@ -79,13 +79,16 @@ pub(crate) fn read_frame(reader: &mut impl BufRead, max: usize) -> io::Result<Fr
         };
         reader.consume(used);
         if done {
-            return Ok(if let Some(started) = overflowed {
-                Frame::Oversized { discarded, started }
-            } else if eof && buf.is_empty() {
-                Frame::Eof
-            } else {
-                Frame::Line(into_string(buf))
-            });
+            if let Some(started) = overflowed {
+                return Ok(Some(Frame::Oversized { discarded, started }));
+            }
+            if eof && buf.is_empty() {
+                return Ok(None);
+            }
+            let line = into_string(std::mem::take(&mut buf));
+            if !line.trim().is_empty() {
+                return Ok(Some(Frame::Line(line)));
+            }
         }
     }
 }
@@ -109,12 +112,13 @@ mod tests {
     use super::*;
     use std::io::BufReader;
 
-    fn frames(input: &[u8], max: usize) -> Vec<Frame> {
+    /// Every frame up to and including the end-of-stream `None`.
+    fn frames(input: &[u8], max: usize) -> Vec<Option<Frame>> {
         let mut reader = BufReader::with_capacity(7, input); // tiny buffer: force refills
         let mut out = Vec::new();
         loop {
             let frame = read_frame(&mut reader, max).unwrap();
-            let eof = frame == Frame::Eof;
+            let eof = frame.is_none();
             out.push(frame);
             if eof {
                 return out;
@@ -122,24 +126,25 @@ mod tests {
         }
     }
 
+    fn line(text: &str) -> Option<Frame> {
+        Some(Frame::Line(text.into()))
+    }
+
     #[test]
     fn splits_lines_and_reports_eof() {
-        let got = frames(b"one\ntwo\n", 100);
+        let got = frames(b"one\n\n \ntwo\n", 100);
         assert_eq!(
             got,
-            vec![
-                Frame::Line("one".into()),
-                Frame::Line("two".into()),
-                Frame::Eof
-            ]
+            vec![line("one"), line("two"), None],
+            "blank lines skipped"
         );
     }
 
     #[test]
     fn final_unterminated_line_is_returned() {
         let got = frames(b"tail-no-newline", 100);
-        assert_eq!(got[0], Frame::Line("tail-no-newline".into()));
-        assert_eq!(got[1], Frame::Eof);
+        assert_eq!(got[0], line("tail-no-newline"));
+        assert_eq!(got[1], None);
     }
 
     #[test]
@@ -149,30 +154,30 @@ mod tests {
         input.extend_from_slice(b"ok\n");
         let got = frames(&input, 10);
         assert!(
-            matches!(got[0], Frame::Oversized { discarded: 50, .. }),
+            matches!(got[0], Some(Frame::Oversized { discarded: 50, .. })),
             "{:?}",
             got[0]
         );
-        assert_eq!(got[1], Frame::Line("ok".into()));
-        assert_eq!(got[2], Frame::Eof);
+        assert_eq!(got[1], line("ok"));
+        assert_eq!(got[2], None);
     }
 
     #[test]
     fn oversized_line_at_eof_is_reported() {
         let got = frames(&[b'x'; 40], 10);
         assert!(
-            matches!(got[0], Frame::Oversized { discarded: 40, .. }),
+            matches!(got[0], Some(Frame::Oversized { discarded: 40, .. })),
             "{:?}",
             got[0]
         );
-        assert_eq!(got[1], Frame::Eof);
+        assert_eq!(got[1], None);
     }
 
     #[test]
     fn invalid_utf8_is_replaced_not_fatal() {
         let got = frames(b"\xff\xfe{\n", 100);
         match &got[0] {
-            Frame::Line(line) => assert!(line.contains('{')),
+            Some(Frame::Line(line)) => assert!(line.contains('{')),
             other => panic!("expected a line, got {other:?}"),
         }
     }
@@ -182,6 +187,6 @@ mod tests {
         let mut input = vec![b'a'; 10];
         input.push(b'\n');
         let got = frames(&input, 10);
-        assert_eq!(got[0], Frame::Line("a".repeat(10)));
+        assert_eq!(got[0], line(&"a".repeat(10)));
     }
 }

@@ -19,13 +19,20 @@
 //! both backends; `generate` draws seeded problems from the
 //! [`lcl_paths::gen`] workload families.
 //!
-//! The same [`Service`] dispatch runs over two framings:
+//! Every front-end hands each [`Frame`] to one entry point,
+//! [`Service::dispatch`], with the connection's [`Origin`] (peer address
+//! plus completion hook), and writes the returned [`PendingResponse`]s in
+//! request order. Cached `classify` hits (an id-splice), admission
+//! rejections and oversized-frame rejections resolve on the calling thread;
+//! every other frame runs as one job on the engine's *persistent worker
+//! pool*. [`Service::handle_line`] runs that job body inline for lock-step
+//! embedders. The framings:
 //!
 //! * **TCP** ([`Server`]) — *pipelined* connections: every frame is
-//!   dispatched into the engine's *persistent worker pool* immediately
-//!   (bounded per-connection window, [`Server::max_inflight`]) and replies
-//!   are emitted **in request order**, so a single connection can keep the
-//!   whole pool busy; nothing is spawned on the per-request path, and
+//!   dispatched immediately (bounded per-connection window,
+//!   [`Server::max_inflight`]) and replies are emitted **in request
+//!   order**, so a single connection can keep the whole pool busy; nothing
+//!   is spawned on the per-request path, and
 //!   [`ServerHandle`] shuts the listener and every open connection down
 //!   gracefully. Two interchangeable connection [`Backend`]s implement the
 //!   identical wire contract: an epoll **reactor** (Linux, default there)
@@ -34,7 +41,8 @@
 //!   backend (a reader/writer thread pair per connection).
 //!   [`Server::max_conns`] caps the accepted-connection count either way;
 //! * **stdio** ([`serve_stdio`]) — the `lcl-serve --stdio` pipe mode, same
-//!   frames over stdin/stdout, lock-step.
+//!   frames over stdin/stdout through the same dispatch, lock-step (each
+//!   reply is written before the next frame is read).
 //!
 //! [`Client`] is the matching blocking client helper used by the integration
 //! tests, the CI smoke step and the `server_throughput` bench;
@@ -90,13 +98,14 @@ mod trace;
 pub use admission::AdmissionConfig;
 pub use client::{Client, ClientError, SolveReply, StreamSummary, DEFAULT_PIPELINE_WINDOW};
 pub use expo::{render_exposition, validate_exposition};
-pub use frame::MAX_FRAME_BYTES;
+pub use frame::{Frame, MAX_FRAME_BYTES};
 pub use metrics::{KindStats, ServerMetrics};
 pub use scrape::MetricsListener;
 pub use service::{
-    error_reply, PendingResponse, RequestKind, Service, StreamFrame, DEFAULT_MAX_CHUNK_BYTES,
+    error_reply, Origin, PendingResponse, RequestKind, Service, StreamFrame,
+    DEFAULT_MAX_CHUNK_BYTES,
 };
 pub use splice::SplicedReply;
 pub use stdio::serve_stdio;
 pub use tcp::{Backend, Server, ServerHandle, BACKEND_ENV_VAR, DEFAULT_MAX_INFLIGHT};
-pub use trace::{slow_trace_line, TraceSink, DEFAULT_TRACE_RING_CAPACITY};
+pub use trace::{slow_trace_line, TraceSink};

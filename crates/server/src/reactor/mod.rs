@@ -14,16 +14,18 @@
 //!   `epoll_wait` when nothing is ready.
 //! * **Per-connection state machines** ([`Conn`]) carry what the thread
 //!   backend kept in stack frames: a partial-frame read buffer, the in-order
-//!   queue of [`PendingReply`]s, the serialized-but-unwritten output bytes,
+//!   queue of [`PendingResponse`]s, the serialized-but-unwritten output bytes,
 //!   and the in-flight window accounting (a slot is taken when a frame is
 //!   dispatched and released when its reply's bytes have been fully written
 //!   to the socket).
-//! * **Completion signaling** replaces the parked writer thread: every
-//!   dispatched frame carries a notify hook
-//!   ([`Service::dispatch_line_notify`] →
-//!   [`lcl_paths::Engine::dispatch_notify`]) that marks the connection
-//!   dirty and signals the eventfd once the reply is observable, so the
-//!   reactor wakes, resolves the connection's queue head and writes.
+//! * **Completion signaling** replaces the parked writer thread: each
+//!   connection's [`Origin`] carries a notify hook, built once at accept,
+//!   that every pool job it dispatches runs
+//!   ([`lcl_paths::Engine::dispatch_notify`]) to mark the connection dirty
+//!   and signal the eventfd once a frame is observable, so the reactor
+//!   wakes, resolves the connection's queue head and writes. Ready replies
+//!   (spliced hits, sheds, oversized rejections) need no wakeup: they are
+//!   resolved in the same pump that dispatched them.
 //! * **Interest toggling** drives backpressure both ways: read interest is
 //!   dropped while the window is full (the peer's frames pend in kernel
 //!   buffers as plain TCP flow control), write interest is raised only
@@ -40,15 +42,14 @@ mod sys;
 
 pub(crate) use poll::EventFd;
 
-use crate::frame::{into_string, MAX_FRAME_BYTES};
-use crate::service::{Service, StreamFrame};
+use crate::frame::{into_string, Frame, MAX_FRAME_BYTES};
+use crate::service::{Origin, PendingResponse, Service, StreamFrame};
 use crate::splice::FRAME_TAIL;
-use crate::tcp::PendingReply;
 use crate::trace::Trace;
 use poll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT, EVENT_BATCH};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
-use std::net::{IpAddr, TcpListener, TcpStream};
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -296,8 +297,11 @@ impl Reactor {
                         continue; // fd pressure; drop the connection
                     }
                     self.service.metrics().connection_opened();
+                    let peer = stream.peer_addr().ok().map(|addr| addr.ip());
+                    let control = Arc::clone(&self.control);
+                    let origin = Origin::new(peer).with_notify(move || control.mark_dirty(token));
                     self.conns
-                        .insert(token, Conn::new(stream, token, self.max_inflight));
+                        .insert(token, Conn::new(stream, origin, self.max_inflight));
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -327,7 +331,7 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&token) else {
             return; // completion notice for an already-closed connection
         };
-        conn.pump(&self.service, &self.control);
+        conn.pump(&self.service);
         if conn.finished() {
             if conn.registered {
                 let _ = self.epoll.delete(conn.stream.as_raw_fd());
@@ -399,10 +403,10 @@ impl OutSeg {
 /// two blocked threads' stacks, as data.
 struct Conn {
     stream: TcpStream,
-    token: u64,
     window: usize,
-    /// The peer's IP, captured at accept time for per-client quotas.
-    peer: Option<IpAddr>,
+    /// The peer's IP (for per-client quotas) and the completion hook that
+    /// marks this connection dirty, passed with every dispatched frame.
+    origin: Origin,
     /// Bytes read off the socket, not yet consumed as frames.
     read_buf: Vec<u8>,
     /// Start of the unconsumed region in `read_buf`; frames are consumed by
@@ -423,7 +427,7 @@ struct Conn {
     /// Unrecoverable socket error; finish immediately.
     dead: bool,
     /// In-order reply queue: one entry per dispatched frame.
-    pending: VecDeque<PendingReply>,
+    pending: VecDeque<PendingResponse>,
     /// Window slots taken: frames dispatched whose replies are not yet
     /// fully written to the socket. Always `<= window`.
     inflight: usize,
@@ -450,13 +454,11 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, token: u64, window: usize) -> Conn {
-        let peer = stream.peer_addr().ok().map(|addr| addr.ip());
+    fn new(stream: TcpStream, origin: Origin, window: usize) -> Conn {
         Conn {
             stream,
-            token,
             window,
-            peer,
+            origin,
             read_buf: Vec::new(),
             consumed: 0,
             scanned: 0,
@@ -480,10 +482,10 @@ impl Conn {
     /// Runs read → parse/dispatch → resolve → write until no stage can make
     /// progress. Stages feed each other in both directions (writing releases
     /// window slots, which unblocks parsing), hence the fixpoint loop.
-    fn pump(&mut self, service: &Arc<Service>, control: &Arc<Control>) {
+    fn pump(&mut self, service: &Arc<Service>) {
         loop {
             let mut progressed = self.fill();
-            progressed |= self.parse(service, control);
+            progressed |= self.parse(service);
             progressed |= self.resolve(service);
             progressed |= self.flush(service);
             if !progressed || self.dead {
@@ -555,17 +557,17 @@ impl Conn {
         progressed
     }
 
-    /// Consumes complete frames from `read_buf` — dispatching each into the
-    /// worker pool with this connection's completion hook — while window
-    /// slots are available. Mirrors `frame::read_frame` exactly: blank lines
-    /// are skipped without a reply, over-limit lines are discarded up to
-    /// their newline and answered with a structured rejection, a final
-    /// unterminated line at EOF counts as a frame.
+    /// Consumes complete frames from `read_buf` — dispatching each with this
+    /// connection's [`Origin`] — while window slots are available. Mirrors
+    /// `frame::read_frame` exactly: blank lines are skipped without a reply,
+    /// over-limit lines are discarded up to their newline and answered with
+    /// a structured rejection, a final unterminated line at EOF counts as a
+    /// frame.
     ///
     /// Frames are consumed by advancing the `consumed` cursor; the buffer
     /// is compacted **once** per call, so a burst of N buffered frames
     /// costs O(buffer) rather than O(N × buffer) in byte moves.
-    fn parse(&mut self, service: &Arc<Service>, control: &Arc<Control>) -> bool {
+    fn parse(&mut self, service: &Arc<Service>) -> bool {
         let mut progressed = false;
         while self.inflight < self.window && !self.dead {
             if self.overflowed {
@@ -602,7 +604,7 @@ impl Conn {
                     let line = into_string(self.read_buf[self.consumed..pos].to_vec());
                     self.consume_to(pos + 1);
                     if !line.trim().is_empty() {
-                        self.dispatch(line, service, control);
+                        self.dispatch(Frame::Line(line), service);
                     }
                     progressed = true;
                 }
@@ -618,7 +620,7 @@ impl Conn {
                     let line = into_string(self.read_buf[self.consumed..].to_vec());
                     self.consume_to(self.read_buf.len());
                     if !line.trim().is_empty() {
-                        self.dispatch(line, service, control);
+                        self.dispatch(Frame::Line(line), service);
                     }
                     progressed = true;
                 }
@@ -644,35 +646,28 @@ impl Conn {
         self.scanned = to;
     }
 
-    /// Dispatches one frame into the pool, taking a window slot; the job's
-    /// completion hook marks this connection dirty and wakes the reactor.
-    fn dispatch(&mut self, line: String, service: &Arc<Service>, control: &Arc<Control>) {
-        let control = Arc::clone(control);
-        let token = self.token;
-        let pending =
-            service.dispatch_line_notify_from(line, self.peer, move || control.mark_dirty(token));
-        self.pending.push_back(PendingReply::Deferred(pending));
+    /// Dispatches one frame, taking a window slot until its reply is
+    /// written.
+    fn dispatch(&mut self, frame: Frame, service: &Arc<Service>) {
+        self.pending
+            .push_back(service.dispatch(frame, &self.origin));
         self.inflight += 1;
     }
 
-    /// Enqueues the structured rejection for a discarded oversized frame
-    /// (this too occupies a window slot until written, like any reply).
+    /// Dispatches the discarded oversized frame for its structured
+    /// rejection.
     fn finish_overflow(&mut self, service: &Arc<Service>) {
         let started = self.overflow_started.take().unwrap_or_else(Instant::now);
-        let reply = service
-            .reject_oversized_at(self.discarded, started)
-            .into_json_string();
+        let discarded = std::mem::take(&mut self.discarded);
         self.overflowed = false;
-        self.discarded = 0;
-        self.pending.push_back(PendingReply::Ready(reply));
-        self.inflight += 1;
+        self.dispatch(Frame::Oversized { discarded, started }, service);
     }
 
     /// Moves completed replies — strictly from the queue head, which is the
     /// in-order guarantee — into the output buffer. Stops at the first
     /// still-computing job; its completion hook will pump us again.
     ///
-    /// A deferred head may be a *stream*: it yields chunk frames before its
+    /// A head may be a *stream*: it yields chunk frames before its
     /// terminal envelope. Chunks are appended without marking a reply end —
     /// the window slot stays taken until the terminal frame — and the drain
     /// is bounded by the output backlog: once two chunk ceilings' worth of
@@ -685,17 +680,11 @@ impl Conn {
         let backlog_cap = 2 * service.max_chunk_bytes() as u64;
         let mut progressed = false;
         while let Some(front) = self.pending.front_mut() {
-            let frame = match front {
-                PendingReply::Ready(line) => StreamFrame::Final(std::mem::take(line)),
-                PendingReply::Deferred(pending) => {
-                    if self.out_enqueued - self.out_written > backlog_cap {
-                        break; // let the socket drain before pulling more
-                    }
-                    match pending.try_frame() {
-                        Some(frame) => frame,
-                        None => break,
-                    }
-                }
+            if self.out_enqueued - self.out_written > backlog_cap {
+                break; // let the socket drain before pulling more
+            }
+            let Some(frame) = front.try_frame() else {
+                break;
             };
             // A serialized frame *moves* into the output queue (the job's
             // `String` allocation becomes the segment — no copy); a spliced
@@ -722,10 +711,7 @@ impl Conn {
                 }
             };
             if terminal {
-                let trace = match self.pending.pop_front() {
-                    Some(PendingReply::Deferred(mut pending)) => pending.take_trace(),
-                    _ => None,
-                };
+                let trace = self.pending.pop_front().and_then(|mut p| p.take_trace());
                 self.reply_ends.push_back((self.out_enqueued, trace));
             }
             progressed = true;

@@ -1,41 +1,42 @@
-//! Framing-independent request dispatch: one NDJSON line in, one line out.
+//! Framing-independent request dispatch: one NDJSON frame in, one reply out.
 //!
 //! [`Service`] owns the [`Engine`] and the server metrics; the TCP and stdio
 //! front-ends only move frames. Dispatch never panics on wire input and never
 //! kills the stream: every frame — however malformed — produces exactly one
-//! [`ResponseEnvelope`], with errors mapped to structured
-//! [`ErrorReply`]s whose category identifies the failing subsystem of
-//! [`lcl_paths::Error`].
+//! terminal reply, with errors mapped to structured [`ErrorReply`]s whose
+//! category identifies the failing subsystem of [`lcl_paths::Error`].
 //!
-//! Two dispatch shapes are offered:
+//! Every front-end — both TCP backends and stdio — hands each [`Frame`] to
+//! [`Service::dispatch`] together with the connection's [`Origin`], and gets
+//! a [`PendingResponse`] back without blocking:
 //!
-//! * [`Service::handle_line`] — **lock-step**: parse, execute, reply, all
-//!   before the caller reads the next frame. Classification misses still run
-//!   on the engine's persistent worker pool
-//!   ([`Engine::classify_pooled`] / [`Engine::classify_many`]), but the
-//!   calling thread parks until the reply exists. This is the stdio path.
-//! * [`Service::dispatch_line`] — **pipelined**: the whole frame (JSON
-//!   parse, execution, serialization) becomes one worker-pool job
-//!   ([`Engine::dispatch`]) and a [`PendingResponse`] handle returns
-//!   immediately, so a connection reader stays pure I/O and N requests
-//!   from one connection progress concurrently on an N-worker pool. Jobs
-//!   run their classification on the worker itself ([`Engine::classify`],
-//!   [`Engine::solve_inline`]) — a worker parked on *another* pool job
-//!   could deadlock a narrow pool.
+//! * a frame answerable on the calling thread resolves there as a *ready*
+//!   reply, with no pool job and no channel: a `classify` whose reply bytes
+//!   are cached (an id-splice), an admission rejection, an oversized-frame
+//!   rejection;
+//! * anything else — JSON parse, execution, serialization — becomes one
+//!   worker-pool job ([`Engine::dispatch_notify`]), so a connection reader
+//!   stays pure I/O and N requests from one connection progress
+//!   concurrently on an N-worker pool. Jobs classify on the worker itself
+//!   ([`Engine::classify_observed`], [`Engine::solve_inline`]) — a worker
+//!   parked on *another* pool job could deadlock a narrow pool.
+//!
+//! Front-ends resolve the handles in request order; the stdio loop and the
+//! threads backend share one blocking writer for that. [`Service::handle_line`]
+//! is the lock-step helper for embedders: it runs the pool-job body inline
+//! on the calling thread and returns the envelope.
 //!
 //! Most kinds produce exactly one reply frame. `solve_stream` additionally
-//! *streams*: zero or more already-serialized chunk frames precede the
-//! terminal envelope, delivered through the `emit` sink in lock-step mode
-//! ([`Service::handle_line_emitting`]) or as [`StreamFrame::Chunk`]s on the
-//! [`PendingResponse`] when pipelined. The per-request frame channel is a
-//! small bounded queue, so a streaming job can only run a couple of frames
-//! ahead of the connection writer — backpressure reaches the producing
-//! worker instead of buffering a million-node labeling in memory.
+//! *streams*: zero or more already-serialized [`StreamFrame::Chunk`]s precede
+//! the terminal envelope. The per-request frame channel is a small bounded
+//! queue, so a streaming job can only run a couple of frames ahead of the
+//! connection writer — backpressure reaches the producing worker instead of
+//! buffering a million-node labeling in memory.
 //!
-//! Neither shape ever spawns a thread on the request path.
+//! Nothing ever spawns a thread on the request path.
 
 use crate::admission::{AdmissionConfig, QuotaLimiter, ShedPolicy};
-use crate::frame::MAX_FRAME_BYTES;
+use crate::frame::{write_frame, Frame, MAX_FRAME_BYTES};
 use crate::metrics::ServerMetrics;
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
@@ -49,7 +50,7 @@ use lcl_paths::problem::{
 use lcl_paths::{Engine, Error};
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write};
 use std::net::IpAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -154,19 +155,6 @@ fn protocol_error(id: Option<i64>, message: String) -> ResponseEnvelope {
     ResponseEnvelope::error(id, "invalid", ErrorReply::new("protocol", message))
 }
 
-/// Where a request body executes, which decides how classification work is
-/// placed on the engine.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-enum ExecContext {
-    /// On the dispatching thread (lock-step [`Service::handle_line`]):
-    /// classification misses are handed to the worker pool and awaited.
-    Caller,
-    /// On a pool worker (a job submitted by [`Service::dispatch_line`]):
-    /// classification runs on this thread — parking a worker on another
-    /// pool job could deadlock a narrow pool.
-    PoolWorker,
-}
-
 /// One frame of a pipelined reply stream, as delivered by
 /// [`PendingResponse::try_frame`] / [`PendingResponse::wait_frame`].
 ///
@@ -196,22 +184,42 @@ pub enum StreamFrame {
 /// and what keeps a million-node labeling from ever being resident at once.
 const STREAM_CHANNEL_DEPTH: usize = 2;
 
-/// The in-flight result of [`Service::dispatch_line`]: a handle on one
-/// request whose parse + execution + serialization is running as a
-/// worker-pool job. The connection writer resolves these **in request
-/// order** ([`PendingResponse::wait_frame`]), which is what turns
-/// out-of-order pool completion into the protocol's in-order reply
-/// guarantee.
+/// Where a frame came from: the client address the per-peer quota buckets
+/// key on, and an optional completion hook. A connection builds one and
+/// passes it with every frame it dispatches.
+#[derive(Default)]
+pub struct Origin {
+    peer: Option<IpAddr>,
+    notify: Option<Arc<dyn Fn() + Send + Sync>>,
+}
+
+impl Origin {
+    /// Frames from `peer`; `None` (stdio, embedders) shares one quota
+    /// bucket.
+    pub fn new(peer: Option<IpAddr>) -> Origin {
+        Origin { peer, notify: None }
+    }
+
+    /// Adds a completion hook: it runs on the pool worker every time a new
+    /// frame becomes observable on a dispatched request's handle — a chunk
+    /// was emitted, the reply is ready, or the job died and
+    /// [`PendingResponse::try_frame`] will synthesize its error. This is the
+    /// reactor's wakeup path (it signals the eventfd) instead of a writer
+    /// thread parked per connection. Ready replies never call it: they are
+    /// observable before [`Service::dispatch`] returns.
+    pub fn with_notify(mut self, notify: impl Fn() + Send + Sync + 'static) -> Origin {
+        self.notify = Some(Arc::new(notify));
+        self
+    }
+}
+
+/// The result of [`Service::dispatch`]: a handle on one request's reply
+/// frames. The connection writer resolves these **in request order**, which
+/// is what turns out-of-order pool completion into the protocol's in-order
+/// reply guarantee.
 #[derive(Debug)]
 pub struct PendingResponse {
-    /// Best-effort salvaged request id, used only for the synthesized reply
-    /// when the job dies without delivering one.
-    id: Option<i64>,
-    /// Best-effort salvaged request kind (`invalid` when unrecognizable),
-    /// for the same synthesized reply.
-    kind: String,
-    /// Delivers the serialized reply frames, terminal last.
-    rx: mpsc::Receiver<StreamFrame>,
+    reply: Reply,
     /// The request's stage trace (when detailed metrics are on). The
     /// connection writer takes it to stamp the write stage after the
     /// terminal frame reaches the socket; an untaken trace finalizes on
@@ -219,18 +227,43 @@ pub struct PendingResponse {
     trace: Option<Arc<Trace>>,
 }
 
+#[derive(Debug)]
+enum Reply {
+    /// Resolved on the dispatching thread: the terminal frame, until taken.
+    Ready(Option<StreamFrame>),
+    /// Running as a pool job that delivers its frames on `rx`, terminal
+    /// last. `id` and `kind` are salvaged best-effort from the frame, only
+    /// to label the synthesized reply of a job that dies without one.
+    Job {
+        rx: mpsc::Receiver<StreamFrame>,
+        id: Option<i64>,
+        kind: String,
+    },
+}
+
 impl PendingResponse {
+    fn ready(frame: StreamFrame, trace: Option<Arc<Trace>>) -> PendingResponse {
+        PendingResponse {
+            reply: Reply::Ready(Some(frame)),
+            trace,
+        }
+    }
+
     /// Blocks until the next frame is available and returns it.
     ///
     /// A job that died (panicked) on its worker dropped the sending half;
     /// that is observed here and answered with a synthesized structured
     /// `internal` error as the terminal frame, so every dispatched frame
     /// still yields exactly one terminal reply. Callers stop consuming at
-    /// [`StreamFrame::Final`].
+    /// the terminal frame.
+    ///
+    /// # Panics
+    ///
+    /// When called again after a ready reply's terminal frame was taken.
     pub fn wait_frame(&mut self) -> StreamFrame {
-        match self.rx.recv() {
-            Ok(frame) => frame,
-            Err(_) => StreamFrame::Final(self.synthesize_dropped()),
+        match &mut self.reply {
+            Reply::Ready(frame) => frame.take().expect("a ready reply is taken once"),
+            Reply::Job { rx, id, kind } => rx.recv().unwrap_or_else(|_| dropped_reply(*id, kind)),
         }
     }
 
@@ -241,12 +274,13 @@ impl PendingResponse {
     /// already buffered can be flushed to the peer instead of stalling
     /// behind a slow job.
     pub fn try_frame(&mut self) -> Option<StreamFrame> {
-        match self.rx.try_recv() {
-            Ok(frame) => Some(frame),
-            Err(mpsc::TryRecvError::Disconnected) => {
-                Some(StreamFrame::Final(self.synthesize_dropped()))
-            }
-            Err(mpsc::TryRecvError::Empty) => None,
+        match &mut self.reply {
+            Reply::Ready(frame) => frame.take(),
+            Reply::Job { rx, id, kind } => match rx.try_recv() {
+                Ok(frame) => Some(frame),
+                Err(mpsc::TryRecvError::Disconnected) => Some(dropped_reply(*id, kind)),
+                Err(mpsc::TryRecvError::Empty) => None,
+            },
         }
     }
 
@@ -272,18 +306,48 @@ impl PendingResponse {
         self.trace.take()
     }
 
-    /// The reply for a job whose sender disconnected without a value.
-    fn synthesize_dropped(&self) -> String {
-        ResponseEnvelope::error(
-            self.id,
-            self.kind.clone(),
-            ErrorReply::new(
-                "internal",
-                "request job dropped its reply (the job panicked); retry the request",
-            ),
-        )
-        .into_json_string()
+    /// Writes this reply to a blocking writer — the stdio loop's and the
+    /// threads backend's shared writer. Chunk frames are written and flushed
+    /// as they arrive, so the peer sees labeling progress; the terminal
+    /// frame is left unflushed (batching is the caller's policy) and stamps
+    /// the trace's write stage. Before parking on a still-running job it
+    /// flushes, so replies already buffered never wait behind it. On an
+    /// error the handle drops, which closes the frame channel and aborts a
+    /// producing stream.
+    pub(crate) fn write_to(mut self, writer: &mut impl Write) -> io::Result<()> {
+        loop {
+            let frame = match self.try_frame() {
+                Some(frame) => frame,
+                None => {
+                    writer.flush()?;
+                    self.wait_frame()
+                }
+            };
+            match frame {
+                StreamFrame::Chunk(line) => {
+                    write_frame(writer, &line)?;
+                    writer.flush()?;
+                }
+                StreamFrame::Final(line) => break write_frame(writer, &line)?,
+                // The pieces (head, id, cached payload bytes, tail) stream
+                // straight into the writer: no per-frame `String`.
+                StreamFrame::Spliced(spliced) => break spliced.write_to(writer)?,
+            }
+        }
+        if let Some(trace) = self.trace.take() {
+            trace.finish_written();
+        }
+        Ok(())
     }
+}
+
+/// The terminal reply for a job whose sender disconnected without one.
+fn dropped_reply(id: Option<i64>, kind: &str) -> StreamFrame {
+    let reply = ErrorReply::new(
+        "internal",
+        "request job dropped its reply (the job panicked); retry the request",
+    );
+    StreamFrame::Final(ResponseEnvelope::error(id, kind, reply).into_json_string())
 }
 
 /// Best-effort scan for the frame's `"id":<int>` field without a JSON
@@ -341,7 +405,7 @@ pub struct Service {
     started: Instant,
     max_chunk_bytes: usize,
     /// Gates the zero-serialization classify fast lane
-    /// ([`Service::splice_line`]). On by default; the `server_throughput`
+    /// (`Service::splice`). On by default; the `server_throughput`
     /// bench toggles it live to measure the lane's effect.
     reply_splice: AtomicBool,
     /// Learned canonical classify lines: raw payload text → the structural
@@ -435,7 +499,7 @@ impl Service {
         self.snapshot_path.as_deref()
     }
 
-    /// Replaces the trace sink (ring capacity, slow-line emitter). Intended
+    /// Replaces the trace sink (its slow-line emitter). Intended
     /// for construction time — traces already in flight keep the old sink.
     pub fn with_trace_sink(mut self, sink: Arc<TraceSink>) -> Self {
         self.trace = sink;
@@ -493,8 +557,8 @@ impl Service {
         &self.metrics
     }
 
-    /// The sink finished request traces land in (the recent-trace ring and
-    /// the `--trace-slow-micros` log threshold live here).
+    /// The sink finished request traces land in (the `--trace-slow-micros`
+    /// log threshold lives here).
     pub fn trace_sink(&self) -> &TraceSink {
         &self.trace
     }
@@ -513,217 +577,105 @@ impl Service {
             .then(|| Arc::new(Trace::new(Arc::clone(&self.trace), started, id)))
     }
 
-    /// The admission decision for one frame: `Some(reply)` when the frame
-    /// must be rejected (per-peer quota exhausted, or the server is
-    /// shedding load), `None` when it may dispatch. Only compute kinds are
-    /// ever denied; the quota is consulted first so one greedy client is
-    /// rejected individually before the global shed signals even matter.
-    /// `peer` is the client address the quota buckets key on — `None`
-    /// (stdio, embedders) shares one sentinel bucket.
-    fn admission_denial(&self, kind: RequestKind, peer: Option<IpAddr>) -> Option<ErrorReply> {
-        if !kind.is_compute() || (self.shed.is_none() && self.quota.is_none()) {
+    /// The admission decision for one frame, taken on its salvaged kind
+    /// before it takes a pool job or a pipeline-window slot: `Some(reply)`
+    /// — already accounted — when the frame must be rejected (per-peer
+    /// quota exhausted, or the server is shedding load). Only compute kinds
+    /// are ever denied (a frame whose kind cannot be salvaged is admitted:
+    /// its reply is a parse error, not engine work worth shedding); the
+    /// quota is consulted first so one greedy client is rejected
+    /// individually before the global shed signals even matter.
+    fn admission_denial(
+        &self,
+        line: &str,
+        peer: Option<IpAddr>,
+        started: Instant,
+    ) -> Option<ResponseEnvelope> {
+        if self.shed.is_none() && self.quota.is_none() {
             return None;
         }
-        if let Some(quota) = &self.quota {
-            let peer = peer.unwrap_or_else(QuotaLimiter::sentinel_peer);
-            if let Err(denial) = quota.admit(peer, Instant::now()) {
-                return Some(ErrorReply::overloaded(
-                    denial.message,
-                    denial.retry_after_millis,
-                ));
-            }
-        }
-        if let Some(shed) = &self.shed {
-            let pool = self.engine.pool_stats();
-            // The per-kind p99 comes from the detailed-metrics histogram;
-            // with histograms off it reads 0 and the signal is inert.
-            let p99 = self.metrics.histogram(Some(kind)).quantile(0.99);
-            if let Some(denial) = shed.evaluate(pool.queue_depth, pool.workers, p99) {
-                return Some(ErrorReply::overloaded(
-                    denial.message,
-                    denial.retry_after_millis,
-                ));
-            }
-        }
-        None
-    }
-
-    /// Accounts one admission rejection symmetrically with served frames:
-    /// the regular per-kind count/error/latency record **plus** the shed
-    /// tally, so `shed_total` and the latency histograms always agree.
-    fn record_shed(&self, kind: RequestKind, started: Instant) {
+        let kind_name = salvage_kind(line);
+        let kind = RequestKind::from_wire_name(&kind_name).filter(|k| k.is_compute())?;
+        let denial = self
+            .quota
+            .as_ref()
+            .and_then(|quota| {
+                let peer = peer.unwrap_or_else(QuotaLimiter::sentinel_peer);
+                quota.admit(peer, Instant::now()).err()
+            })
+            .or_else(|| {
+                let shed = self.shed.as_ref()?;
+                let pool = self.engine.pool_stats();
+                // The per-kind p99 comes from the detailed-metrics
+                // histogram; with histograms off it reads 0 and the signal
+                // is inert.
+                let p99 = self.metrics.histogram(Some(kind)).quantile(0.99);
+                shed.evaluate(pool.queue_depth, pool.workers, p99)
+            })?;
+        // Accounted symmetrically with served frames: the regular per-kind
+        // count/error/latency record **plus** the shed tally, so
+        // `shed_total` and the latency histograms always agree.
         self.metrics.record_shed(Some(kind));
         self.metrics.record(Some(kind), started.elapsed(), false);
+        let reply = ErrorReply::overloaded(denial.message, denial.retry_after_millis);
+        Some(ResponseEnvelope::error(salvage_id(line), kind_name, reply))
     }
 
     /// Handles one request frame in lock-step, returning exactly one
-    /// response envelope. Never panics on wire input.
-    ///
-    /// Intermediate `solve_stream` chunk frames have nowhere to go in this
-    /// shape and are discarded; the terminal summary is still computed and
-    /// returned. Front-ends that can forward chunks use
-    /// [`Service::handle_line_emitting`].
+    /// response envelope: the body of a [`Service::dispatch`] pool job, run
+    /// inline on the calling thread (no splice lane, no admission). Never
+    /// panics on wire input. `solve_stream` chunk frames have nowhere to go
+    /// in this shape and are discarded; the terminal summary is still
+    /// computed and returned.
     pub fn handle_line(&self, line: &str) -> ResponseEnvelope {
-        self.handle_line_emitting(line, &mut |_| true)
-    }
-
-    /// [`Service::handle_line`] with a chunk sink: `emit` receives each
-    /// serialized intermediate frame (in order, all before the terminal
-    /// envelope is returned) and reports whether the peer is still there —
-    /// returning `false` aborts the stream with a structured error. This is
-    /// how the stdio front-end serves `solve_stream`.
-    pub fn handle_line_emitting(
-        &self,
-        line: &str,
-        emit: &mut dyn FnMut(String) -> bool,
-    ) -> ResponseEnvelope {
-        // The trace drops here untaken: lock-step embedders that cannot
-        // observe the write use the compute-side stages only.
-        self.handle_line_traced(line, emit).0
-    }
-
-    /// [`Service::handle_line_emitting`] that also hands back the request's
-    /// stage trace, so a lock-step front-end (stdio) can stamp the
-    /// serialize and write stages it alone observes. The trace finalizes
-    /// into the sink when dropped, stamped or not.
-    pub(crate) fn handle_line_traced(
-        &self,
-        line: &str,
-        emit: &mut dyn FnMut(String) -> bool,
-    ) -> (ResponseEnvelope, Option<Arc<Trace>>) {
         let started = Instant::now();
+        // The trace finalizes into the sink when it drops here: lock-step
+        // embedders cannot observe the write.
         let trace = self.new_trace(started, None);
-        let response = match self.parse(line) {
-            Err(response) => {
-                if let Some(trace) = &trace {
-                    trace.mark_parsed(None, None);
-                }
+        self.respond(line, started, &mut |_| true, trace.as_deref())
+    }
+
+    /// Dispatches one request frame and returns the handle its reply
+    /// arrives on, without blocking. This is the one entry point every
+    /// front-end uses.
+    ///
+    /// Frames answerable on the calling thread come back as ready replies:
+    /// an oversized frame's rejection, a cached `classify` hit (the splice
+    /// lane), an admission rejection. Everything else becomes one pool job
+    /// that parses, executes and serializes the frame, delivering its frames
+    /// over a bounded channel (depth 2): a streaming job whose consumer
+    /// stops draining parks its pool worker until the writer catches up or
+    /// drops the handle (which aborts the stream). The per-connection
+    /// in-flight window bounds how many workers one slow peer can park.
+    ///
+    /// The caller must resolve the returned handles in dispatch order to
+    /// uphold the protocol's per-connection reply-ordering guarantee.
+    pub fn dispatch(self: &Arc<Self>, frame: Frame, origin: &Origin) -> PendingResponse {
+        let line = match frame {
+            Frame::Line(line) => line,
+            Frame::Oversized { discarded, started } => {
+                // The framing layer already discarded the line; `started`
+                // is when it began arriving, so the drain is accounted.
+                let reply = protocol_error(
+                    None,
+                    format!("frame exceeds {MAX_FRAME_BYTES} bytes ({discarded} bytes discarded)"),
+                );
                 self.metrics.record(None, started.elapsed(), false);
-                response
-            }
-            Ok((kind, envelope)) => {
-                if let Some(trace) = &trace {
-                    trace.mark_parsed(Some(kind), Some(envelope.id));
-                }
-                // Admission runs after the parse here (lock-step framing
-                // has no salvage shortcut) but still before any engine
-                // work; stdio peers share the sentinel quota bucket.
-                if let Some(reply) = self.admission_denial(kind, None) {
-                    self.record_shed(kind, started);
-                    ResponseEnvelope::error(Some(envelope.id), kind.wire_name(), reply)
-                } else {
-                    self.finish(
-                        kind,
-                        &envelope,
-                        started,
-                        ExecContext::Caller,
-                        emit,
-                        trace.as_deref(),
-                    )
-                }
+                return PendingResponse::ready(StreamFrame::Final(reply.into_json_string()), None);
             }
         };
-        if let Some(trace) = &trace {
-            trace.mark_computed(response.is_ok());
-        }
-        (response, trace)
-    }
-
-    /// Handles one request frame for a *pipelined* connection: the whole
-    /// frame — JSON parse, execution, serialization — becomes one
-    /// worker-pool job, and the handle comes back without blocking, so a
-    /// connection reader stays pure I/O and keeps pulling frames while
-    /// every stage of earlier requests runs on the pool. With N workers, N
-    /// requests from one connection parse and classify concurrently.
-    ///
-    /// The caller must resolve the returned handles in dispatch order
-    /// ([`PendingResponse::wait`]) to uphold the protocol's per-connection
-    /// reply-ordering guarantee.
-    pub fn dispatch_line(self: &Arc<Self>, line: String) -> PendingResponse {
-        self.dispatch_line_notify(line, || {})
-    }
-
-    /// [`Service::dispatch_line`] with the client's peer address, which
-    /// keys the per-client quota buckets. This is the thread backend's
-    /// dispatch entry point.
-    pub fn dispatch_line_from(
-        self: &Arc<Self>,
-        line: String,
-        peer: Option<IpAddr>,
-    ) -> PendingResponse {
-        self.dispatch_line_notify_from(line, peer, || {})
-    }
-
-    /// [`Service::dispatch_line`] with a frame hook: `notify` runs on the
-    /// worker every time a new frame is observable on the returned handle —
-    /// a chunk was emitted, the frame was answered, or the job died and
-    /// [`PendingResponse::try_frame`] will synthesize its error. This is the
-    /// reactor backend's wakeup path: instead of a writer thread parked per
-    /// connection, `notify` signals the reactor's eventfd
-    /// ([`Engine::dispatch_notify`]).
-    ///
-    /// Frames travel over a bounded channel (depth 2): a
-    /// streaming job whose consumer stops draining parks its pool worker
-    /// until the writer catches up or the connection is dropped (the drop
-    /// closes the channel, which aborts the stream). The per-connection
-    /// in-flight window bounds how many workers one slow peer can park.
-    pub fn dispatch_line_notify<N>(self: &Arc<Self>, line: String, notify: N) -> PendingResponse
-    where
-        N: Fn() + Send + Sync + 'static,
-    {
-        self.dispatch_line_notify_from(line, None, notify)
-    }
-
-    /// [`Service::dispatch_line_notify`] with the client's peer address for
-    /// the per-client quota buckets (the reactor backend's entry point).
-    pub fn dispatch_line_notify_from<N>(
-        self: &Arc<Self>,
-        line: String,
-        peer: Option<IpAddr>,
-        notify: N,
-    ) -> PendingResponse
-    where
-        N: Fn() + Send + Sync + 'static,
-    {
         let started = Instant::now();
-        // The zero-serialization fast lane: a classify whose verdict is
-        // already cached resolves right here on the calling thread — no
-        // pool job, no pipeline-window slot. The frame is pre-sent on the
-        // channel (depth ≥ 1, so the send cannot block) and therefore
-        // observable before the handle returns — no notify needed.
-        if let Some((id, frame, trace)) = self.splice_line(&line, started) {
-            let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
-            let _ = tx.send(frame);
-            return PendingResponse {
-                id: Some(id),
-                kind: RequestKind::Classify.wire_name().to_string(),
-                rx,
-                trace,
-            };
+        if let Some((frame, trace)) = self.splice(&line, started) {
+            return PendingResponse::ready(frame, trace);
+        }
+        // A shed reply only occupies the connection's ordered-reply slot,
+        // so it stays fast — and the server observable — however deep the
+        // pool backlog is.
+        if let Some(reply) = self.admission_denial(&line, origin.peer, started) {
+            return PendingResponse::ready(StreamFrame::Final(reply.into_json_string()), None);
         }
         let id = salvage_id(&line);
         let kind = salvage_kind(&line);
-        // Admission runs on the salvaged kind, before the frame takes a
-        // pool job or a pipeline-window slot: a shed reply is resolved
-        // right here on the calling thread and only occupies the
-        // connection's ordered-reply slot, so it stays fast — and the
-        // server stays observable — however deep the pool backlog is.
-        // (A frame whose kind cannot be salvaged dispatches normally; its
-        // reply is a parse error, not engine work worth shedding.)
-        if let Some(salvaged) = RequestKind::from_wire_name(&kind) {
-            if let Some(reply) = self.admission_denial(salvaged, peer) {
-                let frame = ResponseEnvelope::error(id, kind.clone(), reply).into_json_string();
-                self.record_shed(salvaged, started);
-                let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
-                let _ = tx.send(StreamFrame::Final(frame));
-                return PendingResponse {
-                    id,
-                    kind,
-                    rx,
-                    trace: None,
-                };
-            }
-        }
         let service = Arc::clone(self);
         // The trace is shared three ways: the job stamps queue → serialize,
         // the connection writer (via the PendingResponse) stamps the write,
@@ -732,8 +684,8 @@ impl Service {
         let job_trace = trace.clone();
         self.metrics.pipeline_enter();
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
-        let notify = Arc::new(notify);
-        let dropped_notify = Arc::clone(&notify);
+        let notify = origin.notify.clone();
+        let job_notify = notify.clone();
         // The reply travels frame by frame through `tx`, not through the
         // engine's own result channel (dropped here; the pool tolerates
         // that). The engine-side hook still fires after the job ends — even
@@ -741,41 +693,21 @@ impl Service {
         let _ = self.engine.dispatch_notify(
             move || {
                 let guard = PipelineGuard(service.metrics());
-                if let Some(trace) = &job_trace {
+                let trace = job_trace.as_deref();
+                if let Some(trace) = trace {
                     trace.mark_queue();
                 }
-                let response = match service.parse(&line) {
-                    Err(response) => {
-                        if let Some(trace) = &job_trace {
-                            trace.mark_parsed(None, None);
-                        }
-                        service.metrics.record(None, started.elapsed(), false);
-                        response
+                let mut emit = |frame: String| {
+                    let delivered = tx.send(StreamFrame::Chunk(frame)).is_ok();
+                    if let Some(notify) = &job_notify {
+                        notify();
                     }
-                    Ok((kind, envelope)) => {
-                        if let Some(trace) = &job_trace {
-                            trace.mark_parsed(Some(kind), Some(envelope.id));
-                        }
-                        let mut emit = |frame: String| {
-                            let delivered = tx.send(StreamFrame::Chunk(frame)).is_ok();
-                            notify();
-                            delivered
-                        };
-                        service.finish(
-                            kind,
-                            &envelope,
-                            started,
-                            ExecContext::PoolWorker,
-                            &mut emit,
-                            job_trace.as_deref(),
-                        )
-                    }
+                    delivered
                 };
-                if let Some(trace) = &job_trace {
-                    trace.mark_computed(response.is_ok());
-                }
-                let line = response.into_json_string();
-                if let Some(trace) = &job_trace {
+                let line = service
+                    .respond(&line, started, &mut emit, trace)
+                    .into_json_string();
+                if let Some(trace) = trace {
                     trace.mark_serialized();
                 }
                 // The gauge must read as drained before the terminal frame
@@ -783,77 +715,57 @@ impl Service {
                 drop(guard);
                 let _ = tx.send(StreamFrame::Final(line));
             },
-            move || dropped_notify(),
+            move || {
+                if let Some(notify) = notify {
+                    notify();
+                }
+            },
         );
         PendingResponse {
-            id,
-            kind,
-            rx,
+            reply: Reply::Job { rx, id, kind },
             trace,
         }
     }
 
-    /// Executes a parsed request and wraps the outcome in its response
-    /// envelope, recording latency metrics (from `started`, so deferred
-    /// requests account their pool-queue wait too).
-    fn finish(
+    /// The request body every frame runs — on a pool worker for
+    /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse,
+    /// execute, wrap the outcome in its envelope and record the latency
+    /// metrics (from `started`, so dispatched requests account their
+    /// pool-queue wait too), stamping the stage trace along the way.
+    fn respond(
         &self,
-        kind: RequestKind,
-        envelope: &RequestEnvelope,
+        line: &str,
         started: Instant,
-        ctx: ExecContext,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> ResponseEnvelope {
-        let result = self.run(kind, envelope, started, ctx, emit, trace);
-        self.respond(kind, envelope.id, started, result)
-    }
-
-    /// Wraps a request outcome in its response envelope and records the
-    /// latency metrics.
-    fn respond(
-        &self,
-        kind: RequestKind,
-        id: i64,
-        started: Instant,
-        result: Result<JsonValue, Error>,
-    ) -> ResponseEnvelope {
-        let response = match result {
-            Ok(payload) => ResponseEnvelope::ok(id, kind.wire_name(), payload),
-            Err(e) => ResponseEnvelope::error(Some(id), kind.wire_name(), error_reply(&e)),
+        let (kind, response) = match self.parse(line) {
+            Err(response) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(None, None);
+                }
+                (None, response)
+            }
+            Ok((kind, envelope)) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(Some(kind), Some(envelope.id));
+                }
+                let response = match self.run(kind, &envelope, started, emit, trace) {
+                    Ok(payload) => ResponseEnvelope::ok(envelope.id, kind.wire_name(), payload),
+                    Err(e) => ResponseEnvelope::error(
+                        Some(envelope.id),
+                        kind.wire_name(),
+                        error_reply(&e),
+                    ),
+                };
+                (Some(kind), response)
+            }
         };
         self.metrics
-            .record(Some(kind), started.elapsed(), response.is_ok());
-        response
-    }
-
-    /// [`Service::handle_line`], serialized to one NDJSON frame (without the
-    /// trailing newline).
-    pub fn handle_line_string(&self, line: &str) -> String {
-        self.handle_line(line).into_json_string()
-    }
-
-    /// Builds (and accounts) the structured reply for a frame that exceeded
-    /// [`MAX_FRAME_BYTES`]; the framing layer has already discarded the line.
-    ///
-    /// Front-ends that know when the oversized frame *started* arriving
-    /// should use [`Service::reject_oversized_at`] so the accounted latency
-    /// covers the discard work; this form accounts the (clamped-to-1µs)
-    /// reply construction only.
-    pub fn reject_oversized(&self, discarded: usize) -> ResponseEnvelope {
-        self.reject_oversized_at(discarded, Instant::now())
-    }
-
-    /// [`Service::reject_oversized`] clocked from `started` — the instant
-    /// the frame began arriving — so draining and discarding a multi-MB
-    /// frame lands in the `invalid` histogram as the real elapsed time
-    /// instead of a near-zero reply-construction blip.
-    pub fn reject_oversized_at(&self, discarded: usize, started: Instant) -> ResponseEnvelope {
-        let response = protocol_error(
-            None,
-            format!("frame exceeds {MAX_FRAME_BYTES} bytes ({discarded} bytes discarded)"),
-        );
-        self.metrics.record(None, started.elapsed(), false);
+            .record(kind, started.elapsed(), response.is_ok());
+        if let Some(trace) = trace {
+            trace.mark_computed(response.is_ok());
+        }
         response
     }
 
@@ -889,17 +801,16 @@ impl Service {
         kind: RequestKind,
         envelope: &RequestEnvelope,
         started: Instant,
-        ctx: ExecContext,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> Result<JsonValue, Error> {
         let payload = &envelope.payload;
         match kind {
-            RequestKind::Classify => self.classify(payload, ctx, trace),
-            RequestKind::ClassifyMany => self.classify_many(payload, ctx),
-            RequestKind::Solve => self.solve(payload, ctx, trace),
+            RequestKind::Classify => self.classify(payload, trace),
+            RequestKind::ClassifyMany => self.classify_many(payload),
+            RequestKind::Solve => self.solve(payload, trace),
             RequestKind::SolveStream => {
-                self.solve_stream(envelope.id, payload, started, ctx, emit, trace)
+                self.solve_stream(envelope.id, payload, started, emit, trace)
             }
             RequestKind::Generate => self.generate(payload),
             RequestKind::Stats => self.stats(),
@@ -922,29 +833,23 @@ impl Service {
         JsonValue::object([("verdict", Verdict::new(problem, classification).to_json())])
     }
 
-    /// The zero-serialization classify fast lane: answers a `classify`
-    /// frame whose classification is already cached entirely on the calling
-    /// thread — no pool round-trip and, when the reply bytes are attached
-    /// ([`Engine::cached_reply`]), no serialization either, just an
-    /// id-splice ([`StreamFrame::Spliced`]). A *canonical* line whose
-    /// payload text has been served before skips even the request parse:
-    /// the learned structural key ([`HotLine`]) re-probes the memo cache
-    /// directly, making the hot path id-parse + cache probe + memcpy.
-    /// Returns `None` whenever the lane does not apply — the splice toggle
-    /// is off, the frame is not a well-formed `classify`, or the problem is
-    /// not cached — and the caller falls back to the full dispatch path,
-    /// which also owns every error reply (errors are never cached, so they
-    /// are never spliced).
+    /// The zero-serialization classify fast lane of [`Service::dispatch`]:
+    /// answers a `classify` frame whose classification is already cached
+    /// entirely on the calling thread — no pool round-trip and, when the
+    /// reply bytes are attached ([`Engine::cached_reply`]), no
+    /// serialization either, just an id-splice ([`StreamFrame::Spliced`]).
+    /// A *canonical* line whose payload text has been served before skips
+    /// even the request parse: the learned structural key ([`HotLine`])
+    /// re-probes the memo cache directly, making the hot path id-parse +
+    /// cache probe + memcpy. Returns `None` whenever the lane does not
+    /// apply — the splice toggle is off, the frame is not a well-formed
+    /// `classify`, or the problem is not cached — and dispatch falls back
+    /// to a pool job, which also owns every error reply (errors are never
+    /// cached, so they are never spliced).
     ///
     /// On `Some`, the request is fully accounted (latency metrics, stage
-    /// trace): the returned id, terminal frame and trace are ready for the
-    /// connection's ordered-reply machinery, with the write stage left for
-    /// the caller to stamp.
-    pub(crate) fn splice_line(
-        &self,
-        line: &str,
-        started: Instant,
-    ) -> Option<(i64, StreamFrame, Option<Arc<Trace>>)> {
+    /// trace), with the write stage left for the connection writer.
+    fn splice(&self, line: &str, started: Instant) -> Option<(StreamFrame, Option<Arc<Trace>>)> {
         // Cheap scan before the parse: the lane only serves `classify`
         // (the closing quote keeps `classify_many` out).
         if !self.reply_splice() || !line.contains("\"kind\":\"classify\"") {
@@ -974,11 +879,7 @@ impl Service {
                     self.metrics.record_spliced_frame();
                     self.metrics
                         .record(Some(RequestKind::Classify), started.elapsed(), true);
-                    return Some((
-                        id,
-                        StreamFrame::Spliced(SplicedReply::new(id, payload)),
-                        trace,
-                    ));
+                    return Some((StreamFrame::Spliced(SplicedReply::new(id, payload)), trace));
                 }
                 // Stale mapping: the entry was evicted or lost its bytes.
                 // Forget it; the parse path below re-learns on success.
@@ -1042,86 +943,46 @@ impl Service {
             trace.mark_serialized();
         }
         self.metrics.record(Some(kind), started.elapsed(), true);
-        Some((envelope.id, frame, trace))
+        Some((frame, trace))
     }
 
-    fn classify(
-        &self,
-        payload: &JsonValue,
-        ctx: ExecContext,
-        trace: Option<&Trace>,
-    ) -> Result<JsonValue, Error> {
+    fn classify(&self, payload: &JsonValue, trace: Option<&Trace>) -> Result<JsonValue, Error> {
         let problem = Self::parse_problem(payload)?;
         // The hit flag comes from the classify call itself
         // ([`Engine::classify_observed`]) — probing the cache separately
-        // would count a phantom hit and refresh the LRU. The pooled path
-        // cannot observe where its classification came from, so the trace's
-        // cache attribution stays unknown there.
-        let (classification, cache_hit) = match ctx {
-            ExecContext::Caller => (self.engine.classify_pooled(&problem)?, None),
-            ExecContext::PoolWorker => {
-                let (classification, hit) = self.engine.classify_observed(&problem)?;
-                (classification, Some(hit))
-            }
-        };
+        // would count a phantom hit and refresh the LRU.
+        let (classification, hit) = self.engine.classify_observed(&problem)?;
         if let Some(trace) = trace {
-            trace.set_problem(problem.canonical_hash(), cache_hit);
+            trace.set_problem(problem.canonical_hash(), Some(hit));
         }
         Ok(Self::verdict_payload(&problem, &classification))
     }
 
-    fn classify_many(&self, payload: &JsonValue, ctx: ExecContext) -> Result<JsonValue, Error> {
+    /// Classifies a batch sequentially on this thread (the memo cache still
+    /// deduplicates repeats): fanning it back out onto the pool from a
+    /// worker could deadlock a narrow pool, and under pipelining the
+    /// parallelism comes from concurrent requests instead. One malformed
+    /// spec does not fail the batch: every item gets its own outcome.
+    fn classify_many(&self, payload: &JsonValue) -> Result<JsonValue, Error> {
         let items = payload
             .require("problems")
             .and_then(|v| v.as_array())
             .map_err(ProblemError::from)?;
-        // One malformed spec must not fail the batch: parse per item, batch
-        // only the well-formed problems, then reassemble in input order.
-        let parsed: Vec<Result<lcl_paths::problem::NormalizedLcl, Error>> = items
-            .iter()
-            .map(|item| Ok(ProblemSpec::from_json(item)?.to_problem()?))
-            .collect();
-        let problems: Vec<_> = parsed
-            .iter()
-            .filter_map(|p| p.as_ref().ok().cloned())
-            .collect();
-        // On a pool worker the batch runs sequentially on this thread (the
-        // memo cache still deduplicates repeats); fanning it back out onto
-        // the pool from a worker could deadlock a narrow pool, and under
-        // pipelining the parallelism comes from concurrent requests instead.
-        let results: Vec<Result<_, Error>> = match ctx {
-            ExecContext::Caller => self
-                .engine
-                .classify_many(&problems)
-                .into_iter()
-                .map(|r| r.map_err(Error::from))
-                .collect(),
-            ExecContext::PoolWorker => problems
-                .iter()
-                .map(|p| self.engine.classify(p).map_err(Error::from))
-                .collect(),
+        let classify_one = |item: &JsonValue| -> Result<JsonValue, Error> {
+            let problem = ProblemSpec::from_json(item)?.to_problem()?;
+            let classification = self.engine.classify(&problem)?;
+            Ok(Verdict::new(&problem, &classification).to_json())
         };
-        let mut classified = results.into_iter();
-        let error_item = |e: &Error| {
-            JsonValue::object([
-                ("ok", JsonValue::Bool(false)),
-                ("error", error_reply(e).to_json()),
-            ])
-        };
-        let verdicts: Vec<JsonValue> = parsed
+        let verdicts: Vec<JsonValue> = items
             .iter()
-            .map(|item| match item {
-                Err(e) => error_item(e),
-                Ok(problem) => {
-                    let result = classified.next().expect("one result per parsed problem");
-                    match result {
-                        Ok(classification) => JsonValue::object([
-                            ("ok", JsonValue::Bool(true)),
-                            ("verdict", Verdict::new(problem, &classification).to_json()),
-                        ]),
-                        Err(e) => error_item(&e),
-                    }
+            .map(|item| match classify_one(item) {
+                Ok(verdict) => {
+                    JsonValue::object([("ok", JsonValue::Bool(true)), ("verdict", verdict)])
                 }
+                Err(e) => JsonValue::object([
+                    ("ok", JsonValue::Bool(false)),
+                    ("error", error_reply(&e).to_json()),
+                ]),
             })
             .collect();
         Ok(JsonValue::object([
@@ -1130,22 +991,14 @@ impl Service {
         ]))
     }
 
-    fn solve(
-        &self,
-        payload: &JsonValue,
-        ctx: ExecContext,
-        trace: Option<&Trace>,
-    ) -> Result<JsonValue, Error> {
+    fn solve(&self, payload: &JsonValue, trace: Option<&Trace>) -> Result<JsonValue, Error> {
         let problem = Self::parse_problem(payload)?;
         if let Some(trace) = trace {
             trace.set_problem(problem.canonical_hash(), None);
         }
         let instance =
             Instance::from_json(payload.require("instance").map_err(ProblemError::from)?)?;
-        let solution = match ctx {
-            ExecContext::Caller => self.engine.solve(&problem, &instance)?,
-            ExecContext::PoolWorker => self.engine.solve_inline(&problem, &instance)?,
-        };
+        let solution = self.engine.solve_inline(&problem, &instance)?;
         Ok(JsonValue::object([
             (
                 "complexity",
@@ -1177,7 +1030,6 @@ impl Service {
         id: i64,
         payload: &JsonValue,
         started: Instant,
-        ctx: ExecContext,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> Result<JsonValue, Error> {
@@ -1188,10 +1040,7 @@ impl Service {
         let spec = StreamInstanceSpec::from_json(
             payload.require("instance").map_err(ProblemError::from)?,
         )?;
-        let mut solution = match ctx {
-            ExecContext::Caller => self.engine.solve_stream(&problem, &spec)?,
-            ExecContext::PoolWorker => self.engine.solve_stream_inline(&problem, &spec)?,
-        };
+        let mut solution = self.engine.solve_stream_inline(&problem, &spec)?;
         let chunk_nodes = self.chunk_nodes();
         let mut seq = 0i64;
         let mut offset = 0i64;
@@ -1453,67 +1302,99 @@ mod tests {
         Service::new(Engine::builder().parallelism(2).build())
     }
 
+    /// Dispatches `line` as a frame from `origin`.
+    fn dispatch_from(service: &Arc<Service>, line: String, origin: &Origin) -> PendingResponse {
+        service.dispatch(Frame::Line(line), origin)
+    }
+
+    fn dispatch(service: &Arc<Service>, line: String) -> PendingResponse {
+        dispatch_from(service, line, &Origin::default())
+    }
+
+    /// The lock-step reply to `line`, serialized.
+    fn lock_step(service: &Service, line: &str) -> String {
+        service.handle_line(line).into_json_string()
+    }
+
     fn classify_line(id: i64) -> String {
         let payload = JsonValue::object([("problem", problems::coloring(3).to_spec().to_json())]);
         RequestEnvelope::new(id, "classify", payload).to_json_string()
     }
 
     #[test]
-    fn dispatch_line_resolves_every_frame_to_one_reply() {
+    fn dispatch_resolves_every_frame_to_one_reply() {
         let service = Arc::new(service());
 
         // Well-formed cheap kind.
-        let health = service
-            .dispatch_line(r#"{"v":1,"id":1,"kind":"health"}"#.to_string())
-            .wait();
+        let health = dispatch(&service, r#"{"v":1,"id":1,"kind":"health"}"#.to_string()).wait();
         let health = ResponseEnvelope::from_json_str(&health).expect("reply parses");
         assert_eq!(health.id, Some(1));
         assert!(health.is_ok());
 
         // Unparseable frames still get their structured reply through the
         // same deferred path.
-        let garbage = service.dispatch_line("not json at all".to_string()).wait();
+        let garbage = dispatch(&service, "not json at all".to_string()).wait();
         let garbage = ResponseEnvelope::from_json_str(&garbage).expect("reply parses");
         assert_eq!(garbage.id, None);
         assert_eq!(garbage.result.unwrap_err().category, "protocol");
 
         // A classify runs parse + classification + serialization on the
         // pool and is byte-identical to the lock-step reply.
-        let deferred = service.dispatch_line(classify_line(5)).wait();
+        let deferred = dispatch(&service, classify_line(5)).wait();
         let parsed = ResponseEnvelope::from_json_str(&deferred).expect("reply parses");
         assert_eq!(parsed.id, Some(5), "request id echoed");
         assert!(parsed.is_ok());
         assert_eq!(
             deferred,
-            service.handle_line_string(&classify_line(5)),
+            lock_step(&service, &classify_line(5)),
             "deferred and lock-step replies must serialize identically"
         );
 
         // The window gauge drained and recorded its high-water mark.
         assert_eq!(service.metrics().pipelined_inflight(), 0);
         assert!(service.metrics().pipelined_peak() >= 1);
+
+        // An oversized frame's rejection is ready on return, accounted
+        // under `invalid`.
+        let mut oversized = service.dispatch(
+            Frame::Oversized {
+                discarded: MAX_FRAME_BYTES + 1,
+                started: Instant::now(),
+            },
+            &Origin::default(),
+        );
+        let StreamFrame::Final(line) = oversized.try_frame().expect("ready on return") else {
+            panic!("an oversized rejection is one final frame");
+        };
+        let error = ResponseEnvelope::from_json_str(&line)
+            .unwrap()
+            .result
+            .unwrap_err();
+        assert_eq!(error.category, "protocol");
+        assert!(error.message.contains("exceeds"), "{}", error.message);
+        assert_eq!(service.metrics().snapshot(None).errors, 2);
     }
 
     #[test]
-    fn dispatch_line_splices_hot_classify_hits_byte_identically() {
+    fn dispatch_splices_hot_classify_hits_byte_identically() {
         let service = Arc::new(service());
 
         // Cold: the miss runs on the pool; nothing to splice yet.
-        let cold = service.dispatch_line(classify_line(1)).wait();
+        let cold = dispatch(&service, classify_line(1)).wait();
         assert!(ResponseEnvelope::from_json_str(&cold).unwrap().is_ok());
         assert_eq!(service.metrics().spliced_frames(), 0);
 
-        // First hot hit: resolved on the calling thread; this request pays
-        // the one render that attaches the reply bytes (a bytes miss), and
-        // its frame is already spliced.
-        let mut pending = service.dispatch_line(classify_line(2));
-        let spliced = match pending.wait_frame() {
+        // First hot hit: resolved on the calling thread — ready before
+        // dispatch returns; this request pays the one render that attaches
+        // the reply bytes (a bytes miss), and its frame is already spliced.
+        let mut pending = dispatch(&service, classify_line(2));
+        let spliced = match pending.try_frame().expect("ready on return") {
             StreamFrame::Spliced(spliced) => spliced,
             other => panic!("expected a spliced frame, got {other:?}"),
         };
         assert_eq!(
             spliced.to_frame_string(),
-            service.handle_line_string(&classify_line(2)),
+            lock_step(&service, &classify_line(2)),
             "spliced frame must be byte-identical to the canonical serializer"
         );
         assert_eq!(service.metrics().spliced_frames(), 1);
@@ -1521,8 +1402,8 @@ mod tests {
 
         // Second hot hit reuses the attached bytes: a bytes hit, shared
         // payload, still byte-identical modulo the spliced id.
-        let again = service.dispatch_line(classify_line(-3)).wait();
-        assert_eq!(again, service.handle_line_string(&classify_line(-3)));
+        let again = dispatch(&service, classify_line(-3)).wait();
+        assert_eq!(again, lock_step(&service, &classify_line(-3)));
         assert_eq!(service.metrics().spliced_frames(), 2);
         assert_eq!(service.engine().cache_stats().bytes_hits, 1);
 
@@ -1532,8 +1413,8 @@ mod tests {
         // Toggled off, the same hot frame goes through the pool and still
         // serializes identically — the lane is invisible on the wire.
         service.set_reply_splice(false);
-        let slow = service.dispatch_line(classify_line(4)).wait();
-        assert_eq!(slow, service.handle_line_string(&classify_line(4)));
+        let slow = dispatch(&service, classify_line(4)).wait();
+        assert_eq!(slow, lock_step(&service, &classify_line(4)));
         assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
     }
 
@@ -1572,9 +1453,11 @@ mod tests {
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
         drop(tx);
         let pending = PendingResponse {
-            id: Some(77),
-            kind: "classify".to_string(),
-            rx,
+            reply: Reply::Job {
+                rx,
+                id: Some(77),
+                kind: "classify".to_string(),
+            },
             trace: None,
         };
         let reply = ResponseEnvelope::from_json_str(&pending.wait()).expect("reply parses");
@@ -1735,10 +1618,11 @@ mod tests {
     fn solve_stream_chunks_concatenate_to_the_full_labeling() {
         let service = service().with_max_chunk_bytes(1024); // 112 labels/chunk
         let mut chunks = Vec::new();
-        let response = service.handle_line_emitting(&stream_line(21, 300), &mut |frame| {
+        let mut emit = |frame| {
             chunks.push(frame);
             true
-        });
+        };
+        let response = service.respond(&stream_line(21, 300), Instant::now(), &mut emit, None);
         assert_eq!(response.id, Some(21));
         let summary = response.result.expect("stream succeeds");
         assert!(summary.require("done").unwrap().as_bool().unwrap());
@@ -1780,7 +1664,7 @@ mod tests {
     #[test]
     fn solve_stream_pipelined_delivers_ordered_frames() {
         let service = Arc::new(service().with_max_chunk_bytes(1024));
-        let mut pending = service.dispatch_line(stream_line(22, 250));
+        let mut pending = dispatch(&service, stream_line(22, 250));
         let mut frames = Vec::new();
         let terminal = loop {
             match pending.wait_frame() {
@@ -1810,10 +1694,11 @@ mod tests {
     fn solve_stream_aborts_when_the_emit_sink_reports_the_peer_gone() {
         let service = service().with_max_chunk_bytes(1024);
         let mut emitted = 0;
-        let response = service.handle_line_emitting(&stream_line(23, 300), &mut |_| {
+        let mut emit = |_| {
             emitted += 1;
             false
-        });
+        };
+        let response = service.respond(&stream_line(23, 300), Instant::now(), &mut emit, None);
         assert_eq!(emitted, 1, "stream must stop at the first refusal");
         let error = response.result.unwrap_err();
         assert_eq!(error.category, "classifier");
@@ -1931,15 +1816,15 @@ mod tests {
         // The splice lane legitimately bypasses admission (cache hits cost
         // nothing); turn it off so the second frame reaches the quota.
         service.set_reply_splice(false);
-        let peer = Some("10.0.0.7".parse().unwrap());
+        let peer = Origin::new(Some("10.0.0.7".parse().unwrap()));
 
         // The burst admits the first frame…
-        let first = service.dispatch_line_from(classify_line(1), peer).wait();
+        let first = dispatch_from(&service, classify_line(1), &peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());
 
         // …and the second is rejected before taking a pool slot, with the
         // structured retry hint on the wire.
-        let second = service.dispatch_line_from(classify_line(2), peer).wait();
+        let second = dispatch_from(&service, classify_line(2), &peer).wait();
         let reply = ResponseEnvelope::from_json_str(&second).unwrap();
         assert_eq!(reply.id, Some(2), "denials still echo the request id");
         assert_eq!(reply.kind, "classify");
@@ -1949,8 +1834,8 @@ mod tests {
         assert!(error.retry_after_millis.unwrap_or(0) >= 1);
 
         // A different peer still has its own untouched bucket.
-        let other = Some("10.0.0.8".parse().unwrap());
-        let third = service.dispatch_line_from(classify_line(3), other).wait();
+        let other = Origin::new(Some("10.0.0.8".parse().unwrap()));
+        let third = dispatch_from(&service, classify_line(3), &other).wait();
         assert!(ResponseEnvelope::from_json_str(&third).unwrap().is_ok());
 
         // Latency accounting stays symmetric: the shed frame is counted,
@@ -1984,7 +1869,7 @@ mod tests {
             );
         }
 
-        let reply = service.dispatch_line_from(classify_line(9), None).wait();
+        let reply = dispatch(&service, classify_line(9)).wait();
         let reply = ResponseEnvelope::from_json_str(&reply).unwrap();
         let error = reply.result.unwrap_err();
         assert_eq!(error.category, "overloaded");
@@ -1999,16 +1884,23 @@ mod tests {
         // an overloaded server.
         for kind in ["stats", "health", "metrics"] {
             let line = format!("{{\"v\":1,\"id\":1,\"kind\":\"{kind}\"}}");
-            let reply = service.dispatch_line_from(line, None).wait();
+            let reply = dispatch(&service, line).wait();
             assert!(
                 ResponseEnvelope::from_json_str(&reply).unwrap().is_ok(),
                 "{kind} must bypass admission"
             );
         }
 
-        // The lock-step (stdio) path sheds identically.
-        let locked = service.handle_line(&classify_line(10));
-        assert_eq!(locked.result.unwrap_err().category, "overloaded");
+        // The stdio front-end sheds identically: it dispatches the same way.
+        let mut output = Vec::new();
+        crate::serve_stdio(
+            &service,
+            format!("{}\n", classify_line(10)).as_bytes(),
+            &mut output,
+        )
+        .expect("stdio session");
+        let reply = ResponseEnvelope::from_json_str(std::str::from_utf8(&output).unwrap().trim());
+        assert_eq!(reply.unwrap().result.unwrap_err().category, "overloaded");
     }
 
     #[test]
@@ -2019,12 +1911,12 @@ mod tests {
             ..AdmissionConfig::default()
         }));
         service.set_reply_splice(false);
-        let peer = Some("192.168.1.20".parse().unwrap());
-        let first = service.dispatch_line_from(classify_line(1), peer).wait();
+        let peer = Origin::new(Some("192.168.1.20".parse().unwrap()));
+        let first = dispatch_from(&service, classify_line(1), &peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());
         for kind in ["stats", "health", "metrics"] {
             let line = format!("{{\"v\":1,\"id\":2,\"kind\":\"{kind}\"}}");
-            let reply = service.dispatch_line_from(line, peer).wait();
+            let reply = dispatch_from(&service, line, &peer).wait();
             assert!(
                 ResponseEnvelope::from_json_str(&reply).unwrap().is_ok(),
                 "{kind} must not consume quota"

@@ -11,8 +11,8 @@
 //!
 //! so the backends can assemble a reply frame from three constant pieces
 //! plus the shared payload, without building a [`JsonValue`] tree or
-//! serializing anything: the thread backend streams the pieces straight
-//! into its buffered writer, the reactor enqueues the shared payload as a
+//! serializing anything: the blocking writers stream the pieces straight
+//! into their buffered writer, the reactor enqueues the shared payload as a
 //! borrowed output segment for its vectored writes. The decomposition is
 //! pinned byte-identical to the canonical serializer
 //! ([`ResponseEnvelope::ok`]) by the tests below — splicing is invisible on
@@ -76,8 +76,8 @@ impl SplicedReply {
     }
 
     /// Writes the full wire frame (newline included) into `w`. This is the
-    /// thread backend's path: the pieces stream into the connection's
-    /// buffered writer with no per-frame `String`.
+    /// blocking writers' path (the thread backend and stdio): the pieces
+    /// stream into the buffered writer with no per-frame `String`.
     ///
     /// # Errors
     ///

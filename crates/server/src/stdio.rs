@@ -4,10 +4,10 @@
 //! (`echo '{"v":1,…}' | lcl-serve --stdio`), and doubles as the in-memory
 //! harness the protocol-robustness tests drive with `io::Cursor`.
 
-use crate::frame::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
-use crate::service::{Service, StreamFrame};
+use crate::frame::{read_frame, MAX_FRAME_BYTES};
+use crate::service::{Origin, Service};
 use std::io::{self, BufRead, Write};
-use std::time::Instant;
+use std::sync::Arc;
 
 /// Serves frames from `input` until EOF, writing one terminal response line
 /// per frame to `output` — preceded by its intermediate chunk frames for
@@ -15,81 +15,26 @@ use std::time::Instant;
 /// labeling progress with O(chunk) buffering. Oversized and malformed
 /// frames get structured error replies; only I/O errors abort the loop.
 ///
-/// Hot `classify` hits take the same zero-serialization fast lane as the
-/// TCP backends (`Service::splice_line`): the cached payload bytes are
-/// spliced around the request id straight into `output`, so the cache
-/// tallies (and the wire bytes) are identical whichever front-end served
-/// the workload. Terminal envelopes off the slow path serialize into one
-/// scratch buffer reused across frames.
+/// Each frame goes through [`Service::dispatch`] exactly as on the TCP
+/// backends — the splice lane, admission, then a pool job — and its reply is
+/// written before the next frame is read (lock-step), so the wire bytes and
+/// the cache tallies are identical whichever front-end served the workload.
 ///
 /// # Errors
 ///
 /// Propagates read/write failures on the underlying streams.
 pub fn serve_stdio(
-    service: &Service,
+    service: &Arc<Service>,
     mut input: impl BufRead,
     mut output: impl Write,
 ) -> io::Result<()> {
     service.metrics().set_backend("stdio");
-    let mut scratch = String::new();
-    loop {
-        let line = match read_frame(&mut input, MAX_FRAME_BYTES)? {
-            Frame::Eof => return Ok(()),
-            Frame::Oversized { discarded, started } => {
-                scratch.clear();
-                service
-                    .reject_oversized_at(discarded, started)
-                    .into_json()
-                    .write_json_string(&mut scratch);
-                write_frame(&mut output, &scratch)?;
-                output.flush()?;
-                continue;
-            }
-            Frame::Line(line) => line,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let started = Instant::now();
-        if let Some((_, frame, trace)) = service.splice_line(&line, started) {
-            match frame {
-                StreamFrame::Spliced(spliced) => spliced.write_to(&mut output)?,
-                StreamFrame::Final(reply) => write_frame(&mut output, &reply)?,
-                StreamFrame::Chunk(_) => unreachable!("classify never streams"),
-            }
-            output.flush()?;
-            if let Some(trace) = trace {
-                trace.finish_written();
-            }
-            continue;
-        }
-        // Chunk frames are written through the sink in order; the first
-        // write failure stops the stream and is reported once the terminal
-        // envelope comes back.
-        let mut chunk_error: Option<io::Error> = None;
-        let mut emit =
-            |frame: String| match write_frame(&mut output, &frame).and_then(|()| output.flush()) {
-                Ok(()) => true,
-                Err(e) => {
-                    chunk_error = Some(e);
-                    false
-                }
-            };
-        let (envelope, trace) = service.handle_line_traced(&line, &mut emit);
-        scratch.clear();
-        envelope.into_json().write_json_string(&mut scratch);
-        if let Some(trace) = &trace {
-            trace.mark_serialized();
-        }
-        if let Some(e) = chunk_error {
-            return Err(e);
-        }
-        write_frame(&mut output, &scratch)?;
+    let origin = Origin::default();
+    while let Some(frame) = read_frame(&mut input, MAX_FRAME_BYTES)? {
+        service.dispatch(frame, &origin).write_to(&mut output)?;
         output.flush()?;
-        if let Some(trace) = trace {
-            trace.finish_written();
-        }
     }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -101,7 +46,7 @@ mod tests {
 
     #[test]
     fn stdio_round_trips_frames() {
-        let service = Service::new(Engine::builder().parallelism(1).build());
+        let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
         let classify = RequestEnvelope::new(
             1,
             "classify",
@@ -124,7 +69,7 @@ mod tests {
 
     #[test]
     fn stdio_spliced_replies_match_fresh_serialization() {
-        let service = Service::new(Engine::builder().parallelism(1).build());
+        let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
         let classify = |id: i64| {
             RequestEnvelope::new(
                 id,

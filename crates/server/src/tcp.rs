@@ -24,8 +24,8 @@
 //! when the listener's address is not connectable from here — then unblocks
 //! every open connection and joins all threads before returning.
 
-use crate::frame::{read_frame, write_frame, Frame, MAX_FRAME_BYTES};
-use crate::service::{PendingResponse, Service, StreamFrame};
+use crate::frame::{read_frame, MAX_FRAME_BYTES};
+use crate::service::{Origin, PendingResponse, Service};
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -557,24 +557,12 @@ fn accept_loop(
     }
 }
 
-/// One entry in a connection's in-order reply queue: the reply itself, or
-/// the handle it will arrive on once its pool job finishes. Shared by both
-/// backends — the thread backend moves these through a channel to the
-/// writer thread, the reactor keeps them in the connection's state machine.
-pub(crate) enum PendingReply {
-    /// Produced without a pool job (only oversized-frame rejections).
-    Ready(String),
-    /// Parsing/computing on the worker pool.
-    Deferred(PendingResponse),
-}
-
 /// The exact per-connection in-flight accounting: one slot per request that
-/// has been dispatched (or enqueued as a ready reply) and not yet *written*
-/// back. The reader acquires before dispatching, the writer releases after
-/// writing, so at no instant do more than `capacity` requests of one
-/// connection exist anywhere in the pipeline — which is precisely the
-/// `--max-inflight` contract in `docs/PROTOCOL.md`, and what makes
-/// `--max-inflight 1` genuine lock-step.
+/// has been dispatched and not yet *written* back. The reader acquires
+/// before dispatching, the writer releases after writing, so at no instant
+/// do more than `capacity` requests of one connection exist anywhere in the
+/// pipeline — which is precisely the `--max-inflight` contract in
+/// `docs/PROTOCOL.md`, and what makes `--max-inflight 1` genuine lock-step.
 struct InflightWindow {
     used: Mutex<WindowState>,
     changed: Condvar,
@@ -648,9 +636,9 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inf
     let Ok(writer_stream) = stream.try_clone() else {
         return;
     };
-    let peer = stream.peer_addr().ok().map(|addr| addr.ip());
+    let origin = Origin::new(stream.peer_addr().ok().map(|addr| addr.ip()));
     let window = InflightWindow::new(max_inflight);
-    let (ordered_tx, ordered_rx) = mpsc::channel::<PendingReply>();
+    let (ordered_tx, ordered_rx) = mpsc::channel::<PendingResponse>();
     let writer_window = Arc::clone(&window);
     let Ok(writer) = thread::Builder::new()
         .name(format!("lcl-server-conn-{id}-writer"))
@@ -659,32 +647,13 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inf
         return;
     };
     let mut reader = BufReader::new(stream);
-    loop {
-        let frame = match read_frame(&mut reader, MAX_FRAME_BYTES) {
-            Err(_) | Ok(Frame::Eof) => break,
-            Ok(frame) => frame,
-        };
-        if matches!(&frame, Frame::Line(line) if line.trim().is_empty()) {
-            continue;
-        }
-        // Take a window slot BEFORE dispatching, so the bound holds exactly;
-        // blocks while the window is full (that is the backpressure), wakes
-        // as the writer drains it, gives up when the writer died.
-        if !window.acquire() {
-            break;
-        }
-        let pending = match frame {
-            Frame::Oversized { discarded, started } => PendingReply::Ready(
-                service
-                    .reject_oversized_at(discarded, started)
-                    .into_json_string(),
-            ),
-            Frame::Line(line) => PendingReply::Deferred(service.dispatch_line_from(line, peer)),
-            Frame::Eof => unreachable!("handled above"),
-        };
-        // The queue itself is unbounded (the window is the bound) and only
-        // disconnects when the writer died; then the read side ends too.
-        if ordered_tx.send(pending).is_err() {
+    // Take a window slot BEFORE dispatching, so the bound holds exactly;
+    // `acquire` blocks while the window is full (that is the backpressure),
+    // wakes as the writer drains it, gives up when the writer died. The
+    // queue itself is unbounded (the window is the bound) and only
+    // disconnects when the writer died; then the read side ends too.
+    while let Ok(Some(frame)) = read_frame(&mut reader, MAX_FRAME_BYTES) {
+        if !window.acquire() || ordered_tx.send(service.dispatch(frame, &origin)).is_err() {
             break;
         }
     }
@@ -695,86 +664,34 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inf
 }
 
 /// The writer half of a pipelined connection: resolves queued replies in
-/// request order, writes one frame each and releases the reply's window
-/// slot. Flushes when no further reply is instantly available — so bursts
-/// of ready replies coalesce into few syscalls, but an already-written
-/// reply is never held back while the next request is still computing.
-///
-/// A deferred reply may be a *stream*: its handle yields zero or more chunk
-/// frames before the terminal envelope. Chunks are written and flushed as
-/// they arrive — the peer sees labeling progress while the job is still
-/// producing — and the window slot is released only at the terminal frame,
-/// so a streaming request occupies exactly one in-flight slot end to end.
+/// request order ([`PendingResponse`]'s blocking writer, shared with the
+/// stdio loop), releasing each reply's window slot once written. Flushes
+/// when no further reply is instantly available — so bursts of ready
+/// replies coalesce into few syscalls, but an already-written reply is
+/// never held back while the next request is still computing. A streaming
+/// request occupies exactly one in-flight slot end to end: its chunks are
+/// written and flushed as they arrive, and the slot is released at the
+/// terminal frame.
 fn write_loop(
     stream: TcpStream,
-    ordered_rx: mpsc::Receiver<PendingReply>,
+    ordered_rx: mpsc::Receiver<PendingResponse>,
     window: &InflightWindow,
 ) {
     let mut writer = BufWriter::new(stream);
-    let mut lookahead: Option<PendingReply> = None;
-    'conn: loop {
-        let pending = match lookahead.take() {
-            Some(pending) => pending,
-            None => match ordered_rx.recv() {
-                Ok(pending) => pending,
-                Err(_) => break, // reader closed the queue and nothing is left
-            },
-        };
-        let (terminal, trace) = match pending {
-            PendingReply::Ready(line) => (StreamFrame::Final(line), None),
-            PendingReply::Deferred(mut pending) => loop {
-                let frame = match pending.try_frame() {
-                    Some(frame) => frame,
-                    None => {
-                        // The head-of-line job is still computing: everything
-                        // written so far must reach the peer before we park.
-                        if writer.flush().is_err() {
-                            break 'conn;
-                        }
-                        pending.wait_frame()
-                    }
-                };
-                match frame {
-                    StreamFrame::Chunk(line) => {
-                        // A write failure drops the handle, which closes the
-                        // frame channel and aborts the producing job.
-                        if write_frame(&mut writer, &line).is_err() || writer.flush().is_err() {
-                            break 'conn;
-                        }
-                    }
-                    terminal => break (terminal, pending.take_trace()),
-                }
-            },
-        };
-        // A spliced reply streams its pieces (head, id, cached payload
-        // bytes, tail) straight into the buffered writer — no per-frame
-        // `String` is ever assembled on this thread.
-        let wrote = match &terminal {
-            StreamFrame::Final(line) => write_frame(&mut writer, line),
-            StreamFrame::Spliced(spliced) => spliced.write_to(&mut writer),
-            StreamFrame::Chunk(_) => unreachable!("chunks are written in the resolve loop"),
-        };
-        if wrote.is_err() {
+    let mut next = ordered_rx.recv().ok();
+    while let Some(pending) = next {
+        if pending.write_to(&mut writer).is_err() {
             break;
         }
-        // The write stage ends when the terminal frame enters the socket
-        // buffer; the coalescing flush below is batching policy, not part
-        // of this request's latency.
-        if let Some(trace) = trace {
-            trace.finish_written();
-        }
         window.release();
-        match ordered_rx.try_recv() {
-            Ok(next) => lookahead = Some(next), // more to write: delay the flush
-            Err(mpsc::TryRecvError::Empty) => {
-                if writer.flush().is_err() {
-                    break;
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => {
-                break;
-            }
-        }
+        next = match ordered_rx.try_recv() {
+            Ok(pending) => Some(pending), // more to write: delay the flush
+            Err(mpsc::TryRecvError::Empty) => match writer.flush() {
+                Ok(()) => ordered_rx.recv().ok(),
+                Err(_) => break,
+            },
+            Err(mpsc::TryRecvError::Disconnected) => None,
+        };
     }
     // Final flush for whatever the break left buffered, then wake a reader
     // parked on a full window; with the queue disconnected it exits instead

@@ -5,30 +5,22 @@
 //! stamps a monotonic offset on it — queue wait, parse, compute, serialize,
 //! write — and when the last stage finishes (or the handle is dropped
 //! because the connection died), the trace collapses into a
-//! [`TraceRecord`] and lands in the [`TraceSink`]:
-//!
-//! * a fixed-size lock-free ring of the most recent records
-//!   ([`TraceSink::recent`]), always on, for post-hoc "what just
-//!   happened" inspection;
-//! * optionally (`--trace-slow-micros`), one structured NDJSON line on
-//!   stderr per request whose end-to-end latency crossed the threshold —
-//!   the line carries the request id, kind, problem hash, cache hit/miss
-//!   and per-stage microseconds, so a slow request is attributable from
-//!   the log alone.
+//! [`TraceRecord`] and reaches the [`TraceSink`], which (with
+//! `--trace-slow-micros`) writes one structured NDJSON line on stderr per
+//! request whose end-to-end latency crossed the threshold. The line carries
+//! the request id, kind, problem hash, cache hit/miss and per-stage
+//! microseconds, so a slow request is attributable from the log alone.
 //!
 //! All stamping is relaxed atomics on a shared `Arc`; the hot path never
 //! locks, never allocates beyond the one `Arc` per request, and a stage
 //! that never runs (an invalid frame has no compute) simply reports 0.
 
 use crate::service::RequestKind;
-use lcl_paths::classifier::obs::{TraceKind, TraceRecord, TraceRing};
+use lcl_paths::classifier::obs::{TraceKind, TraceRecord};
 use lcl_paths::problem::json::JsonValue;
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// How many finished request traces the sink's ring retains.
-pub const DEFAULT_TRACE_RING_CAPACITY: usize = 256;
 
 /// The stable index of a request kind inside a [`TraceRecord`]
 /// (`TraceRecord::kind`): its position in [`RequestKind::ALL`], with
@@ -91,13 +83,12 @@ pub fn slow_trace_line(record: &TraceRecord) -> String {
     JsonValue::object(fields).to_json_string()
 }
 
-/// Where finished request traces go: the recent-trace ring, plus the
-/// optional slow-request log line. One sink per [`Service`], shared by
-/// every in-flight request's stage trace.
+/// Where finished request traces go: the optional slow-request log line.
+/// One sink per [`Service`], shared by every in-flight request's stage
+/// trace.
 ///
 /// [`Service`]: crate::Service
 pub struct TraceSink {
-    ring: TraceRing,
     /// End-to-end latency threshold for the slow-request log line;
     /// 0 = disabled.
     slow_micros: AtomicU64,
@@ -109,8 +100,6 @@ pub struct TraceSink {
 impl std::fmt::Debug for TraceSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("TraceSink")
-            .field("capacity", &self.ring.capacity())
-            .field("pushed", &self.ring.pushed())
             .field("slow_micros", &self.slow_micros.load(Ordering::Relaxed))
             .finish()
     }
@@ -118,22 +107,20 @@ impl std::fmt::Debug for TraceSink {
 
 impl Default for TraceSink {
     fn default() -> Self {
-        TraceSink::new(DEFAULT_TRACE_RING_CAPACITY)
+        TraceSink::new()
     }
 }
 
 impl TraceSink {
-    /// A sink retaining the `capacity` most recent traces, with the slow
-    /// log disabled and stderr as its line emitter.
-    pub fn new(capacity: usize) -> TraceSink {
-        TraceSink::with_emitter(capacity, |line| eprintln!("{line}"))
+    /// A sink with the slow log disabled and stderr as its line emitter.
+    pub fn new() -> TraceSink {
+        TraceSink::with_emitter(|line| eprintln!("{line}"))
     }
 
     /// [`TraceSink::new`] with a custom slow-line emitter (tests capture
     /// lines instead of printing them).
-    pub fn with_emitter(capacity: usize, emit: impl Fn(&str) + Send + Sync + 'static) -> TraceSink {
+    pub fn with_emitter(emit: impl Fn(&str) + Send + Sync + 'static) -> TraceSink {
         TraceSink {
-            ring: TraceRing::new(capacity),
             slow_micros: AtomicU64::new(0),
             emit: Box::new(emit),
         }
@@ -141,8 +128,7 @@ impl TraceSink {
 
     /// Sets the slow-request threshold: a finished request whose end-to-end
     /// latency is at least `micros` microseconds emits one NDJSON line
-    /// ([`slow_trace_line`]). `None` (or 0) disables the log; the ring is
-    /// unaffected either way.
+    /// ([`slow_trace_line`]). `None` (or 0) disables the log.
     pub fn set_slow_micros(&self, micros: Option<u64>) {
         self.slow_micros
             .store(micros.unwrap_or(0), Ordering::Relaxed);
@@ -156,20 +142,9 @@ impl TraceSink {
         }
     }
 
-    /// The retained finished traces, oldest first.
-    pub fn recent(&self) -> Vec<TraceRecord> {
-        self.ring.recent()
-    }
-
-    /// Traces finished since the sink was created (≥ retained ones).
-    pub fn finished(&self) -> u64 {
-        self.ring.pushed()
-    }
-
-    /// Accepts one finished trace: into the ring, and onto the slow log
-    /// when over the threshold.
+    /// Accepts one finished trace: onto the slow log when over the
+    /// threshold.
     fn accept(&self, record: &TraceRecord) {
-        self.ring.push(record);
         let slow = self.slow_micros.load(Ordering::Relaxed);
         if slow > 0 && record.total_micros >= slow {
             (self.emit)(&slow_trace_line(record));
@@ -192,7 +167,7 @@ fn stamp(slot: &AtomicU64, started: Instant) {
 /// The trace finishes — collapses into a [`TraceRecord`] and reaches its
 /// sink — exactly once: at [`Trace::finish`] (the write stage, normally),
 /// or on drop if no stage ever finished it (the connection died before
-/// the reply was written; the partial stages still land in the ring).
+/// the reply was written; the partial stages still reach the sink).
 #[derive(Debug)]
 pub(crate) struct Trace {
     sink: Arc<TraceSink>,
@@ -347,7 +322,7 @@ impl Trace {
 
 impl Drop for Trace {
     /// A trace abandoned mid-flight (connection died before its reply was
-    /// written) still reaches the ring with whatever stages it stamped.
+    /// written) still reaches the sink with whatever stages it stamped.
     fn drop(&mut self) {
         self.finish();
     }
@@ -358,13 +333,34 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
+    /// A sink whose slow log (threshold 1µs) captures every line.
     fn capturing_sink() -> (Arc<TraceSink>, Arc<Mutex<Vec<String>>>) {
         let lines = Arc::new(Mutex::new(Vec::new()));
         let captured = Arc::clone(&lines);
-        let sink = Arc::new(TraceSink::with_emitter(8, move |line| {
+        let sink = Arc::new(TraceSink::with_emitter(move |line| {
             captured.lock().unwrap().push(line.to_string());
         }));
+        sink.set_slow_micros(Some(1));
         (sink, lines)
+    }
+
+    /// A trace clocked from 1ms ago, so its total always clears the 1µs
+    /// threshold of [`capturing_sink`].
+    fn old_trace(sink: &Arc<TraceSink>, id: Option<i64>) -> Trace {
+        let started = Instant::now() - std::time::Duration::from_millis(1);
+        Trace::new(Arc::clone(sink), started, id)
+    }
+
+    fn parsed(lines: &Mutex<Vec<String>>) -> Vec<JsonValue> {
+        let lines = lines.lock().unwrap();
+        lines
+            .iter()
+            .map(|line| JsonValue::parse(line).unwrap())
+            .collect()
+    }
+
+    fn micros(line: &JsonValue, field: &str) -> i64 {
+        line.require(field).unwrap().as_int().unwrap()
     }
 
     #[test]
@@ -378,56 +374,60 @@ mod tests {
 
     #[test]
     fn stages_collapse_into_disjoint_durations() {
-        let (sink, _) = capturing_sink();
-        let started = Instant::now();
-        let trace = Trace::new(Arc::clone(&sink), started, None);
+        let (sink, lines) = capturing_sink();
+        let trace = old_trace(&sink, None);
         trace.mark_queue();
         trace.mark_parsed(Some(RequestKind::Classify), Some(9));
         trace.set_problem(0xabcd, Some(true));
         trace.mark_computed(true);
         trace.mark_serialized();
         trace.finish_written();
-        let records = sink.recent();
-        assert_eq!(records.len(), 1);
-        let record = &records[0];
-        assert_eq!(record.id, Some(9));
-        assert_eq!(kind_wire_name(record.kind), "classify");
-        assert!(record.ok);
-        assert_eq!(record.problem_hash, Some(0xabcd));
-        assert_eq!(record.cache_hit, Some(true));
-        let stage_sum = record.queue_micros
-            + record.parse_micros
-            + record.compute_micros
-            + record.serialize_micros
-            + record.write_micros;
+        let lines = parsed(&lines);
+        assert_eq!(lines.len(), 1);
+        let line = &lines[0];
+        assert_eq!(micros(line, "id"), 9);
+        assert_eq!(line.require("kind").unwrap().as_str().unwrap(), "classify");
+        assert!(line.require("ok").unwrap().as_bool().unwrap());
+        assert_eq!(
+            line.require("problem_hash").unwrap().as_str().unwrap(),
+            format!("{:016x}", 0xabcd)
+        );
+        assert!(line.require("cache_hit").unwrap().as_bool().unwrap());
+        let stage_sum: i64 = ["queue", "parse", "compute", "serialize", "write"]
+            .iter()
+            .map(|stage| micros(line, &format!("{stage}_micros")))
+            .sum();
+        let total = micros(line, "total_micros");
         assert!(
-            stage_sum <= record.total_micros + 1,
-            "disjoint stages cannot exceed the total: {stage_sum} vs {}",
-            record.total_micros
+            stage_sum <= total + 1,
+            "disjoint stages cannot exceed the total: {stage_sum} vs {total}"
         );
     }
 
     #[test]
     fn dropping_an_unfinished_trace_still_records_it() {
-        let (sink, _) = capturing_sink();
-        let trace = Trace::new(Arc::clone(&sink), Instant::now(), Some(3));
+        let (sink, lines) = capturing_sink();
+        let trace = old_trace(&sink, Some(3));
         trace.mark_queue();
         drop(trace);
-        let records = sink.recent();
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].id, Some(3));
-        assert_eq!(records[0].kind, TraceRecord::KIND_INVALID);
-        assert_eq!(records[0].write_micros, 0, "write never happened");
+        let lines = parsed(&lines);
+        assert_eq!(lines.len(), 1);
+        assert_eq!(micros(&lines[0], "id"), 3);
+        assert_eq!(
+            lines[0].require("kind").unwrap().as_str().unwrap(),
+            "invalid"
+        );
+        assert_eq!(micros(&lines[0], "write_micros"), 0, "write never happened");
     }
 
     #[test]
     fn finish_is_idempotent() {
-        let (sink, _) = capturing_sink();
-        let trace = Trace::new(Arc::clone(&sink), Instant::now(), None);
+        let (sink, lines) = capturing_sink();
+        let trace = old_trace(&sink, None);
         trace.finish_written();
         trace.finish();
         drop(trace);
-        assert_eq!(sink.finished(), 1, "one record despite three finishes");
+        assert_eq!(parsed(&lines).len(), 1, "one line despite three finishes");
     }
 
     #[test]
@@ -504,6 +504,5 @@ mod tests {
             ..TraceRecord::default()
         });
         assert_eq!(lines.lock().unwrap().len(), 1);
-        assert_eq!(sink.finished(), 2, "the ring keeps recording");
     }
 }

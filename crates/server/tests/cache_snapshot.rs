@@ -102,8 +102,8 @@ fn a_snapshot_taken_under_live_traffic_restores_byte_identical_verdicts() {
     for (id, k) in (2..=6).enumerate() {
         let line = classify_line(id as i64, k);
         assert_eq!(
-            restored.handle_line_string(&line),
-            cold.handle_line_string(&line),
+            restored.handle_line(&line).into_json_string(),
+            cold.handle_line(&line).into_json_string(),
             "restored and cold verdicts must serialize identically"
         );
     }

@@ -1,8 +1,7 @@
 //! Observability integration tests: the `metrics` request kind, the HTTP
-//! scrape listener, the latency histograms and the stage-trace ring, driven
-//! end-to-end through every front-end (both TCP backends and stdio).
+//! scrape listener, the latency histograms and the stage-trace slow log,
+//! driven end-to-end through every front-end (both TCP backends and stdio).
 
-use lcl_paths::classifier::obs::TraceRecord;
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{
     Instance, RequestEnvelope, ResponseEnvelope, StreamInputs, StreamInstanceSpec, Topology,
@@ -475,15 +474,28 @@ fn shed_frames_stay_in_the_latency_accounting_on_every_backend() {
     }
 }
 
-#[test]
-fn stage_traces_reach_the_ring_and_the_slow_log_on_stdio() {
-    let captured: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
+/// A trace sink whose slow log (threshold 1µs, so every request) captures
+/// its lines as parsed JSON.
+fn capturing_sink() -> (Arc<TraceSink>, Arc<Mutex<Vec<JsonValue>>>) {
+    let captured: Arc<Mutex<Vec<JsonValue>>> = Arc::new(Mutex::new(Vec::new()));
     let captured_in_sink = Arc::clone(&captured);
-    let sink = Arc::new(TraceSink::with_emitter(64, move |line| {
-        captured_in_sink.lock().unwrap().push(line.to_string());
+    let sink = Arc::new(TraceSink::with_emitter(move |line| {
+        let parsed = JsonValue::parse(line).expect("slow line is valid JSON");
+        captured_in_sink.lock().unwrap().push(parsed);
     }));
-    sink.set_slow_micros(Some(1)); // everything is slow
-    let service = Service::new(Engine::builder().parallelism(1).build()).with_trace_sink(sink);
+    sink.set_slow_micros(Some(1));
+    (sink, captured)
+}
+
+fn micros(line: &JsonValue, field: &str) -> i64 {
+    line.require(field).unwrap().as_int().unwrap()
+}
+
+#[test]
+fn stage_traces_reach_the_slow_log_on_stdio() {
+    let (sink, captured) = capturing_sink();
+    let service =
+        Arc::new(Service::new(Engine::builder().parallelism(1).build()).with_trace_sink(sink));
 
     let spec = problems::coloring(3).to_spec();
     let classify = RequestEnvelope::new(
@@ -496,67 +508,44 @@ fn stage_traces_reach_the_ring_and_the_slow_log_on_stdio() {
     let mut output = Vec::new();
     serve_stdio(&service, input.as_bytes(), &mut output).expect("stdio session");
 
-    let records: Vec<TraceRecord> = service.trace_sink().recent();
-    assert_eq!(records.len(), 2, "one trace per frame");
-    // recent() is oldest-first: the classify, then the unparseable frame.
-    assert_eq!(records[0].id, Some(7));
-    assert!(records[0].ok);
-    // The lock-step (caller-context) path cannot observe where its
-    // classification came from; only the pooled path attributes hits.
-    assert_eq!(records[0].cache_hit, None);
-    assert!(records[0].problem_hash.is_some());
-    assert_eq!(records[1].kind, TraceRecord::KIND_INVALID);
-    assert!(!records[1].ok);
-    for record in &records {
-        assert!(record.total_micros >= 1, "traces never report zero latency");
-        let stage_sum = record.queue_micros
-            + record.parse_micros
-            + record.compute_micros
-            + record.serialize_micros
-            + record.write_micros;
+    // Both requests crossed the slow threshold, in frame order: the
+    // classify, then the unparseable frame.
+    let lines = captured.lock().unwrap();
+    assert_eq!(lines.len(), 2, "one trace per frame");
+    assert_eq!(micros(&lines[0], "id"), 7);
+    assert!(lines[0].require("ok").unwrap().as_bool().unwrap());
+    // Stdio frames run as pool jobs, which observe where the classification
+    // came from: this one was a cold miss.
+    assert!(!lines[0].require("cache_hit").unwrap().as_bool().unwrap());
+    assert!(lines[0].get("problem_hash").is_some());
+    assert!(!lines[1].require("ok").unwrap().as_bool().unwrap());
+    for line in lines.iter() {
+        assert_eq!(line.require("trace").unwrap().as_str().unwrap(), "slow");
+        let total = micros(line, "total_micros");
+        assert!(total >= 1, "traces never report zero latency");
+        let stage_sum: i64 = ["queue", "parse", "compute", "serialize", "write"]
+            .iter()
+            .map(|stage| micros(line, &format!("{stage}_micros")))
+            .sum();
         assert!(
-            stage_sum <= record.total_micros,
+            stage_sum <= total,
             "disjoint stages cannot exceed the end-to-end time"
         );
     }
-
-    // Both requests crossed the slow threshold; each line is one JSON
-    // object with the stage breakdown.
-    let lines = captured.lock().unwrap();
-    assert_eq!(lines.len(), 2);
-    for line in lines.iter() {
-        let parsed = JsonValue::parse(line).expect("slow line is valid JSON");
-        assert_eq!(parsed.require("trace").unwrap().as_str().unwrap(), "slow");
-        for field in [
-            "kind",
-            "queue_micros",
-            "parse_micros",
-            "compute_micros",
-            "serialize_micros",
-            "write_micros",
-            "total_micros",
-        ] {
-            assert!(parsed.get(field).is_some(), "missing `{field}`: {line}");
-        }
-    }
-    let kinds: Vec<String> = lines
+    let kinds: Vec<&str> = lines
         .iter()
-        .map(|line| {
-            JsonValue::parse(line)
-                .unwrap()
-                .require("kind")
-                .unwrap()
-                .as_str()
-                .unwrap()
-                .to_string()
-        })
+        .map(|line| line.require("kind").unwrap().as_str().unwrap())
         .collect();
     assert_eq!(kinds, ["classify", "invalid"]);
 }
 
 #[test]
 fn tcp_traces_capture_the_write_stage() {
-    let service = service();
+    let (sink, captured) = capturing_sink();
+    let service = Arc::new(
+        Service::new(Engine::builder().parallelism(2).cache_shards(2).build())
+            .with_trace_sink(sink),
+    );
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind")
         .start()
@@ -567,21 +556,25 @@ fn tcp_traces_capture_the_write_stage() {
         .expect("classify");
     // The write stage is stamped when the reply's bytes reach the socket;
     // the client has the reply in hand, so the stamp happened — but the
-    // recording into the ring races the reply by one scheduler step on the
-    // reactor (the flush observes the write after EPOLLOUT). Poll briefly.
+    // slow-log line races the reply by one scheduler step on the reactor
+    // (the flush observes the write after EPOLLOUT). Poll briefly.
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);
-    let record = loop {
-        let records = service.trace_sink().recent();
-        if let Some(record) = records.iter().find(|r| r.kind != TraceRecord::KIND_INVALID) {
-            break *record;
+    let line = loop {
+        let lines = captured.lock().unwrap();
+        if let Some(line) = lines
+            .iter()
+            .find(|line| line.require("kind").unwrap().as_str().unwrap() == "classify")
+        {
+            break line.clone();
         }
+        drop(lines);
         assert!(
             std::time::Instant::now() < deadline,
-            "classify trace never reached the ring"
+            "classify trace never reached the slow log"
         );
         std::thread::yield_now();
     };
-    assert!(record.ok);
-    assert!(record.total_micros >= 1);
+    assert!(line.require("ok").unwrap().as_bool().unwrap());
+    assert!(micros(&line, "total_micros") >= 1);
     handle.shutdown();
 }

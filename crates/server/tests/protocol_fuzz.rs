@@ -128,7 +128,7 @@ fn fuzzed_frames_always_get_structured_replies() {
 /// keeps serving (stdio framing harness).
 #[test]
 fn oversized_frames_are_rejected_but_not_fatal() {
-    let service = Service::new(Engine::builder().parallelism(1).build());
+    let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
     let mut input = Vec::new();
     input.extend_from_slice(&vec![b'a'; MAX_FRAME_BYTES + 16]);
     input.push(b'\n');

@@ -204,8 +204,9 @@ fn splicing_on_and_off_produce_the_same_bytes_for_deterministic_kinds() {
         .map(|(request, _)| format!("{request}\n"))
         .collect();
     let run = |splice: bool| -> (Vec<String>, u64) {
-        let service =
-            Service::new(Engine::builder().parallelism(1).build()).with_reply_splice(splice);
+        let service = Arc::new(
+            Service::new(Engine::builder().parallelism(1).build()).with_reply_splice(splice),
+        );
         let mut output = Vec::new();
         serve_stdio(&service, deterministic.as_bytes(), &mut output).expect("stdio session");
         let lines = std::str::from_utf8(&output)

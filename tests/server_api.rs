@@ -317,7 +317,7 @@ fn ids_echo_and_errors_are_structured_over_tcp() {
 /// terminated by EOF.
 #[test]
 fn stdio_framing_serves_the_same_protocol() {
-    let service = Service::new(Engine::builder().parallelism(1).build());
+    let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
     let problem = lcl_paths::problems::coloring(3);
     let classify = RequestEnvelope::new(
         10,
