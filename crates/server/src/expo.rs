@@ -674,6 +674,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_paths::problem::json::JsonValue;
     use lcl_paths::Engine;
     use std::time::Duration;
 
@@ -802,4 +803,324 @@ lcl_x_count{kind=\"b\"} 0
 ";
         validate_exposition(doc).expect("two label sets, one family");
     }
+
+    /// A fixed service driven through a scripted counter history: every
+    /// family is nonzero somewhere, and no wall-clock latency is recorded
+    /// (the classifies go straight to the engine), so both renderings are
+    /// fully deterministic apart from the uptime fields.
+    fn golden_service() -> Service {
+        use lcl_paths::problems;
+        let service = Service::new(Engine::builder().parallelism(2).cache_shards(2).build());
+        let metrics = service.metrics();
+        metrics.set_backend("threads");
+        let kinds = RequestKind::ALL.iter().map(|&k| Some(k)).chain([None]);
+        for (at, kind) in kinds.enumerate() {
+            let at = at as u64;
+            for step in 0..=at % 3 {
+                let micros = 3 + at * 97 + step * 1_013;
+                metrics.record(kind, Duration::from_micros(micros), step != 1);
+            }
+            if at % 4 == 0 {
+                metrics.record_shed(kind);
+                metrics.record(kind, Duration::ZERO, false);
+            }
+        }
+        for micros in [40u64, 900, 12_000] {
+            metrics.record_stream_first_chunk(Duration::from_micros(micros));
+        }
+        for _ in 0..3 {
+            metrics.pipeline_enter();
+        }
+        metrics.pipeline_exit();
+        for _ in 0..4 {
+            metrics.connection_opened();
+        }
+        metrics.connection_closed();
+        metrics.connection_rejected();
+        metrics.connection_rejected();
+        for _ in 0..5 {
+            metrics.reactor_wakeup();
+        }
+        metrics.reactor_completions(7);
+        metrics.record_spliced_frame();
+        metrics.record_spliced_frame();
+        for _ in 0..3 {
+            metrics.record_writev_batch();
+        }
+
+        let engine = service.engine();
+        let three = problems::coloring(3);
+        for problem in [
+            &three,
+            &three,
+            &problems::coloring(4),
+            &problems::maximal_independent_set(),
+        ] {
+            engine.classify(problem).expect("classify");
+        }
+        for _ in 0..2 {
+            engine
+                .cached_reply(&three, |_| b"{}".to_vec())
+                .expect("cached");
+        }
+        service
+    }
+
+    /// The `stats` payload as served, with the wall-clock fields removed.
+    fn golden_stats(service: &Service) -> String {
+        let reply = service.handle_line(r#"{"v":1,"id":1,"kind":"stats"}"#);
+        let mut payload = reply.result.expect("stats succeeds");
+        let JsonValue::Object(fields) = &mut payload else {
+            panic!("stats payload is an object");
+        };
+        fields.remove("uptime_ms");
+        if let Some(JsonValue::Object(server)) = fields.get_mut("server") {
+            server.remove("uptime_seconds");
+        }
+        payload.to_json_string()
+    }
+
+    #[test]
+    fn golden_exposition_and_stats_bytes_are_pinned() {
+        let service = golden_service();
+        let expo = render_exposition(&service);
+        validate_exposition(&expo).expect("golden exposition validates");
+        let expo: String = expo
+            .lines()
+            .filter(|line| !line.starts_with("lcl_uptime_seconds "))
+            .map(|line| format!("{line}\n"))
+            .collect();
+        assert_eq!(expo, GOLDEN_EXPOSITION);
+        assert_eq!(golden_stats(&service), GOLDEN_STATS);
+    }
+
+    /// [`golden_service`]'s exposition, `lcl_uptime_seconds` sample removed.
+    const GOLDEN_EXPOSITION: &str = r##"# HELP lcl_build_info Constant 1; the labels carry the server identity and configuration.
+# TYPE lcl_build_info gauge
+lcl_build_info{backend="threads",cache_shards="2",version="0.2.0",workers="2"} 1
+# HELP lcl_uptime_seconds Wall-clock seconds since the service was constructed.
+# TYPE lcl_uptime_seconds gauge
+# HELP lcl_requests_total Frames handled, by request kind (invalid = never resolved to one).
+# TYPE lcl_requests_total counter
+lcl_requests_total{kind="classify"} 2
+lcl_requests_total{kind="classify_many"} 2
+lcl_requests_total{kind="solve"} 3
+lcl_requests_total{kind="solve_stream"} 1
+lcl_requests_total{kind="generate"} 3
+lcl_requests_total{kind="stats"} 3
+lcl_requests_total{kind="health"} 1
+lcl_requests_total{kind="metrics"} 2
+lcl_requests_total{kind="snapshot"} 4
+lcl_requests_total{kind="invalid"} 1
+# HELP lcl_request_errors_total Frames answered with an error reply, by request kind.
+# TYPE lcl_request_errors_total counter
+lcl_request_errors_total{kind="classify"} 1
+lcl_request_errors_total{kind="classify_many"} 1
+lcl_request_errors_total{kind="solve"} 1
+lcl_request_errors_total{kind="solve_stream"} 0
+lcl_request_errors_total{kind="generate"} 2
+lcl_request_errors_total{kind="stats"} 1
+lcl_request_errors_total{kind="health"} 0
+lcl_request_errors_total{kind="metrics"} 1
+lcl_request_errors_total{kind="snapshot"} 2
+lcl_request_errors_total{kind="invalid"} 0
+# HELP lcl_shed_total Frames rejected at admission (load shed or quota), by request kind; every shed frame is also counted in requests_total and request_errors_total.
+# TYPE lcl_shed_total counter
+lcl_shed_total{kind="classify"} 1
+lcl_shed_total{kind="classify_many"} 0
+lcl_shed_total{kind="solve"} 0
+lcl_shed_total{kind="solve_stream"} 0
+lcl_shed_total{kind="generate"} 1
+lcl_shed_total{kind="stats"} 0
+lcl_shed_total{kind="health"} 0
+lcl_shed_total{kind="metrics"} 0
+lcl_shed_total{kind="snapshot"} 1
+lcl_shed_total{kind="invalid"} 0
+# HELP lcl_request_latency_micros End-to-end request handling latency in microseconds, by kind (empty while detailed metrics are off).
+# TYPE lcl_request_latency_micros histogram
+lcl_request_latency_micros_bucket{kind="classify",le="1"} 1
+lcl_request_latency_micros_bucket{kind="classify",le="3"} 2
+lcl_request_latency_micros_bucket{kind="classify",le="+Inf"} 2
+lcl_request_latency_micros_sum{kind="classify"} 4
+lcl_request_latency_micros_count{kind="classify"} 2
+lcl_request_latency_micros_bucket{kind="classify_many",le="103"} 1
+lcl_request_latency_micros_bucket{kind="classify_many",le="1151"} 2
+lcl_request_latency_micros_bucket{kind="classify_many",le="+Inf"} 2
+lcl_request_latency_micros_sum{kind="classify_many"} 1213
+lcl_request_latency_micros_count{kind="classify_many"} 2
+lcl_request_latency_micros_bucket{kind="solve",le="207"} 1
+lcl_request_latency_micros_bucket{kind="solve",le="1279"} 2
+lcl_request_latency_micros_bucket{kind="solve",le="2303"} 3
+lcl_request_latency_micros_bucket{kind="solve",le="+Inf"} 3
+lcl_request_latency_micros_sum{kind="solve"} 3630
+lcl_request_latency_micros_count{kind="solve"} 3
+lcl_request_latency_micros_bucket{kind="solve_stream",le="319"} 1
+lcl_request_latency_micros_bucket{kind="solve_stream",le="+Inf"} 1
+lcl_request_latency_micros_sum{kind="solve_stream"} 294
+lcl_request_latency_micros_count{kind="solve_stream"} 1
+lcl_request_latency_micros_bucket{kind="generate",le="1"} 1
+lcl_request_latency_micros_bucket{kind="generate",le="415"} 2
+lcl_request_latency_micros_bucket{kind="generate",le="1407"} 3
+lcl_request_latency_micros_bucket{kind="generate",le="+Inf"} 3
+lcl_request_latency_micros_sum{kind="generate"} 1796
+lcl_request_latency_micros_count{kind="generate"} 3
+lcl_request_latency_micros_bucket{kind="stats",le="511"} 1
+lcl_request_latency_micros_bucket{kind="stats",le="1535"} 2
+lcl_request_latency_micros_bucket{kind="stats",le="2559"} 3
+lcl_request_latency_micros_bucket{kind="stats",le="+Inf"} 3
+lcl_request_latency_micros_sum{kind="stats"} 4503
+lcl_request_latency_micros_count{kind="stats"} 3
+lcl_request_latency_micros_bucket{kind="health",le="639"} 1
+lcl_request_latency_micros_bucket{kind="health",le="+Inf"} 1
+lcl_request_latency_micros_sum{kind="health"} 585
+lcl_request_latency_micros_count{kind="health"} 1
+lcl_request_latency_micros_bucket{kind="metrics",le="703"} 1
+lcl_request_latency_micros_bucket{kind="metrics",le="1791"} 2
+lcl_request_latency_micros_bucket{kind="metrics",le="+Inf"} 2
+lcl_request_latency_micros_sum{kind="metrics"} 2377
+lcl_request_latency_micros_count{kind="metrics"} 2
+lcl_request_latency_micros_bucket{kind="snapshot",le="1"} 1
+lcl_request_latency_micros_bucket{kind="snapshot",le="831"} 2
+lcl_request_latency_micros_bucket{kind="snapshot",le="1919"} 3
+lcl_request_latency_micros_bucket{kind="snapshot",le="2815"} 4
+lcl_request_latency_micros_bucket{kind="snapshot",le="+Inf"} 4
+lcl_request_latency_micros_sum{kind="snapshot"} 5377
+lcl_request_latency_micros_count{kind="snapshot"} 4
+lcl_request_latency_micros_bucket{kind="invalid",le="895"} 1
+lcl_request_latency_micros_bucket{kind="invalid",le="+Inf"} 1
+lcl_request_latency_micros_sum{kind="invalid"} 876
+lcl_request_latency_micros_count{kind="invalid"} 1
+# HELP lcl_stream_first_chunk_micros solve_stream time-to-first-chunk in microseconds (the kind histogram has the full drain).
+# TYPE lcl_stream_first_chunk_micros histogram
+lcl_stream_first_chunk_micros_bucket{le="43"} 1
+lcl_stream_first_chunk_micros_bucket{le="959"} 2
+lcl_stream_first_chunk_micros_bucket{le="12287"} 3
+lcl_stream_first_chunk_micros_bucket{le="+Inf"} 3
+lcl_stream_first_chunk_micros_sum 12940
+lcl_stream_first_chunk_micros_count 3
+# HELP lcl_pipeline_inflight Pipelined requests dispatched and not yet answered.
+# TYPE lcl_pipeline_inflight gauge
+lcl_pipeline_inflight 2
+# HELP lcl_pipeline_peak_inflight High-water mark of pipeline_inflight.
+# TYPE lcl_pipeline_peak_inflight gauge
+lcl_pipeline_peak_inflight 3
+# HELP lcl_connections_open Currently open connections.
+# TYPE lcl_connections_open gauge
+lcl_connections_open 3
+# HELP lcl_connections_peak High-water mark of connections_open.
+# TYPE lcl_connections_peak gauge
+lcl_connections_peak 4
+# HELP lcl_connections_accepted_total Connections accepted and served.
+# TYPE lcl_connections_accepted_total counter
+lcl_connections_accepted_total 4
+# HELP lcl_connections_rejected_total Connections closed at accept time by the --max-conns cap.
+# TYPE lcl_connections_rejected_total counter
+lcl_connections_rejected_total 2
+# HELP lcl_reactor_wakeups_total Event-loop returns from epoll_wait (0 on other backends).
+# TYPE lcl_reactor_wakeups_total counter
+lcl_reactor_wakeups_total 5
+# HELP lcl_reactor_completions_total Worker-pool completions the reactor consumed (0 on other backends).
+# TYPE lcl_reactor_completions_total counter
+lcl_reactor_completions_total 7
+# HELP lcl_spliced_frames_total classify replies answered by splicing cached payload bytes around the request id, skipping serialization and the worker pool.
+# TYPE lcl_spliced_frames_total counter
+lcl_spliced_frames_total 2
+# HELP lcl_writev_batches_total Vectored reply flushes issued by the reactor (one writev per sample; 0 on other backends).
+# TYPE lcl_writev_batches_total counter
+lcl_writev_batches_total 3
+# HELP lcl_cache_hits_total Classification lookups served from the memo cache.
+# TYPE lcl_cache_hits_total counter
+lcl_cache_hits_total 3
+# HELP lcl_cache_fast_hits_total Cache hits served on the read fast lane with the LRU recency touch skipped (the shard's LRU mutex was busy).
+# TYPE lcl_cache_fast_hits_total counter
+lcl_cache_fast_hits_total 0
+# HELP lcl_cache_locked_hits_total Cache hits that also refreshed LRU recency under the shard mutex.
+# TYPE lcl_cache_locked_hits_total counter
+lcl_cache_locked_hits_total 3
+# HELP lcl_cache_flight_leaders_total Single-flight leaders elected: cold-key classifications started.
+# TYPE lcl_cache_flight_leaders_total counter
+lcl_cache_flight_leaders_total 3
+# HELP lcl_cache_flight_joins_total Requests served by parking on another request's in-flight classification (stampedes absorbed).
+# TYPE lcl_cache_flight_joins_total counter
+lcl_cache_flight_joins_total 0
+# HELP lcl_cache_misses_total Classification lookups that had to be computed.
+# TYPE lcl_cache_misses_total counter
+lcl_cache_misses_total 3
+# HELP lcl_cache_bytes_hits_total Classify hits answered by splicing the cached reply bytes (no JSON serialization).
+# TYPE lcl_cache_bytes_hits_total counter
+lcl_cache_bytes_hits_total 1
+# HELP lcl_cache_bytes_misses_total Classify hits that had to render and attach the reply bytes (first hit per entry).
+# TYPE lcl_cache_bytes_misses_total counter
+lcl_cache_bytes_misses_total 1
+# HELP lcl_cache_inserts_total Entries ever inserted into the memo cache.
+# TYPE lcl_cache_inserts_total counter
+lcl_cache_inserts_total 3
+# HELP lcl_cache_evictions_total Entries removed from the memo cache (LRU victims and clears).
+# TYPE lcl_cache_evictions_total counter
+lcl_cache_evictions_total 0
+# HELP lcl_cache_entries Problems currently cached.
+# TYPE lcl_cache_entries gauge
+lcl_cache_entries 3
+# HELP lcl_cache_weight Total weight of the resident cache entries.
+# TYPE lcl_cache_weight gauge
+lcl_cache_weight 3
+# HELP lcl_cache_peak_entries Upper bound on entries ever resident at once.
+# TYPE lcl_cache_peak_entries gauge
+lcl_cache_peak_entries 3
+# HELP lcl_cache_peak_weight Upper bound on resident weight ever held at once.
+# TYPE lcl_cache_peak_weight gauge
+lcl_cache_peak_weight 3
+# HELP lcl_cache_shard_hits_total Memo-cache hits, by shard.
+# TYPE lcl_cache_shard_hits_total counter
+lcl_cache_shard_hits_total{shard="0"} 3
+lcl_cache_shard_hits_total{shard="1"} 0
+# HELP lcl_cache_shard_fast_hits_total Fast-lane hits with the recency touch skipped, by shard.
+# TYPE lcl_cache_shard_fast_hits_total counter
+lcl_cache_shard_fast_hits_total{shard="0"} 0
+lcl_cache_shard_fast_hits_total{shard="1"} 0
+# HELP lcl_cache_shard_locked_hits_total Hits that refreshed LRU recency, by shard.
+# TYPE lcl_cache_shard_locked_hits_total counter
+lcl_cache_shard_locked_hits_total{shard="0"} 3
+lcl_cache_shard_locked_hits_total{shard="1"} 0
+# HELP lcl_cache_shard_flight_leaders_total Single-flight leaders elected, by shard.
+# TYPE lcl_cache_shard_flight_leaders_total counter
+lcl_cache_shard_flight_leaders_total{shard="0"} 2
+lcl_cache_shard_flight_leaders_total{shard="1"} 1
+# HELP lcl_cache_shard_flight_joins_total Requests that joined an in-flight computation, by shard.
+# TYPE lcl_cache_shard_flight_joins_total counter
+lcl_cache_shard_flight_joins_total{shard="0"} 0
+lcl_cache_shard_flight_joins_total{shard="1"} 0
+# HELP lcl_cache_shard_misses_total Memo-cache misses, by shard.
+# TYPE lcl_cache_shard_misses_total counter
+lcl_cache_shard_misses_total{shard="0"} 2
+lcl_cache_shard_misses_total{shard="1"} 1
+# HELP lcl_cache_shard_bytes_hits_total Reply-bytes splices served, by shard.
+# TYPE lcl_cache_shard_bytes_hits_total counter
+lcl_cache_shard_bytes_hits_total{shard="0"} 1
+lcl_cache_shard_bytes_hits_total{shard="1"} 0
+# HELP lcl_cache_shard_bytes_misses_total Reply-bytes renders attached, by shard.
+# TYPE lcl_cache_shard_bytes_misses_total counter
+lcl_cache_shard_bytes_misses_total{shard="0"} 1
+lcl_cache_shard_bytes_misses_total{shard="1"} 0
+# HELP lcl_cache_shard_entries Resident memo-cache entries, by shard.
+# TYPE lcl_cache_shard_entries gauge
+lcl_cache_shard_entries{shard="0"} 2
+lcl_cache_shard_entries{shard="1"} 1
+# HELP lcl_cache_shard_evictions_total Memo-cache evictions, by shard.
+# TYPE lcl_cache_shard_evictions_total counter
+lcl_cache_shard_evictions_total{shard="0"} 0
+lcl_cache_shard_evictions_total{shard="1"} 0
+# HELP lcl_pool_workers Long-lived worker threads.
+# TYPE lcl_pool_workers gauge
+lcl_pool_workers 2
+# HELP lcl_pool_queue_depth Jobs submitted but not yet picked up by a worker.
+# TYPE lcl_pool_queue_depth gauge
+lcl_pool_queue_depth 0
+# HELP lcl_pool_jobs_completed_total Jobs fully executed since the pool was built.
+# TYPE lcl_pool_jobs_completed_total counter
+lcl_pool_jobs_completed_total 0
+"##;
+
+    /// [`golden_service`]'s `stats` payload, uptime fields removed.
+    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"threads","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p99_micros":12000},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
 }
