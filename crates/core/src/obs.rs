@@ -74,11 +74,12 @@ pub fn bucket_upper(index: usize) -> u64 {
 /// relaxed atomic, so concurrent recorders never contend on more than a
 /// cache line. Reads go through [`LatencyHistogram::snapshot`], which is a
 /// point-in-time copy (not a consistent cut — counters recorded mid-copy may
-/// or may not appear; for quiesced states the snapshot is exact).
+/// or may not appear; for quiesced states the snapshot is exact). There is
+/// no separate count atomic: a snapshot's count is the sum of the buckets it
+/// copied, so the buckets never disagree with it.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     counts: Box<[AtomicU64; BUCKETS]>,
-    count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
@@ -94,7 +95,6 @@ impl LatencyHistogram {
     pub fn new() -> LatencyHistogram {
         LatencyHistogram {
             counts: Box::new([0u64; BUCKETS].map(AtomicU64::new)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
@@ -103,25 +103,20 @@ impl LatencyHistogram {
     /// Records one observation. Lock-free, allocation-free, any thread.
     pub fn record(&self, value: u64) {
         self.counts[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(value, Ordering::Relaxed);
         self.max.fetch_max(value, Ordering::Relaxed);
     }
 
-    /// Observations recorded so far.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// A point-in-time copy of every counter.
+    /// A point-in-time copy of every counter, its count the sum of the
+    /// copied buckets.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let mut counts = Box::new([0u64; BUCKETS]);
         for (slot, counter) in counts.iter_mut().zip(self.counts.iter()) {
             *slot = counter.load(Ordering::Relaxed);
         }
         HistogramSnapshot {
+            count: counts.iter().sum(),
             counts,
-            count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }

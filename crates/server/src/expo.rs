@@ -804,6 +804,41 @@ lcl_x_count{kind=\"b\"} 0
         validate_exposition(doc).expect("two label sets, one family");
     }
 
+    /// Scrapes race the recorders in production: a render taken while
+    /// another thread records must still be a valid document (a histogram
+    /// whose `+Inf` bucket fell below its last `le` bucket is not).
+    #[test]
+    fn live_scrapes_stay_valid_while_another_thread_records() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        const RENDERS: usize = 5_000;
+        let service = service();
+        let stop = AtomicBool::new(false);
+        let invalid = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let mut micros = 1u64;
+                while !stop.load(Ordering::Relaxed) {
+                    let elapsed = Duration::from_micros(micros);
+                    service
+                        .metrics()
+                        .record(Some(RequestKind::Classify), elapsed, true);
+                    service.metrics().record_stream_first_chunk(elapsed);
+                    micros = micros % 5_000 + 7;
+                }
+            });
+            let invalid: Vec<String> = (0..RENDERS)
+                .filter_map(|_| validate_exposition(&render_exposition(&service)).err())
+                .collect();
+            stop.store(true, Ordering::Relaxed);
+            invalid
+        });
+        assert!(
+            invalid.is_empty(),
+            "{} of {RENDERS} live renders invalid, first: {}",
+            invalid.len(),
+            invalid[0]
+        );
+    }
+
     /// A fixed service driven through a scripted counter history: every
     /// family is nonzero somewhere, and no wall-clock latency is recorded
     /// (the classifies go straight to the engine), so both renderings are
