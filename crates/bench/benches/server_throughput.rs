@@ -350,7 +350,7 @@ fn clean_path_sheds(specs: &[lcl_problem::ProblemSpec]) -> u64 {
     handle.shutdown();
     RequestKind::ALL
         .iter()
-        .map(|&kind| service.metrics().snapshot(Some(kind)).shed)
+        .map(|&kind| service.metrics_snapshot().kind(Some(kind)).shed)
         .sum()
 }
 
@@ -645,7 +645,7 @@ fn many_connections(backend: Backend, specs: &[lcl_problem::ProblemSpec]) -> Man
     // Both backends account connections asynchronously; sample the thread
     // count only once every connection is actually being served.
     let deadline = Instant::now() + Duration::from_secs(30);
-    while service.metrics().open_connections() < MANY_CONNS as u64 {
+    while service.metrics_snapshot().connections_open < MANY_CONNS as u64 {
         assert!(Instant::now() < deadline, "connections never all opened");
         thread::yield_now();
     }

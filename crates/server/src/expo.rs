@@ -1,484 +1,125 @@
 //! Plaintext metrics exposition: the pull-style scrape document.
 //!
-//! [`render_exposition`] serializes every counter the server keeps — the
-//! per-kind request counters and latency histograms ([`ServerMetrics`]),
-//! the engine's cache (total and per-shard) and worker-pool stats, and the
-//! stream time-to-first-chunk histogram — as one text document in the
-//! Prometheus exposition format (version 0.0.4): `# HELP` / `# TYPE`
+//! [`render_exposition`] renders one [`MetricsSnapshot`] — the per-kind
+//! request counters and latency histograms, the connection and reactor
+//! gauges, the engine's cache (total and per-shard) and worker-pool stats,
+//! and the stream time-to-first-chunk histogram — as one text document in
+//! the Prometheus exposition format (version 0.0.4): `# HELP` / `# TYPE`
 //! headers per family, one `name{labels} value` sample per line,
-//! histograms as cumulative `le` buckets plus `_sum` / `_count`. The same
-//! document is served by the `metrics` request kind (inside a JSON reply)
-//! and by the `--metrics-addr` HTTP listener ([`crate::scrape`]).
+//! histograms as cumulative `le` buckets plus `_sum` / `_count`. It walks
+//! the same metric catalogue the `stats` payload is rendered from
+//! ([`crate::metrics`]); the families, their order, types, labels and HELP
+//! texts are written down only there. The same document is served by the
+//! `metrics` request kind (inside a JSON reply) and by the
+//! `--metrics-addr` HTTP listener ([`crate::scrape`]).
 //!
-//! The document is a *pure function of the counter state*: same counters,
-//! same bytes, whichever backend produced them. Only `lcl_uptime_seconds`
-//! (wall clock) and the `backend` label of `lcl_build_info` depend on
-//! anything other than the counters. Families render in a fixed order and
-//! every label value the renderer emits is `[a-zA-Z0-9_.-]+`, so no label
-//! escaping is ever needed.
+//! The document is a *pure function of the snapshot*: same counters, same
+//! bytes, whichever backend produced them. Only the uptime gauge (wall
+//! clock) and the `backend` label of the build-info gauge depend on
+//! anything other than the counters. Every label value the renderer emits is
+//! `[a-zA-Z0-9_.-]+`, so no label escaping is ever needed.
 //!
 //! [`validate_exposition`] is the matching line-by-line checker used by the
 //! integration tests and the `--smoke` harness: it fails on any sample
 //! without a preceding `# TYPE`, duplicated families or samples,
 //! non-monotone histogram buckets, or a histogram whose `+Inf` bucket
 //! disagrees with its `_count`.
-//!
-//! [`ServerMetrics`]: crate::ServerMetrics
 
-use crate::service::{RequestKind, Service};
+use crate::metrics::{MetricsSnapshot, Source, FAMILIES};
 use lcl_paths::classifier::obs::HistogramSnapshot;
+use lcl_paths::problem::json::JsonValue;
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-/// Every metric family shares this prefix.
-const PREFIX: &str = "lcl";
-
-/// The request-kind label values, protocol order then `invalid` — the same
-/// iteration order every per-kind family uses.
-fn kinds() -> impl Iterator<Item = (Option<RequestKind>, &'static str)> {
-    RequestKind::ALL
-        .iter()
-        .map(|&k| (Some(k), k.wire_name()))
-        .chain(std::iter::once((None, "invalid")))
+/// Appends one `lcl_{name}{labels} value` sample line.
+fn sample(out: &mut String, name: &str, labels: &str, value: u64) {
+    let _ = writeln!(out, "lcl_{name}{labels} {value}");
 }
 
-/// One exposition document under construction.
-struct Expo {
-    out: String,
-}
-
-impl Expo {
-    fn header(&mut self, name: &str, metric_type: &str, help: &str) {
-        let _ = writeln!(self.out, "# HELP {PREFIX}_{name} {help}");
-        let _ = writeln!(self.out, "# TYPE {PREFIX}_{name} {metric_type}");
+/// A whole histogram family body for one label set: cumulative `le` buckets
+/// (only the occupied ones, plus the mandatory `+Inf`), then `_sum` and
+/// `_count`. `labels` is the rendered non-`le` label set (e.g.
+/// `kind="solve",`, trailing comma included), empty for an unlabelled
+/// family.
+fn histogram(out: &mut String, name: &str, labels: &str, snapshot: &HistogramSnapshot) {
+    let bucket = format!("{name}_bucket");
+    let mut cumulative = 0u64;
+    for (upper, count) in snapshot.nonzero_buckets() {
+        cumulative += count;
+        sample(
+            out,
+            &bucket,
+            &format!("{{{labels}le=\"{upper}\"}}"),
+            cumulative,
+        );
     }
-
-    fn sample(&mut self, name: &str, labels: &str, value: u64) {
-        let _ = writeln!(self.out, "{PREFIX}_{name}{labels} {value}");
-    }
-
-    /// A whole histogram family body for one label set: cumulative `le`
-    /// buckets (only the occupied ones, plus the mandatory `+Inf`), then
-    /// `_sum` and `_count`. `labels` is the rendered non-`le` label set
-    /// (e.g. `kind="solve"`), empty for an unlabeled family.
-    fn histogram(&mut self, name: &str, labels: &str, snapshot: &HistogramSnapshot) {
-        let mut cumulative = 0u64;
-        for (upper, count) in snapshot.nonzero_buckets() {
-            cumulative += count;
-            let le = if labels.is_empty() {
-                format!("{{le=\"{upper}\"}}")
-            } else {
-                format!("{{{labels},le=\"{upper}\"}}")
-            };
-            self.sample(&format!("{name}_bucket"), &le, cumulative);
-        }
-        let inf = if labels.is_empty() {
-            "{le=\"+Inf\"}".to_string()
-        } else {
-            format!("{{{labels},le=\"+Inf\"}}")
-        };
-        self.sample(&format!("{name}_bucket"), &inf, snapshot.count);
-        let plain = if labels.is_empty() {
-            String::new()
-        } else {
-            format!("{{{labels}}}")
-        };
-        self.sample(&format!("{name}_sum"), &plain, snapshot.sum);
-        self.sample(&format!("{name}_count"), &plain, snapshot.count);
-    }
-}
-
-/// Renders the full metrics exposition document for one service. See the
-/// module docs for the format and stability guarantees.
-pub fn render_exposition(service: &Service) -> String {
-    let metrics = service.metrics();
-    let engine = service.engine();
-    let mut expo = Expo {
-        out: String::with_capacity(8 * 1024),
+    sample(
+        out,
+        &bucket,
+        &format!("{{{labels}le=\"+Inf\"}}"),
+        snapshot.count,
+    );
+    let plain = match labels.strip_suffix(',') {
+        Some(labels) => format!("{{{labels}}}"),
+        None => String::new(),
     };
+    sample(out, &format!("{name}_sum"), &plain, snapshot.sum);
+    sample(out, &format!("{name}_count"), &plain, snapshot.count);
+}
 
-    expo.header(
-        "build_info",
-        "gauge",
-        "Constant 1; the labels carry the server identity and configuration.",
-    );
-    expo.sample(
-        "build_info",
-        &format!(
-            "{{backend=\"{}\",cache_shards=\"{}\",version=\"{}\",workers=\"{}\"}}",
-            metrics.backend_name(),
-            engine.cache_shards(),
-            env!("CARGO_PKG_VERSION"),
-            engine.parallelism(),
-        ),
-        1,
-    );
-
-    expo.header(
-        "uptime_seconds",
-        "gauge",
-        "Wall-clock seconds since the service was constructed.",
-    );
-    expo.sample("uptime_seconds", "", service.uptime().as_secs());
-
-    expo.header(
-        "requests_total",
-        "counter",
-        "Frames handled, by request kind (invalid = never resolved to one).",
-    );
-    for (kind, label) in kinds() {
-        expo.sample(
-            "requests_total",
-            &format!("{{kind=\"{label}\"}}"),
-            metrics.snapshot(kind).count,
-        );
+/// Renders the metrics exposition document of one [`MetricsSnapshot`]
+/// (`Service::metrics_snapshot`): every family of the catalogue, in order.
+/// See the module docs for the format and stability guarantees.
+pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
+    let mut out = String::with_capacity(8 * 1024);
+    for family in &FAMILIES {
+        let name = family.name;
+        let metric_type = match family.source {
+            Source::BuildInfo | Source::Gauge(_) | Source::ShardGauge(_) => "gauge",
+            Source::Counter(_) | Source::KindCounter(_) | Source::ShardCounter(_) => "counter",
+            Source::KindLatency | Source::Histogram(_) => "histogram",
+        };
+        let _ = writeln!(out, "# HELP lcl_{name} {}", family.help);
+        let _ = writeln!(out, "# TYPE lcl_{name} {metric_type}");
+        match family.source {
+            Source::BuildInfo => {
+                let labels: Vec<String> = snapshot
+                    .identity()
+                    .into_iter()
+                    .map(|(key, value)| match value {
+                        JsonValue::Str(text) => format!("{key}=\"{text}\""),
+                        value => format!("{key}=\"{}\"", value.to_json_string()),
+                    })
+                    .collect();
+                sample(&mut out, name, &format!("{{{}}}", labels.join(",")), 1);
+            }
+            Source::Counter(value) | Source::Gauge(value) => {
+                sample(&mut out, name, "", value(snapshot));
+            }
+            Source::KindCounter(value) => {
+                for (label, kind) in snapshot.labelled_kinds() {
+                    sample(
+                        &mut out,
+                        name,
+                        &format!("{{kind=\"{label}\"}}"),
+                        value(kind),
+                    );
+                }
+            }
+            Source::KindLatency => {
+                for (label, kind) in snapshot.labelled_kinds() {
+                    histogram(&mut out, name, &format!("kind=\"{label}\","), &kind.latency);
+                }
+            }
+            Source::Histogram(value) => histogram(&mut out, name, "", value(snapshot)),
+            Source::ShardCounter(value) | Source::ShardGauge(value) => {
+                for (at, shard) in snapshot.cache_shard_stats.iter().enumerate() {
+                    sample(&mut out, name, &format!("{{shard=\"{at}\"}}"), value(shard));
+                }
+            }
+        }
     }
-
-    expo.header(
-        "request_errors_total",
-        "counter",
-        "Frames answered with an error reply, by request kind.",
-    );
-    for (kind, label) in kinds() {
-        expo.sample(
-            "request_errors_total",
-            &format!("{{kind=\"{label}\"}}"),
-            metrics.snapshot(kind).errors,
-        );
-    }
-
-    expo.header(
-        "shed_total",
-        "counter",
-        "Frames rejected at admission (load shed or quota), by request kind; \
-         every shed frame is also counted in requests_total and \
-         request_errors_total.",
-    );
-    for (kind, label) in kinds() {
-        expo.sample(
-            "shed_total",
-            &format!("{{kind=\"{label}\"}}"),
-            metrics.snapshot(kind).shed,
-        );
-    }
-
-    expo.header(
-        "request_latency_micros",
-        "histogram",
-        "End-to-end request handling latency in microseconds, by kind \
-         (empty while detailed metrics are off).",
-    );
-    for (kind, label) in kinds() {
-        expo.histogram(
-            "request_latency_micros",
-            &format!("kind=\"{label}\""),
-            &metrics.histogram(kind),
-        );
-    }
-
-    expo.header(
-        "stream_first_chunk_micros",
-        "histogram",
-        "solve_stream time-to-first-chunk in microseconds (the kind \
-         histogram has the full drain).",
-    );
-    expo.histogram(
-        "stream_first_chunk_micros",
-        "",
-        &metrics.stream_first_chunk_histogram(),
-    );
-
-    expo.header(
-        "pipeline_inflight",
-        "gauge",
-        "Pipelined requests dispatched and not yet answered.",
-    );
-    expo.sample("pipeline_inflight", "", metrics.pipelined_inflight());
-    expo.header(
-        "pipeline_peak_inflight",
-        "gauge",
-        "High-water mark of pipeline_inflight.",
-    );
-    expo.sample("pipeline_peak_inflight", "", metrics.pipelined_peak());
-
-    expo.header("connections_open", "gauge", "Currently open connections.");
-    expo.sample("connections_open", "", metrics.open_connections());
-    expo.header(
-        "connections_peak",
-        "gauge",
-        "High-water mark of connections_open.",
-    );
-    expo.sample("connections_peak", "", metrics.peak_connections());
-    expo.header(
-        "connections_accepted_total",
-        "counter",
-        "Connections accepted and served.",
-    );
-    expo.sample("connections_accepted_total", "", metrics.total_accepted());
-    expo.header(
-        "connections_rejected_total",
-        "counter",
-        "Connections closed at accept time by the --max-conns cap.",
-    );
-    expo.sample("connections_rejected_total", "", metrics.total_rejected());
-
-    expo.header(
-        "reactor_wakeups_total",
-        "counter",
-        "Event-loop returns from epoll_wait (0 on other backends).",
-    );
-    expo.sample("reactor_wakeups_total", "", metrics.reactor_wakeups());
-    expo.header(
-        "reactor_completions_total",
-        "counter",
-        "Worker-pool completions the reactor consumed (0 on other backends).",
-    );
-    expo.sample(
-        "reactor_completions_total",
-        "",
-        metrics.reactor_completion_count(),
-    );
-
-    expo.header(
-        "spliced_frames_total",
-        "counter",
-        "classify replies answered by splicing cached payload bytes around \
-         the request id, skipping serialization and the worker pool.",
-    );
-    expo.sample("spliced_frames_total", "", metrics.spliced_frames());
-    expo.header(
-        "writev_batches_total",
-        "counter",
-        "Vectored reply flushes issued by the reactor (one writev per \
-         sample; 0 on other backends).",
-    );
-    expo.sample("writev_batches_total", "", metrics.writev_batches());
-
-    let cache = engine.cache_stats();
-    expo.header(
-        "cache_hits_total",
-        "counter",
-        "Classification lookups served from the memo cache.",
-    );
-    expo.sample("cache_hits_total", "", cache.hits);
-    expo.header(
-        "cache_fast_hits_total",
-        "counter",
-        "Cache hits served on the read fast lane with the LRU recency touch \
-         skipped (the shard's LRU mutex was busy).",
-    );
-    expo.sample("cache_fast_hits_total", "", cache.fast_hits);
-    expo.header(
-        "cache_locked_hits_total",
-        "counter",
-        "Cache hits that also refreshed LRU recency under the shard mutex.",
-    );
-    expo.sample("cache_locked_hits_total", "", cache.locked_hits);
-    expo.header(
-        "cache_flight_leaders_total",
-        "counter",
-        "Single-flight leaders elected: cold-key classifications started.",
-    );
-    expo.sample("cache_flight_leaders_total", "", cache.flight_leaders);
-    expo.header(
-        "cache_flight_joins_total",
-        "counter",
-        "Requests served by parking on another request's in-flight \
-         classification (stampedes absorbed).",
-    );
-    expo.sample("cache_flight_joins_total", "", cache.flight_joins);
-    expo.header(
-        "cache_misses_total",
-        "counter",
-        "Classification lookups that had to be computed.",
-    );
-    expo.sample("cache_misses_total", "", cache.misses);
-    expo.header(
-        "cache_bytes_hits_total",
-        "counter",
-        "Classify hits answered by splicing the cached reply bytes \
-         (no JSON serialization).",
-    );
-    expo.sample("cache_bytes_hits_total", "", cache.bytes_hits);
-    expo.header(
-        "cache_bytes_misses_total",
-        "counter",
-        "Classify hits that had to render and attach the reply bytes \
-         (first hit per entry).",
-    );
-    expo.sample("cache_bytes_misses_total", "", cache.bytes_misses);
-    expo.header(
-        "cache_inserts_total",
-        "counter",
-        "Entries ever inserted into the memo cache.",
-    );
-    expo.sample("cache_inserts_total", "", cache.inserts);
-    expo.header(
-        "cache_evictions_total",
-        "counter",
-        "Entries removed from the memo cache (LRU victims and clears).",
-    );
-    expo.sample("cache_evictions_total", "", cache.evictions);
-    expo.header("cache_entries", "gauge", "Problems currently cached.");
-    expo.sample("cache_entries", "", cache.entries as u64);
-    expo.header(
-        "cache_weight",
-        "gauge",
-        "Total weight of the resident cache entries.",
-    );
-    expo.sample("cache_weight", "", cache.weight);
-    expo.header(
-        "cache_peak_entries",
-        "gauge",
-        "Upper bound on entries ever resident at once.",
-    );
-    expo.sample("cache_peak_entries", "", cache.peak_entries as u64);
-    expo.header(
-        "cache_peak_weight",
-        "gauge",
-        "Upper bound on resident weight ever held at once.",
-    );
-    expo.sample("cache_peak_weight", "", cache.peak_weight);
-
-    let shards = engine.cache_shard_stats();
-    expo.header(
-        "cache_shard_hits_total",
-        "counter",
-        "Memo-cache hits, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_hits_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.hits,
-        );
-    }
-    expo.header(
-        "cache_shard_fast_hits_total",
-        "counter",
-        "Fast-lane hits with the recency touch skipped, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_fast_hits_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.fast_hits,
-        );
-    }
-    expo.header(
-        "cache_shard_locked_hits_total",
-        "counter",
-        "Hits that refreshed LRU recency, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_locked_hits_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.locked_hits,
-        );
-    }
-    expo.header(
-        "cache_shard_flight_leaders_total",
-        "counter",
-        "Single-flight leaders elected, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_flight_leaders_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.flight_leaders,
-        );
-    }
-    expo.header(
-        "cache_shard_flight_joins_total",
-        "counter",
-        "Requests that joined an in-flight computation, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_flight_joins_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.flight_joins,
-        );
-    }
-    expo.header(
-        "cache_shard_misses_total",
-        "counter",
-        "Memo-cache misses, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_misses_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.misses,
-        );
-    }
-    expo.header(
-        "cache_shard_bytes_hits_total",
-        "counter",
-        "Reply-bytes splices served, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_bytes_hits_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.bytes_hits,
-        );
-    }
-    expo.header(
-        "cache_shard_bytes_misses_total",
-        "counter",
-        "Reply-bytes renders attached, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_bytes_misses_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.bytes_misses,
-        );
-    }
-    expo.header(
-        "cache_shard_entries",
-        "gauge",
-        "Resident memo-cache entries, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_entries",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.entries as u64,
-        );
-    }
-    expo.header(
-        "cache_shard_evictions_total",
-        "counter",
-        "Memo-cache evictions, by shard.",
-    );
-    for (at, shard) in shards.iter().enumerate() {
-        expo.sample(
-            "cache_shard_evictions_total",
-            &format!("{{shard=\"{at}\"}}"),
-            shard.evictions,
-        );
-    }
-
-    let pool = engine.pool_stats();
-    expo.header("pool_workers", "gauge", "Long-lived worker threads.");
-    expo.sample("pool_workers", "", pool.workers as u64);
-    expo.header(
-        "pool_queue_depth",
-        "gauge",
-        "Jobs submitted but not yet picked up by a worker.",
-    );
-    expo.sample("pool_queue_depth", "", pool.queue_depth as u64);
-    expo.header(
-        "pool_jobs_completed_total",
-        "counter",
-        "Jobs fully executed since the pool was built.",
-    );
-    expo.sample("pool_jobs_completed_total", "", pool.jobs_completed);
-
-    expo.out
+    out
 }
 
 /// One parsed sample line: family-qualified name, rendered label set, value.
@@ -674,7 +315,7 @@ pub fn validate_exposition(text: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_paths::problem::json::JsonValue;
+    use crate::{RequestKind, Service};
     use lcl_paths::Engine;
     use std::time::Duration;
 
@@ -692,7 +333,7 @@ mod tests {
 
     #[test]
     fn a_fresh_service_renders_a_valid_exposition() {
-        let expo = render_exposition(&service());
+        let expo = render_exposition(&service().metrics_snapshot());
         validate_exposition(&expo).expect("fresh exposition validates");
         assert!(expo.ends_with('\n'));
         assert!(expo.contains("# TYPE lcl_requests_total counter"), "{expo}");
@@ -712,7 +353,7 @@ mod tests {
             );
         }
         service.metrics().record(None, Duration::ZERO, false);
-        let expo = render_exposition(&service);
+        let expo = render_exposition(&service.metrics_snapshot());
         validate_exposition(&expo).expect("validates");
         assert!(expo.contains("lcl_requests_total{kind=\"classify\"} 5"));
         assert!(expo.contains("lcl_request_errors_total{kind=\"classify\"} 4"));
@@ -743,14 +384,14 @@ mod tests {
         };
         let (a, b) = (build(), build());
         assert_eq!(
-            strip_uptime(&render_exposition(&a)),
-            strip_uptime(&render_exposition(&b)),
+            strip_uptime(&render_exposition(&a.metrics_snapshot())),
+            strip_uptime(&render_exposition(&b.metrics_snapshot())),
             "identical counter state must render to identical bytes"
         );
         // And rendering twice from the same quiesced service is stable too.
         assert_eq!(
-            strip_uptime(&render_exposition(&a)),
-            strip_uptime(&render_exposition(&a))
+            strip_uptime(&render_exposition(&a.metrics_snapshot())),
+            strip_uptime(&render_exposition(&a.metrics_snapshot()))
         );
     }
 
@@ -826,7 +467,9 @@ lcl_x_count{kind=\"b\"} 0
                 }
             });
             let invalid: Vec<String> = (0..RENDERS)
-                .filter_map(|_| validate_exposition(&render_exposition(&service)).err())
+                .filter_map(|_| {
+                    validate_exposition(&render_exposition(&service.metrics_snapshot())).err()
+                })
                 .collect();
             stop.store(true, Ordering::Relaxed);
             invalid
@@ -855,7 +498,7 @@ lcl_x_count{kind=\"b\"} 0
                 let micros = 3 + at * 97 + step * 1_013;
                 metrics.record(kind, Duration::from_micros(micros), step != 1);
             }
-            if at % 4 == 0 {
+            if at.is_multiple_of(4) {
                 metrics.record_shed(kind);
                 metrics.record(kind, Duration::ZERO, false);
             }
@@ -918,7 +561,7 @@ lcl_x_count{kind=\"b\"} 0
     #[test]
     fn golden_exposition_and_stats_bytes_are_pinned() {
         let service = golden_service();
-        let expo = render_exposition(&service);
+        let expo = render_exposition(&service.metrics_snapshot());
         validate_exposition(&expo).expect("golden exposition validates");
         let expo: String = expo
             .lines()
@@ -1157,5 +800,5 @@ lcl_pool_jobs_completed_total 0
 "##;
 
     /// [`golden_service`]'s `stats` payload, uptime fields removed.
-    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"threads","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p99_micros":12000},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
+    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"threads","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
 }

@@ -99,7 +99,7 @@ pub use admission::AdmissionConfig;
 pub use client::{Client, ClientError, SolveReply, StreamSummary, DEFAULT_PIPELINE_WINDOW};
 pub use expo::{render_exposition, validate_exposition};
 pub use frame::{Frame, MAX_FRAME_BYTES};
-pub use metrics::{KindStats, ServerMetrics};
+pub use metrics::{KindSnapshot, MetricsSnapshot, ServerMetrics};
 pub use scrape::MetricsListener;
 pub use service::{
     error_reply, Origin, PendingResponse, RequestKind, Service, StreamFrame,

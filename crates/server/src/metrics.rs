@@ -1,23 +1,35 @@
-//! Per-kind request counters and latency metrics of a running [`Service`].
+//! Request counters of a running [`Service`], and the one snapshot that both
+//! metric renderings are made from.
 //!
-//! Every dispatched frame — including unparseable ones, which are accounted
-//! under the `invalid` pseudo-kind — bumps one [`KindStats`] bucket (request
-//! count, error count, cumulative and maximum latency) **and** one
-//! [`LatencyHistogram`], so the `stats` reply and the `metrics` exposition
-//! can report p50/p90/p99/p99.9 per kind, not just mean/max. Accounted
-//! latencies are clamped to ≥ 1 µs: a frame that was handled was not free,
-//! and the `invalid` histogram in particular must never hide rejected
-//! frames behind zero-duration samples.
-//!
+//! [`ServerMetrics`] is the recording side. Every dispatched frame —
+//! including unparseable ones, which are accounted under the `invalid`
+//! pseudo-kind — bumps one kind's counters (request count, error count,
+//! cumulative and maximum latency) **and** its [`LatencyHistogram`], so the
+//! `stats` reply and the `metrics` exposition can report p50/p90/p99/p99.9
+//! per kind, not just mean/max. Accounted latencies are clamped to ≥ 1 µs: a
+//! frame that was handled was not free, and the `invalid` histogram in
+//! particular must never hide rejected frames behind zero-duration samples.
 //! Histogram recording (not the plain counters) is gated by the *detailed*
 //! flag ([`ServerMetrics::set_detailed`]): the no-op-recorder mode the
 //! throughput bench compares against to bound observability overhead.
 //!
+//! [`MetricsSnapshot`] is the reading side: [`Service::metrics_snapshot`]
+//! reads every counter once — these, the engine's cache (total and per
+//! shard) and pool counters, and the server identity — into one plain
+//! value. [`FAMILIES`] is the one metric catalogue: for each family its
+//! name, type, label, HELP text and place in the `stats` payload. The
+//! `stats` payload ([`stats_payload`]) and the exposition
+//! ([`crate::render_exposition`]) are both pure functions of a snapshot
+//! that walk this table, so a family added to it appears in both.
+//!
 //! [`Service`]: crate::Service
+//! [`Service::metrics_snapshot`]: crate::Service::metrics_snapshot
 
 use crate::service::RequestKind;
 use lcl_paths::classifier::obs::{HistogramSnapshot, LatencyHistogram};
+use lcl_paths::classifier::{CacheStats, PoolStats, ShardStats};
 use lcl_paths::problem::json::JsonValue;
+use lcl_paths::Engine;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::Duration;
 
@@ -28,6 +40,20 @@ fn accounted_micros(elapsed: Duration) -> u64 {
         .unwrap_or(u64::MAX)
         .max(1)
 }
+
+/// The request kinds counted apart: every [`RequestKind`], then the
+/// `invalid` pseudo-kind of frames that never resolved to one.
+const KINDS: usize = RequestKind::ALL.len() + 1;
+
+/// Where a kind's counters sit among the [`KINDS`]: its position in
+/// [`RequestKind::ALL`] (the enum's declaration order), `invalid` last.
+fn kind_slot(kind: Option<RequestKind>) -> usize {
+    kind.map_or(RequestKind::ALL.len(), |kind| kind as usize)
+}
+
+/// The serving front-end names [`ServerMetrics::set_backend`] knows, `none`
+/// (nothing registered yet) first.
+const BACKENDS: [&str; 4] = ["none", "reactor", "threads", "stdio"];
 
 /// Lock-free counters for one request kind.
 #[derive(Debug, Default)]
@@ -58,20 +84,22 @@ impl KindCounters {
         }
     }
 
-    fn snapshot(&self) -> KindStats {
-        KindStats {
+    fn snapshot(&self) -> KindSnapshot {
+        KindSnapshot {
             count: self.count.load(Ordering::Relaxed),
             errors: self.errors.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             total_micros: self.total_micros.load(Ordering::Relaxed),
             max_micros: self.max_micros.load(Ordering::Relaxed),
+            latency: self.histogram.snapshot(),
         }
     }
 }
 
-/// A point-in-time snapshot of one request kind's counters.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct KindStats {
+/// One request kind's counters and latency histogram, as read into a
+/// [`MetricsSnapshot`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct KindSnapshot {
     /// Requests of this kind handled (successful or not).
     pub count: u64,
     /// Requests of this kind that produced an error reply.
@@ -83,39 +111,26 @@ pub struct KindStats {
     pub total_micros: u64,
     /// Largest single-request handling latency, in microseconds.
     pub max_micros: u64,
-}
-
-impl KindStats {
-    /// Mean handling latency in microseconds (0 before any request).
-    pub fn mean_micros(&self) -> u64 {
-        self.total_micros.checked_div(self.count).unwrap_or(0)
-    }
+    /// Handling-latency histogram (empty while detailed metrics are off).
+    pub latency: HistogramSnapshot,
 }
 
 /// Per-kind request counters of a running service. All methods are lock-free
 /// and safe to call from any connection thread.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServerMetrics {
-    classify: KindCounters,
-    classify_many: KindCounters,
-    solve: KindCounters,
-    solve_stream: KindCounters,
-    generate: KindCounters,
-    stats: KindCounters,
-    health: KindCounters,
-    metrics: KindCounters,
-    snapshot: KindCounters,
-    /// Frames that never resolved to a known request kind.
-    invalid: KindCounters,
+    /// Per-kind counters, indexed by [`kind_slot`].
+    kinds: [KindCounters; KINDS],
     /// `solve_stream` time-to-first-chunk: request read to the first chunk
     /// frame handed to the writer. The per-kind `solve_stream` histogram is
     /// the full drain; splitting the two is what keeps streaming latency
     /// from hiding behind drain time.
     stream_first_chunk: LatencyHistogram,
-    /// Whether histogram recording is on (the plain counters always are).
-    detailed: AtomicBool,
+    /// Whether histogram recording is off (the plain counters always
+    /// count). Stored inverted so that a new service records everything.
+    histograms_off: AtomicBool,
     /// The serving front-end, for the `stats` reply and the exposition's
-    /// `build_info`: 0 = none yet, 1 = reactor, 2 = threads, 3 = stdio.
+    /// `build_info`: an index into [`BACKENDS`].
     /// Last-started front-end wins when several share one service (the
     /// `--smoke` harness does this deliberately).
     backend: AtomicU8,
@@ -147,50 +162,9 @@ pub struct ServerMetrics {
     writev_batches: AtomicU64,
 }
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        ServerMetrics {
-            classify: KindCounters::default(),
-            classify_many: KindCounters::default(),
-            solve: KindCounters::default(),
-            solve_stream: KindCounters::default(),
-            generate: KindCounters::default(),
-            stats: KindCounters::default(),
-            health: KindCounters::default(),
-            metrics: KindCounters::default(),
-            snapshot: KindCounters::default(),
-            invalid: KindCounters::default(),
-            stream_first_chunk: LatencyHistogram::new(),
-            detailed: AtomicBool::new(true),
-            backend: AtomicU8::new(0),
-            pipelined_inflight: AtomicU64::new(0),
-            pipelined_peak: AtomicU64::new(0),
-            open_connections: AtomicU64::new(0),
-            peak_connections: AtomicU64::new(0),
-            total_accepted: AtomicU64::new(0),
-            total_rejected: AtomicU64::new(0),
-            reactor_wakeups: AtomicU64::new(0),
-            reactor_completions: AtomicU64::new(0),
-            spliced_frames: AtomicU64::new(0),
-            writev_batches: AtomicU64::new(0),
-        }
-    }
-}
-
 impl ServerMetrics {
     fn counters(&self, kind: Option<RequestKind>) -> &KindCounters {
-        match kind {
-            Some(RequestKind::Classify) => &self.classify,
-            Some(RequestKind::ClassifyMany) => &self.classify_many,
-            Some(RequestKind::Solve) => &self.solve,
-            Some(RequestKind::SolveStream) => &self.solve_stream,
-            Some(RequestKind::Generate) => &self.generate,
-            Some(RequestKind::Stats) => &self.stats,
-            Some(RequestKind::Health) => &self.health,
-            Some(RequestKind::Metrics) => &self.metrics,
-            Some(RequestKind::Snapshot) => &self.snapshot,
-            None => &self.invalid,
-        }
+        &self.kinds[kind_slot(kind)]
     }
 
     /// Records one handled frame (`None` = unparseable / unknown kind).
@@ -223,35 +197,26 @@ impl ServerMetrics {
     /// the throughput bench compares against; the plain count/error/mean/max
     /// counters keep working either way. On by default.
     pub fn set_detailed(&self, detailed: bool) {
-        self.detailed.store(detailed, Ordering::Relaxed);
+        self.histograms_off.store(!detailed, Ordering::Relaxed);
     }
 
     /// Whether histogram recording (and per-request tracing) is on.
     pub fn detailed(&self) -> bool {
-        self.detailed.load(Ordering::Relaxed)
+        !self.histograms_off.load(Ordering::Relaxed)
     }
 
     /// Registers the serving front-end by name (`reactor`, `threads`,
     /// `stdio`); the last started front-end wins when several share one
     /// service.
     pub fn set_backend(&self, name: &str) {
-        let code = match name {
-            "reactor" => 1,
-            "threads" => 2,
-            "stdio" => 3,
-            _ => 0,
-        };
-        self.backend.store(code, Ordering::Relaxed);
+        let code = BACKENDS.iter().position(|&known| known == name);
+        self.backend
+            .store(code.unwrap_or(0) as u8, Ordering::Relaxed);
     }
 
     /// The registered serving front-end (`none` before any registered).
-    pub fn backend_name(&self) -> &'static str {
-        match self.backend.load(Ordering::Relaxed) {
-            1 => "reactor",
-            2 => "threads",
-            3 => "stdio",
-            _ => "none",
-        }
+    fn backend_name(&self) -> &'static str {
+        BACKENDS[usize::from(self.backend.load(Ordering::Relaxed))]
     }
 
     /// Accounts one request entering the pipelined in-flight window,
@@ -308,52 +273,6 @@ impl ServerMetrics {
         self.writev_batches.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Currently open connections.
-    pub fn open_connections(&self) -> u64 {
-        self.open_connections.load(Ordering::Relaxed)
-    }
-
-    /// The largest number of simultaneously open connections observed since
-    /// the service started.
-    pub fn peak_connections(&self) -> u64 {
-        self.peak_connections.load(Ordering::Relaxed)
-    }
-
-    /// Connections accepted and served since the service started (rejected
-    /// ones are counted separately).
-    pub fn total_accepted(&self) -> u64 {
-        self.total_accepted.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed at accept time by the `--max-conns` cap.
-    pub fn total_rejected(&self) -> u64 {
-        self.total_rejected.load(Ordering::Relaxed)
-    }
-
-    /// Requests currently dispatched by pipelined connections and not yet
-    /// answered.
-    pub fn pipelined_inflight(&self) -> u64 {
-        self.pipelined_inflight.load(Ordering::Relaxed)
-    }
-
-    /// The largest number of simultaneously in-flight pipelined requests
-    /// observed since the service started.
-    pub fn pipelined_peak(&self) -> u64 {
-        self.pipelined_peak.load(Ordering::Relaxed)
-    }
-
-    /// Times the reactor's event loop woke from `epoll_wait` (0 on other
-    /// backends).
-    pub fn reactor_wakeups(&self) -> u64 {
-        self.reactor_wakeups.load(Ordering::Relaxed)
-    }
-
-    /// Completed worker-pool jobs whose eventfd notification the reactor
-    /// consumed (0 on other backends).
-    pub fn reactor_completion_count(&self) -> u64 {
-        self.reactor_completions.load(Ordering::Relaxed)
-    }
-
     /// `classify` replies answered by the zero-serialization fast lane.
     pub fn spliced_frames(&self) -> u64 {
         self.spliced_frames.load(Ordering::Relaxed)
@@ -365,150 +284,404 @@ impl ServerMetrics {
         self.writev_batches.load(Ordering::Relaxed)
     }
 
-    /// Snapshot of one kind's counters (`None` = the `invalid` pseudo-kind).
-    pub fn snapshot(&self, kind: Option<RequestKind>) -> KindStats {
-        self.counters(kind).snapshot()
-    }
-
     /// Snapshot of one kind's latency histogram (`None` = the `invalid`
-    /// pseudo-kind). Empty while detailed metrics are off.
-    pub fn histogram(&self, kind: Option<RequestKind>) -> HistogramSnapshot {
+    /// pseudo-kind), for the admission p99 signal. Empty while detailed
+    /// metrics are off.
+    pub(crate) fn histogram(&self, kind: Option<RequestKind>) -> HistogramSnapshot {
         self.counters(kind).histogram.snapshot()
     }
 
-    /// Snapshot of the `solve_stream` time-to-first-chunk histogram (the
-    /// per-kind `solve_stream` histogram is the full drain).
-    pub fn stream_first_chunk_histogram(&self) -> HistogramSnapshot {
-        self.stream_first_chunk.snapshot()
+    /// Reads every counter once, together with `engine`'s cache and pool
+    /// counters and the server identity.
+    pub(crate) fn snapshot(&self, engine: &Engine, uptime: Duration) -> MetricsSnapshot {
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        MetricsSnapshot {
+            backend: self.backend_name(),
+            version: env!("CARGO_PKG_VERSION"),
+            workers: engine.parallelism(),
+            cache_shards: engine.cache_shards(),
+            uptime,
+            kinds: self.kinds.each_ref().map(KindCounters::snapshot),
+            stream_first_chunk: self.stream_first_chunk.snapshot(),
+            pipeline_inflight: load(&self.pipelined_inflight),
+            pipeline_peak: load(&self.pipelined_peak),
+            connections_open: load(&self.open_connections),
+            connections_peak: load(&self.peak_connections),
+            connections_accepted: load(&self.total_accepted),
+            connections_rejected: load(&self.total_rejected),
+            reactor_wakeups: load(&self.reactor_wakeups),
+            reactor_completions: load(&self.reactor_completions),
+            spliced_frames: load(&self.spliced_frames),
+            writev_batches: load(&self.writev_batches),
+            cache: engine.cache_stats(),
+            cache_shard_stats: engine.cache_shard_stats(),
+            pool: engine.pool_stats(),
+        }
+    }
+}
+
+/// Every counter the `stats` reply and the metrics exposition report, read
+/// once ([`Service::metrics_snapshot`]). Both renderings are pure functions
+/// of this value, through one catalogue of metric families.
+///
+/// [`Service::metrics_snapshot`]: crate::Service::metrics_snapshot
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct MetricsSnapshot {
+    /// The serving front-end: `reactor`, `threads`, `stdio`, or `none`
+    /// before one started (the last started wins when several share one
+    /// service).
+    pub backend: &'static str,
+    /// The server's crate version.
+    pub version: &'static str,
+    /// Worker-pool threads.
+    pub workers: usize,
+    /// Effective memo-cache shard count.
+    pub cache_shards: usize,
+    /// Wall-clock time since the service was constructed.
+    pub uptime: Duration,
+    /// Per-kind counters, in [`RequestKind::ALL`] order and then the
+    /// `invalid` pseudo-kind ([`MetricsSnapshot::kind`] looks one up).
+    pub kinds: [KindSnapshot; KINDS],
+    /// `solve_stream` time-to-first-chunk: request read to the first chunk
+    /// frame handed to the writer (the kind histogram is the full drain).
+    pub stream_first_chunk: HistogramSnapshot,
+    /// Pipelined requests in flight (a gauge).
+    pub pipeline_inflight: u64,
+    /// Most pipelined requests ever in flight at once.
+    pub pipeline_peak: u64,
+    /// Open connections (a gauge).
+    pub connections_open: u64,
+    /// Most connections ever open at once.
+    pub connections_peak: u64,
+    /// Connections accepted so far.
+    pub connections_accepted: u64,
+    /// Connections refused by the `--max-conns` cap.
+    pub connections_rejected: u64,
+    /// The reactor's `epoll_wait` returns (0 on other backends).
+    pub reactor_wakeups: u64,
+    /// Pool completions the reactor consumed (0 on other backends).
+    pub reactor_completions: u64,
+    /// `classify` replies answered by the zero-serialization fast lane.
+    pub spliced_frames: u64,
+    /// Successful reactor `writev` flushes (0 on other backends).
+    pub writev_batches: u64,
+    /// The engine's memo-cache counters, summed over shards.
+    pub cache: CacheStats,
+    /// The engine's memo-cache counters, per shard in shard order.
+    pub cache_shard_stats: Vec<ShardStats>,
+    /// The engine's worker-pool counters.
+    pub pool: PoolStats,
+}
+
+impl MetricsSnapshot {
+    /// One kind's counters (`None` = the `invalid` pseudo-kind).
+    pub fn kind(&self, kind: Option<RequestKind>) -> &KindSnapshot {
+        &self.kinds[kind_slot(kind)]
     }
 
-    /// Total number of frames handled, across all kinds (including invalid
-    /// ones).
+    /// Each kind's wire name (`invalid` last) with its counters.
+    pub(crate) fn labelled_kinds(&self) -> impl Iterator<Item = (&'static str, &KindSnapshot)> {
+        let names = RequestKind::ALL.iter().map(|k| k.wire_name());
+        names.chain(["invalid"]).zip(&self.kinds)
+    }
+
+    /// Frames handled across all kinds, invalid ones included.
     pub fn requests_served(&self) -> u64 {
-        RequestKind::ALL
-            .iter()
-            .map(|&k| self.snapshot(Some(k)).count)
-            .sum::<u64>()
-            + self.snapshot(None).count
+        self.kinds.iter().map(|kind| kind.count).sum()
     }
 
-    /// Serializes all counters for the `stats` response payload. Per-kind
-    /// quantiles come from the latency histograms and are upper-bound
-    /// estimates with ≤ 12.5% relative error (0 while detailed metrics are
-    /// off).
-    pub fn to_json(&self) -> JsonValue {
-        let kind_json = |kind: Option<RequestKind>| {
-            let stats = self.snapshot(kind);
-            let histogram = self.histogram(kind);
-            JsonValue::object([
-                ("count", JsonValue::Int(stats.count as i64)),
-                ("errors", JsonValue::Int(stats.errors as i64)),
-                ("shed", JsonValue::Int(stats.shed as i64)),
-                ("total_micros", JsonValue::Int(stats.total_micros as i64)),
-                ("max_micros", JsonValue::Int(stats.max_micros as i64)),
-                ("mean_micros", JsonValue::Int(stats.mean_micros() as i64)),
-                (
-                    "p50_micros",
-                    JsonValue::Int(histogram.quantile(0.50) as i64),
-                ),
-                (
-                    "p90_micros",
-                    JsonValue::Int(histogram.quantile(0.90) as i64),
-                ),
-                (
-                    "p99_micros",
-                    JsonValue::Int(histogram.quantile(0.99) as i64),
-                ),
-                (
-                    "p999_micros",
-                    JsonValue::Int(histogram.quantile(0.999) as i64),
-                ),
-            ])
-        };
-        let first_chunk = self.stream_first_chunk_histogram();
-        JsonValue::object([
-            (
-                "requests_served",
-                JsonValue::Int(self.requests_served() as i64),
-            ),
-            (
-                "pipeline",
-                JsonValue::object([
-                    ("inflight", JsonValue::Int(self.pipelined_inflight() as i64)),
-                    (
-                        "peak_inflight",
-                        JsonValue::Int(self.pipelined_peak() as i64),
-                    ),
-                ]),
-            ),
-            (
-                "connections",
-                JsonValue::object([
-                    ("open", JsonValue::Int(self.open_connections() as i64)),
-                    ("peak", JsonValue::Int(self.peak_connections() as i64)),
-                    ("accepted", JsonValue::Int(self.total_accepted() as i64)),
-                    ("rejected", JsonValue::Int(self.total_rejected() as i64)),
-                ]),
-            ),
-            (
-                "reactor",
-                JsonValue::object([
-                    ("wakeups", JsonValue::Int(self.reactor_wakeups() as i64)),
-                    (
-                        "completions",
-                        JsonValue::Int(self.reactor_completion_count() as i64),
-                    ),
-                ]),
-            ),
-            (
-                "spliced_frames",
-                JsonValue::Int(self.spliced_frames() as i64),
-            ),
-            (
-                "writev_batches",
-                JsonValue::Int(self.writev_batches() as i64),
-            ),
-            (
-                "stream_first_chunk",
-                JsonValue::object([
-                    ("count", JsonValue::Int(first_chunk.count as i64)),
-                    ("mean_micros", JsonValue::Int(first_chunk.mean() as i64)),
-                    ("max_micros", JsonValue::Int(first_chunk.max as i64)),
-                    (
-                        "p50_micros",
-                        JsonValue::Int(first_chunk.quantile(0.50) as i64),
-                    ),
-                    (
-                        "p99_micros",
-                        JsonValue::Int(first_chunk.quantile(0.99) as i64),
-                    ),
-                ]),
-            ),
-            (
-                "kinds",
-                JsonValue::object([
-                    ("classify", kind_json(Some(RequestKind::Classify))),
-                    ("classify_many", kind_json(Some(RequestKind::ClassifyMany))),
-                    ("solve", kind_json(Some(RequestKind::Solve))),
-                    ("solve_stream", kind_json(Some(RequestKind::SolveStream))),
-                    ("generate", kind_json(Some(RequestKind::Generate))),
-                    ("stats", kind_json(Some(RequestKind::Stats))),
-                    ("health", kind_json(Some(RequestKind::Health))),
-                    ("metrics", kind_json(Some(RequestKind::Metrics))),
-                    ("snapshot", kind_json(Some(RequestKind::Snapshot))),
-                    ("invalid", kind_json(None)),
-                ]),
-            ),
-        ])
+    /// The server identity: the `stats` reply's `server` fields and the
+    /// labels of the build-info gauge.
+    pub(crate) fn identity(&self) -> [(&'static str, JsonValue); 4] {
+        [
+            ("backend", JsonValue::Str(self.backend.to_string())),
+            ("cache_shards", int(self.cache_shards as u64)),
+            ("version", JsonValue::Str(self.version.to_string())),
+            ("workers", int(self.workers as u64)),
+        ]
     }
+}
+
+/// A metric family's type, label and value source.
+pub(crate) enum Source {
+    /// A gauge of constant 1 labelled with [`MetricsSnapshot::identity`].
+    BuildInfo,
+    /// One unlabelled counter.
+    Counter(fn(&MetricsSnapshot) -> u64),
+    /// One unlabelled gauge.
+    Gauge(fn(&MetricsSnapshot) -> u64),
+    /// One counter per request kind, labelled `kind`.
+    KindCounter(fn(&KindSnapshot) -> u64),
+    /// One latency histogram per request kind, labelled `kind`.
+    KindLatency,
+    /// One unlabelled latency histogram.
+    Histogram(fn(&MetricsSnapshot) -> &HistogramSnapshot),
+    /// One counter per cache shard, labelled `shard`.
+    ShardCounter(fn(&ShardStats) -> u64),
+    /// One gauge per cache shard, labelled `shard`.
+    ShardGauge(fn(&ShardStats) -> u64),
+}
+
+/// One metric family of the catalogue.
+pub(crate) struct Family {
+    /// The family name, without the `lcl_` prefix.
+    pub(crate) name: &'static str,
+    /// The exposition's `# HELP` text.
+    pub(crate) help: &'static str,
+    /// Type, label and value.
+    pub(crate) source: Source,
+    /// Where the value goes in the `stats` payload: a dotted path, `*`
+    /// standing for the `kind` label; empty when the payload omits it.
+    /// Histograms place one [`latency_json`] object there, count included
+    /// (which is why `requests_total` has no path of its own).
+    pub(crate) stats: &'static str,
+}
+
+use Source::*;
+
+/// The metric catalogue, one row per family in exposition order: its name
+/// (without the `lcl_` prefix) and `# HELP` text, its source (type, label
+/// and value), and its place in the `stats` payload.
+#[rustfmt::skip]
+pub(crate) static FAMILIES: [Family; 44] = [
+    Family { name: "build_info", help: "Constant 1; the labels carry the server identity and \
+                    configuration.",
+             source: BuildInfo, stats: "server" },
+    Family { name: "uptime_seconds", help: "Wall-clock seconds since the service was constructed.",
+             source: Gauge(|s| s.uptime.as_secs()), stats: "server.uptime_seconds" },
+    Family { name: "requests_total", help: "Frames handled, by request kind (invalid = never \
+                    resolved to one).",
+             source: KindCounter(|k| k.count), stats: "" },
+    Family { name: "request_errors_total", help: "Frames answered with an error reply, by request \
+                    kind.",
+             source: KindCounter(|k| k.errors), stats: "server.kinds.*.errors" },
+    Family { name: "shed_total", help: "Frames rejected at admission (load shed or quota), by \
+                    request kind; every shed frame is also counted in requests_total and \
+                    request_errors_total.",
+             source: KindCounter(|k| k.shed), stats: "server.kinds.*.shed" },
+    Family { name: "request_latency_micros", help: "End-to-end request handling latency in \
+                    microseconds, by kind (empty while detailed metrics are off).",
+             source: KindLatency, stats: "server.kinds.*" },
+    Family { name: "stream_first_chunk_micros", help: "solve_stream time-to-first-chunk in \
+                    microseconds (the kind histogram has the full drain).",
+             source: Histogram(|s| &s.stream_first_chunk), stats: "server.stream_first_chunk" },
+    Family { name: "pipeline_inflight", help: "Pipelined requests dispatched and not yet \
+                    answered.",
+             source: Gauge(|s| s.pipeline_inflight), stats: "server.pipeline.inflight" },
+    Family { name: "pipeline_peak_inflight", help: "High-water mark of pipeline_inflight.",
+             source: Gauge(|s| s.pipeline_peak), stats: "server.pipeline.peak_inflight" },
+    Family { name: "connections_open", help: "Currently open connections.",
+             source: Gauge(|s| s.connections_open), stats: "server.connections.open" },
+    Family { name: "connections_peak", help: "High-water mark of connections_open.",
+             source: Gauge(|s| s.connections_peak), stats: "server.connections.peak" },
+    Family { name: "connections_accepted_total", help: "Connections accepted and served.",
+             source: Counter(|s| s.connections_accepted), stats: "server.connections.accepted" },
+    Family { name: "connections_rejected_total", help: "Connections closed at accept time by the \
+                    --max-conns cap.",
+             source: Counter(|s| s.connections_rejected), stats: "server.connections.rejected" },
+    Family { name: "reactor_wakeups_total", help: "Event-loop returns from epoll_wait (0 on other \
+                    backends).",
+             source: Counter(|s| s.reactor_wakeups), stats: "server.reactor.wakeups" },
+    Family { name: "reactor_completions_total", help: "Worker-pool completions the reactor \
+                    consumed (0 on other backends).",
+             source: Counter(|s| s.reactor_completions), stats: "server.reactor.completions" },
+    Family { name: "spliced_frames_total", help: "classify replies answered by splicing cached \
+                    payload bytes around the request id, skipping serialization and the worker \
+                    pool.",
+             source: Counter(|s| s.spliced_frames), stats: "server.spliced_frames" },
+    Family { name: "writev_batches_total", help: "Vectored reply flushes issued by the reactor \
+                    (one writev per sample; 0 on other backends).",
+             source: Counter(|s| s.writev_batches), stats: "server.writev_batches" },
+    Family { name: "cache_hits_total", help: "Classification lookups served from the memo cache.",
+             source: Counter(|s| s.cache.hits), stats: "cache.hits" },
+    Family { name: "cache_fast_hits_total", help: "Cache hits served on the read fast lane with \
+                    the LRU recency touch skipped (the shard's LRU mutex was busy).",
+             source: Counter(|s| s.cache.fast_hits), stats: "cache.fast_hits" },
+    Family { name: "cache_locked_hits_total", help: "Cache hits that also refreshed LRU recency \
+                    under the shard mutex.",
+             source: Counter(|s| s.cache.locked_hits), stats: "cache.locked_hits" },
+    Family { name: "cache_flight_leaders_total", help: "Single-flight leaders elected: cold-key \
+                    classifications started.",
+             source: Counter(|s| s.cache.flight_leaders), stats: "cache.flight_leaders" },
+    Family { name: "cache_flight_joins_total", help: "Requests served by parking on another \
+                    request's in-flight classification (stampedes absorbed).",
+             source: Counter(|s| s.cache.flight_joins), stats: "cache.flight_joins" },
+    Family { name: "cache_misses_total", help: "Classification lookups that had to be computed.",
+             source: Counter(|s| s.cache.misses), stats: "cache.misses" },
+    Family { name: "cache_bytes_hits_total", help: "Classify hits answered by splicing the cached \
+                    reply bytes (no JSON serialization).",
+             source: Counter(|s| s.cache.bytes_hits), stats: "cache.bytes_hits" },
+    Family { name: "cache_bytes_misses_total", help: "Classify hits that had to render and attach \
+                    the reply bytes (first hit per entry).",
+             source: Counter(|s| s.cache.bytes_misses), stats: "cache.bytes_misses" },
+    Family { name: "cache_inserts_total", help: "Entries ever inserted into the memo cache.",
+             source: Counter(|s| s.cache.inserts), stats: "cache.inserts" },
+    Family { name: "cache_evictions_total", help: "Entries removed from the memo cache (LRU \
+                    victims and clears).",
+             source: Counter(|s| s.cache.evictions), stats: "cache.evictions" },
+    Family { name: "cache_entries", help: "Problems currently cached.",
+             source: Gauge(|s| s.cache.entries as u64), stats: "cache.entries" },
+    Family { name: "cache_weight", help: "Total weight of the resident cache entries.",
+             source: Gauge(|s| s.cache.weight), stats: "cache.weight" },
+    Family { name: "cache_peak_entries", help: "Upper bound on entries ever resident at once.",
+             source: Gauge(|s| s.cache.peak_entries as u64), stats: "cache.peak_entries" },
+    Family { name: "cache_peak_weight", help: "Upper bound on resident weight ever held at once.",
+             source: Gauge(|s| s.cache.peak_weight), stats: "cache.peak_weight" },
+    Family { name: "cache_shard_hits_total", help: "Memo-cache hits, by shard.",
+             source: ShardCounter(|s| s.hits), stats: "" },
+    Family { name: "cache_shard_fast_hits_total", help: "Fast-lane hits with the recency touch \
+                    skipped, by shard.",
+             source: ShardCounter(|s| s.fast_hits), stats: "" },
+    Family { name: "cache_shard_locked_hits_total", help: "Hits that refreshed LRU recency, by \
+                    shard.",
+             source: ShardCounter(|s| s.locked_hits), stats: "" },
+    Family { name: "cache_shard_flight_leaders_total", help: "Single-flight leaders elected, by \
+                    shard.",
+             source: ShardCounter(|s| s.flight_leaders), stats: "" },
+    Family { name: "cache_shard_flight_joins_total", help: "Requests that joined an in-flight \
+                    computation, by shard.",
+             source: ShardCounter(|s| s.flight_joins), stats: "" },
+    Family { name: "cache_shard_misses_total", help: "Memo-cache misses, by shard.",
+             source: ShardCounter(|s| s.misses), stats: "" },
+    Family { name: "cache_shard_bytes_hits_total", help: "Reply-bytes splices served, by shard.",
+             source: ShardCounter(|s| s.bytes_hits), stats: "" },
+    Family { name: "cache_shard_bytes_misses_total", help: "Reply-bytes renders attached, by \
+                    shard.",
+             source: ShardCounter(|s| s.bytes_misses), stats: "" },
+    Family { name: "cache_shard_entries", help: "Resident memo-cache entries, by shard.",
+             source: ShardGauge(|s| s.entries as u64), stats: "" },
+    Family { name: "cache_shard_evictions_total", help: "Memo-cache evictions, by shard.",
+             source: ShardCounter(|s| s.evictions), stats: "" },
+    Family { name: "pool_workers", help: "Long-lived worker threads.",
+             source: Gauge(|s| s.pool.workers as u64), stats: "pool.workers" },
+    Family { name: "pool_queue_depth", help: "Jobs submitted but not yet picked up by a worker.",
+             source: Gauge(|s| s.pool.queue_depth as u64), stats: "pool.queue_depth" },
+    Family { name: "pool_jobs_completed_total", help: "Jobs fully executed since the pool was \
+                    built.",
+             source: Counter(|s| s.pool.jobs_completed), stats: "pool.jobs_completed" },
+];
+
+/// A counter as a JSON integer (saturating: the wire's integers are `i64`).
+fn int(value: u64) -> JsonValue {
+    JsonValue::Int(i64::try_from(value).unwrap_or(i64::MAX))
+}
+
+/// The one histogram-to-JSON rule of the `stats` payload: count, total,
+/// mean and max of the observations, and quantile estimates from the
+/// buckets (upper bounds, ≤ 12.5% relative error; 0 while detailed
+/// metrics are off).
+fn latency_json(count: u64, total: u64, max: u64, histogram: &HistogramSnapshot) -> JsonValue {
+    JsonValue::object([
+        ("count", int(count)),
+        ("total_micros", int(total)),
+        ("max_micros", int(max)),
+        ("mean_micros", int(total.checked_div(count).unwrap_or(0))),
+        ("p50_micros", int(histogram.quantile(0.50))),
+        ("p90_micros", int(histogram.quantile(0.90))),
+        ("p99_micros", int(histogram.quantile(0.99))),
+        ("p999_micros", int(histogram.quantile(0.999))),
+    ])
+}
+
+/// Puts `value` at the dotted `path` of the object `root`, creating the
+/// objects on the way and merging an object value into one already there.
+fn place(root: &mut JsonValue, path: &str, value: JsonValue) {
+    let mut node = root;
+    for key in path.split('.') {
+        let JsonValue::Object(fields) = node else {
+            unreachable!("stats paths only run through objects");
+        };
+        node = fields
+            .entry(key.to_string())
+            .or_insert_with(|| JsonValue::object([]));
+    }
+    match (node, value) {
+        (JsonValue::Object(into), JsonValue::Object(from)) => into.extend(from),
+        (node, value) => *node = value,
+    }
+}
+
+/// The `stats` reply payload: every catalogue family placed at its `stats`
+/// path, plus the fields derived from them (`requests_served`, the cache
+/// hit ratio and shard count, the human-readable summaries and
+/// `uptime_ms`).
+pub(crate) fn stats_payload(snapshot: &MetricsSnapshot) -> JsonValue {
+    let mut payload = JsonValue::object([]);
+    for family in &FAMILIES {
+        let path = family.stats;
+        if path.is_empty() {
+            continue;
+        }
+        match family.source {
+            BuildInfo => {
+                for (key, value) in snapshot.identity() {
+                    place(&mut payload, &format!("{path}.{key}"), value);
+                }
+            }
+            Counter(value) | Gauge(value) => place(&mut payload, path, int(value(snapshot))),
+            KindCounter(value) => {
+                for (label, kind) in snapshot.labelled_kinds() {
+                    place(&mut payload, &path.replace('*', label), int(value(kind)));
+                }
+            }
+            KindLatency => {
+                for (label, kind) in snapshot.labelled_kinds() {
+                    let json = latency_json(
+                        kind.count,
+                        kind.total_micros,
+                        kind.max_micros,
+                        &kind.latency,
+                    );
+                    place(&mut payload, &path.replace('*', label), json);
+                }
+            }
+            Histogram(histogram) => {
+                let h = histogram(snapshot);
+                place(&mut payload, path, latency_json(h.count, h.sum, h.max, h));
+            }
+            ShardCounter(_) | ShardGauge(_) => {
+                unreachable!("no per-shard family has a stats path")
+            }
+        }
+    }
+    let cache = &snapshot.cache;
+    for (path, value) in [
+        ("server.requests_served", int(snapshot.requests_served())),
+        ("cache.shards", int(cache.shards as u64)),
+        (
+            "cache.hit_ratio",
+            JsonValue::Str(format!("{:.4}", cache.hit_ratio())),
+        ),
+        ("cache.summary", JsonValue::Str(cache.to_string())),
+        ("pool.summary", JsonValue::Str(snapshot.pool.to_string())),
+        (
+            "uptime_ms",
+            int(u64::try_from(snapshot.uptime.as_millis()).unwrap_or(u64::MAX)),
+        ),
+    ] {
+        place(&mut payload, path, value);
+    }
+    payload
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Reads `metrics` with an idle engine, the way the service does.
+    fn read(metrics: &ServerMetrics) -> MetricsSnapshot {
+        metrics.snapshot(&Engine::builder().parallelism(1).build(), Duration::ZERO)
+    }
+
+    fn stats_json(metrics: &ServerMetrics) -> String {
+        stats_payload(&read(metrics)).to_json_string()
+    }
+
     #[test]
     fn counters_accumulate_per_kind() {
+        for (at, &kind) in RequestKind::ALL.iter().enumerate() {
+            assert_eq!(kind_slot(Some(kind)), at, "declaration order is ALL order");
+        }
         let metrics = ServerMetrics::default();
         metrics.record(Some(RequestKind::Classify), Duration::from_micros(10), true);
         metrics.record(
@@ -518,18 +691,19 @@ mod tests {
         );
         metrics.record(None, Duration::from_micros(5), false);
 
-        let classify = metrics.snapshot(Some(RequestKind::Classify));
+        let snapshot = read(&metrics);
+        let classify = snapshot.kind(Some(RequestKind::Classify));
         assert_eq!(classify.count, 2);
         assert_eq!(classify.errors, 1);
         assert_eq!(classify.total_micros, 40);
         assert_eq!(classify.max_micros, 30);
-        assert_eq!(classify.mean_micros(), 20);
 
-        assert_eq!(metrics.snapshot(Some(RequestKind::Solve)).count, 0);
-        assert_eq!(metrics.snapshot(None).errors, 1);
-        assert_eq!(metrics.requests_served(), 3);
+        assert_eq!(snapshot.kind(Some(RequestKind::Solve)).count, 0);
+        assert_eq!(snapshot.kind(None).errors, 1);
+        assert_eq!(snapshot.requests_served(), 3);
 
-        let json = metrics.to_json().to_json_string();
+        let json = stats_json(&metrics);
+        assert!(json.contains("\"mean_micros\":20"), "{json}");
         assert!(json.contains("\"requests_served\":3"), "{json}");
         assert!(json.contains("\"invalid\""), "{json}");
         assert!(json.contains("\"metrics\""), "{json}");
@@ -545,18 +719,18 @@ mod tests {
         metrics.record_shed(Some(RequestKind::Solve));
         metrics.record(Some(RequestKind::Solve), Duration::from_micros(90), true);
 
-        let solve = metrics.snapshot(Some(RequestKind::Solve));
+        let snapshot = read(&metrics);
+        let solve = snapshot.kind(Some(RequestKind::Solve));
         assert_eq!(solve.count, 2);
         assert_eq!(solve.errors, 1);
         assert_eq!(solve.shed, 1);
-        let histogram = metrics.histogram(Some(RequestKind::Solve));
         assert_eq!(
-            histogram.count, solve.count,
+            solve.latency.count, solve.count,
             "shed frames must land in the histogram too"
         );
-        assert_eq!(metrics.snapshot(Some(RequestKind::Classify)).shed, 0);
+        assert_eq!(snapshot.kind(Some(RequestKind::Classify)).shed, 0);
 
-        let json = metrics.to_json().to_json_string();
+        let json = stats_json(&metrics);
         assert!(json.contains("\"shed\":1"), "{json}");
         assert!(json.contains("\"shed\":0"), "{json}");
     }
@@ -571,8 +745,9 @@ mod tests {
                 true,
             );
         }
-        let stats = metrics.snapshot(Some(RequestKind::Solve));
-        let histogram = metrics.histogram(Some(RequestKind::Solve));
+        let snapshot = read(&metrics);
+        let stats = snapshot.kind(Some(RequestKind::Solve));
+        let histogram = &stats.latency;
         assert_eq!(histogram.count, stats.count);
         assert_eq!(histogram.sum, stats.total_micros);
         assert_eq!(histogram.max, stats.max_micros);
@@ -584,13 +759,13 @@ mod tests {
     fn accounted_latency_is_never_zero() {
         let metrics = ServerMetrics::default();
         metrics.record(None, Duration::ZERO, false);
-        let invalid = metrics.snapshot(None);
+        let snapshot = read(&metrics);
+        let invalid = snapshot.kind(None);
         assert_eq!(invalid.count, 1);
         assert_eq!(invalid.total_micros, 1, "zero elapsed clamps to 1µs");
         assert_eq!(invalid.max_micros, 1);
-        let histogram = metrics.histogram(None);
-        assert_eq!(histogram.count, 1);
-        assert_eq!(histogram.sum, 1);
+        assert_eq!(invalid.latency.count, 1);
+        assert_eq!(invalid.latency.sum, 1);
     }
 
     #[test]
@@ -600,12 +775,13 @@ mod tests {
         metrics.set_detailed(false);
         metrics.record(Some(RequestKind::Classify), Duration::from_micros(50), true);
         metrics.record_stream_first_chunk(Duration::from_micros(5));
-        assert_eq!(metrics.snapshot(Some(RequestKind::Classify)).count, 1);
-        assert_eq!(metrics.histogram(Some(RequestKind::Classify)).count, 0);
-        assert_eq!(metrics.stream_first_chunk_histogram().count, 0);
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.kind(Some(RequestKind::Classify)).count, 1);
+        assert_eq!(snapshot.kind(Some(RequestKind::Classify)).latency.count, 0);
+        assert_eq!(snapshot.stream_first_chunk.count, 0);
         metrics.set_detailed(true);
         metrics.record_stream_first_chunk(Duration::from_micros(5));
-        assert_eq!(metrics.stream_first_chunk_histogram().count, 1);
+        assert_eq!(read(&metrics).stream_first_chunk.count, 1);
     }
 
     #[test]
@@ -628,27 +804,29 @@ mod tests {
         metrics.connection_opened();
         metrics.connection_opened();
         metrics.connection_opened();
-        assert_eq!(metrics.open_connections(), 3);
-        assert_eq!(metrics.peak_connections(), 3);
-        assert_eq!(metrics.total_accepted(), 3);
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.connections_open, 3);
+        assert_eq!(snapshot.connections_peak, 3);
+        assert_eq!(snapshot.connections_accepted, 3);
         metrics.connection_closed();
         metrics.connection_closed();
-        assert_eq!(metrics.open_connections(), 1);
-        assert_eq!(metrics.peak_connections(), 3, "peak is a high-water mark");
         metrics.connection_rejected();
-        assert_eq!(metrics.total_rejected(), 1);
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.connections_open, 1);
+        assert_eq!(snapshot.connections_peak, 3, "peak is a high-water mark");
+        assert_eq!(snapshot.connections_rejected, 1);
         assert_eq!(
-            metrics.total_accepted(),
-            3,
+            snapshot.connections_accepted, 3,
             "rejected connections are not accepted ones"
         );
 
         metrics.reactor_wakeup();
         metrics.reactor_completions(5);
-        assert_eq!(metrics.reactor_wakeups(), 1);
-        assert_eq!(metrics.reactor_completion_count(), 5);
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.reactor_wakeups, 1);
+        assert_eq!(snapshot.reactor_completions, 5);
 
-        let json = metrics.to_json().to_json_string();
+        let json = stats_json(&metrics);
         assert!(json.contains("\"connections\""), "{json}");
         assert!(json.contains("\"peak\":3"), "{json}");
         assert!(json.contains("\"rejected\":1"), "{json}");
@@ -659,20 +837,26 @@ mod tests {
     #[test]
     fn pipeline_gauges_track_inflight_and_peak() {
         let metrics = ServerMetrics::default();
-        assert_eq!(metrics.pipelined_inflight(), 0);
+        assert_eq!(read(&metrics).pipeline_inflight, 0);
         metrics.pipeline_enter();
         metrics.pipeline_enter();
         metrics.pipeline_enter();
-        assert_eq!(metrics.pipelined_inflight(), 3);
-        assert_eq!(metrics.pipelined_peak(), 3);
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.pipeline_inflight, 3);
+        assert_eq!(snapshot.pipeline_peak, 3);
         metrics.pipeline_exit();
         metrics.pipeline_exit();
-        assert_eq!(metrics.pipelined_inflight(), 1);
-        assert_eq!(metrics.pipelined_peak(), 3, "peak is a high-water mark");
+        let snapshot = read(&metrics);
+        assert_eq!(snapshot.pipeline_inflight, 1);
+        assert_eq!(snapshot.pipeline_peak, 3, "peak is a high-water mark");
         metrics.pipeline_enter();
-        assert_eq!(metrics.pipelined_peak(), 3, "returning below peak keeps it");
+        assert_eq!(
+            read(&metrics).pipeline_peak,
+            3,
+            "returning below peak keeps it"
+        );
 
-        let json = metrics.to_json().to_json_string();
+        let json = stats_json(&metrics);
         assert!(json.contains("\"pipeline\""), "{json}");
         assert!(json.contains("\"peak_inflight\":3"), "{json}");
     }

@@ -12,8 +12,8 @@
 //! promptly without needing a wakeup connection.
 //!
 //! Scraping is off the request path entirely: a scrape only reads the
-//! lock-free counters, so a stuck or slow scraper cannot backpressure the
-//! NDJSON protocol service.
+//! lock-free counters (one [`crate::MetricsSnapshot`] per scrape), so a
+//! stuck or slow scraper cannot backpressure the NDJSON protocol service.
 
 use crate::service::Service;
 use std::io::{self, BufRead, BufReader, Write};
@@ -138,7 +138,7 @@ fn serve_scrape(service: &Service, stream: TcpStream) -> io::Result<()> {
     let mut stream = reader.into_inner().into_inner();
     let outcome = match path {
         Some("/metrics") | Some("/") => {
-            let body = crate::expo::render_exposition(service);
+            let body = crate::expo::render_exposition(&service.metrics_snapshot());
             respond(
                 &mut stream,
                 "200 OK",

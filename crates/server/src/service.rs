@@ -37,7 +37,7 @@
 
 use crate::admission::{AdmissionConfig, QuotaLimiter, ShedPolicy};
 use crate::frame::{write_frame, Frame, MAX_FRAME_BYTES};
-use crate::metrics::ServerMetrics;
+use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
 use lcl_paths::classifier::{ClassifierError, ReplyLane, Verdict};
@@ -563,9 +563,11 @@ impl Service {
         &self.trace
     }
 
-    /// Wall-clock time since the service was constructed.
-    pub fn uptime(&self) -> std::time::Duration {
-        self.started.elapsed()
+    /// Reads every counter once — the request metrics, the engine's cache
+    /// and pool counters and the server identity — into the one value both
+    /// the `stats` reply and the metrics exposition are rendered from.
+    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+        self.metrics.snapshot(&self.engine, self.started.elapsed())
     }
 
     /// A stage trace for one request clocked from `started`, or `None` when
@@ -1114,7 +1116,7 @@ impl Service {
     fn metrics_exposition(&self) -> Result<JsonValue, Error> {
         Ok(JsonValue::object([(
             "exposition",
-            JsonValue::Str(crate::expo::render_exposition(self)),
+            JsonValue::Str(crate::expo::render_exposition(&self.metrics_snapshot())),
         )]))
     }
 
@@ -1197,87 +1199,9 @@ impl Service {
         })
     }
 
-    /// Server identity and configuration for the `stats` reply's `server`
-    /// block (and the exposition's `build_info`).
-    fn server_info(&self) -> [(&'static str, JsonValue); 5] {
-        [
-            (
-                "backend",
-                JsonValue::Str(self.metrics.backend_name().to_string()),
-            ),
-            (
-                "cache_shards",
-                JsonValue::Int(self.engine.cache_shards() as i64),
-            ),
-            (
-                "uptime_seconds",
-                JsonValue::Int(i64::try_from(self.started.elapsed().as_secs()).unwrap_or(i64::MAX)),
-            ),
-            (
-                "version",
-                JsonValue::Str(env!("CARGO_PKG_VERSION").to_string()),
-            ),
-            ("workers", JsonValue::Int(self.engine.parallelism() as i64)),
-        ]
-    }
-
+    /// The `stats` kind: the [`MetricsSnapshot`] as JSON.
     fn stats(&self) -> Result<JsonValue, Error> {
-        let cache = self.engine.cache_stats();
-        let pool = self.engine.pool_stats();
-        let mut server = self.metrics.to_json();
-        if let JsonValue::Object(fields) = &mut server {
-            for (key, value) in self.server_info() {
-                fields.insert(key.to_string(), value);
-            }
-        }
-        Ok(JsonValue::object([
-            (
-                "cache",
-                JsonValue::object([
-                    ("hits", JsonValue::Int(cache.hits as i64)),
-                    ("fast_hits", JsonValue::Int(cache.fast_hits as i64)),
-                    ("locked_hits", JsonValue::Int(cache.locked_hits as i64)),
-                    (
-                        "flight_leaders",
-                        JsonValue::Int(cache.flight_leaders as i64),
-                    ),
-                    ("flight_joins", JsonValue::Int(cache.flight_joins as i64)),
-                    ("misses", JsonValue::Int(cache.misses as i64)),
-                    ("bytes_hits", JsonValue::Int(cache.bytes_hits as i64)),
-                    ("bytes_misses", JsonValue::Int(cache.bytes_misses as i64)),
-                    ("entries", JsonValue::Int(cache.entries as i64)),
-                    ("evictions", JsonValue::Int(cache.evictions as i64)),
-                    ("inserts", JsonValue::Int(cache.inserts as i64)),
-                    ("peak_entries", JsonValue::Int(cache.peak_entries as i64)),
-                    ("weight", JsonValue::Int(cache.weight as i64)),
-                    ("peak_weight", JsonValue::Int(cache.peak_weight as i64)),
-                    ("shards", JsonValue::Int(cache.shards as i64)),
-                    (
-                        "hit_ratio",
-                        JsonValue::Str(format!("{:.4}", cache.hit_ratio())),
-                    ),
-                    // The human-oriented summary comes straight from the
-                    // CacheStats Display impl — no hand-formatting here.
-                    ("summary", JsonValue::Str(cache.to_string())),
-                ]),
-            ),
-            (
-                "pool",
-                JsonValue::object([
-                    ("workers", JsonValue::Int(pool.workers as i64)),
-                    ("queue_depth", JsonValue::Int(pool.queue_depth as i64)),
-                    ("jobs_completed", JsonValue::Int(pool.jobs_completed as i64)),
-                    ("summary", JsonValue::Str(pool.to_string())),
-                ]),
-            ),
-            ("server", server),
-            (
-                "uptime_ms",
-                JsonValue::Int(
-                    i64::try_from(self.started.elapsed().as_millis()).unwrap_or(i64::MAX),
-                ),
-            ),
-        ]))
+        Ok(crate::metrics::stats_payload(&self.metrics_snapshot()))
     }
 
     fn health(&self) -> Result<JsonValue, Error> {
@@ -1287,7 +1211,7 @@ impl Service {
             ("workers", JsonValue::Int(self.engine.parallelism() as i64)),
             (
                 "requests_served",
-                JsonValue::Int(self.metrics.requests_served() as i64),
+                JsonValue::Int(self.metrics_snapshot().requests_served() as i64),
             ),
         ]))
     }
@@ -1351,8 +1275,8 @@ mod tests {
         );
 
         // The window gauge drained and recorded its high-water mark.
-        assert_eq!(service.metrics().pipelined_inflight(), 0);
-        assert!(service.metrics().pipelined_peak() >= 1);
+        assert_eq!(service.metrics_snapshot().pipeline_inflight, 0);
+        assert!(service.metrics_snapshot().pipeline_peak >= 1);
 
         // An oversized frame's rejection is ready on return, accounted
         // under `invalid`.
@@ -1372,7 +1296,7 @@ mod tests {
             .unwrap_err();
         assert_eq!(error.category, "protocol");
         assert!(error.message.contains("exceeds"), "{}", error.message);
-        assert_eq!(service.metrics().snapshot(None).errors, 2);
+        assert_eq!(service.metrics_snapshot().kind(None).errors, 2);
     }
 
     #[test]
@@ -1408,7 +1332,7 @@ mod tests {
         assert_eq!(service.engine().cache_stats().bytes_hits, 1);
 
         // The lane never takes a pipeline-window slot.
-        assert_eq!(service.metrics().pipelined_inflight(), 0);
+        assert_eq!(service.metrics_snapshot().pipeline_inflight, 0);
 
         // Toggled off, the same hot frame goes through the pool and still
         // serializes identically — the lane is invisible on the wire.
@@ -1521,7 +1445,7 @@ mod tests {
         assert_eq!(bad_payload.result.unwrap_err().category, "problem");
 
         // The invalid frames were accounted, and the service still works.
-        assert!(service.metrics().snapshot(None).errors >= 2);
+        assert!(service.metrics_snapshot().kind(None).errors >= 2);
         assert!(service.handle_line(&classify_line(8)).is_ok());
     }
 
@@ -1840,17 +1764,12 @@ mod tests {
 
         // Latency accounting stays symmetric: the shed frame is counted,
         // errored, shed, and present in the histogram.
-        let stats = service.metrics().snapshot(Some(RequestKind::Classify));
+        let snapshot = service.metrics_snapshot();
+        let stats = snapshot.kind(Some(RequestKind::Classify));
         assert_eq!(stats.shed, 1);
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.count, 3);
-        assert_eq!(
-            service
-                .metrics()
-                .histogram(Some(RequestKind::Classify))
-                .count,
-            3
-        );
+        assert_eq!(stats.latency.count, 3);
     }
 
     #[test]
@@ -1876,7 +1795,10 @@ mod tests {
         assert!(error.message.contains("p99"), "{}", error.message);
         assert_eq!(error.retryable, Some(true));
         assert_eq!(
-            service.metrics().snapshot(Some(RequestKind::Classify)).shed,
+            service
+                .metrics_snapshot()
+                .kind(Some(RequestKind::Classify))
+                .shed,
             1
         );
 

@@ -226,7 +226,11 @@ fn pipelined_burst_interleaving_malformed_frames_survives() {
         .classify(&problems::coloring(3).to_spec())
         .expect("connection survives the mixed burst");
     assert_eq!(verdict.complexity.wire_name(), "log-star");
-    assert_eq!(service.metrics().pipelined_inflight(), 0, "window drained");
+    assert_eq!(
+        service.metrics_snapshot().pipeline_inflight,
+        0,
+        "window drained"
+    );
     drop(client);
     handle.shutdown();
 }

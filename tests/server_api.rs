@@ -119,7 +119,7 @@ fn pipelined_burst_replies_in_order_and_byte_identical() {
     assert!(pipeline.require("peak_inflight").unwrap().as_int().unwrap() >= 1);
     // Once the stats reply has been received its own job has exited the
     // window too: the gauge must read exactly zero now.
-    assert_eq!(service.metrics().pipelined_inflight(), 0);
+    assert_eq!(service.metrics_snapshot().pipeline_inflight, 0);
     drop(client);
     handle.shutdown();
 }
@@ -154,9 +154,9 @@ fn small_inflight_window_backpressures_without_reordering() {
     // this connection dispatched-but-unwritten (the reader takes a slot
     // before dispatching, the writer frees it after writing).
     assert!(
-        service.metrics().pipelined_peak() <= 2,
+        service.metrics_snapshot().pipeline_peak <= 2,
         "window 2 must cap concurrent dispatches at 2, saw peak {}",
-        service.metrics().pipelined_peak()
+        service.metrics_snapshot().pipeline_peak
     );
     drop(client);
     handle.shutdown();

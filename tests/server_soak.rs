@@ -66,10 +66,10 @@ fn soak_backend(backend: Backend) -> Vec<String> {
     wait_until(
         &format!("[{backend}] all {CLIENTS} connections open"),
         30,
-        || service.metrics().open_connections() >= CLIENTS as u64,
+        || service.metrics_snapshot().connections_open >= CLIENTS as u64,
     );
     assert!(
-        service.metrics().peak_connections() >= CLIENTS as u64,
+        service.metrics_snapshot().connections_peak >= CLIENTS as u64,
         "[{backend}] peak gauge must see the soak"
     );
 
@@ -149,10 +149,10 @@ fn soak_backend(backend: Backend) -> Vec<String> {
     wait_until(
         &format!("[{backend}] open connections back to 0"),
         30,
-        || service.metrics().open_connections() == 0,
+        || service.metrics_snapshot().connections_open == 0,
     );
     assert!(
-        service.metrics().total_accepted() >= (CLIENTS + 1) as u64,
+        service.metrics_snapshot().connections_accepted >= (CLIENTS + 1) as u64,
         "[{backend}] accepted all soak clients"
     );
     handle.shutdown();
@@ -354,10 +354,10 @@ fn max_conns_rejects_excess_connections_on_every_backend() {
             "[{backend}] connection past --max-conns must be closed unserved"
         );
         wait_until(&format!("[{backend}] rejection counted"), 10, || {
-            service.metrics().total_rejected() >= 1
+            service.metrics_snapshot().connections_rejected >= 1
         });
         assert_eq!(
-            service.metrics().open_connections(),
+            service.metrics_snapshot().connections_open,
             2,
             "[{backend}] rejected connection must not occupy a slot"
         );
@@ -365,7 +365,7 @@ fn max_conns_rejects_excess_connections_on_every_backend() {
         // Freeing a slot makes room again.
         drop(second);
         wait_until(&format!("[{backend}] slot freed"), 10, || {
-            service.metrics().open_connections() == 1
+            service.metrics_snapshot().connections_open == 1
         });
         let mut fourth = Client::connect(addr).expect("fourth connect");
         fourth
@@ -388,7 +388,7 @@ fn shutdown_never_dials_its_own_listener() {
         let (handle, service) = start_server(backend);
         handle.shutdown();
         assert_eq!(
-            service.metrics().total_accepted(),
+            service.metrics_snapshot().connections_accepted,
             0,
             "[{backend}] shutdown must not fabricate a connection to wake accept"
         );
