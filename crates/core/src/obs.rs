@@ -74,9 +74,10 @@ pub fn bucket_upper(index: usize) -> u64 {
 /// relaxed atomic, so concurrent recorders never contend on more than a
 /// cache line. Reads go through [`LatencyHistogram::snapshot`], which is a
 /// point-in-time copy (not a consistent cut — counters recorded mid-copy may
-/// or may not appear; for quiesced states the snapshot is exact). There is
-/// no separate count atomic: a snapshot's count is the sum of the buckets it
-/// copied, so the buckets never disagree with it.
+/// or may not appear; for quiesced states the snapshot is exact). A
+/// snapshot's count is the sum of the buckets it copied, not a separate
+/// tally, so a scrape under load never shows more bucket observations than
+/// its count.
 #[derive(Debug)]
 pub struct LatencyHistogram {
     counts: Box<[AtomicU64; BUCKETS]>,

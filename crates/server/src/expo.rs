@@ -482,10 +482,10 @@ lcl_x_count{kind=\"b\"} 0
         );
     }
 
-    /// A fixed service driven through a scripted counter history: every
-    /// family is nonzero somewhere, and no wall-clock latency is recorded
-    /// (the classifies go straight to the engine), so both renderings are
-    /// fully deterministic apart from the uptime fields.
+    /// A fixed service driven through a scripted counter history that
+    /// calls every recording method. No wall-clock latency is recorded (the
+    /// classifies go straight to the engine), so both renderings are fully
+    /// deterministic apart from the uptime fields.
     fn golden_service() -> Service {
         use lcl_paths::problems;
         let service = Service::new(Engine::builder().parallelism(2).cache_shards(2).build());
