@@ -26,23 +26,25 @@
 //! rejections and oversized-frame rejections resolve on the calling thread;
 //! every other frame runs as one job on the engine's *persistent worker
 //! pool*. [`Service::handle_line`] runs that job body inline for lock-step
-//! embedders. The framings:
+//! embedders.
+//!
+//! One sans-IO connection core (`conn.rs`) holds the only frame decoder
+//! and the only ordered reply queue; every front end drives it, so the wire
+//! bytes are the same by construction:
 //!
 //! * **TCP** ([`Server`]) — *pipelined* connections: every frame is
 //!   dispatched immediately (bounded per-connection window,
 //!   [`Server::max_inflight`]) and replies are emitted **in request
-//!   order**, so a single connection can keep the whole pool busy; nothing
-//!   is spawned on the per-request path, and
+//!   order**, so a single connection can keep the whole pool busy;
 //!   [`ServerHandle`] shuts the listener and every open connection down
-//!   gracefully. Two interchangeable connection [`Backend`]s implement the
-//!   identical wire contract: an epoll **reactor** (Linux, default there)
-//!   that serves *all* connections on one event-loop thread — thousands of
-//!   sockets on a fixed thread budget — and the portable **threads**
-//!   backend (a reader/writer thread pair per connection).
-//!   [`Server::max_conns`] caps the accepted-connection count either way;
+//!   gracefully. Two interchangeable connection [`Backend`]s: an epoll
+//!   **reactor** (Linux, default there) serving *all* connections on one
+//!   event-loop thread, and the portable **threads** backend (a
+//!   reader/writer thread pair per connection). [`Server::max_conns`] caps
+//!   the accepted-connection count either way;
 //! * **stdio** ([`serve_stdio`]) — the `lcl-serve --stdio` pipe mode, same
-//!   frames over stdin/stdout through the same dispatch, lock-step (each
-//!   reply is written before the next frame is read).
+//!   frames over stdin/stdout, lock-step (each reply is written before the
+//!   next frame is read).
 //!
 //! [`Client`] is the matching blocking client helper used by the integration
 //! tests, the CI smoke step and the `server_throughput` bench;
@@ -83,6 +85,7 @@
 
 mod admission;
 pub mod client;
+mod conn;
 mod expo;
 mod frame;
 mod metrics;

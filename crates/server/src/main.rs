@@ -421,9 +421,10 @@ fn run_tcp(service: Arc<Service>, addr: &str, options: &Options) -> Result<(), S
         Server::bind(Arc::clone(&service), addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let server = configure(server, options);
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    let backend = options
-        .backend
-        .unwrap_or_else(Backend::from_env_or_platform);
+    let backend = match options.backend {
+        Some(backend) => backend,
+        None => Backend::from_env_or_platform().map_err(|e| e.to_string())?,
+    };
     eprintln!("lcl-serve listening on {bound} ({backend} backend)");
     server.run().map_err(|e| format!("serve {bound}: {e}"))?;
     write_snapshot_logged(&service);

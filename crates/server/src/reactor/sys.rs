@@ -5,8 +5,9 @@
 //! are declared directly against the C library with `extern "C"` instead of
 //! pulling in `libc`/`mio`. Only what the reactor actually needs is bound:
 //! `epoll_create1`/`epoll_ctl`/`epoll_wait`, `eventfd`, `close`,
-//! `read`/`write` (for the eventfd counter), `writev` (the event loop's
-//! vectored reply flush) and `fcntl` (to flip the eventfd nonblocking).
+//! `read`/`write` (for the eventfd counter) and `fcntl` (to flip the eventfd
+//! nonblocking). Sockets are read and written through `std`: the reply
+//! flush is `Write::write_vectored` on a `&TcpStream`, which is `writev`.
 //!
 //! This is the **only** module in the crate allowed to contain `unsafe`
 //! (`#[allow(unsafe_code)]` at the module item; the crate denies it
@@ -43,37 +44,6 @@ pub(crate) const EPOLL_CTL_MOD: c_int = 3;
 pub(crate) const EPOLLIN: u32 = 0x001;
 pub(crate) const EPOLLOUT: u32 = 0x004;
 
-/// One gather segment for [`sys_writev`]. Mirrors `struct iovec`
-/// (`<sys/uio.h>`): a base pointer plus a length, naturally aligned on
-/// every architecture.
-#[repr(C)]
-#[derive(Copy, Clone)]
-pub(crate) struct IoVec {
-    base: *const c_void,
-    len: usize,
-}
-
-impl IoVec {
-    /// An empty segment, for initializing a gather array.
-    pub(crate) fn empty() -> IoVec {
-        IoVec {
-            base: std::ptr::null(),
-            len: 0,
-        }
-    }
-
-    /// Points the segment at `bytes`. The caller keeps `bytes` alive and
-    /// unmoved until the [`sys_writev`] call returns — trivially true for
-    /// the reactor, which builds the gather array and issues the call in
-    /// one expression scope.
-    pub(crate) fn from_bytes(bytes: &[u8]) -> IoVec {
-        IoVec {
-            base: bytes.as_ptr().cast::<c_void>(),
-            len: bytes.len(),
-        }
-    }
-}
-
 /// `EPOLL_CLOEXEC` == `O_CLOEXEC`.
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 /// `EFD_CLOEXEC` == `O_CLOEXEC`.
@@ -92,7 +62,6 @@ extern "C" {
     fn close(fd: c_int) -> c_int;
     fn read(fd: c_int, buf: *mut c_void, count: usize) -> isize;
     fn write(fd: c_int, buf: *const c_void, count: usize) -> isize;
-    fn writev(fd: c_int, iov: *const IoVec, iovcnt: c_int) -> isize;
     fn fcntl(fd: c_int, cmd: c_int, arg: c_int) -> c_int;
 }
 
@@ -164,18 +133,4 @@ pub(crate) fn sys_eventfd_read(fd: c_int) -> isize {
 pub(crate) fn sys_eventfd_signal(fd: c_int) -> isize {
     let one: u64 = 1;
     unsafe { write(fd, (&one as *const u64).cast::<c_void>(), 8) }
-}
-
-/// `writev(fd, iov, iovcnt)`: writes the gather segments in order as one
-/// syscall; the byte count written (which may end mid-segment), or -1 with
-/// `errno` set (`EAGAIN` when the socket buffer is full).
-#[allow(unsafe_code)]
-pub(crate) fn sys_writev(fd: c_int, iov: &[IoVec]) -> isize {
-    unsafe {
-        writev(
-            fd,
-            iov.as_ptr(),
-            iov.len().min(c_int::MAX as usize) as c_int,
-        )
-    }
 }

@@ -21,8 +21,8 @@
 //!   ([`Engine::classify_observed`], [`Engine::solve_inline`]) — a worker
 //!   parked on *another* pool job could deadlock a narrow pool.
 //!
-//! Front-ends resolve the handles in request order; the stdio loop and the
-//! threads backend share one blocking writer for that. [`Service::handle_line`]
+//! Front-ends resolve the handles in request order through the connection
+//! core's reply queue (`conn.rs`). [`Service::handle_line`]
 //! is the lock-step helper for embedders: it runs the pool-job body inline
 //! on the calling thread and returns the envelope.
 //!
@@ -36,7 +36,7 @@
 //! Nothing ever spawns a thread on the request path.
 
 use crate::admission::{AdmissionConfig, QuotaLimiter, ShedPolicy};
-use crate::frame::{write_frame, Frame, MAX_FRAME_BYTES};
+use crate::frame::{Frame, MAX_FRAME_BYTES};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
@@ -50,7 +50,7 @@ use lcl_paths::problem::{
 use lcl_paths::{Engine, Error};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::net::IpAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -221,10 +221,11 @@ impl Origin {
 pub struct PendingResponse {
     reply: Reply,
     /// The request's stage trace (when detailed metrics are on). The
-    /// connection writer takes it to stamp the write stage after the
-    /// terminal frame reaches the socket; an untaken trace finalizes on
-    /// drop, so a dying connection still records its partial stages.
-    trace: Option<Arc<Trace>>,
+    /// connection core's reply queue takes it to stamp the write stage
+    /// after the terminal frame reaches the socket; an untaken trace
+    /// finalizes on drop, so a dying connection still records its partial
+    /// stages.
+    pub(crate) trace: Option<Arc<Trace>>,
 }
 
 #[derive(Debug)]
@@ -297,47 +298,6 @@ impl PendingResponse {
                 StreamFrame::Chunk(_) => {}
             }
         }
-    }
-
-    /// Takes the request's stage trace, transferring the duty (and the
-    /// right) to stamp the write stage to the caller. `None` when detailed
-    /// metrics are off or the trace was already taken.
-    pub(crate) fn take_trace(&mut self) -> Option<Arc<Trace>> {
-        self.trace.take()
-    }
-
-    /// Writes this reply to a blocking writer — the stdio loop's and the
-    /// threads backend's shared writer. Chunk frames are written and flushed
-    /// as they arrive, so the peer sees labeling progress; the terminal
-    /// frame is left unflushed (batching is the caller's policy) and stamps
-    /// the trace's write stage. Before parking on a still-running job it
-    /// flushes, so replies already buffered never wait behind it. On an
-    /// error the handle drops, which closes the frame channel and aborts a
-    /// producing stream.
-    pub(crate) fn write_to(mut self, writer: &mut impl Write) -> io::Result<()> {
-        loop {
-            let frame = match self.try_frame() {
-                Some(frame) => frame,
-                None => {
-                    writer.flush()?;
-                    self.wait_frame()
-                }
-            };
-            match frame {
-                StreamFrame::Chunk(line) => {
-                    write_frame(writer, &line)?;
-                    writer.flush()?;
-                }
-                StreamFrame::Final(line) => break write_frame(writer, &line)?,
-                // The pieces (head, id, cached payload bytes, tail) stream
-                // straight into the writer: no per-frame `String`.
-                StreamFrame::Spliced(spliced) => break spliced.write_to(writer)?,
-            }
-        }
-        if let Some(trace) = self.trace.take() {
-            trace.finish_written();
-        }
-        Ok(())
     }
 }
 

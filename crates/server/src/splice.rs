@@ -9,11 +9,9 @@
 //! {"id":<id>,"kind":"classify","ok":true,"payload":<cached bytes>}
 //! ```
 //!
-//! so the backends can assemble a reply frame from three constant pieces
-//! plus the shared payload, without building a [`JsonValue`] tree or
-//! serializing anything: the blocking writers stream the pieces straight
-//! into their buffered writer, the reactor enqueues the shared payload as a
-//! borrowed output segment for its vectored writes. The decomposition is
+//! so the connection core's reply queue can write a reply frame as the head,
+//! the shared payload and [`FRAME_TAIL`] in one vectored write, without
+//! building a [`JsonValue`] tree or serializing anything. The decomposition is
 //! pinned byte-identical to the canonical serializer
 //! ([`ResponseEnvelope::ok`]) by the tests below — splicing is invisible on
 //! the wire.
@@ -22,7 +20,7 @@
 //! [`JsonValue`]: lcl_paths::problem::json::JsonValue
 //! [`ResponseEnvelope::ok`]: lcl_paths::problem::ResponseEnvelope::ok
 
-use std::io::{self, Write};
+use std::io::Write;
 use std::sync::Arc;
 
 /// The bytes of a success envelope before the id: `{"id":`.
@@ -42,9 +40,8 @@ pub(crate) const FRAME_TAIL: &[u8] = b"}\n";
 /// [`StreamFrame::Spliced`](crate::StreamFrame::Spliced).
 ///
 /// The payload bytes are shared (`Arc<[u8]>`) with the engine's reply-bytes
-/// cache; materializing the frame is an id-format plus a memcpy (or, on the
-/// reactor backend, no copy at all — the payload is written from the cache
-/// entry by `writev`). [`SplicedReply::to_frame_string`] produces the exact
+/// cache; on every front end the payload is written straight from the cache
+/// entry by a vectored write. [`SplicedReply::to_frame_string`] produces the exact
 /// line the canonical serializer would have produced.
 #[derive(Clone, Debug)]
 pub struct SplicedReply {
@@ -64,8 +61,8 @@ impl SplicedReply {
     }
 
     /// Everything before the payload — `{"id":<id>,"kind":…,"payload":` —
-    /// as one owned buffer. The reactor pairs this with a borrowed payload
-    /// segment and [`FRAME_TAIL`].
+    /// as one owned buffer. The reply queue pairs this with a borrowed
+    /// payload segment and [`FRAME_TAIL`].
     pub(crate) fn head_bytes(&self) -> Vec<u8> {
         // HEAD + up to 20 id bytes ("-9223372036854775808") + MID.
         let mut head = Vec::with_capacity(HEAD.len() + 20 + MID.len());
@@ -73,22 +70,6 @@ impl SplicedReply {
         write!(head, "{}", self.id).expect("writing to a Vec cannot fail");
         head.extend_from_slice(MID);
         head
-    }
-
-    /// Writes the full wire frame (newline included) into `w`. This is the
-    /// blocking writers' path (the thread backend and stdio): the pieces
-    /// stream into the buffered writer with no per-frame `String`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the writer's I/O error, exactly like writing a
-    /// pre-serialized line would.
-    pub(crate) fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        w.write_all(HEAD)?;
-        write!(w, "{}", self.id)?;
-        w.write_all(MID)?;
-        w.write_all(&self.payload)?;
-        w.write_all(FRAME_TAIL)
     }
 
     /// Materializes the reply as the serialized envelope line (without the
@@ -133,15 +114,6 @@ mod tests {
     fn spliced_frames_match_the_canonical_serializer_for_extreme_ids() {
         for id in [0, 7, -1, 42, i64::MAX, i64::MIN] {
             assert_eq!(spliced(id).to_frame_string(), canonical(id), "id {id}");
-        }
-    }
-
-    #[test]
-    fn write_to_streams_the_same_bytes_plus_the_newline() {
-        for id in [3, -9000, i64::MAX] {
-            let mut wire = Vec::new();
-            spliced(id).write_to(&mut wire).unwrap();
-            assert_eq!(wire, format!("{}\n", canonical(id)).into_bytes());
         }
     }
 

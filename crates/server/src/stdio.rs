@@ -2,18 +2,21 @@
 //!
 //! This is the `lcl-serve --stdio` pipe mode
 //! (`echo '{"v":1,…}' | lcl-serve --stdio`), and doubles as the in-memory
-//! harness the protocol-robustness tests drive with `io::Cursor`.
+//! harness the protocol-robustness tests drive with `io::Cursor`. It drives
+//! the connection core (`conn.rs`) lock-step, one frame in flight.
 
-use crate::frame::{read_frame, MAX_FRAME_BYTES};
+use crate::conn::{FrameDecoder, ReplyQueue};
+use crate::frame::MAX_FRAME_BYTES;
 use crate::service::{Origin, Service};
 use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 /// Serves frames from `input` until EOF, writing one terminal response line
 /// per frame to `output` — preceded by its intermediate chunk frames for
-/// `solve_stream`, each flushed as it is produced, so a pipe consumer sees
-/// labeling progress with O(chunk) buffering. Oversized and malformed
-/// frames get structured error replies; only I/O errors abort the loop.
+/// `solve_stream`, flushed whenever the next one is not ready yet, so a
+/// pipe consumer sees labeling progress with O(chunk) buffering. Oversized
+/// and malformed frames get structured error replies; only I/O errors abort
+/// the loop.
 ///
 /// Each frame goes through [`Service::dispatch`] exactly as on the TCP
 /// backends — the splice lane, admission, then a pool job — and its reply is
@@ -30,8 +33,11 @@ pub fn serve_stdio(
 ) -> io::Result<()> {
     service.metrics().set_backend("stdio");
     let origin = Origin::default();
-    while let Some(frame) = read_frame(&mut input, MAX_FRAME_BYTES)? {
-        service.dispatch(frame, &origin).write_to(&mut output)?;
+    let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
+    let mut replies = ReplyQueue::new(service.max_chunk_bytes());
+    while let Some(frame) = decoder.read_from(&mut input)? {
+        replies.push(service.dispatch(frame, &origin));
+        replies.drain_to(&mut output, |_| {})?;
         output.flush()?;
     }
     Ok(())

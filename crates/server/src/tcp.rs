@@ -1,19 +1,21 @@
 //! The TCP front-end: a listener with two interchangeable connection
-//! backends and graceful shutdown.
+//! backends and graceful shutdown. Both drive the same connection core
+//! (`conn.rs`: one frame decoder, one ordered reply queue), so they emit
+//! the same bytes.
 //!
 //! * [`Backend::Reactor`] (Linux, the default there) — a single
 //!   epoll-driven event loop serves **every** connection on a fixed thread
 //!   budget: one reactor thread plus the engine's worker pool, whatever the
-//!   connection count (see [`crate::reactor`](self)'s module docs in
-//!   `reactor/mod.rs`).
+//!   connection count (see `reactor/mod.rs`).
 //! * [`Backend::Threads`] (portable fallback) — each accepted socket gets a
-//!   **reader** thread (parses NDJSON frames and dispatches each into the
-//!   worker pool immediately) and a **writer** thread (resolves replies in
-//!   request order). Two OS threads per connection: fine for hundreds of
-//!   sockets, the reason the reactor exists for thousands.
+//!   **reader** thread (decodes frames and dispatches each into the worker
+//!   pool immediately) and a **writer** thread (drains the reply queue in
+//!   request order). Neither holds a lock across a blocking read or write.
+//!   Two OS threads per connection: fine for hundreds of sockets, the
+//!   reason the reactor exists for thousands.
 //!
-//! Both backends implement the identical `docs/PROTOCOL.md` v1.1 contract:
-//! every frame produces one reply, replies arrive in request order per
+//! Both backends implement the `docs/PROTOCOL.md` v1.1 contract: every
+//! frame produces one reply, replies arrive in request order per
 //! connection, at most [`Server::max_inflight`] requests per connection are
 //! dispatched-but-unwritten at once (a full window stops the reads — plain
 //! TCP backpressure), and [`Server::max_conns`] bounds how many connections
@@ -24,10 +26,11 @@
 //! when the listener's address is not connectable from here — then unblocks
 //! every open connection and joins all threads before returning.
 
-use crate::frame::{read_frame, MAX_FRAME_BYTES};
+use crate::conn::{FrameDecoder, ReplyQueue};
+use crate::frame::MAX_FRAME_BYTES;
 use crate::service::{Origin, PendingResponse, Service};
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
@@ -96,17 +99,26 @@ impl Backend {
         }
     }
 
-    /// The default backend honoring the [`BACKEND_ENV_VAR`] override when it
-    /// names an available backend; [`Backend::platform_default`] otherwise.
-    pub fn from_env_or_platform() -> Backend {
-        if let Ok(name) = std::env::var(BACKEND_ENV_VAR) {
-            if let Some(backend) = Backend::from_name(name.trim()) {
-                if backend.available() {
-                    return backend;
-                }
-            }
-        }
-        Backend::platform_default()
+    /// The backend [`BACKEND_ENV_VAR`] names, [`Backend::platform_default`]
+    /// when it is unset. A named backend this platform lacks falls back to
+    /// the thread backend at start.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` naming the value when it is not a backend name, so a
+    /// typo cannot silently run the other backend.
+    pub fn from_env_or_platform() -> io::Result<Backend> {
+        let Ok(name) = std::env::var(BACKEND_ENV_VAR) else {
+            return Ok(Backend::platform_default());
+        };
+        Backend::from_name(name.trim()).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "{BACKEND_ENV_VAR}={name:?} is not a backend (expected reactor or threads)"
+                ),
+            )
+        })
     }
 
     /// This backend when available on the current platform, the portable
@@ -154,7 +166,7 @@ impl Control {
 
 /// Bookkeeping of the thread backend: open-connection registry (so shutdown
 /// can unblock parked readers) and handler join handles.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ServerState {
     /// Clones of every open connection's stream, so shutdown can unblock
     /// readers; handlers deregister themselves on exit (keyed by a
@@ -166,17 +178,6 @@ struct ServerState {
     /// `ServerMetrics` gauge would conflate several servers sharing one
     /// `Service` (the reactor likewise counts only its own connections).
     open: AtomicU64,
-}
-
-impl ServerState {
-    fn new() -> Self {
-        ServerState {
-            connections: Mutex::new(HashMap::new()),
-            connection_seq: AtomicU64::new(0),
-            handlers: Mutex::new(Vec::new()),
-            open: AtomicU64::new(0),
-        }
-    }
 }
 
 /// A bound TCP server, not yet accepting connections.
@@ -202,14 +203,16 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure (address in use, permission, …).
+    /// `InvalidInput` when [`BACKEND_ENV_VAR`] names no backend; otherwise
+    /// the bind failure (address in use, permission, …).
     pub fn bind(service: Arc<Service>, addr: impl ToSocketAddrs) -> io::Result<Server> {
+        let backend = Backend::from_env_or_platform()?;
         Ok(Server {
             listener: TcpListener::bind(addr)?,
             service,
             max_inflight: DEFAULT_MAX_INFLIGHT,
             max_conns: usize::MAX,
-            backend: Backend::from_env_or_platform(),
+            backend,
         })
     }
 
@@ -258,62 +261,21 @@ impl Server {
     /// setup failures.
     pub fn start(self) -> io::Result<ServerHandle> {
         let addr = self.listener.local_addr()?;
-        self.service
-            .metrics()
-            .set_backend(self.backend.resolve().name());
         let control = Control::new()?;
-        #[cfg(target_os = "linux")]
-        if self.backend.resolve() == Backend::Reactor {
-            let reactor = Reactor::new(
-                self.listener,
-                self.service,
-                Arc::clone(&control),
-                self.max_inflight,
-                self.max_conns,
-            )?;
-            let main = thread::Builder::new()
-                .name("lcl-server-reactor".into())
-                .spawn(move || {
-                    // A mid-service epoll failure is fatal and cannot be
-                    // surfaced through the handle; at least say so.
-                    if let Err(e) = reactor.run() {
-                        eprintln!("lcl-server: reactor event loop failed: {e}");
-                    }
-                })?;
-            return Ok(ServerHandle {
-                addr,
-                control,
-                main: Some(main),
-                thread_state: None,
-            });
-        }
-        // Nonblocking accepts + an explicit wait let shutdown interrupt the
-        // loop without the old trick of dialing the listen address. Done
-        // here so a failure surfaces to the caller instead of producing a
-        // server that looks started but serves nothing.
-        self.listener.set_nonblocking(true)?;
-        let state = Arc::new(ServerState::new());
-        let accept_state = Arc::clone(&state);
-        let accept_control = Arc::clone(&control);
-        let max_inflight = self.max_inflight;
-        let max_conns = self.max_conns;
-        let main = thread::Builder::new()
-            .name("lcl-server-accept".into())
-            .spawn(move || {
-                accept_loop(
-                    self.listener,
-                    self.service,
-                    accept_state,
-                    accept_control,
-                    max_inflight,
-                    max_conns,
-                )
-            })?;
+        let name = format!("lcl-server-{}", self.backend.resolve());
+        let (serve, thread_state) = self.prepare(&control)?;
+        let main = thread::Builder::new().name(name).spawn(move || {
+            // A mid-service epoll failure is fatal and cannot be surfaced
+            // through the handle; at least say so.
+            if let Err(e) = serve() {
+                eprintln!("lcl-server: serving loop failed: {e}");
+            }
+        })?;
         Ok(ServerHandle {
             addr,
             control,
             main: Some(main),
-            thread_state: Some(state),
+            thread_state,
         })
     }
 
@@ -325,33 +287,51 @@ impl Server {
     ///
     /// Propagates listener-setup and (reactor) epoll/eventfd failures.
     pub fn run(self) -> io::Result<()> {
-        self.service
-            .metrics()
-            .set_backend(self.backend.resolve().name());
         let control = Control::new()?;
+        let (serve, _) = self.prepare(&control)?;
+        serve()
+    }
+
+    /// Sets up the backend's serving loop without running it, so setup
+    /// failures surface to the caller instead of producing a server that
+    /// looks started but serves nothing. The thread backend also returns
+    /// the connection registry shutdown unblocks.
+    fn prepare(self, control: &Arc<Control>) -> io::Result<(ServeLoop, Option<Arc<ServerState>>)> {
+        let backend = self.backend.resolve();
+        self.service.metrics().set_backend(backend.name());
         #[cfg(target_os = "linux")]
-        if self.backend.resolve() == Backend::Reactor {
-            return Reactor::new(
+        if backend == Backend::Reactor {
+            let reactor = Reactor::new(
                 self.listener,
                 self.service,
+                Arc::clone(control),
+                self.max_inflight,
+                self.max_conns,
+            )?;
+            return Ok((Box::new(move || reactor.run()), None));
+        }
+        // Nonblocking accepts + an explicit wait let shutdown interrupt the
+        // loop without the old trick of dialing the listen address.
+        self.listener.set_nonblocking(true)?;
+        let state = Arc::<ServerState>::default();
+        let (loop_state, control) = (Arc::clone(&state), Arc::clone(control));
+        let serve = move || {
+            accept_loop(
+                self.listener,
+                self.service,
+                loop_state,
                 control,
                 self.max_inflight,
                 self.max_conns,
-            )?
-            .run();
-        }
-        self.listener.set_nonblocking(true)?;
-        accept_loop(
-            self.listener,
-            self.service,
-            Arc::new(ServerState::new()),
-            control,
-            self.max_inflight,
-            self.max_conns,
-        );
-        Ok(())
+            );
+            Ok(())
+        };
+        Ok((Box::new(serve), Some(state)))
     }
 }
+
+/// A backend's serving loop, ready to run on whichever thread serves.
+type ServeLoop = Box<dyn FnOnce() -> io::Result<()> + Send>;
 
 /// Handle to a server started with [`Server::start`]: exposes the bound
 /// address and performs graceful shutdown (on [`ServerHandle::shutdown`] or
@@ -401,43 +381,18 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Parks the thread-backend accept loop until the listener is ready (or a
+/// The thread-backend accept loop's wait until the listener is ready (or a
 /// shutdown wakeup arrives). On Linux this is an epoll wait on the listener
-/// and the control eventfd; elsewhere it degrades to a short sleep, which
-/// bounds both accept latency and shutdown latency at the poll interval.
-#[cfg(target_os = "linux")]
-struct AcceptWaiter {
-    epoll: Option<crate::reactor::AcceptPoll>,
-}
-
-#[cfg(target_os = "linux")]
-impl AcceptWaiter {
-    fn new(listener: &TcpListener, control: &Control) -> AcceptWaiter {
-        AcceptWaiter {
-            epoll: crate::reactor::AcceptPoll::new(listener, control).ok(),
-        }
+/// and the control eventfd; elsewhere (or if that setup fails) it degrades
+/// to a short sleep, which bounds both accept latency and shutdown latency
+/// at the poll interval.
+fn accept_waiter(listener: &TcpListener, control: &Control) -> Box<dyn FnMut()> {
+    #[cfg(target_os = "linux")]
+    if let Ok(mut poll) = crate::reactor::AcceptPoll::new(listener, control) {
+        return Box::new(move || poll.wait());
     }
-
-    fn wait(&mut self) {
-        match &mut self.epoll {
-            Some(poll) => poll.wait(),
-            None => thread::sleep(Duration::from_millis(10)),
-        }
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-struct AcceptWaiter;
-
-#[cfg(not(target_os = "linux"))]
-impl AcceptWaiter {
-    fn new(_listener: &TcpListener, _control: &Control) -> AcceptWaiter {
-        AcceptWaiter
-    }
-
-    fn wait(&mut self) {
-        thread::sleep(Duration::from_millis(10));
-    }
+    let _ = (listener, control);
+    Box::new(|| thread::sleep(Duration::from_millis(10)))
 }
 
 fn accept_loop(
@@ -451,7 +406,7 @@ fn accept_loop(
     // The caller already flipped the listener nonblocking; accepts plus an
     // explicit wait let shutdown interrupt the loop without the old trick
     // of dialing the listen address.
-    let mut waiter = AcceptWaiter::new(&listener, &control);
+    let mut wait = accept_waiter(&listener, &control);
     loop {
         if control.shutdown_requested() {
             break;
@@ -459,7 +414,7 @@ fn accept_loop(
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                waiter.wait();
+                wait();
                 continue;
             }
             Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -611,9 +566,9 @@ impl InflightWindow {
         true
     }
 
-    /// Returns a slot (the reply was written back).
-    fn release(&self) {
-        self.lock().used -= 1;
+    /// Returns `slots` slots (their replies were written back).
+    fn release(&self, slots: usize) {
+        self.lock().used -= slots;
         self.changed.notify_one();
     }
 
@@ -624,14 +579,15 @@ impl InflightWindow {
     }
 }
 
-/// Serves one connection, pipelined: this thread reads frames and
-/// dispatches each into the worker pool, a paired writer thread emits the
-/// replies in request order, and an [`InflightWindow`] bounds how many
-/// requests are dispatched-but-unwritten — when the window is full the
-/// reader stops pulling frames, which backpressures the peer through TCP.
-/// Oversized and malformed frames get structured error replies and do NOT
-/// close the connection; the stream ends on EOF or an I/O error, after the
-/// window drains.
+/// Serves one connection, pipelined: this thread decodes frames and
+/// dispatches each into the worker pool, a paired writer thread drains the
+/// replies through the connection core's [`ReplyQueue`] in request order,
+/// and an [`InflightWindow`] bounds how many requests are
+/// dispatched-but-unwritten — when the window is full the reader stops
+/// pulling frames, which backpressures the peer through TCP. Oversized and
+/// malformed frames get structured error replies and do NOT close the
+/// connection; the stream ends on EOF or an I/O error, after the window
+/// drains.
 fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inflight: usize) {
     let Ok(writer_stream) = stream.try_clone() else {
         return;
@@ -640,19 +596,21 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inf
     let window = InflightWindow::new(max_inflight);
     let (ordered_tx, ordered_rx) = mpsc::channel::<PendingResponse>();
     let writer_window = Arc::clone(&window);
+    let max_chunk_bytes = service.max_chunk_bytes();
     let Ok(writer) = thread::Builder::new()
         .name(format!("lcl-server-conn-{id}-writer"))
-        .spawn(move || write_loop(writer_stream, ordered_rx, &writer_window))
+        .spawn(move || write_loop(&writer_stream, &ordered_rx, &writer_window, max_chunk_bytes))
     else {
         return;
     };
     let mut reader = BufReader::new(stream);
+    let mut decoder = FrameDecoder::new(MAX_FRAME_BYTES);
     // Take a window slot BEFORE dispatching, so the bound holds exactly;
     // `acquire` blocks while the window is full (that is the backpressure),
     // wakes as the writer drains it, gives up when the writer died. The
     // queue itself is unbounded (the window is the bound) and only
     // disconnects when the writer died; then the read side ends too.
-    while let Ok(Some(frame)) = read_frame(&mut reader, MAX_FRAME_BYTES) {
+    while let Ok(Some(frame)) = decoder.read_from(&mut reader) {
         if !window.acquire() || ordered_tx.send(service.dispatch(frame, &origin)).is_err() {
             break;
         }
@@ -663,40 +621,29 @@ fn handle_connection(stream: TcpStream, service: &Arc<Service>, id: u64, max_inf
     let _ = writer.join();
 }
 
-/// The writer half of a pipelined connection: resolves queued replies in
-/// request order ([`PendingResponse`]'s blocking writer, shared with the
-/// stdio loop), releasing each reply's window slot once written. Flushes
-/// when no further reply is instantly available — so bursts of ready
-/// replies coalesce into few syscalls, but an already-written reply is
-/// never held back while the next request is still computing. A streaming
-/// request occupies exactly one in-flight slot end to end: its chunks are
-/// written and flushed as they arrive, and the slot is released at the
-/// terminal frame.
+/// The writer half of a pipelined connection: moves every reply already
+/// dispatched into the [`ReplyQueue`] and drains it to the socket, which
+/// gathers ready replies into vectored writes and releases each reply's
+/// window slot once its bytes are written. A streaming request occupies
+/// exactly one slot end to end. On exit (peer gone, or the reader closed
+/// the queue) the window closes, so a reader parked on it wakes and stops.
 fn write_loop(
-    stream: TcpStream,
-    ordered_rx: mpsc::Receiver<PendingResponse>,
+    mut stream: &TcpStream,
+    ordered_rx: &mpsc::Receiver<PendingResponse>,
     window: &InflightWindow,
+    max_chunk_bytes: usize,
 ) {
-    let mut writer = BufWriter::new(stream);
-    let mut next = ordered_rx.recv().ok();
-    while let Some(pending) = next {
-        if pending.write_to(&mut writer).is_err() {
+    let mut replies = ReplyQueue::new(max_chunk_bytes);
+    while let Ok(reply) = ordered_rx.recv() {
+        replies.push(reply);
+        ordered_rx.try_iter().for_each(|reply| replies.push(reply));
+        if replies
+            .drain_to(&mut stream, |released| window.release(released))
+            .is_err()
+        {
             break;
         }
-        window.release();
-        next = match ordered_rx.try_recv() {
-            Ok(pending) => Some(pending), // more to write: delay the flush
-            Err(mpsc::TryRecvError::Empty) => match writer.flush() {
-                Ok(()) => ordered_rx.recv().ok(),
-                Err(_) => break,
-            },
-            Err(mpsc::TryRecvError::Disconnected) => None,
-        };
     }
-    // Final flush for whatever the break left buffered, then wake a reader
-    // parked on a full window; with the queue disconnected it exits instead
-    // of waiting for slots that will never free.
-    let _ = writer.flush();
     window.close();
 }
 
