@@ -26,7 +26,6 @@ use std::time::Instant;
 /// [`FrameDecoder::feed`] appends bytes, [`FrameDecoder::finish`] marks the
 /// end of the stream and [`FrameDecoder::next_frame`] takes complete frames
 /// out. How the bytes were chunked never changes the frames.
-#[derive(Debug)]
 pub(crate) struct FrameDecoder {
     max: usize,
     buf: Vec<u8>,
@@ -121,7 +120,8 @@ impl FrameDecoder {
             }
             // Invalid UTF-8 is replaced: the JSON parser then rejects the
             // frame with a structured error instead of the connection dying.
-            let line = String::from_utf8_lossy(&self.buf[self.consumed..line_end]).into_owned();
+            let line = String::from_utf8(self.buf[self.consumed..line_end].to_vec())
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
             self.consume_to(newline.map_or(end, |pos| pos + 1));
             if !line.trim().is_empty() {
                 return Some(Frame::Line(line));
@@ -164,7 +164,6 @@ const WRITE_BATCH: usize = 16;
 /// One piece of pending output. An owned segment *moves* the job's
 /// serialized `String` (no copy), a shared one *borrows* the engine's
 /// cached reply payload, a static one is a constant tail.
-#[derive(Debug)]
 enum OutSeg {
     Owned(Vec<u8>),
     Shared(Arc<[u8]>),
@@ -181,7 +180,6 @@ impl OutSeg {
     }
 }
 
-#[derive(Debug)]
 struct Segment {
     bytes: OutSeg,
     /// Set on a reply's last segment: writing it completes the reply, which
@@ -196,7 +194,6 @@ struct Segment {
 /// head reply's frames into segments; [`ReplyQueue::write_to`] writes them
 /// ([`ReplyQueue::drain_to`] does both on a blocking writer). A reply counts as
 /// in flight from its push until its last byte has been written.
-#[derive(Debug)]
 pub(crate) struct ReplyQueue {
     replies: VecDeque<PendingResponse>,
     out: VecDeque<Segment>,

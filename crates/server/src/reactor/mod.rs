@@ -4,10 +4,11 @@
 //! backend's two OS threads per connection.
 //!
 //! Framing and reply bytes come from the same connection core as the thread
-//! backend's, so the protocol (`docs/PROTOCOL.md` v1.1) is identical: per-connection in-order replies, id echo, the
-//! exact `max_inflight` window, structured errors for malformed and
-//! oversized frames, and backpressure by *not reading* from a connection
-//! whose window is full. What changes is purely the execution shape:
+//! backend's, so the protocol (`docs/PROTOCOL.md` v1.1) is identical:
+//! per-connection in-order replies, id echo, the exact `max_inflight`
+//! window, structured errors for malformed and oversized frames, and
+//! backpressure by *not reading* from a connection whose window is full.
+//! What changes is purely the execution shape:
 //!
 //! * **One event loop** ([`Reactor::run`]) owns the listener, every
 //!   connection socket (all nonblocking) and an [`EventFd`] waker, parked in
