@@ -485,4 +485,74 @@ mod tests {
             got[1]
         );
     }
+
+    /// A writer that takes at most three bytes per call, so short writes
+    /// cross every segment boundary.
+    struct Trickle(Vec<u8>);
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let n = buf.len().min(3);
+            self.0.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn short_writes_complete_each_reply_once_in_order() {
+        use crate::service::{Origin, Service};
+        use lcl_paths::problem::{json::JsonValue, RequestEnvelope};
+        use lcl_paths::{problems, Engine};
+
+        let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
+        let origin = Origin::default();
+        let classify = |id: i64| {
+            let problem = problems::coloring(3).to_spec().to_json();
+            let payload = JsonValue::object([("problem", problem)]);
+            Frame::Line(RequestEnvelope::new(id, "classify", payload).to_json_string())
+        };
+        // Warm the reply-bytes cache so a classify comes back spliced.
+        service.dispatch(classify(1), &origin).wait();
+        service.dispatch(classify(2), &origin).wait();
+        let frames = || {
+            [
+                Frame::Oversized {
+                    discarded: 7,
+                    started: Instant::now(),
+                },
+                classify(3),
+                Frame::Line("{".into()),
+            ]
+        };
+        let mut expected = Vec::new();
+        for frame in frames() {
+            expected.extend_from_slice(service.dispatch(frame, &origin).wait().as_bytes());
+            expected.push(b'\n');
+        }
+
+        let spliced_before = service.metrics().spliced_frames();
+        let mut replies = ReplyQueue::new(service.max_chunk_bytes());
+        for frame in frames() {
+            replies.push(service.dispatch(frame, &origin));
+        }
+        assert_eq!(service.metrics().spliced_frames(), spliced_before + 1);
+        assert_eq!(replies.in_flight(), 3);
+        let mut wire = Trickle(Vec::new());
+        let mut released = Vec::new();
+        replies
+            .drain_to(&mut wire, |n| released.push(n))
+            .expect("a Vec accepts every write");
+        assert_eq!(
+            wire.0, expected,
+            "the same bytes as the materialized replies"
+        );
+        assert!(released.iter().all(|&n| n <= 1), "{released:?}");
+        assert_eq!(released.iter().sum::<usize>(), 3);
+        assert_eq!(replies.in_flight(), 0);
+        assert!(!replies.has_output());
+    }
 }

@@ -22,9 +22,9 @@
 //!   parked on *another* pool job could deadlock a narrow pool.
 //!
 //! Front-ends resolve the handles in request order through the connection
-//! core's reply queue (`conn.rs`). [`Service::handle_line`]
-//! is the lock-step helper for embedders: it runs the pool-job body inline
-//! on the calling thread and returns the envelope.
+//! core's reply queue (`conn.rs`). [`Service::handle_line`] is the
+//! lock-step helper for embedders: it runs the pool-job body inline on the
+//! calling thread and returns the envelope.
 //!
 //! Most kinds produce exactly one reply frame. `solve_stream` additionally
 //! *streams*: zero or more already-serialized [`StreamFrame::Chunk`]s precede

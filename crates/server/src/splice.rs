@@ -40,9 +40,9 @@ pub(crate) const FRAME_TAIL: &[u8] = b"}\n";
 /// [`StreamFrame::Spliced`](crate::StreamFrame::Spliced).
 ///
 /// The payload bytes are shared (`Arc<[u8]>`) with the engine's reply-bytes
-/// cache; on every front end the payload is written straight from the cache
-/// entry by a vectored write. [`SplicedReply::to_frame_string`] produces the exact
-/// line the canonical serializer would have produced.
+/// cache; on every front end the payload is written straight from the
+/// cache entry by a vectored write. [`SplicedReply::to_frame_string`]
+/// produces the exact line the canonical serializer would have produced.
 #[derive(Clone, Debug)]
 pub struct SplicedReply {
     id: i64,
