@@ -10,12 +10,12 @@
 //!    `chunk + 2·radius + 1` — under 1/10 of the instance — so the solve
 //!    provably never holds the instance in memory;
 //! 2. **end-to-end TCP** — the same million-node instances streamed through
-//!    `lcl-serve` loopback connections on both connection backends (chunked
-//!    reply frames, bounded write backlog, pipelined slot accounting).
-//!    Printed: rows/sec per backend. **Asserted**: chunk counts and the
-//!    FNV-1a digest of the label stream are identical across backends, and
-//!    every stream passes the client's ordering checks (id echo, `seq`
-//!    increments, contiguous offsets, node-count reconciliation).
+//!    an `lcl-serve` loopback connection (chunked reply frames, bounded
+//!    write backlog, pipelined slot accounting). Printed: rows/sec.
+//!    **Asserted**: the chunk count and the FNV-1a digest of the label
+//!    stream equal the engine cursor's from experiment 1, and every stream
+//!    passes the client's ordering checks (id echo, `seq` increments,
+//!    contiguous offsets, node-count reconciliation).
 //!
 //! `copy-input` is the workload because its synthesized constant-round
 //! algorithm streams at ~6 µs/node; a `Θ(log* n)` problem like 3-coloring
@@ -27,7 +27,7 @@ use lcl_bench::banner;
 use lcl_classifier::Engine;
 use lcl_problem::{StreamInputs, StreamInstanceSpec, Topology};
 use lcl_problems::copy_input;
-use lcl_server::{Backend, Client, Server, Service, DEFAULT_MAX_CHUNK_BYTES};
+use lcl_server::{Client, Server, Service, DEFAULT_MAX_CHUNK_BYTES};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -58,7 +58,7 @@ fn instances() -> Vec<StreamInstanceSpec> {
 }
 
 /// FNV-1a over the label stream: cheap enough to run inside the timed
-/// region, strong enough to catch any cross-backend divergence.
+/// region, strong enough to catch any engine-vs-wire divergence.
 fn fnv1a(hash: u64, labels: &[u16]) -> u64 {
     labels.iter().fold(hash, |mut h, &l| {
         for byte in l.to_le_bytes() {
@@ -73,7 +73,7 @@ fn main() {
     banner(
         "E-STREAM",
         "million-node streaming solve: O(window) memory, chunked replies (this repository's addition)",
-        "rows/sec for 1M-node path + cycle, in-engine and end-to-end over both backends",
+        "rows/sec for 1M-node path + cycle, in-engine and end-to-end over TCP",
     );
 
     let problem = copy_input();
@@ -85,7 +85,7 @@ fn main() {
 
     println!("-- engine streaming: the cursor itself ------------------------");
     let engine = Engine::builder().parallelism(1).build();
-    let mut digests = Vec::new();
+    let mut engine_outcomes = Vec::new();
     for spec in instances() {
         let start = Instant::now();
         let mut solution = engine
@@ -93,11 +93,13 @@ fn main() {
             .expect("stream must open");
         let mut digest = 0xcbf2_9ce4_8422_2325u64;
         let mut emitted = 0u64;
+        let mut chunks = 0u64;
         while let Some(part) = solution.next_chunk(chunk) {
             let part = part.expect("chunk must verify");
             let indices: Vec<u16> = part.iter().map(|o| o.0).collect();
             digest = fnv1a(digest, &indices);
             emitted += part.len() as u64;
+            chunks += 1;
         }
         let elapsed = start.elapsed();
         assert_eq!(emitted, NODES, "every node must be labeled exactly once");
@@ -120,69 +122,44 @@ fn main() {
             spec.topology.to_string(),
             100.0 * peak as f64 / NODES as f64,
         );
-        digests.push(digest);
+        engine_outcomes.push((digest, chunks));
     }
 
-    println!("\n-- end-to-end TCP: chunked reply frames per backend -----------");
-    let backends: Vec<Backend> = [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect();
+    println!("\n-- end-to-end TCP: chunked reply frames -----------------------");
     let spec_wire = problem.to_spec();
-    let mut per_backend: Vec<(Backend, Vec<(u64, u64)>)> = Vec::new();
-    for &backend in &backends {
-        let service = Arc::new(Service::new(Engine::builder().parallelism(2).build()));
-        let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-            .expect("bind loopback")
-            .backend(backend)
-            .start()
-            .expect("start server");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-
-        let mut outcomes = Vec::new();
-        for instance in instances() {
-            let mut digest = 0xcbf2_9ce4_8422_2325u64;
-            let start = Instant::now();
-            let summary = client
-                .solve_stream(&spec_wire, &instance, |_, outputs| {
-                    digest = fnv1a(digest, outputs);
-                })
-                .unwrap_or_else(|e| panic!("[{backend}] stream: {e}"));
-            let elapsed = start.elapsed();
-            assert_eq!(summary.nodes, NODES, "[{backend}] node count");
-            let rows = NODES as f64 / elapsed.as_secs_f64().max(1e-12);
-            println!(
-                "{:>7} backend, {:>5}: {elapsed:>8.2?}   {rows:>12.0} rows/s   {} chunk frames",
-                backend.name(),
-                instance.topology.to_string(),
-                summary.chunks,
-            );
-            outcomes.push((digest, summary.chunks));
-        }
-        drop(client);
-        handle.shutdown();
-        per_backend.push((backend, outcomes));
-    }
-
-    // Cross-backend and engine-vs-wire byte identity, via the digests.
-    for (backend, outcomes) in &per_backend {
-        for (digest_and_chunks, engine_digest) in outcomes.iter().zip(&digests) {
-            assert_eq!(
-                digest_and_chunks.0, *engine_digest,
-                "{backend} backend streamed different labels than the engine cursor"
-            );
-        }
-    }
-    if let [(first, first_outcomes), rest @ ..] = per_backend.as_slice() {
-        for (other, other_outcomes) in rest {
-            assert_eq!(
-                first_outcomes, other_outcomes,
-                "backends {first} and {other} must stream identical chunks"
-            );
-        }
+    let service = Arc::new(Service::new(Engine::builder().parallelism(2).build()));
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
+        .expect("bind loopback")
+        .start()
+        .expect("start server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for (instance, engine_outcome) in instances().into_iter().zip(&engine_outcomes) {
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let start = Instant::now();
+        let summary = client
+            .solve_stream(&spec_wire, &instance, |_, outputs| {
+                digest = fnv1a(digest, outputs);
+            })
+            .unwrap_or_else(|e| panic!("stream: {e}"));
+        let elapsed = start.elapsed();
+        assert_eq!(summary.nodes, NODES, "node count");
+        let rows = NODES as f64 / elapsed.as_secs_f64().max(1e-12);
         println!(
-            "\nall backends streamed byte-identical labelings ({} instances, digests checked against the engine cursor)",
-            first_outcomes.len()
+            "{:>6}: {elapsed:>8.2?}   {rows:>12.0} rows/s   {} chunk frames",
+            instance.topology.to_string(),
+            summary.chunks,
+        );
+        // Engine-vs-wire byte identity, via the digests.
+        assert_eq!(
+            (digest, summary.chunks),
+            *engine_outcome,
+            "the wire streamed different labels or chunks than the engine cursor"
         );
     }
+    drop(client);
+    handle.shutdown();
+    println!(
+        "\nthe wire streamed byte-identical labelings ({} instances, digests checked against the engine cursor)",
+        engine_outcomes.len()
+    );
 }

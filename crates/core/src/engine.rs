@@ -75,6 +75,7 @@
 use crate::cache::{CacheStats, ShardStats, ShardedLruCache};
 use crate::classify::{classify_with_options, ClassifierOptions};
 use crate::pool::{PoolStats, WorkerPool};
+use crate::synthesis::SynthesizedAlgorithm;
 use crate::verdict::{Classification, Complexity, Verdict};
 use crate::Result;
 use lcl_local_sim::{LocalAlgorithm, Network, SyncSimulator};
@@ -525,33 +526,6 @@ impl Engine {
         self.core.classify_observed(problem)
     }
 
-    /// Classifies a problem on the worker pool: cache hits are served
-    /// directly on the calling thread, misses are computed by a pool worker
-    /// while the caller blocks on the reply.
-    ///
-    /// For callers off the pool ([`Engine::solve`], [`Engine::solve_stream`]):
-    /// the calling thread stays I/O-bound and all classification CPU burns
-    /// on the engine's persistent workers, without spawning any thread. Must not be
-    /// called from a pool worker itself (a single-worker pool would
-    /// deadlock); the engine never does this internally.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::classify`].
-    pub fn classify_pooled(&self, problem: &NormalizedLcl) -> Result<Arc<Classification>> {
-        let key = problem.structural_key();
-        if let Some(cached) = self.core.lookup(&key) {
-            return Ok(Arc::clone(&cached.classification));
-        }
-        let core = Arc::clone(&self.core);
-        let problem = problem.clone();
-        let rx = self.pool.submit_with_reply(move || core.classify(&problem));
-        // A disconnected reply means the job died (panicked) on the worker;
-        // surface that as a typed error instead of poisoning the caller.
-        rx.recv()
-            .unwrap_or_else(|_| Err(EngineCore::dropped_reply()))
-    }
-
     /// Submits an arbitrary task to the worker pool **without blocking** and
     /// returns the receiver its result will arrive on.
     ///
@@ -563,11 +537,9 @@ impl Engine {
     /// without a value if the task panics on its worker.
     ///
     /// Deadlock warning: the task runs *on* a pool worker, so it must not
-    /// itself park on other pool jobs ([`Engine::classify_pooled`],
-    /// [`Engine::classify_many`], [`Engine::solve`]) — with a single-worker
-    /// pool that self-wait can never be served. Inside a dispatched task,
-    /// classify with [`Engine::classify`] and solve with
-    /// [`Engine::solve_inline`], which do all work on the worker itself.
+    /// itself park on other pool jobs ([`Engine::classify_many`]) — with a
+    /// single-worker pool that self-wait can never be served. Every other
+    /// engine method works on the calling thread and is safe here.
     pub fn dispatch<T, F>(&self, task: F) -> mpsc::Receiver<T>
     where
         T: Send + 'static,
@@ -648,9 +620,8 @@ impl Engine {
 
     /// Classifies the problem, then runs the synthesized optimal algorithm on
     /// the instance (sequential identifiers, ball-view simulator) and verifies
-    /// the output: classify → synthesize → execute in one call. The
-    /// classification itself runs on the worker pool (cache hits short-cut on
-    /// the calling thread); the simulation runs on the calling thread.
+    /// the output: classify → synthesize → execute in one call, all on the
+    /// calling thread (so it is safe inside an [`Engine::dispatch`]ed task).
     ///
     /// # Errors
     ///
@@ -664,30 +635,39 @@ impl Engine {
         // Instances can arrive straight off the wire; validate against the
         // problem's alphabet before the verifier's assertions would panic.
         instance.check_alphabet(problem.num_inputs())?;
-        let classification = self.classify_pooled(problem)?;
+        let classification = self.classify_for_solve(problem)?;
         self.solve_classified(problem, instance, classification)
     }
 
-    /// [`Engine::solve`], with the classification done on the calling thread
-    /// instead of the worker pool.
-    ///
-    /// This exists for callers that are *already running on a pool worker*
-    /// (tasks submitted through [`Engine::dispatch`], such as the server's
-    /// pipelined request jobs): parking a worker on another pool job can
-    /// deadlock a narrow pool, so such callers must burn the classification
-    /// CPU in place.
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::solve`].
-    pub fn solve_inline(&self, problem: &NormalizedLcl, instance: &Instance) -> Result<Solution> {
-        instance.check_alphabet(problem.num_inputs())?;
-        let classification = self.classify(problem)?;
-        self.solve_classified(problem, instance, classification)
+    /// The classification a solve runs: [`Engine::classify`], except that a
+    /// snapshot-restored entry is reclassified once. A restored entry carries
+    /// the Θ(n) gather stand-in ([`crate::synthesis::RestoredAlgorithm`]),
+    /// which is exact for verdicts but far too slow to run; it is evicted and
+    /// recomputed through the ordinary miss path, so the cache counters keep
+    /// `entries + evictions == inserts` and later solves hit the fresh entry.
+    pub(crate) fn classify_for_solve(
+        &self,
+        problem: &NormalizedLcl,
+    ) -> Result<Arc<Classification>> {
+        let (entry, _) = self.core.classify_entry(problem)?;
+        if !matches!(
+            entry.classification.algorithm(),
+            SynthesizedAlgorithm::Restored(_)
+        ) {
+            return Ok(Arc::clone(&entry.classification));
+        }
+        // Evict only this restored value: a solve that raced us may have
+        // installed the fresh entry already.
+        self.core
+            .cache
+            .evict_if(&problem.structural_key(), |resident| {
+                Arc::ptr_eq(resident, &entry)
+            });
+        self.core.classify(problem)
     }
 
-    /// The shared tail of [`Engine::solve`] / [`Engine::solve_inline`]:
-    /// synthesize, simulate, verify, diagnose.
+    /// The tail of [`Engine::solve`]: synthesize, simulate, verify,
+    /// diagnose.
     fn solve_classified(
         &self,
         problem: &NormalizedLcl,
@@ -798,8 +778,8 @@ impl Engine {
     /// the ordinary insert path (recency reproduced, stats invariants
     /// preserved, present keys kept). Restored entries serve verdicts
     /// byte-identically to the originals; their synthesized algorithm is the
-    /// gather-everything stand-in
-    /// ([`crate::synthesis::RestoredAlgorithm`]).
+    /// gather-everything stand-in ([`crate::synthesis::RestoredAlgorithm`]),
+    /// which the first solve against the entry replaces by reclassifying.
     ///
     /// # Errors
     ///
@@ -984,18 +964,6 @@ mod tests {
     }
 
     #[test]
-    fn classify_pooled_agrees_with_classify() {
-        let engine = Engine::builder().parallelism(1).build();
-        let problem = three_coloring();
-        let pooled = engine.classify_pooled(&problem).unwrap();
-        assert_eq!(engine.cache_stats().misses, 1);
-        // Warm path: served on the calling thread straight from the cache.
-        let direct = engine.classify(&problem).unwrap();
-        assert!(Arc::ptr_eq(&pooled, &direct));
-        assert_eq!(engine.cache_stats().hits, 1);
-    }
-
-    #[test]
     fn dispatch_returns_before_the_task_runs() {
         let engine = Engine::builder().parallelism(1).build();
         // Park the only worker: dispatch must still return immediately.
@@ -1028,27 +996,25 @@ mod tests {
     }
 
     #[test]
-    fn solve_inline_matches_solve() {
+    fn solve_is_safe_inside_a_dispatched_job() {
         let engine = Engine::builder().parallelism(1).build();
         let problem = three_coloring();
         let instance = Instance::from_indices(Topology::Cycle, &[0; 30]);
-        let inline = engine.solve_inline(&problem, &instance).unwrap();
-        let pooled = engine.solve(&problem, &instance).unwrap();
-        assert_eq!(inline.complexity(), pooled.complexity());
-        assert_eq!(inline.labeling(), pooled.labeling());
-        assert_eq!(inline.rounds(), pooled.rounds());
-        // solve_inline classifies on the calling thread, so it is safe from
-        // a dispatched task even on this single-worker pool. The Arc must
+        let direct = engine.solve(&problem, &instance).unwrap();
+        // solve classifies on the calling thread, so it returns from a
+        // dispatched task even on this single-worker pool. The Arc must
         // outlive the task: an engine dropped on its own worker would
         // self-join.
         let inner = std::sync::Arc::new(Engine::builder().parallelism(1).build());
         let inner_for_task = std::sync::Arc::clone(&inner);
         let rx = inner.dispatch(move || {
             inner_for_task
-                .solve_inline(&problem, &instance)
-                .map(|s| s.rounds())
+                .solve(&problem, &instance)
+                .map(|s| (s.labeling().clone(), s.rounds()))
         });
-        assert_eq!(rx.recv().unwrap().unwrap(), pooled.rounds());
+        let (labeling, rounds) = rx.recv().unwrap().unwrap();
+        assert_eq!(&labeling, direct.labeling());
+        assert_eq!(rounds, direct.rounds());
         drop(inner);
     }
 

@@ -119,12 +119,10 @@ impl WorkerPool {
 
     /// Injects `task` and hands back the receiver its result will arrive on.
     ///
-    /// This is the reply-channel dispatch primitive behind both the blocking
-    /// request path ([`Engine::classify_pooled`](crate::Engine::classify_pooled)
-    /// parks on the receiver) and the server's pipelined connection reader,
-    /// which must *not* park: submission itself never blocks, so the caller
-    /// is free to stash the receiver and keep reading frames while a worker
-    /// computes. If the task panics on the worker, the sender is dropped by
+    /// This is the reply-channel dispatch primitive behind the server's
+    /// pipelined connections, which must *not* park: submission itself never
+    /// blocks, so the caller is free to stash the receiver and keep reading
+    /// frames while a worker computes. If the task panics on the worker, the sender is dropped by
     /// the unwind and the receiver observes disconnection instead of a value.
     pub(crate) fn submit_with_reply<T, F>(&self, task: F) -> mpsc::Receiver<T>
     where

@@ -4,9 +4,9 @@
 //! *classifications* resident in an [`Engine`](crate::Engine)'s memo cache —
 //! key bytes plus verdict fields, deliberately **not** the volatile
 //! reply-bytes lane (payloads re-attach lazily on the first post-restore
-//! splice) and not the synthesized feasible structure (restored entries run
-//! the always-correct gather-everything stand-in, see
-//! [`RestoredAlgorithm`]).
+//! splice) and not the synthesized feasible structure (restored entries carry
+//! the gather-everything stand-in, see [`RestoredAlgorithm`]; the first
+//! solve against one reclassifies it).
 //!
 //! Layout, one JSON object per line:
 //!
@@ -361,22 +361,63 @@ mod tests {
         }
     }
 
+    fn trivial() -> NormalizedLcl {
+        let mut b = NormalizedLcl::builder("trivial");
+        b.input_labels(&["x"]);
+        b.output_labels(&["o"]);
+        b.allow_all_node_pairs();
+        b.allow_all_edge_pairs();
+        b.build().unwrap()
+    }
+
+    /// A restored entry carries the Θ(n) gather stand-in; `solve` and
+    /// `solve_stream` must reclassify it and run the synthesized algorithm,
+    /// exactly like an engine that classified the problem itself, while
+    /// the served verdict stays byte-identical.
     #[test]
-    fn restored_entries_still_solve() {
-        let engine = Engine::builder().parallelism(1).build();
-        let problem = coloring(3);
-        engine.classify(&problem).unwrap();
-        let fresh = Engine::builder().parallelism(1).build();
-        fresh.restore_snapshot(&engine.snapshot_document()).unwrap();
-        let instance = lcl_problem::Instance::from_indices(lcl_problem::Topology::Cycle, &[0; 20]);
-        let solution = fresh.solve(&problem, &instance).unwrap();
-        assert!(problem.is_valid(&instance, solution.labeling()));
-        // The restored algorithm keeps the snapshotted name but gathers.
-        assert_eq!(
-            solution.classification().algorithm().name(),
-            "synthesized-log-star"
-        );
-        assert_eq!(solution.rounds(), 20, "gather stand-in uses radius n");
+    fn restored_entries_solve_like_freshly_classified_ones() {
+        use lcl_problem::{Instance, StreamInputs, StreamInstanceSpec, Topology};
+        let warm = Engine::builder().parallelism(1).build();
+        let problems = [coloring(3), trivial()];
+        for problem in &problems {
+            warm.classify(problem).unwrap();
+        }
+        let document = warm.snapshot_document();
+        let instance = Instance::from_indices(Topology::Cycle, &[0; 200]);
+        let spec = StreamInstanceSpec {
+            topology: Topology::Cycle,
+            length: 200,
+            inputs: StreamInputs::Uniform { label: 0 },
+        };
+        let stream = |engine: &Engine, problem: &NormalizedLcl| {
+            let mut solution = engine.solve_stream(problem, &spec).unwrap();
+            let mut labels = Vec::new();
+            while let Some(chunk) = solution.next_chunk(16) {
+                labels.extend(chunk.unwrap());
+            }
+            (labels, solution.rounds(), solution.peak_resident_nodes())
+        };
+        for problem in &problems {
+            let fresh = Engine::builder().parallelism(1).build();
+            let restored = Engine::builder().parallelism(1).build();
+            restored.restore_snapshot(&document).unwrap();
+            let verdict = restored.verdict(problem).unwrap().to_json_string();
+
+            let want = fresh.solve(problem, &instance).unwrap();
+            let got = restored.solve(problem, &instance).unwrap();
+            assert_eq!(got.rounds(), want.rounds(), "{}", problem.name());
+            assert_eq!(got.labeling(), want.labeling());
+            assert_eq!(stream(&restored, problem), stream(&fresh, problem));
+
+            // One reclassification, through the ordinary miss path.
+            let stats = restored.cache_stats();
+            assert_eq!(stats.misses, 1, "{stats}");
+            assert_eq!(stats.entries, 2);
+            for shard in restored.cache_shard_stats() {
+                assert!(shard.is_consistent(), "{shard:?}");
+            }
+            assert_eq!(restored.verdict(problem).unwrap().to_json_string(), verdict);
+        }
     }
 
     #[test]

@@ -251,7 +251,8 @@ impl StreamSolution {
 }
 
 impl Engine {
-    /// Classifies the problem on the worker pool, then returns a
+    /// Classifies the problem on the calling thread (like [`Engine::solve`],
+    /// so it is safe inside an [`Engine::dispatch`]ed task), then returns a
     /// [`StreamSolution`] cursor that labels the streamed instance chunk by
     /// chunk in O(chunk + radius) memory.
     ///
@@ -266,25 +267,7 @@ impl Engine {
         spec: &StreamInstanceSpec,
     ) -> Result<StreamSolution> {
         spec.validate(problem.num_inputs())?;
-        let classification = self.classify_pooled(problem)?;
-        StreamSolution::new(problem, spec, classification)
-    }
-
-    /// [`Engine::solve_stream`], with the classification done on the calling
-    /// thread instead of the worker pool — for callers already running *on* a
-    /// pool worker (the server's dispatched request jobs), which must not
-    /// park on other pool jobs (see [`Engine::dispatch`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`Engine::solve_stream`].
-    pub fn solve_stream_inline(
-        &self,
-        problem: &NormalizedLcl,
-        spec: &StreamInstanceSpec,
-    ) -> Result<StreamSolution> {
-        spec.validate(problem.num_inputs())?;
-        let classification = self.classify(problem)?;
+        let classification = self.classify_for_solve(problem)?;
         StreamSolution::new(problem, spec, classification)
     }
 }
@@ -459,24 +442,22 @@ mod tests {
     }
 
     #[test]
-    fn solve_stream_inline_matches_pooled_and_is_pool_safe() {
+    fn solve_stream_is_pool_safe() {
         let engine = Arc::new(Engine::builder().parallelism(1).build());
         let problem = coloring(3);
         let s = spec(Topology::Cycle, 64, StreamInputs::Uniform { label: 0 });
-        let pooled = drain(&mut engine.solve_stream(&problem, &s).unwrap(), 10);
-        let inline = drain(&mut engine.solve_stream_inline(&problem, &s).unwrap(), 10);
-        assert_eq!(pooled, inline);
+        let direct = drain(&mut engine.solve_stream(&problem, &s).unwrap(), 10);
         // Safe from a dispatched job even on a single-worker pool.
         let engine_for_task = Arc::clone(&engine);
         let rx = engine.dispatch(move || {
-            let mut sol = engine_for_task.solve_stream_inline(&problem, &s)?;
-            let mut count = 0u64;
+            let mut sol = engine_for_task.solve_stream(&problem, &s)?;
+            let mut labels = Vec::new();
             while let Some(chunk) = sol.next_chunk(16) {
-                count += chunk?.len() as u64;
+                labels.extend(chunk?);
             }
-            Ok::<u64, ClassifierError>(count)
+            Ok::<_, ClassifierError>(labels)
         });
-        assert_eq!(rx.recv().unwrap().unwrap(), 64);
+        assert_eq!(rx.recv().unwrap().unwrap(), direct);
     }
 
     #[test]

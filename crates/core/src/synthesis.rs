@@ -82,8 +82,9 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
 /// structure the fast synthesized algorithms need, so a restored entry
 /// answers `solve` correctly (gathering is valid for every class) while its
 /// verdict — which embeds only the algorithm name — serializes exactly as the
-/// original did. The first post-restore `classify` miss would rebuild the
-/// fast algorithm; verdict-serving traffic never needs to.
+/// original did. Verdict-serving traffic never needs more; `Engine::solve`
+/// and `Engine::solve_stream` evict a restored entry and reclassify it
+/// instead of running this Θ(n) stand-in.
 #[derive(Clone, Debug)]
 pub struct RestoredAlgorithm {
     name: Box<str>,

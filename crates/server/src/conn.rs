@@ -9,8 +9,9 @@
 //! * [`ReplyQueue`] — [`PendingResponse`]s in, strictly in order, byte
 //!   segments out: owned chunk and final lines, and for a spliced reply its
 //!   head, the cache's shared payload and [`FRAME_TAIL`]. It caps the
-//!   unwritten backlog, reports the window slots each write released and
-//!   stamps each trace's write stage once the reply's bytes have left.
+//!   unwritten backlog, counts replies in flight until their last byte is
+//!   written (the reactor's window slots) and stamps each trace's write
+//!   stage once the reply's bytes have left.
 
 use crate::frame::Frame;
 use crate::service::{PendingResponse, StreamFrame};
@@ -129,8 +130,8 @@ impl FrameDecoder {
         }
     }
 
-    /// Blocking drive for the thread backend's reader and stdio: the next
-    /// frame from `reader`, `None` at the end of the stream.
+    /// Blocking drive for stdio: the next frame from `reader`, `None` at the
+    /// end of the stream.
     pub(crate) fn read_from(&mut self, reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
         while !self.eof {
             if let Some(frame) = self.next_frame() {
@@ -192,8 +193,8 @@ struct Segment {
 ///
 /// [`ReplyQueue::push`] in dispatch order; [`ReplyQueue::poll`] turns the
 /// head reply's frames into segments; [`ReplyQueue::write_to`] writes them
-/// ([`ReplyQueue::drain_to`] does both on a blocking writer). A reply counts as
-/// in flight from its push until its last byte has been written.
+/// ([`ReplyQueue::drain_to`] does both on a blocking writer). A reply counts
+/// as in flight from its push until its last byte has been written.
 pub(crate) struct ReplyQueue {
     replies: VecDeque<PendingResponse>,
     out: VecDeque<Segment>,
@@ -259,14 +260,15 @@ impl ReplyQueue {
         progressed
     }
 
-    /// Issues one vectored write of up to [`WRITE_BATCH`] segments; the
-    /// number of replies it completed (the window slots it released).
+    /// Issues one vectored write of up to [`WRITE_BATCH`] segments; each
+    /// reply it completes leaves [`ReplyQueue::in_flight`] (the reactor's
+    /// window slot is released).
     ///
     /// # Errors
     ///
     /// The writer's error (`WouldBlock` on a full nonblocking socket), or
     /// `WriteZero` when it accepted nothing.
-    pub(crate) fn write_to(&mut self, writer: &mut impl Write) -> io::Result<usize> {
+    pub(crate) fn write_to(&mut self, writer: &mut impl Write) -> io::Result<()> {
         let mut slices = [IoSlice::new(&[]); WRITE_BATCH];
         let mut count = 0;
         for (slice, segment) in slices.iter_mut().zip(&self.out) {
@@ -276,20 +278,17 @@ impl ReplyQueue {
         }
         match writer.write_vectored(&slices[..count])? {
             0 => Err(io::ErrorKind::WriteZero.into()),
-            written => Ok(self.advance(written)),
+            written => {
+                self.advance(written);
+                Ok(())
+            }
         }
     }
 
-    /// Blocking drive for the thread backend's writer and stdio: writes
-    /// every pushed reply in full, waiting on still-running heads, and
-    /// reports released window slots to `release` as they free up. The
-    /// writer is flushed before each wait, so bytes already written never
-    /// sit in a buffer behind a slow job.
-    pub(crate) fn drain_to(
-        &mut self,
-        writer: &mut impl Write,
-        mut release: impl FnMut(usize),
-    ) -> io::Result<()> {
+    /// Blocking drive for stdio: writes every pushed reply in full, waiting
+    /// on still-running heads. The writer is flushed before each wait, so
+    /// bytes already written never sit in a buffer behind a slow job.
+    pub(crate) fn drain_to(&mut self, writer: &mut impl Write) -> io::Result<()> {
         while self.in_flight > 0 {
             self.poll();
             if !self.has_output() {
@@ -302,7 +301,7 @@ impl ReplyQueue {
                 continue;
             }
             match self.write_to(writer) {
-                Ok(released) => release(released),
+                Ok(()) => {}
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
@@ -347,10 +346,9 @@ impl ReplyQueue {
     }
 
     /// Accounts `n` written bytes: pops fully written segments, completing
-    /// the replies they end; the number completed.
-    fn advance(&mut self, mut n: usize) -> usize {
+    /// the replies they end.
+    fn advance(&mut self, mut n: usize) {
         self.unwritten -= n;
-        let mut completed = 0;
         while let Some(front) = self.out.front() {
             let remaining = front.bytes.as_slice().len() - self.front_written;
             if n < remaining {
@@ -365,10 +363,8 @@ impl ReplyQueue {
             }
             if segment.ends_reply {
                 self.in_flight -= 1;
-                completed += 1;
             }
         }
-        completed
     }
 }
 
@@ -543,9 +539,18 @@ mod tests {
         assert_eq!(replies.in_flight(), 3);
         let mut wire = Trickle(Vec::new());
         let mut released = Vec::new();
-        replies
-            .drain_to(&mut wire, |n| released.push(n))
-            .expect("a Vec accepts every write");
+        while replies.in_flight() > 0 {
+            replies.poll();
+            if !replies.has_output() {
+                std::thread::yield_now(); // the malformed frame's pool job
+                continue;
+            }
+            let before = replies.in_flight();
+            replies
+                .write_to(&mut wire)
+                .expect("a Vec accepts every write");
+            released.push(before - replies.in_flight());
+        }
         assert_eq!(
             wire.0, expected,
             "the same bytes as the materialized replies"

@@ -14,7 +14,7 @@
 //! `--metrics-addr` HTTP listener ([`crate::scrape`]).
 //!
 //! The document is a *pure function of the snapshot*: same counters, same
-//! bytes, whichever backend produced them. Only the uptime gauge (wall
+//! bytes, whichever front end produced them. Only the uptime gauge (wall
 //! clock) and the `backend` label of the build-info gauge depend on
 //! anything other than the counters. Every label value the renderer emits is
 //! `[a-zA-Z0-9_.-]+`, so no label escaping is ever needed.
@@ -379,7 +379,7 @@ mod tests {
             service
                 .metrics()
                 .record_stream_first_chunk(Duration::from_micros(42));
-            service.metrics().set_backend("threads");
+            service.metrics().set_backend("reactor");
             service
         };
         let (a, b) = (build(), build());
@@ -490,7 +490,7 @@ lcl_x_count{kind=\"b\"} 0
         use lcl_paths::problems;
         let service = Service::new(Engine::builder().parallelism(2).cache_shards(2).build());
         let metrics = service.metrics();
-        metrics.set_backend("threads");
+        metrics.set_backend("reactor");
         let kinds = RequestKind::ALL.iter().map(|&k| Some(k)).chain([None]);
         for (at, kind) in kinds.enumerate() {
             let at = at as u64;
@@ -575,7 +575,7 @@ lcl_x_count{kind=\"b\"} 0
     /// [`golden_service`]'s exposition, `lcl_uptime_seconds` sample removed.
     const GOLDEN_EXPOSITION: &str = r##"# HELP lcl_build_info Constant 1; the labels carry the server identity and configuration.
 # TYPE lcl_build_info gauge
-lcl_build_info{backend="threads",cache_shards="2",version="0.2.0",workers="2"} 1
+lcl_build_info{backend="reactor",cache_shards="2",version="0.2.0",workers="2"} 1
 # HELP lcl_uptime_seconds Wall-clock seconds since the service was constructed.
 # TYPE lcl_uptime_seconds gauge
 # HELP lcl_requests_total Frames handled, by request kind (invalid = never resolved to one).
@@ -800,5 +800,5 @@ lcl_pool_jobs_completed_total 0
 "##;
 
     /// [`golden_service`]'s `stats` payload, uptime fields removed.
-    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"threads","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
+    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"reactor","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
 }

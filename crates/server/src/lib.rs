@@ -4,6 +4,10 @@
 //! the LCL classification pipeline — the `Engine` of `lcl-classifier` — over
 //! a newline-delimited JSON (NDJSON) protocol.
 //!
+//! **Platform: Linux only.** TCP is served by an `epoll` reactor, so the
+//! crate refuses to compile elsewhere; the library crates it serves stay
+//! portable.
+//!
 //! Every frame is one line of JSON: requests are
 //! [`RequestEnvelope`](lcl_paths::problem::RequestEnvelope)s
 //! (`{"v":1,"id":7,"kind":"classify","payload":{…}}`), responses are
@@ -15,8 +19,8 @@
 //! repository root for the full specification). `solve_stream` labels paths and cycles of
 //! millions of nodes without ever materializing them: the reply is a
 //! sequence of ordered chunk frames ([`StreamFrame`]) bounded by
-//! [`Service::max_chunk_bytes`], produced under end-to-end backpressure on
-//! both backends; `generate` draws seeded problems from the
+//! [`Service::max_chunk_bytes`], produced under end-to-end backpressure;
+//! `generate` draws seeded problems from the
 //! [`lcl_paths::gen`] workload families.
 //!
 //! Every front-end hands each [`Frame`] to one entry point,
@@ -37,11 +41,8 @@
 //!   [`Server::max_inflight`]) and replies are emitted **in request
 //!   order**, so a single connection can keep the whole pool busy;
 //!   [`ServerHandle`] shuts the listener and every open connection down
-//!   gracefully. Two interchangeable connection [`Backend`]s: an epoll
-//!   **reactor** (Linux, default there) serving *all* connections on one
-//!   event-loop thread, and the portable **threads** backend (a
-//!   reader/writer thread pair per connection). [`Server::max_conns`] caps
-//!   the accepted-connection count either way;
+//!   gracefully. One epoll **reactor** thread serves *all* connections;
+//!   [`Server::max_conns`] caps the accepted-connection count;
 //! * **stdio** ([`serve_stdio`]) — the `lcl-serve --stdio` pipe mode, same
 //!   frames over stdin/stdout, lock-step (each reply is written before the
 //!   next frame is read).
@@ -76,12 +77,15 @@
 //! # }
 //! ```
 
-// `deny` rather than `forbid`: the reactor backend's epoll binding
+// `deny` rather than `forbid`: the reactor's epoll binding
 // (`reactor/sys.rs`) is the one module allowed to contain `unsafe` — raw
 // `extern "C"` declarations in the spirit of the workspace's offline
 // `shims/`. Everything else in the crate remains unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("lcl-server serves TCP through an epoll reactor and builds on Linux only");
 
 mod admission;
 pub mod client;
@@ -89,7 +93,6 @@ mod conn;
 mod expo;
 mod frame;
 mod metrics;
-#[cfg(target_os = "linux")]
 mod reactor;
 mod scrape;
 mod service;
@@ -110,5 +113,5 @@ pub use service::{
 };
 pub use splice::SplicedReply;
 pub use stdio::serve_stdio;
-pub use tcp::{Backend, Server, ServerHandle, BACKEND_ENV_VAR, DEFAULT_MAX_INFLIGHT};
+pub use tcp::{Backend, Server, ServerHandle, DEFAULT_MAX_INFLIGHT};
 pub use trace::{slow_trace_line, TraceSink};

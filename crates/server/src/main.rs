@@ -10,8 +10,8 @@ use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::RequestEnvelope;
 use lcl_paths::{problems, Engine};
 use lcl_server::{
-    serve_stdio, validate_exposition, AdmissionConfig, Backend, Client, MetricsListener, Server,
-    Service, MAX_FRAME_BYTES,
+    serve_stdio, validate_exposition, AdmissionConfig, Client, MetricsListener, Server, Service,
+    MAX_FRAME_BYTES,
 };
 use std::io::{stdin, stdout, Read, Write};
 use std::path::PathBuf;
@@ -52,11 +52,6 @@ OPTIONS:
                           connections (default: 32; 1 = lock-step)
     --max-conns N         cap on simultaneously served TCP connections;
                           the excess is closed at accept (default: unbounded)
-    --backend NAME        connection backend: `reactor` (one epoll event
-                          loop for all connections; Linux only, the default
-                          there) or `threads` (reader+writer thread pair per
-                          connection; portable). The LCL_SERVER_BACKEND
-                          environment variable sets the default.
     --metrics-addr HOST:PORT
                           also serve a pull-style plaintext metrics
                           exposition over HTTP at /metrics (Prometheus text
@@ -99,7 +94,6 @@ struct Options {
     max_chunk_bytes: Option<usize>,
     max_inflight: Option<usize>,
     max_conns: Option<usize>,
-    backend: Option<Backend>,
     metrics_addr: Option<String>,
     trace_slow_micros: Option<u64>,
     shed_queue_depth: Option<usize>,
@@ -196,20 +190,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err("--max-conns must be at least 1".to_string());
                 }
                 options.max_conns = Some(parsed);
-            }
-            "--backend" => {
-                let value = iter
-                    .next()
-                    .ok_or("--backend requires `reactor` or `threads`")?;
-                let backend = Backend::from_name(value).ok_or_else(|| {
-                    format!("unknown backend `{value}` (expected reactor or threads)")
-                })?;
-                if !backend.available() {
-                    return Err(format!(
-                        "backend `{backend}` is not available on this platform"
-                    ));
-                }
-                options.backend = Some(backend);
             }
             "--metrics-addr" => {
                 let value = iter.next().ok_or("--metrics-addr requires HOST:PORT")?;
@@ -399,17 +379,14 @@ fn main() -> ExitCode {
     }
 }
 
-/// Applies the shared TCP options (window, connection cap, backend) to a
-/// bound server.
+/// Applies the shared TCP options (window, connection cap) to a bound
+/// server.
 fn configure(mut server: Server, options: &Options) -> Server {
     if let Some(window) = options.max_inflight {
         server = server.max_inflight(window);
     }
     if let Some(cap) = options.max_conns {
         server = server.max_conns(cap);
-    }
-    if let Some(backend) = options.backend {
-        server = server.backend(backend);
     }
     server
 }
@@ -421,11 +398,7 @@ fn run_tcp(service: Arc<Service>, addr: &str, options: &Options) -> Result<(), S
         Server::bind(Arc::clone(&service), addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let server = configure(server, options);
     let bound = server.local_addr().map_err(|e| e.to_string())?;
-    let backend = match options.backend {
-        Some(backend) => backend,
-        None => Backend::from_env_or_platform().map_err(|e| e.to_string())?,
-    };
-    eprintln!("lcl-serve listening on {bound} ({backend} backend)");
+    eprintln!("lcl-serve listening on {bound}");
     server.run().map_err(|e| format!("serve {bound}: {e}"))?;
     write_snapshot_logged(&service);
     Ok(())
@@ -445,25 +418,13 @@ fn run_stdio(service: &Arc<Service>, options: &Options) -> Result<(), String> {
     Ok(())
 }
 
-/// The CI smoke mode: for **every** backend available on this platform (or
-/// just the one `--backend` names), start on an ephemeral loopback port,
-/// drive one `classify` round-trip, a pipelined burst and one `health`
-/// round-trip through the client helper, verify all three, shut down
-/// gracefully. On Linux this exercises the reactor path and the thread
-/// fallback in one invocation.
+/// The CI smoke mode: start on an ephemeral loopback port, drive a
+/// `classify` round-trip, a pipelined burst, `generate`, `solve_stream`,
+/// `health` and both metrics surfaces through the client helper, verify
+/// them and shut down gracefully; then run the admission leg.
 fn run_smoke(service: Arc<Service>, options: &Options) -> Result<(), String> {
-    let backends: Vec<Backend> = match options.backend {
-        Some(backend) => vec![backend],
-        None => [Backend::Reactor, Backend::Threads]
-            .into_iter()
-            .filter(|b| b.available())
-            .collect(),
-    };
-    for backend in backends {
-        smoke_backend(Arc::clone(&service), options, backend)?;
-    }
-    smoke_admission()?;
-    Ok(())
+    smoke_tcp(service, options)?;
+    smoke_admission()
 }
 
 /// Admission + persistence smoke: a warm-cache snapshot written over the
@@ -595,15 +556,12 @@ fn spec_payload(spec: &lcl_paths::problem::ProblemSpec) -> JsonValue {
     JsonValue::object([("problem", spec.to_json())])
 }
 
-fn smoke_backend(service: Arc<Service>, options: &Options, backend: Backend) -> Result<(), String> {
+fn smoke_tcp(service: Arc<Service>, options: &Options) -> Result<(), String> {
     let scrape_service = Arc::clone(&service);
     let server = Server::bind(service, "127.0.0.1:0").map_err(|e| format!("bind loopback: {e}"))?;
-    // configure() applies any --backend too, but the smoke loop iterates
-    // explicitly: pin this round's backend last.
-    let server = configure(server, options).backend(backend);
-    let handle = server
+    let handle = configure(server, options)
         .start()
-        .map_err(|e| format!("start {backend} server: {e}"))?;
+        .map_err(|e| format!("start server: {e}"))?;
     let addr = handle.addr();
 
     let result = (|| -> Result<(), String> {
@@ -611,10 +569,10 @@ fn smoke_backend(service: Arc<Service>, options: &Options, backend: Backend) -> 
         let problem = problems::coloring(3);
         let verdict = client
             .classify(&problem.to_spec())
-            .map_err(|e| format!("[{backend}] classify round-trip: {e}"))?;
+            .map_err(|e| format!("classify round-trip: {e}"))?;
         if verdict.complexity.wire_name() != "log-star" {
             return Err(format!(
-                "[{backend}] unexpected verdict for 3-coloring: {}",
+                "unexpected verdict for 3-coloring: {}",
                 verdict.complexity
             ));
         }
@@ -623,20 +581,20 @@ fn smoke_backend(service: Arc<Service>, options: &Options, backend: Backend) -> 
         let specs: Vec<_> = (2..=5).map(|k| problems::coloring(k).to_spec()).collect();
         let outcomes = client
             .classify_many_pipelined(&specs, 0)
-            .map_err(|e| format!("[{backend}] pipelined burst: {e}"))?;
+            .map_err(|e| format!("pipelined burst: {e}"))?;
         if outcomes.len() != specs.len() || outcomes.iter().any(Result::is_err) {
-            return Err(format!("[{backend}] pipelined burst returned {outcomes:?}"));
+            return Err(format!("pipelined burst returned {outcomes:?}"));
         }
         // The generator round-trip: the served spec must hash identically
         // to a local regeneration from the same seed.
         let config = lcl_paths::gen::GenConfig::new(11).family(lcl_paths::gen::Family::Solvable);
         let (generated, hash) = client
             .generate(&config)
-            .map_err(|e| format!("[{backend}] generate round-trip: {e}"))?;
-        let local = lcl_paths::gen::generate(&config)
-            .map_err(|e| format!("[{backend}] local generation: {e}"))?;
+            .map_err(|e| format!("generate round-trip: {e}"))?;
+        let local =
+            lcl_paths::gen::generate(&config).map_err(|e| format!("local generation: {e}"))?;
         if hash != format!("{:016x}", local.canonical_hash()) {
-            return Err(format!("[{backend}] generate hash mismatch: served {hash}"));
+            return Err(format!("generate hash mismatch: served {hash}"));
         }
         let _ = generated;
         // A streamed solve: chunked labeling of a cycle, verified by the
@@ -653,51 +611,48 @@ fn smoke_backend(service: Arc<Service>, options: &Options, backend: Backend) -> 
             .solve_stream(&problem.to_spec(), &instance, |_, outputs| {
                 labels.extend_from_slice(outputs);
             })
-            .map_err(|e| format!("[{backend}] solve_stream round-trip: {e}"))?;
+            .map_err(|e| format!("solve_stream round-trip: {e}"))?;
         if summary.nodes != instance.length || labels.len() as u64 != instance.length {
             return Err(format!(
-                "[{backend}] solve_stream delivered {} of {} labels",
+                "solve_stream delivered {} of {} labels",
                 labels.len(),
                 instance.length
             ));
         }
         if (0..labels.len()).any(|i| labels[i] == labels[(i + 1) % labels.len()]) {
-            return Err(format!("[{backend}] solve_stream labeling is invalid"));
+            return Err("solve_stream labeling is invalid".to_string());
         }
         let health = client
             .health()
-            .map_err(|e| format!("[{backend}] health round-trip: {e}"))?;
+            .map_err(|e| format!("health round-trip: {e}"))?;
         let status = health
             .require("status")
             .and_then(|v| v.as_str().map(str::to_string))
-            .map_err(|e| format!("[{backend}] malformed health payload: {e}"))?;
+            .map_err(|e| format!("malformed health payload: {e}"))?;
         if status != "ok" {
-            return Err(format!("[{backend}] unexpected health status `{status}`"));
+            return Err(format!("unexpected health status `{status}`"));
         }
         // The observability surface, both ways in: the in-protocol
         // `metrics` kind and an HTTP scrape of an ephemeral listener must
         // each produce a well-formed exposition that reflects this run.
         let exposition = client
             .metrics()
-            .map_err(|e| format!("[{backend}] metrics round-trip: {e}"))?;
+            .map_err(|e| format!("metrics round-trip: {e}"))?;
         validate_exposition(&exposition)
-            .map_err(|e| format!("[{backend}] malformed protocol exposition: {e}"))?;
+            .map_err(|e| format!("malformed protocol exposition: {e}"))?;
         if !exposition.contains("lcl_requests_total{kind=\"classify\"}") {
-            return Err(format!(
-                "[{backend}] exposition is missing the classify counter"
-            ));
+            return Err("exposition is missing the classify counter".to_string());
         }
         let scraped = {
             let mut listener = MetricsListener::bind(Arc::clone(&scrape_service), "127.0.0.1:0")
-                .map_err(|e| format!("[{backend}] bind scrape listener: {e}"))?;
-            let body = http_get(listener.addr(), "/metrics")
-                .map_err(|e| format!("[{backend}] HTTP scrape: {e}"))?;
+                .map_err(|e| format!("bind scrape listener: {e}"))?;
+            let body =
+                http_get(listener.addr(), "/metrics").map_err(|e| format!("HTTP scrape: {e}"))?;
             listener.shutdown();
             body
         };
-        validate_exposition(&scraped)
-            .map_err(|e| format!("[{backend}] malformed scraped exposition: {e}"))?;
-        println!("smoke ok @ {addr} ({backend} backend): {verdict}");
+        validate_exposition(&scraped).map_err(|e| format!("malformed scraped exposition: {e}"))?;
+        println!("smoke ok @ {addr}: {verdict}");
         Ok(())
     })();
     handle.shutdown();

@@ -53,7 +53,7 @@ fn kind_slot(kind: Option<RequestKind>) -> usize {
 
 /// The serving front-end names [`ServerMetrics::set_backend`] knows, `none`
 /// (nothing registered yet) first.
-const BACKENDS: [&str; 4] = ["none", "reactor", "threads", "stdio"];
+const BACKENDS: [&str; 3] = ["none", "reactor", "stdio"];
 
 /// Lock-free counters for one request kind.
 #[derive(Debug, Default)]
@@ -139,7 +139,7 @@ pub struct ServerMetrics {
     pipelined_inflight: AtomicU64,
     /// High-water mark of `pipelined_inflight` since the service started.
     pipelined_peak: AtomicU64,
-    /// Currently open connections (a gauge; both backends maintain it).
+    /// Currently open TCP connections (a gauge the reactor maintains).
     open_connections: AtomicU64,
     /// High-water mark of `open_connections` since the service started.
     peak_connections: AtomicU64,
@@ -147,16 +147,16 @@ pub struct ServerMetrics {
     total_accepted: AtomicU64,
     /// Connections closed at accept time by the `--max-conns` cap.
     total_rejected: AtomicU64,
-    /// Reactor backend only: times the event loop woke from `epoll_wait`.
+    /// Reactor only: times the event loop woke from `epoll_wait`.
     reactor_wakeups: AtomicU64,
-    /// Reactor backend only: completed worker-pool jobs whose eventfd
+    /// Reactor only: completed worker-pool jobs whose eventfd
     /// notification the reactor consumed.
     reactor_completions: AtomicU64,
     /// `classify` replies answered by the zero-serialization fast lane: the
     /// cached payload bytes were spliced around the request id instead of
     /// serializing the verdict ([`crate::SplicedReply`]).
     spliced_frames: AtomicU64,
-    /// Reactor backend only: successful `writev` calls that flushed
+    /// Reactor only: successful `writev` calls that flushed
     /// connection output (each gathers up to a batch of reply segments —
     /// compare with `reactor_wakeups` for the coalescing ratio).
     writev_batches: AtomicU64,
@@ -205,9 +205,8 @@ impl ServerMetrics {
         !self.histograms_off.load(Ordering::Relaxed)
     }
 
-    /// Registers the serving front-end by name (`reactor`, `threads`,
-    /// `stdio`); the last started front-end wins when several share one
-    /// service.
+    /// Registers the serving front-end by name (`reactor`, `stdio`); the
+    /// last started front-end wins when several share one service.
     pub fn set_backend(&self, name: &str) {
         let code = BACKENDS.iter().position(|&known| known == name);
         self.backend
@@ -279,7 +278,7 @@ impl ServerMetrics {
     }
 
     /// Successful vectored writes flushing connection output (0 on
-    /// non-reactor backends).
+    /// stdio).
     pub fn writev_batches(&self) -> u64 {
         self.writev_batches.load(Ordering::Relaxed)
     }
@@ -327,8 +326,8 @@ impl ServerMetrics {
 /// [`Service::metrics_snapshot`]: crate::Service::metrics_snapshot
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct MetricsSnapshot {
-    /// The serving front-end: `reactor`, `threads`, `stdio`, or `none`
-    /// before one started (the last started wins when several share one
+    /// The serving front-end: `reactor`, `stdio`, or `none` before one
+    /// started (the last started wins when several share one
     /// service).
     pub backend: &'static str,
     /// The server's crate version.
@@ -357,13 +356,13 @@ pub struct MetricsSnapshot {
     pub connections_accepted: u64,
     /// Connections refused by the `--max-conns` cap.
     pub connections_rejected: u64,
-    /// The reactor's `epoll_wait` returns (0 on other backends).
+    /// The reactor's `epoll_wait` returns (0 on stdio).
     pub reactor_wakeups: u64,
-    /// Pool completions the reactor consumed (0 on other backends).
+    /// Pool completions the reactor consumed (0 on stdio).
     pub reactor_completions: u64,
     /// `classify` replies answered by the zero-serialization fast lane.
     pub spliced_frames: u64,
-    /// Successful reactor `writev` flushes (0 on other backends).
+    /// Successful reactor `writev` flushes (0 on stdio).
     pub writev_batches: u64,
     /// The engine's memo-cache counters, summed over shards.
     pub cache: CacheStats,
@@ -790,8 +789,6 @@ mod tests {
         assert_eq!(metrics.backend_name(), "none");
         metrics.set_backend("reactor");
         assert_eq!(metrics.backend_name(), "reactor");
-        metrics.set_backend("threads");
-        assert_eq!(metrics.backend_name(), "threads");
         metrics.set_backend("stdio");
         assert_eq!(metrics.backend_name(), "stdio");
         metrics.set_backend("bogus");

@@ -1,14 +1,12 @@
-//! The readiness-based connection backend: one `epoll`-driven event loop
-//! serving every TCP connection on a **fixed thread budget** — the reactor
-//! thread plus the engine's worker pool — instead of the portable thread
-//! backend's two OS threads per connection.
+//! The TCP connection backend: one `epoll`-driven event loop serving every
+//! connection on a **fixed thread budget** — the reactor thread plus the
+//! engine's worker pool — whatever the connection count.
 //!
-//! Framing and reply bytes come from the same connection core as the thread
-//! backend's, so the protocol (`docs/PROTOCOL.md` v1.1) is identical:
+//! Framing and reply bytes come from the connection core shared with stdio
+//! (`conn.rs`), so the protocol (`docs/PROTOCOL.md` v1.1) is identical:
 //! per-connection in-order replies, id echo, the exact `max_inflight`
 //! window, structured errors for malformed and oversized frames, and
 //! backpressure by *not reading* from a connection whose window is full.
-//! What changes is purely the execution shape:
 //!
 //! * **One event loop** ([`Reactor::run`]) owns the listener, every
 //!   connection socket (all nonblocking) and an [`EventFd`] waker, parked in
@@ -20,8 +18,8 @@
 //!   the in-flight count (a slot is taken when a frame is dispatched and
 //!   released when its reply's bytes have been fully written). Reads are
 //!   nonblocking `read`s, writes one `writev` per flush iteration.
-//! * **Completion signaling** replaces the parked writer thread: each
-//!   connection's [`Origin`] carries a notify hook, built once at accept,
+//! * **Completion signaling**: each connection's [`Origin`] carries a
+//!   notify hook, built once at accept,
 //!   that every pool job it dispatches runs
 //!   ([`lcl_paths::Engine::dispatch_notify`]) to mark the connection dirty
 //!   and signal the eventfd once a frame is observable, so the reactor
@@ -34,20 +32,14 @@
 //!   while serialized reply bytes could not be written without blocking. A
 //!   socket with no interest at all is deregistered entirely, which also
 //!   keeps `EPOLLHUP`-spamming dead peers from busy-looping the reactor.
-//!
-//! The module is Linux-only (`epoll`); `crate::tcp` keeps the
-//! thread-per-connection code as the portable fallback and picks the
-//! default per platform ([`crate::Backend`]).
 
 mod poll;
 mod sys;
 
-pub(crate) use poll::EventFd;
-
 use crate::conn::{FrameDecoder, ReplyQueue};
 use crate::frame::MAX_FRAME_BYTES;
 use crate::service::{Origin, Service};
-use poll::{Epoll, EpollEvent, EPOLLIN, EPOLLOUT, EVENT_BATCH};
+use poll::{Epoll, EpollEvent, EventFd, EPOLLIN, EPOLLOUT, EVENT_BATCH};
 use std::collections::HashMap;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
@@ -65,10 +57,10 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// Bytes read from a ready socket per `read` call.
 const READ_CHUNK: usize = 16 * 1024;
 
-/// Shared control state between a running backend, its `ServerHandle` and
+/// Shared control state between a running reactor, its `ServerHandle` and
 /// the worker pool's completion hooks: the shutdown flag, the eventfd that
-/// wakes the event loop (or the thread backend's accept wait), and the
-/// dirty list of connections whose jobs completed since the last wakeup.
+/// wakes the event loop, and the dirty list of connections whose jobs
+/// completed since the last wakeup.
 #[derive(Debug)]
 pub(crate) struct Control {
     shutdown: AtomicBool,
@@ -86,21 +78,20 @@ impl Control {
         }))
     }
 
-    /// Requests shutdown and wakes whatever loop is parked on the eventfd.
-    /// This is what replaced the old "dial your own listen address" hack:
-    /// shutdown no longer depends on the listen address being connectable.
+    /// Requests shutdown and wakes the event loop through the eventfd, so
+    /// shutdown never depends on the listen address being connectable.
     pub(crate) fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wake.signal();
     }
 
     /// Whether shutdown has been requested.
-    pub(crate) fn shutdown_requested(&self) -> bool {
+    fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// The eventfd loops register for wakeups.
-    pub(crate) fn waker(&self) -> &EventFd {
+    /// The eventfd the event loop registers for wakeups.
+    fn waker(&self) -> &EventFd {
         &self.wake
     }
 
@@ -123,32 +114,6 @@ impl Control {
                 .lock()
                 .unwrap_or_else(|poisoned| poisoned.into_inner()),
         );
-    }
-}
-
-/// The thread backend's accept-side wait on Linux: an epoll set holding
-/// just the listener and the control eventfd, so a blocked accept loop can
-/// be woken by [`Control::trigger_shutdown`] instead of by dialing its own
-/// listen address.
-pub(crate) struct AcceptPoll {
-    epoll: Epoll,
-}
-
-impl AcceptPoll {
-    /// Registers the listener and the control waker.
-    pub(crate) fn new(listener: &TcpListener, control: &Control) -> io::Result<AcceptPoll> {
-        let epoll = Epoll::new()?;
-        epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-        epoll.add(control.waker().raw(), EPOLLIN, TOKEN_WAKER)?;
-        Ok(AcceptPoll { epoll })
-    }
-
-    /// Parks until the listener is ready or the control eventfd fires (the
-    /// eventfd is deliberately never drained here: once shutdown signals it,
-    /// every later wait returns immediately and the loop observes the flag).
-    pub(crate) fn wait(&mut self) {
-        let mut buf = [EpollEvent::default(); EVENT_BATCH];
-        let _ = self.epoll.wait(&mut buf, -1);
     }
 }
 
@@ -487,7 +452,7 @@ impl Conn {
         let mut progressed = false;
         while self.replies.has_output() && !self.dead {
             match self.replies.write_to(&mut &self.stream) {
-                Ok(_) => {
+                Ok(()) => {
                     service.metrics().record_writev_batch();
                     progressed = true;
                 }

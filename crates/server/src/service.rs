@@ -6,7 +6,7 @@
 //! terminal reply, with errors mapped to structured [`ErrorReply`]s whose
 //! category identifies the failing subsystem of [`lcl_paths::Error`].
 //!
-//! Every front-end — both TCP backends and stdio — hands each [`Frame`] to
+//! Every front-end — the TCP reactor and stdio — hands each [`Frame`] to
 //! [`Service::dispatch`] together with the connection's [`Origin`], and gets
 //! a [`PendingResponse`] back without blocking:
 //!
@@ -17,9 +17,9 @@
 //! * anything else — JSON parse, execution, serialization — becomes one
 //!   worker-pool job ([`Engine::dispatch_notify`]), so a connection reader
 //!   stays pure I/O and N requests from one connection progress
-//!   concurrently on an N-worker pool. Jobs classify on the worker itself
-//!   ([`Engine::classify_observed`], [`Engine::solve_inline`]) — a worker
-//!   parked on *another* pool job could deadlock a narrow pool.
+//!   concurrently on an N-worker pool. Jobs classify and solve on the
+//!   worker itself — a worker parked on *another* pool job could deadlock a
+//!   narrow pool.
 //!
 //! Front-ends resolve the handles in request order through the connection
 //! core's reply queue (`conn.rs`). [`Service::handle_line`] is the
@@ -960,7 +960,7 @@ impl Service {
         }
         let instance =
             Instance::from_json(payload.require("instance").map_err(ProblemError::from)?)?;
-        let solution = self.engine.solve_inline(&problem, &instance)?;
+        let solution = self.engine.solve(&problem, &instance)?;
         Ok(JsonValue::object([
             (
                 "complexity",
@@ -1002,7 +1002,7 @@ impl Service {
         let spec = StreamInstanceSpec::from_json(
             payload.require("instance").map_err(ProblemError::from)?,
         )?;
-        let mut solution = self.engine.solve_stream_inline(&problem, &spec)?;
+        let mut solution = self.engine.solve_stream(&problem, &spec)?;
         let chunk_nodes = self.chunk_nodes();
         let mut seq = 0i64;
         let mut offset = 0i64;

@@ -77,7 +77,7 @@ impl SplicedReply {
     /// [`ResponseEnvelope::ok`](lcl_paths::problem::ResponseEnvelope::ok)
     /// would have printed. For embedders consuming
     /// [`PendingResponse::wait`](crate::PendingResponse::wait) and tests;
-    /// the connection backends write the pieces directly instead.
+    /// the front ends write the pieces directly instead.
     pub fn to_frame_string(&self) -> String {
         let mut out = self.head_bytes();
         out.extend_from_slice(&self.payload);

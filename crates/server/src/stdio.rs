@@ -18,8 +18,8 @@ use std::sync::Arc;
 /// and malformed frames get structured error replies; only I/O errors abort
 /// the loop.
 ///
-/// Each frame goes through [`Service::dispatch`] exactly as on the TCP
-/// backends — the splice lane, admission, then a pool job — and its reply is
+/// Each frame goes through [`Service::dispatch`] exactly as over TCP — the
+/// splice lane, admission, then a pool job — and its reply is
 /// written before the next frame is read (lock-step), so the wire bytes and
 /// the cache tallies are identical whichever front-end served the workload.
 ///
@@ -37,7 +37,7 @@ pub fn serve_stdio(
     let mut replies = ReplyQueue::new(service.max_chunk_bytes());
     while let Some(frame) = decoder.read_from(&mut input)? {
         replies.push(service.dispatch(frame, &origin));
-        replies.drain_to(&mut output, |_| {})?;
+        replies.drain_to(&mut output)?;
         output.flush()?;
     }
     Ok(())

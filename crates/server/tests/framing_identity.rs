@@ -1,6 +1,6 @@
 //! Cross-front-end framing identity: one scripted byte stream, delivered in
 //! seeded random write sizes (1-byte writes included), must produce the very
-//! same reply bytes from `serve_stdio`, the threads backend and the reactor.
+//! same reply bytes from `serve_stdio` and the TCP reactor.
 //!
 //! The script exercises the whole NDJSON framing contract: blank and
 //! whitespace-only lines, a line of exactly [`MAX_FRAME_BYTES`], oversized
@@ -197,10 +197,7 @@ fn via_tcp(backend: Backend, writes: Vec<Vec<u8>>) -> Vec<u8> {
 }
 
 fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
+    vec![Backend::Reactor]
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Observability integration tests: the `metrics` request kind, the HTTP
 //! scrape listener, the latency histograms and the stage-trace slow log,
-//! driven end-to-end through every front-end (both TCP backends and stdio).
+//! driven end-to-end through every front-end (the TCP reactor and stdio).
 
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{
@@ -8,20 +8,12 @@ use lcl_paths::problem::{
 };
 use lcl_paths::{problems, Engine};
 use lcl_server::{
-    serve_stdio, validate_exposition, AdmissionConfig, Backend, Client, MetricsListener, Server,
-    Service, TraceSink, MAX_FRAME_BYTES,
+    serve_stdio, validate_exposition, AdmissionConfig, Client, MetricsListener, Server, Service,
+    TraceSink, MAX_FRAME_BYTES,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, Mutex};
-
-/// Every TCP backend available on this platform (both on Linux).
-fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
-}
 
 /// A fresh service with a pinned, platform-independent configuration so
 /// two runs produce comparable counter state.
@@ -73,96 +65,93 @@ fn sample_value(expo: &str, prefix: &str) -> u64 {
 }
 
 #[test]
-fn the_metrics_kind_serves_a_valid_exposition_on_every_tcp_backend() {
-    for backend in backends() {
-        let handle = Server::bind(service(), "127.0.0.1:0")
-            .expect("bind")
-            .backend(backend)
-            .start()
-            .expect("start");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        drive_workload(&mut client);
+fn the_metrics_kind_serves_a_valid_exposition_over_tcp() {
+    let handle = Server::bind(service(), "127.0.0.1:0")
+        .expect("bind")
+        .start()
+        .expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    drive_workload(&mut client);
 
-        let expo = client.metrics().expect("metrics round-trip");
-        validate_exposition(&expo).unwrap_or_else(|e| panic!("[{backend}] invalid: {e}"));
+    let expo = client.metrics().expect("metrics round-trip");
+    validate_exposition(&expo).unwrap_or_else(|e| panic!("invalid: {e}"));
 
-        // Counters reflect the workload exactly.
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
-            3
-        );
-        assert_eq!(sample_value(&expo, "lcl_requests_total{kind=\"solve\"}"), 1);
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"solve_stream\"}"),
-            1
-        );
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"health\"}"),
-            1
-        );
-        // The metrics request renders before recording itself.
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"metrics\"}"),
-            0
-        );
-        // One hit from the repeated classify, one each from solve and
-        // solve_stream re-consulting the cache for the same problem.
-        assert_eq!(sample_value(&expo, "lcl_cache_hits_total"), 3);
-        // The repeated classify took the zero-serialization lane: its hit
-        // rendered and attached the reply bytes (one bytes miss, no reuse
-        // yet) and went out as a spliced frame.
-        assert_eq!(sample_value(&expo, "lcl_cache_bytes_misses_total"), 1);
-        assert_eq!(sample_value(&expo, "lcl_cache_bytes_hits_total"), 0);
-        assert_eq!(sample_value(&expo, "lcl_spliced_frames_total"), 1);
-        assert_eq!(
-            format!("{backend}"),
-            expo.lines()
-                .find(|l| l.starts_with("lcl_build_info{"))
-                .and_then(|l| l.split("backend=\"").nth(1))
-                .and_then(|l| l.split('"').next())
-                .expect("build_info carries the backend label"),
-        );
+    // Counters reflect the workload exactly.
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
+        3
+    );
+    assert_eq!(sample_value(&expo, "lcl_requests_total{kind=\"solve\"}"), 1);
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"solve_stream\"}"),
+        1
+    );
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"health\"}"),
+        1
+    );
+    // The metrics request renders before recording itself.
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"metrics\"}"),
+        0
+    );
+    // One hit from the repeated classify, one each from solve and
+    // solve_stream re-consulting the cache for the same problem.
+    assert_eq!(sample_value(&expo, "lcl_cache_hits_total"), 3);
+    // The repeated classify took the zero-serialization lane: its hit
+    // rendered and attached the reply bytes (one bytes miss, no reuse
+    // yet) and went out as a spliced frame.
+    assert_eq!(sample_value(&expo, "lcl_cache_bytes_misses_total"), 1);
+    assert_eq!(sample_value(&expo, "lcl_cache_bytes_hits_total"), 0);
+    assert_eq!(sample_value(&expo, "lcl_spliced_frames_total"), 1);
+    assert_eq!(
+        "reactor",
+        expo.lines()
+            .find(|l| l.starts_with("lcl_build_info{"))
+            .and_then(|l| l.split("backend=\"").nth(1))
+            .and_then(|l| l.split('"').next())
+            .expect("build_info carries the backend label"),
+    );
 
-        // Every kind's latency histogram count equals its request counter —
-        // the histograms observe exactly the accounted frames.
-        for kind in [
-            "classify",
-            "classify_many",
-            "solve",
-            "solve_stream",
-            "generate",
-            "stats",
-            "health",
-            "metrics",
-            "snapshot",
-            "invalid",
-        ] {
-            assert_eq!(
-                sample_value(
-                    &expo,
-                    &format!("lcl_request_latency_micros_count{{kind=\"{kind}\"}}")
-                ),
-                sample_value(&expo, &format!("lcl_requests_total{{kind=\"{kind}\"}}")),
-                "[{backend}] histogram/counter mismatch for `{kind}`"
-            );
-            // Admission is not configured here: the shed family renders for
-            // every kind and every sample is zero.
-            assert_eq!(
-                sample_value(&expo, &format!("lcl_shed_total{{kind=\"{kind}\"}}")),
-                0,
-                "[{backend}] nothing sheds below the (disabled) thresholds"
-            );
-        }
-
-        // The streamed solve recorded its time-to-first-chunk separately.
+    // Every kind's latency histogram count equals its request counter —
+    // the histograms observe exactly the accounted frames.
+    for kind in [
+        "classify",
+        "classify_many",
+        "solve",
+        "solve_stream",
+        "generate",
+        "stats",
+        "health",
+        "metrics",
+        "snapshot",
+        "invalid",
+    ] {
         assert_eq!(
-            sample_value(&expo, "lcl_stream_first_chunk_micros_count"),
-            1
+            sample_value(
+                &expo,
+                &format!("lcl_request_latency_micros_count{{kind=\"{kind}\"}}")
+            ),
+            sample_value(&expo, &format!("lcl_requests_total{{kind=\"{kind}\"}}")),
+            "histogram/counter mismatch for `{kind}`"
         );
-        assert!(sample_value(&expo, "lcl_stream_first_chunk_micros_sum") >= 1);
-
-        handle.shutdown();
+        // Admission is not configured here: the shed family renders for
+        // every kind and every sample is zero.
+        assert_eq!(
+            sample_value(&expo, &format!("lcl_shed_total{{kind=\"{kind}\"}}")),
+            0,
+            "nothing sheds below the (disabled) thresholds"
+        );
     }
+
+    // The streamed solve recorded its time-to-first-chunk separately.
+    assert_eq!(
+        sample_value(&expo, "lcl_stream_first_chunk_micros_count"),
+        1
+    );
+    assert!(sample_value(&expo, "lcl_stream_first_chunk_micros_sum") >= 1);
+
+    handle.shutdown();
 }
 
 /// The families whose values are a deterministic function of the driven
@@ -184,30 +173,25 @@ fn deterministic_lines(expo: &str) -> String {
 }
 
 #[test]
-fn identical_workloads_render_identical_counter_lines_on_every_backend() {
-    let documents: Vec<(Backend, String)> = backends()
-        .into_iter()
-        .map(|backend| {
+fn identical_workloads_render_identical_counter_lines_on_two_servers() {
+    let documents: Vec<String> = (0..2)
+        .map(|_| {
             let handle = Server::bind(service(), "127.0.0.1:0")
                 .expect("bind")
-                .backend(backend)
                 .start()
                 .expect("start");
             let mut client = Client::connect(handle.addr()).expect("connect");
             drive_workload(&mut client);
             let expo = client.metrics().expect("metrics");
             handle.shutdown();
-            (backend, expo)
+            expo
         })
         .collect();
-    let (first_backend, first) = &documents[0];
-    for (backend, expo) in &documents[1..] {
-        assert_eq!(
-            deterministic_lines(first),
-            deterministic_lines(expo),
-            "{first_backend} and {backend} disagree on deterministic counter lines"
-        );
-    }
+    assert_eq!(
+        deterministic_lines(&documents[0]),
+        deterministic_lines(&documents[1]),
+        "two servers disagree on deterministic counter lines"
+    );
 }
 
 #[test]
@@ -347,35 +331,32 @@ fn the_http_scrape_serves_the_same_document_as_the_protocol() {
 fn oversized_frames_record_nonzero_invalid_latency_on_every_front_end() {
     let oversized = "x".repeat(MAX_FRAME_BYTES + 16);
 
-    for backend in backends() {
-        let handle = Server::bind(service(), "127.0.0.1:0")
-            .expect("bind")
-            .backend(backend)
-            .start()
-            .expect("start");
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        client.send_frame(&oversized).expect("send oversized");
-        let reply = client.recv_frame().expect("rejection reply");
-        let envelope = ResponseEnvelope::from_json_str(&reply).expect("structured reply");
-        assert!(!envelope.is_ok(), "oversized frames are rejected");
+    let handle = Server::bind(service(), "127.0.0.1:0")
+        .expect("bind")
+        .start()
+        .expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.send_frame(&oversized).expect("send oversized");
+    let reply = client.recv_frame().expect("rejection reply");
+    let envelope = ResponseEnvelope::from_json_str(&reply).expect("structured reply");
+    assert!(!envelope.is_ok(), "oversized frames are rejected");
 
-        let expo = client.metrics().expect("metrics");
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"invalid\"}"),
-            1,
-            "[{backend}] the rejection is accounted"
-        );
-        assert_eq!(
-            sample_value(&expo, "lcl_request_latency_micros_count{kind=\"invalid\"}"),
-            1,
-            "[{backend}] the rejection reaches the histogram"
-        );
-        assert!(
-            sample_value(&expo, "lcl_request_latency_micros_sum{kind=\"invalid\"}") >= 1,
-            "[{backend}] accounted latency is never zero"
-        );
-        handle.shutdown();
-    }
+    let expo = client.metrics().expect("metrics");
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"invalid\"}"),
+        1,
+        "the rejection is accounted"
+    );
+    assert_eq!(
+        sample_value(&expo, "lcl_request_latency_micros_count{kind=\"invalid\"}"),
+        1,
+        "the rejection reaches the histogram"
+    );
+    assert!(
+        sample_value(&expo, "lcl_request_latency_micros_sum{kind=\"invalid\"}") >= 1,
+        "accounted latency is never zero"
+    );
+    handle.shutdown();
 
     // The stdio front-end too: same frame, same accounting.
     let service = service();
@@ -406,72 +387,68 @@ fn oversized_frames_record_nonzero_invalid_latency_on_every_front_end() {
 }
 
 #[test]
-fn shed_frames_stay_in_the_latency_accounting_on_every_backend() {
-    for backend in backends() {
-        let service = Arc::new(
-            Service::new(Engine::builder().parallelism(2).cache_shards(2).build()).with_admission(
-                AdmissionConfig {
-                    quota_rps: 1,
-                    quota_burst: 2,
-                    ..AdmissionConfig::default()
-                },
-            ),
-        );
-        // The splice lane legitimately bypasses admission; keep every frame
-        // on the quota'd path so the shed count is predictable.
-        service.set_reply_splice(false);
-        let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-            .expect("bind")
-            .backend(backend)
-            .start()
-            .expect("start");
-        let mut client = Client::connect(handle.addr()).expect("connect");
+fn shed_frames_stay_in_the_latency_accounting_over_tcp() {
+    let service = Arc::new(
+        Service::new(Engine::builder().parallelism(2).cache_shards(2).build()).with_admission(
+            AdmissionConfig {
+                quota_rps: 1,
+                quota_burst: 2,
+                ..AdmissionConfig::default()
+            },
+        ),
+    );
+    // The splice lane legitimately bypasses admission; keep every frame
+    // on the quota'd path so the shed count is predictable.
+    service.set_reply_splice(false);
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
+        .expect("bind")
+        .start()
+        .expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
 
-        // Flood eight distinct problems down one pipelined connection: the
-        // burst of two admits the head, the rest shed.
-        let specs: Vec<_> = (2..=9).map(|k| problems::coloring(k).to_spec()).collect();
-        let outcomes = client
-            .classify_many_pipelined(&specs, 0)
-            .expect("pipelined flood");
-        let shed = outcomes.iter().filter(|o| o.is_err()).count();
-        assert!(shed >= 1, "[{backend}] the flood must shed something");
-        for outcome in &outcomes {
-            if let Err(error) = outcome {
-                assert_eq!(error.category, "overloaded", "[{backend}]");
-                assert_eq!(error.retryable, Some(true), "[{backend}]");
-                assert!(
-                    error.retry_after_millis.unwrap_or(0) >= 1,
-                    "[{backend}] sheds carry a retry hint"
-                );
-            }
+    // Flood eight distinct problems down one pipelined connection: the
+    // burst of two admits the head, the rest shed.
+    let specs: Vec<_> = (2..=9).map(|k| problems::coloring(k).to_spec()).collect();
+    let outcomes = client
+        .classify_many_pipelined(&specs, 0)
+        .expect("pipelined flood");
+    let shed = outcomes.iter().filter(|o| o.is_err()).count();
+    assert!(shed >= 1, "the flood must shed something");
+    for outcome in &outcomes {
+        if let Err(error) = outcome {
+            assert_eq!(error.category, "overloaded");
+            assert_eq!(error.retryable, Some(true));
+            assert!(
+                error.retry_after_millis.unwrap_or(0) >= 1,
+                "sheds carry a retry hint"
+            );
         }
-
-        let expo = client.metrics().expect("metrics");
-        validate_exposition(&expo).unwrap_or_else(|e| panic!("[{backend}] invalid: {e}"));
-        // The shed counter, the request counter, the error counter and the
-        // latency histogram must all agree on what happened: a shed frame
-        // is accounted exactly like a served one.
-        assert_eq!(
-            sample_value(&expo, "lcl_shed_total{kind=\"classify\"}"),
-            shed as u64,
-            "[{backend}]"
-        );
-        assert_eq!(
-            sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
-            specs.len() as u64,
-            "[{backend}] shed frames stay in requests_total"
-        );
-        assert!(
-            sample_value(&expo, "lcl_request_errors_total{kind=\"classify\"}") >= shed as u64,
-            "[{backend}] shed frames are errors"
-        );
-        assert_eq!(
-            sample_value(&expo, "lcl_request_latency_micros_count{kind=\"classify\"}"),
-            sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
-            "[{backend}] shed frames reach the histogram"
-        );
-        handle.shutdown();
     }
+
+    let expo = client.metrics().expect("metrics");
+    validate_exposition(&expo).unwrap_or_else(|e| panic!("invalid: {e}"));
+    // The shed counter, the request counter, the error counter and the
+    // latency histogram must all agree on what happened: a shed frame
+    // is accounted exactly like a served one.
+    assert_eq!(
+        sample_value(&expo, "lcl_shed_total{kind=\"classify\"}"),
+        shed as u64
+    );
+    assert_eq!(
+        sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
+        specs.len() as u64,
+        "shed frames stay in requests_total"
+    );
+    assert!(
+        sample_value(&expo, "lcl_request_errors_total{kind=\"classify\"}") >= shed as u64,
+        "shed frames are errors"
+    );
+    assert_eq!(
+        sample_value(&expo, "lcl_request_latency_micros_count{kind=\"classify\"}"),
+        sample_value(&expo, "lcl_requests_total{kind=\"classify\"}"),
+        "shed frames reach the histogram"
+    );
+    handle.shutdown();
 }
 
 /// A trace sink whose slow log (threshold 1µs, so every request) captures

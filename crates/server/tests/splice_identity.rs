@@ -1,7 +1,7 @@
 //! Byte-identity tests for the zero-serialization hot path: a spliced reply
 //! (cached payload bytes with the request id patched in) must be
 //! indistinguishable on the wire from a freshly serialized envelope — for
-//! every request kind, on both TCP backends and on stdio — and frames that
+//! every request kind, over TCP and on stdio — and frames that
 //! cannot splice (string ids, malformed payloads, error replies) must fall
 //! back to the slow path without touching the bytes cache.
 
@@ -11,16 +11,8 @@ use lcl_paths::problem::{
     Instance, RequestEnvelope, ResponseEnvelope, StreamInputs, StreamInstanceSpec, Topology,
 };
 use lcl_paths::{problems, Engine};
-use lcl_server::{serve_stdio, Backend, Client, Server, Service};
+use lcl_server::{serve_stdio, Client, Server, Service};
 use std::sync::Arc;
-
-/// Every TCP backend available on this platform (both on Linux).
-fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
-}
 
 fn service() -> Arc<Service> {
     Arc::new(Service::new(
@@ -128,58 +120,73 @@ fn assert_fast_lane_engaged(service: &Service, ctx: &str) {
     assert_eq!(cache.bytes_hits, 2, "[{ctx}]");
 }
 
-#[test]
-fn every_reply_is_canonical_envelope_bytes_on_both_tcp_backends() {
-    for backend in backends() {
-        let ctx = format!("{backend}");
-        let service = service();
-        let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-            .expect("bind")
-            .backend(backend)
-            .start()
-            .expect("start");
-        let mut client = Client::connect(handle.addr()).expect("connect");
+/// The all-kinds workload through `serve_stdio`, one line per reply frame.
+fn stdio_replies(service: &Arc<Service>) -> Vec<String> {
+    let input: String = all_kind_frames()
+        .into_iter()
+        .map(|(request, _)| format!("{request}\n"))
+        .collect();
+    let mut output = Vec::new();
+    serve_stdio(service, input.as_bytes(), &mut output).expect("stdio session");
+    String::from_utf8(output)
+        .expect("replies are UTF-8")
+        .lines()
+        .map(str::to_string)
+        .collect()
+}
 
-        let mut replies: Vec<String> = Vec::new();
-        for (request, streaming) in all_kind_frames() {
-            client.send_frame(&request).expect("send");
-            loop {
-                let line = client.recv_frame().expect("recv");
-                let done = !streaming
-                    || ResponseEnvelope::from_json_str(&line)
-                        .ok()
-                        .and_then(|e| e.result.ok())
-                        .is_some_and(|p| p.get("done").is_some());
-                replies.push(line);
-                if done {
-                    break;
-                }
+#[test]
+fn every_reply_is_canonical_envelope_bytes_over_tcp() {
+    let ctx = "reactor";
+    let stdio = stdio_replies(&service());
+    let service = service();
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
+        .expect("bind")
+        .start()
+        .expect("start");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+
+    let mut replies: Vec<String> = Vec::new();
+    for (request, streaming) in all_kind_frames() {
+        client.send_frame(&request).expect("send");
+        loop {
+            let line = client.recv_frame().expect("recv");
+            let done = !streaming
+                || ResponseEnvelope::from_json_str(&line)
+                    .ok()
+                    .and_then(|e| e.result.ok())
+                    .is_some_and(|p| p.get("done").is_some());
+            replies.push(line);
+            if done {
+                break;
             }
         }
+    }
 
-        for line in &replies {
-            assert_canonical(line, &ctx);
+    for line in &replies {
+        assert_canonical(line, ctx);
+    }
+    // The spliced twins differ from the cold reply only in the id.
+    assert_eq!(with_id_1(&replies[1], 2), replies[0], "[{ctx}]");
+    assert_eq!(with_id_1(&replies[2], i64::MAX), replies[0], "[{ctx}]");
+    assert_eq!(with_id_1(&replies[3], i64::MIN), replies[0], "[{ctx}]");
+    assert_fast_lane_engaged(&service, ctx);
+    handle.shutdown();
+
+    // TCP and stdio serve the same bytes, apart from the wall-clock fields
+    // of the `stats` (id 6) and `metrics` (id 8) replies.
+    assert_eq!(replies.len(), stdio.len());
+    for (tcp, stdio) in replies.iter().zip(&stdio) {
+        if !tcp.starts_with("{\"id\":6,") && !tcp.starts_with("{\"id\":8,") {
+            assert_eq!(tcp, stdio, "TCP and stdio replies differ");
         }
-        // The spliced twins differ from the cold reply only in the id.
-        assert_eq!(with_id_1(&replies[1], 2), replies[0], "[{ctx}]");
-        assert_eq!(with_id_1(&replies[2], i64::MAX), replies[0], "[{ctx}]");
-        assert_eq!(with_id_1(&replies[3], i64::MIN), replies[0], "[{ctx}]");
-        assert_fast_lane_engaged(&service, &ctx);
-        handle.shutdown();
     }
 }
 
 #[test]
 fn every_reply_is_canonical_envelope_bytes_on_stdio() {
     let service = service();
-    let input: String = all_kind_frames()
-        .into_iter()
-        .map(|(request, _)| format!("{request}\n"))
-        .collect();
-    let mut output = Vec::new();
-    serve_stdio(&service, input.as_bytes(), &mut output).expect("stdio session");
-
-    let replies: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+    let replies = stdio_replies(&service);
     assert!(
         replies.len() > all_kind_frames().len(),
         "chunks arrived too"
@@ -187,9 +194,9 @@ fn every_reply_is_canonical_envelope_bytes_on_stdio() {
     for line in &replies {
         assert_canonical(line, "stdio");
     }
-    assert_eq!(with_id_1(replies[1], 2), replies[0]);
-    assert_eq!(with_id_1(replies[2], i64::MAX), replies[0]);
-    assert_eq!(with_id_1(replies[3], i64::MIN), replies[0]);
+    assert_eq!(with_id_1(&replies[1], 2), replies[0]);
+    assert_eq!(with_id_1(&replies[2], i64::MAX), replies[0]);
+    assert_eq!(with_id_1(&replies[3], i64::MIN), replies[0]);
     assert_fast_lane_engaged(&service, "stdio");
 }
 

@@ -13,18 +13,18 @@
 //! and every verdict is cross-checked against brute-force
 //! [`TransferSystem`] solvability on sampled concrete instances. A second
 //! test replays a slice of the corpus through the `generate` protocol kind
-//! on both connection backends and asserts the wire transcripts are
-//! byte-identical.
+//! over TCP and asserts the wire replies are byte-identical to the
+//! in-process service's.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use lcl_paths::classifier::{classify_with_options, ClassifierOptions, Complexity};
 use lcl_paths::gen::{generate, Family, GenConfig};
-use lcl_paths::problem::{Instance, Topology};
+use lcl_paths::problem::{Instance, RequestEnvelope, Topology};
 use lcl_paths::semigroup::TransferSystem;
 use lcl_paths::Engine;
-use lcl_server::{Backend, Client, Server, Service};
+use lcl_server::{Client, Server, Service};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,13 +48,6 @@ fn soak_config(i: usize) -> GenConfig {
         .node_density_pct(density[(i / 36) % 3])
         .edge_density_pct(density[(i / 108) % 3])
         .out_degree(1 + (i as u32 / 2) % 2)
-}
-
-fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
 }
 
 /// The differential soak proper: memoized engine vs uncached semigroup
@@ -154,70 +147,58 @@ fn soak_generated_problems_classify_identically_on_both_paths() {
 
 /// A slice of the soak corpus replayed through the `generate` protocol kind:
 /// the wire problem must be byte-identical to local generation, its verdict
-/// must match the in-process engine, and the transcripts must agree across
-/// backends byte for byte.
+/// must match the in-process engine, and every reply frame must match the
+/// in-process service's byte for byte.
 #[test]
 fn generate_over_the_wire_matches_local_generation_on_every_backend() {
     let reference = Engine::builder().parallelism(1).build();
-    let mut per_backend: Vec<(Backend, Vec<String>)> = Vec::new();
+    let in_process = Service::new(Engine::builder().parallelism(1).build());
+    let service = Arc::new(Service::new(Engine::builder().parallelism(2).build()));
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
+        .expect("bind loopback")
+        .start()
+        .expect("start server");
+    let mut client = Client::connect(handle.addr()).expect("connect");
 
-    for backend in backends() {
-        let service = Arc::new(Service::new(Engine::builder().parallelism(2).build()));
-        let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-            .expect("bind loopback")
-            .backend(backend)
-            .start()
-            .expect("start server");
-        let mut client = Client::connect(handle.addr()).expect("connect");
+    for i in (0..SOAK_PROBLEMS).step_by(16) {
+        let config = soak_config(i);
+        let line = RequestEnvelope::new(i as i64, "generate", config.to_json()).to_json_string();
+        client.send_frame(&line).expect("send generate");
+        assert_eq!(
+            client.recv_frame().expect("generate reply"),
+            in_process.handle_line(&line).into_json_string(),
+            "{}: wire reply differs from the in-process service",
+            config.problem_name()
+        );
+        let (spec, hash) = client
+            .generate(&config)
+            .unwrap_or_else(|e| panic!("{}: {e}", config.problem_name()));
+        let local = generate(&config).expect("local generation");
+        assert_eq!(
+            hash,
+            format!("{:016x}", local.canonical_hash()),
+            "{}: wire hash disagrees with local generation",
+            config.problem_name()
+        );
+        assert_eq!(
+            spec.to_json_string(),
+            local.to_spec().to_json_string(),
+            "{}: wire spec is not byte-identical",
+            config.problem_name()
+        );
 
-        let mut transcript = Vec::new();
-        for i in (0..SOAK_PROBLEMS).step_by(16) {
-            let config = soak_config(i);
-            let (spec, hash) = client
-                .generate(&config)
-                .unwrap_or_else(|e| panic!("[{backend}] {}: {e}", config.problem_name()));
-            let local = generate(&config).expect("local generation");
-            assert_eq!(
-                hash,
-                format!("{:016x}", local.canonical_hash()),
-                "[{backend}] {}: wire hash disagrees with local generation",
-                config.problem_name()
-            );
-            assert_eq!(
-                spec.to_json_string(),
-                local.to_spec().to_json_string(),
-                "[{backend}] {}: wire spec is not byte-identical",
-                config.problem_name()
-            );
-
-            // The generated spec round-trips straight back into `classify`.
-            let verdict = client
-                .classify(&spec)
-                .unwrap_or_else(|e| panic!("[{backend}] classify generated spec: {e}"));
-            let expected = reference.verdict(&local).expect("in-process verdict");
-            assert_eq!(
-                verdict.complexity,
-                expected.complexity,
-                "[{backend}] {}: wire and in-process verdicts disagree",
-                config.problem_name()
-            );
-            transcript.push(format!(
-                "{} {hash} {}",
-                config.problem_name(),
-                verdict.complexity.wire_name()
-            ));
-        }
-        drop(client);
-        handle.shutdown();
-        per_backend.push((backend, transcript));
+        // The generated spec round-trips straight back into `classify`.
+        let verdict = client
+            .classify(&spec)
+            .unwrap_or_else(|e| panic!("classify generated spec: {e}"));
+        let expected = reference.verdict(&local).expect("in-process verdict");
+        assert_eq!(
+            verdict.complexity,
+            expected.complexity,
+            "{}: wire and in-process verdicts disagree",
+            config.problem_name()
+        );
     }
-
-    if let [(first, first_lines), rest @ ..] = per_backend.as_slice() {
-        for (other, other_lines) in rest {
-            assert_eq!(
-                first_lines, other_lines,
-                "backends {first} and {other} must generate identically"
-            );
-        }
-    }
+    drop(client);
+    handle.shutdown();
 }

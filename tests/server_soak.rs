@@ -1,33 +1,25 @@
-//! Many-connection soak tests for both connection backends: ≥128
-//! simultaneously open pipelined clients, byte-identical verdicts across
-//! backends, per-id echo, connection-gauge consistency, the `--max-conns`
-//! accept cap, and shutdown that no longer dials its own listen address.
+//! Many-connection soak tests for the TCP server: ≥128 simultaneously open
+//! pipelined clients, reply frames byte-identical to the in-process
+//! service, per-id echo, connection-gauge consistency, the `--max-conns`
+//! accept cap, and shutdown that never dials its own listen address.
 
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{RequestEnvelope, ResponseEnvelope};
 use lcl_paths::{problems, Engine};
-use lcl_server::{Backend, Client, Server, ServerHandle, Service};
+use lcl_server::{Client, Server, ServerHandle, Service};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Concurrently open pipelined clients per backend in the soak.
+/// Concurrently open pipelined clients in the soak.
 const CLIENTS: usize = 128;
 /// Classify frames each client pipelines (distinct problems, so the cache
 /// serves most of them after the first wave).
 const FRAMES_PER_CLIENT: usize = 3;
 
-fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
-}
-
-fn start_server(backend: Backend) -> (ServerHandle, Arc<Service>) {
+fn start_server() -> (ServerHandle, Arc<Service>) {
     let service = Arc::new(Service::new(Engine::builder().parallelism(2).build()));
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind loopback")
-        .backend(backend)
         .start()
         .expect("start server");
     (handle, service)
@@ -52,25 +44,25 @@ fn request_id(client: usize, frame: usize) -> i64 {
     (client as i64) * 1000 + frame as i64
 }
 
-/// Runs the ≥128-client soak against one backend and returns every raw
-/// reply line, sorted, for cross-backend comparison.
-fn soak_backend(backend: Backend) -> Vec<String> {
-    let (handle, service) = start_server(backend);
+/// The soak itself: ≥128 simultaneous pipelined clients, asserting reply
+/// frames byte-identical to the in-process service, per-id echo and gauge
+/// consistency.
+#[test]
+fn soak_128_concurrent_pipelined_clients_per_backend() {
+    let (handle, service) = start_server();
     let addr = handle.addr();
 
     // Open every client before any work starts, so all CLIENTS connections
     // are provably simultaneous.
     let clients: Vec<Client> = (0..CLIENTS)
-        .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("[{backend}] connect {i}: {e}")))
+        .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
         .collect();
-    wait_until(
-        &format!("[{backend}] all {CLIENTS} connections open"),
-        30,
-        || service.metrics_snapshot().connections_open >= CLIENTS as u64,
-    );
+    wait_until(&format!("all {CLIENTS} connections open"), 30, || {
+        service.metrics_snapshot().connections_open >= CLIENTS as u64
+    });
     assert!(
         service.metrics_snapshot().connections_peak >= CLIENTS as u64,
-        "[{backend}] peak gauge must see the soak"
+        "peak gauge must see the soak"
     );
 
     // The connection gauges are live on the wire too, not just in-process.
@@ -82,18 +74,19 @@ fn soak_backend(backend: Backend) -> Vec<String> {
         .expect("server.connections in stats");
     assert!(
         connections.require("peak").unwrap().as_int().unwrap() >= CLIENTS as i64,
-        "[{backend}] wire-visible peak"
+        "wire-visible peak"
     );
     assert!(
         connections.require("accepted").unwrap().as_int().unwrap() > CLIENTS as i64,
-        "[{backend}] accepted counts the probe too"
+        "accepted counts the probe too"
     );
     drop(probe);
 
     // Every client floods its whole burst, then reads the replies: ids must
-    // echo in request order and verdicts must be byte-identical to the
-    // in-process engine.
+    // echo in request order, verdicts must be byte-identical to the
+    // in-process engine and whole frames to the in-process service.
     let reference = Engine::new();
+    let in_process = Arc::new(Service::new(Engine::new()));
     let expected: Vec<String> = (0..FRAMES_PER_CLIENT)
         .map(|frame| {
             reference
@@ -102,21 +95,30 @@ fn soak_backend(backend: Backend) -> Vec<String> {
                 .to_json_string()
         })
         .collect();
-    let workers: Vec<std::thread::JoinHandle<Vec<String>>> = clients
+    let workers: Vec<std::thread::JoinHandle<()>> = clients
         .into_iter()
         .enumerate()
         .map(|(i, mut client)| {
             let expected = expected.clone();
+            let in_process = Arc::clone(&in_process);
             std::thread::spawn(move || {
-                for frame in 0..FRAMES_PER_CLIENT {
-                    let payload = JsonValue::object([("problem", spec_for(frame).to_json())]);
-                    let line = RequestEnvelope::new(request_id(i, frame), "classify", payload)
-                        .to_json_string();
-                    client.send_frame(&line).expect("send frame");
+                let lines: Vec<String> = (0..FRAMES_PER_CLIENT)
+                    .map(|frame| {
+                        let payload = JsonValue::object([("problem", spec_for(frame).to_json())]);
+                        RequestEnvelope::new(request_id(i, frame), "classify", payload)
+                            .to_json_string()
+                    })
+                    .collect();
+                for line in &lines {
+                    client.send_frame(line).expect("send frame");
                 }
-                let mut replies = Vec::with_capacity(FRAMES_PER_CLIENT);
                 for (frame, expected) in expected.iter().enumerate() {
                     let raw = client.recv_frame().expect("reply arrives");
+                    assert_eq!(
+                        raw,
+                        in_process.handle_line(&lines[frame]).into_json_string(),
+                        "client {i} frame {frame}: reply frame must match the in-process service"
+                    );
                     let reply = ResponseEnvelope::from_json_str(&raw).expect("reply parses");
                     assert_eq!(
                         reply.id,
@@ -133,54 +135,24 @@ fn soak_backend(backend: Backend) -> Vec<String> {
                         &verdict, expected,
                         "client {i} frame {frame}: wire verdict must be byte-identical"
                     );
-                    replies.push(raw);
                 }
-                replies
             })
         })
         .collect();
-    let mut all_replies: Vec<String> = workers
-        .into_iter()
-        .flat_map(|w| w.join().expect("soak client thread"))
-        .collect();
+    for worker in workers {
+        worker.join().expect("soak client thread");
+    }
 
     // Every client has disconnected: the open gauge must settle back to 0
-    // (connection teardown is asynchronous on both backends).
-    wait_until(
-        &format!("[{backend}] open connections back to 0"),
-        30,
-        || service.metrics_snapshot().connections_open == 0,
-    );
+    // (connection teardown is asynchronous).
+    wait_until("open connections back to 0", 30, || {
+        service.metrics_snapshot().connections_open == 0
+    });
     assert!(
         service.metrics_snapshot().connections_accepted >= (CLIENTS + 1) as u64,
-        "[{backend}] accepted all soak clients"
+        "accepted all soak clients"
     );
     handle.shutdown();
-
-    all_replies.sort();
-    all_replies
-}
-
-/// The soak itself: ≥128 simultaneous pipelined clients against every
-/// available backend, asserting byte-identical verdicts (in-process and
-/// across backends), per-id echo and gauge consistency.
-#[test]
-fn soak_128_concurrent_pipelined_clients_per_backend() {
-    let mut per_backend: Vec<(Backend, Vec<String>)> = Vec::new();
-    for backend in backends() {
-        per_backend.push((backend, soak_backend(backend)));
-    }
-    // The ids are deterministic per (client, frame) slot, so the full reply
-    // frames — not just the verdict payloads — must agree byte-for-byte
-    // between backends.
-    if let [(first, first_replies), rest @ ..] = per_backend.as_slice() {
-        for (other, other_replies) in rest {
-            assert_eq!(
-                first_replies, other_replies,
-                "backends {first} and {other} must produce byte-identical reply sets"
-            );
-        }
-    }
 }
 
 /// Connections in the single-cold-key stampede.
@@ -191,7 +163,7 @@ const STAMPEDE_CLIENTS: usize = 64;
 /// wire `stats` reply; everything that must hold on *every* attempt — one
 /// computation total, byte-identical verdicts, one pool job per frame — is
 /// hard-asserted inside.
-fn stampede_once(backend: Backend) -> i64 {
+fn stampede_once() -> i64 {
     // As many pool workers as connections, so every frame's job can be
     // in-flight at once and 63 of them can park on the leader's flight
     // (waiters park on the leader's *inline* computation, never on queued
@@ -201,7 +173,6 @@ fn stampede_once(backend: Backend) -> i64 {
     ));
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind loopback")
-        .backend(backend)
         .start()
         .expect("start server");
     let addr = handle.addr();
@@ -217,7 +188,7 @@ fn stampede_once(backend: Backend) -> i64 {
     // Open all connections first, then release the requests as closely
     // together as threads allow.
     let clients: Vec<Client> = (0..STAMPEDE_CLIENTS)
-        .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("[{backend}] connect {i}: {e}")))
+        .map(|i| Client::connect(addr).unwrap_or_else(|e| panic!("connect {i}: {e}")))
         .collect();
     let barrier = Arc::new(std::sync::Barrier::new(STAMPEDE_CLIENTS));
     let workers: Vec<std::thread::JoinHandle<()>> = clients
@@ -243,7 +214,7 @@ fn stampede_once(backend: Backend) -> i64 {
                     .to_json_string();
                 assert_eq!(
                     verdict, expected,
-                    "[{backend}] client {i}: stampede verdict must be byte-identical"
+                    "client {i}: stampede verdict must be byte-identical"
                 );
             })
         })
@@ -258,17 +229,17 @@ fn stampede_once(backend: Backend) -> i64 {
     assert_eq!(
         (cache.misses, cache.flight_leaders, cache.inserts),
         (1, 1, 1),
-        "[{backend}] 64-way cold miss must compute exactly once: {cache:?}"
+        "64-way cold miss must compute exactly once: {cache:?}"
     );
     assert_eq!(
         cache.hits + cache.misses,
         STAMPEDE_CLIENTS as u64,
-        "[{backend}] every request is exactly one of hit/join/lead: {cache:?}"
+        "every request is exactly one of hit/join/lead: {cache:?}"
     );
     // One pool job per pipelined frame — the stampede did not fan out 64
     // classifications onto the pool (the job bookkeeping settles just after
     // the replies are written).
-    wait_until(&format!("[{backend}] 64 frame jobs complete"), 10, || {
+    wait_until("64 frame jobs complete", 10, || {
         service.engine().pool_stats().jobs_completed == STAMPEDE_CLIENTS as u64
     });
 
@@ -283,7 +254,7 @@ fn stampede_once(backend: Backend) -> i64 {
             .as_int()
             .unwrap(),
         1,
-        "[{backend}] wire-visible leader count"
+        "wire-visible leader count"
     );
     let joins = wire_cache
         .require("flight_joins")
@@ -296,9 +267,9 @@ fn stampede_once(backend: Backend) -> i64 {
 }
 
 /// The single-key stampede: 64 pipelined connections issue the same cold
-/// `classify` simultaneously on both backends. Exactly one classification
-/// happens (hard-asserted every attempt); and in at least one attempt per
-/// backend the other 63 requests are absorbed as flight *joins* — parked on
+/// `classify` simultaneously. Exactly one classification
+/// happens (hard-asserted every attempt); and in at least one attempt the
+/// other 63 requests are absorbed as flight *joins* — parked on
 /// the leader's computation rather than served later from the warm cache.
 /// The join/hit split depends on scheduling (a request that arrives after
 /// the leader commits is a plain hit), so that half retries a few times on
@@ -306,20 +277,18 @@ fn stampede_once(backend: Backend) -> i64 {
 #[test]
 fn stampede_on_one_cold_key_classifies_once_with_63_joiners() {
     const ATTEMPTS: usize = 6;
-    for backend in backends() {
-        let mut best_joins = 0;
-        for _ in 0..ATTEMPTS {
-            best_joins = best_joins.max(stampede_once(backend));
-            if best_joins >= (STAMPEDE_CLIENTS - 1) as i64 {
-                break;
-            }
+    let mut best_joins = 0;
+    for _ in 0..ATTEMPTS {
+        best_joins = best_joins.max(stampede_once());
+        if best_joins >= (STAMPEDE_CLIENTS - 1) as i64 {
+            break;
         }
-        assert!(
-            best_joins >= (STAMPEDE_CLIENTS - 1) as i64,
-            "[{backend}] stampede never fully joined: best {best_joins} of {}",
-            STAMPEDE_CLIENTS - 1
-        );
     }
+    assert!(
+        best_joins >= (STAMPEDE_CLIENTS - 1) as i64,
+        "stampede never fully joined: best {best_joins} of {}",
+        STAMPEDE_CLIENTS - 1
+    );
 }
 
 /// `--max-conns`: connections past the cap are closed at accept
@@ -327,56 +296,49 @@ fn stampede_on_one_cold_key_classifies_once_with_63_joiners() {
 /// closing client is reusable.
 #[test]
 fn max_conns_rejects_excess_connections_on_every_backend() {
-    for backend in backends() {
-        let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
-        let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
-            .expect("bind loopback")
-            .backend(backend)
-            .max_conns(2)
-            .start()
-            .expect("start server");
-        let addr = handle.addr();
+    let service = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
+    let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
+        .expect("bind loopback")
+        .max_conns(2)
+        .start()
+        .expect("start server");
+    let addr = handle.addr();
 
-        let mut first = Client::connect(addr).expect("first connect");
-        let mut second = Client::connect(addr).expect("second connect");
-        first
-            .health()
-            .unwrap_or_else(|e| panic!("[{backend}] first: {e}"));
-        second
-            .health()
-            .unwrap_or_else(|e| panic!("[{backend}] second: {e}"));
+    let mut first = Client::connect(addr).expect("first connect");
+    let mut second = Client::connect(addr).expect("second connect");
+    first.health().unwrap_or_else(|e| panic!("first: {e}"));
+    second.health().unwrap_or_else(|e| panic!("second: {e}"));
 
-        // The third connect succeeds at TCP level (listen backlog) but the
-        // server closes it instead of serving: the first call must fail.
-        let mut third = Client::connect(addr).expect("third connect");
-        assert!(
-            third.health().is_err(),
-            "[{backend}] connection past --max-conns must be closed unserved"
-        );
-        wait_until(&format!("[{backend}] rejection counted"), 10, || {
-            service.metrics_snapshot().connections_rejected >= 1
-        });
-        assert_eq!(
-            service.metrics_snapshot().connections_open,
-            2,
-            "[{backend}] rejected connection must not occupy a slot"
-        );
+    // The third connect succeeds at TCP level (listen backlog) but the
+    // server closes it instead of serving: the first call must fail.
+    let mut third = Client::connect(addr).expect("third connect");
+    assert!(
+        third.health().is_err(),
+        "connection past --max-conns must be closed unserved"
+    );
+    wait_until("rejection counted", 10, || {
+        service.metrics_snapshot().connections_rejected >= 1
+    });
+    assert_eq!(
+        service.metrics_snapshot().connections_open,
+        2,
+        "rejected connection must not occupy a slot"
+    );
 
-        // Freeing a slot makes room again.
-        drop(second);
-        wait_until(&format!("[{backend}] slot freed"), 10, || {
-            service.metrics_snapshot().connections_open == 1
-        });
-        let mut fourth = Client::connect(addr).expect("fourth connect");
-        fourth
-            .health()
-            .unwrap_or_else(|e| panic!("[{backend}] freed capacity must serve: {e}"));
+    // Freeing a slot makes room again.
+    drop(second);
+    wait_until("slot freed", 10, || {
+        service.metrics_snapshot().connections_open == 1
+    });
+    let mut fourth = Client::connect(addr).expect("fourth connect");
+    fourth
+        .health()
+        .unwrap_or_else(|e| panic!("freed capacity must serve: {e}"));
 
-        drop(first);
-        drop(third);
-        drop(fourth);
-        handle.shutdown();
-    }
+    drop(first);
+    drop(third);
+    drop(fourth);
+    handle.shutdown();
 }
 
 /// Shutdown is driven by the eventfd/poll wakeup, not by the old hack of
@@ -384,13 +346,11 @@ fn max_conns_rejects_excess_connections_on_every_backend() {
 /// counter has never moved.
 #[test]
 fn shutdown_never_dials_its_own_listener() {
-    for backend in backends() {
-        let (handle, service) = start_server(backend);
-        handle.shutdown();
-        assert_eq!(
-            service.metrics_snapshot().connections_accepted,
-            0,
-            "[{backend}] shutdown must not fabricate a connection to wake accept"
-        );
-    }
+    let (handle, service) = start_server();
+    handle.shutdown();
+    assert_eq!(
+        service.metrics_snapshot().connections_accepted,
+        0,
+        "shutdown must not fabricate a connection to wake accept"
+    );
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests for the `solve_stream` protocol kind: chunked labelings
 //! that concatenate to exactly the materialized [`Engine::solve`] output,
-//! byte-identical frame streams across the reactor backend, the threads
-//! backend and the stdio transport, in-order delivery when a stream is
+//! byte-identical frame streams over TCP and the stdio transport, in-order
+//! delivery when a stream is
 //! pipelined with other requests, and structured rejection of workloads the
 //! streaming path cannot serve (Θ(n) problems, out-of-alphabet inputs).
 
@@ -13,18 +13,11 @@ use lcl_paths::problem::{
     Topology,
 };
 use lcl_paths::{problems, Engine};
-use lcl_server::{serve_stdio, Backend, Client, Server, ServerHandle, Service};
+use lcl_server::{serve_stdio, Client, Server, ServerHandle, Service};
 
 /// Small chunk ceiling (the `--max-chunk-bytes` clamp floor) so even short
 /// test streams span several chunk frames: (1024 − 128) / 8 = 112 labels.
 const CHUNK_BYTES: usize = 1024;
-
-fn backends() -> Vec<Backend> {
-    [Backend::Reactor, Backend::Threads]
-        .into_iter()
-        .filter(|b| b.available())
-        .collect()
-}
 
 fn service() -> Arc<Service> {
     Arc::new(
@@ -32,10 +25,9 @@ fn service() -> Arc<Service> {
     )
 }
 
-fn start(backend: Backend) -> ServerHandle {
+fn start() -> ServerHandle {
     Server::bind(service(), "127.0.0.1:0")
         .expect("bind loopback")
-        .backend(backend)
         .start()
         .expect("start server")
 }
@@ -65,79 +57,62 @@ fn workloads() -> Vec<(NormalizedLcl, StreamInstanceSpec)> {
     ]
 }
 
-/// Chunks arrive in order, concatenate to exactly the labeling a
-/// materialized [`Engine::solve`] produces, and the result is identical on
-/// every backend.
+/// Chunks arrive in order and concatenate to exactly the labeling a
+/// materialized [`Engine::solve`] produces in-process.
 #[test]
 fn streamed_chunks_concatenate_to_the_materialized_solve() {
     let reference = Engine::builder().parallelism(1).build();
-    let mut per_backend: Vec<(Backend, Vec<Vec<u16>>)> = Vec::new();
+    let handle = start();
+    let mut client = Client::connect(handle.addr()).expect("connect");
 
-    for backend in backends() {
-        let handle = start(backend);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        let mut labelings = Vec::new();
+    for (problem, spec) in workloads() {
+        let mut labels: Vec<u16> = Vec::new();
+        let mut chunks = 0u64;
+        let summary = client
+            .solve_stream(&problem.to_spec(), &spec, |offset, outputs| {
+                assert_eq!(
+                    offset,
+                    labels.len() as u64,
+                    "{}: chunk offsets must be contiguous",
+                    problem.name()
+                );
+                labels.extend_from_slice(outputs);
+                chunks += 1;
+            })
+            .unwrap_or_else(|e| panic!("{}: {e}", problem.name()));
 
-        for (problem, spec) in workloads() {
-            let mut labels: Vec<u16> = Vec::new();
-            let mut chunks = 0u64;
-            let summary = client
-                .solve_stream(&problem.to_spec(), &spec, |offset, outputs| {
-                    assert_eq!(
-                        offset,
-                        labels.len() as u64,
-                        "[{backend}] {}: chunk offsets must be contiguous",
-                        problem.name()
-                    );
-                    labels.extend_from_slice(outputs);
-                    chunks += 1;
-                })
-                .unwrap_or_else(|e| panic!("[{backend}] {}: {e}", problem.name()));
+        assert_eq!(summary.nodes, spec.length, "node count");
+        assert_eq!(summary.chunks, chunks, "chunk count");
+        assert!(
+            chunks >= 2,
+            "{}: the workload must span several chunks, got {chunks}",
+            problem.name()
+        );
 
-            assert_eq!(summary.nodes, spec.length, "[{backend}] node count");
-            assert_eq!(summary.chunks, chunks, "[{backend}] chunk count");
-            assert!(
-                chunks >= 2,
-                "[{backend}] {}: the workload must span several chunks, got {chunks}",
-                problem.name()
-            );
-
-            // The stream is not merely *a* valid labeling: it is exactly the
-            // labeling the materialized solve produces.
-            let instance = spec.materialize(problem.num_inputs());
-            let solved = reference
-                .solve(&problem, &instance)
-                .expect("materialized solve");
-            let expected: Vec<u16> = solved.labeling().outputs().iter().map(|o| o.0).collect();
-            assert_eq!(
-                labels,
-                expected,
-                "[{backend}] {}: stream diverged from the materialized solve",
-                problem.name()
-            );
-            assert_eq!(summary.rounds, solved.rounds(), "[{backend}] round count");
-            assert_eq!(summary.complexity, solved.complexity(), "[{backend}] class");
-            assert!(
-                problem.is_valid(&instance, &Labeling::from_indices(&labels)),
-                "[{backend}] {}: streamed labeling must verify",
-                problem.name()
-            );
-            labelings.push(labels);
-        }
-
-        drop(client);
-        handle.shutdown();
-        per_backend.push((backend, labelings));
+        // The stream is not merely *a* valid labeling: it is exactly the
+        // labeling the materialized solve produces.
+        let instance = spec.materialize(problem.num_inputs());
+        let solved = reference
+            .solve(&problem, &instance)
+            .expect("materialized solve");
+        let expected: Vec<u16> = solved.labeling().outputs().iter().map(|o| o.0).collect();
+        assert_eq!(
+            labels,
+            expected,
+            "{}: stream diverged from the materialized solve",
+            problem.name()
+        );
+        assert_eq!(summary.rounds, solved.rounds(), "round count");
+        assert_eq!(summary.complexity, solved.complexity(), "class");
+        assert!(
+            problem.is_valid(&instance, &Labeling::from_indices(&labels)),
+            "{}: streamed labeling must verify",
+            problem.name()
+        );
     }
 
-    if let [(first, first_labels), rest @ ..] = per_backend.as_slice() {
-        for (other, other_labels) in rest {
-            assert_eq!(
-                first_labels, other_labels,
-                "backends {first} and {other} must stream identical labelings"
-            );
-        }
-    }
+    drop(client);
+    handle.shutdown();
 }
 
 /// The request line every transport replays in the byte-identity test.
@@ -176,21 +151,16 @@ fn collect_stream_frames(client: &mut Client, id: i64) -> Vec<String> {
 }
 
 /// The full reply stream — every chunk frame and the terminal summary — is
-/// byte-identical across the reactor backend, the threads backend, and the
-/// stdio transport.
+/// byte-identical over TCP and the stdio transport.
 #[test]
 fn stream_frames_are_byte_identical_across_backends_and_stdio() {
     let request = stream_request_line(9);
-    let mut transcripts: Vec<(String, Vec<String>)> = Vec::new();
-
-    for backend in backends() {
-        let handle = start(backend);
-        let mut client = Client::connect(handle.addr()).expect("connect");
-        client.send_frame(&request).expect("send");
-        transcripts.push((backend.to_string(), collect_stream_frames(&mut client, 9)));
-        drop(client);
-        handle.shutdown();
-    }
+    let handle = start();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    client.send_frame(&request).expect("send");
+    let tcp_lines = collect_stream_frames(&mut client, 9);
+    drop(client);
+    handle.shutdown();
 
     let mut output = Vec::new();
     serve_stdio(&service(), format!("{request}\n").as_bytes(), &mut output).expect("stdio");
@@ -199,62 +169,55 @@ fn stream_frames_are_byte_identical_across_backends_and_stdio() {
         .lines()
         .map(str::to_string)
         .collect();
-    transcripts.push(("stdio".to_string(), stdio_lines));
 
-    if let [(first, first_lines), rest @ ..] = transcripts.as_slice() {
-        assert!(
-            first_lines.len() > 2,
-            "stream must produce chunk frames before the summary"
-        );
-        for (other, other_lines) in rest {
-            assert_eq!(
-                first_lines, other_lines,
-                "transports {first} and {other} must produce byte-identical streams"
-            );
-        }
-    }
+    assert!(
+        tcp_lines.len() > 2,
+        "stream must produce chunk frames before the summary"
+    );
+    assert_eq!(
+        tcp_lines, stdio_lines,
+        "TCP and stdio must produce byte-identical streams"
+    );
 }
 
 /// A stream pipelined ahead of other requests holds the reply order: every
 /// chunk frame and the stream's summary drain before the next reply.
 #[test]
 fn pipelined_requests_behind_a_stream_reply_in_order() {
-    for backend in backends() {
-        let handle = start(backend);
-        let mut client = Client::connect(handle.addr()).expect("connect");
+    let handle = start();
+    let mut client = Client::connect(handle.addr()).expect("connect");
 
-        let spec = StreamInstanceSpec {
-            topology: Topology::Path,
-            length: 500,
-            inputs: StreamInputs::Pattern {
-                pattern: vec![0, 1],
-            },
-        };
-        let payload = JsonValue::object([
-            ("problem", problems::copy_input().to_spec().to_json()),
-            ("instance", spec.to_json()),
-        ]);
-        let stream = RequestEnvelope::new(1, "solve_stream", payload).into_json_string();
-        let health = r#"{"v":1,"id":2,"kind":"health"}"#;
-        client.send_frame(&stream).expect("send stream");
-        client.send_frame(health).expect("send health");
+    let spec = StreamInstanceSpec {
+        topology: Topology::Path,
+        length: 500,
+        inputs: StreamInputs::Pattern {
+            pattern: vec![0, 1],
+        },
+    };
+    let payload = JsonValue::object([
+        ("problem", problems::copy_input().to_spec().to_json()),
+        ("instance", spec.to_json()),
+    ]);
+    let stream = RequestEnvelope::new(1, "solve_stream", payload).into_json_string();
+    let health = r#"{"v":1,"id":2,"kind":"health"}"#;
+    client.send_frame(&stream).expect("send stream");
+    client.send_frame(health).expect("send health");
 
-        let frames = collect_stream_frames(&mut client, 1);
-        assert!(
-            frames.len() >= 3,
-            "[{backend}] 500 nodes at 112 labels/chunk must span several frames"
-        );
-        let after = client.recv_frame().expect("health reply");
-        let response = ResponseEnvelope::from_json_str(&after).expect("reply parses");
-        assert_eq!(
-            response.id,
-            Some(2),
-            "[{backend}] the pipelined health reply must follow the whole stream"
-        );
+    let frames = collect_stream_frames(&mut client, 1);
+    assert!(
+        frames.len() >= 3,
+        "500 nodes at 112 labels/chunk must span several frames"
+    );
+    let after = client.recv_frame().expect("health reply");
+    let response = ResponseEnvelope::from_json_str(&after).expect("reply parses");
+    assert_eq!(
+        response.id,
+        Some(2),
+        "the pipelined health reply must follow the whole stream"
+    );
 
-        drop(client);
-        handle.shutdown();
-    }
+    drop(client);
+    handle.shutdown();
 }
 
 /// Workloads the streaming path cannot serve fail with one structured error
