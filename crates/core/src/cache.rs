@@ -477,15 +477,10 @@ impl LruState {
     /// list. Allocation-free: the node's own key reference is handed back.
     /// The caller must remove the same key from the index map.
     fn evict_tail(&mut self) -> Arc<[u8]> {
-        debug_assert_ne!(self.tail, NIL, "evict on an empty shard");
-        self.evict(self.tail)
-    }
-
-    /// Removes slot `i`, counting it as an eviction, and returns its key
-    /// (see [`LruState::evict_tail`]).
-    fn evict(&mut self, i: u32) -> Arc<[u8]> {
+        let i = self.tail;
+        debug_assert_ne!(i, NIL, "evict on an empty shard");
         self.detach(i);
-        let node = self.slab[i as usize].take().expect("linked slot is live");
+        let node = self.slab[i as usize].take().expect("tail slot is live");
         self.free.push(i);
         self.evictions += 1;
         self.entries -= 1;
@@ -691,17 +686,6 @@ impl<V: Clone> CacheShard<V> {
                 }
             }
         }
-    }
-
-    /// Evicts `key` if it is resident and `doomed` holds for its value.
-    fn evict_if(&self, key: &[u8], doomed: impl FnOnce(&V) -> bool) -> bool {
-        let mut lru = lock(&self.lru);
-        let mut index = write(&self.index);
-        let Some(slot) = index.get(key).filter(|e| doomed(&e.value)).map(|e| e.slot) else {
-            return false;
-        };
-        index.remove(&*lru.evict(slot));
-        true
     }
 
     fn clear(&self) {
@@ -1046,15 +1030,6 @@ impl<V: Clone> ShardedLruCache<V> {
             .sum()
     }
 
-    /// Drops `key`'s entry if it is resident and `doomed` holds for its
-    /// value; the drop counts as an eviction, so `entries + evictions ==
-    /// inserts` keeps holding. Returns whether an entry was dropped. A
-    /// predicate that identifies the value (`Arc::ptr_eq`) makes this safe
-    /// against a concurrent replacement: a newer value survives.
-    pub fn evict_if(&self, key: &[u8], doomed: impl FnOnce(&V) -> bool) -> bool {
-        self.shards[self.shard_of(key)].evict_if(key, doomed)
-    }
-
     /// Drops every entry in every shard. Counters are kept; the dropped
     /// entries count as evictions so `entries + evictions == inserts` keeps
     /// holding.
@@ -1238,27 +1213,6 @@ mod tests {
             1,
             "a raced re-insert is not an insert"
         );
-    }
-
-    #[test]
-    fn evict_if_drops_only_matching_entries_and_keeps_the_invariant() {
-        let cache = ShardedLruCache::new(8, 2);
-        for i in 0..4u64 {
-            cache.insert(key(i), i);
-        }
-        assert!(!cache.evict_if(&key(2), |&v| v == 99), "predicate refused");
-        assert!(!cache.evict_if(&key(9), |_| true), "absent key");
-        assert!(cache.evict_if(&key(2), |&v| v == 2));
-        assert_eq!(cache.get(&key(2)), None);
-        assert_eq!(cache.len(), 3);
-        // The freed slot is reused by the next insert.
-        assert!(cache.insert(key(2), 20).fresh);
-        assert_eq!(cache.get(&key(2)), Some(20));
-        let stats = cache.stats();
-        assert_eq!((stats.inserts, stats.evictions), (5, 1));
-        for shard in cache.shard_stats() {
-            assert!(shard.is_consistent(), "{shard:?}");
-        }
     }
 
     #[test]

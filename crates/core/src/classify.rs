@@ -1,6 +1,6 @@
 //! The top-level decision procedure: Theorem 8 + Theorem 9 combined.
 
-use crate::feasibility::find_feasible;
+use crate::feasibility::{find_feasible, FeasibleStructure};
 use crate::synthesis::{ConstantAlgorithm, LogStarAlgorithm, SynthesizedAlgorithm};
 use crate::types_info::GapTypes;
 use crate::verdict::{Classification, Complexity};
@@ -36,7 +36,7 @@ impl Default for ClassifierOptions {
 
 /// Returns the canonical (lexicographically least rotation) primitive words
 /// over an alphabet of `alpha` letters, up to length `max_len`.
-fn canonical_patterns(alpha: usize, max_len: usize) -> Vec<Vec<InLabel>> {
+pub(crate) fn canonical_patterns(alpha: usize, max_len: usize) -> Vec<Vec<InLabel>> {
     primitive_strings_up_to(alpha, max_len)
         .into_iter()
         .filter(|w| {
@@ -82,56 +82,81 @@ pub fn classify_with_options(
     options: &ClassifierOptions,
 ) -> Result<Classification> {
     let info = GapTypes::compute(problem, options.type_budget)?;
-    let num_types = info.semigroup().len();
-    let pump_threshold = info.semigroup().pump_threshold();
+    let kappa = pattern_length(&info, options);
+    // 1. Solvability (a prerequisite the paper assumes implicitly).
+    // 2. The ω(1) — o(log* n) gap (Theorem 9): the feasible structure must
+    //    additionally provide periodic labelings for every short primitive
+    //    input pattern.
+    // 3. The ω(log* n) — o(n) gap (Theorem 8).
+    // 4. No feasible function: the problem needs Θ(n).
+    let answer = if let Some(word) = info.solvability_witness()? {
+        Answer::Unsolvable(word)
+    } else if let Some(structure) = find_feasible(
+        &info,
+        &canonical_patterns(problem.num_inputs(), kappa),
+        options.search_budget,
+    )? {
+        Answer::Constant(structure)
+    } else if let Some(structure) = find_feasible(&info, &[], options.search_budget)? {
+        Answer::LogStar(structure)
+    } else {
+        Answer::Linear
+    };
+    Ok(answer.into_classification(&info, kappa))
+}
 
-    // Step 1: solvability (a prerequisite the paper assumes implicitly).
-    if let Some(word) = info.solvability_witness()? {
-        return Ok(Classification {
-            complexity: Complexity::Unsolvable,
-            witness: Some(Instance::cycle(word)),
-            synthesized: SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(problem)),
-            num_types,
-            pump_threshold,
-        });
+/// The primitive-pattern length `κ` of the `O(1)` conditions: the pumping
+/// threshold, capped by [`ClassifierOptions::pattern_length_cap`].
+pub(crate) fn pattern_length(info: &GapTypes, options: &ClassifierOptions) -> usize {
+    info.semigroup()
+        .pump_threshold()
+        .min(options.pattern_length_cap)
+        .max(1)
+}
+
+/// What the decision procedure found, before synthesis: a word whose long
+/// cycles admit no valid labeling, a feasible structure with or without
+/// pattern labelings, or nothing. A cache snapshot persists the structures
+/// ([`crate::snapshot`]).
+pub(crate) enum Answer {
+    Unsolvable(Vec<InLabel>),
+    Constant(FeasibleStructure),
+    LogStar(FeasibleStructure),
+    Linear,
+}
+
+impl Answer {
+    /// Synthesizes the algorithm for this answer and assembles the verdict;
+    /// the type count and pumping threshold come from `info`. Classification
+    /// and snapshot restore both end here.
+    pub(crate) fn into_classification(self, info: &GapTypes, kappa: usize) -> Classification {
+        let gather = || SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(info.problem()));
+        let (complexity, witness, synthesized) = match self {
+            Answer::Unsolvable(word) => (
+                Complexity::Unsolvable,
+                Some(Instance::cycle(word)),
+                gather(),
+            ),
+            Answer::Constant(structure) => (
+                Complexity::Constant,
+                None,
+                SynthesizedAlgorithm::Constant(ConstantAlgorithm::new(info, structure, kappa)),
+            ),
+            Answer::LogStar(structure) => (
+                Complexity::LogStar,
+                None,
+                SynthesizedAlgorithm::LogStar(LogStarAlgorithm::new(info, structure)),
+            ),
+            Answer::Linear => (Complexity::Linear, None, gather()),
+        };
+        Classification {
+            complexity,
+            witness,
+            synthesized,
+            num_types: info.semigroup().len(),
+            pump_threshold: info.semigroup().pump_threshold(),
+        }
     }
-
-    // Step 2: the ω(1) — o(log* n) gap (Theorem 9): the feasible structure
-    // must additionally provide periodic labelings for every short primitive
-    // input pattern.
-    let kappa = pump_threshold.min(options.pattern_length_cap).max(1);
-    let patterns = canonical_patterns(problem.num_inputs(), kappa);
-    if let Some(structure) = find_feasible(&info, &patterns, options.search_budget)? {
-        let algorithm = ConstantAlgorithm::new(&info, structure, kappa);
-        return Ok(Classification {
-            complexity: Complexity::Constant,
-            witness: None,
-            synthesized: SynthesizedAlgorithm::Constant(algorithm),
-            num_types,
-            pump_threshold,
-        });
-    }
-
-    // Step 3: the ω(log* n) — o(n) gap (Theorem 8).
-    if let Some(structure) = find_feasible(&info, &[], options.search_budget)? {
-        let algorithm = LogStarAlgorithm::new(&info, structure);
-        return Ok(Classification {
-            complexity: Complexity::LogStar,
-            witness: None,
-            synthesized: SynthesizedAlgorithm::LogStar(algorithm),
-            num_types,
-            pump_threshold,
-        });
-    }
-
-    // Step 4: no feasible function — the problem needs Θ(n).
-    Ok(Classification {
-        complexity: Complexity::Linear,
-        witness: None,
-        synthesized: SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(problem)),
-        num_types,
-        pump_threshold,
-    })
 }
 
 #[cfg(test)]

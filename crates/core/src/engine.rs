@@ -75,7 +75,6 @@
 use crate::cache::{CacheStats, ShardStats, ShardedLruCache};
 use crate::classify::{classify_with_options, ClassifierOptions};
 use crate::pool::{PoolStats, WorkerPool};
-use crate::synthesis::SynthesizedAlgorithm;
 use crate::verdict::{Classification, Complexity, Verdict};
 use crate::Result;
 use lcl_local_sim::{LocalAlgorithm, Network, SyncSimulator};
@@ -635,35 +634,8 @@ impl Engine {
         // Instances can arrive straight off the wire; validate against the
         // problem's alphabet before the verifier's assertions would panic.
         instance.check_alphabet(problem.num_inputs())?;
-        let classification = self.classify_for_solve(problem)?;
+        let classification = self.classify(problem)?;
         self.solve_classified(problem, instance, classification)
-    }
-
-    /// The classification a solve runs: [`Engine::classify`], except that a
-    /// snapshot-restored entry is reclassified once. A restored entry carries
-    /// the Θ(n) gather stand-in ([`crate::synthesis::RestoredAlgorithm`]),
-    /// which is exact for verdicts but far too slow to run; it is evicted and
-    /// recomputed through the ordinary miss path, so the cache counters keep
-    /// `entries + evictions == inserts` and later solves hit the fresh entry.
-    pub(crate) fn classify_for_solve(
-        &self,
-        problem: &NormalizedLcl,
-    ) -> Result<Arc<Classification>> {
-        let (entry, _) = self.core.classify_entry(problem)?;
-        if !matches!(
-            entry.classification.algorithm(),
-            SynthesizedAlgorithm::Restored(_)
-        ) {
-            return Ok(Arc::clone(&entry.classification));
-        }
-        // Evict only this restored value: a solve that raced us may have
-        // installed the fresh entry already.
-        self.core
-            .cache
-            .evict_if(&problem.structural_key(), |resident| {
-                Arc::ptr_eq(resident, &entry)
-            });
-        self.core.classify(problem)
     }
 
     /// The tail of [`Engine::solve`]: synthesize, simulate, verify,
@@ -765,10 +737,10 @@ impl Engine {
     }
 
     /// Serializes the memo cache's resident classifications into a versioned,
-    /// checksummed snapshot document (see [`crate::snapshot`]): key bytes
-    /// plus verdict fields, coldest entries first, volatile reply bytes
-    /// excluded. Safe to call under live traffic — each shard is captured in
-    /// one consistent critical section.
+    /// checksummed snapshot document (see [`crate::snapshot`]): key bytes,
+    /// complexity and the feasibility search's answer, coldest entries
+    /// first, volatile reply bytes excluded. Safe to call under live traffic
+    /// — each shard is captured in one consistent critical section.
     pub fn snapshot_document(&self) -> String {
         crate::snapshot::serialize_entries(&self.core.cache.snapshot_entries())
     }
@@ -776,20 +748,21 @@ impl Engine {
     /// Restores a snapshot produced by [`Engine::snapshot_document`] into
     /// this engine's memo cache, re-inserting entries in file order through
     /// the ordinary insert path (recency reproduced, stats invariants
-    /// preserved, present keys kept). Restored entries serve verdicts
-    /// byte-identically to the originals; their synthesized algorithm is the
-    /// gather-everything stand-in ([`crate::synthesis::RestoredAlgorithm`]),
-    /// which the first solve against the entry replaces by reclassifying.
+    /// preserved, present keys kept). Each entry is rebuilt with this
+    /// engine's options by the code a classification runs, minus the
+    /// feasibility search, so it serves verdicts and solves exactly like a
+    /// freshly classified one.
     ///
     /// # Errors
     ///
     /// Returns a wire-format error when the document's envelope is invalid
     /// (bad header, version skew, checksum mismatch, truncation); individual
-    /// undecodable entries are skipped and counted in the report instead.
+    /// invalid entries (types beyond this engine's `type_budget` included)
+    /// are skipped and counted in the report instead.
     /// Callers treating snapshots as best-effort warmth should log the error
     /// and continue with a cold cache.
     pub fn restore_snapshot(&self, document: &str) -> Result<crate::snapshot::RestoreReport> {
-        crate::snapshot::restore_entries(document, |key, entry| {
+        crate::snapshot::restore_entries(document, &self.core.options, |key, entry| {
             self.core.cache.insert(key, Arc::new(entry));
         })
     }

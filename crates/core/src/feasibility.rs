@@ -37,7 +37,7 @@ pub struct PatternLabeling {
 }
 
 /// The outcome of a successful feasibility search.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FeasibleStructure {
     /// `A(τ)` for each quantified type (labels allowed to face the gap from
     /// the left).
@@ -54,6 +54,41 @@ pub struct FeasibleStructure {
 }
 
 impl FeasibleStructure {
+    /// Assembles a structure from the facing sets (ascending label lists,
+    /// one per quantified type) and the pattern labelings, materializing the
+    /// feasible function: each anchor-block context gets the first
+    /// `(first, last)` pair in label order with `first ∈ B(τ_left)`,
+    /// `last ∈ A(τ_right)`, the node constraints of `S` and the internal edge
+    /// constraint. Returns `None` if some context has no such pair.
+    ///
+    /// # Panics
+    ///
+    /// May panic if a label lies outside the problem's output alphabet.
+    pub fn new(
+        problem: &NormalizedLcl,
+        left_facing: Vec<Vec<OutLabel>>,
+        right_facing: Vec<Vec<OutLabel>>,
+        patterns: Vec<PatternLabeling>,
+    ) -> Option<Self> {
+        let contexts = (right_facing.len() * problem.num_inputs()).pow(2);
+        let mut blocks = HashMap::with_capacity(contexts);
+        for (li, firsts) in right_facing.iter().enumerate() {
+            for (ri, lasts) in left_facing.iter().enumerate() {
+                for (s0, s1) in input_pairs(problem) {
+                    let (firsts, lasts) = (firsts.iter().copied(), lasts.iter().copied());
+                    let pair = block_labeling(problem, firsts, lasts, (s0, s1))?;
+                    blocks.insert((li, s0.0, s1.0, ri), pair);
+                }
+            }
+        }
+        Some(FeasibleStructure {
+            left_facing,
+            right_facing,
+            blocks,
+            patterns,
+        })
+    }
+
     /// Looks up the block labeling for a context.
     pub fn block(
         &self,
@@ -125,11 +160,34 @@ fn candidate_bicliques(conn: &OutRelation, beta: usize) -> Vec<Biclique> {
     out
 }
 
-fn mask_to_labels(mask: u64, beta: usize) -> Vec<OutLabel> {
+/// The labels of a bitmask over `Σ_out`, ascending.
+fn mask_labels(mask: u64, beta: usize) -> impl Iterator<Item = OutLabel> + Clone {
     (0..beta)
-        .filter(|&i| mask >> i & 1 == 1)
+        .filter(move |&i| mask >> i & 1 == 1)
         .map(OutLabel::from_index)
-        .collect()
+}
+
+/// Every anchor-block input `S = (S₀, S₁) ∈ Σ_in²`.
+fn input_pairs(problem: &NormalizedLcl) -> impl Iterator<Item = (InLabel, InLabel)> {
+    let alpha = problem.num_inputs() as u16;
+    (0..alpha).flat_map(move |s0| (0..alpha).map(move |s1| (InLabel(s0), InLabel(s1))))
+}
+
+/// The block labeling of input `(S₀, S₁)`: the first `(first, last)` pair in
+/// label order with `first ∈ firsts`, `last ∈ lasts`, the node constraints of
+/// `S` and the internal edge constraint.
+fn block_labeling(
+    problem: &NormalizedLcl,
+    firsts: impl Iterator<Item = OutLabel>,
+    lasts: impl Iterator<Item = OutLabel> + Clone,
+    (s0, s1): (InLabel, InLabel),
+) -> Option<(OutLabel, OutLabel)> {
+    let mut firsts = firsts.filter(|&first| problem.node_ok(s0, first));
+    firsts.find_map(|first| {
+        let mut lasts = lasts.clone();
+        let last = lasts.find(|&last| problem.node_ok(s1, last) && problem.edge_ok(first, last))?;
+        Some((first, last))
+    })
 }
 
 /// Enumerates all valid periodic labelings of a pattern (labelings `y` with
@@ -293,37 +351,10 @@ fn blocks_exist(
     left_facing_of_right_gap: u64,
     beta: usize,
 ) -> bool {
-    let alpha = problem.num_inputs();
-    for s0 in 0..alpha {
-        for s1 in 0..alpha {
-            let mut found = false;
-            'search: for first in 0..beta {
-                if right_facing_of_left_gap >> first & 1 == 0 {
-                    continue;
-                }
-                let first_l = OutLabel::from_index(first);
-                if !problem.node_ok(InLabel::from_index(s0), first_l) {
-                    continue;
-                }
-                for last in 0..beta {
-                    if left_facing_of_right_gap >> last & 1 == 0 {
-                        continue;
-                    }
-                    let last_l = OutLabel::from_index(last);
-                    if problem.node_ok(InLabel::from_index(s1), last_l)
-                        && problem.edge_ok(first_l, last_l)
-                    {
-                        found = true;
-                        break 'search;
-                    }
-                }
-            }
-            if !found {
-                return false;
-            }
-        }
-    }
-    true
+    let firsts = mask_labels(right_facing_of_left_gap, beta);
+    let lasts = mask_labels(left_facing_of_right_gap, beta);
+    input_pairs(problem)
+        .all(|s| block_labeling(problem, firsts.clone(), lasts.clone(), s).is_some())
 }
 
 /// Searches for a feasible structure.
@@ -444,17 +475,6 @@ pub fn find_feasible(
     if num_types > 0 && !search.solve(0)? {
         return Ok(None);
     }
-    let assignment: Vec<Biclique> = search
-        .assignment
-        .iter()
-        .map(|a| {
-            a.unwrap_or(Biclique {
-                a: (1 << beta) - 1,
-                b: (1 << beta) - 1,
-            })
-        })
-        .collect();
-
     // Choose periodic labelings so that any two labeled periodic regions can
     // be bridged across an arbitrary middle (the `G_{w1,w2,S}` condition of
     // §4.4): for every ordered pair of patterns, every middle type (or empty
@@ -466,58 +486,22 @@ pub fn find_feasible(
         None => return Ok(None),
     };
 
-    // Materialize the block function.
-    let alpha = problem.num_inputs();
-    let mut blocks = HashMap::new();
-    for (li, left) in assignment.iter().enumerate() {
-        for (ri, right) in assignment.iter().enumerate() {
-            for s0 in 0..alpha {
-                for s1 in 0..alpha {
-                    let mut chosen = None;
-                    'pairs: for first in 0..beta {
-                        if left.b >> first & 1 == 0 {
-                            continue;
-                        }
-                        let first_l = OutLabel::from_index(first);
-                        if !problem.node_ok(InLabel::from_index(s0), first_l) {
-                            continue;
-                        }
-                        for last in 0..beta {
-                            if right.a >> last & 1 == 0 {
-                                continue;
-                            }
-                            let last_l = OutLabel::from_index(last);
-                            if problem.node_ok(InLabel::from_index(s1), last_l)
-                                && problem.edge_ok(first_l, last_l)
-                            {
-                                chosen = Some((first_l, last_l));
-                                break 'pairs;
-                            }
-                        }
-                    }
-                    match chosen {
-                        Some(pair) => {
-                            blocks.insert((li, s0 as u16, s1 as u16, ri), pair);
-                        }
-                        None => return Ok(None),
-                    }
-                }
-            }
-        }
-    }
-
-    Ok(Some(FeasibleStructure {
-        left_facing: assignment
-            .iter()
-            .map(|b| mask_to_labels(b.a, beta))
-            .collect(),
-        right_facing: assignment
-            .iter()
-            .map(|b| mask_to_labels(b.b, beta))
-            .collect(),
-        blocks,
-        patterns: chosen_patterns,
-    }))
+    // A solved search assigned every type.
+    let (left_facing, right_facing) = search
+        .assignment
+        .iter()
+        .flatten()
+        .map(|b| {
+            let labels = |mask| mask_labels(mask, beta).collect::<Vec<_>>();
+            (labels(b.a), labels(b.b))
+        })
+        .unzip();
+    Ok(FeasibleStructure::new(
+        problem,
+        left_facing,
+        right_facing,
+        chosen_patterns,
+    ))
 }
 
 #[cfg(test)]

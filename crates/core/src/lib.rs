@@ -83,7 +83,7 @@ pub use obs::{HistogramSnapshot, LatencyHistogram, TraceRecord};
 pub use pool::PoolStats;
 pub use snapshot::{RestoreReport, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};
 pub use stream::{StreamSolution, STREAM_RADIUS_CAP};
-pub use synthesis::{ConstantAlgorithm, LogStarAlgorithm, RestoredAlgorithm, SynthesizedAlgorithm};
+pub use synthesis::{ConstantAlgorithm, LogStarAlgorithm, SynthesizedAlgorithm};
 pub use types_info::GapTypes;
 pub use verdict::{Classification, Complexity, Verdict};
 

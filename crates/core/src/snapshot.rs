@@ -1,28 +1,35 @@
 //! Warm-cache snapshot/restore: the memo cache's persistence format.
 //!
 //! A snapshot is a versioned, checksummed JSON-lines document capturing the
-//! *classifications* resident in an [`Engine`](crate::Engine)'s memo cache —
-//! key bytes plus verdict fields, deliberately **not** the volatile
-//! reply-bytes lane (payloads re-attach lazily on the first post-restore
-//! splice) and not the synthesized feasible structure (restored entries carry
-//! the gather-everything stand-in, see [`RestoredAlgorithm`]; the first
-//! solve against one reclassifies it).
+//! classifications resident in an [`Engine`](crate::Engine)'s memo cache:
+//! per entry the key bytes, the complexity class and the answer of the
+//! feasibility search, but not the volatile reply-bytes lane (payloads
+//! re-attach lazily on the first post-restore splice). Restore rebuilds the
+//! rest with the code [`crate::classify_with_options`] runs (types, witness,
+//! block table via [`FeasibleStructure::new`], synthesized algorithm), so a
+//! restored entry is a freshly classified one minus the search.
 //!
 //! Layout, one JSON object per line:
 //!
 //! ```text
-//! {"entries":N,"format":"lcl-cache-snapshot","version":1}   header
-//! {"algorithm":…,"complexity":…,"key":"<hex>",…}            N entry lines
+//! {"entries":N,"format":"lcl-cache-snapshot","version":2}   header
+//! {"complexity":…,"key":"<hex>"[,"left_facing":…,"patterns":…,"right_facing":…]}
+//!                                                           N entry lines
 //! {"checksum":"<16 hex digits>"}                            trailer
 //! ```
+//!
+//! `O(1)` and `Θ(log* n)` entries carry `left_facing` and `right_facing`:
+//! per quantified type, the ascending output-label indices of `A(τ)` and
+//! `B(τ)`. `O(1)` entries add `patterns`: one periodic labeling per
+//! canonical pattern of length at most `κ`, in enumeration order.
 //!
 //! The trailer is the FNV-1a 64-bit digest of every preceding byte
 //! (newlines included), so truncation, bit rot and concatenation are all
 //! detected before any entry is trusted. Restore is deliberately forgiving
-//! *per entry* — an entry that fails to decode is skipped and counted, never
-//! fatal — but strict about the envelope: a bad header, version skew or a
-//! checksum mismatch rejects the whole document, because a file that fails
-//! its own framing cannot be partially trusted.
+//! *per entry* — an entry that fails to decode or validate is skipped and
+//! counted, never fatal — but strict about the envelope: a bad header,
+//! version skew or a checksum mismatch rejects the whole document, because a
+//! file that fails its own framing cannot be partially trusted.
 //!
 //! Entries are written coldest-first per shard
 //! ([`ShardedLruCache::snapshot_entries`](crate::ShardedLruCache::snapshot_entries)),
@@ -32,13 +39,14 @@
 //! (`entries + evictions == inserts`) holds afterwards because no counter is
 //! ever written directly.
 
+use crate::classify::{canonical_patterns, pattern_length, Answer, ClassifierOptions};
 use crate::engine::CacheEntry;
-use crate::synthesis::{RestoredAlgorithm, SynthesizedAlgorithm};
-use crate::verdict::{Classification, Complexity};
+use crate::feasibility::{FeasibleStructure, PatternLabeling};
+use crate::types_info::GapTypes;
+use crate::verdict::Complexity;
 use crate::Result;
-use lcl_local_sim::LocalAlgorithm;
 use lcl_problem::json::JsonValue;
-use lcl_problem::{Instance, NormalizedLcl, ProblemError};
+use lcl_problem::{Instance, Labeling, NormalizedLcl, OutLabel, ProblemError};
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 
@@ -46,7 +54,7 @@ use std::sync::Arc;
 pub const SNAPSHOT_FORMAT: &str = "lcl-cache-snapshot";
 
 /// The snapshot format version this build writes and accepts.
-pub const SNAPSHOT_VERSION: i64 = 1;
+pub const SNAPSHOT_VERSION: i64 = 2;
 
 /// The outcome of [`Engine::restore_snapshot`](crate::Engine::restore_snapshot):
 /// how many entries the document declared, how many were installed, and how
@@ -107,7 +115,8 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-fn wire(what: String) -> crate::ClassifierError {
+fn wire(what: impl Into<String>) -> crate::ClassifierError {
+    let what = what.into();
     crate::ClassifierError::Problem(ProblemError::Wire { what })
 }
 
@@ -125,33 +134,22 @@ pub(crate) fn serialize_entries(entries: &[(Arc<[u8]>, Arc<CacheEntry>)]) -> Str
     out.push('\n');
     for (key, entry) in entries {
         let classification = entry.classification();
-        JsonValue::object([
-            (
-                "algorithm",
-                JsonValue::Str(classification.algorithm().name().to_string()),
-            ),
+        let mut fields = vec![
             (
                 "complexity",
                 JsonValue::Str(classification.complexity().wire_name().to_string()),
             ),
             ("key", JsonValue::Str(hex_encode(key))),
-            (
-                "num_types",
-                JsonValue::Int(classification.num_types() as i64),
-            ),
-            (
-                "pump_threshold",
-                JsonValue::Int(classification.pump_threshold() as i64),
-            ),
-            (
-                "witness",
-                match classification.unsolvability_witness() {
-                    Some(instance) => instance.to_json(),
-                    None => JsonValue::Null,
-                },
-            ),
-        ])
-        .write_json_string(&mut out);
+        ];
+        if let Some(structure) = classification.algorithm().feasible_structure() {
+            fields.push(("left_facing", lists_json(&structure.left_facing)));
+            fields.push(("right_facing", lists_json(&structure.right_facing)));
+            if !structure.patterns.is_empty() {
+                let labelings = structure.patterns.iter().map(|p| &p.labeling);
+                fields.push(("patterns", lists_json(labelings)));
+            }
+        }
+        JsonValue::object(fields).write_json_string(&mut out);
         out.push('\n');
     }
     let checksum = fnv1a(out.as_bytes());
@@ -161,9 +159,92 @@ pub(crate) fn serialize_entries(entries: &[(Arc<[u8]>, Arc<CacheEntry>)]) -> Str
     out
 }
 
+/// Renders output-label lists as nested arrays of label indices.
+fn lists_json<'a>(lists: impl IntoIterator<Item = &'a Vec<OutLabel>>) -> JsonValue {
+    let indices =
+        |labels: &Vec<OutLabel>| JsonValue::int_array(labels.iter().map(|l| i64::from(l.0)));
+    JsonValue::Array(lists.into_iter().map(indices).collect())
+}
+
+/// Reads `field` as a list of output-label lists, checking every label
+/// against the output alphabet size `beta`.
+fn label_lists(value: &JsonValue, field: &str, beta: usize) -> Result<Vec<Vec<OutLabel>>> {
+    let json_err = |e: lcl_problem::json::JsonError| wire(format!("field `{field}`: {e}"));
+    let label = |label: &JsonValue| {
+        let index = label.as_int().map_err(json_err)?;
+        match usize::try_from(index) {
+            Ok(i) if i < beta => Ok(OutLabel::from_index(i)),
+            _ => Err(wire(format!("field `{field}`: label {index} out of range"))),
+        }
+    };
+    let lists = value.require(field).and_then(JsonValue::as_array);
+    let list = |list: &JsonValue| {
+        list.as_array()
+            .map_err(json_err)?
+            .iter()
+            .map(label)
+            .collect()
+    };
+    lists.map_err(json_err)?.iter().map(list).collect()
+}
+
+/// Reads back the answer of the feasibility search and checks it against
+/// the rebuilt types: one ascending facing set per quantified type with
+/// `A(τ) × B(τ) ⊆ C(τ)`, one periodically valid labeling per pattern, and a
+/// block table that materializes. The pairwise pattern bridging is not
+/// re-checked; like the verdict, it is trusted behind the checksum.
+fn decode_structure(
+    value: &JsonValue,
+    info: &GapTypes,
+    patterns: Vec<Vec<lcl_problem::InLabel>>,
+) -> Result<FeasibleStructure> {
+    let problem = info.problem();
+    let beta = problem.num_outputs();
+    let left = label_lists(value, "left_facing", beta)?;
+    let right = label_lists(value, "right_facing", beta)?;
+    let types = info.quantified().len();
+    if left.len() != types || right.len() != types {
+        return Err(wire(format!("facing sets do not match the {types} types")));
+    }
+    let ascending = |set: &Vec<OutLabel>| set.windows(2).all(|w| w[0] < w[1]);
+    for (i, (a, b)) in left.iter().zip(&right).enumerate() {
+        if !ascending(a) || !ascending(b) {
+            return Err(wire(format!("facing sets of type {i} are not ascending")));
+        }
+        let connected = |p: &OutLabel| {
+            b.iter()
+                .all(|q| info.connection(i).get(p.index(), q.index()))
+        };
+        if !a.iter().all(connected) {
+            return Err(wire(format!("facing sets of type {i} are not connected")));
+        }
+    }
+    let labelings = match patterns.len() {
+        0 => Vec::new(),
+        _ => label_lists(value, "patterns", beta)?,
+    };
+    if labelings.len() != patterns.len() {
+        return Err(wire(format!(
+            "expected {} pattern labelings",
+            patterns.len()
+        )));
+    }
+    let mut chosen = Vec::with_capacity(patterns.len());
+    for (pattern, labeling) in patterns.into_iter().zip(labelings) {
+        let cycle = Instance::cycle(pattern.clone());
+        if !problem.is_valid(&cycle, &Labeling::new(labeling.clone())) {
+            return Err(wire(format!("invalid periodic labeling {labeling:?}")));
+        }
+        chosen.push(PatternLabeling { pattern, labeling });
+    }
+    FeasibleStructure::new(problem, left, right, chosen)
+        .ok_or_else(|| wire("facing sets leave an anchor block unlabelable"))
+}
+
 /// Decodes one entry line back into a `(key, entry)` pair ready for cache
-/// insertion.
-fn decode_entry(line: &str) -> Result<(Vec<u8>, CacheEntry)> {
+/// insertion, rebuilding the classification as
+/// [`crate::classify_with_options`] would with `options`.
+fn decode_entry(line: &str, options: &ClassifierOptions) -> Result<(Vec<u8>, CacheEntry)> {
     let value = JsonValue::parse(line).map_err(|e| wire(e.to_string()))?;
     let json_err = |e: lcl_problem::json::JsonError| wire(e.to_string());
     let key_hex = value
@@ -181,31 +262,21 @@ fn decode_entry(line: &str) -> Result<(Vec<u8>, CacheEntry)> {
         .map_err(json_err)?;
     let complexity = Complexity::from_wire_name(complexity_name)
         .ok_or_else(|| wire(format!("unknown complexity `{complexity_name}`")))?;
-    let count = |field: &str| -> Result<usize> {
-        let v = value
-            .require(field)
-            .and_then(JsonValue::as_int)
-            .map_err(json_err)?;
-        usize::try_from(v)
-            .map_err(|_| wire(format!("field `{field}` must be non-negative, got {v}")))
+    let info = GapTypes::compute(&problem, options.type_budget)?;
+    let kappa = pattern_length(&info, options);
+    let answer = match complexity {
+        Complexity::Unsolvable => Answer::Unsolvable(
+            info.solvability_witness()?
+                .ok_or_else(|| wire("unsolvable entry for a solvable problem"))?,
+        ),
+        Complexity::Constant => {
+            let patterns = canonical_patterns(problem.num_inputs(), kappa);
+            Answer::Constant(decode_structure(&value, &info, patterns)?)
+        }
+        Complexity::LogStar => Answer::LogStar(decode_structure(&value, &info, Vec::new())?),
+        Complexity::Linear => Answer::Linear,
     };
-    let num_types = count("num_types")?;
-    let pump_threshold = count("pump_threshold")?;
-    let algorithm = value
-        .require("algorithm")
-        .and_then(JsonValue::as_str)
-        .map_err(json_err)?;
-    let witness = match value.require("witness").map_err(json_err)? {
-        JsonValue::Null => None,
-        instance => Some(Instance::from_json(instance)?),
-    };
-    let classification = Classification {
-        complexity,
-        witness,
-        synthesized: SynthesizedAlgorithm::Restored(RestoredAlgorithm::new(&problem, algorithm)),
-        num_types,
-        pump_threshold,
-    };
+    let classification = answer.into_classification(&info, kappa);
     Ok((key, CacheEntry::new(Arc::new(classification))))
 }
 
@@ -221,20 +292,17 @@ fn decode_entry(line: &str) -> Result<(Vec<u8>, CacheEntry)> {
 /// returned report.
 pub(crate) fn restore_entries(
     document: &str,
+    options: &ClassifierOptions,
     mut install: impl FnMut(Vec<u8>, CacheEntry),
 ) -> Result<RestoreReport> {
     // Find the trailer: the last non-empty line.
     let trimmed = document.trim_end_matches('\n');
     if trimmed.is_empty() {
-        return Err(wire("empty snapshot document".to_string()));
+        return Err(wire("empty snapshot document"));
     }
     let (body, trailer_line) = match trimmed.rfind('\n') {
         Some(split) => (&trimmed[..split + 1], &trimmed[split + 1..]),
-        None => {
-            return Err(wire(
-                "snapshot document has no checksum trailer".to_string(),
-            ))
-        }
+        None => return Err(wire("snapshot document has no checksum trailer")),
     };
     let trailer = JsonValue::parse(trailer_line)
         .map_err(|e| wire(format!("invalid snapshot trailer: {e}")))?;
@@ -251,7 +319,7 @@ pub(crate) fn restore_entries(
     let mut lines = body.lines();
     let header_line = lines
         .next()
-        .ok_or_else(|| wire("snapshot document has no header".to_string()))?;
+        .ok_or_else(|| wire("snapshot document has no header"))?;
     let header =
         JsonValue::parse(header_line).map_err(|e| wire(format!("invalid snapshot header: {e}")))?;
     let header_err =
@@ -286,7 +354,7 @@ pub(crate) fn restore_entries(
     let mut seen = 0usize;
     for line in lines {
         seen += 1;
-        match decode_entry(line) {
+        match decode_entry(line, options) {
             Ok((key, entry)) => {
                 install(key, entry);
                 report.restored += 1;
@@ -361,65 +429,6 @@ mod tests {
         }
     }
 
-    fn trivial() -> NormalizedLcl {
-        let mut b = NormalizedLcl::builder("trivial");
-        b.input_labels(&["x"]);
-        b.output_labels(&["o"]);
-        b.allow_all_node_pairs();
-        b.allow_all_edge_pairs();
-        b.build().unwrap()
-    }
-
-    /// A restored entry carries the Θ(n) gather stand-in; `solve` and
-    /// `solve_stream` must reclassify it and run the synthesized algorithm,
-    /// exactly like an engine that classified the problem itself, while
-    /// the served verdict stays byte-identical.
-    #[test]
-    fn restored_entries_solve_like_freshly_classified_ones() {
-        use lcl_problem::{Instance, StreamInputs, StreamInstanceSpec, Topology};
-        let warm = Engine::builder().parallelism(1).build();
-        let problems = [coloring(3), trivial()];
-        for problem in &problems {
-            warm.classify(problem).unwrap();
-        }
-        let document = warm.snapshot_document();
-        let instance = Instance::from_indices(Topology::Cycle, &[0; 200]);
-        let spec = StreamInstanceSpec {
-            topology: Topology::Cycle,
-            length: 200,
-            inputs: StreamInputs::Uniform { label: 0 },
-        };
-        let stream = |engine: &Engine, problem: &NormalizedLcl| {
-            let mut solution = engine.solve_stream(problem, &spec).unwrap();
-            let mut labels = Vec::new();
-            while let Some(chunk) = solution.next_chunk(16) {
-                labels.extend(chunk.unwrap());
-            }
-            (labels, solution.rounds(), solution.peak_resident_nodes())
-        };
-        for problem in &problems {
-            let fresh = Engine::builder().parallelism(1).build();
-            let restored = Engine::builder().parallelism(1).build();
-            restored.restore_snapshot(&document).unwrap();
-            let verdict = restored.verdict(problem).unwrap().to_json_string();
-
-            let want = fresh.solve(problem, &instance).unwrap();
-            let got = restored.solve(problem, &instance).unwrap();
-            assert_eq!(got.rounds(), want.rounds(), "{}", problem.name());
-            assert_eq!(got.labeling(), want.labeling());
-            assert_eq!(stream(&restored, problem), stream(&fresh, problem));
-
-            // One reclassification, through the ordinary miss path.
-            let stats = restored.cache_stats();
-            assert_eq!(stats.misses, 1, "{stats}");
-            assert_eq!(stats.entries, 2);
-            for shard in restored.cache_shard_stats() {
-                assert!(shard.is_consistent(), "{shard:?}");
-            }
-            assert_eq!(restored.verdict(problem).unwrap().to_json_string(), verdict);
-        }
-    }
-
     #[test]
     fn empty_snapshot_roundtrips() {
         let engine = Engine::builder().parallelism(1).build();
@@ -446,29 +455,34 @@ mod tests {
         flipped[mid] = if flipped[mid] == b'a' { b'b' } else { b'a' };
         let flipped = String::from_utf8(flipped).unwrap();
         assert!(target().restore_snapshot(&flipped).is_err(), "bit rot");
-        let skewed = reframe(&document, |header| {
-            header.replace("\"version\":1", "\"version\":2")
+        let reframed = |mutate: &dyn Fn(&str) -> String| {
+            let mutated = reframe(&document, mutate);
+            assert_ne!(mutated, document, "the mutation must change the document");
+            mutated
+        };
+        // A document of the previous version is rejected whole.
+        let previous = SNAPSHOT_VERSION - 1;
+        let skewed = reframed(&|header| {
+            header.replace(
+                &format!("\"version\":{SNAPSHOT_VERSION}"),
+                &format!("\"version\":{previous}"),
+            )
         });
         let err = target().restore_snapshot(&skewed).unwrap_err();
-        assert!(err.to_string().contains("version 2"), "{err}");
-        let wrong_format = reframe(&document, |header| {
-            header.replace(SNAPSHOT_FORMAT, "something-else")
-        });
-        assert!(target().restore_snapshot(&wrong_format).is_err());
-        let wrong_count = reframe(&document, |header| {
-            header.replace("\"entries\":1", "\"entries\":7")
-        });
-        assert!(target().restore_snapshot(&wrong_count).is_err());
+        assert!(
+            err.to_string()
+                .contains(&format!("unsupported snapshot version {previous}")),
+            "{err}"
+        );
+        let wrong_format = reframed(&|header| header.replace(SNAPSHOT_FORMAT, "something-else"));
+        let err = target().restore_snapshot(&wrong_format).unwrap_err();
+        assert!(err.to_string().contains("not a cache snapshot"), "{err}");
+        let wrong_count = reframed(&|header| header.replace("\"entries\":1", "\"entries\":7"));
+        let err = target().restore_snapshot(&wrong_count).unwrap_err();
+        assert!(err.to_string().contains("declares 7 entries"), "{err}");
 
         // Per-entry failures: skipped, counted, never fatal.
-        let bad_entry = reframe(&document, |body| {
-            body.replacen("{\"algorithm\"", "{\"zzz\":1,\"algorithm\"", 1)
-        });
-        let report = target().restore_snapshot(&bad_entry).unwrap();
-        // The mangled line still parses as JSON with all fields — craft a
-        // harder corruption: an entry whose key is not a structural key.
-        assert_eq!(report.restored + report.skipped, 1);
-        let bad_key = reframe(&document, |body| {
+        let bad_key = reframed(&|body| {
             let start = body.find("\"key\":\"").unwrap() + 7;
             let mut out = body.to_string();
             out.replace_range(start..start + 8, "00000000");
@@ -477,6 +491,147 @@ mod tests {
         let report = target().restore_snapshot(&bad_key).unwrap();
         assert_eq!((report.restored, report.skipped), (0, 1));
         assert!(report.first_error.is_some());
+    }
+
+    /// 3-colouring plus a label `d` that nothing may follow: still
+    /// `Θ(log* n)`, but `d` cannot face a gap from the left.
+    fn dead_end_coloring() -> NormalizedLcl {
+        let mut b = NormalizedLcl::builder("dead-end-coloring");
+        b.input_labels(&["x"]);
+        b.output_labels(&["1", "2", "3", "d"]);
+        b.allow_all_node_pairs();
+        for p in 0..3u16 {
+            for q in 0..4u16 {
+                if p != q {
+                    b.allow_edge_idx(p, q);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    fn copy_input() -> NormalizedLcl {
+        let mut b = NormalizedLcl::builder("copy-input");
+        b.input_labels(&["a", "b"]);
+        b.output_labels(&["a", "b"]);
+        b.allow_node_idx(0, 0);
+        b.allow_node_idx(1, 1);
+        b.allow_all_edge_pairs();
+        b.build().unwrap()
+    }
+
+    /// Snapshots `problem` alone, rewrites its entry line through `edit`,
+    /// re-seals the checksum and restores the result: the entry must be
+    /// skipped with an error mentioning `expected`.
+    fn assert_entry_rejected(
+        problem: &NormalizedLcl,
+        expected: &str,
+        edit: impl Fn(&mut std::collections::BTreeMap<String, JsonValue>),
+    ) {
+        let engine = Engine::builder().parallelism(1).build();
+        engine.classify(problem).unwrap();
+        let document = engine.snapshot_document();
+        let mutated = reframe(&document, |body| {
+            let (header, entry) = body.trim_end().split_once('\n').unwrap();
+            let JsonValue::Object(mut fields) = JsonValue::parse(entry).unwrap() else {
+                panic!("entry line is an object");
+            };
+            edit(&mut fields);
+            format!("{header}\n{}\n", JsonValue::Object(fields).to_json_string())
+        });
+        assert_ne!(mutated, document, "the edit must change the document");
+        let target = Engine::builder().parallelism(1).build();
+        let report = target.restore_snapshot(&mutated).unwrap();
+        assert_eq!((report.restored, report.skipped), (0, 1), "{expected}");
+        let error = report.first_error.unwrap();
+        assert!(
+            error.contains(expected),
+            "expected `{expected}`, got: {error}"
+        );
+        // The untouched document restores.
+        let report = target.restore_snapshot(&document).unwrap();
+        assert_eq!((report.restored, report.skipped), (1, 0));
+    }
+
+    fn lists(fields: &std::collections::BTreeMap<String, JsonValue>, key: &str) -> Vec<Vec<i64>> {
+        let lists = fields[key].as_array().unwrap();
+        let ints = |list: &JsonValue| -> Vec<i64> {
+            list.as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_int().unwrap())
+                .collect()
+        };
+        lists.iter().map(ints).collect()
+    }
+
+    fn set_lists(
+        fields: &mut std::collections::BTreeMap<String, JsonValue>,
+        key: &str,
+        lists: Vec<Vec<i64>>,
+    ) {
+        let array = lists.into_iter().map(JsonValue::int_array).collect();
+        fields.insert(key.to_string(), JsonValue::Array(array));
+    }
+
+    #[test]
+    fn invalid_feasible_structures_are_skipped() {
+        let problem = dead_end_coloring();
+        assert_entry_rejected(&problem, "out of range", |fields| {
+            let mut left = lists(fields, "left_facing");
+            left[0].push(4);
+            set_lists(fields, "left_facing", left);
+        });
+        assert_entry_rejected(&problem, "not ascending", |fields| {
+            let mut right = lists(fields, "right_facing");
+            right[0].insert(0, 3);
+            set_lists(fields, "right_facing", right);
+        });
+        assert_entry_rejected(&problem, "do not match", |fields| {
+            let mut left = lists(fields, "left_facing");
+            left.push(vec![0]);
+            set_lists(fields, "left_facing", left);
+        });
+        // Nothing may follow `d`, so `d ∈ A(τ)` breaks A(τ) × B(τ) ⊆ C(τ).
+        assert_entry_rejected(&problem, "not connected", |fields| {
+            let mut left = lists(fields, "left_facing");
+            assert!(!left[0].contains(&3));
+            left[0].push(3);
+            set_lists(fields, "left_facing", left);
+        });
+        // A(τ) = B(τ) = {1} is connected across a long gap, but a 2-node
+        // anchor block would need the edge 1 → 1.
+        assert_entry_rejected(&problem, "unlabelable", |fields| {
+            let types = lists(fields, "left_facing").len();
+            set_lists(fields, "left_facing", vec![vec![0]; types]);
+            set_lists(fields, "right_facing", vec![vec![0]; types]);
+        });
+        assert_entry_rejected(&problem, "right_facing", |fields| {
+            fields.remove("right_facing");
+        });
+        assert_entry_rejected(&problem, "solvable problem", |fields| {
+            fields.insert("complexity".into(), JsonValue::Str("unsolvable".into()));
+        });
+        assert_entry_rejected(&problem, "unknown complexity", |fields| {
+            fields.insert("complexity".into(), JsonValue::Str("sublinear".into()));
+        });
+
+        let problem = copy_input();
+        assert_entry_rejected(&problem, "pattern labelings", |fields| {
+            let mut patterns = lists(fields, "patterns");
+            patterns.pop();
+            set_lists(fields, "patterns", patterns);
+        });
+        // Pattern `a` must be labeled `a`.
+        assert_entry_rejected(&problem, "invalid periodic labeling", |fields| {
+            let mut patterns = lists(fields, "patterns");
+            assert_eq!(patterns[0], [0]);
+            patterns[0] = vec![1];
+            set_lists(fields, "patterns", patterns);
+        });
+        assert_entry_rejected(&problem, "patterns", |fields| {
+            fields.remove("patterns");
+        });
     }
 
     /// Applies `mutate` to the checksummed body and re-seals the trailer, so

@@ -267,7 +267,7 @@ impl Engine {
         spec: &StreamInstanceSpec,
     ) -> Result<StreamSolution> {
         spec.validate(problem.num_inputs())?;
-        let classification = self.classify_for_solve(problem)?;
+        let classification = self.classify(problem)?;
         StreamSolution::new(problem, spec, classification)
     }
 }

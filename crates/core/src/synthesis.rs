@@ -11,9 +11,10 @@
 //!   region that repeats a short primitive pattern output the chosen periodic
 //!   labeling of that pattern (aligned to the canonical occurrence
 //!   boundaries, Lemma 26); the remaining nodes complete the gaps between
-//!   labeled regions with the same dynamic program. Small networks and
-//!   networks whose irregular stretches exceed the practical constant fall
-//!   back to gathering everything.
+//!   labeled regions with the same dynamic program. Small networks fall back
+//!   to gathering everything; a node in an irregular stretch longer than the
+//!   practical constant outputs a label valid for its own input only, which
+//!   is not a valid labeling for problems with edge constraints.
 //! * [`SynthesizedAlgorithm`] — the tagged union returned by the classifier;
 //!   `Θ(n)` and unsolvable problems get the trivial gather-everything
 //!   algorithm.
@@ -38,13 +39,18 @@ pub enum SynthesizedAlgorithm {
     /// The trivial gather-everything algorithm (`Θ(n)` and unsolvable
     /// problems).
     GatherAll(GatherAndSolve),
-    /// A classification restored from a cache snapshot (see
-    /// [`crate::snapshot`]): the verdict fields are exact, but the
-    /// synthesized feasible structure was not persisted, so the restored
-    /// entry runs the always-correct gather-everything algorithm while
-    /// reporting the original algorithm's name — serialized verdicts stay
-    /// byte-identical across a snapshot/restore cycle.
-    Restored(RestoredAlgorithm),
+}
+
+impl SynthesizedAlgorithm {
+    /// The feasible structure the algorithm was synthesized from (`None` for
+    /// the gather-everything algorithm).
+    pub fn feasible_structure(&self) -> Option<&FeasibleStructure> {
+        match self {
+            SynthesizedAlgorithm::Constant(a) => Some(&a.core.structure),
+            SynthesizedAlgorithm::LogStar(a) => Some(&a.core.structure),
+            SynthesizedAlgorithm::GatherAll(_) => None,
+        }
+    }
 }
 
 impl LocalAlgorithm for SynthesizedAlgorithm {
@@ -53,7 +59,6 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
             SynthesizedAlgorithm::Constant(a) => a.radius(n),
             SynthesizedAlgorithm::LogStar(a) => a.radius(n),
             SynthesizedAlgorithm::GatherAll(a) => a.radius(n),
-            SynthesizedAlgorithm::Restored(a) => a.radius(n),
         }
     }
 
@@ -62,7 +67,6 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
             SynthesizedAlgorithm::Constant(a) => a.compute(view),
             SynthesizedAlgorithm::LogStar(a) => a.compute(view),
             SynthesizedAlgorithm::GatherAll(a) => a.compute(view),
-            SynthesizedAlgorithm::Restored(a) => a.compute(view),
         }
     }
 
@@ -71,48 +75,7 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
             SynthesizedAlgorithm::Constant(a) => a.name(),
             SynthesizedAlgorithm::LogStar(a) => a.name(),
             SynthesizedAlgorithm::GatherAll(a) => a.name(),
-            SynthesizedAlgorithm::Restored(a) => a.name(),
         }
-    }
-}
-
-/// The stand-in algorithm attached to snapshot-restored classifications: a
-/// [`GatherAndSolve`] under the snapshotted algorithm's *name*. Restoring
-/// rebuilds the problem from its structural key but not the feasible
-/// structure the fast synthesized algorithms need, so a restored entry
-/// answers `solve` correctly (gathering is valid for every class) while its
-/// verdict — which embeds only the algorithm name — serializes exactly as the
-/// original did. Verdict-serving traffic never needs more; `Engine::solve`
-/// and `Engine::solve_stream` evict a restored entry and reclassify it
-/// instead of running this Θ(n) stand-in.
-#[derive(Clone, Debug)]
-pub struct RestoredAlgorithm {
-    name: Box<str>,
-    gather: GatherAndSolve,
-}
-
-impl RestoredAlgorithm {
-    /// Builds the stand-in for `problem`, reporting `name` as the algorithm
-    /// name.
-    pub fn new(problem: &NormalizedLcl, name: &str) -> Self {
-        RestoredAlgorithm {
-            name: name.into(),
-            gather: GatherAndSolve::new(problem),
-        }
-    }
-}
-
-impl LocalAlgorithm for RestoredAlgorithm {
-    fn radius(&self, n: usize) -> usize {
-        self.gather.radius(n)
-    }
-
-    fn compute(&self, view: &BallView) -> OutLabel {
-        self.gather.compute(view)
-    }
-
-    fn name(&self) -> &str {
-        &self.name
     }
 }
 
@@ -324,8 +287,8 @@ pub struct ConstantAlgorithm {
     gather: GatherAndSolve,
     params: PartitionParams,
     /// Maximum gap (in nodes) between two labeled periodic regions that the
-    /// view-based gap filling handles; longer irregular stretches fall back to
-    /// gathering (see the module documentation).
+    /// view-based gap filling handles; nodes in longer irregular stretches get
+    /// a label valid for their own input only (see the module documentation).
     max_handled_gap: usize,
     practical_radius: usize,
 }

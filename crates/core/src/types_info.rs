@@ -112,39 +112,41 @@ impl GapTypes {
     }
 
     /// A word of length `≥ L_min` whose type is `t` (which must be a
-    /// quantified type). Constructed by a forward walk over the type
-    /// automaton.
+    /// quantified type), found by a forward walk over the type automaton:
+    /// the shortest such length, and at that length the word the walk meets
+    /// first, visiting types and letters in index order — so every engine
+    /// derives the same witness.
     fn long_witness(&self, t: TypeId) -> Vec<lcl_problem::InLabel> {
-        use std::collections::HashMap;
-        let alpha = self.system.num_letters();
-        // words[type] = some word of the current length with that type.
-        let mut words: HashMap<TypeId, Vec<lcl_problem::InLabel>> = HashMap::new();
-        for a in 0..alpha {
-            let a = lcl_problem::InLabel::from_index(a);
+        let letters = || (0..self.system.num_letters()).map(lcl_problem::InLabel::from_index);
+        // layers[k][τ]: the prefix type and last letter of the first word of
+        // length k + 1 with type τ.
+        let mut layers = vec![vec![None; self.semigroup.len()]];
+        for a in letters() {
             if let Ok(ty) = self.semigroup.type_of_word(&[a]) {
-                words.entry(ty).or_insert_with(|| vec![a]);
+                layers[0][ty.index()].get_or_insert((ty, a));
             }
         }
         let profile = self.semigroup.length_profile();
         let horizon = self.min_gap + profile.preperiod + profile.period + 1;
         for len in 2..=horizon {
-            let mut next: HashMap<TypeId, Vec<lcl_problem::InLabel>> = HashMap::new();
-            for (ty, word) in &words {
-                for a in 0..alpha {
-                    let a = lcl_problem::InLabel::from_index(a);
-                    let stepped = self.semigroup.step(*ty, a);
-                    next.entry(stepped).or_insert_with(|| {
-                        let mut w = word.clone();
-                        w.push(a);
-                        w
-                    });
+            let mut next = vec![None; self.semigroup.len()];
+            let reached = &layers[len - 2];
+            for ty in self
+                .semigroup
+                .iter()
+                .filter(|ty| reached[ty.index()].is_some())
+            {
+                for a in letters() {
+                    next[self.semigroup.step(ty, a).index()].get_or_insert((ty, a));
                 }
             }
-            words = next;
-            if len >= self.min_gap {
-                if let Some(w) = words.get(&t) {
-                    return w.clone();
+            layers.push(next);
+            if len >= self.min_gap && layers[len - 1][t.index()].is_some() {
+                let (mut ty, mut word) = (t, vec![lcl_problem::InLabel(0); len]);
+                for (letter, layer) in word.iter_mut().zip(&layers).rev() {
+                    (ty, *letter) = layer[ty.index()].expect("reached types have a prefix");
                 }
+                return word;
             }
         }
         // Fall back to the stored (possibly short) witness; unreachable for
@@ -189,6 +191,33 @@ mod tests {
         let witness = info.solvability_witness().unwrap();
         assert!(witness.is_some(), "odd cycles are not 2-colorable");
         assert_eq!(info.problem().name(), "2-coloring");
+    }
+
+    #[test]
+    fn witnesses_are_deterministic_long_and_unlabelable() {
+        // Inputs are copied and `B → A` is forbidden: every cycle that mixes
+        // both letters is unsolvable, so many words of one length witness it.
+        let mut b = NormalizedLcl::builder("one-way");
+        b.input_labels(&["a", "b"]);
+        b.output_labels(&["A", "B"]);
+        b.allow_node_idx(0, 0);
+        b.allow_node_idx(1, 1);
+        b.allow_edge_idx(0, 0);
+        b.allow_edge_idx(0, 1);
+        b.allow_edge_idx(1, 1);
+        let problem = b.build().unwrap();
+        let info = GapTypes::compute(&problem, 10_000).unwrap();
+        let witness = info.solvability_witness().unwrap().expect("mixed cycles");
+        assert!(witness.len() >= info.min_gap());
+        let cycle = lcl_problem::Instance::cycle(witness.clone());
+        assert!(!info.system().instance_solvable(&cycle).unwrap());
+        for _ in 0..8 {
+            let again = GapTypes::compute(&problem, 10_000).unwrap();
+            assert_eq!(
+                again.solvability_witness().unwrap().as_ref(),
+                Some(&witness)
+            );
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ use lcl_paths::problem::{
 use lcl_paths::{Engine, Error};
 use std::collections::HashMap;
 use std::fmt;
-use std::io;
+use std::io::{self, Write as _};
 use std::net::IpAddr;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -384,6 +384,9 @@ pub struct Service {
     /// Where the warm-cache snapshot is written (`--cache-snapshot`);
     /// `None` disables the `snapshot` kind and the startup restore.
     snapshot_path: Option<PathBuf>,
+    /// Held across a snapshot's capture, write, sync and rename: writers
+    /// share the temp path, so two at once would rename each other's file.
+    snapshot_write: Mutex<()>,
 }
 
 /// One learned canonical classify line: what its payload text parsed to.
@@ -435,6 +438,7 @@ impl Service {
             shed: None,
             quota: None,
             snapshot_path: None,
+            snapshot_write: Mutex::new(()),
         }
     }
 
@@ -1104,10 +1108,15 @@ impl Service {
         ]))
     }
 
-    /// Serializes the engine's cache and writes it to `path` via a
-    /// temp-file + rename, so a concurrent reader (or a crash mid-write)
-    /// never observes a torn document.
+    /// Serializes the engine's cache and writes it to `path` via a synced
+    /// temp file + rename, so a concurrent reader (or a crash mid-write)
+    /// never observes a torn document. Concurrent writers take turns, and
+    /// the last to rename wrote the latest capture.
     fn write_snapshot_to(&self, path: &Path) -> io::Result<SnapshotWrite> {
+        let _turn = self
+            .snapshot_write
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let document = self.engine.snapshot_document();
         // Header and checksum trailer aside, one line per entry.
         let entries = document.lines().count().saturating_sub(2);
@@ -1115,7 +1124,9 @@ impl Service {
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(".tmp");
         let tmp = PathBuf::from(tmp);
-        std::fs::write(&tmp, &document)?;
+        let mut file = std::fs::File::create(&tmp)?;
+        file.write_all(document.as_bytes())?;
+        file.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok(SnapshotWrite { entries, bytes })
     }

@@ -1,9 +1,11 @@
 //! Warm-cache snapshot/restore integration tests: a snapshot taken over the
 //! wire mid-flood restores into a fresh engine with byte-identical
-//! verdicts, the cache accounting invariant survives a restore, and
-//! corrupt, truncated or version-skewed files are rejected without ever
-//! panicking or failing startup.
+//! verdicts, the cache accounting invariant survives a restore, concurrent
+//! writers never fail or tear the file, and corrupt, truncated or
+//! version-skewed files are rejected without ever panicking or failing
+//! startup.
 
+use lcl_paths::classifier::SNAPSHOT_VERSION;
 use lcl_paths::{problems, Engine};
 use lcl_server::{Client, RequestKind, Server, Service};
 use std::path::PathBuf;
@@ -155,6 +157,76 @@ fn restored_warmth_survives_capacity_pressure_with_the_invariant_intact() {
     assert_eq!(stats.entries as u64 + stats.evictions, stats.inserts);
 }
 
+/// Regression: every writer used to share one temp path, so a second
+/// writer's rename found the file already moved and the request failed.
+#[test]
+fn concurrent_snapshot_writes_all_succeed_and_restore_whole() {
+    const WRITERS: usize = 4;
+    const WRITES: usize = 50;
+    let dir = TempDir::new("race");
+    let path = dir.path("cache.snapshot");
+    let service = service_with_path(path.clone());
+    for k in 2..=6 {
+        assert!(service.handle_line(&classify_line(k as i64, k)).is_ok());
+    }
+    let barrier = Arc::new(std::sync::Barrier::new(WRITERS));
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|_| {
+            let (service, barrier, path) =
+                (Arc::clone(&service), Arc::clone(&barrier), path.clone());
+            thread::spawn(move || {
+                let reader = Engine::builder().parallelism(1).build();
+                barrier.wait();
+                let mut failures = Vec::new();
+                for _ in 0..WRITES {
+                    if let Err(e) = service.write_cache_snapshot().expect("path configured") {
+                        failures.push(e.to_string());
+                        continue;
+                    }
+                    let document = std::fs::read_to_string(&path).expect("snapshot file");
+                    reader.clear_cache();
+                    let report = reader.restore_snapshot(&document).expect("whole document");
+                    assert_eq!((report.restored, report.skipped), (5, 0), "{report:?}");
+                }
+                failures
+            })
+        })
+        .collect();
+    let failures: Vec<String> = writers
+        .into_iter()
+        .flat_map(|writer| writer.join().expect("writer thread"))
+        .collect();
+    assert!(
+        failures.is_empty(),
+        "{} of {} writes failed, first: {}",
+        failures.len(),
+        WRITERS * WRITES,
+        failures[0]
+    );
+}
+
+/// FNV-1a 64-bit, the snapshot trailer's digest.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Rewrites a snapshot's checksummed body and re-seals its trailer, so the
+/// mutation reaches the check it targets instead of the checksum.
+fn reseal(document: &str, mutate: impl FnOnce(&str) -> String) -> String {
+    let split = document
+        .trim_end_matches('\n')
+        .rfind('\n')
+        .expect("trailer")
+        + 1;
+    let body = mutate(&document[..split]);
+    format!(
+        "{body}{{\"checksum\":\"{:016x}\"}}\n",
+        fnv1a(body.as_bytes())
+    )
+}
+
 #[test]
 fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
     let dir = TempDir::new("corrupt");
@@ -181,13 +253,24 @@ fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
         ),
         (
             "version-skew".into(),
-            good.replacen("\"version\":1", "\"version\":999", 1),
+            reseal(&good, |body| {
+                body.replacen(
+                    &format!("\"version\":{SNAPSHOT_VERSION}"),
+                    &format!("\"version\":{}", SNAPSHOT_VERSION - 1),
+                    1,
+                )
+            }),
         ),
         ("garbage".into(), "not a snapshot at all\n".to_string()),
         ("empty".into(), String::new()),
         ("header-only".into(), good[..header_end].to_string()),
     ];
+    assert_eq!(reseal(&good, str::to_string), good, "resealing is exact");
     for (tag, document) in cases {
+        assert_ne!(
+            document, good,
+            "[{tag}] the corruption must change the file"
+        );
         std::fs::write(&path, document).expect("write corrupt snapshot");
         let victim = service_with_path(path.clone());
         let error = victim
@@ -195,6 +278,9 @@ fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
             .expect("file present")
             .expect_err("corrupt snapshot must be rejected");
         assert!(error.contains("ignoring cache snapshot"), "[{tag}] {error}");
+        if tag == "version-skew" {
+            assert!(error.contains("unsupported snapshot version"), "{error}");
+        }
         // Startup continues cold: nothing restored, service fully usable.
         assert_eq!(victim.engine().cache_stats().entries, 0, "[{tag}]");
         assert!(

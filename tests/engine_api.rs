@@ -371,3 +371,115 @@ fn unified_error_spans_subsystems() {
     assert!(matches!(fails_in_problem(), Err(Error::Problem(_))));
     assert!(matches!(fails_in_classifier(), Err(Error::Classifier(_))));
 }
+
+/// A snapshot-restored engine is indistinguishable from one that classified
+/// the problems itself: verdict bytes, feasible structures, view radii,
+/// solves and streamed labels all agree, and the restored engine never
+/// classifies (no misses) or evicts anything to get there.
+#[test]
+fn restored_engine_equals_a_freshly_classified_one() {
+    use lcl_paths::gen::{generate, Family, GenConfig};
+    use lcl_paths::problem::{StreamInputs, StreamInstanceSpec};
+    use lcl_paths::problems::{coloring, input_boundary_detection};
+    use lcl_paths::sim::LocalAlgorithm;
+
+    let fresh = Engine::builder().parallelism(1).build();
+    let mut problems: Vec<NormalizedLcl> = corpus()
+        .into_iter()
+        .filter(|e| {
+            matches!(
+                e.expected,
+                KnownComplexity::Constant | KnownComplexity::LogStar
+            )
+        })
+        .map(|e| e.problem)
+        .collect();
+    // lcl-gen draws until 30 of them carry a feasible structure; the others
+    // ride along.
+    let mut structured = 0;
+    for seed in 0..2000u64 {
+        if structured == 30 {
+            break;
+        }
+        let config = GenConfig::new(seed)
+            .family(Family::ALL[seed as usize % Family::ALL.len()])
+            .input_labels(1 + seed as usize % 2)
+            .output_labels(2 + seed as usize % 3);
+        let problem = generate(&config).unwrap();
+        let Ok(classification) = fresh.classify(&problem) else {
+            continue;
+        };
+        structured += usize::from(classification.algorithm().feasible_structure().is_some());
+        problems.push(problem);
+    }
+    assert_eq!(structured, 30, "too few O(1) / Θ(log* n) draws");
+    for problem in &problems {
+        fresh.classify(problem).unwrap();
+    }
+
+    let restored = Engine::builder().parallelism(1).build();
+    let report = restored
+        .restore_snapshot(&fresh.snapshot_document())
+        .unwrap();
+    assert_eq!(report.skipped, 0, "{report:?}");
+    for problem in &problems {
+        let (want, got) = (
+            fresh.classify(problem).unwrap(),
+            restored.classify(problem).unwrap(),
+        );
+        let name = problem.name();
+        assert_eq!(
+            Verdict::new(problem, &got).to_json_string(),
+            Verdict::new(problem, &want).to_json_string(),
+            "{name}"
+        );
+        let structure = got.algorithm().feasible_structure();
+        assert_eq!(structure, want.algorithm().feasible_structure(), "{name}");
+        for n in [100, 10_000, 1 << 20] {
+            let radius = got.algorithm().radius(n);
+            assert_eq!(radius, want.algorithm().radius(n), "{name} at n = {n}");
+        }
+    }
+
+    // Solves run the synthesized algorithm, above its gather threshold too.
+    let cases = [
+        (coloring(3), StreamInputs::Uniform { label: 0 }),
+        (
+            input_boundary_detection(),
+            StreamInputs::Pattern {
+                pattern: vec![0, 0, 1],
+            },
+        ),
+    ];
+    for (problem, inputs) in cases {
+        let instance = Instance::from_indices(Topology::Cycle, &[0; 200]);
+        let (want, got) = (
+            fresh.solve(&problem, &instance).unwrap(),
+            restored.solve(&problem, &instance).unwrap(),
+        );
+        assert_eq!(
+            (got.labeling(), got.rounds()),
+            (want.labeling(), want.rounds())
+        );
+        let spec = StreamInstanceSpec {
+            topology: Topology::Cycle,
+            length: 4096,
+            inputs,
+        };
+        let first_labels = |engine: &Engine| {
+            let mut solution = engine.solve_stream(&problem, &spec).unwrap();
+            assert!(solution.rounds() < 4096, "{}: gathers", problem.name());
+            solution.next_chunk(16).unwrap().unwrap()
+        };
+        assert_eq!(
+            first_labels(&restored),
+            first_labels(&fresh),
+            "{}",
+            problem.name()
+        );
+    }
+
+    let stats = restored.cache_stats();
+    assert_eq!((stats.misses, stats.evictions), (0, 0), "{stats}");
+    assert_eq!(stats.entries, report.restored);
+}
