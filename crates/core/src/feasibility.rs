@@ -59,12 +59,9 @@ impl FeasibleStructure {
     /// feasible function: each anchor-block context gets the first
     /// `(first, last)` pair in label order with `first ∈ B(τ_left)`,
     /// `last ∈ A(τ_right)`, the node constraints of `S` and the internal edge
-    /// constraint. Returns `None` if some context has no such pair.
-    ///
-    /// # Panics
-    ///
-    /// May panic if a label lies outside the problem's output alphabet.
-    pub fn new(
+    /// constraint. Returns `None` if some context has no such pair. Labels
+    /// must lie in the problem's output alphabet.
+    pub(crate) fn new(
         problem: &NormalizedLcl,
         left_facing: Vec<Vec<OutLabel>>,
         right_facing: Vec<Vec<OutLabel>>,

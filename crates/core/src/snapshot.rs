@@ -6,7 +6,7 @@
 //! feasibility search, but not the volatile reply-bytes lane (payloads
 //! re-attach lazily on the first post-restore splice). Restore rebuilds the
 //! rest with the code [`crate::classify_with_options`] runs (types, witness,
-//! block table via [`FeasibleStructure::new`], synthesized algorithm), so a
+//! block table via `FeasibleStructure::new`, synthesized algorithm), so a
 //! restored entry is a freshly classified one minus the search.
 //!
 //! Layout, one JSON object per line:
@@ -115,8 +115,7 @@ fn hex_decode(text: &str) -> Option<Vec<u8>> {
         .collect()
 }
 
-fn wire(what: impl Into<String>) -> crate::ClassifierError {
-    let what = what.into();
+fn wire(what: String) -> crate::ClassifierError {
     crate::ClassifierError::Problem(ProblemError::Wire { what })
 }
 
@@ -238,7 +237,7 @@ fn decode_structure(
         chosen.push(PatternLabeling { pattern, labeling });
     }
     FeasibleStructure::new(problem, left, right, chosen)
-        .ok_or_else(|| wire("facing sets leave an anchor block unlabelable"))
+        .ok_or_else(|| wire("facing sets leave an anchor block unlabelable".to_string()))
 }
 
 /// Decodes one entry line back into a `(key, entry)` pair ready for cache
@@ -267,7 +266,7 @@ fn decode_entry(line: &str, options: &ClassifierOptions) -> Result<(Vec<u8>, Cac
     let answer = match complexity {
         Complexity::Unsolvable => Answer::Unsolvable(
             info.solvability_witness()?
-                .ok_or_else(|| wire("unsolvable entry for a solvable problem"))?,
+                .ok_or_else(|| wire("unsolvable entry for a solvable problem".to_string()))?,
         ),
         Complexity::Constant => {
             let patterns = canonical_patterns(problem.num_inputs(), kappa);
@@ -298,11 +297,15 @@ pub(crate) fn restore_entries(
     // Find the trailer: the last non-empty line.
     let trimmed = document.trim_end_matches('\n');
     if trimmed.is_empty() {
-        return Err(wire("empty snapshot document"));
+        return Err(wire("empty snapshot document".to_string()));
     }
     let (body, trailer_line) = match trimmed.rfind('\n') {
         Some(split) => (&trimmed[..split + 1], &trimmed[split + 1..]),
-        None => return Err(wire("snapshot document has no checksum trailer")),
+        None => {
+            return Err(wire(
+                "snapshot document has no checksum trailer".to_string(),
+            ))
+        }
     };
     let trailer = JsonValue::parse(trailer_line)
         .map_err(|e| wire(format!("invalid snapshot trailer: {e}")))?;
@@ -319,7 +322,7 @@ pub(crate) fn restore_entries(
     let mut lines = body.lines();
     let header_line = lines
         .next()
-        .ok_or_else(|| wire("snapshot document has no header"))?;
+        .ok_or_else(|| wire("snapshot document has no header".to_string()))?;
     let header =
         JsonValue::parse(header_line).map_err(|e| wire(format!("invalid snapshot header: {e}")))?;
     let header_err =

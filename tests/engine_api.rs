@@ -466,20 +466,31 @@ fn restored_engine_equals_a_freshly_classified_one() {
             length: 4096,
             inputs,
         };
-        let first_labels = |engine: &Engine| {
+        let stream = |engine: &Engine| {
             let mut solution = engine.solve_stream(&problem, &spec).unwrap();
             assert!(solution.rounds() < 4096, "{}: gathers", problem.name());
-            solution.next_chunk(16).unwrap().unwrap()
+            let mut labels = Vec::new();
+            while let Some(chunk) = solution.next_chunk(16) {
+                labels.extend(chunk.unwrap());
+            }
+            (labels, solution.rounds(), solution.peak_resident_nodes())
         };
-        assert_eq!(
-            first_labels(&restored),
-            first_labels(&fresh),
-            "{}",
-            problem.name()
-        );
+        assert_eq!(stream(&restored), stream(&fresh), "{}", problem.name());
     }
 
     let stats = restored.cache_stats();
     assert_eq!((stats.misses, stats.evictions), (0, 0), "{stats}");
     assert_eq!(stats.entries, report.restored);
+    for shard in restored.cache_shard_stats() {
+        assert!(shard.is_consistent(), "{shard:?}");
+    }
+    // The solves left the restored verdicts untouched.
+    for problem in &problems {
+        assert_eq!(
+            restored.verdict(problem).unwrap().to_json_string(),
+            fresh.verdict(problem).unwrap().to_json_string(),
+            "{}",
+            problem.name()
+        );
+    }
 }
