@@ -76,7 +76,7 @@ pub fn classify(problem: &NormalizedLcl) -> Result<Classification> {
 ///
 /// Returns an error if the type semigroup or the feasibility search exceeds
 /// the configured budgets, or if the problem exceeds structural limits
-/// (more than 64 output labels).
+/// (64 or more output labels).
 pub fn classify_with_options(
     problem: &NormalizedLcl,
     options: &ClassifierOptions,

@@ -19,13 +19,64 @@
 //! The search is a backtracking constraint solver over the candidate
 //! "bicliques" `(A, B)` of each connection relation; the domains and the
 //! number of types are small for concrete problems (Lemma 13 bounds them in
-//! terms of the label alphabets only).
+//! terms of the label alphabets only). Label sets are `u64` bitmasks over
+//! `Σ_out`, so the output alphabet is capped at 63 labels.
+//!
+//! # Domains are formal concepts
+//!
+//! Only maximal bicliques are worth trying: growing `A` or `B` inside `C(τ)`
+//! admits every block labeling the smaller pair admitted. The maximal pairs
+//! with `B ≠ ∅` are the formal concepts of `C(τ)` read as a formal context
+//! (Ganter, "Two Basic Algorithms in Concept Analysis", ICFCA 2010): every
+//! intent `B` is an intersection of nonzero rows, and its extent is
+//! `A = {p : row_p ⊇ B}`. The domain of a type is built by closing the
+//! nonzero rows under intersection, so it costs time in proportion to the
+//! number of concepts, not to the `2^β` label subsets.
+//!
+//! The domain order is the one a walk over every nonempty subset `A₀` (as an
+//! integer, ascending) produces when it maps `A₀` to the concept generated
+//! by its common successors and keeps first occurrences, followed by a
+//! stable sort on `|A|·|B|`, largest first: ties are broken by the smallest
+//! generating `A₀`. That generator is found from `A` by dropping bits from
+//! the highest down whenever the rest still generates `B`; since dropping
+//! rows only grows the intersection, each step decides its bit exactly, and
+//! the result is the lexicographically (so numerically) smallest generator.
+//! The tests keep the subset walk as an oracle.
+//!
+//! # Pattern bridging factorizes
+//!
+//! With `join(a, b) = a·E·b` and `connection(r) = E·r·E`, a left padding
+//! `L`, a middle `M` and a right padding `R` give
+//! `C(L∘M∘R) = C(L)·M·C(R)` and, with no middle, `C(L∘R) = (E·L)·C(R)`.
+//! `C(L)` and `E·L` are computed once per stable padding and `C(L)·M` once
+//! per padding and middle. The boolean product is monotone, so a middle
+//! `M ⊆ M′` makes the `M′` check redundant: only the `⊆`-minimal middles are
+//! kept, and likewise only the minimal left factors (`E·L` and `C(L)·M`) and
+//! right factors (`C(R)`) of each pattern. The stable paddings' relations are
+//! the cycle that `R(w), R(w²), …` enters, read off the sequence itself.
+//! Whether two labeled periodic regions bridge then depends only on the left
+//! labeling's last label and the right one's first label, which is one
+//! memoized `β × β` relation per ordered pair of patterns; a candidate
+//! labeling whose `(first, last)` pair an earlier one of the same pattern had
+//! is dropped, as the search would reject it for the same reasons.
+//!
+//! # Blocks are bitmask checks
+//!
+//! The node constraints of each input and the successors of each output are
+//! bitmasks, so the first block labeling of a context is found with a few
+//! word operations. The search's block checks and the block table of
+//! [`FeasibleStructure`] use the same routine, so they agree by
+//! construction.
 
 use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
 use lcl_semigroup::OutRelation;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{HashMap, HashSet};
+
+/// The largest output alphabet the search accepts.
+const MAX_OUTPUTS: usize = 63;
 
 /// A periodic output labeling for one primitive input pattern.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -45,9 +96,14 @@ pub struct FeasibleStructure {
     /// `B(τ)` for each quantified type (labels allowed to face the gap from
     /// the right).
     pub right_facing: Vec<Vec<OutLabel>>,
-    /// The feasible function: `(left type index, S₀, S₁, right type index) ↦
-    /// (first, last)` for the 2-node anchor blocks.
-    pub blocks: HashMap<(usize, u16, u16, usize), (OutLabel, OutLabel)>,
+    /// The feasible function, one `(first, last)` per anchor-block context
+    /// `(left type, S₀, S₁, right type)`, at index
+    /// `((left · α + S₀) · α + S₁) · types + right`.
+    blocks: Vec<(OutLabel, OutLabel)>,
+    /// `|Σ_in|`.
+    inputs: usize,
+    /// The number of quantified types.
+    types: usize,
     /// Periodic labelings per pattern (empty when only the `Θ(log* n)`-level
     /// structure was requested).
     pub patterns: Vec<PatternLabeling>,
@@ -59,22 +115,35 @@ impl FeasibleStructure {
     /// feasible function: each anchor-block context gets the first
     /// `(first, last)` pair in label order with `first ∈ B(τ_left)`,
     /// `last ∈ A(τ_right)`, the node constraints of `S` and the internal edge
-    /// constraint. Returns `None` if some context has no such pair. Labels
-    /// must lie in the problem's output alphabet.
+    /// constraint. Returns `None` if some context has no such pair or a
+    /// label lies outside the problem's output alphabet, or if the two lists
+    /// of facing sets differ in length.
     pub(crate) fn new(
         problem: &NormalizedLcl,
         left_facing: Vec<Vec<OutLabel>>,
         right_facing: Vec<Vec<OutLabel>>,
         patterns: Vec<PatternLabeling>,
     ) -> Option<Self> {
-        let contexts = (right_facing.len() * problem.num_inputs()).pow(2);
-        let mut blocks = HashMap::with_capacity(contexts);
-        for (li, firsts) in right_facing.iter().enumerate() {
-            for (ri, lasts) in left_facing.iter().enumerate() {
-                for (s0, s1) in input_pairs(problem) {
-                    let (firsts, lasts) = (firsts.iter().copied(), lasts.iter().copied());
-                    let pair = block_labeling(problem, firsts, lasts, (s0, s1))?;
-                    blocks.insert((li, s0.0, s1.0, ri), pair);
+        let (beta, types) = (problem.num_outputs(), left_facing.len());
+        if beta > MAX_OUTPUTS || right_facing.len() != types {
+            return None;
+        }
+        let masks = |sets: &[Vec<OutLabel>]| -> Option<Vec<u64>> {
+            sets.iter()
+                .map(|set| {
+                    set.iter().try_fold(0u64, |mask, l| {
+                        (l.index() < beta).then_some(mask | 1 << l.index())
+                    })
+                })
+                .collect()
+        };
+        let (firsts, lasts) = (masks(&right_facing)?, masks(&left_facing)?);
+        let constraints = BlockMasks::new(problem);
+        let mut blocks = Vec::with_capacity((firsts.len() * problem.num_inputs()).pow(2));
+        for &first in &firsts {
+            for s in input_pairs(problem) {
+                for &last in &lasts {
+                    blocks.push(constraints.first_block(first, last, s)?);
                 }
             }
         }
@@ -82,6 +151,8 @@ impl FeasibleStructure {
             left_facing,
             right_facing,
             blocks,
+            inputs: problem.num_inputs(),
+            types,
             patterns,
         })
     }
@@ -94,9 +165,10 @@ impl FeasibleStructure {
         s1: InLabel,
         right_type: usize,
     ) -> Option<(OutLabel, OutLabel)> {
-        self.blocks
-            .get(&(left_type, s0.0, s1.0, right_type))
-            .copied()
+        let (alpha, types) = (self.inputs, self.types);
+        let (s0, s1) = (s0.index(), s1.index());
+        let in_range = left_type < types && right_type < types && s0 < alpha && s1 < alpha;
+        in_range.then(|| self.blocks[((left_type * alpha + s0) * alpha + s1) * types + right_type])
     }
 
     /// Looks up the periodic labeling of a canonical pattern.
@@ -113,55 +185,78 @@ struct Biclique {
     b: u64,
 }
 
-fn candidate_bicliques(conn: &OutRelation, beta: usize) -> Vec<Biclique> {
-    let mut out: Vec<Biclique> = Vec::new();
-    for a_mask in 1u64..(1 << beta) {
-        // B = common successors of A.
-        let mut b_mask = (1u64 << beta) - 1;
-        for p in 0..beta {
-            if a_mask >> p & 1 == 1 {
-                let mut row = 0u64;
-                for q in 0..beta {
-                    if conn.get(p, q) {
-                        row |= 1 << q;
-                    }
-                }
-                b_mask &= row;
-            }
-        }
-        if b_mask == 0 {
-            continue;
-        }
-        // Maximalize A: every p whose row covers B.
-        let mut a_closed = 0u64;
-        for p in 0..beta {
-            let mut covers = true;
-            for q in 0..beta {
-                if b_mask >> q & 1 == 1 && !conn.get(p, q) {
-                    covers = false;
-                    break;
-                }
-            }
-            if covers {
-                a_closed |= 1 << p;
-            }
-        }
-        let candidate = Biclique {
-            a: a_closed,
-            b: b_mask,
-        };
-        if !out.contains(&candidate) {
-            out.push(candidate);
-        }
-    }
-    out
+/// The set bits of a mask, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (mask != 0).then(|| mask.trailing_zeros() as usize)?;
+        mask &= mask - 1;
+        Some(bit)
+    })
 }
 
-/// The labels of a bitmask over `Σ_out`, ascending.
-fn mask_labels(mask: u64, beta: usize) -> impl Iterator<Item = OutLabel> + Clone {
-    (0..beta)
-        .filter(move |&i| mask >> i & 1 == 1)
-        .map(OutLabel::from_index)
+/// A boolean `β × β` matrix as one row mask per label.
+type Rows = Vec<u64>;
+
+fn rows_of(relation: &OutRelation) -> Rows {
+    let n = relation.dim();
+    (0..n)
+        .map(|p| {
+            (0..n)
+                .filter(|&q| relation.get(p, q))
+                .fold(0, |m, q| m | 1 << q)
+        })
+        .collect()
+}
+
+/// Boolean matrix product `a · b`.
+fn product(a: &[u64], b: &[u64]) -> Rows {
+    a.iter()
+        .map(|&row| bits(row).fold(0, |out, k| out | b[k]))
+        .collect()
+}
+
+/// The domain of one connection relation: its formal concepts `(A, B)` with
+/// `B ≠ ∅`, largest `|A|·|B|` first, ties by smallest generating subset (see
+/// the module documentation).
+fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
+    let rows = rows_of(conn);
+    // Intents: the nonzero rows closed under nonzero intersections. A row
+    // that is already an intent adds nothing new.
+    let mut intents: Vec<u64> = Vec::new();
+    let mut seen: HashSet<u64> = HashSet::new();
+    for &row in &rows {
+        if row == 0 || !seen.insert(row) {
+            continue;
+        }
+        let before = intents.len();
+        intents.push(row);
+        for i in 0..before {
+            let meet = intents[i] & row;
+            if meet != 0 && seen.insert(meet) {
+                intents.push(meet);
+            }
+        }
+    }
+    let intent = |a: u64| bits(a).fold(u64::MAX, |b, p| b & rows[p]);
+    let mut concepts: Vec<(Biclique, u64)> = intents
+        .into_iter()
+        .map(|b| {
+            let a = (0..rows.len())
+                .filter(|&p| rows[p] & b == b)
+                .fold(0, |a, p| a | 1 << p);
+            let mut generator = a;
+            for p in (0..rows.len()).rev().filter(|&p| a >> p & 1 == 1) {
+                let without = generator & !(1 << p);
+                if without != 0 && intent(without) == b {
+                    generator = without;
+                }
+            }
+            (Biclique { a, b }, generator)
+        })
+        .collect();
+    concepts
+        .sort_by_key(|&(c, generator)| (Reverse(c.a.count_ones() * c.b.count_ones()), generator));
+    concepts.into_iter().map(|(c, _)| c).collect()
 }
 
 /// Every anchor-block input `S = (S₀, S₁) ∈ Σ_in²`.
@@ -170,72 +265,203 @@ fn input_pairs(problem: &NormalizedLcl) -> impl Iterator<Item = (InLabel, InLabe
     (0..alpha).flat_map(move |s0| (0..alpha).map(move |s1| (InLabel(s0), InLabel(s1))))
 }
 
-/// The block labeling of input `(S₀, S₁)`: the first `(first, last)` pair in
-/// label order with `first ∈ firsts`, `last ∈ lasts`, the node constraints of
-/// `S` and the internal edge constraint.
-fn block_labeling(
-    problem: &NormalizedLcl,
-    firsts: impl Iterator<Item = OutLabel>,
-    lasts: impl Iterator<Item = OutLabel> + Clone,
-    (s0, s1): (InLabel, InLabel),
-) -> Option<(OutLabel, OutLabel)> {
-    let mut firsts = firsts.filter(|&first| problem.node_ok(s0, first));
-    firsts.find_map(|first| {
-        let mut lasts = lasts.clone();
-        let last = lasts.find(|&last| problem.node_ok(s1, last) && problem.edge_ok(first, last))?;
-        Some((first, last))
-    })
+/// The node and edge constraints as bitmasks over `Σ_out`, for block
+/// labelings.
+struct BlockMasks {
+    /// `nodes[s]`: the labels allowed at a node with input `s`.
+    nodes: Vec<u64>,
+    /// `edges[p]`: the labels allowed right after `p`.
+    edges: Vec<u64>,
 }
 
-/// Enumerates all valid periodic labelings of a pattern (labelings `y` with
-/// `node_ok(w_i, y_i)`, `edge_ok(y_i, y_{i+1})` and `edge_ok(y_last, y_0)`).
-fn periodic_labelings(
-    problem: &NormalizedLcl,
-    pattern: &[InLabel],
-    cap: usize,
-) -> Vec<Vec<OutLabel>> {
-    let beta = problem.num_outputs();
-    let mut out = Vec::new();
-    let mut stack: Vec<Vec<OutLabel>> = (0..beta)
-        .map(OutLabel::from_index)
-        .filter(|&o| problem.node_ok(pattern[0], o))
-        .map(|o| vec![o])
-        .collect();
-    while let Some(partial) = stack.pop() {
-        if out.len() >= cap {
-            break;
+impl BlockMasks {
+    fn new(problem: &NormalizedLcl) -> Self {
+        let beta = problem.num_outputs();
+        let mask = |ok: &dyn Fn(OutLabel) -> bool| {
+            (0..beta)
+                .filter(|&o| ok(OutLabel::from_index(o)))
+                .fold(0u64, |m, o| m | 1 << o)
+        };
+        BlockMasks {
+            nodes: (0..problem.num_inputs())
+                .map(|s| mask(&|o| problem.node_ok(InLabel::from_index(s), o)))
+                .collect(),
+            edges: (0..beta)
+                .map(|p| mask(&|o| problem.edge_ok(OutLabel::from_index(p), o)))
+                .collect(),
         }
-        if partial.len() == pattern.len() {
-            if problem.edge_ok(*partial.last().expect("non-empty"), partial[0]) {
-                out.push(partial);
-            }
-            continue;
-        }
-        let i = partial.len();
-        for o in 0..beta {
-            let o = OutLabel::from_index(o);
-            if problem.node_ok(pattern[i], o)
-                && problem.edge_ok(*partial.last().expect("non-empty"), o)
-            {
-                let mut next = partial.clone();
-                next.push(o);
-                stack.push(next);
+    }
+
+    /// The block labeling of input `(S₀, S₁)`: the first `(first, last)` pair
+    /// in label order with `first ∈ firsts`, `last ∈ lasts`, the node
+    /// constraints of `S` and the internal edge constraint.
+    fn first_block(
+        &self,
+        firsts: u64,
+        lasts: u64,
+        (s0, s1): (InLabel, InLabel),
+    ) -> Option<(OutLabel, OutLabel)> {
+        let lasts = lasts & self.nodes[s1.index()];
+        bits(firsts & self.nodes[s0.index()]).find_map(|first| {
+            let last = bits(lasts & self.edges[first]).next()?;
+            Some((OutLabel::from_index(first), OutLabel::from_index(last)))
+        })
+    }
+}
+
+/// The candidate periodic labelings of a pattern: labelings `y` with
+/// `node_ok(w_i, y_i)`, `edge_ok(y_i, y_{i+1})` and `edge_ok(y_last, y_0)`,
+/// enumerated depth first with the largest label tried first (descending
+/// lexicographic order) and cut after the first `cap`. Of those, only the
+/// first with each `(first, last)` pair is kept, as bridging depends on
+/// nothing else.
+fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> Vec<Vec<OutLabel>> {
+    struct Walk<'a> {
+        masks: &'a BlockMasks,
+        pattern: &'a [InLabel],
+        cap: usize,
+        /// Valid labelings met so far, kept or not.
+        found: usize,
+        path: Vec<usize>,
+        ends: HashSet<(usize, usize)>,
+        out: Vec<Vec<OutLabel>>,
+    }
+
+    impl Walk<'_> {
+        /// Extends the path by every label in `allowed` that fits the next
+        /// node, largest first.
+        fn extend(&mut self, allowed: u64) {
+            let i = self.path.len();
+            let mut labels = allowed & self.masks.nodes[self.pattern[i].index()];
+            while labels != 0 && self.found < self.cap {
+                let o = 63 - labels.leading_zeros() as usize;
+                labels &= !(1 << o);
+                self.path.push(o);
+                if i + 1 < self.pattern.len() {
+                    self.extend(self.masks.edges[o]);
+                } else if self.masks.edges[o] >> self.path[0] & 1 == 1 {
+                    self.found += 1;
+                    if self.ends.insert((self.path[0], o)) {
+                        self.out
+                            .push(self.path.iter().map(|&l| OutLabel::from_index(l)).collect());
+                    }
+                }
+                self.path.pop();
             }
         }
     }
-    out
+
+    let mut walk = Walk {
+        masks,
+        pattern,
+        cap,
+        found: 0,
+        path: Vec::with_capacity(pattern.len()),
+        ends: HashSet::new(),
+        out: Vec::new(),
+    };
+    walk.extend(u64::MAX);
+    walk.out
 }
 
-/// The padding exponents the `G_{w1,w2,S}` check must cover for one pattern:
-/// all exponents in one full period of the eventual periodicity of
-/// `R(w^k)`, starting high enough that the padding is at least `min_gap`
-/// nodes long (the synthesized algorithm always leaves at least that much of
-/// the periodic fringe unlabeled).
-fn stable_exponents(info: &GapTypes, pattern: &[InLabel]) -> Result<Vec<usize>> {
-    let exp = lcl_semigroup::pump_exponent(info.semigroup(), pattern)?;
-    let needed = info.min_gap().div_ceil(pattern.len()) + 1;
-    let start = exp.b.max(needed);
-    Ok((0..exp.a).map(|r| start + r).collect())
+/// The relations of the stable paddings of a pattern with relation
+/// `R(w)`. The `G_{w1,w2,S}` check covers the paddings `w^e` over one full
+/// period of the eventual periodicity of `R(w^k)`, starting high enough that
+/// the padding is at least `L_min` nodes long (the synthesized algorithm
+/// always leaves at least that much of the periodic fringe unlabeled). Any
+/// full period past the preperiod has the same relations: the cycle that
+/// `R(w), R(w²), …` (under `join`) enters, which is read off directly.
+fn stable_paddings(edge: &[u64], base: &[u64]) -> Vec<Rows> {
+    let mut position: HashMap<Rows, usize> = HashMap::new();
+    let mut sequence: Vec<Rows> = Vec::new();
+    let mut current = base.to_vec();
+    while !position.contains_key(&current) {
+        position.insert(current.clone(), sequence.len());
+        let next = product(&product(&current, edge), base);
+        sequence.push(std::mem::replace(&mut current, next));
+    }
+    sequence.split_off(position[&current])
+}
+
+/// The `⊆`-minimal elements of a list of relations, without repeats: a
+/// product with a larger relation constrains nothing a smaller one does not.
+fn minimal(mut relations: Vec<Rows>) -> Vec<Rows> {
+    relations.sort_by_key(|r| r.iter().map(|row| row.count_ones()).sum::<u32>());
+    let mut kept: Vec<Rows> = Vec::new();
+    for r in relations {
+        let below = |k: &Rows| k.iter().zip(&r).all(|(k, r)| k & !r == 0);
+        if !kept.iter().any(below) {
+            kept.push(r);
+        }
+    }
+    kept
+}
+
+/// The factors of the `G_{w1,w2,S}` check per pattern, and the memoized
+/// bridgeable relation per ordered pattern pair.
+struct Bridges {
+    /// `|Σ_out|`.
+    beta: usize,
+    /// Per pattern, the minimal left factors: `E·L` and `C(L)·M` over its
+    /// stable paddings `L` and the minimal middle types `M`.
+    lefts: Vec<Vec<Rows>>,
+    /// Per pattern, the minimal `C(R)` over its stable paddings `R`.
+    rights: Vec<Vec<Rows>>,
+    /// `bridgeable[i · n + j]`: the `(last, first)` pairs with which a
+    /// labeled `w_i`-region can be followed, across any middle, by a labeled
+    /// `w_j`-region.
+    bridgeable: Vec<Option<Rows>>,
+}
+
+impl Bridges {
+    fn new(info: &GapTypes, patterns: &[Vec<InLabel>]) -> Result<Self> {
+        let system = info.system();
+        let semigroup = info.semigroup();
+        let edge = rows_of(system.edge_relation());
+        let middles = minimal(
+            semigroup
+                .iter()
+                .map(|t| rows_of(semigroup.relation(t)))
+                .collect(),
+        );
+        let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+        for pattern in patterns {
+            let base = rows_of(&system.relation_of_word(pattern)?);
+            let (mut left, mut right) = (Vec::new(), Vec::new());
+            for padding in stable_paddings(&edge, &base) {
+                let edge_padding = product(&edge, &padding);
+                let conn = product(&edge_padding, &edge);
+                left.extend(middles.iter().map(|m| product(&conn, m)));
+                left.push(edge_padding);
+                right.push(conn);
+            }
+            lefts.push(minimal(left));
+            rights.push(minimal(right));
+        }
+        Ok(Bridges {
+            beta: edge.len(),
+            bridgeable: vec![None; patterns.len().pow(2)],
+            lefts,
+            rights,
+        })
+    }
+
+    /// Can a labeled `w_i`-region ending with `last` be followed, across any
+    /// middle, by a labeled `w_j`-region starting with `first`?
+    fn bridges(&mut self, i: usize, last: OutLabel, j: usize, first: OutLabel) -> bool {
+        let n = self.lefts.len();
+        let relation = self.bridgeable[i * n + j].get_or_insert_with(|| {
+            let mut ok = vec![u64::MAX; self.beta];
+            for left in &self.lefts[i] {
+                for right in &self.rights[j] {
+                    let rel = product(left, right);
+                    ok.iter_mut().zip(rel).for_each(|(ok, row)| *ok &= row);
+                }
+            }
+            ok
+        });
+        relation[last.index()] >> first.index() & 1 == 1
+    }
 }
 
 /// Backtracking choice of one periodic labeling per pattern such that every
@@ -249,82 +475,47 @@ fn choose_pattern_labelings(
     if patterns.is_empty() {
         return Ok(Some(Vec::new()));
     }
-    let system = info.system();
-    let semigroup = info.semigroup();
-    // Pre-compute, for every pattern, the relations of its stable paddings.
-    let mut paddings: Vec<Vec<lcl_semigroup::OutRelation>> = Vec::with_capacity(patterns.len());
-    for pattern in patterns {
-        let base = system.relation_of_word(pattern)?;
-        let mut rels = Vec::new();
-        for e in stable_exponents(info, pattern)? {
-            rels.push(system.power(&base, e)?);
-        }
-        paddings.push(rels);
-    }
-    // Middles: every semigroup element plus the empty middle.
-    let mut middles: Vec<Option<lcl_semigroup::OutRelation>> = vec![None];
-    for t in semigroup.iter() {
-        middles.push(Some(semigroup.relation(t).clone()));
+    let mut bridges = Bridges::new(info, patterns)?;
+
+    /// The first and last label of a labeling.
+    fn ends(labeling: &[OutLabel]) -> (OutLabel, OutLabel) {
+        (labeling[0], labeling[labeling.len() - 1])
     }
 
-    // bridge(i, fi, j, fj): can a labeled w_i-region (ending with fi's last
-    // label) be followed, across any middle, by a labeled w_j-region
-    // (starting with fj's first label)?
-    let bridge = |i: usize, fi: &[OutLabel], j: usize, fj: &[OutLabel]| -> Result<bool> {
-        let last = fi[fi.len() - 1];
-        let first = fj[0];
-        for left in &paddings[i] {
-            for right in &paddings[j] {
-                for middle in &middles {
-                    let combined = match middle {
-                        None => system.join(left, right)?,
-                        Some(mid) => system.join(&system.join(left, mid)?, right)?,
-                    };
-                    if !system.connection(&combined)?.contains(last, first) {
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        Ok(true)
-    };
-
-    /// Checks that the labeling of one pattern can bridge into another's
-    /// across an arbitrary middle: `(left index, left labeling, right index,
-    /// right labeling)`.
-    type BridgeCheck<'a> = dyn Fn(usize, &[OutLabel], usize, &[OutLabel]) -> Result<bool> + 'a;
-
-    fn solve(
+    fn solve<'a>(
         idx: usize,
-        patterns: &[Vec<InLabel>],
-        candidates: &[Vec<Vec<OutLabel>>],
-        chosen: &mut Vec<Vec<OutLabel>>,
-        bridge: &BridgeCheck<'_>,
-    ) -> Result<bool> {
-        if idx == patterns.len() {
-            return Ok(true);
+        candidates: &'a [Vec<Vec<OutLabel>>],
+        chosen: &mut Vec<&'a [OutLabel]>,
+        bridges: &mut Bridges,
+    ) -> bool {
+        if idx == candidates.len() {
+            return true;
         }
         'cands: for cand in &candidates[idx] {
+            let (first, last) = ends(cand);
             // Check against itself and all previously chosen labelings.
-            if !bridge(idx, cand, idx, cand)? {
+            if !bridges.bridges(idx, last, idx, first) {
                 continue;
             }
             for (j, prev) in chosen.iter().enumerate() {
-                if !bridge(idx, cand, j, prev)? || !bridge(j, prev, idx, cand)? {
+                let (prev_first, prev_last) = ends(prev);
+                if !bridges.bridges(idx, last, j, prev_first)
+                    || !bridges.bridges(j, prev_last, idx, first)
+                {
                     continue 'cands;
                 }
             }
-            chosen.push(cand.clone());
-            if solve(idx + 1, patterns, candidates, chosen, bridge)? {
-                return Ok(true);
+            chosen.push(cand);
+            if solve(idx + 1, candidates, chosen, bridges) {
+                return true;
             }
             chosen.pop();
         }
-        Ok(false)
+        false
     }
 
-    let mut chosen: Vec<Vec<OutLabel>> = Vec::new();
-    if !solve(0, patterns, candidates, &mut chosen, &bridge)? {
+    let mut chosen = Vec::with_capacity(patterns.len());
+    if !solve(0, candidates, &mut chosen, &mut bridges) {
         return Ok(None);
     }
     Ok(Some(
@@ -333,25 +524,10 @@ fn choose_pattern_labelings(
             .zip(chosen)
             .map(|(pattern, labeling)| PatternLabeling {
                 pattern: pattern.clone(),
-                labeling,
+                labeling: labeling.to_vec(),
             })
             .collect(),
     ))
-}
-
-/// Checks that a block labeling exists for every `S ∈ Σ_in²` given the facing
-/// sets of the left and right gap types. Returns `false` as soon as some `S`
-/// has none.
-fn blocks_exist(
-    problem: &NormalizedLcl,
-    right_facing_of_left_gap: u64,
-    left_facing_of_right_gap: u64,
-    beta: usize,
-) -> bool {
-    let firsts = mask_labels(right_facing_of_left_gap, beta);
-    let lasts = mask_labels(left_facing_of_right_gap, beta);
-    input_pairs(problem)
-        .all(|s| block_labeling(problem, firsts.clone(), lasts.clone(), s).is_some())
 }
 
 /// Searches for a feasible structure.
@@ -363,8 +539,7 @@ fn blocks_exist(
 /// # Errors
 ///
 /// Returns [`ClassifierError::TooLarge`] if the output alphabet has 64 or
-/// more labels (candidate subsets are `u64` bitmasks enumerated up to
-/// `1 << beta`) and
+/// more labels (label sets are `u64` bitmasks) and
 /// [`ClassifierError::SearchBudgetExceeded`] if the search budget runs out.
 pub fn find_feasible(
     info: &GapTypes,
@@ -373,9 +548,9 @@ pub fn find_feasible(
 ) -> Result<Option<FeasibleStructure>> {
     let problem = info.problem();
     let beta = problem.num_outputs();
-    if beta >= 64 {
+    if beta > MAX_OUTPUTS {
         return Err(ClassifierError::TooLarge {
-            what: format!("output alphabet of size {beta} exceeds the 63-label limit"),
+            what: format!("output alphabet of size {beta} exceeds the {MAX_OUTPUTS}-label limit"),
         });
     }
     let num_types = info.quantified().len();
@@ -383,19 +558,17 @@ pub fn find_feasible(
     // more blocks and patterns through).
     let mut domains: Vec<Vec<Biclique>> = Vec::with_capacity(num_types);
     for i in 0..num_types {
-        let mut cands = candidate_bicliques(info.connection(i), beta);
-        if cands.is_empty() {
+        let domain = ordered_domain(info.connection(i));
+        if domain.is_empty() {
             return Ok(None);
         }
-        cands.sort_by_key(|c| {
-            usize::MAX - (c.a.count_ones() as usize) * (c.b.count_ones() as usize)
-        });
-        domains.push(cands);
+        domains.push(domain);
     }
     // Candidate periodic labelings per pattern.
+    let masks = BlockMasks::new(problem);
     let mut pattern_candidates: Vec<Vec<Vec<OutLabel>>> = Vec::with_capacity(patterns.len());
     for pattern in patterns {
-        let cands = periodic_labelings(problem, pattern, 4096);
+        let cands = periodic_candidates(&masks, pattern, 4096);
         if cands.is_empty() {
             return Ok(None);
         }
@@ -403,9 +576,8 @@ pub fn find_feasible(
     }
 
     struct Search<'a> {
-        info: &'a GapTypes,
         problem: &'a NormalizedLcl,
-        beta: usize,
+        masks: BlockMasks,
         domains: &'a [Vec<Biclique>],
         assignment: Vec<Option<Biclique>>,
         nodes: usize,
@@ -413,6 +585,13 @@ pub fn find_feasible(
     }
 
     impl Search<'_> {
+        /// Whether every anchor block between a gap whose right-facing set
+        /// is `firsts` and one whose left-facing set is `lasts` has a
+        /// labeling.
+        fn labelable(&self, firsts: u64, lasts: u64) -> bool {
+            input_pairs(self.problem).all(|s| self.masks.first_block(firsts, lasts, s).is_some())
+        }
+
         fn consistent_with(&self, idx: usize, choice: Biclique) -> bool {
             // Block constraints between `idx` and every assigned type (and itself).
             for (other_idx, other) in self.assignment.iter().enumerate() {
@@ -421,13 +600,9 @@ pub fn find_feasible(
                     None if other_idx == idx => choice,
                     None => continue,
                 };
-                let this = choice;
-                // Block with left gap `other_idx` and right gap `idx`.
-                if !blocks_exist(self.problem, other.b, this.a, self.beta) {
-                    return false;
-                }
-                // Block with left gap `idx` and right gap `other_idx`.
-                if !blocks_exist(self.problem, this.b, other.a, self.beta) {
+                // Blocks with left gap `other_idx` and right gap `idx`, then
+                // with left gap `idx` and right gap `other_idx`.
+                if !self.labelable(other.b, choice.a) || !self.labelable(choice.b, other.a) {
                     return false;
                 }
             }
@@ -444,7 +619,6 @@ pub fn find_feasible(
             if idx == self.assignment.len() {
                 return Ok(true);
             }
-            let _ = self.info;
             for choice_idx in 0..self.domains[idx].len() {
                 let choice = self.domains[idx][choice_idx];
                 if !self.consistent_with(idx, choice) {
@@ -461,9 +635,8 @@ pub fn find_feasible(
     }
 
     let mut search = Search {
-        info,
         problem,
-        beta,
+        masks,
         domains: &domains,
         assignment: vec![None; num_types],
         nodes: 0,
@@ -484,14 +657,12 @@ pub fn find_feasible(
     };
 
     // A solved search assigned every type.
+    let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
     let (left_facing, right_facing) = search
         .assignment
         .iter()
         .flatten()
-        .map(|b| {
-            let labels = |mask| mask_labels(mask, beta).collect::<Vec<_>>();
-            (labels(b.a), labels(b.b))
-        })
+        .map(|b| (labels(b.a), labels(b.b)))
         .unzip();
     Ok(FeasibleStructure::new(
         problem,
@@ -504,8 +675,59 @@ pub fn find_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lcl_gen::{generate, Family, GenConfig};
     use lcl_problem::NormalizedLcl;
     use lcl_semigroup::primitive_strings_up_to;
+
+    /// The subset walk the concept enumeration replaced, kept as its oracle:
+    /// every nonempty `A₀ ⊆ Σ_out` in ascending integer order is mapped to
+    /// its common successors `B` and, if `B ≠ ∅`, to the concept
+    /// `({p : row_p ⊇ B}, B)`; first occurrences are kept and stably sorted
+    /// by `|A|·|B|`, largest first.
+    fn subset_walk_domain(conn: &OutRelation, beta: usize) -> Vec<Biclique> {
+        let mut out: Vec<Biclique> = Vec::new();
+        for a_mask in 1u64..(1 << beta) {
+            // B = common successors of A.
+            let mut b_mask = (1u64 << beta) - 1;
+            for p in 0..beta {
+                if a_mask >> p & 1 == 1 {
+                    let mut row = 0u64;
+                    for q in 0..beta {
+                        if conn.get(p, q) {
+                            row |= 1 << q;
+                        }
+                    }
+                    b_mask &= row;
+                }
+            }
+            if b_mask == 0 {
+                continue;
+            }
+            // Maximalize A: every p whose row covers B.
+            let mut a_closed = 0u64;
+            for p in 0..beta {
+                let mut covers = true;
+                for q in 0..beta {
+                    if b_mask >> q & 1 == 1 && !conn.get(p, q) {
+                        covers = false;
+                        break;
+                    }
+                }
+                if covers {
+                    a_closed |= 1 << p;
+                }
+            }
+            let candidate = Biclique {
+                a: a_closed,
+                b: b_mask,
+            };
+            if !out.contains(&candidate) {
+                out.push(candidate);
+            }
+        }
+        out.sort_by_key(|c| usize::MAX - (c.a.count_ones() as usize) * (c.b.count_ones() as usize));
+        out
+    }
 
     fn three_coloring() -> NormalizedLcl {
         let mut b = NormalizedLcl::builder("3-coloring");
@@ -586,6 +808,12 @@ mod tests {
             .block(0, lcl_problem::InLabel(0), lcl_problem::InLabel(0), 0)
             .expect("block exists");
         assert!(first.index() < 2 && last.index() < 2);
+        // Contexts outside the table have no block.
+        let types = structure.left_facing.len();
+        assert_eq!(structure.block(types, InLabel(0), InLabel(0), 0), None);
+        assert_eq!(structure.block(0, InLabel(0), InLabel(0), types), None);
+        assert_eq!(structure.block(0, InLabel(1), InLabel(0), 0), None);
+        assert_eq!(structure.block(0, InLabel(0), InLabel(1), 0), None);
     }
 
     #[test]
@@ -606,7 +834,7 @@ mod tests {
     fn biclique_candidates_are_consistent() {
         let info = GapTypes::compute(&three_coloring(), 10_000).unwrap();
         let conn = info.connection(0);
-        let cands = candidate_bicliques(conn, 3);
+        let cands = ordered_domain(conn);
         assert!(!cands.is_empty());
         for c in cands {
             for p in 0..3 {
@@ -631,9 +859,10 @@ mod tests {
 
     #[test]
     fn a_64_label_output_alphabet_is_too_large_not_misclassified() {
-        // Candidate subsets are enumerated up to `1 << beta`, which
-        // overflows a u64 at beta = 64: the guard must reject it before the
-        // walk (it used to wrap in release and classify both as linear).
+        // Label sets are `u64` bitmasks and the search takes at most 63
+        // labels: 64 must be rejected before any search (a walk over
+        // `1 << beta` subsets once wrapped here in release builds and
+        // classified both problems as linear).
         for problem in [lcl_problems::unconstrained(64), lcl_problems::coloring(64)] {
             let result = crate::Engine::new().classify(&problem);
             assert!(
@@ -645,11 +874,79 @@ mod tests {
     }
 
     #[test]
-    fn periodic_labelings_enumeration() {
-        let p = three_coloring();
-        let singles = periodic_labelings(&p, &[InLabel(0)], 100);
+    fn large_alphabets_classify_up_to_the_mask_width() {
+        // A walk over all 2^β label subsets could never finish these; the
+        // concept enumeration sees one full connection relation per type.
+        let engine = crate::Engine::new();
+        for k in 3..=63 {
+            let coloring = engine.classify(&lcl_problems::coloring(k)).unwrap();
+            assert_eq!(
+                coloring.complexity(),
+                crate::Complexity::LogStar,
+                "coloring({k})"
+            );
+            let free = engine.classify(&lcl_problems::unconstrained(k)).unwrap();
+            assert_eq!(
+                free.complexity(),
+                crate::Complexity::Constant,
+                "unconstrained({k})"
+            );
+        }
+    }
+
+    /// Every quantified type of `problem` gets the subset walk's domain.
+    fn assert_domains_match_the_walk(problem: &NormalizedLcl) -> usize {
+        let Ok(info) = GapTypes::compute(problem, 10_000) else {
+            return 0;
+        };
+        let beta = problem.num_outputs();
+        for i in 0..info.quantified().len() {
+            let conn = info.connection(i);
+            assert_eq!(
+                ordered_domain(conn),
+                subset_walk_domain(conn, beta),
+                "{}: domain of type {i}",
+                problem.name()
+            );
+        }
+        info.quantified().len()
+    }
+
+    #[test]
+    fn concept_domains_equal_the_subset_walk() {
+        let mut problems: Vec<NormalizedLcl> = (2..=12).map(lcl_problems::coloring).collect();
+        problems.extend((1..=12).map(lcl_problems::unconstrained));
+        problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        // 512 draws: families rotate fastest, then 1–3 input labels, then
+        // 3–10 output labels, then three densities.
+        let density = [35, 60, 85];
+        problems.extend((0..512usize).map(|i| {
+            let config = GenConfig::new(i as u64)
+                .family(Family::ALL[i % 4])
+                .input_labels(1 + (i / 4) % 3)
+                .output_labels(3 + (i / 12) % 8)
+                .node_density_pct(density[(i / 96) % 3])
+                .edge_density_pct(density[(i / 288) % 3]);
+            generate(&config).unwrap()
+        }));
+        let types: usize = problems.iter().map(assert_domains_match_the_walk).sum();
+        assert!(types >= 2_000, "only {types} quantified types compared");
+    }
+
+    #[test]
+    fn periodic_candidates_enumeration() {
+        let masks = BlockMasks::new(&three_coloring());
+        let singles = periodic_candidates(&masks, &[InLabel(0)], 100);
         assert!(singles.is_empty(), "no colour is adjacent to itself");
-        let pairs = periodic_labelings(&p, &[InLabel(0), InLabel(0)], 100);
+        let pairs = periodic_candidates(&masks, &[InLabel(0), InLabel(0)], 100);
         assert_eq!(pairs.len(), 6, "ordered pairs of distinct colours");
+        assert_eq!(pairs[0], [OutLabel(2), OutLabel(1)], "largest labels first");
+        // Length 4 has 18 proper colourings but only 6 (first, last) pairs,
+        // and a cap of 4 stops the walk after the first four colourings,
+        // which have two.
+        let long = periodic_candidates(&masks, &[InLabel(0); 4], 100);
+        assert_eq!(long.len(), 6);
+        let capped = periodic_candidates(&masks, &[InLabel(0); 4], 4);
+        assert_eq!(capped.len(), 2, "2121, 2120, 2101, 2021");
     }
 }

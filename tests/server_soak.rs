@@ -3,6 +3,7 @@
 //! service, per-id echo, connection-gauge consistency, the `--max-conns`
 //! accept cap, and shutdown that never dials its own listen address.
 
+use lcl_paths::gen::{generate, Family, GenConfig};
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{RequestEnvelope, ResponseEnvelope};
 use lcl_paths::{problems, Engine};
@@ -177,11 +178,17 @@ fn stampede_once() -> i64 {
         .expect("start server");
     let addr = handle.addr();
 
-    // A problem slow enough (~100ms cold) that every late requester reaches
-    // the flight table while the leader is still computing.
-    let spec = problems::coloring(14).to_spec();
+    // A problem slow enough (~125ms cold in a debug build, ~13ms in release)
+    // that every late requester reaches the flight table while the leader is
+    // still computing. Its cost is the type semigroup (615 types) and the
+    // unsolvability witness, not the feasibility search.
+    let config = GenConfig::new(2)
+        .family(Family::Uniform)
+        .input_labels(4)
+        .output_labels(6);
+    let spec = generate(&config).expect("valid config").to_spec();
     let expected = Engine::new()
-        .verdict(&spec.to_problem().expect("corpus problem"))
+        .verdict(&spec.to_problem().expect("generated problem"))
         .expect("in-process verdict")
         .to_json_string();
 
