@@ -40,10 +40,8 @@ pub(crate) fn canonical_patterns(alpha: usize, max_len: usize) -> Vec<Vec<InLabe
     primitive_strings_up_to(alpha, max_len)
         .into_iter()
         .filter(|w| {
-            (1..w.len()).all(|s| {
-                let rot: Vec<InLabel> = (0..w.len()).map(|i| w[(i + s) % w.len()]).collect();
-                rot >= *w
-            })
+            let rotation = |s: usize| (0..w.len()).map(move |i| w[(i + s) % w.len()]);
+            (1..w.len()).all(|s| rotation(s).ge(w.iter().copied()))
         })
         .collect()
 }

@@ -67,13 +67,22 @@
 //! word operations. The search's block checks and the block table of
 //! [`FeasibleStructure`] use the same routine, so they agree by
 //! construction.
+//!
+//! Blocks depend on the types only through their facing sets, and many
+//! types share them. The search keeps the distinct bicliques assigned so
+//! far, with counts, and checks a choice against itself and each of them
+//! once: a repeated biclique adds no constraint. In the block table, a
+//! type's row repeats the row of the first type with the same `B(τ_left)`,
+//! and an entry repeats the entry of the first type with the same
+//! `A(τ_right)`, so a block is solved once per distinct pair of sets and
+//! input pair.
 
 use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
 use lcl_semigroup::OutRelation;
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// The largest output alphabet the search accepts.
 const MAX_OUTPUTS: usize = 63;
@@ -137,13 +146,29 @@ impl FeasibleStructure {
                 })
                 .collect()
         };
+        // Types with equal facing sets get equal blocks (see the module
+        // documentation).
         let (firsts, lasts) = (masks(&right_facing)?, masks(&left_facing)?);
+        let first_equal =
+            |sets: &[u64], i: usize| sets[..i].iter().position(|&m| m == sets[i]).unwrap_or(i);
+        let last_equal: Vec<usize> = (0..types).map(|r| first_equal(&lasts, r)).collect();
         let constraints = BlockMasks::new(problem);
-        let mut blocks = Vec::with_capacity((firsts.len() * problem.num_inputs()).pow(2));
-        for &first in &firsts {
+        let row_len = problem.num_inputs().pow(2) * types;
+        let mut blocks = Vec::with_capacity(types * row_len);
+        for (l, &first) in firsts.iter().enumerate() {
+            let earlier = first_equal(&firsts, l);
+            if earlier < l {
+                blocks.extend_from_within(earlier * row_len..(earlier + 1) * row_len);
+                continue;
+            }
             for s in input_pairs(problem) {
-                for &last in &lasts {
-                    blocks.push(constraints.first_block(first, last, s)?);
+                let start = blocks.len();
+                for (r, &last) in lasts.iter().enumerate() {
+                    let block = match last_equal[r] {
+                        earlier if earlier < r => blocks[start + earlier],
+                        _ => constraints.first_block(first, last, s)?,
+                    };
+                    blocks.push(block);
                 }
             }
         }
@@ -197,14 +222,10 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// A boolean `β × β` matrix as one row mask per label.
 type Rows = Vec<u64>;
 
+/// The rows of a relation on at most [`MAX_OUTPUTS`] labels, each one word.
 fn rows_of(relation: &OutRelation) -> Rows {
-    let n = relation.dim();
-    (0..n)
-        .map(|p| {
-            (0..n)
-                .filter(|&q| relation.get(p, q))
-                .fold(0, |m, q| m | 1 << q)
-        })
+    (0..relation.dim())
+        .map(|p| relation.row_words(p)[0])
         .collect()
 }
 
@@ -323,7 +344,8 @@ fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> V
         /// Valid labelings met so far, kept or not.
         found: usize,
         path: Vec<usize>,
-        ends: HashSet<(usize, usize)>,
+        /// `ends[first]`: the last labels kept with that first label.
+        ends: Vec<u64>,
         out: Vec<Vec<OutLabel>>,
     }
 
@@ -341,7 +363,9 @@ fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> V
                     self.extend(self.masks.edges[o]);
                 } else if self.masks.edges[o] >> self.path[0] & 1 == 1 {
                     self.found += 1;
-                    if self.ends.insert((self.path[0], o)) {
+                    let ends = &mut self.ends[self.path[0]];
+                    if *ends >> o & 1 == 0 {
+                        *ends |= 1 << o;
                         self.out
                             .push(self.path.iter().map(|&l| OutLabel::from_index(l)).collect());
                     }
@@ -357,7 +381,7 @@ fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> V
         cap,
         found: 0,
         path: Vec::with_capacity(pattern.len()),
-        ends: HashSet::new(),
+        ends: vec![0; masks.edges.len()],
         out: Vec::new(),
     };
     walk.extend(u64::MAX);
@@ -370,17 +394,18 @@ fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> V
 /// the padding is at least `L_min` nodes long (the synthesized algorithm
 /// always leaves at least that much of the periodic fringe unlabeled). Any
 /// full period past the preperiod has the same relations: the cycle that
-/// `R(w), R(w²), …` (under `join`) enters, which is read off directly.
+/// `R(w), R(w²), …` (under `join`) enters, which is read off directly: the
+/// sequence is short, so finding the first repeat is a scan.
 fn stable_paddings(edge: &[u64], base: &[u64]) -> Vec<Rows> {
-    let mut position: HashMap<Rows, usize> = HashMap::new();
     let mut sequence: Vec<Rows> = Vec::new();
     let mut current = base.to_vec();
-    while !position.contains_key(&current) {
-        position.insert(current.clone(), sequence.len());
+    loop {
+        if let Some(start) = sequence.iter().position(|r| *r == current) {
+            return sequence.split_off(start);
+        }
         let next = product(&product(&current, edge), base);
         sequence.push(std::mem::replace(&mut current, next));
     }
-    sequence.split_off(position[&current])
 }
 
 /// The `⊆`-minimal elements of a list of relations, without repeats: a
@@ -426,7 +451,7 @@ impl Bridges {
         );
         let (mut lefts, mut rights) = (Vec::new(), Vec::new());
         for pattern in patterns {
-            let base = rows_of(&system.relation_of_word(pattern)?);
+            let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
             let (mut left, mut right) = (Vec::new(), Vec::new());
             for padding in stable_paddings(&edge, &base) {
                 let edge_padding = product(&edge, &padding);
@@ -454,8 +479,10 @@ impl Bridges {
             let mut ok = vec![u64::MAX; self.beta];
             for left in &self.lefts[i] {
                 for right in &self.rights[j] {
-                    let rel = product(left, right);
-                    ok.iter_mut().zip(rel).for_each(|(ok, row)| *ok &= row);
+                    // `ok &= left · right`, one row at a time.
+                    for (ok, &row) in ok.iter_mut().zip(left) {
+                        *ok &= bits(row).fold(0, |out, k| out | right[k]);
+                    }
                 }
             }
             ok
@@ -579,7 +606,10 @@ pub fn find_feasible(
         problem: &'a NormalizedLcl,
         masks: BlockMasks,
         domains: &'a [Vec<Biclique>],
-        assignment: Vec<Option<Biclique>>,
+        /// The choices of the types assigned so far, in type order.
+        assignment: Vec<Biclique>,
+        /// The distinct bicliques of `assignment`, with their counts.
+        distinct: Vec<(Biclique, usize)>,
         nodes: usize,
         budget: usize,
     }
@@ -592,43 +622,53 @@ pub fn find_feasible(
             input_pairs(self.problem).all(|s| self.masks.first_block(firsts, lasts, s).is_some())
         }
 
-        fn consistent_with(&self, idx: usize, choice: Biclique) -> bool {
-            // Block constraints between `idx` and every assigned type (and itself).
-            for (other_idx, other) in self.assignment.iter().enumerate() {
-                let other = match other {
-                    Some(b) => *b,
-                    None if other_idx == idx => choice,
-                    None => continue,
-                };
-                // Blocks with left gap `other_idx` and right gap `idx`, then
-                // with left gap `idx` and right gap `other_idx`.
-                if !self.labelable(other.b, choice.a) || !self.labelable(choice.b, other.a) {
-                    return false;
-                }
-            }
-            true
+        /// Block constraints between the next type's `choice` and itself and
+        /// every assigned type, both ways round. Types assigned the same
+        /// biclique impose the same constraints, so each is checked once.
+        fn consistent_with(&self, choice: Biclique) -> bool {
+            std::iter::once(choice)
+                .chain(self.distinct.iter().map(|&(other, _)| other))
+                .all(|other| self.labelable(other.b, choice.a) && self.labelable(choice.b, other.a))
         }
 
-        fn solve(&mut self, idx: usize) -> Result<bool> {
+        fn push(&mut self, choice: Biclique) {
+            self.assignment.push(choice);
+            match self.distinct.iter_mut().find(|(b, _)| *b == choice) {
+                Some((_, count)) => *count += 1,
+                None => self.distinct.push((choice, 1)),
+            }
+        }
+
+        fn pop(&mut self) {
+            let choice = self.assignment.pop().expect("a type is assigned");
+            let at = self.distinct.iter().position(|&(b, _)| b == choice);
+            let at = at.expect("assigned bicliques are counted");
+            self.distinct[at].1 -= 1;
+            if self.distinct[at].1 == 0 {
+                self.distinct.remove(at);
+            }
+        }
+
+        fn solve(&mut self) -> Result<bool> {
             self.nodes += 1;
             if self.nodes > self.budget {
                 return Err(ClassifierError::SearchBudgetExceeded {
                     budget: self.budget,
                 });
             }
-            if idx == self.assignment.len() {
+            let idx = self.assignment.len();
+            if idx == self.domains.len() {
                 return Ok(true);
             }
-            for choice_idx in 0..self.domains[idx].len() {
-                let choice = self.domains[idx][choice_idx];
-                if !self.consistent_with(idx, choice) {
+            for &choice in &self.domains[idx] {
+                if !self.consistent_with(choice) {
                     continue;
                 }
-                self.assignment[idx] = Some(choice);
-                if self.solve(idx + 1)? {
+                self.push(choice);
+                if self.solve()? {
                     return Ok(true);
                 }
-                self.assignment[idx] = None;
+                self.pop();
             }
             Ok(false)
         }
@@ -638,11 +678,12 @@ pub fn find_feasible(
         problem,
         masks,
         domains: &domains,
-        assignment: vec![None; num_types],
+        assignment: Vec::with_capacity(num_types),
+        distinct: Vec::new(),
         nodes: 0,
         budget,
     };
-    if num_types > 0 && !search.solve(0)? {
+    if num_types > 0 && !search.solve()? {
         return Ok(None);
     }
     // Choose periodic labelings so that any two labeled periodic regions can
@@ -661,7 +702,6 @@ pub fn find_feasible(
     let (left_facing, right_facing) = search
         .assignment
         .iter()
-        .flatten()
         .map(|b| (labels(b.a), labels(b.b)))
         .unzip();
     Ok(FeasibleStructure::new(

@@ -11,7 +11,6 @@ use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup};
 /// the connection relation `C(τ) = E · R(τ) · E` of each such type.
 #[derive(Clone, Debug)]
 pub struct GapTypes {
-    problem: NormalizedLcl,
     system: TransferSystem,
     semigroup: TypeSemigroup,
     min_gap: usize,
@@ -40,7 +39,6 @@ impl GapTypes {
             connections.push(system.connection(semigroup.relation(t))?);
         }
         Ok(GapTypes {
-            problem: problem.clone(),
             system,
             semigroup,
             min_gap,
@@ -51,7 +49,7 @@ impl GapTypes {
 
     /// The problem.
     pub fn problem(&self) -> &NormalizedLcl {
-        &self.problem
+        self.system.problem()
     }
 
     /// The transfer system.

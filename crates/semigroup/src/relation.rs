@@ -21,15 +21,15 @@ pub struct OutRelation {
     bits: Vec<u64>,
 }
 
+/// The number of words in each row of a relation on `n` labels.
+fn row_len(n: usize) -> usize {
+    n.div_ceil(64).max(1)
+}
+
 impl OutRelation {
     /// Creates the empty (all-false) relation on `n` labels.
     pub fn empty(n: usize) -> Self {
-        let words_per_row = n.div_ceil(64).max(1);
-        OutRelation {
-            n,
-            words_per_row,
-            bits: vec![0; n * words_per_row],
-        }
+        Self::from_words(n, vec![0; n * row_len(n)])
     }
 
     /// Creates the identity relation on `n` labels.
@@ -114,7 +114,9 @@ impl OutRelation {
         self.get(p.index(), q.index())
     }
 
-    /// Boolean matrix product `self · other`.
+    /// Boolean matrix product `self · other`: each output row is the union
+    /// of the rows of `other` picked by the set bits of the matching row of
+    /// `self`.
     ///
     /// # Errors
     ///
@@ -126,21 +128,75 @@ impl OutRelation {
                 right: other.n,
             });
         }
+        let w = self.words_per_row;
         let mut result = OutRelation::empty(self.n);
-        for i in 0..self.n {
-            let out_row =
-                &mut result.bits[i * result.words_per_row..(i + 1) * result.words_per_row];
-            for k in 0..self.n {
-                if self.get(i, k) {
-                    let other_row =
-                        &other.bits[k * other.words_per_row..(k + 1) * other.words_per_row];
-                    for (o, w) in out_row.iter_mut().zip(other_row.iter()) {
-                        *o |= *w;
+        for (out_row, row) in result
+            .bits
+            .chunks_exact_mut(w)
+            .zip(self.bits.chunks_exact(w))
+        {
+            for (base, &word) in (0..).step_by(64).zip(row) {
+                let mut word = word;
+                while word != 0 {
+                    let k = base + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    for (o, x) in out_row.iter_mut().zip(other.row_words(k)) {
+                        *o |= *x;
                     }
                 }
             }
         }
         Ok(result)
+    }
+
+    /// The words of row `i`: `(i, j)` is bit `j % 64` of word `j / 64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    pub fn row_words(&self, i: usize) -> &[u64] {
+        assert!(i < self.n, "relation index out of range");
+        &self.bits[i * self.words_per_row..(i + 1) * self.words_per_row]
+    }
+
+    /// All rows' words, row after row (see [`Self::row_words`]). Relations
+    /// of one dimension are equal iff their words are.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.bits
+    }
+
+    /// The relation on `n` labels whose rows' words are `words`.
+    pub(crate) fn from_words(n: usize, words: Vec<u64>) -> Self {
+        let words_per_row = row_len(n);
+        assert_eq!(words.len(), n * words_per_row, "one row of words per label");
+        OutRelation {
+            n,
+            words_per_row,
+            bits: words,
+        }
+    }
+
+    /// The diagonal `{j : (j, j) related}` as one row of words.
+    pub(crate) fn diagonal_words(&self) -> Vec<u64> {
+        let mut mask = vec![0; self.words_per_row];
+        for j in (0..self.n).filter(|&j| self.get(j, j)) {
+            mask[j / 64] |= 1 << (j % 64);
+        }
+        mask
+    }
+
+    /// The column-mask step: writes into `out` the words of `self · D`,
+    /// where `D` is the diagonal relation whose diagonal is `mask` (as
+    /// [`Self::diagonal_words`] returns it). Right-multiplying by a diagonal
+    /// keeps the columns it marks, so every row is ANDed with `mask`.
+    pub(crate) fn mask_columns_into(&self, mask: &[u64], out: &mut Vec<u64>) {
+        assert_eq!(mask.len(), self.words_per_row, "one row of words");
+        out.clear();
+        out.extend(
+            self.bits
+                .chunks_exact(self.words_per_row)
+                .flat_map(|row| row.iter().zip(mask).map(|(w, m)| w & m)),
+        );
     }
 
     /// Element-wise union.
@@ -353,6 +409,73 @@ mod tests {
         let p1 = succ.power_with(1, op).unwrap();
         assert_eq!(p1, succ);
         assert!(succ.power_with(0, op).is_err());
+    }
+
+    /// Relations of dimension `n` to test the kernels on: empty, identity,
+    /// full and two seeded pseudo-random densities.
+    fn samples(n: usize) -> Vec<OutRelation> {
+        let random = |seed: u64, percent: u64| {
+            let mut state = seed;
+            OutRelation::from_fn(n, |_, _| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % 100 < percent
+            })
+        };
+        vec![
+            OutRelation::empty(n),
+            OutRelation::identity(n),
+            OutRelation::full(n),
+            random(n as u64, 10),
+            random(n as u64 + 1, 50),
+        ]
+    }
+
+    #[test]
+    fn compose_matches_the_definition() {
+        for n in [3, 64, 65, 130] {
+            for a in &samples(n) {
+                for b in &samples(n) {
+                    let want =
+                        OutRelation::from_fn(n, |i, j| (0..n).any(|k| a.get(i, k) && b.get(k, j)));
+                    assert_eq!(a.compose(b).unwrap(), want, "dimension {n}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_mask_step_is_a_product_with_a_diagonal() {
+        for n in [3, 64, 65, 130] {
+            let mut out = Vec::new();
+            for r in &samples(n) {
+                for d in samples(n) {
+                    let d = OutRelation::diagonal(n, |j| d.get(j, j));
+                    r.mask_columns_into(&d.diagonal_words(), &mut out);
+                    let got = OutRelation::from_words(n, out.clone());
+                    let want = OutRelation::from_fn(n, |i, j| r.get(i, j) && d.get(j, j));
+                    assert_eq!(got, want, "dimension {n}");
+                    assert_eq!(got, r.compose(&d).unwrap(), "dimension {n}");
+                    assert_eq!(got.words(), want.words());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn row_words_hold_each_row() {
+        for n in [3, 64, 65, 130] {
+            for r in samples(n) {
+                for i in 0..n {
+                    let row = r.row_words(i);
+                    assert_eq!(row.len(), n.div_ceil(64));
+                    for j in 0..n {
+                        assert_eq!(row[j / 64] >> (j % 64) & 1 == 1, r.get(i, j));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

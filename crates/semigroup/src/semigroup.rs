@@ -10,10 +10,31 @@
 //!
 //! The derived constants replace the paper's astronomically large worst-case
 //! pumping constant `ℓ_pump` with the tight value for the problem at hand.
+//!
+//! # The column-mask step
+//!
+//! The enumeration is a breadth-first walk that appends one letter at a time,
+//! so types get their ids in the order the walk meets them and the witnesses
+//! are shortest words. A letter's relation `D_a` is diagonal (it only marks
+//! the outputs allowed at a node with input `a`), so
+//! `R(w·a) = R(w)·E·D_a = (R(w)·E)·D_a` keeps the columns of `R(w)·E` that
+//! `a` allows. The walk computes the product `R(w)·E` once per type and then,
+//! for each letter, ANDs the letter's diagonal mask into every row of a
+//! reused buffer. The buffer is looked up by its words: a step that lands on
+//! a known type allocates nothing, and only a new type stores its relation
+//! and copies its witness.
+//!
+//! # The length profile as bitsets
+//!
+//! The sets `S_n` of types realized by length-`n` words are word bitsets over
+//! type ids while the profile is walked: `S_{n+1}` sets the bit of every
+//! letter successor of every member of `S_n`, and a repeat is found by
+//! looking the bitset up. Only the recorded sets become the `BTreeSet`s of
+//! [`LengthProfile`].
 
 use crate::{OutRelation, Result, SemigroupError, TransferSystem};
 use lcl_problem::InLabel;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap};
 
 /// Identifier of a type (an index into the [`TypeSemigroup`]'s element
 /// table, resolvable with [`TypeSemigroup::relation`]).
@@ -80,11 +101,57 @@ impl LengthProfile {
 pub struct TypeSemigroup {
     system: TransferSystem,
     elements: Vec<OutRelation>,
-    index: HashMap<OutRelation, TypeId>,
+    /// Type of each element, keyed by its words ([`OutRelation::words`]).
+    index: HashMap<Vec<u64>, TypeId>,
     witness: Vec<Vec<InLabel>>,
     /// `letter_step[t][a]` = type of `witness(t) · a`.
     letter_step: Vec<Vec<TypeId>>,
     profile: LengthProfile,
+}
+
+/// The elements found so far by [`TypeSemigroup::compute`].
+struct Enumeration {
+    dim: usize,
+    budget: usize,
+    elements: Vec<OutRelation>,
+    index: HashMap<Vec<u64>, TypeId>,
+    witness: Vec<Vec<InLabel>>,
+}
+
+impl Enumeration {
+    /// The type of the relation with words `words`, found by the word `w · a`
+    /// with `w` the witness of `prefix` (or the empty word). A new type is
+    /// stored with that word as its witness; a known one costs one lookup.
+    fn intern(&mut self, words: &[u64], prefix: Option<TypeId>, a: InLabel) -> Result<TypeId> {
+        if let Some(&id) = self.index.get(words) {
+            return Ok(id);
+        }
+        if self.elements.len() >= self.budget {
+            return Err(SemigroupError::TooManyTypes {
+                budget: self.budget,
+            });
+        }
+        let id = TypeId(self.elements.len());
+        let mut witness = prefix.map_or_else(Vec::new, |t| self.witness[t.index()].clone());
+        witness.push(a);
+        self.index.insert(words.to_vec(), id);
+        self.elements
+            .push(OutRelation::from_words(self.dim, words.to_vec()));
+        self.witness.push(witness);
+        Ok(id)
+    }
+}
+
+/// The members of a bitset over type ids, ascending.
+fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    set.iter().enumerate().flat_map(|(i, &word)| {
+        let mut word = word;
+        std::iter::from_fn(move || {
+            let bit = (word != 0).then(|| word.trailing_zeros() as usize)?;
+            word &= word - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
 impl TypeSemigroup {
@@ -99,126 +166,79 @@ impl TypeSemigroup {
     ///
     /// Returns [`SemigroupError::TooManyTypes`] if the budget is exceeded.
     pub fn compute(system: &TransferSystem, budget: usize) -> Result<Self> {
-        let mut elements: Vec<OutRelation> = Vec::new();
-        let mut index: HashMap<OutRelation, TypeId> = HashMap::new();
-        let mut witness: Vec<Vec<InLabel>> = Vec::new();
-        let mut queue: VecDeque<TypeId> = VecDeque::new();
-
-        let intern = |rel: OutRelation,
-                      wit: Vec<InLabel>,
-                      elements: &mut Vec<OutRelation>,
-                      index: &mut HashMap<OutRelation, TypeId>,
-                      witness: &mut Vec<Vec<InLabel>>,
-                      queue: &mut VecDeque<TypeId>|
-         -> Result<TypeId> {
-            if let Some(&id) = index.get(&rel) {
-                return Ok(id);
-            }
-            if elements.len() >= budget {
-                return Err(SemigroupError::TooManyTypes { budget });
-            }
-            let id = TypeId(elements.len());
-            index.insert(rel.clone(), id);
-            elements.push(rel);
-            witness.push(wit);
-            queue.push_back(id);
-            Ok(id)
+        let letters = (0..system.num_letters()).map(InLabel::from_index);
+        let mut found = Enumeration {
+            dim: system.dim(),
+            budget,
+            elements: Vec::new(),
+            index: HashMap::new(),
+            witness: Vec::new(),
         };
-
-        for a in 0..system.num_letters() {
-            let a = InLabel::from_index(a);
-            let rel = system.letter_relation(a)?.clone();
-            intern(
-                rel,
-                vec![a],
-                &mut elements,
-                &mut index,
-                &mut witness,
-                &mut queue,
-            )?;
+        let mut letter_types = Vec::with_capacity(system.num_letters());
+        let mut masks = Vec::with_capacity(system.num_letters());
+        for a in letters.clone() {
+            let rel = system.letter_relation(a)?;
+            letter_types.push(found.intern(rel.words(), None, a)?);
+            masks.push(rel.diagonal_words());
         }
 
         // BFS by appending single letters: every element of the generated
         // semigroup is reachable this way, and BFS order yields shortest
-        // witnesses.
+        // witnesses. Types get their ids in discovery order, so the queue is
+        // the id range itself. One product `R(w)·E` per type, then one
+        // column mask per letter (see the module documentation).
         let mut letter_step: Vec<Vec<TypeId>> = Vec::new();
-        while let Some(t) = queue.pop_front() {
-            let rel = elements[t.index()].clone();
-            let wit = witness[t.index()].clone();
-            let mut steps = Vec::with_capacity(system.num_letters());
-            for a in 0..system.num_letters() {
-                let a = InLabel::from_index(a);
-                let next = system.join(&rel, system.letter_relation(a)?)?;
-                let mut next_wit = wit.clone();
-                next_wit.push(a);
-                let id = intern(
-                    next,
-                    next_wit,
-                    &mut elements,
-                    &mut index,
-                    &mut witness,
-                    &mut queue,
-                )?;
-                steps.push(id);
+        let mut next = Vec::new();
+        while letter_step.len() < found.elements.len() {
+            let t = TypeId(letter_step.len());
+            let then_edge = found.elements[t.index()].compose(system.edge_relation())?;
+            let mut steps = Vec::with_capacity(masks.len());
+            for (a, mask) in letters.clone().zip(&masks) {
+                then_edge.mask_columns_into(mask, &mut next);
+                steps.push(found.intern(&next, Some(t), a)?);
             }
-            // letter_step rows are pushed in BFS (= TypeId) order.
-            if letter_step.len() == t.index() {
-                letter_step.push(steps);
-            } else {
-                // Should not happen: BFS pops in id order.
-                while letter_step.len() < t.index() {
-                    letter_step.push(Vec::new());
-                }
-                letter_step.push(steps);
-            }
+            letter_step.push(steps);
         }
 
-        let profile = Self::compute_profile(system, &index, &letter_step)?;
-
+        let profile = Self::compute_profile(&letter_types, &letter_step);
         Ok(TypeSemigroup {
             system: system.clone(),
-            elements,
-            index,
-            witness,
+            elements: found.elements,
+            index: found.index,
+            witness: found.witness,
             letter_step,
             profile,
         })
     }
 
-    #[allow(clippy::needless_range_loop)] // dense index tables
-    fn compute_profile(
-        system: &TransferSystem,
-        index: &HashMap<OutRelation, TypeId>,
-        letter_step: &[Vec<TypeId>],
-    ) -> Result<LengthProfile> {
-        // S_1 = types of single letters; S_{n+1} = { step(t, a) }.
-        let mut s: BTreeSet<TypeId> = BTreeSet::new();
-        for a in 0..system.num_letters() {
-            let rel = system.letter_relation(InLabel::from_index(a))?;
-            s.insert(*index.get(rel).expect("letters are interned"));
+    /// The length profile, with each `S_n` a bitset over type ids:
+    /// `S_1` holds the letters' types and `S_{n+1} = { step(t, a) : t ∈ S_n }`.
+    fn compute_profile(letter_types: &[TypeId], letter_step: &[Vec<TypeId>]) -> LengthProfile {
+        let words = letter_step.len().div_ceil(64);
+        let mut current = vec![0u64; words];
+        for t in letter_types {
+            current[t.index() / 64] |= 1 << (t.index() % 64);
         }
-        let mut seen: HashMap<BTreeSet<TypeId>, usize> = HashMap::new();
-        let mut sets: Vec<BTreeSet<TypeId>> = Vec::new();
-        let mut current = s;
-        loop {
-            if let Some(&first) = seen.get(&current) {
-                let preperiod = first + 1;
-                let period = sets.len() - first;
-                return Ok(LengthProfile {
-                    preperiod,
-                    period,
-                    sets,
-                });
-            }
-            seen.insert(current.clone(), sets.len());
-            sets.push(current.clone());
-            let mut next = BTreeSet::new();
-            for &t in &current {
-                for a in 0..system.num_letters() {
-                    next.insert(letter_step[t.index()][a]);
+        let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
+        let mut sets: Vec<Vec<u64>> = Vec::new();
+        while !seen.contains_key(&current) {
+            let mut next = vec![0u64; words];
+            for t in members(&current) {
+                for u in &letter_step[t] {
+                    next[u.index() / 64] |= 1 << (u.index() % 64);
                 }
             }
-            current = next;
+            seen.insert(current.clone(), sets.len());
+            sets.push(std::mem::replace(&mut current, next));
+        }
+        let first = seen[&current];
+        LengthProfile {
+            preperiod: first + 1,
+            period: sets.len() - first,
+            sets: sets
+                .iter()
+                .map(|set| members(set).map(TypeId).collect())
+                .collect(),
         }
     }
 
@@ -263,7 +283,7 @@ impl TypeSemigroup {
 
     /// Looks up the type of a relation, if it belongs to the semigroup.
     pub fn id_of(&self, relation: &OutRelation) -> Option<TypeId> {
-        self.index.get(relation).copied()
+        self.index.get(relation.words()).copied()
     }
 
     /// The type of a non-empty word.
@@ -274,7 +294,7 @@ impl TypeSemigroup {
     pub fn type_of_word(&self, word: &[InLabel]) -> Result<TypeId> {
         let (&first, rest) = word.split_first().ok_or(SemigroupError::EmptyWord)?;
         let rel = self.system.letter_relation(first)?;
-        let mut t = *self.index.get(rel).expect("letters are interned");
+        let mut t = self.id_of(rel).expect("letters are interned");
         for &a in rest {
             if a.index() >= self.system.num_letters() {
                 return Err(SemigroupError::UnknownInputLabel {
@@ -307,10 +327,7 @@ impl TypeSemigroup {
         let rel = self
             .system
             .join(self.relation(left), self.relation(right))?;
-        Ok(*self
-            .index
-            .get(&rel)
-            .expect("semigroup is closed under join"))
+        Ok(self.id_of(&rel).expect("semigroup is closed under join"))
     }
 
     /// The type of `w^k` for a word of type `t` (`k ≥ 1`).
@@ -323,10 +340,7 @@ impl TypeSemigroup {
             return Err(SemigroupError::EmptyWord);
         }
         let rel = self.system.power(self.relation(t), k)?;
-        Ok(*self
-            .index
-            .get(&rel)
-            .expect("semigroup is closed under powers"))
+        Ok(self.id_of(&rel).expect("semigroup is closed under powers"))
     }
 
     /// The eventual periodicity of type-reachability by word length.
@@ -370,6 +384,157 @@ mod tests {
         b.allow_edge_idx(0, 0);
         b.allow_edge_idx(1, 1);
         b.build().unwrap()
+    }
+
+    /// What a semigroup computation fixes: its elements in id order, their
+    /// witnesses, the letter table and the length profile.
+    type Enumerated = (
+        Vec<OutRelation>,
+        Vec<Vec<InLabel>>,
+        Vec<Vec<TypeId>>,
+        LengthProfile,
+    );
+
+    /// The BFS the column-mask enumeration replaced, kept as its oracle: each
+    /// step joins the popped relation with a letter relation, clones the
+    /// witness and interns the result in a map keyed by relations; the
+    /// profile walks `BTreeSet`s of types.
+    fn reference(system: &TransferSystem, budget: usize) -> Result<Enumerated> {
+        let mut elements: Vec<OutRelation> = Vec::new();
+        let mut index: HashMap<OutRelation, TypeId> = HashMap::new();
+        let mut witness: Vec<Vec<InLabel>> = Vec::new();
+        let mut queue: std::collections::VecDeque<TypeId> = Default::default();
+        let mut intern = |rel: OutRelation,
+                          wit: Vec<InLabel>,
+                          elements: &mut Vec<OutRelation>,
+                          witness: &mut Vec<Vec<InLabel>>,
+                          queue: &mut std::collections::VecDeque<TypeId>|
+         -> Result<TypeId> {
+            if let Some(&id) = index.get(&rel) {
+                return Ok(id);
+            }
+            if elements.len() >= budget {
+                return Err(SemigroupError::TooManyTypes { budget });
+            }
+            let id = TypeId(elements.len());
+            index.insert(rel.clone(), id);
+            elements.push(rel);
+            witness.push(wit);
+            queue.push_back(id);
+            Ok(id)
+        };
+        let letters = || (0..system.num_letters()).map(InLabel::from_index);
+        let mut first = BTreeSet::new();
+        for a in letters() {
+            let rel = system.letter_relation(a)?.clone();
+            first.insert(intern(
+                rel,
+                vec![a],
+                &mut elements,
+                &mut witness,
+                &mut queue,
+            )?);
+        }
+        let mut letter_step: Vec<Vec<TypeId>> = Vec::new();
+        while let Some(t) = queue.pop_front() {
+            let rel = elements[t.index()].clone();
+            let wit = witness[t.index()].clone();
+            let mut steps = Vec::new();
+            for a in letters() {
+                let next = system.join(&rel, system.letter_relation(a)?)?;
+                let mut next_wit = wit.clone();
+                next_wit.push(a);
+                steps.push(intern(
+                    next,
+                    next_wit,
+                    &mut elements,
+                    &mut witness,
+                    &mut queue,
+                )?);
+            }
+            assert_eq!(letter_step.len(), t.index(), "BFS pops in id order");
+            letter_step.push(steps);
+        }
+        let mut seen: HashMap<BTreeSet<TypeId>, usize> = HashMap::new();
+        let mut sets: Vec<BTreeSet<TypeId>> = Vec::new();
+        let mut current = first;
+        let first = loop {
+            if let Some(&first) = seen.get(&current) {
+                break first;
+            }
+            seen.insert(current.clone(), sets.len());
+            sets.push(current.clone());
+            current = current
+                .iter()
+                .flat_map(|t| letter_step[t.index()].iter().copied())
+                .collect();
+        };
+        let profile = LengthProfile {
+            preperiod: first + 1,
+            period: sets.len() - first,
+            sets,
+        };
+        Ok((elements, witness, letter_step, profile))
+    }
+
+    /// Asserts that `compute` enumerates what the reference does; returns
+    /// the number of types (0 if both exceed the budget).
+    fn assert_matches_reference(problem: &NormalizedLcl, budget: usize) -> usize {
+        let system = TransferSystem::new(problem);
+        let name = problem.name();
+        let sg = match (
+            TypeSemigroup::compute(&system, budget),
+            reference(&system, budget),
+        ) {
+            (Ok(sg), Ok(want)) => {
+                let got = (
+                    sg.elements.clone(),
+                    sg.witness.clone(),
+                    sg.letter_step.clone(),
+                    sg.profile.clone(),
+                );
+                assert!(
+                    got == want,
+                    "{name}: enumeration differs from the reference"
+                );
+                sg
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "{name}");
+                return 0;
+            }
+            (got, want) => panic!("{name}: {:?} vs {:?}", got.err(), want.err()),
+        };
+        for (id, rel) in sg.elements.iter().enumerate() {
+            assert_eq!(sg.id_of(rel), Some(TypeId(id)), "{name}: lookup");
+        }
+        sg.len()
+    }
+
+    #[test]
+    fn column_mask_enumeration_matches_the_reference_bfs() {
+        let mut problems: Vec<NormalizedLcl> = (2..=14).map(lcl_problems::coloring).collect();
+        problems.extend((1..=16).map(lcl_problems::unconstrained));
+        problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        // A row of more than one word.
+        problems.push(lcl_problems::coloring(70));
+        problems.push(lcl_problems::unconstrained(70));
+        // 512 draws: families rotate fastest, then 1–4 input labels, then
+        // 3–10 output labels.
+        problems.extend((0..512usize).map(|i| {
+            let config = lcl_gen::GenConfig::new(1_000 + i as u64)
+                .family(lcl_gen::Family::ALL[i % 4])
+                .input_labels(1 + (i / 4) % 4)
+                .output_labels(3 + (i / 16) % 8);
+            lcl_gen::generate(&config).unwrap()
+        }));
+        let types: usize = problems
+            .iter()
+            .map(|p| assert_matches_reference(p, 5_000))
+            .sum();
+        assert!(types >= 10_000, "only {types} types compared");
+        // Both stop at the same budget.
+        assert_eq!(assert_matches_reference(&lcl_problems::coloring(3), 2), 0);
     }
 
     #[test]

@@ -10,6 +10,7 @@
 
 use crate::{OutRelation, Result, SemigroupError};
 use lcl_problem::{InLabel, Instance, NormalizedLcl, OutLabel, Topology};
+use std::sync::Arc;
 
 /// Pre-computed per-letter transfer relations and the edge relation of a
 /// normalized problem.
@@ -38,7 +39,9 @@ use lcl_problem::{InLabel, Instance, NormalizedLcl, OutLabel, Topology};
 /// ```
 #[derive(Clone, Debug)]
 pub struct TransferSystem {
-    problem: NormalizedLcl,
+    /// Shared, so that the semigroup's copy of the system does not copy the
+    /// problem.
+    problem: Arc<NormalizedLcl>,
     edge: OutRelation,
     letters: Vec<OutRelation>,
 }
@@ -58,7 +61,7 @@ impl TransferSystem {
             })
             .collect();
         TransferSystem {
-            problem: problem.clone(),
+            problem: Arc::new(problem.clone()),
             edge,
             letters,
         }

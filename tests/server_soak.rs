@@ -178,9 +178,9 @@ fn stampede_once() -> i64 {
         .expect("start server");
     let addr = handle.addr();
 
-    // A problem slow enough (~125ms cold in a debug build, ~13ms in release)
-    // that every late requester reaches the flight table while the leader is
-    // still computing. Its cost is the type semigroup (615 types) and the
+    // A problem slow enough (~90ms cold in a debug build, ~10ms in release;
+    // medians of 5 on a 2-vCPU host) that every late requester reaches the
+    // flight table while the leader is still computing. Its cost is the type semigroup (615 types) and the
     // unsolvability witness, not the feasibility search.
     let config = GenConfig::new(2)
         .family(Family::Uniform)
