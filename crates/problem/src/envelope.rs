@@ -78,14 +78,15 @@ impl RequestEnvelope {
     }
 
     /// Reads a request back from a parsed JSON document, enforcing the
-    /// protocol version and field types.
+    /// protocol version and field types. The document is consumed: the
+    /// payload tree moves into the envelope instead of being copied.
     ///
     /// # Errors
     ///
     /// Returns a wire-format error on a missing/unsupported `v`, a missing or
     /// non-integer `id`, or a missing/empty `kind`. The payload is *not*
     /// validated here — its shape depends on the kind.
-    pub fn from_json(value: &JsonValue) -> Result<Self> {
+    pub fn from_json(value: JsonValue) -> Result<Self> {
         let version = value.require("v")?.as_int()?;
         if version != PROTOCOL_VERSION {
             return Err(ProblemError::Wire {
@@ -101,7 +102,7 @@ impl RequestEnvelope {
                 what: "request kind must not be empty".to_string(),
             });
         }
-        let payload = value.get("payload").cloned().unwrap_or(JsonValue::Null);
+        let payload = take_field(value, "payload").unwrap_or(JsonValue::Null);
         Ok(RequestEnvelope { id, kind, payload })
     }
 
@@ -112,7 +113,7 @@ impl RequestEnvelope {
     /// See [`RequestEnvelope::from_json`]; additionally reports JSON syntax
     /// errors.
     pub fn from_json_str(text: &str) -> Result<Self> {
-        Self::from_json(&JsonValue::parse(text)?)
+        Self::from_json(JsonValue::parse(text)?)
     }
 }
 
@@ -289,19 +290,23 @@ impl ResponseEnvelope {
         self.into_json().to_json_string()
     }
 
-    /// Reads a response back from a parsed JSON document.
+    /// Reads a response back from a parsed JSON document. The document is
+    /// consumed: the payload tree moves into the envelope instead of being
+    /// copied.
     ///
     /// # Errors
     ///
     /// Returns a wire-format error on missing fields or a non-boolean `ok`.
-    pub fn from_json(value: &JsonValue) -> Result<Self> {
+    pub fn from_json(value: JsonValue) -> Result<Self> {
         let id = match value.require("id")? {
             JsonValue::Null => None,
             other => Some(other.as_int()?),
         };
         let kind = value.require("kind")?.as_str()?.to_string();
         let result = if value.require("ok")?.as_bool()? {
-            Ok(value.require("payload")?.clone())
+            // `require` reports a missing payload; a present one moves out.
+            value.require("payload")?;
+            Ok(take_field(value, "payload").expect("checked by require"))
         } else {
             Err(ErrorReply::from_json(value.require("error")?)?)
         };
@@ -315,7 +320,16 @@ impl ResponseEnvelope {
     /// See [`ResponseEnvelope::from_json`]; additionally reports JSON syntax
     /// errors.
     pub fn from_json_str(text: &str) -> Result<Self> {
-        Self::from_json(&JsonValue::parse(text)?)
+        Self::from_json(JsonValue::parse(text)?)
+    }
+}
+
+/// Moves field `key` out of an object document; `None` when `value` is not
+/// an object or has no such field.
+fn take_field(value: JsonValue, key: &str) -> Option<JsonValue> {
+    match value {
+        JsonValue::Object(mut map) => map.remove(key),
+        _ => None,
     }
 }
 

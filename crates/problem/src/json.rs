@@ -7,7 +7,19 @@
 //! (null, booleans, 64-bit integers, strings with full escape handling,
 //! arrays, objects) is exactly what the LCL wire format needs, and integers
 //! are kept exact rather than routed through floating point.
+//!
+//! Every request frame goes through [`JsonValue::parse`], so the reader
+//! does no per-byte allocation or UTF-8 work. The input is already a
+//! `&str`, so each unescaped run of a string is copied whole up to the next
+//! quote, backslash or control byte. Object keys move into their map
+//! through the entry API, and integers are accumulated in place with
+//! checked arithmetic. The writer likewise copies unescaped runs whole and
+//! prints integers without a temporary string. The earlier byte-at-a-time
+//! reader is kept as a test oracle (`json/reference.rs`): on valid
+//! documents, malformed ones, truncations and byte flips both readers must
+//! return equal values or equal `(offset, message)` errors.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -142,7 +154,7 @@ impl JsonValue {
         match self {
             JsonValue::Null => out.push_str("null"),
             JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(v) => out.push_str(&v.to_string()),
+            JsonValue::Int(v) => write_int(*v, out),
             JsonValue::Str(s) => write_string(s, out),
             JsonValue::Array(items) => {
                 out.push('[');
@@ -172,6 +184,7 @@ impl JsonValue {
     /// Parses a JSON document, requiring the whole input to be consumed.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -203,25 +216,59 @@ fn type_error(expected: &str, got: &JsonValue) -> JsonError {
 
 fn write_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Every byte that needs an escape is ASCII, so the unescaped runs
+    // between them end on character boundaries and are copied whole.
+    let mut run = 0;
+    for (at, &b) in s.as_bytes().iter().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        out.push_str(&s[run..at]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX_DIGITS[usize::from(b >> 4)]));
+                out.push(char::from(HEX_DIGITS[usize::from(b & 0xf)]));
             }
-            c => out.push(c),
+        }
+        run = at + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Writes `v` in decimal without a temporary string.
+fn write_int(v: i64, out: &mut String) {
+    // |i64::MIN| has 19 digits.
+    let mut digits = [0u8; 19];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
         }
     }
-    out.push('"');
+    if v < 0 {
+        out.push('-');
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
 }
 
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {
+    /// The document; `bytes` is the same text, for byte-wise scanning.
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     depth: usize,
@@ -286,31 +333,55 @@ impl Parser<'_> {
 
     fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
+        let negative = self.peek() == Some(b'-');
+        if negative {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let first_digit = self.pos;
+        // Accumulated toward the sign, so `i64::MIN` builds without
+        // overflowing; `None` once the digits no longer fit.
+        let mut value = Some(0i64);
+        while let Some(&d @ b'0'..=b'9') = self.bytes.get(self.pos) {
+            let digit = i64::from(d - b'0');
+            value = value.and_then(|v| v.checked_mul(10)).and_then(|v| {
+                if negative {
+                    v.checked_sub(digit)
+                } else {
+                    v.checked_add(digit)
+                }
+            });
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.') | Some(b'e') | Some(b'E')) {
             return Err(self.error("fractional numbers are not part of the wire format"));
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("digits and minus are valid UTF-8");
-        let digits = text.strip_prefix('-').unwrap_or(text);
+        let text = &self.text[start..self.pos];
+        let digits = self.pos - first_digit;
         // RFC 8259: no leading zeros ("01" is invalid; "0" and "-0" are fine).
-        if digits.len() > 1 && digits.starts_with('0') {
+        if digits > 1 && self.bytes[first_digit] == b'0' {
             return Err(self.error(format!("leading zero in number `{text}`")));
         }
-        text.parse::<i64>()
-            .map(JsonValue::Int)
-            .map_err(|_| self.error(format!("invalid integer `{text}`")))
+        match value {
+            Some(v) if digits > 0 => Ok(JsonValue::Int(v)),
+            _ => Err(self.error(format!("invalid integer `{text}`"))),
+        }
     }
 
     fn parse_string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // The run up to the next quote, backslash or control byte is
+            // copied whole: all three are ASCII, so the run ends on a
+            // character boundary of the (already valid UTF-8) text.
+            let run = self.pos;
+            while let Some(&b) = self.bytes.get(self.pos) {
+                if b == b'"' || b == b'\\' || b < 0x20 {
+                    break;
+                }
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
@@ -361,41 +432,28 @@ impl Parser<'_> {
                         }
                     }
                 }
+                // RFC 8259: control characters must be escaped.
                 _ => {
-                    // RFC 8259: control characters must be escaped.
-                    if b < 0x20 {
-                        return Err(
-                            self.error(format!("unescaped control character 0x{b:02x} in string"))
-                        );
-                    }
-                    // Consume the full UTF-8 sequence starting at b.
-                    let char_start = self.pos - 1;
-                    let len = utf8_len(b).ok_or_else(|| self.error("invalid UTF-8 in string"))?;
-                    self.pos = char_start + len;
-                    if self.pos > self.bytes.len() {
-                        return Err(self.error("truncated UTF-8 sequence"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[char_start..self.pos])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    out.push_str(s);
+                    return Err(
+                        self.error(format!("unescaped control character 0x{b:02x} in string"))
+                    )
                 }
             }
         }
     }
 
     fn parse_hex4(&mut self) -> Result<u32, JsonError> {
-        if self.pos + 4 > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.error("truncated unicode escape"));
+        };
+        // Pure hex digits only: a leading `+` is not an escape.
+        let mut code = 0;
+        for &d in digits {
+            match char::from(d).to_digit(16) {
+                Some(v) => code = code * 16 + v,
+                None => return Err(self.error("invalid unicode escape")),
+            }
         }
-        let digits = &self.bytes[self.pos..self.pos + 4];
-        // from_str_radix would also accept a leading `+`; JSON requires pure
-        // hex digits.
-        if !digits.iter().all(u8::is_ascii_hexdigit) {
-            return Err(self.error("invalid unicode escape"));
-        }
-        let text = std::str::from_utf8(digits).expect("hex digits are UTF-8");
-        let code =
-            u32::from_str_radix(text, 16).map_err(|_| self.error("invalid unicode escape"))?;
         self.pos += 4;
         Ok(code)
     }
@@ -443,10 +501,15 @@ impl Parser<'_> {
             self.expect(b':')?;
             self.skip_whitespace();
             let value = self.parse_value()?;
-            if map.insert(key.clone(), value).is_some() {
+            match map.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(value);
+                }
                 // Last-one-wins would let a duplicate silently override an
                 // already-validated field; the wire format rejects it.
-                return Err(self.error(format!("duplicate object key `{key}`")));
+                Entry::Occupied(slot) => {
+                    return Err(self.error(format!("duplicate object key `{}`", slot.key())))
+                }
             }
             self.skip_whitespace();
             match self.peek() {
@@ -462,15 +525,8 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first_byte: u8) -> Option<usize> {
-    match first_byte {
-        0x00..=0x7f => Some(1),
-        0xc0..=0xdf => Some(2),
-        0xe0..=0xef => Some(3),
-        0xf0..=0xf7 => Some(4),
-        _ => None,
-    }
-}
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -516,29 +572,201 @@ mod tests {
         assert_eq!(v.get("k").unwrap().as_array().unwrap().len(), 2);
     }
 
+    /// Documents every reader must refuse.
+    const MALFORMED: &[&str] = &[
+        "",
+        "nul",
+        "[1,",
+        "{\"a\":}",
+        "\"unterminated",
+        "1.5",
+        "1e3",
+        "[1] trailing",
+        "{\"a\" 1}",
+        "\"\\q\"",
+        "--1",
+        r#""\u+0ab""#,
+        r#""\ud83d\u+e00""#,
+        r#"{"a":1,"a":2}"#,
+        "01",
+        "-01",
+        "\"raw\ncontrol\"",
+        "\"tab\there\"",
+        "-",
+        "-a",
+        "9223372036854775808",
+        "-9223372036854775809",
+        "99999999999999999999999",
+        "\"é\u{1}\"",
+        "\"π😀\u{1f}x\"",
+        r#""\ud83d""#,
+        r#""\ude00""#,
+        r#""\ud83d\u0041""#,
+        r#""\ud83d\ude0""#,
+        r#""\u12""#,
+        r#""\u12"#,
+        "\"\\",
+        r#"{"é":1,"é":2}"#,
+        "-.5",
+        "0e",
+        "[-]",
+    ];
+
+    /// Valid documents at the edges of what the reader accepts.
+    const EDGE_VALID: &[&str] = &[
+        "9223372036854775807",
+        "-9223372036854775808",
+        "-0",
+        "0",
+        r#""\ud83d\ude00""#,
+        r#""\u00e9\u0000\u001f\b\f\n\r\t\/\\\"""#,
+        "\"é😀π mixed \\n run\"",
+        r#"{"a":[],"b":{},"c":[{"d":null}],"e":""}"#,
+        " \t\r\n[ true , false , null ] \n",
+    ];
+
+    /// `depth` nested arrays around an integer.
+    fn nested(depth: usize) -> String {
+        format!("{}0{}", "[".repeat(depth), "]".repeat(depth))
+    }
+
+    /// Both readers on `text`: equal values, or equal `(offset, message)`.
+    fn assert_readers_agree(text: &str) {
+        assert_eq!(
+            JsonValue::parse(text),
+            reference::parse(text),
+            "readers disagree on {text:?}"
+        );
+    }
+
+    /// A seeded xorshift stream, so truncations and flips reproduce.
+    fn xorshift(state: &mut u64) -> u64 {
+        *state ^= *state << 13;
+        *state ^= *state >> 7;
+        *state ^= *state << 17;
+        *state
+    }
+
+    /// Classify request frames around `lcl-gen` draws of every family, in
+    /// the canonical spelling and with whitespace after each separator.
+    fn generated_frames() -> Vec<String> {
+        let mut frames = Vec::new();
+        for i in 0..64u64 {
+            let config = lcl_gen::GenConfig::new(300 + i)
+                .family(lcl_gen::Family::ALL[i as usize % 4])
+                .input_labels(1 + i as usize % 3)
+                .output_labels(2 + i as usize % 5);
+            let spec = lcl_gen::generate(&config)
+                .unwrap()
+                .to_spec()
+                .to_json_string();
+            let frame = format!(
+                "{{\"id\":{},\"kind\":\"classify\",\"payload\":{{\"problem\":{spec}}},\"v\":1}}",
+                i as i64 - 32
+            );
+            frames.push(frame.replace(',', " ,\n ").replace(':', ": "));
+            frames.push(frame);
+        }
+        frames
+    }
+
     #[test]
     fn malformed_documents_are_rejected() {
-        for bad in [
-            "",
-            "nul",
-            "[1,",
-            "{\"a\":}",
-            "\"unterminated",
-            "1.5",
-            "1e3",
-            "[1] trailing",
-            "{\"a\" 1}",
-            "\"\\q\"",
-            "--1",
-            r#""\u+0ab""#,
-            r#""\ud83d\u+e00""#,
-            r#"{"a":1,"a":2}"#,
-            "01",
-            "-01",
-            "\"raw\ncontrol\"",
-            "\"tab\there\"",
-        ] {
+        for bad in MALFORMED {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for good in EDGE_VALID {
+            assert!(JsonValue::parse(good).is_ok(), "rejected {good:?}");
+        }
+    }
+
+    #[test]
+    fn integers_cover_the_whole_i64_range() {
+        for v in [i64::MIN, i64::MIN + 1, -10, -1, 0, 9, 10, i64::MAX] {
+            let text = JsonValue::Int(v).to_json_string();
+            assert_eq!(text, v.to_string());
+            assert_eq!(JsonValue::parse(&text).unwrap(), JsonValue::Int(v));
+        }
+    }
+
+    #[test]
+    fn writer_escapes_exactly_as_before() {
+        // The old writer: one char at a time, `\u{:04x}` for the other
+        // control characters.
+        fn old_write_string(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+        let mut every_control: String = (0u8..0x20).map(char::from).collect();
+        every_control.push_str("\"\\\u{7f}é😀 plain");
+        for s in [
+            "",
+            "plain",
+            "a\"b\\c\nd\te\u{1f600}π",
+            "\u{0}\u{8}\u{c}\u{1b}",
+            &every_control,
+        ] {
+            let mut out = String::new();
+            write_string(s, &mut out);
+            assert_eq!(out, old_write_string(s), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn reader_agrees_with_the_reference_reader() {
+        let mut documents: Vec<String> = MALFORMED
+            .iter()
+            .chain(EDGE_VALID)
+            .map(|s| s.to_string())
+            .collect();
+        for depth in [127, 128, 129] {
+            documents.push(nested(depth));
+            documents.push(format!("{}{}", "{\"k\":".repeat(depth), "}".repeat(depth)));
+        }
+        let frames = generated_frames();
+        documents.extend(frames.iter().cloned());
+        for document in &documents {
+            assert_readers_agree(document);
+        }
+        // Every frame is valid; its truncations and byte flips mostly not.
+        for frame in &frames {
+            assert!(JsonValue::parse(frame).is_ok(), "{frame}");
+        }
+        const FLIPS: &[u8] = b"\"\\{}[],:-09.eE \nuntf\x01a";
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut edited = documents.clone();
+        edited.extend(MALFORMED.iter().chain(EDGE_VALID).map(|s| format!("[{s}]")));
+        for document in &edited {
+            for _ in 0..16 {
+                let len = document.len();
+                if len == 0 {
+                    break;
+                }
+                let at = (xorshift(&mut state) % len as u64) as usize;
+                if document.is_char_boundary(at) {
+                    assert_readers_agree(&document[..at]);
+                }
+                // Flip one ASCII byte to a structural or escape byte; the
+                // result stays UTF-8 because both bytes are ASCII.
+                if document.as_bytes()[at].is_ascii() {
+                    let flip = FLIPS[(xorshift(&mut state) % FLIPS.len() as u64) as usize];
+                    let mut bytes = document.clone().into_bytes();
+                    bytes[at] = flip;
+                    assert_readers_agree(&String::from_utf8(bytes).unwrap());
+                }
+            }
         }
     }
 

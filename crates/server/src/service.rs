@@ -14,12 +14,19 @@
 //!   reply, with no pool job and no channel: a `classify` whose reply bytes
 //!   are cached (an id-splice), an admission rejection, an oversized-frame
 //!   rejection;
-//! * anything else — JSON parse, execution, serialization — becomes one
-//!   worker-pool job ([`Engine::dispatch_notify`]), so a connection reader
-//!   stays pure I/O and N requests from one connection progress
-//!   concurrently on an N-worker pool. Jobs classify and solve on the
-//!   worker itself — a worker parked on *another* pool job could deadlock a
-//!   narrow pool.
+//! * anything else — execution, serialization and, for most frames, the
+//!   JSON parse — becomes one worker-pool job ([`Engine::dispatch_notify`]),
+//!   so N requests from one connection progress concurrently on an N-worker
+//!   pool. Jobs classify and solve on the worker itself — a worker parked
+//!   on *another* pool job could deadlock a narrow pool.
+//!
+//! Each frame is parsed once. To look for a cached reply, the splice
+//! probe parses and normalizes every `classify` frame on the calling
+//! thread. When the problem is not cached, the probe hands the request id
+//! and the normalized problem to the pool job, which classifies without
+//! parsing again. Frames of every other kind, and malformed `classify`
+//! frames, are parsed by their pool job, which also builds their error
+//! replies.
 //!
 //! Front-ends resolve the handles in request order through the connection
 //! core's reply queue (`conn.rs`). [`Service::handle_line`] is the
@@ -44,8 +51,8 @@ use lcl_paths::classifier::{ClassifierError, ReplyLane, Verdict};
 use lcl_paths::gen::GenConfig;
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{
-    ErrorReply, Instance, ProblemError, ProblemSpec, RequestEnvelope, ResponseEnvelope,
-    StreamInstanceSpec, PROTOCOL_VERSION,
+    ErrorReply, Instance, NormalizedLcl, ProblemError, ProblemSpec, RequestEnvelope,
+    ResponseEnvelope, StreamInstanceSpec, PROTOCOL_VERSION,
 };
 use lcl_paths::{Engine, Error};
 use std::collections::HashMap;
@@ -404,6 +411,33 @@ struct HotLine {
 /// accumulating request text indefinitely.
 const HOT_LINES_CAP: usize = 1024;
 
+/// What [`Service::respond`] runs: a raw frame, or a `classify` request the
+/// splice probe already parsed on the dispatching thread.
+enum Request<'a> {
+    /// A frame still to be parsed.
+    Line(&'a str),
+    /// A well-formed `classify` of an uncached problem ([`Splice::Miss`]).
+    Classify(ParsedClassify),
+}
+
+/// A `classify` frame the splice probe parsed and normalized, moved into
+/// the pool job of a cache miss so the job does not parse it again.
+struct ParsedClassify {
+    id: i64,
+    problem: NormalizedLcl,
+}
+
+/// What the splice probe ([`Service::splice`]) made of one frame.
+enum Splice {
+    /// A cache hit, answered and accounted on the calling thread.
+    Hit(StreamFrame, Option<Arc<Trace>>),
+    /// A well-formed `classify` whose problem is not cached: the parse,
+    /// handed to the pool job.
+    Miss(ParsedClassify),
+    /// Not for the lane; the pool job parses the frame.
+    Pass,
+}
+
 /// Splits a *canonical* classify frame — exactly the bytes
 /// [`RequestEnvelope::to_json_string`] produces: sorted keys, no
 /// whitespace, protocol version 1 — into its id and raw payload text.
@@ -598,7 +632,12 @@ impl Service {
         // The trace finalizes into the sink when it drops here: lock-step
         // embedders cannot observe the write.
         let trace = self.new_trace(started, None);
-        self.respond(line, started, &mut |_| true, trace.as_deref())
+        self.respond(
+            Request::Line(line),
+            started,
+            &mut |_| true,
+            trace.as_deref(),
+        )
     }
 
     /// Dispatches one request frame and returns the handle its reply
@@ -608,7 +647,9 @@ impl Service {
     /// Frames answerable on the calling thread come back as ready replies:
     /// an oversized frame's rejection, a cached `classify` hit (the splice
     /// lane), an admission rejection. Everything else becomes one pool job
-    /// that parses, executes and serializes the frame, delivering its frames
+    /// that executes and serializes the frame. A `classify` miss moves the
+    /// request the splice probe already parsed into its job; any other
+    /// frame is parsed by the job. The job delivers its frames
     /// over a bounded channel (depth 2): a streaming job whose consumer
     /// stops draining parks its pool worker until the writer catches up or
     /// drops the handle (which aborts the stream). The per-connection
@@ -631,22 +672,30 @@ impl Service {
             }
         };
         let started = Instant::now();
-        if let Some((frame, trace)) = self.splice(&line, started) {
-            return PendingResponse::ready(frame, trace);
-        }
+        let parsed = match self.splice(&line, started) {
+            Splice::Hit(frame, trace) => return PendingResponse::ready(frame, trace),
+            Splice::Miss(parsed) => Some(parsed),
+            Splice::Pass => None,
+        };
         // A shed reply only occupies the connection's ordered-reply slot,
         // so it stays fast — and the server observable — however deep the
         // pool backlog is.
         if let Some(reply) = self.admission_denial(&line, origin.peer, started) {
             return PendingResponse::ready(StreamFrame::Final(reply.into_json_string()), None);
         }
-        let id = salvage_id(&line);
-        let kind = salvage_kind(&line);
+        let (id, kind) = match &parsed {
+            Some(parsed) => (Some(parsed.id), RequestKind::Classify.to_string()),
+            None => (salvage_id(&line), salvage_kind(&line)),
+        };
         let service = Arc::clone(self);
         // The trace is shared three ways: the job stamps queue → serialize,
         // the connection writer (via the PendingResponse) stamps the write,
         // and whichever Arc drops last finalizes it if nobody did.
         let trace = self.new_trace(started, id);
+        if let (Some(trace), Some(_)) = (&trace, &parsed) {
+            // A handed-over miss was parsed here, before its queue wait.
+            trace.mark_parsed(Some(RequestKind::Classify), id);
+        }
         let job_trace = trace.clone();
         self.metrics.pipeline_enter();
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
@@ -670,8 +719,12 @@ impl Service {
                     }
                     delivered
                 };
-                let line = service
-                    .respond(&line, started, &mut emit, trace)
+                let request = match parsed {
+                    Some(parsed) => Request::Classify(parsed),
+                    None => Request::Line(&line),
+                };
+                let reply = service
+                    .respond(request, started, &mut emit, trace)
                     .into_json_string();
                 if let Some(trace) = trace {
                     trace.mark_serialized();
@@ -679,7 +732,7 @@ impl Service {
                 // The gauge must read as drained before the terminal frame
                 // is observable (a panic unwinds the guard instead).
                 drop(guard);
-                let _ = tx.send(StreamFrame::Final(line));
+                let _ = tx.send(StreamFrame::Final(reply));
             },
             move || {
                 if let Some(notify) = notify {
@@ -694,38 +747,40 @@ impl Service {
     }
 
     /// The request body every frame runs — on a pool worker for
-    /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse,
-    /// execute, wrap the outcome in its envelope and record the latency
-    /// metrics (from `started`, so dispatched requests account their
-    /// pool-queue wait too), stamping the stage trace along the way.
+    /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse
+    /// (unless the splice probe already did), execute, wrap the outcome in
+    /// its envelope and record the latency metrics (from `started`, so
+    /// dispatched requests account their pool-queue wait too), stamping the
+    /// stage trace along the way.
     fn respond(
         &self,
-        line: &str,
+        request: Request<'_>,
         started: Instant,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> ResponseEnvelope {
-        let (kind, response) = match self.parse(line) {
-            Err(response) => {
-                if let Some(trace) = trace {
-                    trace.mark_parsed(None, None);
-                }
-                (None, response)
+        let (kind, response) = match request {
+            // Parsed, and its parse stage stamped, on the dispatching thread.
+            Request::Classify(ParsedClassify { id, problem }) => {
+                let kind = RequestKind::Classify;
+                let result = self.classify(&problem, trace);
+                (Some(kind), Self::envelope(id, kind, result))
             }
-            Ok((kind, envelope)) => {
-                if let Some(trace) = trace {
-                    trace.mark_parsed(Some(kind), Some(envelope.id));
+            Request::Line(line) => match self.parse(line) {
+                Err(response) => {
+                    if let Some(trace) = trace {
+                        trace.mark_parsed(None, None);
+                    }
+                    (None, response)
                 }
-                let response = match self.run(kind, &envelope, started, emit, trace) {
-                    Ok(payload) => ResponseEnvelope::ok(envelope.id, kind.wire_name(), payload),
-                    Err(e) => ResponseEnvelope::error(
-                        Some(envelope.id),
-                        kind.wire_name(),
-                        error_reply(&e),
-                    ),
-                };
-                (Some(kind), response)
-            }
+                Ok((kind, envelope)) => {
+                    if let Some(trace) = trace {
+                        trace.mark_parsed(Some(kind), Some(envelope.id));
+                    }
+                    let result = self.run(kind, &envelope, started, emit, trace);
+                    (Some(kind), Self::envelope(envelope.id, kind, result))
+                }
+            },
         };
         self.metrics
             .record(kind, started.elapsed(), response.is_ok());
@@ -733,6 +788,14 @@ impl Service {
             trace.mark_computed(response.is_ok());
         }
         response
+    }
+
+    /// Wraps one request's outcome in its reply envelope.
+    fn envelope(id: i64, kind: RequestKind, result: Result<JsonValue, Error>) -> ResponseEnvelope {
+        match result {
+            Ok(payload) => ResponseEnvelope::ok(id, kind.wire_name(), payload),
+            Err(e) => ResponseEnvelope::error(Some(id), kind.wire_name(), error_reply(&e)),
+        }
     }
 
     /// Parses one frame up to (but not including) payload interpretation.
@@ -743,7 +806,7 @@ impl Service {
         // Salvage the request id if the envelope itself is broken, so the
         // client can still correlate the error.
         let salvaged_id = value.get("id").and_then(|v| v.as_int().ok());
-        let envelope = RequestEnvelope::from_json(&value)
+        let envelope = RequestEnvelope::from_json(value)
             .map_err(|e| protocol_error(salvaged_id, e.to_string()))?;
         let Some(kind) = RequestKind::from_wire_name(&envelope.kind) else {
             return Err(ResponseEnvelope::error(
@@ -772,7 +835,7 @@ impl Service {
     ) -> Result<JsonValue, Error> {
         let payload = &envelope.payload;
         match kind {
-            RequestKind::Classify => self.classify(payload, trace),
+            RequestKind::Classify => self.classify(&Self::parse_problem(payload)?, trace),
             RequestKind::ClassifyMany => self.classify_many(payload),
             RequestKind::Solve => self.solve(payload, trace),
             RequestKind::SolveStream => {
@@ -786,14 +849,14 @@ impl Service {
         }
     }
 
-    fn parse_problem(payload: &JsonValue) -> Result<lcl_paths::problem::NormalizedLcl, Error> {
+    fn parse_problem(payload: &JsonValue) -> Result<NormalizedLcl, Error> {
         let spec = payload.require("problem").map_err(ProblemError::from)?;
         Ok(ProblemSpec::from_json(spec)?.to_problem()?)
     }
 
     /// The `{"verdict": …}` response payload shared by every classify path.
     fn verdict_payload(
-        problem: &lcl_paths::problem::NormalizedLcl,
+        problem: &NormalizedLcl,
         classification: &lcl_paths::classifier::Classification,
     ) -> JsonValue {
         JsonValue::object([("verdict", Verdict::new(problem, classification).to_json())])
@@ -807,19 +870,22 @@ impl Service {
     /// A *canonical* line whose payload text has been served before skips
     /// even the request parse: the learned structural key ([`HotLine`])
     /// re-probes the memo cache directly, making the hot path id-parse +
-    /// cache probe + memcpy. Returns `None` whenever the lane does not
-    /// apply — the splice toggle is off, the frame is not a well-formed
-    /// `classify`, or the problem is not cached — and dispatch falls back
-    /// to a pool job, which also owns every error reply (errors are never
-    /// cached, so they are never spliced).
+    /// cache probe + memcpy.
     ///
-    /// On `Some`, the request is fully accounted (latency metrics, stage
-    /// trace), with the write stage left for the connection writer.
-    fn splice(&self, line: &str, started: Instant) -> Option<(StreamFrame, Option<Arc<Trace>>)> {
+    /// A well-formed `classify` whose problem is not cached comes back as
+    /// [`Splice::Miss`] carrying the parsed request, so its pool job
+    /// classifies without parsing the frame again. Every other frame —
+    /// the splice toggle is off, another kind, a malformed frame or
+    /// problem — is [`Splice::Pass`]: its pool job parses it and owns its
+    /// error reply (errors are never cached, so they are never spliced).
+    ///
+    /// On [`Splice::Hit`], the request is fully accounted (latency metrics,
+    /// stage trace), with the write stage left for the connection writer.
+    fn splice(&self, line: &str, started: Instant) -> Splice {
         // Cheap scan before the parse: the lane only serves `classify`
         // (the closing quote keeps `classify_many` out).
         if !self.reply_splice() || !line.contains("\"kind\":\"classify\"") {
-            return None;
+            return Splice::Pass;
         }
         // The raw-text lane inside the fast lane: a canonical line whose
         // payload text was already served once skips JSON parsing and
@@ -845,7 +911,10 @@ impl Service {
                     self.metrics.record_spliced_frame();
                     self.metrics
                         .record(Some(RequestKind::Classify), started.elapsed(), true);
-                    return Some((StreamFrame::Spliced(SplicedReply::new(id, payload)), trace));
+                    return Splice::Hit(
+                        StreamFrame::Spliced(SplicedReply::new(id, payload)),
+                        trace,
+                    );
                 }
                 // Stale mapping: the entry was evicted or lost its bytes.
                 // Forget it; the parse path below re-learns on success.
@@ -855,23 +924,30 @@ impl Service {
                     .remove(payload_text);
             }
         }
-        let (kind, envelope) = self.parse(line).ok()?;
-        if kind != RequestKind::Classify {
-            return None;
-        }
-        let problem = Self::parse_problem(&envelope.payload).ok()?;
-        // Only an already-cached classification qualifies: a miss must run
-        // on the pool, and the render closure only fires for a hit whose
-        // reply bytes are not attached yet (then this request pays the one
-        // serialization every later hit reuses).
+        let Ok((RequestKind::Classify, envelope)) = self.parse(line) else {
+            return Splice::Pass;
+        };
+        let Ok(problem) = Self::parse_problem(&envelope.payload) else {
+            return Splice::Pass;
+        };
+        // Only an already-cached classification is served here: a miss
+        // runs on the pool, taking this parse along. The render closure
+        // only fires for a hit whose reply bytes are not attached yet (then
+        // this request pays the one serialization every later hit reuses).
         let lane = self.engine.cached_reply(&problem, |classification| {
             Self::verdict_payload(&problem, classification)
                 .to_json_string()
                 .into_bytes()
-        })?;
+        });
+        let Some(lane) = lane else {
+            return Splice::Miss(ParsedClassify {
+                id: envelope.id,
+                problem,
+            });
+        };
         let trace = self.new_trace(started, Some(envelope.id));
         if let Some(trace) = &trace {
-            trace.mark_parsed(Some(kind), Some(envelope.id));
+            trace.mark_parsed(Some(RequestKind::Classify), Some(envelope.id));
             trace.set_problem(problem.canonical_hash(), Some(true));
             trace.mark_computed(true);
         }
@@ -899,7 +975,7 @@ impl Service {
             ReplyLane::Render(classification) => StreamFrame::Final(
                 ResponseEnvelope::ok(
                     envelope.id,
-                    kind.wire_name(),
+                    RequestKind::Classify.wire_name(),
                     Self::verdict_payload(&problem, &classification),
                 )
                 .into_json_string(),
@@ -908,20 +984,20 @@ impl Service {
         if let Some(trace) = &trace {
             trace.mark_serialized();
         }
-        self.metrics.record(Some(kind), started.elapsed(), true);
-        Some((frame, trace))
+        self.metrics
+            .record(Some(RequestKind::Classify), started.elapsed(), true);
+        Splice::Hit(frame, trace)
     }
 
-    fn classify(&self, payload: &JsonValue, trace: Option<&Trace>) -> Result<JsonValue, Error> {
-        let problem = Self::parse_problem(payload)?;
+    fn classify(&self, problem: &NormalizedLcl, trace: Option<&Trace>) -> Result<JsonValue, Error> {
         // The hit flag comes from the classify call itself
         // ([`Engine::classify_observed`]) — probing the cache separately
         // would count a phantom hit and refresh the LRU.
-        let (classification, hit) = self.engine.classify_observed(&problem)?;
+        let (classification, hit) = self.engine.classify_observed(problem)?;
         if let Some(trace) = trace {
             trace.set_problem(problem.canonical_hash(), Some(hit));
         }
-        Ok(Self::verdict_payload(&problem, &classification))
+        Ok(Self::verdict_payload(problem, &classification))
     }
 
     /// Classifies a batch sequentially on this thread (the memo cache still
@@ -1313,6 +1389,101 @@ mod tests {
         assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
     }
 
+    /// A classify frame of 3-coloring with one spec field replaced.
+    fn classify_line_with(id: i64, field: &str, value: JsonValue) -> String {
+        let JsonValue::Object(mut spec) = problems::coloring(3).to_spec().to_json() else {
+            panic!("a spec is an object");
+        };
+        spec.insert(field.to_string(), value);
+        let payload = JsonValue::object([("problem", JsonValue::Object(spec))]);
+        RequestEnvelope::new(id, "classify", payload).to_json_string()
+    }
+
+    #[test]
+    fn a_classify_miss_hands_its_parse_to_the_pool_job() {
+        let lines = Arc::new(Mutex::new(Vec::new()));
+        let captured = Arc::clone(&lines);
+        let sink = Arc::new(TraceSink::with_emitter(move |line| {
+            captured.lock().unwrap().push(line.to_string());
+        }));
+        sink.set_slow_micros(Some(1));
+        let handed = Arc::new(service().with_trace_sink(sink));
+        let unspliced = Arc::new(service().with_reply_splice(false));
+        let lock_stepped = service();
+
+        let bad_label = classify_line_with(
+            2,
+            "edge_pairs",
+            JsonValue::Array(vec![JsonValue::int_array([0, 9])]),
+        );
+        let empty_alphabet = classify_line_with(
+            3,
+            "input_labels",
+            JsonValue::str_array(Vec::<String>::new()),
+        );
+        // The probe hands over the parse of a well-formed cold classify;
+        // other kinds and malformed frames or problems pass to the pool.
+        assert!(matches!(
+            handed.splice(&classify_line(1), Instant::now()),
+            Splice::Miss(ParsedClassify { id: 1, .. })
+        ));
+        for line in [
+            r#"{"v":1,"id":1,"kind":"health"}"#,
+            r#"{"v":1,"id":1,"kind":"classify""#,
+            &bad_label,
+            &empty_alphabet,
+        ] {
+            assert!(
+                matches!(handed.splice(line, Instant::now()), Splice::Pass),
+                "{line}"
+            );
+        }
+
+        // The handed-over miss: its slow-trace record reports the parse
+        // the dispatching thread did as parse, not as queue wait.
+        let mut pending = dispatch(&handed, classify_line(5));
+        let trace = pending.trace.take().expect("detailed metrics are on");
+        let StreamFrame::Final(cold) = pending.wait_frame() else {
+            panic!("a miss replies from its pool job");
+        };
+        trace.finish_written();
+        let record = JsonValue::parse(&lines.lock().unwrap()[0]).unwrap();
+        let field = |name: &str| record.require(name).unwrap().as_int().unwrap();
+        assert_eq!(field("id"), 5);
+        assert!(!record.require("cache_hit").unwrap().as_bool().unwrap());
+        assert!(field("parse_micros") > 0, "{record:?}");
+        assert!(field("parse_micros") + field("queue_micros") <= field("total_micros"));
+        assert_eq!(cold, dispatch(&unspliced, classify_line(5)).wait());
+        assert_eq!(cold, lock_step(&lock_stepped, &classify_line(5)));
+
+        // Every path gives the same bytes (an error for a bad problem),
+        // and each frame counts exactly once.
+        let spaced = classify_line(6).replace(',', ", ");
+        for (line, ok) in [
+            (classify_line(6), true),
+            (spaced, true),
+            (bad_label, false),
+            (empty_alphabet, false),
+        ] {
+            let served = |service: &Service| {
+                let snapshot = service.metrics_snapshot();
+                (
+                    snapshot.requests_served(),
+                    snapshot.kind(Some(RequestKind::Classify)).count,
+                )
+            };
+            let before = served(&handed);
+            let reply = dispatch(&handed, line.clone()).wait();
+            assert_eq!(served(&handed), (before.0 + 1, before.1 + 1), "{line}");
+            assert_eq!(reply, dispatch(&unspliced, line.clone()).wait(), "{line}");
+            assert_eq!(reply, lock_step(&lock_stepped, &line), "{line}");
+            match ResponseEnvelope::from_json_str(&reply).unwrap().result {
+                Ok(_) => assert!(ok, "{line}"),
+                Err(error) => assert!(!ok && error.category == "problem", "{reply}"),
+            }
+        }
+    }
+
     #[test]
     fn the_raw_lane_accepts_only_canonical_classify_frames() {
         let payload = JsonValue::object([("problem", problems::coloring(3).to_spec().to_json())]);
@@ -1517,7 +1688,12 @@ mod tests {
             chunks.push(frame);
             true
         };
-        let response = service.respond(&stream_line(21, 300), Instant::now(), &mut emit, None);
+        let response = service.respond(
+            Request::Line(&stream_line(21, 300)),
+            Instant::now(),
+            &mut emit,
+            None,
+        );
         assert_eq!(response.id, Some(21));
         let summary = response.result.expect("stream succeeds");
         assert!(summary.require("done").unwrap().as_bool().unwrap());
@@ -1593,7 +1769,12 @@ mod tests {
             emitted += 1;
             false
         };
-        let response = service.respond(&stream_line(23, 300), Instant::now(), &mut emit, None);
+        let response = service.respond(
+            Request::Line(&stream_line(23, 300)),
+            Instant::now(),
+            &mut emit,
+            None,
+        );
         assert_eq!(emitted, 1, "stream must stop at the first refusal");
         let error = response.result.unwrap_err();
         assert_eq!(error.category, "classifier");

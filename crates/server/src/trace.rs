@@ -274,9 +274,12 @@ impl Trace {
         self.sink.accept(&self.record(total_micros));
     }
 
-    /// Collapses the stamped offsets into disjoint per-stage durations: an
-    /// unstamped stage inherits its predecessor's offset (duration 0), and
-    /// the total is the wall clock from frame read to the finish call.
+    /// Collapses the stamped offsets into disjoint per-stage durations:
+    /// each stamped stage lasts from the stamp before it in time to its
+    /// own, an unstamped stage lasts 0, and the total is the wall clock
+    /// from frame read to the finish call. Stages are taken in the order
+    /// they ended, not in a fixed order: a `classify` miss the splice probe
+    /// handed to the pool was parsed before its queue wait.
     fn record(&self, total_micros: u64) -> TraceRecord {
         let offsets = [
             self.queue.load(Ordering::Relaxed),
@@ -285,12 +288,14 @@ impl Trace {
             self.serialize.load(Ordering::Relaxed),
             self.write.load(Ordering::Relaxed),
         ];
+        let mut order = [0, 1, 2, 3, 4];
+        order.sort_by_key(|&stage| offsets[stage]);
         let mut durations = [0u64; 5];
         let mut previous = 0u64;
-        for (duration, &raw) in durations.iter_mut().zip(offsets.iter()) {
-            if raw > 0 {
-                let offset = raw - 1;
-                *duration = offset.saturating_sub(previous);
+        for stage in order {
+            if offsets[stage] > 0 {
+                let offset = offsets[stage] - 1;
+                durations[stage] = offset - previous;
                 previous = offset;
             }
         }
@@ -402,6 +407,31 @@ mod tests {
             stage_sum <= total + 1,
             "disjoint stages cannot exceed the total: {stage_sum} vs {total}"
         );
+    }
+
+    #[test]
+    fn a_parse_before_the_queue_wait_is_reported_as_parse() {
+        // A handed-over classify miss: parsed on the dispatching thread,
+        // then queued for a worker.
+        let (sink, lines) = capturing_sink();
+        let trace = old_trace(&sink, Some(4));
+        trace.mark_parsed(Some(RequestKind::Classify), Some(4));
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        trace.mark_queue();
+        trace.mark_computed(true);
+        trace.mark_serialized();
+        trace.finish_written();
+        let lines = parsed(&lines);
+        let line = &lines[0];
+        // The trace was clocked from 1ms before the parse stamp, and the
+        // queue stamp came at least 2ms after it.
+        assert!(micros(line, "parse_micros") >= 1_000, "{line:?}");
+        assert!(micros(line, "queue_micros") >= 2_000, "{line:?}");
+        let stage_sum: i64 = ["queue", "parse", "compute", "serialize", "write"]
+            .iter()
+            .map(|stage| micros(line, &format!("{stage}_micros")))
+            .sum();
+        assert!(stage_sum <= micros(line, "total_micros") + 1);
     }
 
     #[test]
