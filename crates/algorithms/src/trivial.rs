@@ -10,6 +10,7 @@
 
 use lcl_local_sim::{BallView, LocalAlgorithm};
 use lcl_problem::{InLabel, Instance, Labeling, NormalizedLcl, OutLabel};
+use std::sync::Arc;
 
 /// A deterministic canonical solution of an instance: the one found by the
 /// dynamic program of [`NormalizedLcl::solve_brute_force`], which is a pure
@@ -29,15 +30,19 @@ pub fn canonical_solution(problem: &NormalizedLcl, instance: &Instance) -> Optio
 /// the node outputs label `0`; verification will flag it.
 #[derive(Clone, Debug)]
 pub struct GatherAndSolve {
-    problem: NormalizedLcl,
+    problem: Arc<NormalizedLcl>,
 }
 
 impl GatherAndSolve {
     /// Creates the trivial algorithm for a problem.
     pub fn new(problem: &NormalizedLcl) -> Self {
-        GatherAndSolve {
-            problem: problem.clone(),
-        }
+        Self::shared(Arc::new(problem.clone()))
+    }
+
+    /// Creates the trivial algorithm for a shared problem, without copying
+    /// it.
+    pub fn shared(problem: Arc<NormalizedLcl>) -> Self {
+        GatherAndSolve { problem }
     }
 
     /// The problem this instance of the algorithm solves.

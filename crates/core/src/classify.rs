@@ -1,13 +1,13 @@
 //! The top-level decision procedure: Theorem 8 + Theorem 9 combined.
 
-use crate::feasibility::{find_feasible, FeasibleStructure};
+use crate::feasibility::{facing_structure, pattern_labelings, FeasibleStructure};
 use crate::synthesis::{ConstantAlgorithm, LogStarAlgorithm, SynthesizedAlgorithm};
 use crate::types_info::GapTypes;
 use crate::verdict::{Classification, Complexity};
 use crate::Result;
 use lcl_algorithms::GatherAndSolve;
 use lcl_problem::{InLabel, Instance, NormalizedLcl};
-use lcl_semigroup::primitive_strings_up_to;
+use std::sync::Arc;
 
 /// Tunable limits of the decision procedure. The defaults are ample for every
 /// problem in the repository's corpus; the budgets exist so that a
@@ -35,15 +35,34 @@ impl Default for ClassifierOptions {
 }
 
 /// Returns the canonical (lexicographically least rotation) primitive words
-/// over an alphabet of `alpha` letters, up to length `max_len`.
+/// over an alphabet of `alpha` letters, up to length `max_len`, shortest
+/// first and in lexicographic order within a length.
+///
+/// These are the Lyndon words. The Fredricksen–Kessler–Maiorana algorithm
+/// generates them in lexicographic order without visiting any other word:
+/// repeat the current word up to `max_len`, drop trailing largest letters,
+/// increment the last letter.
 pub(crate) fn canonical_patterns(alpha: usize, max_len: usize) -> Vec<Vec<InLabel>> {
-    primitive_strings_up_to(alpha, max_len)
-        .into_iter()
-        .filter(|w| {
-            let rotation = |s: usize| (0..w.len()).map(move |i| w[(i + s) % w.len()]);
-            (1..w.len()).all(|s| rotation(s).ge(w.iter().copied()))
-        })
-        .collect()
+    let mut out: Vec<Vec<InLabel>> = Vec::new();
+    let mut word: Vec<usize> = Vec::with_capacity(max_len);
+    if alpha > 0 && max_len > 0 {
+        word.push(0);
+    }
+    while !word.is_empty() {
+        out.push(word.iter().map(|&a| InLabel::from_index(a)).collect());
+        let period = word.len();
+        while word.len() < max_len {
+            word.push(word[word.len() - period]);
+        }
+        while word.last() == Some(&(alpha - 1)) {
+            word.pop();
+        }
+        if let Some(last) = word.last_mut() {
+            *last += 1;
+        }
+    }
+    out.sort_by_key(Vec::len);
+    out
 }
 
 /// Classifies a problem with default options.
@@ -82,21 +101,22 @@ pub fn classify_with_options(
     let info = GapTypes::compute(problem, options.type_budget)?;
     let kappa = pattern_length(&info, options);
     // 1. Solvability (a prerequisite the paper assumes implicitly).
-    // 2. The ω(1) — o(log* n) gap (Theorem 9): the feasible structure must
-    //    additionally provide periodic labelings for every short primitive
-    //    input pattern.
-    // 3. The ω(log* n) — o(n) gap (Theorem 8).
-    // 4. No feasible function: the problem needs Θ(n).
+    // 2. One biclique search decides both gaps. No feasible function: the
+    //    problem needs Θ(n) (Theorem 8).
+    // 3. The ω(1) — o(log* n) gap (Theorem 9): the same feasible structure
+    //    must additionally provide periodic labelings for every short
+    //    primitive input pattern; without them the problem is Θ(log* n).
     let answer = if let Some(word) = info.solvability_witness()? {
         Answer::Unsolvable(word)
-    } else if let Some(structure) = find_feasible(
-        &info,
-        &canonical_patterns(problem.num_inputs(), kappa),
-        options.search_budget,
-    )? {
-        Answer::Constant(structure)
-    } else if let Some(structure) = find_feasible(&info, &[], options.search_budget)? {
-        Answer::LogStar(structure)
+    } else if let Some(mut structure) = facing_structure(&info, options.search_budget)? {
+        let patterns = canonical_patterns(problem.num_inputs(), kappa);
+        match pattern_labelings(&info, &patterns)? {
+            Some(chosen) => {
+                structure.patterns = chosen;
+                Answer::Constant(structure)
+            }
+            None => Answer::LogStar(structure),
+        }
     } else {
         Answer::Linear
     };
@@ -128,7 +148,10 @@ impl Answer {
     /// the type count and pumping threshold come from `info`. Classification
     /// and snapshot restore both end here.
     pub(crate) fn into_classification(self, info: &GapTypes, kappa: usize) -> Classification {
-        let gather = || SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(info.problem()));
+        let gather = || {
+            let problem = Arc::clone(info.system().shared_problem());
+            SynthesizedAlgorithm::GatherAll(GatherAndSolve::shared(problem))
+        };
         let (complexity, witness, synthesized) = match self {
             Answer::Unsolvable(word) => (
                 Complexity::Unsolvable,
@@ -356,6 +379,48 @@ mod tests {
                 assert!(rot >= *w);
             }
         }
+    }
+
+    #[test]
+    fn run_problems_are_log_star_once_the_cap_reaches_their_period() {
+        // `run(L)` 3-colours the 1-nodes of `(0^L 1)^∞`: a pattern test that
+        // reaches period L + 1 sees the obstruction. This suite has 14 to
+        // 127 patterns per call and 27 to 129 types.
+        for l in 2..=8 {
+            let options = ClassifierOptions {
+                pattern_length_cap: l + 1,
+                ..ClassifierOptions::default()
+            };
+            let c = classify_with_options(&lcl_problems::run(l), &options).unwrap();
+            assert_eq!(c.complexity(), Complexity::LogStar, "run({l})");
+            assert!(c.pump_threshold() > l + 1, "run({l})");
+        }
+    }
+
+    #[test]
+    fn canonical_patterns_are_the_filtered_primitive_words() {
+        // The filter over every primitive word that the Lyndon-word
+        // generation replaced, kept as its oracle.
+        let filtered = |alpha: usize, max_len: usize| -> Vec<Vec<InLabel>> {
+            lcl_semigroup::primitive_strings_up_to(alpha, max_len)
+                .into_iter()
+                .filter(|w| {
+                    let rotation = |s: usize| (0..w.len()).map(move |i| w[(i + s) % w.len()]);
+                    (1..w.len()).all(|s| rotation(s).ge(w.iter().copied()))
+                })
+                .collect()
+        };
+        for alpha in 1..=4 {
+            for max_len in 0..=7 {
+                assert_eq!(
+                    canonical_patterns(alpha, max_len),
+                    filtered(alpha, max_len),
+                    "alpha {alpha}, length ≤ {max_len}"
+                );
+            }
+        }
+        assert!(canonical_patterns(0, 3).is_empty());
+        assert_eq!(canonical_patterns(2, 9).len(), 127);
     }
 
     #[test]

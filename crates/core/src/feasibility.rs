@@ -43,22 +43,50 @@
 //! the result is the lexicographically (so numerically) smallest generator.
 //! The tests keep the subset walk as an oracle.
 //!
+//! # One search decides both gaps
+//!
+//! The facing sets and the feasible function do not depend on the patterns:
+//! the patterns only add labelings on top. So the classifier runs the
+//! biclique search once (`facing_structure`). No assignment means `Θ(n)`.
+//! Otherwise the same structure is `O(1)` if the patterns get bridging
+//! labelings (`pattern_labelings`) and `Θ(log* n)` if not.
+//! [`find_feasible`] runs the same steps for one gap.
+//!
+//! A pattern enters the `O(1)` conditions only through its relation `R(w)`,
+//! so patterns are grouped by type into *classes*. A cycle with input `w`
+//! has a labeling iff the boolean trace of `R(w)·E` is nonzero, so one
+//! check per class settles whether every pattern has a periodic labeling
+//! before any labeling is enumerated.
+//!
 //! # Pattern bridging factorizes
 //!
 //! With `join(a, b) = a·E·b` and `connection(r) = E·r·E`, a left padding
 //! `L`, a middle `M` and a right padding `R` give
 //! `C(L∘M∘R) = C(L)·M·C(R)` and, with no middle, `C(L∘R) = (E·L)·C(R)`.
-//! `C(L)` and `E·L` are computed once per stable padding and `C(L)·M` once
-//! per padding and middle. The boolean product is monotone, so a middle
-//! `M ⊆ M′` makes the `M′` check redundant: only the `⊆`-minimal middles are
-//! kept, and likewise only the minimal left factors (`E·L` and `C(L)·M`) and
-//! right factors (`C(R)`) of each pattern. The stable paddings' relations are
-//! the cycle that `R(w), R(w²), …` enters, read off the sequence itself.
-//! Whether two labeled periodic regions bridge then depends only on the left
-//! labeling's last label and the right one's first label, which is one
-//! memoized `β × β` relation per ordered pair of patterns; a candidate
-//! labeling whose `(first, last)` pair an earlier one of the same pattern had
-//! is dropped, as the search would reject it for the same reasons.
+//! The stable paddings' relations are the cycle that `R(w), R(w²), …`
+//! enters, read off the sequence itself; `C(L)` is computed once per padding
+//! of each class. The empty middle adds no check: the padding after `L` in
+//! the cycle is `L' = L·E·R(w)`, so `E·L' = C(L)·R(w)`, a product with the
+//! middle `R(w)`.
+//!
+//! Two labeled periodic regions, of patterns `w_i` and `w_j`, bridge iff
+//! entry `(last, first)` of every such product holds, where `last` ends the
+//! left labeling and `first` starts the right one. Entry `(last, first)` of
+//! `X·C(R)` holds iff row `last` of `X` meets column `first` of `C(R)`. So
+//! the check reads: every row of `C(L)·M` at `last` meets every `C(R)`
+//! column at `first`. A row or column that contains another meets
+//! everything the smaller one meets, so only the `⊆`-minimal rows and
+//! columns are kept; likewise only the `⊆`-minimal middles and the minimal
+//! rows of `C(L)` are multiplied out.
+//!
+//! The backtracking over candidate labelings asks for one `(last, first)`
+//! entry at a time. Left rows are cached per (class, `last`), right columns
+//! per (class, `first`), and answers per ordered class pair, in a memo
+//! allocated when the pair is first asked. A candidate labeling whose
+//! `(first, last)` pair an earlier one of the same pattern had is dropped,
+//! as the search would reject it for the same reasons. The tests keep the
+//! per-word bridging this replaced (the full `β × β` product per ordered
+//! pattern pair) as an oracle.
 //!
 //! # Blocks are bitmask checks
 //!
@@ -69,18 +97,19 @@
 //! construction.
 //!
 //! Blocks depend on the types only through their facing sets, and many
-//! types share them. The search keeps the distinct bicliques assigned so
-//! far, with counts, and checks a choice against itself and each of them
-//! once: a repeated biclique adds no constraint. In the block table, a
-//! type's row repeats the row of the first type with the same `B(τ_left)`,
-//! and an entry repeats the entry of the first type with the same
-//! `A(τ_right)`, so a block is solved once per distinct pair of sets and
-//! input pair.
+//! types share them. Types with equal connection relations share one
+//! domain. The search keeps the distinct bicliques assigned so far, with
+//! counts, and checks a choice against itself and each of them once: a
+//! repeated biclique adds no constraint. The structure keeps, per type, the
+//! index of its `B(τ)` among the distinct right-facing sets and of its
+//! `A(τ)` among the distinct left-facing sets, and one block per distinct
+//! `(B(τ_left), S, A(τ_right))`; [`FeasibleStructure::block`] looks a
+//! context up through the two indices.
 
 use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
-use lcl_semigroup::OutRelation;
+use lcl_semigroup::{OutRelation, TransferSystem, TypeId};
 use std::cmp::Reverse;
 use std::collections::HashSet;
 
@@ -105,17 +134,40 @@ pub struct FeasibleStructure {
     /// `B(τ)` for each quantified type (labels allowed to face the gap from
     /// the right).
     pub right_facing: Vec<Vec<OutLabel>>,
-    /// The feasible function, one `(first, last)` per anchor-block context
-    /// `(left type, S₀, S₁, right type)`, at index
-    /// `((left · α + S₀) · α + S₁) · types + right`.
+    /// Per quantified type, the index of its `B(τ)` among the distinct
+    /// right-facing sets, in order of first occurrence.
+    left_class: Vec<usize>,
+    /// Per quantified type, the index of its `A(τ)` among the distinct
+    /// left-facing sets, in order of first occurrence.
+    right_class: Vec<usize>,
+    /// The feasible function, one `(first, last)` per distinct context
+    /// `(B(τ_left), S₀, S₁, A(τ_right))`, at index
+    /// `((left class · α + S₀) · α + S₁) · right classes + right class`.
     blocks: Vec<(OutLabel, OutLabel)>,
     /// `|Σ_in|`.
     inputs: usize,
-    /// The number of quantified types.
-    types: usize,
+    /// The number of distinct left-facing sets.
+    right_classes: usize,
     /// Periodic labelings per pattern (empty when only the `Θ(log* n)`-level
     /// structure was requested).
     pub patterns: Vec<PatternLabeling>,
+}
+
+/// Per element, the index of its value among the distinct values in order of
+/// first occurrence; and those values. The lists are short (types, facing
+/// sets, pattern types), so a scan finds each value.
+fn classes<T: PartialEq + Copy>(values: impl IntoIterator<Item = T>) -> (Vec<usize>, Vec<T>) {
+    let mut distinct: Vec<T> = Vec::new();
+    let class = values
+        .into_iter()
+        .map(|v| {
+            distinct.iter().position(|&d| d == v).unwrap_or_else(|| {
+                distinct.push(v);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    (class, distinct)
 }
 
 impl FeasibleStructure {
@@ -128,13 +180,14 @@ impl FeasibleStructure {
     /// label lies outside the problem's output alphabet, or if the two lists
     /// of facing sets differ in length.
     pub(crate) fn new(
-        problem: &NormalizedLcl,
+        info: &GapTypes,
         left_facing: Vec<Vec<OutLabel>>,
         right_facing: Vec<Vec<OutLabel>>,
         patterns: Vec<PatternLabeling>,
     ) -> Option<Self> {
-        let (beta, types) = (problem.num_outputs(), left_facing.len());
-        if beta > MAX_OUTPUTS || right_facing.len() != types {
+        let problem = info.problem();
+        let beta = problem.num_outputs();
+        if beta > MAX_OUTPUTS || right_facing.len() != left_facing.len() {
             return None;
         }
         let masks = |sets: &[Vec<OutLabel>]| -> Option<Vec<u64>> {
@@ -146,38 +199,28 @@ impl FeasibleStructure {
                 })
                 .collect()
         };
-        // Types with equal facing sets get equal blocks (see the module
-        // documentation).
-        let (firsts, lasts) = (masks(&right_facing)?, masks(&left_facing)?);
-        let first_equal =
-            |sets: &[u64], i: usize| sets[..i].iter().position(|&m| m == sets[i]).unwrap_or(i);
-        let last_equal: Vec<usize> = (0..types).map(|r| first_equal(&lasts, r)).collect();
-        let constraints = BlockMasks::new(problem);
-        let row_len = problem.num_inputs().pow(2) * types;
-        let mut blocks = Vec::with_capacity(types * row_len);
-        for (l, &first) in firsts.iter().enumerate() {
-            let earlier = first_equal(&firsts, l);
-            if earlier < l {
-                blocks.extend_from_within(earlier * row_len..(earlier + 1) * row_len);
-                continue;
-            }
+        // A block depends on the types only through their facing sets (see
+        // the module documentation).
+        let (left_class, firsts) = classes(masks(&right_facing)?);
+        let (right_class, lasts) = classes(masks(&left_facing)?);
+        let constraints = BlockMasks::new(info.system());
+        let mut blocks =
+            Vec::with_capacity(firsts.len() * problem.num_inputs().pow(2) * lasts.len());
+        for &first in &firsts {
             for s in input_pairs(problem) {
-                let start = blocks.len();
-                for (r, &last) in lasts.iter().enumerate() {
-                    let block = match last_equal[r] {
-                        earlier if earlier < r => blocks[start + earlier],
-                        _ => constraints.first_block(first, last, s)?,
-                    };
-                    blocks.push(block);
+                for &last in &lasts {
+                    blocks.push(constraints.first_block(first, last, s)?);
                 }
             }
         }
         Some(FeasibleStructure {
             left_facing,
             right_facing,
+            left_class,
+            right_class,
             blocks,
             inputs: problem.num_inputs(),
-            types,
+            right_classes: lasts.len(),
             patterns,
         })
     }
@@ -190,10 +233,12 @@ impl FeasibleStructure {
         s1: InLabel,
         right_type: usize,
     ) -> Option<(OutLabel, OutLabel)> {
-        let (alpha, types) = (self.inputs, self.types);
+        let alpha = self.inputs;
+        let left = *self.left_class.get(left_type)?;
+        let right = *self.right_class.get(right_type)?;
         let (s0, s1) = (s0.index(), s1.index());
-        let in_range = left_type < types && right_type < types && s0 < alpha && s1 < alpha;
-        in_range.then(|| self.blocks[((left_type * alpha + s0) * alpha + s1) * types + right_type])
+        (s0 < alpha && s1 < alpha)
+            .then(|| self.blocks[((left * alpha + s0) * alpha + s1) * self.right_classes + right])
     }
 
     /// Looks up the periodic labeling of a canonical pattern.
@@ -222,11 +267,11 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 /// A boolean `β × β` matrix as one row mask per label.
 type Rows = Vec<u64>;
 
-/// The rows of a relation on at most [`MAX_OUTPUTS`] labels, each one word.
-fn rows_of(relation: &OutRelation) -> Rows {
-    (0..relation.dim())
-        .map(|p| relation.row_words(p)[0])
-        .collect()
+/// The rows of a relation on at most [`MAX_OUTPUTS`] labels: its words, one
+/// per row.
+fn rows_of(relation: &OutRelation) -> &[u64] {
+    debug_assert!(relation.dim() <= MAX_OUTPUTS, "one word per row");
+    relation.words()
 }
 
 /// Boolean matrix product `a · b`.
@@ -245,7 +290,7 @@ fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
     // that is already an intent adds nothing new.
     let mut intents: Vec<u64> = Vec::new();
     let mut seen: HashSet<u64> = HashSet::new();
-    for &row in &rows {
+    for &row in rows {
         if row == 0 || !seen.insert(row) {
             continue;
         }
@@ -296,20 +341,19 @@ struct BlockMasks {
 }
 
 impl BlockMasks {
-    fn new(problem: &NormalizedLcl) -> Self {
-        let beta = problem.num_outputs();
-        let mask = |ok: &dyn Fn(OutLabel) -> bool| {
-            (0..beta)
-                .filter(|&o| ok(OutLabel::from_index(o)))
-                .fold(0u64, |m, o| m | 1 << o)
+    /// Reads the masks off the transfer system: the edge relation's rows,
+    /// and the diagonal of each letter's relation (the union of its rows,
+    /// as row `p` of a diagonal relation is at most bit `p`).
+    fn new(system: &TransferSystem) -> Self {
+        let letter = |a| {
+            let relation = system.letter_relation(InLabel::from_index(a));
+            rows_of(relation.expect("a letter of the alphabet"))
+                .iter()
+                .fold(0, |mask, row| mask | row)
         };
         BlockMasks {
-            nodes: (0..problem.num_inputs())
-                .map(|s| mask(&|o| problem.node_ok(InLabel::from_index(s), o)))
-                .collect(),
-            edges: (0..beta)
-                .map(|p| mask(&|o| problem.edge_ok(OutLabel::from_index(p), o)))
-                .collect(),
+            nodes: (0..system.num_letters()).map(letter).collect(),
+            edges: rows_of(system.edge_relation()).to_vec(),
         }
     }
 
@@ -410,11 +454,11 @@ fn stable_paddings(edge: &[u64], base: &[u64]) -> Vec<Rows> {
 
 /// The `⊆`-minimal elements of a list of relations, without repeats: a
 /// product with a larger relation constrains nothing a smaller one does not.
-fn minimal(mut relations: Vec<Rows>) -> Vec<Rows> {
-    relations.sort_by_key(|r| r.iter().map(|row| row.count_ones()).sum::<u32>());
-    let mut kept: Vec<Rows> = Vec::new();
+fn minimal<R: AsRef<[u64]>>(mut relations: Vec<R>) -> Vec<R> {
+    relations.sort_by_cached_key(|r| r.as_ref().iter().map(|row| row.count_ones()).sum::<u32>());
+    let mut kept: Vec<R> = Vec::new();
     for r in relations {
-        let below = |k: &Rows| k.iter().zip(&r).all(|(k, r)| k & !r == 0);
+        let below = |k: &R| k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0);
         if !kept.iter().any(below) {
             kept.push(r);
         }
@@ -422,73 +466,176 @@ fn minimal(mut relations: Vec<Rows>) -> Vec<Rows> {
     kept
 }
 
-/// The factors of the `G_{w1,w2,S}` check per pattern, and the memoized
-/// bridgeable relation per ordered pattern pair.
-struct Bridges {
-    /// `|Σ_out|`.
-    beta: usize,
-    /// Per pattern, the minimal left factors: `E·L` and `C(L)·M` over its
-    /// stable paddings `L` and the minimal middle types `M`.
-    lefts: Vec<Vec<Rows>>,
-    /// Per pattern, the minimal `C(R)` over its stable paddings `R`.
-    rights: Vec<Vec<Rows>>,
-    /// `bridgeable[i · n + j]`: the `(last, first)` pairs with which a
-    /// labeled `w_i`-region can be followed, across any middle, by a labeled
-    /// `w_j`-region.
-    bridgeable: Vec<Option<Rows>>,
+/// The `⊆`-minimal masks of a list, without repeats: a row (or column) that
+/// contains another meets every set the smaller one meets.
+fn minimal_masks(mut masks: Vec<u64>) -> Vec<u64> {
+    masks.sort_unstable_by_key(|m| m.count_ones());
+    let mut kept: Vec<u64> = Vec::with_capacity(masks.len());
+    for m in masks {
+        if !kept.iter().any(|&k| k & !m == 0) {
+            kept.push(m);
+        }
+    }
+    kept
 }
 
-impl Bridges {
+/// The patterns grouped by type: a pattern enters the `O(1)` conditions
+/// only through its relation `R(w)`.
+struct PatternClasses {
+    /// Per pattern, the index of its type in `types`.
+    class_of: Vec<usize>,
+    /// The distinct pattern types, in order of first occurrence.
+    types: Vec<TypeId>,
+}
+
+impl PatternClasses {
     fn new(info: &GapTypes, patterns: &[Vec<InLabel>]) -> Result<Self> {
-        let system = info.system();
+        let types: Vec<TypeId> = patterns
+            .iter()
+            .map(|pattern| info.semigroup().type_of_word(pattern))
+            .collect::<std::result::Result<_, _>>()?;
+        let (class_of, types) = classes(types);
+        Ok(PatternClasses { class_of, types })
+    }
+
+    /// Whether every pattern has a periodic labeling, that is, a valid
+    /// labeling of the cycle `w`.
+    fn all_labelable(&self, info: &GapTypes) -> bool {
+        self.types.iter().all(|&t| info.cycle_labelable(t))
+    }
+
+    /// One periodic labeling per pattern such that every ordered pair of
+    /// labeled regions bridges, or `None`; settled without enumerating any
+    /// labeling if some pattern has none.
+    fn labelings(self, info: &GapTypes, patterns: &[Vec<InLabel>]) -> Option<Vec<PatternLabeling>> {
+        if !self.all_labelable(info) {
+            return None;
+        }
+        if patterns.is_empty() {
+            return Some(Vec::new());
+        }
+        let masks = BlockMasks::new(info.system());
+        let candidates: Vec<Vec<Vec<OutLabel>>> = patterns
+            .iter()
+            .map(|pattern| periodic_candidates(&masks, pattern, 4096))
+            .collect();
+        choose_pattern_labelings(info, patterns, self, &candidates)
+    }
+}
+
+/// The `G_{w1,w2,S}` check, answered one `(last, first)` entry at a time.
+///
+/// Patterns enter only through their type, so the padding factors are kept
+/// per *class* (distinct pattern type). Entry `(last, first)` of the
+/// bridgeable relation of classes `(i, j)` holds iff every `⊆`-minimal
+/// `C(L)·M` row of `i` at `last` meets every `⊆`-minimal `C(R)` column of
+/// `j` at `first`; rows are cached per `(class, last)`, columns per
+/// `(class, first)` and answers per class pair, each pair's memo allocated
+/// when it is first asked (see the module documentation).
+struct Bridges<'a> {
+    /// `|Σ_out|`.
+    beta: usize,
+    /// The `⊆`-minimal middle relations.
+    middles: Vec<&'a [u64]>,
+    /// Per pattern, its class.
+    class_of: Vec<usize>,
+    /// Per class, `C(L)` for each stable padding `L`.
+    paddings: Vec<Vec<Rows>>,
+    /// `rows[class · β + last]`: the minimal rows at `last` of `C(L)·M`
+    /// over the class's paddings `L` and the middles `M`.
+    rows: Vec<Option<Vec<u64>>>,
+    /// `columns[class · β + first]`: the minimal columns at `first` of
+    /// `C(R)` over the class's paddings `R`, as masks over rows.
+    columns: Vec<Option<Vec<u64>>>,
+    /// `answers[i · classes + j][last]`: the `first` labels decided so far
+    /// and those that bridge.
+    answers: Vec<Option<Vec<(u64, u64)>>>,
+}
+
+impl<'a> Bridges<'a> {
+    fn new(info: &'a GapTypes, classes: PatternClasses) -> Self {
         let semigroup = info.semigroup();
-        let edge = rows_of(system.edge_relation());
+        let edge = rows_of(info.system().edge_relation());
+        let PatternClasses { class_of, types } = classes;
+        let paddings: Vec<Vec<Rows>> = types
+            .iter()
+            .map(|&t| {
+                stable_paddings(edge, rows_of(semigroup.relation(t)))
+                    .iter()
+                    .map(|padding| product(&product(edge, padding), edge))
+                    .collect()
+            })
+            .collect();
         let middles = minimal(
             semigroup
                 .iter()
                 .map(|t| rows_of(semigroup.relation(t)))
                 .collect(),
         );
-        let (mut lefts, mut rights) = (Vec::new(), Vec::new());
-        for pattern in patterns {
-            let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
-            let (mut left, mut right) = (Vec::new(), Vec::new());
-            for padding in stable_paddings(&edge, &base) {
-                let edge_padding = product(&edge, &padding);
-                let conn = product(&edge_padding, &edge);
-                left.extend(middles.iter().map(|m| product(&conn, m)));
-                left.push(edge_padding);
-                right.push(conn);
-            }
-            lefts.push(minimal(left));
-            rights.push(minimal(right));
+        let (beta, classes) = (edge.len(), types.len());
+        Bridges {
+            beta,
+            middles,
+            class_of,
+            paddings,
+            rows: vec![None; classes * beta],
+            columns: vec![None; classes * beta],
+            answers: vec![None; classes * classes],
         }
-        Ok(Bridges {
-            beta: edge.len(),
-            bridgeable: vec![None; patterns.len().pow(2)],
-            lefts,
-            rights,
-        })
     }
 
     /// Can a labeled `w_i`-region ending with `last` be followed, across any
     /// middle, by a labeled `w_j`-region starting with `first`?
     fn bridges(&mut self, i: usize, last: OutLabel, j: usize, first: OutLabel) -> bool {
-        let n = self.lefts.len();
-        let relation = self.bridgeable[i * n + j].get_or_insert_with(|| {
-            let mut ok = vec![u64::MAX; self.beta];
-            for left in &self.lefts[i] {
-                for right in &self.rights[j] {
-                    // `ok &= left · right`, one row at a time.
-                    for (ok, &row) in ok.iter_mut().zip(left) {
-                        *ok &= bits(row).fold(0, |out, k| out | right[k]);
-                    }
-                }
+        let (ci, cj) = (self.class_of[i], self.class_of[j]);
+        let (last, first, beta) = (last.index(), first.index(), self.beta);
+        let bit = 1u64 << first;
+        let memo =
+            self.answers[ci * self.paddings.len() + cj].get_or_insert_with(|| vec![(0, 0); beta]);
+        let (known, yes) = &mut memo[last];
+        if *known & bit == 0 {
+            let rows = self.rows[ci * beta + last]
+                .get_or_insert_with(|| left_rows(&self.paddings[ci], &self.middles, last));
+            let columns = self.columns[cj * beta + first]
+                .get_or_insert_with(|| right_columns(&self.paddings[cj], first));
+            *known |= bit;
+            if rows
+                .iter()
+                .all(|&row| columns.iter().all(|&col| row & col != 0))
+            {
+                *yes |= bit;
             }
-            ok
-        });
-        relation[last.index()] >> first.index() & 1 == 1
+        }
+        *yes & bit != 0
     }
+}
+
+/// The minimal rows at `last` of `C(L)·M` over the paddings `L` and the
+/// middles `M`. A row of `C(L)·M` is the union of the middle's rows that
+/// `C(L)`'s row picks, so only the minimal `C(L)` rows are multiplied out.
+fn left_rows(paddings: &[Rows], middles: &[&[u64]], last: usize) -> Vec<u64> {
+    let conns = minimal_masks(paddings.iter().map(|conn| conn[last]).collect());
+    let mut rows: Vec<u64> = Vec::with_capacity(conns.len() * middles.len());
+    for &row in &conns {
+        rows.extend(
+            middles
+                .iter()
+                .map(|m| bits(row).fold(0, |out, k| out | m[k])),
+        );
+    }
+    minimal_masks(rows)
+}
+
+/// The minimal columns at `first` of `C(R)` over the paddings `R`, as masks
+/// over rows.
+fn right_columns(paddings: &[Rows], first: usize) -> Vec<u64> {
+    let column = |conn: &Rows| {
+        conn.iter()
+            .enumerate()
+            .filter(|&(_, row)| row >> first & 1 == 1)
+            .fold(0, |col, (p, _)| col | 1 << p)
+    };
+    minimal_masks(paddings.iter().map(column).collect())
 }
 
 /// Backtracking choice of one periodic labeling per pattern such that every
@@ -497,12 +644,10 @@ impl Bridges {
 fn choose_pattern_labelings(
     info: &GapTypes,
     patterns: &[Vec<InLabel>],
+    classes: PatternClasses,
     candidates: &[Vec<Vec<OutLabel>>],
-) -> Result<Option<Vec<PatternLabeling>>> {
-    if patterns.is_empty() {
-        return Ok(Some(Vec::new()));
-    }
-    let mut bridges = Bridges::new(info, patterns)?;
+) -> Option<Vec<PatternLabeling>> {
+    let mut bridges = Bridges::new(info, classes);
 
     /// The first and last label of a labeling.
     fn ends(labeling: &[OutLabel]) -> (OutLabel, OutLabel) {
@@ -543,9 +688,9 @@ fn choose_pattern_labelings(
 
     let mut chosen = Vec::with_capacity(patterns.len());
     if !solve(0, candidates, &mut chosen, &mut bridges) {
-        return Ok(None);
+        return None;
     }
-    Ok(Some(
+    Some(
         patterns
             .iter()
             .zip(chosen)
@@ -554,7 +699,7 @@ fn choose_pattern_labelings(
                 labeling: labeling.to_vec(),
             })
             .collect(),
-    ))
+    )
 }
 
 /// Searches for a feasible structure.
@@ -562,6 +707,9 @@ fn choose_pattern_labelings(
 /// `patterns` lists the canonical primitive input patterns for which periodic
 /// labelings are additionally required (pass an empty slice to decide only the
 /// `ω(log* n) — o(n)` gap). `budget` bounds the number of backtracking nodes.
+///
+/// The classifier decides both gaps from one biclique search; this runs the
+/// same steps for one gap.
 ///
 /// # Errors
 ///
@@ -573,39 +721,79 @@ pub fn find_feasible(
     patterns: &[Vec<InLabel>],
     budget: usize,
 ) -> Result<Option<FeasibleStructure>> {
-    let problem = info.problem();
+    check_outputs(info.problem())?;
+    // A pattern without periodic labelings decides the search before it
+    // runs, so it cannot exceed the budget.
+    let classes = PatternClasses::new(info, patterns)?;
+    if !classes.all_labelable(info) {
+        return Ok(None);
+    }
+    let Some(mut structure) = facing_structure(info, budget)? else {
+        return Ok(None);
+    };
+    Ok(classes.labelings(info, patterns).map(|chosen| {
+        structure.patterns = chosen;
+        structure
+    }))
+}
+
+/// Rejects output alphabets too large for `u64` label sets.
+fn check_outputs(problem: &NormalizedLcl) -> Result<()> {
     let beta = problem.num_outputs();
     if beta > MAX_OUTPUTS {
         return Err(ClassifierError::TooLarge {
             what: format!("output alphabet of size {beta} exceeds the {MAX_OUTPUTS}-label limit"),
         });
     }
+    Ok(())
+}
+
+/// The periodic labelings of `patterns` (the `O(1)` conditions of §4.4), or
+/// `None` if some pattern has none or no choice bridges.
+///
+/// # Errors
+///
+/// Propagates semigroup errors (a pattern over an unknown input label).
+pub(crate) fn pattern_labelings(
+    info: &GapTypes,
+    patterns: &[Vec<InLabel>],
+) -> Result<Option<Vec<PatternLabeling>>> {
+    Ok(PatternClasses::new(info, patterns)?.labelings(info, patterns))
+}
+
+/// The biclique search: facing sets `(A(τ), B(τ))` for every quantified type
+/// such that every anchor block has a labeling, and the feasible function
+/// they give, without pattern labelings. `None` if no assignment exists.
+///
+/// # Errors
+///
+/// As [`find_feasible`].
+pub(crate) fn facing_structure(
+    info: &GapTypes,
+    budget: usize,
+) -> Result<Option<FeasibleStructure>> {
+    let problem = info.problem();
+    check_outputs(problem)?;
     let num_types = info.quantified().len();
-    // Candidate bicliques per type, most permissive first (larger sets let
-    // more blocks and patterns through).
-    let mut domains: Vec<Vec<Biclique>> = Vec::with_capacity(num_types);
-    for i in 0..num_types {
-        let domain = ordered_domain(info.connection(i));
+    // Candidate bicliques per distinct connection relation, most permissive
+    // first (larger sets let more blocks and patterns through); types with
+    // equal relations share a domain.
+    let (domain_of, connections) = classes((0..num_types).map(|i| info.connection(i)));
+    let mut domains: Vec<Vec<Biclique>> = Vec::with_capacity(connections.len());
+    for conn in connections {
+        let domain = ordered_domain(conn);
         if domain.is_empty() {
             return Ok(None);
         }
         domains.push(domain);
     }
-    // Candidate periodic labelings per pattern.
-    let masks = BlockMasks::new(problem);
-    let mut pattern_candidates: Vec<Vec<Vec<OutLabel>>> = Vec::with_capacity(patterns.len());
-    for pattern in patterns {
-        let cands = periodic_candidates(&masks, pattern, 4096);
-        if cands.is_empty() {
-            return Ok(None);
-        }
-        pattern_candidates.push(cands);
-    }
 
     struct Search<'a> {
         problem: &'a NormalizedLcl,
         masks: BlockMasks,
+        /// The distinct domains, and each type's.
         domains: &'a [Vec<Biclique>],
+        domain_of: &'a [usize],
         /// The choices of the types assigned so far, in type order.
         assignment: Vec<Biclique>,
         /// The distinct bicliques of `assignment`, with their counts.
@@ -657,10 +845,10 @@ pub fn find_feasible(
                 });
             }
             let idx = self.assignment.len();
-            if idx == self.domains.len() {
+            if idx == self.domain_of.len() {
                 return Ok(true);
             }
-            for &choice in &self.domains[idx] {
+            for &choice in &self.domains[self.domain_of[idx]] {
                 if !self.consistent_with(choice) {
                     continue;
                 }
@@ -676,8 +864,9 @@ pub fn find_feasible(
 
     let mut search = Search {
         problem,
-        masks,
+        masks: BlockMasks::new(info.system()),
         domains: &domains,
+        domain_of: &domain_of,
         assignment: Vec::with_capacity(num_types),
         distinct: Vec::new(),
         nodes: 0,
@@ -686,17 +875,6 @@ pub fn find_feasible(
     if num_types > 0 && !search.solve()? {
         return Ok(None);
     }
-    // Choose periodic labelings so that any two labeled periodic regions can
-    // be bridged across an arbitrary middle (the `G_{w1,w2,S}` condition of
-    // §4.4): for every ordered pair of patterns, every middle type (or empty
-    // middle) and every stable padding exponent, the connection relation of
-    // `w1^{e1} ◦ S ◦ w2^{e2}` must relate `f(w1)`'s last label to `f(w2)`'s
-    // first label. The choice is a small backtracking search over patterns.
-    let chosen_patterns = match choose_pattern_labelings(info, patterns, &pattern_candidates)? {
-        Some(chosen) => chosen,
-        None => return Ok(None),
-    };
-
     // A solved search assigned every type.
     let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
     let (left_facing, right_facing) = search
@@ -705,10 +883,10 @@ pub fn find_feasible(
         .map(|b| (labels(b.a), labels(b.b)))
         .unzip();
     Ok(FeasibleStructure::new(
-        problem,
+        info,
         left_facing,
         right_facing,
-        chosen_patterns,
+        Vec::new(),
     ))
 }
 
@@ -767,6 +945,170 @@ mod tests {
         }
         out.sort_by_key(|c| usize::MAX - (c.a.count_ones() as usize) * (c.b.count_ones() as usize));
         out
+    }
+
+    /// The bridging that [`Bridges`] replaced, kept as its oracle: the
+    /// factors of the `G_{w1,w2,S}` check per pattern word, and the memoized
+    /// `β × β` bridgeable relation per ordered pattern pair.
+    struct WordBridges {
+        /// `|Σ_out|`.
+        beta: usize,
+        /// Per pattern, the minimal left factors: `E·L` and `C(L)·M` over its
+        /// stable paddings `L` and the minimal middle types `M`.
+        lefts: Vec<Vec<Rows>>,
+        /// Per pattern, the minimal `C(R)` over its stable paddings `R`.
+        rights: Vec<Vec<Rows>>,
+        /// `bridgeable[i · n + j]`: the `(last, first)` pairs with which a
+        /// labeled `w_i`-region can be followed, across any middle, by a labeled
+        /// `w_j`-region.
+        bridgeable: Vec<Option<Rows>>,
+    }
+
+    impl WordBridges {
+        fn new(info: &GapTypes, patterns: &[Vec<InLabel>]) -> Result<Self> {
+            let system = info.system();
+            let semigroup = info.semigroup();
+            let edge = rows_of(system.edge_relation());
+            let middles = minimal(
+                semigroup
+                    .iter()
+                    .map(|t| rows_of(semigroup.relation(t)))
+                    .collect(),
+            );
+            let (mut lefts, mut rights) = (Vec::new(), Vec::new());
+            for pattern in patterns {
+                let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
+                let (mut left, mut right) = (Vec::new(), Vec::new());
+                for padding in stable_paddings(edge, base) {
+                    let edge_padding = product(edge, &padding);
+                    let conn = product(&edge_padding, edge);
+                    left.extend(middles.iter().map(|m| product(&conn, m)));
+                    left.push(edge_padding);
+                    right.push(conn);
+                }
+                lefts.push(minimal(left));
+                rights.push(minimal(right));
+            }
+            Ok(WordBridges {
+                beta: edge.len(),
+                bridgeable: vec![None; patterns.len().pow(2)],
+                lefts,
+                rights,
+            })
+        }
+
+        /// Can a labeled `w_i`-region ending with `last` be followed, across any
+        /// middle, by a labeled `w_j`-region starting with `first`?
+        fn bridges(&mut self, i: usize, last: OutLabel, j: usize, first: OutLabel) -> bool {
+            let n = self.lefts.len();
+            let relation = self.bridgeable[i * n + j].get_or_insert_with(|| {
+                let mut ok = vec![u64::MAX; self.beta];
+                for left in &self.lefts[i] {
+                    for right in &self.rights[j] {
+                        // `ok &= left · right`, one row at a time.
+                        for (ok, &row) in ok.iter_mut().zip(left) {
+                            *ok &= bits(row).fold(0, |out, k| out | right[k]);
+                        }
+                    }
+                }
+                ok
+            });
+            relation[last.index()] >> first.index() & 1 == 1
+        }
+    }
+
+    /// The feasibility golden's problems: the ladders, the corpus and its
+    /// 320 `lcl-gen` draws.
+    fn golden_problems() -> Vec<NormalizedLcl> {
+        let mut problems: Vec<NormalizedLcl> = (3..=14).map(lcl_problems::coloring).collect();
+        problems.extend((1..=16).map(lcl_problems::unconstrained));
+        problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        problems.extend((0..320usize).map(|i| {
+            let config = GenConfig::new(i as u64)
+                .family(Family::ALL[i % 4])
+                .input_labels(1 + (i / 4) % 3)
+                .output_labels(3 + (i / 12) % 8);
+            generate(&config).unwrap()
+        }));
+        problems
+    }
+
+    /// Asserts that [`Bridges`] answers every `(i, last, j, first)` as the
+    /// per-word oracle does; returns the number of entries compared.
+    fn assert_bridges_match_the_oracle(problem: &NormalizedLcl, kappa: usize) -> usize {
+        let Ok(info) = GapTypes::compute(problem, 10_000) else {
+            return 0;
+        };
+        if problem.num_outputs() > MAX_OUTPUTS {
+            return 0;
+        }
+        let kappa = kappa.min(info.semigroup().pump_threshold()).max(1);
+        let patterns = crate::classify::canonical_patterns(problem.num_inputs(), kappa);
+        let classes = PatternClasses::new(&info, &patterns).unwrap();
+        let mut got = Bridges::new(&info, classes);
+        let mut want = WordBridges::new(&info, &patterns).unwrap();
+        let labels = || (0..problem.num_outputs()).map(OutLabel::from_index);
+        let mut compared = 0;
+        for i in 0..patterns.len() {
+            for j in 0..patterns.len() {
+                for last in labels() {
+                    for first in labels() {
+                        assert_eq!(
+                            got.bridges(i, last, j, first),
+                            want.bridges(i, last, j, first),
+                            "{}: {:?} {last:?} → {:?} {first:?}",
+                            problem.name(),
+                            patterns[i],
+                            patterns[j]
+                        );
+                        compared += 1;
+                    }
+                }
+            }
+        }
+        compared
+    }
+
+    #[test]
+    fn pattern_types_decide_which_patterns_have_labelings() {
+        let mut problems = golden_problems();
+        problems.extend((2..=8).map(lcl_problems::run));
+        let mut compared = 0;
+        for problem in &problems {
+            let Ok(info) = GapTypes::compute(problem, 10_000) else {
+                continue;
+            };
+            if problem.num_outputs() > MAX_OUTPUTS {
+                continue;
+            }
+            let masks = BlockMasks::new(info.system());
+            let kappa = info.semigroup().pump_threshold().min(9);
+            for pattern in crate::classify::canonical_patterns(problem.num_inputs(), kappa) {
+                let classes = PatternClasses::new(&info, std::slice::from_ref(&pattern)).unwrap();
+                assert_eq!(
+                    classes.all_labelable(&info),
+                    !periodic_candidates(&masks, &pattern, 1).is_empty(),
+                    "{}: {pattern:?}",
+                    problem.name()
+                );
+                compared += 1;
+            }
+        }
+        assert!(compared >= 5_000, "only {compared} patterns compared");
+    }
+
+    #[test]
+    fn bridging_per_type_matches_the_per_word_oracle() {
+        let golden: usize = golden_problems()
+            .iter()
+            .map(|p| assert_bridges_match_the_oracle(p, 3))
+            .sum();
+        assert!(golden >= 100_000, "only {golden} golden entries compared");
+        // More than 14 patterns per problem: run(L) at κ = L + 1.
+        let run: usize = (2..=8)
+            .map(|l| assert_bridges_match_the_oracle(&lcl_problems::run(l), l + 1))
+            .sum();
+        assert!(run >= 1_000_000, "only {run} run(L) entries compared");
     }
 
     fn three_coloring() -> NormalizedLcl {
@@ -975,7 +1317,7 @@ mod tests {
 
     #[test]
     fn periodic_candidates_enumeration() {
-        let masks = BlockMasks::new(&three_coloring());
+        let masks = BlockMasks::new(&TransferSystem::new(&three_coloring()));
         let singles = periodic_candidates(&masks, &[InLabel(0)], 100);
         assert!(singles.is_empty(), "no colour is adjacent to itself");
         let pairs = periodic_candidates(&masks, &[InLabel(0), InLabel(0)], 100);

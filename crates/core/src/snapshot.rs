@@ -236,7 +236,7 @@ fn decode_structure(
         }
         chosen.push(PatternLabeling { pattern, labeling });
     }
-    FeasibleStructure::new(problem, left, right, chosen)
+    FeasibleStructure::new(info, left, right, chosen)
         .ok_or_else(|| wire("facing sets leave an anchor block unlabelable".to_string()))
 }
 

@@ -28,6 +28,7 @@ use lcl_algorithms::{
 use lcl_local_sim::{BallView, LocalAlgorithm};
 use lcl_problem::{InLabel, Instance, NormalizedLcl, OutLabel};
 use lcl_semigroup::{TypeId, TypeSemigroup};
+use std::sync::Arc;
 
 /// The algorithm attached to a classification verdict.
 #[derive(Clone, Debug)]
@@ -79,11 +80,12 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
     }
 }
 
-/// Shared pieces of the two fast synthesized algorithms.
+/// Shared pieces of the two fast synthesized algorithms. The problem and the
+/// semigroup are shared with the classifier's [`GapTypes`], not copied.
 #[derive(Clone, Debug)]
 struct SynthesisCore {
-    problem: NormalizedLcl,
-    semigroup: TypeSemigroup,
+    problem: Arc<NormalizedLcl>,
+    semigroup: Arc<TypeSemigroup>,
     quantified: Vec<TypeId>,
     structure: FeasibleStructure,
     min_gap: usize,
@@ -92,12 +94,17 @@ struct SynthesisCore {
 impl SynthesisCore {
     fn new(info: &GapTypes, structure: FeasibleStructure) -> Self {
         SynthesisCore {
-            problem: info.problem().clone(),
-            semigroup: info.semigroup().clone(),
+            problem: Arc::clone(info.system().shared_problem()),
+            semigroup: Arc::clone(info.shared_semigroup()),
             quantified: info.quantified().to_vec(),
             structure,
             min_gap: info.min_gap(),
         }
+    }
+
+    /// The gather-everything algorithm for small networks.
+    fn gather(&self) -> GatherAndSolve {
+        GatherAndSolve::shared(Arc::clone(&self.problem))
     }
 
     /// The quantified-type index of a gap word (must have length ≥ 1).
@@ -148,7 +155,7 @@ impl LogStarAlgorithm {
             level += 1;
         }
         LogStarAlgorithm {
-            gather: GatherAndSolve::new(&core.problem),
+            gather: core.gather(),
             core,
             level,
         }
@@ -309,7 +316,7 @@ impl ConstantAlgorithm {
         let max_handled_gap = 8 * (d + core.min_gap) + 64;
         let practical_radius = 2 * (max_handled_gap + d + kappa) + 32;
         ConstantAlgorithm {
-            gather: GatherAndSolve::new(&core.problem),
+            gather: core.gather(),
             core,
             params,
             max_handled_gap,

@@ -4,18 +4,22 @@
 use crate::Result;
 use lcl_problem::NormalizedLcl;
 use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup};
+use std::sync::Arc;
 
 /// Everything the feasibility search needs to know about the problem's types:
 /// the semigroup, the minimum gap length `L_min` (the computed stand-in for
 /// `ℓ_pump`), the set `T` of types realized by gaps of length `≥ L_min`, and
-/// the connection relation `C(τ) = E · R(τ) · E` of each such type.
+/// the connection relation `C(τ) = E · R(τ) · E` of each such type. The
+/// semigroup is shared with the algorithms synthesized from it.
 #[derive(Clone, Debug)]
 pub struct GapTypes {
     system: TransferSystem,
-    semigroup: TypeSemigroup,
+    semigroup: Arc<TypeSemigroup>,
     min_gap: usize,
     quantified: Vec<TypeId>,
     connections: Vec<OutRelation>,
+    /// `Eᵀ`: `(q, p)` for every allowed edge `(p, q)`.
+    edge_back: OutRelation,
 }
 
 impl GapTypes {
@@ -39,8 +43,9 @@ impl GapTypes {
             connections.push(system.connection(semigroup.relation(t))?);
         }
         Ok(GapTypes {
+            edge_back: system.edge_relation().transpose(),
             system,
-            semigroup,
+            semigroup: Arc::new(semigroup),
             min_gap,
             quantified,
             connections,
@@ -59,6 +64,11 @@ impl GapTypes {
 
     /// The type semigroup.
     pub fn semigroup(&self) -> &TypeSemigroup {
+        &self.semigroup
+    }
+
+    /// The type semigroup, shared.
+    pub(crate) fn shared_semigroup(&self) -> &Arc<TypeSemigroup> {
         &self.semigroup
     }
 
@@ -97,16 +107,22 @@ impl GapTypes {
     ///
     /// # Errors
     ///
-    /// Propagates relation-algebra errors (dimension mismatches cannot occur
-    /// for well-formed problems).
+    /// None: the check reads the relations the semigroup already holds. The
+    /// `Result` is kept for callers of the public signature.
     pub fn solvability_witness(&self) -> Result<Option<Vec<lcl_problem::InLabel>>> {
-        for &t in &self.quantified {
-            let rel = self.semigroup.relation(t);
-            if !self.system.cycle_relation(rel)?.has_nonzero_diagonal() {
-                return Ok(Some(self.long_witness(t)));
-            }
-        }
-        Ok(None)
+        let unlabelable = self.quantified.iter().find(|&&t| !self.cycle_labelable(t));
+        Ok(unlabelable.map(|&t| self.long_witness(t)))
+    }
+
+    /// Whether a cycle whose input word has type `t` admits a valid
+    /// labeling: the boolean trace of `R(t)·E` is nonzero, that is, some
+    /// `(p, q) ∈ R(t)` has `(q, p) ∈ E`, so `R(t)` meets `Eᵀ`.
+    pub(crate) fn cycle_labelable(&self, t: TypeId) -> bool {
+        let words = self.semigroup.relation(t).words();
+        words
+            .iter()
+            .zip(self.edge_back.words())
+            .any(|(r, e)| r & e != 0)
     }
 
     /// A word of length `≥ L_min` whose type is `t` (which must be a
@@ -216,6 +232,39 @@ mod tests {
                 Some(&witness)
             );
         }
+    }
+
+    #[test]
+    fn cycle_checks_equal_the_trace_of_the_cycle_relation() {
+        let mut problems: Vec<NormalizedLcl> = lcl_problems::corpus()
+            .into_iter()
+            .map(|e| e.problem)
+            .collect();
+        problems.extend((2..=8).map(lcl_problems::run));
+        // Rows of more than one word.
+        problems.push(lcl_problems::coloring(70));
+        problems.extend((0..64u64).map(|seed| {
+            let config = lcl_gen::GenConfig::new(seed)
+                .family(lcl_gen::Family::ALL[seed as usize % 4])
+                .input_labels(1 + seed as usize % 3)
+                .output_labels(3 + seed as usize % 6);
+            lcl_gen::generate(&config).unwrap()
+        }));
+        let mut checked = 0;
+        for problem in &problems {
+            let info = GapTypes::compute(problem, 10_000).unwrap();
+            for t in info.semigroup().iter() {
+                let cycle = info.system().cycle_relation(info.semigroup().relation(t));
+                assert_eq!(
+                    info.cycle_labelable(t),
+                    cycle.unwrap().has_nonzero_diagonal(),
+                    "{}: type {t:?}",
+                    problem.name()
+                );
+                checked += 1;
+            }
+        }
+        assert!(checked >= 1_000, "only {checked} types checked");
     }
 
     #[test]

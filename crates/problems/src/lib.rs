@@ -170,6 +170,41 @@ pub fn unconstrained(outputs: usize) -> NormalizedLcl {
     b.build().expect("unconstrained is well-formed")
 }
 
+/// Runs of length `L`: inputs `{0, 1}`, outputs pairs `(k, c)` with
+/// `k ∈ 0..=L+1` and `c ∈ {0, 1, 2}`, written `k.c`.
+///
+/// * An input-1 node outputs `k = 0`; an input-0 node outputs `k ≥ 1`.
+/// * An input-0 node continues its predecessor's run: `k' = min(k + 1, L + 1)`
+///   and `c' = c`.
+/// * An input-1 node may pick any `c'`, except `c' = c` after a
+///   predecessor with `k = L`.
+///
+/// On the input `(0^L 1)^∞` the 1-nodes must therefore be properly
+/// 3-coloured, so the problem is `Θ(log* n)`; no other periodic input
+/// constrains `c`. Only a pattern test that reaches period `L + 1` sees the
+/// obstruction.
+pub fn run(l: usize) -> NormalizedLcl {
+    let mut b = NormalizedLcl::builder(format!("run-{l}"));
+    b.input_labels(&["0", "1"]);
+    let label = |k: usize, c: usize| (k * 3 + c) as u16;
+    let names: Vec<String> = (0..=l + 1)
+        .flat_map(|k| (0..3).map(move |c| format!("{k}.{c}")))
+        .collect();
+    b.output_labels(&names);
+    for k in 0..=l + 1 {
+        for c in 0..3 {
+            b.allow_node_idx(u16::from(k == 0), label(k, c));
+            for c2 in 0..3 {
+                if c2 != c || k != l {
+                    b.allow_edge_idx(label(k, c), label(0, c2));
+                }
+            }
+            b.allow_edge_idx(label(k, c), label((k + 1).min(l + 1), c));
+        }
+    }
+    b.build().expect("run is well-formed")
+}
+
 /// Outputs must strictly cycle through `0 → 1 → 2 → 0 → …`, which is solvable
 /// only when the cycle length is divisible by 3: unsolvable in the asymptotic
 /// sense used here.

@@ -122,6 +122,14 @@ impl OutRelation {
     ///
     /// Returns an error if the dimensions differ.
     pub fn compose(&self, other: &OutRelation) -> Result<OutRelation> {
+        let mut result = OutRelation::empty(0);
+        self.compose_into(other, &mut result)?;
+        Ok(result)
+    }
+
+    /// [`Self::compose`] into `out`, reusing its storage. A row of one word
+    /// (`n ≤ 64`) is one fold over its set bits.
+    pub(crate) fn compose_into(&self, other: &OutRelation, out: &mut OutRelation) -> Result<()> {
         if self.n != other.n {
             return Err(SemigroupError::DimensionMismatch {
                 left: self.n,
@@ -129,12 +137,22 @@ impl OutRelation {
             });
         }
         let w = self.words_per_row;
-        let mut result = OutRelation::empty(self.n);
-        for (out_row, row) in result
-            .bits
-            .chunks_exact_mut(w)
-            .zip(self.bits.chunks_exact(w))
-        {
+        (out.n, out.words_per_row) = (self.n, w);
+        out.bits.clear();
+        if w == 1 {
+            out.bits.extend(self.bits.iter().map(|&row| {
+                let mut word = row;
+                let mut union = 0;
+                while word != 0 {
+                    union |= other.bits[word.trailing_zeros() as usize];
+                    word &= word - 1;
+                }
+                union
+            }));
+            return Ok(());
+        }
+        out.bits.resize(self.bits.len(), 0);
+        for (out_row, row) in out.bits.chunks_exact_mut(w).zip(self.bits.chunks_exact(w)) {
             for (base, &word) in (0..).step_by(64).zip(row) {
                 let mut word = word;
                 while word != 0 {
@@ -146,7 +164,7 @@ impl OutRelation {
                 }
             }
         }
-        Ok(result)
+        Ok(())
     }
 
     /// The words of row `i`: `(i, j)` is bit `j % 64` of word `j / 64`.
@@ -160,8 +178,9 @@ impl OutRelation {
     }
 
     /// All rows' words, row after row (see [`Self::row_words`]). Relations
-    /// of one dimension are equal iff their words are.
-    pub(crate) fn words(&self) -> &[u64] {
+    /// of one dimension are equal iff their words are; on at most 64 labels,
+    /// row `i` is word `i`.
+    pub fn words(&self) -> &[u64] {
         &self.bits
     }
 
@@ -192,6 +211,10 @@ impl OutRelation {
     pub(crate) fn mask_columns_into(&self, mask: &[u64], out: &mut Vec<u64>) {
         assert_eq!(mask.len(), self.words_per_row, "one row of words");
         out.clear();
+        if let [mask] = *mask {
+            out.extend(self.bits.iter().map(|w| w & mask));
+            return;
+        }
         out.extend(
             self.bits
                 .chunks_exact(self.words_per_row)

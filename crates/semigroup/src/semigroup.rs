@@ -18,11 +18,16 @@
 //! are shortest words. A letter's relation `D_a` is diagonal (it only marks
 //! the outputs allowed at a node with input `a`), so
 //! `R(w·a) = R(w)·E·D_a = (R(w)·E)·D_a` keeps the columns of `R(w)·E` that
-//! `a` allows. The walk computes the product `R(w)·E` once per type and then,
-//! for each letter, ANDs the letter's diagonal mask into every row of a
-//! reused buffer. The buffer is looked up by its words: a step that lands on
-//! a known type allocates nothing, and only a new type stores its relation
-//! and copies its witness.
+//! `a` allows. The walk computes the product `R(w)·E` once per type, into a
+//! reused relation, and then, for each letter, ANDs the letter's diagonal
+//! mask into every row of a reused buffer. When a row is one word
+//! (`β ≤ 64`) the product is one fold per row and the mask one AND per row.
+//!
+//! The buffer is looked up by its words in an open-addressed table of type
+//! ids. The table hashes the words and compares them against the relations
+//! the element table already holds, so each type is stored once. A step that
+//! lands on a known type allocates nothing; only a new type stores its
+//! relation and builds its witness, at its exact length, from its prefix's.
 //!
 //! # The length profile as bitsets
 //!
@@ -101,12 +106,73 @@ impl LengthProfile {
 pub struct TypeSemigroup {
     system: TransferSystem,
     elements: Vec<OutRelation>,
-    /// Type of each element, keyed by its words ([`OutRelation::words`]).
-    index: HashMap<Vec<u64>, TypeId>,
+    /// The id of each element, found by its words.
+    index: TypeIndex,
     witness: Vec<Vec<InLabel>>,
     /// `letter_step[t][a]` = type of `witness(t) · a`.
     letter_step: Vec<Vec<TypeId>>,
     profile: LengthProfile,
+}
+
+/// An open-addressed hash table of type ids, keyed by the words
+/// ([`OutRelation::words`]) of the relations the element table already
+/// stores: each relation is stored once, and a probe compares words in
+/// place. Linear probing, at most half full. The hash is a fast unkeyed
+/// one: its keys are not chosen by a client but derived by closing the
+/// letter relations under the join, and their number is capped by the type
+/// budget.
+#[derive(Clone, Debug)]
+struct TypeIndex {
+    /// A type id, or [`TypeIndex::EMPTY`]; the length is a power of two.
+    slots: Vec<usize>,
+}
+
+impl TypeIndex {
+    const EMPTY: usize = usize::MAX;
+
+    fn new() -> Self {
+        TypeIndex {
+            slots: vec![Self::EMPTY; 16],
+        }
+    }
+
+    /// The home slot of a relation's words: FxHash over the words, whose
+    /// high bits pick the slot.
+    fn home(&self, words: &[u64]) -> usize {
+        let hash = words.iter().fold(0u64, |h, &w| {
+            (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+        });
+        (hash >> (64 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The id of the element with words `words`, or the empty slot where it
+    /// would go.
+    fn find(&self, words: &[u64], elements: &[OutRelation]) -> std::result::Result<TypeId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = self.home(words);
+        loop {
+            match self.slots[slot] {
+                Self::EMPTY => return Err(slot),
+                id if elements[id].words() == words => return Ok(TypeId(id)),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Records the last element of `elements` in `slot`, an empty slot that
+    /// [`Self::find`] returned for its words. Every element is in the table.
+    fn insert(&mut self, slot: usize, elements: &[OutRelation]) {
+        self.slots[slot] = elements.len() - 1;
+        if 2 * elements.len() > self.slots.len() {
+            self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
+            for (id, element) in elements.iter().enumerate() {
+                let slot = self
+                    .find(element.words(), elements)
+                    .expect_err("ids are distinct");
+                self.slots[slot] = id;
+            }
+        }
+    }
 }
 
 /// The elements found so far by [`TypeSemigroup::compute`].
@@ -114,30 +180,33 @@ struct Enumeration {
     dim: usize,
     budget: usize,
     elements: Vec<OutRelation>,
-    index: HashMap<Vec<u64>, TypeId>,
+    index: TypeIndex,
     witness: Vec<Vec<InLabel>>,
 }
 
 impl Enumeration {
     /// The type of the relation with words `words`, found by the word `w · a`
     /// with `w` the witness of `prefix` (or the empty word). A new type is
-    /// stored with that word as its witness; a known one costs one lookup.
+    /// stored with that word as its witness; a known one costs one probe.
     fn intern(&mut self, words: &[u64], prefix: Option<TypeId>, a: InLabel) -> Result<TypeId> {
-        if let Some(&id) = self.index.get(words) {
-            return Ok(id);
-        }
+        let slot = match self.index.find(words, &self.elements) {
+            Ok(id) => return Ok(id),
+            Err(slot) => slot,
+        };
         if self.elements.len() >= self.budget {
             return Err(SemigroupError::TooManyTypes {
                 budget: self.budget,
             });
         }
         let id = TypeId(self.elements.len());
-        let mut witness = prefix.map_or_else(Vec::new, |t| self.witness[t.index()].clone());
+        let prefix: &[InLabel] = prefix.map_or(&[], |t| &self.witness[t.index()]);
+        let mut witness = Vec::with_capacity(prefix.len() + 1);
+        witness.extend_from_slice(prefix);
         witness.push(a);
-        self.index.insert(words.to_vec(), id);
         self.elements
             .push(OutRelation::from_words(self.dim, words.to_vec()));
         self.witness.push(witness);
+        self.index.insert(slot, &self.elements);
         Ok(id)
     }
 }
@@ -171,7 +240,7 @@ impl TypeSemigroup {
             dim: system.dim(),
             budget,
             elements: Vec::new(),
-            index: HashMap::new(),
+            index: TypeIndex::new(),
             witness: Vec::new(),
         };
         let mut letter_types = Vec::with_capacity(system.num_letters());
@@ -188,10 +257,10 @@ impl TypeSemigroup {
         // the id range itself. One product `R(w)·E` per type, then one
         // column mask per letter (see the module documentation).
         let mut letter_step: Vec<Vec<TypeId>> = Vec::new();
-        let mut next = Vec::new();
+        let (mut then_edge, mut next) = (OutRelation::empty(0), Vec::new());
         while letter_step.len() < found.elements.len() {
             let t = TypeId(letter_step.len());
-            let then_edge = found.elements[t.index()].compose(system.edge_relation())?;
+            found.elements[t.index()].compose_into(system.edge_relation(), &mut then_edge)?;
             let mut steps = Vec::with_capacity(masks.len());
             for (a, mask) in letters.clone().zip(&masks) {
                 then_edge.mask_columns_into(mask, &mut next);
@@ -283,7 +352,10 @@ impl TypeSemigroup {
 
     /// Looks up the type of a relation, if it belongs to the semigroup.
     pub fn id_of(&self, relation: &OutRelation) -> Option<TypeId> {
-        self.index.get(relation.words()).copied()
+        if relation.dim() != self.system.dim() {
+            return None;
+        }
+        self.index.find(relation.words(), &self.elements).ok()
     }
 
     /// The type of a non-empty word.
@@ -516,6 +588,8 @@ mod tests {
         let mut problems: Vec<NormalizedLcl> = (2..=14).map(lcl_problems::coloring).collect();
         problems.extend((1..=16).map(lcl_problems::unconstrained));
         problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        // More than 14 patterns per classify, 27–129 types.
+        problems.extend((2..=8).map(lcl_problems::run));
         // A row of more than one word.
         problems.push(lcl_problems::coloring(70));
         problems.push(lcl_problems::unconstrained(70));
@@ -535,6 +609,52 @@ mod tests {
         assert!(types >= 10_000, "only {types} types compared");
         // Both stop at the same budget.
         assert_eq!(assert_matches_reference(&lcl_problems::coloring(3), 2), 0);
+    }
+
+    #[test]
+    fn intern_table_finds_each_type_and_nothing_else() {
+        let mut problems: Vec<NormalizedLcl> = (2..=8).map(lcl_problems::run).collect();
+        problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        problems.push(lcl_problems::coloring(70));
+        for problem in &problems {
+            let name = problem.name();
+            let sg = TypeSemigroup::compute(&TransferSystem::new(problem), 5_000).unwrap();
+            // The table starts at 16 slots and doubles past half full.
+            for t in sg.iter() {
+                assert_eq!(sg.id_of(sg.relation(t)), Some(t), "{name}");
+            }
+            // Relations outside the semigroup: every element with one bit
+            // flipped, and a few fixed ones; a linear scan decides each.
+            let n = sg.system().dim();
+            let mut probes = vec![
+                OutRelation::empty(n),
+                OutRelation::full(n),
+                OutRelation::identity(n),
+            ];
+            for t in sg.iter() {
+                let (i, j) = (t.index() % n, t.index() / n % n);
+                let mut flipped = sg.relation(t).clone();
+                flipped.set(i, j, !flipped.get(i, j));
+                probes.push(flipped);
+            }
+            for probe in &probes {
+                let scan = sg.iter().find(|&t| sg.relation(t) == probe);
+                assert_eq!(sg.id_of(probe), scan, "{name}");
+            }
+            // Another dimension is never a member, even with matching bits.
+            for other in [n + 1, n.saturating_sub(1), 2 * n] {
+                if other != n {
+                    assert_eq!(sg.id_of(&OutRelation::empty(other)), None, "{name}");
+                    assert_eq!(sg.id_of(&OutRelation::full(other)), None, "{name}");
+                }
+            }
+        }
+        let big = TypeSemigroup::compute(&TransferSystem::new(&lcl_problems::run(8)), 5_000);
+        assert_eq!(
+            big.unwrap().len(),
+            129,
+            "run(8) grows the table past 128 slots"
+        );
     }
 
     #[test]

@@ -72,6 +72,12 @@ impl TransferSystem {
         &self.problem
     }
 
+    /// The underlying problem, shared: holders of the system's results can
+    /// keep it without copying it.
+    pub fn shared_problem(&self) -> &Arc<NormalizedLcl> {
+        &self.problem
+    }
+
     /// `|Σ_out|`.
     pub fn dim(&self) -> usize {
         self.problem.num_outputs()

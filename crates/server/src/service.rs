@@ -458,6 +458,28 @@ fn canonical_classify_parts(line: &str) -> Option<(i64, &str)> {
     Some((id, rest.strip_prefix(MID)?.strip_suffix(TAIL)?))
 }
 
+/// Whether a frame names the `classify` kind: a `"kind"` key, a colon with
+/// optional JSON whitespace on either side, then the string `"classify"`
+/// (its closing quote keeps `classify_many` out). A cheap scan before the
+/// parse, which decides; a frame it misses never reaches the splice lane.
+fn names_classify(line: &str) -> bool {
+    const KEY: &str = "\"kind\"";
+    fn skip_space(text: &str) -> &str {
+        text.trim_start_matches([' ', '\t', '\n', '\r'])
+    }
+    // The compact spelling, which every canonical frame uses: `contains`
+    // is the fastest substring search `str` offers, and this scan runs on
+    // the reactor thread for every frame.
+    if line.contains("\"kind\":\"classify\"") {
+        return true;
+    }
+    line.match_indices(KEY).any(|(at, _)| {
+        skip_space(&line[at + KEY.len()..])
+            .strip_prefix(':')
+            .is_some_and(|value| skip_space(value).starts_with("\"classify\""))
+    })
+}
+
 impl Service {
     /// Wraps an engine for serving.
     pub fn new(engine: Engine) -> Self {
@@ -882,9 +904,8 @@ impl Service {
     /// On [`Splice::Hit`], the request is fully accounted (latency metrics,
     /// stage trace), with the write stage left for the connection writer.
     fn splice(&self, line: &str, started: Instant) -> Splice {
-        // Cheap scan before the parse: the lane only serves `classify`
-        // (the closing quote keeps `classify_many` out).
-        if !self.reply_splice() || !line.contains("\"kind\":\"classify\"") {
+        // Cheap scan before the parse: the lane only serves `classify`.
+        if !self.reply_splice() || !names_classify(line) {
             return Splice::Pass;
         }
         // The raw-text lane inside the fast lane: a canonical line whose
@@ -1387,6 +1408,47 @@ mod tests {
         let slow = dispatch(&service, classify_line(4)).wait();
         assert_eq!(slow, lock_step(&service, &classify_line(4)));
         assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
+    }
+
+    #[test]
+    fn spaced_kind_members_reach_the_splice_lane() {
+        for (line, classify) in [
+            (r#"{"kind":"classify"}"#, true),
+            (r#"{"kind": "classify"}"#, true),
+            ("{\"kind\" \t:\r\n \"classify\"}", true),
+            (r#"{"id":"kind","kind" : "classify"}"#, true),
+            (r#"{"kind":"classify_many"}"#, false),
+            (r#"{"kind": "classify_many"}"#, false),
+            (r#"{"kind": "health"}"#, false),
+            (r#"{"kind" "classify"}"#, false),
+            (r#"{"kinds": "classify"}"#, false),
+        ] {
+            assert_eq!(names_classify(line), classify, "{line}");
+        }
+
+        // Three canonical frames of one problem: a miss, then two spliced
+        // hits. Frames spelled with `": "` are hits the lane splices too,
+        // byte-identical to the lock-step path.
+        let service = Arc::new(service());
+        let cold = dispatch(&service, classify_line(1)).wait();
+        assert!(ResponseEnvelope::from_json_str(&cold).unwrap().is_ok());
+        for id in 2..=3 {
+            assert_eq!(
+                dispatch(&service, classify_line(id)).wait(),
+                lock_step(&service, &classify_line(id))
+            );
+        }
+        assert_eq!(service.metrics().spliced_frames(), 2);
+        for id in 4..=6 {
+            let spaced = classify_line(id).replace("\":", "\": ");
+            assert!(spaced.contains("\"kind\": \"classify\""), "{spaced}");
+            let mut pending = dispatch(&service, spaced.clone());
+            let Some(StreamFrame::Spliced(spliced)) = pending.try_frame() else {
+                panic!("{spaced}: not spliced on the calling thread");
+            };
+            assert_eq!(spliced.to_frame_string(), lock_step(&service, &spaced));
+        }
+        assert_eq!(service.metrics().spliced_frames(), 5);
     }
 
     /// A classify frame of 3-coloring with one spec field replaced.
