@@ -111,7 +111,8 @@ use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
 use lcl_semigroup::{OutRelation, TransferSystem, TypeId};
 use std::cmp::Reverse;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 
 /// The largest output alphabet the search accepts.
 const MAX_OUTPUTS: usize = 63;
@@ -154,14 +155,16 @@ pub struct FeasibleStructure {
 }
 
 /// Per element, the index of its value among the distinct values in order of
-/// first occurrence; and those values. The lists are short (types, facing
-/// sets, pattern types), so a scan finds each value.
-fn classes<T: PartialEq + Copy>(values: impl IntoIterator<Item = T>) -> (Vec<usize>, Vec<T>) {
+/// first occurrence; and those values. A hash map finds each value, so the
+/// cost is one hash per element however many values are distinct (there can
+/// be one connection relation per quantified type).
+fn classes<T: Eq + Hash + Copy>(values: impl IntoIterator<Item = T>) -> (Vec<usize>, Vec<T>) {
+    let mut index: HashMap<T, usize> = HashMap::new();
     let mut distinct: Vec<T> = Vec::new();
     let class = values
         .into_iter()
         .map(|v| {
-            distinct.iter().position(|&d| d == v).unwrap_or_else(|| {
+            *index.entry(v).or_insert_with(|| {
                 distinct.push(v);
                 distinct.len() - 1
             })

@@ -18,8 +18,6 @@ pub struct GapTypes {
     min_gap: usize,
     quantified: Vec<TypeId>,
     connections: Vec<OutRelation>,
-    /// `Eᵀ`: `(q, p)` for every allowed edge `(p, q)`.
-    edge_back: OutRelation,
 }
 
 impl GapTypes {
@@ -43,7 +41,6 @@ impl GapTypes {
             connections.push(system.connection(semigroup.relation(t))?);
         }
         Ok(GapTypes {
-            edge_back: system.edge_relation().transpose(),
             system,
             semigroup: Arc::new(semigroup),
             min_gap,
@@ -115,14 +112,11 @@ impl GapTypes {
     }
 
     /// Whether a cycle whose input word has type `t` admits a valid
-    /// labeling: the boolean trace of `R(t)·E` is nonzero, that is, some
-    /// `(p, q) ∈ R(t)` has `(q, p) ∈ E`, so `R(t)` meets `Eᵀ`.
+    /// labeling ([`TransferSystem::closes_cycle`]).
     pub(crate) fn cycle_labelable(&self, t: TypeId) -> bool {
-        let words = self.semigroup.relation(t).words();
-        words
-            .iter()
-            .zip(self.edge_back.words())
-            .any(|(r, e)| r & e != 0)
+        self.system
+            .closes_cycle(self.semigroup.relation(t))
+            .expect("the semigroup's relations have the system's dimension")
     }
 
     /// A word of length `≥ L_min` whose type is `t` (which must be a

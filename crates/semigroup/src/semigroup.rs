@@ -118,9 +118,11 @@ pub struct TypeSemigroup {
 /// ([`OutRelation::words`]) of the relations the element table already
 /// stores: each relation is stored once, and a probe compares words in
 /// place. Linear probing, at most half full. The hash is a fast unkeyed
-/// one: its keys are not chosen by a client but derived by closing the
-/// letter relations under the join, and their number is capped by the type
-/// budget.
+/// one, and its keys derive from the problem, which a server's client
+/// supplies. Colliding keys would make a probe cost up to one comparison per
+/// type, so a lookup is bounded by the type budget; and the keys are the
+/// closure of the letter relations under the join, which is hard to steer
+/// into collisions through the choice of a problem.
 #[derive(Clone, Debug)]
 struct TypeIndex {
     /// A type id, or [`TypeIndex::EMPTY`]; the length is a power of two.

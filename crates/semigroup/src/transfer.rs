@@ -43,6 +43,8 @@ pub struct TransferSystem {
     /// problem.
     problem: Arc<NormalizedLcl>,
     edge: OutRelation,
+    /// `Eᵀ`: `(q, p)` for every allowed edge `(p, q)`.
+    edge_back: OutRelation,
     letters: Vec<OutRelation>,
 }
 
@@ -62,6 +64,7 @@ impl TransferSystem {
             .collect();
         TransferSystem {
             problem: Arc::new(problem.clone()),
+            edge_back: edge.transpose(),
             edge,
             letters,
         }
@@ -181,8 +184,28 @@ impl TransferSystem {
     ///
     /// Same as [`Self::relation_of_word`].
     pub fn cycle_solvable(&self, word: &[InLabel]) -> Result<bool> {
-        let r = self.relation_of_word(word)?;
-        Ok(r.compose(&self.edge)?.has_nonzero_diagonal())
+        self.closes_cycle(&self.relation_of_word(word)?)
+    }
+
+    /// Whether a cycle whose input word has transfer relation `relation`
+    /// admits a valid labeling: the boolean trace of `R · E` is non-zero,
+    /// that is, some `(p, q) ∈ R` has `(q, p) ∈ E`, so `R` meets `Eᵀ`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on dimension mismatch.
+    pub fn closes_cycle(&self, relation: &OutRelation) -> Result<bool> {
+        if relation.dim() != self.edge_back.dim() {
+            return Err(SemigroupError::DimensionMismatch {
+                left: relation.dim(),
+                right: self.edge_back.dim(),
+            });
+        }
+        Ok(relation
+            .words()
+            .iter()
+            .zip(self.edge_back.words())
+            .any(|(r, e)| r & e != 0))
     }
 
     /// Whether an instance (path or cycle) admits a valid labeling.
@@ -400,6 +423,12 @@ mod tests {
         assert!(ts.instance_solvable(&even).unwrap());
         assert!(!ts.instance_solvable(&odd).unwrap());
         assert!(ts.instance_solvable(&Instance::cycle(vec![])).unwrap());
+        for len in 1..=8 {
+            let r = ts.relation_of_word(&vec![InLabel(0); len]).unwrap();
+            let trace = ts.cycle_relation(&r).unwrap().has_nonzero_diagonal();
+            assert_eq!(ts.closes_cycle(&r).unwrap(), trace, "length {len}");
+        }
+        assert!(ts.closes_cycle(&OutRelation::empty(3)).is_err());
     }
 
     #[test]

@@ -467,12 +467,6 @@ fn names_classify(line: &str) -> bool {
     fn skip_space(text: &str) -> &str {
         text.trim_start_matches([' ', '\t', '\n', '\r'])
     }
-    // The compact spelling, which every canonical frame uses: `contains`
-    // is the fastest substring search `str` offers, and this scan runs on
-    // the reactor thread for every frame.
-    if line.contains("\"kind\":\"classify\"") {
-        return true;
-    }
     line.match_indices(KEY).any(|(at, _)| {
         skip_space(&line[at + KEY.len()..])
             .strip_prefix(':')
