@@ -10,7 +10,6 @@
 
 use lcl_local_sim::{BallView, LocalAlgorithm};
 use lcl_problem::{InLabel, Instance, Labeling, NormalizedLcl, OutLabel};
-use std::sync::Arc;
 
 /// A deterministic canonical solution of an instance: the one found by the
 /// dynamic program of [`NormalizedLcl::solve_brute_force`], which is a pure
@@ -30,19 +29,16 @@ pub fn canonical_solution(problem: &NormalizedLcl, instance: &Instance) -> Optio
 /// the node outputs label `0`; verification will flag it.
 #[derive(Clone, Debug)]
 pub struct GatherAndSolve {
-    problem: Arc<NormalizedLcl>,
+    problem: NormalizedLcl,
 }
 
 impl GatherAndSolve {
-    /// Creates the trivial algorithm for a problem.
+    /// Creates the trivial algorithm for a problem (sharing it: cloning a
+    /// problem copies nothing).
     pub fn new(problem: &NormalizedLcl) -> Self {
-        Self::shared(Arc::new(problem.clone()))
-    }
-
-    /// Creates the trivial algorithm for a shared problem, without copying
-    /// it.
-    pub fn shared(problem: Arc<NormalizedLcl>) -> Self {
-        GatherAndSolve { problem }
+        GatherAndSolve {
+            problem: problem.clone(),
+        }
     }
 
     /// The problem this instance of the algorithm solves.

@@ -1,13 +1,12 @@
 //! The top-level decision procedure: Theorem 8 + Theorem 9 combined.
 
-use crate::feasibility::{facing_structure, pattern_labelings, FeasibleStructure};
+use crate::feasibility::{facing_structure, pattern_labelings, FeasibleStructure, Patterns};
 use crate::synthesis::{ConstantAlgorithm, LogStarAlgorithm, SynthesizedAlgorithm};
 use crate::types_info::GapTypes;
 use crate::verdict::{Classification, Complexity};
 use crate::Result;
 use lcl_algorithms::GatherAndSolve;
 use lcl_problem::{InLabel, Instance, NormalizedLcl};
-use std::sync::Arc;
 
 /// Tunable limits of the decision procedure. The defaults are ample for every
 /// problem in the repository's corpus; the budgets exist so that a
@@ -39,29 +38,33 @@ impl Default for ClassifierOptions {
 /// first and in lexicographic order within a length.
 ///
 /// These are the Lyndon words. The Fredricksen–Kessler–Maiorana algorithm
-/// generates them in lexicographic order without visiting any other word:
-/// repeat the current word up to `max_len`, drop trailing largest letters,
-/// increment the last letter.
-pub(crate) fn canonical_patterns(alpha: usize, max_len: usize) -> Vec<Vec<InLabel>> {
-    let mut out: Vec<Vec<InLabel>> = Vec::new();
+/// generates the Lyndon words of length at most `n` in lexicographic order
+/// without visiting any other word: repeat the current word up to `n`, drop
+/// trailing largest letters, increment the last letter. One pass per length
+/// `n` keeps the words of length exactly `n`.
+pub(crate) fn canonical_patterns(alpha: usize, max_len: usize) -> Patterns {
+    let mut out = Patterns::default();
     let mut word: Vec<usize> = Vec::with_capacity(max_len);
-    if alpha > 0 && max_len > 0 {
-        word.push(0);
+    for n in 1..=max_len {
+        if alpha > 0 {
+            word.push(0);
+        }
+        while !word.is_empty() {
+            if word.len() == n {
+                out.push(word.iter().map(|&a| InLabel::from_index(a)));
+            }
+            let period = word.len();
+            while word.len() < n {
+                word.push(word[word.len() - period]);
+            }
+            while word.last() == Some(&(alpha - 1)) {
+                word.pop();
+            }
+            if let Some(last) = word.last_mut() {
+                *last += 1;
+            }
+        }
     }
-    while !word.is_empty() {
-        out.push(word.iter().map(|&a| InLabel::from_index(a)).collect());
-        let period = word.len();
-        while word.len() < max_len {
-            word.push(word[word.len() - period]);
-        }
-        while word.last() == Some(&(alpha - 1)) {
-            word.pop();
-        }
-        if let Some(last) = word.last_mut() {
-            *last += 1;
-        }
-    }
-    out.sort_by_key(Vec::len);
     out
 }
 
@@ -148,10 +151,7 @@ impl Answer {
     /// the type count and pumping threshold come from `info`. Classification
     /// and snapshot restore both end here.
     pub(crate) fn into_classification(self, info: &GapTypes, kappa: usize) -> Classification {
-        let gather = || {
-            let problem = Arc::clone(info.system().shared_problem());
-            SynthesizedAlgorithm::GatherAll(GatherAndSolve::shared(problem))
-        };
+        let gather = || SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(info.problem()));
         let (complexity, witness, synthesized) = match self {
             Answer::Unsolvable(word) => (
                 Complexity::Unsolvable,
@@ -373,10 +373,10 @@ mod tests {
         let ps = canonical_patterns(2, 3);
         // [0], [1], [01], [001], [011] — canonical rotations only.
         assert_eq!(ps.len(), 5);
-        for w in &ps {
+        for w in ps.iter() {
             for s in 1..w.len() {
                 let rot: Vec<InLabel> = (0..w.len()).map(|i| w[(i + s) % w.len()]).collect();
-                assert!(rot >= *w);
+                assert!(rot[..] >= *w);
             }
         }
     }
@@ -414,7 +414,7 @@ mod tests {
             for max_len in 0..=7 {
                 assert_eq!(
                     canonical_patterns(alpha, max_len),
-                    filtered(alpha, max_len),
+                    Patterns::from_words(&filtered(alpha, max_len)),
                     "alpha {alpha}, length ≤ {max_len}"
                 );
             }

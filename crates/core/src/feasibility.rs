@@ -63,11 +63,16 @@
 //! With `join(a, b) = a·E·b` and `connection(r) = E·r·E`, a left padding
 //! `L`, a middle `M` and a right padding `R` give
 //! `C(L∘M∘R) = C(L)·M·C(R)` and, with no middle, `C(L∘R) = (E·L)·C(R)`.
-//! The stable paddings' relations are the cycle that `R(w), R(w²), …`
-//! enters, read off the sequence itself; `C(L)` is computed once per padding
-//! of each class. The empty middle adds no check: the padding after `L` in
-//! the cycle is `L' = L·E·R(w)`, so `E·L' = C(L)·R(w)`, a product with the
-//! middle `R(w)`.
+//! The stable paddings are the cycle that `R(w), R(w²), …` enters. They are
+//! read off the type automaton rather than multiplied out: `R(wᵏ⁺¹)` is the
+//! type that appending the class's witness to `R(wᵏ)` one letter at a time
+//! (`step`) reaches, so the cycle of `t ↦ step*(t, witness)` is found over
+//! `TypeId`s. A stable padding is realized by arbitrarily long words, so it
+//! is a quantified type, and its `C(L)` is the connection [`GapTypes`]
+//! already stores, found through its type → position index: setting the
+//! bridging up multiplies no matrices. The empty middle adds no check: the
+//! padding after `L` in the cycle is `L' = L·E·R(w)`, so
+//! `E·L' = C(L)·R(w)`, a product with the middle `R(w)`.
 //!
 //! Two labeled periodic regions, of patterns `w_i` and `w_j`, bridge iff
 //! entry `(last, first)` of every such product holds, where `last` ends the
@@ -86,7 +91,17 @@
 //! `(first, last)` pair an earlier one of the same pattern had is dropped,
 //! as the search would reject it for the same reasons. The tests keep the
 //! per-word bridging this replaced (the full `β × β` product per ordered
-//! pattern pair) as an oracle.
+//! pattern pair) and the padding products as oracles.
+//!
+//! Candidates are pulled, not listed. Each pattern's depth-first walk over
+//! its periodic labelings is resumable: the path and the labels left to try
+//! at each depth sit in one flat buffer at the pattern's letter offsets. The
+//! search pulls a pattern's next candidate only once it has rejected every
+//! earlier one, and keeps what it pulled, so going over a pattern's
+//! candidates again after backtracking walks nothing twice. The walk meets
+//! the same labelings in the same order as the eager enumeration it
+//! replaced, up to the same cap of 4,096 valid labelings per pattern, and
+//! the tests keep that enumeration as its oracle.
 //!
 //! # Blocks are bitmask checks
 //!
@@ -109,7 +124,7 @@
 use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
-use lcl_semigroup::{OutRelation, TransferSystem, TypeId};
+use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -267,21 +282,11 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// A boolean `β × β` matrix as one row mask per label.
-type Rows = Vec<u64>;
-
 /// The rows of a relation on at most [`MAX_OUTPUTS`] labels: its words, one
 /// per row.
 fn rows_of(relation: &OutRelation) -> &[u64] {
     debug_assert!(relation.dim() <= MAX_OUTPUTS, "one word per row");
     relation.words()
-}
-
-/// Boolean matrix product `a · b`.
-fn product(a: &[u64], b: &[u64]) -> Rows {
-    a.iter()
-        .map(|&row| bits(row).fold(0, |out, k| out | b[k]))
-        .collect()
 }
 
 /// The domain of one connection relation: its formal concepts `(A, B)` with
@@ -377,109 +382,290 @@ impl BlockMasks {
     }
 }
 
-/// The candidate periodic labelings of a pattern: labelings `y` with
-/// `node_ok(w_i, y_i)`, `edge_ok(y_i, y_{i+1})` and `edge_ok(y_last, y_0)`,
-/// enumerated depth first with the largest label tried first (descending
-/// lexicographic order) and cut after the first `cap`. Of those, only the
-/// first with each `(first, last)` pair is kept, as bridging depends on
-/// nothing else.
-fn periodic_candidates(masks: &BlockMasks, pattern: &[InLabel], cap: usize) -> Vec<Vec<OutLabel>> {
-    struct Walk<'a> {
-        masks: &'a BlockMasks,
-        pattern: &'a [InLabel],
-        cap: usize,
-        /// Valid labelings met so far, kept or not.
-        found: usize,
-        path: Vec<usize>,
-        /// `ends[first]`: the last labels kept with that first label.
-        ends: Vec<u64>,
-        out: Vec<Vec<OutLabel>>,
-    }
-
-    impl Walk<'_> {
-        /// Extends the path by every label in `allowed` that fits the next
-        /// node, largest first.
-        fn extend(&mut self, allowed: u64) {
-            let i = self.path.len();
-            let mut labels = allowed & self.masks.nodes[self.pattern[i].index()];
-            while labels != 0 && self.found < self.cap {
-                let o = 63 - labels.leading_zeros() as usize;
-                labels &= !(1 << o);
-                self.path.push(o);
-                if i + 1 < self.pattern.len() {
-                    self.extend(self.masks.edges[o]);
-                } else if self.masks.edges[o] >> self.path[0] & 1 == 1 {
-                    self.found += 1;
-                    let ends = &mut self.ends[self.path[0]];
-                    if *ends >> o & 1 == 0 {
-                        *ends |= 1 << o;
-                        self.out
-                            .push(self.path.iter().map(|&l| OutLabel::from_index(l)).collect());
-                    }
-                }
-                self.path.pop();
-            }
-        }
-    }
-
-    let mut walk = Walk {
-        masks,
-        pattern,
-        cap,
-        found: 0,
-        path: Vec::with_capacity(pattern.len()),
-        ends: vec![0; masks.edges.len()],
-        out: Vec::new(),
-    };
-    walk.extend(u64::MAX);
-    walk.out
+/// Where item `i` of a buffer of items end to end lies, given where each
+/// item ends.
+fn span(ends: &[usize], i: usize) -> std::ops::Range<usize> {
+    i.checked_sub(1).map_or(0, |p| ends[p])..ends[i]
 }
 
-/// The relations of the stable paddings of a pattern with relation
-/// `R(w)`. The `G_{w1,w2,S}` check covers the paddings `w^e` over one full
-/// period of the eventual periodicity of `R(w^k)`, starting high enough that
-/// the padding is at least `L_min` nodes long (the synthesized algorithm
-/// always leaves at least that much of the periodic fringe unlabeled). Any
-/// full period past the preperiod has the same relations: the cycle that
-/// `R(w), R(w²), …` (under `join`) enters, which is read off directly: the
-/// sequence is short, so finding the first repeat is a scan.
-fn stable_paddings(edge: &[u64], base: &[u64]) -> Vec<Rows> {
-    let mut sequence: Vec<Rows> = Vec::new();
-    let mut current = base.to_vec();
-    loop {
-        if let Some(start) = sequence.iter().position(|r| *r == current) {
-            return sequence.split_off(start);
+/// Primitive input patterns end to end, one end offset per pattern.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub(crate) struct Patterns {
+    letters: Vec<InLabel>,
+    /// `ends[i]`: where pattern `i` ends in `letters`.
+    ends: Vec<usize>,
+}
+
+impl Patterns {
+    /// The patterns of a list of words, in its order.
+    pub(crate) fn from_words(words: &[Vec<InLabel>]) -> Self {
+        let mut patterns = Patterns::default();
+        for word in words {
+            patterns.push(word.iter().copied());
         }
-        let next = product(&product(&current, edge), base);
-        sequence.push(std::mem::replace(&mut current, next));
+        patterns
     }
+
+    /// Appends a pattern.
+    pub(crate) fn push(&mut self, word: impl IntoIterator<Item = InLabel>) {
+        self.letters.extend(word);
+        self.ends.push(self.letters.len());
+    }
+
+    /// The number of patterns.
+    pub(crate) fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// Whether there are no patterns.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// Where pattern `i` starts in `letters`.
+    fn start(&self, i: usize) -> usize {
+        span(&self.ends, i).start
+    }
+
+    /// Pattern `i`.
+    pub(crate) fn get(&self, i: usize) -> &[InLabel] {
+        &self.letters[span(&self.ends, i)]
+    }
+
+    /// The patterns, in order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &[InLabel]> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+/// The most valid labelings of one pattern the candidate walk visits.
+const CANDIDATE_CAP: usize = 4096;
+
+/// The candidate periodic labelings of every pattern, pulled one at a time.
+///
+/// A pattern's candidates are the labelings `y` with `node_ok(w_i, y_i)`,
+/// `edge_ok(y_i, y_{i+1})` and `edge_ok(y_last, y_0)`, met by a depth-first
+/// walk that tries the largest label first (descending lexicographic order)
+/// and stops after `cap` valid labelings. Of those, only the first with each
+/// `(first, last)` pair is a candidate, as bridging depends on nothing else.
+/// Each pattern's walk is resumable: its path, and the labels left to try at
+/// each depth, sit in one flat buffer at the pattern's letter offsets, and a
+/// pull runs the walk to the next candidate. Pulled candidates are kept, in
+/// pull order, in a list per pattern threaded through one buffer, so the
+/// search can go over them again after it backtracks.
+struct Candidates<'a> {
+    masks: BlockMasks,
+    patterns: &'a Patterns,
+    cap: usize,
+    /// Per pattern, its walk.
+    walks: Vec<Walk>,
+    /// At each pattern's letter offsets, per depth: the label on the walk's
+    /// path and the labels left to try.
+    steps: Vec<(usize, u64)>,
+    /// `ends[pattern · β + first]`: the last labels of the pattern's
+    /// candidates that start with `first`.
+    ends: Vec<u64>,
+    /// The pulled candidates, all patterns interleaved.
+    pulled: Vec<Pulled>,
+    /// The pulled candidates' labelings, end to end.
+    labels: Vec<OutLabel>,
+}
+
+/// The state of one pattern's candidate walk.
+#[derive(Copy, Clone)]
+struct Walk {
+    /// The depth the walk chooses a label for next.
+    depth: usize,
+    /// The valid labelings met, kept or not.
+    found: usize,
+    /// The first and the last pulled candidate, or [`NONE`].
+    head: usize,
+    tail: usize,
+}
+
+/// No candidate.
+const NONE: usize = usize::MAX;
+
+/// One pulled candidate labeling.
+struct Pulled {
+    first: OutLabel,
+    last: OutLabel,
+    /// Where its labels start in [`Candidates::labels`].
+    at: usize,
+    /// The pattern's next pulled candidate, or [`NONE`].
+    next: usize,
+}
+
+impl<'a> Candidates<'a> {
+    fn new(masks: BlockMasks, patterns: &'a Patterns, cap: usize) -> Self {
+        let (n, beta) = (patterns.len(), masks.edges.len());
+        let mut steps = vec![(0, 0); patterns.letters.len()];
+        for i in 0..n {
+            let start = patterns.start(i);
+            steps[start].1 = masks.nodes[patterns.letters[start].index()];
+        }
+        let walk = Walk {
+            depth: 0,
+            found: 0,
+            head: NONE,
+            tail: NONE,
+        };
+        Candidates {
+            walks: vec![walk; n],
+            steps,
+            ends: vec![0; n * beta],
+            pulled: Vec::new(),
+            labels: Vec::new(),
+            masks,
+            patterns,
+            cap,
+        }
+    }
+
+    /// The candidate of `pattern` after `after` (its first for `None`),
+    /// pulled from the pattern's walk if it has not been yet; `None` once the
+    /// walk is done.
+    fn next(&mut self, pattern: usize, after: Option<usize>) -> Option<usize> {
+        let next = after.map_or(self.walks[pattern].head, |c| self.pulled[c].next);
+        if next != NONE {
+            return Some(next);
+        }
+        debug_assert_eq!(
+            after.unwrap_or(NONE),
+            self.walks[pattern].tail,
+            "pulls append"
+        );
+        self.pull(pattern)
+    }
+
+    /// Runs the walk of `pattern` to its next candidate and appends that to
+    /// the pattern's list.
+    fn pull(&mut self, pattern: usize) -> Option<usize> {
+        let word = self.patterns.get(pattern);
+        let steps = &mut self.steps[self.patterns.start(pattern)..];
+        let walk = &mut self.walks[pattern];
+        let masks = &self.masks;
+        while walk.found < self.cap {
+            let i = walk.depth;
+            if steps[i].1 == 0 {
+                if i == 0 {
+                    return None;
+                }
+                walk.depth -= 1;
+                continue;
+            }
+            let label = 63 - steps[i].1.leading_zeros() as usize;
+            steps[i] = (label, steps[i].1 & !(1 << label));
+            if i + 1 < word.len() {
+                steps[i + 1].1 = masks.edges[label] & masks.nodes[word[i + 1].index()];
+                walk.depth += 1;
+            } else if masks.edges[label] >> steps[0].0 & 1 == 1 {
+                walk.found += 1;
+                let ends = &mut self.ends[pattern * masks.edges.len() + steps[0].0];
+                if *ends >> label & 1 == 0 {
+                    *ends |= 1 << label;
+                    return Some(self.keep(pattern));
+                }
+            }
+        }
+        None
+    }
+
+    /// Appends the walk's current path to the pulled candidates of
+    /// `pattern`.
+    fn keep(&mut self, pattern: usize) -> usize {
+        let path = &self.steps[span(&self.patterns.ends, pattern)];
+        let id = self.pulled.len();
+        self.pulled.push(Pulled {
+            first: OutLabel::from_index(path[0].0),
+            last: OutLabel::from_index(path[path.len() - 1].0),
+            at: self.labels.len(),
+            next: NONE,
+        });
+        self.labels
+            .extend(path.iter().map(|&(l, _)| OutLabel::from_index(l)));
+        let walk = &mut self.walks[pattern];
+        match walk.tail {
+            NONE => walk.head = id,
+            tail => self.pulled[tail].next = id,
+        }
+        walk.tail = id;
+        id
+    }
+
+    /// The first and last label of a candidate.
+    fn ends(&self, c: usize) -> (OutLabel, OutLabel) {
+        (self.pulled[c].first, self.pulled[c].last)
+    }
+
+    /// The labeling of a candidate of `pattern`.
+    fn labeling(&self, pattern: usize, c: usize) -> &[OutLabel] {
+        let at = self.pulled[c].at;
+        &self.labels[at..at + self.patterns.get(pattern).len()]
+    }
+}
+
+/// The stable paddings of a pattern class of type `t`. The `G_{w1,w2,S}`
+/// check covers the paddings `w^e` over one full period of the eventual
+/// periodicity of `R(w^k)`, starting high enough that the padding is at
+/// least `L_min` nodes long (the synthesized algorithm always leaves at least
+/// that much of the periodic fringe unlabeled). Any full period past the
+/// preperiod has the same types: the cycle that `t, t∘t, (t∘t)∘t, …` enters,
+/// where each step appends the witness of `t` through the type automaton
+/// (see the module documentation). They are appended to `out` in sequence
+/// order. `seen[s]` records the call (`stamp`, which must differ from every
+/// earlier call's and from 0) and the position in the sequence at which type
+/// `s` was met, so the cycle's start is found with one look-up.
+fn padding_types(
+    semigroup: &TypeSemigroup,
+    t: TypeId,
+    stamp: usize,
+    seen: &mut [(usize, usize)],
+    out: &mut Vec<TypeId>,
+) {
+    let word = semigroup.witness(t);
+    let start = out.len();
+    let mut s = t;
+    while seen[s.index()].0 != stamp {
+        seen[s.index()] = (stamp, out.len() - start);
+        out.push(s);
+        s = word.iter().fold(s, |s, &a| semigroup.step(s, a));
+    }
+    out.drain(start..start + seen[s.index()].1);
 }
 
 /// The `⊆`-minimal elements of a list of relations, without repeats: a
 /// product with a larger relation constrains nothing a smaller one does not.
+/// Kept in place, in order of size.
 fn minimal<R: AsRef<[u64]>>(mut relations: Vec<R>) -> Vec<R> {
-    relations.sort_by_cached_key(|r| r.as_ref().iter().map(|row| row.count_ones()).sum::<u32>());
-    let mut kept: Vec<R> = Vec::new();
-    for r in relations {
-        let below = |k: &R| k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0);
-        if !kept.iter().any(below) {
-            kept.push(r);
-        }
-    }
-    kept
+    let size = |r: &R| r.as_ref().iter().map(|row| row.count_ones()).sum::<u32>();
+    relations.sort_by_key(size);
+    keep_minimal(&mut relations, |k: &R, r: &R| {
+        k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0)
+    });
+    relations
 }
 
 /// The `⊆`-minimal masks of a list, without repeats: a row (or column) that
-/// contains another meets every set the smaller one meets.
+/// contains another meets every set the smaller one meets. Kept in place, in
+/// order of size.
 fn minimal_masks(mut masks: Vec<u64>) -> Vec<u64> {
     masks.sort_unstable_by_key(|m| m.count_ones());
-    let mut kept: Vec<u64> = Vec::with_capacity(masks.len());
-    for m in masks {
-        if !kept.iter().any(|&k| k & !m == 0) {
-            kept.push(m);
+    keep_minimal(&mut masks, |&k, &m| k & !m == 0);
+    masks
+}
+
+/// Keeps, in order, each item of a list sorted by size that no item kept
+/// before it lies `below`.
+fn keep_minimal<T>(items: &mut Vec<T>, below: impl Fn(&T, &T) -> bool) {
+    let mut kept = 0;
+    for i in 0..items.len() {
+        if !items[..kept].iter().any(|k| below(k, &items[i])) {
+            items.swap(kept, i);
+            kept += 1;
         }
     }
-    kept
+    items.truncate(kept);
 }
 
 /// The patterns grouped by type: a pattern enters the `O(1)` conditions
@@ -492,7 +678,7 @@ struct PatternClasses {
 }
 
 impl PatternClasses {
-    fn new(info: &GapTypes, patterns: &[Vec<InLabel>]) -> Result<Self> {
+    fn new(info: &GapTypes, patterns: &Patterns) -> Result<Self> {
         let types: Vec<TypeId> = patterns
             .iter()
             .map(|pattern| info.semigroup().type_of_word(pattern))
@@ -510,19 +696,15 @@ impl PatternClasses {
     /// One periodic labeling per pattern such that every ordered pair of
     /// labeled regions bridges, or `None`; settled without enumerating any
     /// labeling if some pattern has none.
-    fn labelings(self, info: &GapTypes, patterns: &[Vec<InLabel>]) -> Option<Vec<PatternLabeling>> {
+    fn labelings(self, info: &GapTypes, patterns: &Patterns) -> Option<Vec<PatternLabeling>> {
         if !self.all_labelable(info) {
             return None;
         }
         if patterns.is_empty() {
             return Some(Vec::new());
         }
-        let masks = BlockMasks::new(info.system());
-        let candidates: Vec<Vec<Vec<OutLabel>>> = patterns
-            .iter()
-            .map(|pattern| periodic_candidates(&masks, pattern, 4096))
-            .collect();
-        choose_pattern_labelings(info, patterns, self, &candidates)
+        let candidates = Candidates::new(BlockMasks::new(info.system()), patterns, CANDIDATE_CAP);
+        choose_pattern_labelings(info, patterns, self, candidates)
     }
 }
 
@@ -542,8 +724,11 @@ struct Bridges<'a> {
     middles: Vec<&'a [u64]>,
     /// Per pattern, its class.
     class_of: Vec<usize>,
-    /// Per class, `C(L)` for each stable padding `L`.
-    paddings: Vec<Vec<Rows>>,
+    /// `C(L)` for each stable padding `L`, class after class: the
+    /// connections [`GapTypes`] stores.
+    paddings: Vec<&'a [u64]>,
+    /// `padding_ends[class]`: where the class's paddings end in `paddings`.
+    padding_ends: Vec<usize>,
     /// `rows[class · β + last]`: the minimal rows at `last` of `C(L)·M`
     /// over the class's paddings `L` and the middles `M`.
     rows: Vec<Option<Vec<u64>>>,
@@ -558,15 +743,19 @@ struct Bridges<'a> {
 impl<'a> Bridges<'a> {
     fn new(info: &'a GapTypes, classes: PatternClasses) -> Self {
         let semigroup = info.semigroup();
-        let edge = rows_of(info.system().edge_relation());
         let PatternClasses { class_of, types } = classes;
-        let paddings: Vec<Vec<Rows>> = types
+        let mut seen = vec![(0, 0); semigroup.len()];
+        let mut padding_ids = Vec::new();
+        let mut padding_ends = Vec::with_capacity(types.len());
+        for (class, &t) in types.iter().enumerate() {
+            padding_types(semigroup, t, class + 1, &mut seen, &mut padding_ids);
+            padding_ends.push(padding_ids.len());
+        }
+        let paddings = padding_ids
             .iter()
-            .map(|&t| {
-                stable_paddings(edge, rows_of(semigroup.relation(t)))
-                    .iter()
-                    .map(|padding| product(&product(edge, padding), edge))
-                    .collect()
+            .map(|&padding| {
+                let position = info.position(padding);
+                rows_of(info.connection(position.expect("stable paddings are quantified")))
             })
             .collect();
         let middles = minimal(
@@ -575,12 +764,13 @@ impl<'a> Bridges<'a> {
                 .map(|t| rows_of(semigroup.relation(t)))
                 .collect(),
         );
-        let (beta, classes) = (edge.len(), types.len());
+        let (beta, classes) = (info.problem().num_outputs(), types.len());
         Bridges {
             beta,
             middles,
             class_of,
             paddings,
+            padding_ends,
             rows: vec![None; classes * beta],
             columns: vec![None; classes * beta],
             answers: vec![None; classes * classes],
@@ -593,15 +783,17 @@ impl<'a> Bridges<'a> {
         let (ci, cj) = (self.class_of[i], self.class_of[j]);
         let (last, first, beta) = (last.index(), first.index(), self.beta);
         let bit = 1u64 << first;
-        let memo =
-            self.answers[ci * self.paddings.len() + cj].get_or_insert_with(|| vec![(0, 0); beta]);
+        let classes = self.padding_ends.len();
+        let memo = self.answers[ci * classes + cj].get_or_insert_with(|| vec![(0, 0); beta]);
         let (known, yes) = &mut memo[last];
         if *known & bit == 0 {
-            let rows = self.rows[ci * beta + last]
-                .get_or_insert_with(|| left_rows(&self.paddings[ci], &self.middles, last));
-            let columns = self.columns[cj * beta + first]
-                .get_or_insert_with(|| right_columns(&self.paddings[cj], first));
             *known |= bit;
+            let left = &self.paddings[span(&self.padding_ends, ci)];
+            let right = &self.paddings[span(&self.padding_ends, cj)];
+            let rows = self.rows[ci * beta + last]
+                .get_or_insert_with(|| left_rows(left, &self.middles, last));
+            let columns =
+                self.columns[cj * beta + first].get_or_insert_with(|| right_columns(right, first));
             if rows
                 .iter()
                 .all(|&row| columns.iter().all(|&col| row & col != 0))
@@ -616,7 +808,7 @@ impl<'a> Bridges<'a> {
 /// The minimal rows at `last` of `C(L)·M` over the paddings `L` and the
 /// middles `M`. A row of `C(L)·M` is the union of the middle's rows that
 /// `C(L)`'s row picks, so only the minimal `C(L)` rows are multiplied out.
-fn left_rows(paddings: &[Rows], middles: &[&[u64]], last: usize) -> Vec<u64> {
+fn left_rows(paddings: &[&[u64]], middles: &[&[u64]], last: usize) -> Vec<u64> {
     let conns = minimal_masks(paddings.iter().map(|conn| conn[last]).collect());
     let mut rows: Vec<u64> = Vec::with_capacity(conns.len() * middles.len());
     for &row in &conns {
@@ -631,8 +823,8 @@ fn left_rows(paddings: &[Rows], middles: &[&[u64]], last: usize) -> Vec<u64> {
 
 /// The minimal columns at `first` of `C(R)` over the paddings `R`, as masks
 /// over rows.
-fn right_columns(paddings: &[Rows], first: usize) -> Vec<u64> {
-    let column = |conn: &Rows| {
+fn right_columns(paddings: &[&[u64]], first: usize) -> Vec<u64> {
+    let column = |conn: &&[u64]| {
         conn.iter()
             .enumerate()
             .filter(|&(_, row)| row >> first & 1 == 1)
@@ -643,37 +835,35 @@ fn right_columns(paddings: &[Rows], first: usize) -> Vec<u64> {
 
 /// Backtracking choice of one periodic labeling per pattern such that every
 /// ordered pair of labeled periodic regions bridges across every possible
-/// middle.
+/// middle. Candidates are pulled from their walks only when the search
+/// reaches them.
 fn choose_pattern_labelings(
     info: &GapTypes,
-    patterns: &[Vec<InLabel>],
+    patterns: &Patterns,
     classes: PatternClasses,
-    candidates: &[Vec<Vec<OutLabel>>],
+    mut candidates: Candidates,
 ) -> Option<Vec<PatternLabeling>> {
     let mut bridges = Bridges::new(info, classes);
 
-    /// The first and last label of a labeling.
-    fn ends(labeling: &[OutLabel]) -> (OutLabel, OutLabel) {
-        (labeling[0], labeling[labeling.len() - 1])
-    }
-
-    fn solve<'a>(
+    fn solve(
         idx: usize,
-        candidates: &'a [Vec<Vec<OutLabel>>],
-        chosen: &mut Vec<&'a [OutLabel]>,
+        candidates: &mut Candidates,
+        chosen: &mut Vec<usize>,
         bridges: &mut Bridges,
     ) -> bool {
-        if idx == candidates.len() {
+        if idx == candidates.patterns.len() {
             return true;
         }
-        'cands: for cand in &candidates[idx] {
-            let (first, last) = ends(cand);
+        let mut cursor = None;
+        'cands: while let Some(cand) = candidates.next(idx, cursor) {
+            cursor = Some(cand);
+            let (first, last) = candidates.ends(cand);
             // Check against itself and all previously chosen labelings.
             if !bridges.bridges(idx, last, idx, first) {
                 continue;
             }
-            for (j, prev) in chosen.iter().enumerate() {
-                let (prev_first, prev_last) = ends(prev);
+            for (j, &prev) in chosen.iter().enumerate() {
+                let (prev_first, prev_last) = candidates.ends(prev);
                 if !bridges.bridges(idx, last, j, prev_first)
                     || !bridges.bridges(j, prev_last, idx, first)
                 {
@@ -690,16 +880,16 @@ fn choose_pattern_labelings(
     }
 
     let mut chosen = Vec::with_capacity(patterns.len());
-    if !solve(0, candidates, &mut chosen, &mut bridges) {
+    if !solve(0, &mut candidates, &mut chosen, &mut bridges) {
         return None;
     }
     Some(
-        patterns
-            .iter()
-            .zip(chosen)
-            .map(|(pattern, labeling)| PatternLabeling {
-                pattern: pattern.clone(),
-                labeling: labeling.to_vec(),
+        chosen
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| PatternLabeling {
+                pattern: patterns.get(i).to_vec(),
+                labeling: candidates.labeling(i, c).to_vec(),
             })
             .collect(),
     )
@@ -727,14 +917,15 @@ pub fn find_feasible(
     check_outputs(info.problem())?;
     // A pattern without periodic labelings decides the search before it
     // runs, so it cannot exceed the budget.
-    let classes = PatternClasses::new(info, patterns)?;
+    let patterns = Patterns::from_words(patterns);
+    let classes = PatternClasses::new(info, &patterns)?;
     if !classes.all_labelable(info) {
         return Ok(None);
     }
     let Some(mut structure) = facing_structure(info, budget)? else {
         return Ok(None);
     };
-    Ok(classes.labelings(info, patterns).map(|chosen| {
+    Ok(classes.labelings(info, &patterns).map(|chosen| {
         structure.patterns = chosen;
         structure
     }))
@@ -759,7 +950,7 @@ fn check_outputs(problem: &NormalizedLcl) -> Result<()> {
 /// Propagates semigroup errors (a pattern over an unknown input label).
 pub(crate) fn pattern_labelings(
     info: &GapTypes,
-    patterns: &[Vec<InLabel>],
+    patterns: &Patterns,
 ) -> Result<Option<Vec<PatternLabeling>>> {
     Ok(PatternClasses::new(info, patterns)?.labelings(info, patterns))
 }
@@ -900,6 +1091,92 @@ mod tests {
     use lcl_problem::NormalizedLcl;
     use lcl_semigroup::primitive_strings_up_to;
 
+    /// A boolean `β × β` matrix as one row mask per label.
+    type Rows = Vec<u64>;
+
+    /// Boolean matrix product `a · b`.
+    fn product(a: &[u64], b: &[u64]) -> Rows {
+        a.iter()
+            .map(|&row| bits(row).fold(0, |out, k| out | b[k]))
+            .collect()
+    }
+
+    /// The eager enumeration that [`Candidates`] replaced, kept as its
+    /// oracle: every candidate periodic labeling of a pattern, each its own
+    /// `Vec`, met by a recursive walk (see [`Candidates`] for the order and
+    /// the cap).
+    fn periodic_candidates(
+        masks: &BlockMasks,
+        pattern: &[InLabel],
+        cap: usize,
+    ) -> Vec<Vec<OutLabel>> {
+        struct Walk<'a> {
+            masks: &'a BlockMasks,
+            pattern: &'a [InLabel],
+            cap: usize,
+            /// Valid labelings met so far, kept or not.
+            found: usize,
+            path: Vec<usize>,
+            /// `ends[first]`: the last labels kept with that first label.
+            ends: Vec<u64>,
+            out: Vec<Vec<OutLabel>>,
+        }
+
+        impl Walk<'_> {
+            /// Extends the path by every label in `allowed` that fits the next
+            /// node, largest first.
+            fn extend(&mut self, allowed: u64) {
+                let i = self.path.len();
+                let mut labels = allowed & self.masks.nodes[self.pattern[i].index()];
+                while labels != 0 && self.found < self.cap {
+                    let o = 63 - labels.leading_zeros() as usize;
+                    labels &= !(1 << o);
+                    self.path.push(o);
+                    if i + 1 < self.pattern.len() {
+                        self.extend(self.masks.edges[o]);
+                    } else if self.masks.edges[o] >> self.path[0] & 1 == 1 {
+                        self.found += 1;
+                        let ends = &mut self.ends[self.path[0]];
+                        if *ends >> o & 1 == 0 {
+                            *ends |= 1 << o;
+                            self.out
+                                .push(self.path.iter().map(|&l| OutLabel::from_index(l)).collect());
+                        }
+                    }
+                    self.path.pop();
+                }
+            }
+        }
+
+        let mut walk = Walk {
+            masks,
+            pattern,
+            cap,
+            found: 0,
+            path: Vec::with_capacity(pattern.len()),
+            ends: vec![0; masks.edges.len()],
+            out: Vec::new(),
+        };
+        walk.extend(u64::MAX);
+        walk.out
+    }
+
+    /// The relations of the stable paddings of a pattern with relation
+    /// `R(w)`, multiplied out: the cycle that `R(w), R(w²), …` (under
+    /// `join`) enters, found by a scan for the first repeat. Kept as the
+    /// oracle of [`padding_types`] and for [`WordBridges`].
+    fn stable_paddings(edge: &[u64], base: &[u64]) -> Vec<Rows> {
+        let mut sequence: Vec<Rows> = Vec::new();
+        let mut current = base.to_vec();
+        loop {
+            if let Some(start) = sequence.iter().position(|r| *r == current) {
+                return sequence.split_off(start);
+            }
+            let next = product(&product(&current, edge), base);
+            sequence.push(std::mem::replace(&mut current, next));
+        }
+    }
+
     /// The subset walk the concept enumeration replaced, kept as its oracle:
     /// every nonempty `A₀ ⊆ Σ_out` in ascending integer order is mapped to
     /// its common successors `B` and, if `B ≠ ∅`, to the concept
@@ -968,7 +1245,7 @@ mod tests {
     }
 
     impl WordBridges {
-        fn new(info: &GapTypes, patterns: &[Vec<InLabel>]) -> Result<Self> {
+        fn new(info: &GapTypes, patterns: &Patterns) -> Result<Self> {
             let system = info.system();
             let semigroup = info.semigroup();
             let edge = rows_of(system.edge_relation());
@@ -979,7 +1256,7 @@ mod tests {
                     .collect(),
             );
             let (mut lefts, mut rights) = (Vec::new(), Vec::new());
-            for pattern in patterns {
+            for pattern in patterns.iter() {
                 let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
                 let (mut left, mut right) = (Vec::new(), Vec::new());
                 for padding in stable_paddings(edge, base) {
@@ -1061,8 +1338,8 @@ mod tests {
                             want.bridges(i, last, j, first),
                             "{}: {:?} {last:?} → {:?} {first:?}",
                             problem.name(),
-                            patterns[i],
-                            patterns[j]
+                            patterns.get(i),
+                            patterns.get(j)
                         );
                         compared += 1;
                     }
@@ -1086,11 +1363,12 @@ mod tests {
             }
             let masks = BlockMasks::new(info.system());
             let kappa = info.semigroup().pump_threshold().min(9);
-            for pattern in crate::classify::canonical_patterns(problem.num_inputs(), kappa) {
-                let classes = PatternClasses::new(&info, std::slice::from_ref(&pattern)).unwrap();
+            for pattern in crate::classify::canonical_patterns(problem.num_inputs(), kappa).iter() {
+                let single = Patterns::from_words(&[pattern.to_vec()]);
+                let classes = PatternClasses::new(&info, &single).unwrap();
                 assert_eq!(
                     classes.all_labelable(&info),
-                    !periodic_candidates(&masks, &pattern, 1).is_empty(),
+                    !periodic_candidates(&masks, pattern, 1).is_empty(),
                     "{}: {pattern:?}",
                     problem.name()
                 );
@@ -1098,6 +1376,140 @@ mod tests {
             }
         }
         assert!(compared >= 5_000, "only {compared} patterns compared");
+    }
+
+    /// Pulls every candidate of every pattern, one pattern after another in
+    /// turn so the walks interleave in the flat buffers, then reads each
+    /// pattern's list again from its start.
+    fn pulled_candidates(candidates: &mut Candidates) -> Vec<Vec<Vec<OutLabel>>> {
+        let n = candidates.patterns.len();
+        let mut cursors: Vec<Option<usize>> = vec![None; n];
+        let mut live: Vec<bool> = vec![true; n];
+        while live.contains(&true) {
+            for p in 0..n {
+                if live[p] {
+                    match candidates.next(p, cursors[p]) {
+                        Some(c) => cursors[p] = Some(c),
+                        None => live[p] = false,
+                    }
+                }
+            }
+        }
+        (0..n)
+            .map(|p| {
+                let mut out = Vec::new();
+                let mut cursor = None;
+                while let Some(c) = candidates.next(p, cursor) {
+                    assert_eq!(candidates.ends(c), {
+                        let l = candidates.labeling(p, c);
+                        (l[0], l[l.len() - 1])
+                    });
+                    out.push(candidates.labeling(p, c).to_vec());
+                    cursor = Some(c);
+                }
+                out
+            })
+            .collect()
+    }
+
+    /// Asserts that the resumable walks yield the eager enumeration of every
+    /// pattern, in order, at `cap`; returns the number of candidates.
+    fn assert_walks_match_the_eager_enumeration(
+        problem: &NormalizedLcl,
+        patterns: &Patterns,
+        cap: usize,
+    ) -> usize {
+        let system = TransferSystem::new(problem);
+        let mut candidates = Candidates::new(BlockMasks::new(&system), patterns, cap);
+        let got = pulled_candidates(&mut candidates);
+        let masks = BlockMasks::new(&system);
+        for (i, got) in got.iter().enumerate() {
+            let want = periodic_candidates(&masks, patterns.get(i), cap);
+            assert_eq!(got, &want, "{}: {:?}", problem.name(), patterns.get(i));
+        }
+        got.iter().map(Vec::len).sum()
+    }
+
+    #[test]
+    fn candidate_walks_yield_the_eager_enumeration() {
+        let mut compared = 0;
+        for problem in golden_problems() {
+            if problem.num_outputs() > MAX_OUTPUTS {
+                continue;
+            }
+            let Ok(info) = GapTypes::compute(&problem, 10_000) else {
+                continue;
+            };
+            let kappa = info.semigroup().pump_threshold().min(3);
+            let patterns = crate::classify::canonical_patterns(problem.num_inputs(), kappa);
+            compared +=
+                assert_walks_match_the_eager_enumeration(&problem, &patterns, CANDIDATE_CAP);
+        }
+        // run(L) at κ = L + 1: 14 to 127 patterns.
+        for l in 2..=8 {
+            let patterns = crate::classify::canonical_patterns(2, l + 1);
+            compared += assert_walks_match_the_eager_enumeration(
+                &lcl_problems::run(l),
+                &patterns,
+                CANDIDATE_CAP,
+            );
+        }
+        assert!(compared >= 10_000, "only {compared} candidates compared");
+        // Capped walks: the four first 3-colourings of a 4-cycle have two
+        // (first, last) pairs.
+        let four = Patterns::from_words(&[vec![InLabel(0); 4]]);
+        assert_eq!(
+            assert_walks_match_the_eager_enumeration(&three_coloring(), &four, 4),
+            2
+        );
+        // 17³ = 4,913 labelings of a 3-letter pattern: the cap cuts the walk
+        // before it meets every (first, last) pair.
+        let dense = lcl_problems::unconstrained(17);
+        let three = Patterns::from_words(&[vec![InLabel(0); 3]]);
+        let capped = assert_walks_match_the_eager_enumeration(&dense, &three, CANDIDATE_CAP);
+        let masks = BlockMasks::new(&TransferSystem::new(&dense));
+        let all = periodic_candidates(&masks, three.get(0), usize::MAX).len();
+        assert_eq!(all, 17 * 17);
+        assert!(capped < all, "{capped} of {all} pairs before the cap");
+    }
+
+    #[test]
+    fn padding_types_are_the_stable_paddings() {
+        let mut problems = golden_problems();
+        problems.extend((2..=8).map(lcl_problems::run));
+        let mut compared = 0;
+        for problem in &problems {
+            let Ok(info) = GapTypes::compute(problem, 10_000) else {
+                continue;
+            };
+            if problem.num_outputs() > MAX_OUTPUTS {
+                continue;
+            }
+            let semigroup = info.semigroup();
+            let edge = rows_of(info.system().edge_relation());
+            let mut seen = vec![(0, 0); semigroup.len()];
+            for t in semigroup.iter() {
+                let mut paddings = Vec::new();
+                padding_types(semigroup, t, t.index() + 1, &mut seen, &mut paddings);
+                let relations: Vec<Rows> = paddings
+                    .iter()
+                    .map(|&p| rows_of(semigroup.relation(p)).to_vec())
+                    .collect();
+                let want = stable_paddings(edge, rows_of(semigroup.relation(t)));
+                assert_eq!(relations, want, "{}: type {t:?}", problem.name());
+                for (&padding, relation) in paddings.iter().zip(&relations) {
+                    let position = info.position(padding).expect("a quantified padding");
+                    assert_eq!(
+                        rows_of(info.connection(position)),
+                        product(&product(edge, relation), edge),
+                        "{}: C(L) of type {padding:?}",
+                        problem.name()
+                    );
+                    compared += 1;
+                }
+            }
+        }
+        assert!(compared >= 4_000, "only {compared} paddings compared");
     }
 
     #[test]

@@ -41,7 +41,7 @@
 
 use crate::classify::{canonical_patterns, pattern_length, Answer, ClassifierOptions};
 use crate::engine::CacheEntry;
-use crate::feasibility::{FeasibleStructure, PatternLabeling};
+use crate::feasibility::{FeasibleStructure, PatternLabeling, Patterns};
 use crate::types_info::GapTypes;
 use crate::verdict::Complexity;
 use crate::Result;
@@ -195,7 +195,7 @@ fn label_lists(value: &JsonValue, field: &str, beta: usize) -> Result<Vec<Vec<Ou
 fn decode_structure(
     value: &JsonValue,
     info: &GapTypes,
-    patterns: Vec<Vec<lcl_problem::InLabel>>,
+    patterns: &Patterns,
 ) -> Result<FeasibleStructure> {
     let problem = info.problem();
     let beta = problem.num_outputs();
@@ -229,7 +229,8 @@ fn decode_structure(
         )));
     }
     let mut chosen = Vec::with_capacity(patterns.len());
-    for (pattern, labeling) in patterns.into_iter().zip(labelings) {
+    for (pattern, labeling) in patterns.iter().zip(labelings) {
+        let pattern = pattern.to_vec();
         let cycle = Instance::cycle(pattern.clone());
         if !problem.is_valid(&cycle, &Labeling::new(labeling.clone())) {
             return Err(wire(format!("invalid periodic labeling {labeling:?}")));
@@ -270,9 +271,11 @@ fn decode_entry(line: &str, options: &ClassifierOptions) -> Result<(Vec<u8>, Cac
         ),
         Complexity::Constant => {
             let patterns = canonical_patterns(problem.num_inputs(), kappa);
-            Answer::Constant(decode_structure(&value, &info, patterns)?)
+            Answer::Constant(decode_structure(&value, &info, &patterns)?)
         }
-        Complexity::LogStar => Answer::LogStar(decode_structure(&value, &info, Vec::new())?),
+        Complexity::LogStar => {
+            Answer::LogStar(decode_structure(&value, &info, &Patterns::default())?)
+        }
         Complexity::Linear => Answer::Linear,
     };
     let classification = answer.into_classification(&info, kappa);

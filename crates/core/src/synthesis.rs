@@ -84,7 +84,7 @@ impl LocalAlgorithm for SynthesizedAlgorithm {
 /// semigroup are shared with the classifier's [`GapTypes`], not copied.
 #[derive(Clone, Debug)]
 struct SynthesisCore {
-    problem: Arc<NormalizedLcl>,
+    problem: NormalizedLcl,
     semigroup: Arc<TypeSemigroup>,
     quantified: Vec<TypeId>,
     structure: FeasibleStructure,
@@ -94,7 +94,7 @@ struct SynthesisCore {
 impl SynthesisCore {
     fn new(info: &GapTypes, structure: FeasibleStructure) -> Self {
         SynthesisCore {
-            problem: Arc::clone(info.system().shared_problem()),
+            problem: info.problem().clone(),
             semigroup: Arc::clone(info.shared_semigroup()),
             quantified: info.quantified().to_vec(),
             structure,
@@ -104,7 +104,7 @@ impl SynthesisCore {
 
     /// The gather-everything algorithm for small networks.
     fn gather(&self) -> GatherAndSolve {
-        GatherAndSolve::shared(Arc::clone(&self.problem))
+        GatherAndSolve::new(&self.problem)
     }
 
     /// The quantified-type index of a gap word (must have length ≥ 1).

@@ -10,17 +10,23 @@ use std::sync::Arc;
 /// the semigroup, the minimum gap length `L_min` (the computed stand-in for
 /// `ℓ_pump`), the set `T` of types realized by gaps of length `≥ L_min`, and
 /// the connection relation `C(τ) = E · R(τ) · E` of each such type. The
-/// semigroup is shared with the algorithms synthesized from it.
+/// semigroup, which holds the classify's one transfer system, is shared with
+/// the algorithms synthesized from it.
 #[derive(Clone, Debug)]
 pub struct GapTypes {
-    system: TransferSystem,
     semigroup: Arc<TypeSemigroup>,
     min_gap: usize,
     quantified: Vec<TypeId>,
+    /// `positions[t]`: the position of type `t` within `quantified`, or
+    /// [`GapTypes::UNQUANTIFIED`].
+    positions: Vec<usize>,
     connections: Vec<OutRelation>,
 }
 
 impl GapTypes {
+    /// The position of a type that is not quantified.
+    const UNQUANTIFIED: usize = usize::MAX;
+
     /// Computes the type information of a problem. `type_budget` caps the
     /// number of semigroup elements.
     ///
@@ -28,35 +34,36 @@ impl GapTypes {
     ///
     /// Returns an error if the semigroup exceeds the budget.
     pub fn compute(problem: &NormalizedLcl, type_budget: usize) -> Result<Self> {
-        let system = TransferSystem::new(problem);
-        let semigroup = TypeSemigroup::compute(&system, type_budget)?;
+        let semigroup = TypeSemigroup::with_system(TransferSystem::new(problem), type_budget)?;
         let min_gap = semigroup.pump_threshold();
-        let quantified: Vec<TypeId> = semigroup
-            .length_profile()
-            .types_of_length_at_least(min_gap)
-            .into_iter()
-            .collect();
+        let quantified = semigroup.length_profile().types_of_length_at_least(min_gap);
+        let mut positions = vec![Self::UNQUANTIFIED; semigroup.len()];
+        // `C(τ) = (E · R(τ)) · E`, the left product into one reused buffer.
+        let edge = semigroup.system().edge_relation();
+        let mut edge_then = OutRelation::empty(0);
         let mut connections = Vec::with_capacity(quantified.len());
-        for &t in &quantified {
-            connections.push(system.connection(semigroup.relation(t))?);
+        for (i, &t) in quantified.iter().enumerate() {
+            positions[t.index()] = i;
+            edge.compose_into(semigroup.relation(t), &mut edge_then)?;
+            connections.push(edge_then.compose(edge)?);
         }
         Ok(GapTypes {
-            system,
             semigroup: Arc::new(semigroup),
             min_gap,
             quantified,
+            positions,
             connections,
         })
     }
 
     /// The problem.
     pub fn problem(&self) -> &NormalizedLcl {
-        self.system.problem()
+        self.system().problem()
     }
 
     /// The transfer system.
     pub fn system(&self) -> &TransferSystem {
-        &self.system
+        self.semigroup.system()
     }
 
     /// The type semigroup.
@@ -80,9 +87,11 @@ impl GapTypes {
         &self.quantified
     }
 
-    /// The position of a type within [`Self::quantified`], if present.
+    /// The position of a type within [`Self::quantified`], if present: one
+    /// look-up in a table indexed by type.
     pub fn position(&self, t: TypeId) -> Option<usize> {
-        self.quantified.iter().position(|&x| x == t)
+        let position = *self.positions.get(t.index())?;
+        (position != Self::UNQUANTIFIED).then_some(position)
     }
 
     /// The connection relation `C(τ)` of the `i`-th quantified type.
@@ -114,7 +123,7 @@ impl GapTypes {
     /// Whether a cycle whose input word has type `t` admits a valid
     /// labeling ([`TransferSystem::closes_cycle`]).
     pub(crate) fn cycle_labelable(&self, t: TypeId) -> bool {
-        self.system
+        self.system()
             .closes_cycle(self.semigroup.relation(t))
             .expect("the semigroup's relations have the system's dimension")
     }
@@ -125,7 +134,7 @@ impl GapTypes {
     /// first, visiting types and letters in index order — so every engine
     /// derives the same witness.
     fn long_witness(&self, t: TypeId) -> Vec<lcl_problem::InLabel> {
-        let letters = || (0..self.system.num_letters()).map(lcl_problem::InLabel::from_index);
+        let letters = || (0..self.system().num_letters()).map(lcl_problem::InLabel::from_index);
         // layers[k][τ]: the prefix type and last letter of the first word of
         // length k + 1 with type τ.
         let mut layers = vec![vec![None; self.semigroup.len()]];

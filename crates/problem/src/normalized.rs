@@ -16,13 +16,23 @@
 use crate::verify::{ConsistencyReport, Violation, ViolationKind};
 use crate::{Alphabet, InLabel, Instance, Labeling, OutLabel, ProblemError, Result, Topology};
 use std::fmt;
+use std::sync::Arc;
 
 /// A normalized LCL problem on consistently oriented paths and cycles.
 ///
 /// See the [crate documentation](crate) for the semantics. Instances of this
-/// type are immutable; use [`NormalizedLcl::builder`] to construct them.
-#[derive(Clone, PartialEq, Eq, Debug)]
+/// type are immutable; use [`NormalizedLcl::builder`] to construct them. The
+/// name, alphabets and tables sit behind one [`Arc`], so a clone copies
+/// nothing: the classifier, its synthesized algorithms and a cache share one
+/// problem.
+#[derive(Clone, PartialEq, Eq)]
 pub struct NormalizedLcl {
+    tables: Arc<Tables>,
+}
+
+/// The contents of a [`NormalizedLcl`].
+#[derive(PartialEq, Eq)]
+struct Tables {
     name: String,
     input: Alphabet,
     output: Alphabet,
@@ -40,27 +50,27 @@ impl NormalizedLcl {
 
     /// The problem's human-readable name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.tables.name
     }
 
     /// The input alphabet `Σ_in`.
     pub fn input_alphabet(&self) -> &Alphabet {
-        &self.input
+        &self.tables.input
     }
 
     /// The output alphabet `Σ_out`.
     pub fn output_alphabet(&self) -> &Alphabet {
-        &self.output
+        &self.tables.output
     }
 
     /// `|Σ_in|`.
     pub fn num_inputs(&self) -> usize {
-        self.input.len()
+        self.tables.input.len()
     }
 
     /// `|Σ_out|`.
     pub fn num_outputs(&self) -> usize {
-        self.output.len()
+        self.tables.output.len()
     }
 
     /// Returns `true` if `(input, output) ∈ C_in-out`.
@@ -70,12 +80,13 @@ impl NormalizedLcl {
     /// Panics if either label is outside its alphabet.
     #[inline]
     pub fn node_ok(&self, input: InLabel, output: OutLabel) -> bool {
-        assert!(input.index() < self.input.len(), "input label out of range");
+        let beta = self.num_outputs();
         assert!(
-            output.index() < self.output.len(),
-            "output label out of range"
+            input.index() < self.num_inputs(),
+            "input label out of range"
         );
-        self.node_allowed[input.index() * self.output.len() + output.index()]
+        assert!(output.index() < beta, "output label out of range");
+        self.tables.node_allowed[input.index() * beta + output.index()]
     }
 
     /// Returns `true` if `(pred, succ) ∈ C_out-out`, i.e. a node labeled `succ`
@@ -86,24 +97,27 @@ impl NormalizedLcl {
     /// Panics if either label is outside the output alphabet.
     #[inline]
     pub fn edge_ok(&self, pred: OutLabel, succ: OutLabel) -> bool {
-        assert!(pred.index() < self.output.len(), "pred label out of range");
-        assert!(succ.index() < self.output.len(), "succ label out of range");
-        self.edge_allowed[pred.index() * self.output.len() + succ.index()]
+        let beta = self.num_outputs();
+        assert!(pred.index() < beta, "pred label out of range");
+        assert!(succ.index() < beta, "succ label out of range");
+        self.tables.edge_allowed[pred.index() * beta + succ.index()]
     }
 
     /// Iterates over the output labels allowed at a node with the given input.
     pub fn outputs_for_input(&self, input: InLabel) -> impl Iterator<Item = OutLabel> + '_ {
-        let base = input.index() * self.output.len();
-        (0..self.output.len())
-            .filter(move |&o| self.node_allowed[base + o])
+        let beta = self.num_outputs();
+        let base = input.index() * beta;
+        (0..beta)
+            .filter(move |&o| self.tables.node_allowed[base + o])
             .map(OutLabel::from_index)
     }
 
     /// Iterates over output labels `q` such that `(p, q) ∈ C_out-out`.
     pub fn successors_of(&self, p: OutLabel) -> impl Iterator<Item = OutLabel> + '_ {
-        let base = p.index() * self.output.len();
-        (0..self.output.len())
-            .filter(move |&q| self.edge_allowed[base + q])
+        let beta = self.num_outputs();
+        let base = p.index() * beta;
+        (0..beta)
+            .filter(move |&q| self.tables.edge_allowed[base + q])
             .map(OutLabel::from_index)
     }
 
@@ -155,7 +169,7 @@ impl NormalizedLcl {
         for i in 0..instance.len() {
             let input = instance.input(i);
             let output = labeling.output(i);
-            if input.index() >= self.input.len() || output.index() >= self.output.len() {
+            if input.index() >= self.num_inputs() || output.index() >= self.num_outputs() {
                 violations.push(Violation {
                     node: i,
                     kind: ViolationKind::LabelOutOfRange,
@@ -170,7 +184,7 @@ impl NormalizedLcl {
             }
             if let Some(p) = instance.predecessor(i) {
                 let pred_output = labeling.output(p);
-                if pred_output.index() < self.output.len() && !self.edge_ok(pred_output, output) {
+                if pred_output.index() < self.num_outputs() && !self.edge_ok(pred_output, output) {
                     violations.push(Violation {
                         node: i,
                         kind: ViolationKind::EdgeConstraint {
@@ -308,14 +322,33 @@ impl NormalizedLcl {
     }
 }
 
+impl fmt::Debug for NormalizedLcl {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let Tables {
+            name,
+            input,
+            output,
+            node_allowed,
+            edge_allowed,
+        } = &*self.tables;
+        f.debug_struct("NormalizedLcl")
+            .field("name", name)
+            .field("input", input)
+            .field("output", output)
+            .field("node_allowed", node_allowed)
+            .field("edge_allowed", edge_allowed)
+            .finish()
+    }
+}
+
 impl fmt::Display for NormalizedLcl {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "{} (|Σ_in|={}, |Σ_out|={})",
-            self.name,
-            self.input.len(),
-            self.output.len()
+            self.name(),
+            self.num_inputs(),
+            self.num_outputs()
         )
     }
 }
@@ -489,11 +522,13 @@ impl NormalizedLclBuilder {
             edge_allowed[p * beta + q] = true;
         }
         Ok(NormalizedLcl {
-            name: self.name.clone(),
-            input: self.input.clone(),
-            output: self.output.clone(),
-            node_allowed,
-            edge_allowed,
+            tables: Arc::new(Tables {
+                name: self.name.clone(),
+                input: self.input.clone(),
+                output: self.output.clone(),
+                node_allowed,
+                edge_allowed,
+            }),
         })
     }
 }

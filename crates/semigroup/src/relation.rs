@@ -129,7 +129,11 @@ impl OutRelation {
 
     /// [`Self::compose`] into `out`, reusing its storage. A row of one word
     /// (`n ≤ 64`) is one fold over its set bits.
-    pub(crate) fn compose_into(&self, other: &OutRelation, out: &mut OutRelation) -> Result<()> {
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the dimensions differ.
+    pub fn compose_into(&self, other: &OutRelation, out: &mut OutRelation) -> Result<()> {
         if self.n != other.n {
             return Err(SemigroupError::DimensionMismatch {
                 left: self.n,

@@ -27,19 +27,26 @@
 //! ids. The table hashes the words and compares them against the relations
 //! the element table already holds, so each type is stored once. A step that
 //! lands on a known type allocates nothing; only a new type stores its
-//! relation and builds its witness, at its exact length, from its prefix's.
+//! relation and appends its witness, its prefix's followed by the letter.
+//!
+//! Witnesses and the letter table are flat arenas: the witnesses' letters
+//! end to end with one end offset per type, and the successors of a type
+//! under each letter in one row of `|Σ_in|` ids. The letters' own types are
+//! kept, so [`TypeSemigroup::type_of_word`] starts from a letter's type
+//! without probing its relation.
 //!
 //! # The length profile as bitsets
 //!
 //! The sets `S_n` of types realized by length-`n` words are word bitsets over
-//! type ids while the profile is walked: `S_{n+1}` sets the bit of every
-//! letter successor of every member of `S_n`, and a repeat is found by
-//! looking the bitset up. Only the recorded sets become the `BTreeSet`s of
-//! [`LengthProfile`].
+//! type ids, recorded end to end in one buffer: `S_{n+1}` sets the bit of
+//! every letter successor of every member of `S_n`. The first repeat is
+//! found with the same open-addressed table the types are interned in, keyed
+//! by the recorded bitsets: a fast hash, then a comparison of words in
+//! place. [`LengthProfile::types_of_length_at_least`] ORs the bitsets of the
+//! lengths it covers and lists the members of the union.
 
 use crate::{OutRelation, Result, SemigroupError, TransferSystem};
 use lcl_problem::InLabel;
-use std::collections::{BTreeSet, HashMap};
 
 /// Identifier of a type (an index into the [`TypeSemigroup`]'s element
 /// table, resolvable with [`TypeSemigroup::relation`]).
@@ -56,48 +63,58 @@ impl TypeId {
 /// Eventual periodicity of the map `n ↦ { types realized by length-n words }`.
 ///
 /// Because the set of types of length-`(n+1)` words is a function of the set
-/// of types of length-`n` words, the sequence of sets is eventually periodic;
-/// `sets[i]` is the set for length `i + 1`, recorded up to one full period
-/// past the pre-period.
+/// of types of length-`n` words, the sequence of sets is eventually periodic.
+/// The sets for lengths `1 ..= preperiod + period - 1` are recorded, as word
+/// bitsets over type ids; the set for length `preperiod + period` is the one
+/// for length `preperiod` again.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LengthProfile {
     /// Smallest `t ≥ 1` such that the set for length `t` re-occurs later.
     pub preperiod: usize,
     /// Period `p ≥ 1` of the repetition.
     pub period: usize,
-    /// `sets[i]` = types realized by some word of length `i + 1`, for
-    /// `i + 1 ≤ preperiod + period`.
-    pub sets: Vec<BTreeSet<TypeId>>,
+    /// Words per set.
+    words: usize,
+    /// The recorded sets, `words` words each, shortest length first.
+    bits: Vec<u64>,
 }
 
 impl LengthProfile {
-    /// The set of types realized by words of length `n ≥ 1`.
+    /// The bitset of the types realized by words of length `n ≥ 1`.
+    fn set(&self, n: usize) -> &[u64] {
+        assert!(n >= 1, "words have length at least 1");
+        let recorded = self.bits.len() / self.words;
+        // Beyond the recorded prefix, S_n = S_{preperiod + ((n - preperiod) mod period)}.
+        let i = if n <= recorded {
+            n - 1
+        } else {
+            (self.preperiod - 1) + (n - self.preperiod) % self.period
+        };
+        &self.bits[i * self.words..(i + 1) * self.words]
+    }
+
+    /// The types realized by words of length `n ≥ 1`, ascending.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn types_of_length(&self, n: usize) -> &BTreeSet<TypeId> {
-        assert!(n >= 1, "words have length at least 1");
-        if n <= self.sets.len() {
-            &self.sets[n - 1]
-        } else {
-            // For n beyond the recorded prefix, S_n = S_{preperiod + ((n - preperiod) mod period)}.
-            let idx = (self.preperiod - 1) + (n - self.preperiod) % self.period;
-            &self.sets[idx]
-        }
+    pub fn types_of_length(&self, n: usize) -> impl Iterator<Item = TypeId> + '_ {
+        members(self.set(n)).map(TypeId)
     }
 
-    /// All types realized by words of length `≥ n` (union over one full
-    /// period starting at `max(n, preperiod)` plus the finitely many lengths
-    /// in between).
-    pub fn types_of_length_at_least(&self, n: usize) -> BTreeSet<TypeId> {
+    /// All types realized by words of length `≥ n`, ascending: the union over
+    /// one full period starting at `max(n, preperiod)` plus the finitely many
+    /// lengths in between.
+    pub fn types_of_length_at_least(&self, n: usize) -> Vec<TypeId> {
         let n = n.max(1);
-        let mut out = BTreeSet::new();
+        let mut union = vec![0u64; self.words];
         let horizon = self.preperiod + self.period;
         for len in n..=horizon.max(n + self.period) {
-            out.extend(self.types_of_length(len).iter().copied());
+            for (u, w) in union.iter_mut().zip(self.set(len)) {
+                *u |= w;
+            }
         }
-        out
+        members(&union).map(TypeId).collect()
     }
 }
 
@@ -108,24 +125,53 @@ pub struct TypeSemigroup {
     elements: Vec<OutRelation>,
     /// The id of each element, found by its words.
     index: TypeIndex,
-    witness: Vec<Vec<InLabel>>,
-    /// `letter_step[t][a]` = type of `witness(t) · a`.
-    letter_step: Vec<Vec<TypeId>>,
+    witnesses: Witnesses,
+    /// `letter_types[a]`: the type of the one-letter word `a`.
+    letter_types: Vec<TypeId>,
+    /// `letter_step[t · |Σ_in| + a]` = type of `witness(t) · a`.
+    letter_step: Vec<TypeId>,
     profile: LengthProfile,
 }
 
-/// An open-addressed hash table of type ids, keyed by the words
-/// ([`OutRelation::words`]) of the relations the element table already
-/// stores: each relation is stored once, and a probe compares words in
-/// place. Linear probing, at most half full. The hash is a fast unkeyed
-/// one, and its keys derive from the problem, which a server's client
-/// supplies. Colliding keys would make a probe cost up to one comparison per
-/// type, so a lookup is bounded by the type budget; and the keys are the
-/// closure of the letter relations under the join, which is hard to steer
-/// into collisions through the choice of a problem.
+/// The shortest witness of every type, end to end.
+#[derive(Clone, Debug, Default)]
+struct Witnesses {
+    letters: Vec<InLabel>,
+    /// `ends[t]`: where the witness of type `t` ends in `letters`.
+    ends: Vec<usize>,
+}
+
+impl Witnesses {
+    /// The range of `letters` that holds the witness of `t`.
+    fn range(&self, t: TypeId) -> std::ops::Range<usize> {
+        let start = t.index().checked_sub(1).map_or(0, |p| self.ends[p]);
+        start..self.ends[t.index()]
+    }
+
+    /// Appends the witness of the next type: the witness of `prefix` (or the
+    /// empty word), then `a`.
+    fn push(&mut self, prefix: Option<TypeId>, a: InLabel) {
+        let prefix = prefix.map_or(0..0, |t| self.range(t));
+        self.letters.extend_from_within(prefix);
+        self.letters.push(a);
+        self.ends.push(self.letters.len());
+    }
+}
+
+/// An open-addressed hash table of ids `0..len`, keyed by word slices the
+/// caller already stores (the words of the semigroup's relations,
+/// [`OutRelation::words`], or the length profile's bitsets): each key is
+/// stored once, and a probe compares words in place. Linear probing, at most
+/// half full. The hash is a fast unkeyed one, and its keys derive from the
+/// problem, which a server's client supplies. Colliding keys would make a
+/// probe cost up to one comparison per stored key, so a lookup is bounded by
+/// the number of keys (for types, the type budget); and the keys are the
+/// closure of the letter relations under the join, or the sets of types the
+/// length profile walks through, which are hard to steer into collisions
+/// through the choice of a problem.
 #[derive(Clone, Debug)]
 struct TypeIndex {
-    /// A type id, or [`TypeIndex::EMPTY`]; the length is a power of two.
+    /// An id, or [`TypeIndex::EMPTY`]; the length is a power of two.
     slots: Vec<usize>,
 }
 
@@ -138,8 +184,8 @@ impl TypeIndex {
         }
     }
 
-    /// The home slot of a relation's words: FxHash over the words, whose
-    /// high bits pick the slot.
+    /// The home slot of a key: FxHash over the words, whose high bits pick
+    /// the slot.
     fn home(&self, words: &[u64]) -> usize {
         let hash = words.iter().fold(0u64, |h, &w| {
             (h.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
@@ -147,30 +193,32 @@ impl TypeIndex {
         (hash >> (64 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The id of the element with words `words`, or the empty slot where it
+    /// The id whose key (`key(id)`) is `words`, or the empty slot where it
     /// would go.
-    fn find(&self, words: &[u64], elements: &[OutRelation]) -> std::result::Result<TypeId, usize> {
+    fn find<'k>(
+        &self,
+        words: &[u64],
+        key: impl Fn(usize) -> &'k [u64],
+    ) -> std::result::Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut slot = self.home(words);
         loop {
             match self.slots[slot] {
                 Self::EMPTY => return Err(slot),
-                id if elements[id].words() == words => return Ok(TypeId(id)),
+                id if key(id) == words => return Ok(id),
                 _ => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// Records the last element of `elements` in `slot`, an empty slot that
-    /// [`Self::find`] returned for its words. Every element is in the table.
-    fn insert(&mut self, slot: usize, elements: &[OutRelation]) {
-        self.slots[slot] = elements.len() - 1;
-        if 2 * elements.len() > self.slots.len() {
+    /// Records id `len - 1` in `slot`, an empty slot that [`Self::find`]
+    /// returned for its key. Every id below `len` is in the table.
+    fn insert<'k>(&mut self, slot: usize, len: usize, key: impl Fn(usize) -> &'k [u64]) {
+        self.slots[slot] = len - 1;
+        if 2 * len > self.slots.len() {
             self.slots = vec![Self::EMPTY; 2 * self.slots.len()];
-            for (id, element) in elements.iter().enumerate() {
-                let slot = self
-                    .find(element.words(), elements)
-                    .expect_err("ids are distinct");
+            for id in 0..len {
+                let slot = self.find(key(id), &key).expect_err("keys are distinct");
                 self.slots[slot] = id;
             }
         }
@@ -183,7 +231,7 @@ struct Enumeration {
     budget: usize,
     elements: Vec<OutRelation>,
     index: TypeIndex,
-    witness: Vec<Vec<InLabel>>,
+    witnesses: Witnesses,
 }
 
 impl Enumeration {
@@ -191,8 +239,9 @@ impl Enumeration {
     /// with `w` the witness of `prefix` (or the empty word). A new type is
     /// stored with that word as its witness; a known one costs one probe.
     fn intern(&mut self, words: &[u64], prefix: Option<TypeId>, a: InLabel) -> Result<TypeId> {
-        let slot = match self.index.find(words, &self.elements) {
-            Ok(id) => return Ok(id),
+        let elements = &self.elements;
+        let slot = match self.index.find(words, |id| elements[id].words()) {
+            Ok(id) => return Ok(TypeId(id)),
             Err(slot) => slot,
         };
         if self.elements.len() >= self.budget {
@@ -200,16 +249,13 @@ impl Enumeration {
                 budget: self.budget,
             });
         }
-        let id = TypeId(self.elements.len());
-        let prefix: &[InLabel] = prefix.map_or(&[], |t| &self.witness[t.index()]);
-        let mut witness = Vec::with_capacity(prefix.len() + 1);
-        witness.extend_from_slice(prefix);
-        witness.push(a);
         self.elements
             .push(OutRelation::from_words(self.dim, words.to_vec()));
-        self.witness.push(witness);
-        self.index.insert(slot, &self.elements);
-        Ok(id)
+        self.witnesses.push(prefix, a);
+        let elements = &self.elements;
+        self.index
+            .insert(slot, elements.len(), |id| elements[id].words());
+        Ok(TypeId(elements.len() - 1))
     }
 }
 
@@ -237,13 +283,22 @@ impl TypeSemigroup {
     ///
     /// Returns [`SemigroupError::TooManyTypes`] if the budget is exceeded.
     pub fn compute(system: &TransferSystem, budget: usize) -> Result<Self> {
+        Self::with_system(system.clone(), budget)
+    }
+
+    /// As [`Self::compute`], keeping `system` instead of a copy of it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SemigroupError::TooManyTypes`] if the budget is exceeded.
+    pub fn with_system(system: TransferSystem, budget: usize) -> Result<Self> {
         let letters = (0..system.num_letters()).map(InLabel::from_index);
         let mut found = Enumeration {
             dim: system.dim(),
             budget,
             elements: Vec::new(),
             index: TypeIndex::new(),
-            witness: Vec::new(),
+            witnesses: Witnesses::default(),
         };
         let mut letter_types = Vec::with_capacity(system.num_letters());
         let mut masks = Vec::with_capacity(system.num_letters());
@@ -258,58 +313,76 @@ impl TypeSemigroup {
         // witnesses. Types get their ids in discovery order, so the queue is
         // the id range itself. One product `R(w)·E` per type, then one
         // column mask per letter (see the module documentation).
-        let mut letter_step: Vec<Vec<TypeId>> = Vec::new();
+        let mut letter_step: Vec<TypeId> = Vec::new();
         let (mut then_edge, mut next) = (OutRelation::empty(0), Vec::new());
-        while letter_step.len() < found.elements.len() {
-            let t = TypeId(letter_step.len());
-            found.elements[t.index()].compose_into(system.edge_relation(), &mut then_edge)?;
-            let mut steps = Vec::with_capacity(masks.len());
+        let mut t = 0;
+        while t < found.elements.len() {
+            found.elements[t].compose_into(system.edge_relation(), &mut then_edge)?;
             for (a, mask) in letters.clone().zip(&masks) {
                 then_edge.mask_columns_into(mask, &mut next);
-                steps.push(found.intern(&next, Some(t), a)?);
+                letter_step.push(found.intern(&next, Some(TypeId(t)), a)?);
             }
-            letter_step.push(steps);
+            t += 1;
         }
 
-        let profile = Self::compute_profile(&letter_types, &letter_step);
+        let profile = Self::compute_profile(&letter_types, &letter_step, found.elements.len());
         Ok(TypeSemigroup {
-            system: system.clone(),
+            system,
             elements: found.elements,
             index: found.index,
-            witness: found.witness,
+            witnesses: found.witnesses,
+            letter_types,
             letter_step,
             profile,
         })
     }
 
-    /// The length profile, with each `S_n` a bitset over type ids:
-    /// `S_1` holds the letters' types and `S_{n+1} = { step(t, a) : t ∈ S_n }`.
-    fn compute_profile(letter_types: &[TypeId], letter_step: &[Vec<TypeId>]) -> LengthProfile {
-        let words = letter_step.len().div_ceil(64);
-        let mut current = vec![0u64; words];
+    /// The length profile, with each `S_n` a bitset over the `types` type
+    /// ids: `S_1` holds the letters' types and
+    /// `S_{n+1} = { step(t, a) : t ∈ S_n }`.
+    fn compute_profile(
+        letter_types: &[TypeId],
+        letter_step: &[TypeId],
+        types: usize,
+    ) -> LengthProfile {
+        let letters = letter_types.len();
+        let words = types.div_ceil(64).max(1);
+        let mut bits = vec![0u64; words];
         for t in letter_types {
-            current[t.index() / 64] |= 1 << (t.index() % 64);
+            bits[t.index() / 64] |= 1 << (t.index() % 64);
         }
-        let mut seen: HashMap<Vec<u64>, usize> = HashMap::new();
-        let mut sets: Vec<Vec<u64>> = Vec::new();
-        while !seen.contains_key(&current) {
-            let mut next = vec![0u64; words];
-            for t in members(&current) {
-                for u in &letter_step[t] {
+        /// Set `i` of the recorded sets.
+        fn set(bits: &[u64], words: usize, i: usize) -> &[u64] {
+            &bits[i * words..(i + 1) * words]
+        }
+        let mut index = TypeIndex::new();
+        let slot = index
+            .find(&bits, |i| set(&bits, words, i))
+            .expect_err("the table starts empty");
+        index.insert(slot, 1, |i| set(&bits, words, i));
+        loop {
+            // Append S_{n+1} after S_n, the last recorded set.
+            let recorded = bits.len() / words;
+            bits.resize((recorded + 1) * words, 0);
+            let (done, next) = bits.split_at_mut(recorded * words);
+            for t in members(&done[(recorded - 1) * words..]) {
+                for u in &letter_step[t * letters..(t + 1) * letters] {
                     next[u.index() / 64] |= 1 << (u.index() % 64);
                 }
             }
-            seen.insert(current.clone(), sets.len());
-            sets.push(std::mem::replace(&mut current, next));
-        }
-        let first = seen[&current];
-        LengthProfile {
-            preperiod: first + 1,
-            period: sets.len() - first,
-            sets: sets
-                .iter()
-                .map(|set| members(set).map(TypeId).collect())
-                .collect(),
+            let (done, next) = bits.split_at(recorded * words);
+            match index.find(next, |i| set(done, words, i)) {
+                Ok(first) => {
+                    bits.truncate(recorded * words);
+                    return LengthProfile {
+                        preperiod: first + 1,
+                        period: recorded - first,
+                        words,
+                        bits,
+                    };
+                }
+                Err(slot) => index.insert(slot, recorded + 1, |i| set(&bits, words, i)),
+            }
         }
     }
 
@@ -344,7 +417,7 @@ impl TypeSemigroup {
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: TypeId) -> &[InLabel] {
-        &self.witness[id.index()]
+        &self.witnesses.letters[self.witnesses.range(id)]
     }
 
     /// All types, in enumeration order.
@@ -357,7 +430,10 @@ impl TypeSemigroup {
         if relation.dim() != self.system.dim() {
             return None;
         }
-        self.index.find(relation.words(), &self.elements).ok()
+        let found = self
+            .index
+            .find(relation.words(), |id| self.elements[id].words());
+        found.ok().map(TypeId)
     }
 
     /// The type of a non-empty word.
@@ -367,16 +443,13 @@ impl TypeSemigroup {
     /// Returns an error for empty words or unknown labels.
     pub fn type_of_word(&self, word: &[InLabel]) -> Result<TypeId> {
         let (&first, rest) = word.split_first().ok_or(SemigroupError::EmptyWord)?;
-        let rel = self.system.letter_relation(first)?;
-        let mut t = self.id_of(rel).expect("letters are interned");
+        let unknown = |a: InLabel| SemigroupError::UnknownInputLabel {
+            index: a.index(),
+            alphabet_len: self.letter_types.len(),
+        };
+        let mut t = *self.letter_types.get(first.index()).ok_or(unknown(first))?;
         for &a in rest {
-            if a.index() >= self.system.num_letters() {
-                return Err(SemigroupError::UnknownInputLabel {
-                    index: a.index(),
-                    alphabet_len: self.system.num_letters(),
-                });
-            }
-            t = self.letter_step[t.index()][a.index()];
+            t = *self.steps(t).get(a.index()).ok_or(unknown(a))?;
         }
         Ok(t)
     }
@@ -387,7 +460,14 @@ impl TypeSemigroup {
     ///
     /// Panics if `t` or `a` is out of range.
     pub fn step(&self, t: TypeId, a: InLabel) -> TypeId {
-        self.letter_step[t.index()][a.index()]
+        self.steps(t)[a.index()]
+    }
+
+    /// The types obtained by appending each letter, in letter order, to a
+    /// word of type `t`: row `t` of the type automaton.
+    fn steps(&self, t: TypeId) -> &[TypeId] {
+        let letters = self.letter_types.len();
+        &self.letter_step[t.index() * letters..(t.index() + 1) * letters]
     }
 
     /// The type of the concatenation of a word of type `left` and a word of
@@ -437,6 +517,7 @@ mod tests {
     use super::*;
     use crate::transfer::word_from_indices;
     use lcl_problem::NormalizedLcl;
+    use std::collections::{BTreeSet, HashMap};
 
     fn two_coloring() -> NormalizedLcl {
         let mut b = NormalizedLcl::builder("2-coloring");
@@ -460,14 +541,61 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// The length profile the bitset walk replaced, kept as its oracle: the
+    /// sets as `BTreeSet`s, the first repeat found in a `HashMap` keyed by
+    /// them.
+    #[derive(Debug, PartialEq, Eq)]
+    struct OldProfile {
+        preperiod: usize,
+        period: usize,
+        /// `sets[i]`: the types of the words of length `i + 1`.
+        sets: Vec<BTreeSet<TypeId>>,
+    }
+
+    impl OldProfile {
+        fn types_of_length(&self, n: usize) -> &BTreeSet<TypeId> {
+            if n <= self.sets.len() {
+                &self.sets[n - 1]
+            } else {
+                &self.sets[(self.preperiod - 1) + (n - self.preperiod) % self.period]
+            }
+        }
+
+        fn types_of_length_at_least(&self, n: usize) -> BTreeSet<TypeId> {
+            let n = n.max(1);
+            let horizon = self.preperiod + self.period;
+            (n..=horizon.max(n + self.period))
+                .flat_map(|len| self.types_of_length(len).iter().copied())
+                .collect()
+        }
+    }
+
     /// What a semigroup computation fixes: its elements in id order, their
-    /// witnesses, the letter table and the length profile.
+    /// witnesses, the letter table (a row per type) and the length profile.
     type Enumerated = (
         Vec<OutRelation>,
         Vec<Vec<InLabel>>,
         Vec<Vec<TypeId>>,
-        LengthProfile,
+        OldProfile,
     );
+
+    /// [`Enumerated`] read off a semigroup through its accessors.
+    fn enumerated(sg: &TypeSemigroup) -> Enumerated {
+        let profile = sg.length_profile();
+        let recorded = profile.preperiod + profile.period - 1;
+        (
+            sg.iter().map(|t| sg.relation(t).clone()).collect(),
+            sg.iter().map(|t| sg.witness(t).to_vec()).collect(),
+            sg.iter().map(|t| sg.steps(t).to_vec()).collect(),
+            OldProfile {
+                preperiod: profile.preperiod,
+                period: profile.period,
+                sets: (1..=recorded)
+                    .map(|n| profile.types_of_length(n).collect())
+                    .collect(),
+            },
+        )
+    }
 
     /// The BFS the column-mask enumeration replaced, kept as its oracle: each
     /// step joins the popped relation with a letter relation, clones the
@@ -543,7 +671,7 @@ mod tests {
                 .flat_map(|t| letter_step[t.index()].iter().copied())
                 .collect();
         };
-        let profile = LengthProfile {
+        let profile = OldProfile {
             preperiod: first + 1,
             period: sets.len() - first,
             sets,
@@ -551,27 +679,22 @@ mod tests {
         Ok((elements, witness, letter_step, profile))
     }
 
-    /// Asserts that `compute` enumerates what the reference does; returns
-    /// the number of types (0 if both exceed the budget).
+    /// Asserts that `compute` enumerates what the reference does, and that
+    /// the profile answers every length query as the reference's does;
+    /// returns the number of types (0 if both exceed the budget).
     fn assert_matches_reference(problem: &NormalizedLcl, budget: usize) -> usize {
         let system = TransferSystem::new(problem);
         let name = problem.name();
-        let sg = match (
+        let (sg, want) = match (
             TypeSemigroup::compute(&system, budget),
             reference(&system, budget),
         ) {
             (Ok(sg), Ok(want)) => {
-                let got = (
-                    sg.elements.clone(),
-                    sg.witness.clone(),
-                    sg.letter_step.clone(),
-                    sg.profile.clone(),
-                );
                 assert!(
-                    got == want,
+                    enumerated(&sg) == want,
                     "{name}: enumeration differs from the reference"
                 );
-                sg
+                (sg, want.3)
             }
             (Err(got), Err(want)) => {
                 assert_eq!(got, want, "{name}");
@@ -581,6 +704,28 @@ mod tests {
         };
         for (id, rel) in sg.elements.iter().enumerate() {
             assert_eq!(sg.id_of(rel), Some(TypeId(id)), "{name}: lookup");
+            let witness = sg.witness(TypeId(id));
+            assert_eq!(sg.type_of_word(witness), Ok(TypeId(id)), "{name}: witness");
+        }
+        for a in (0..system.num_letters()).map(InLabel::from_index) {
+            let letter = sg.id_of(system.letter_relation(a).unwrap());
+            assert_eq!(sg.type_of_word(&[a]).ok(), letter, "{name}: letter {a:?}");
+        }
+        let profile = sg.length_profile();
+        for n in 1..=2 * (profile.preperiod + profile.period) + 3 {
+            assert!(
+                profile
+                    .types_of_length(n)
+                    .eq(want.types_of_length(n).iter().copied()),
+                "{name}: length {n}"
+            );
+            assert!(
+                profile
+                    .types_of_length_at_least(n)
+                    .into_iter()
+                    .eq(want.types_of_length_at_least(n)),
+                "{name}: length at least {n}"
+            );
         }
         sg.len()
     }
@@ -716,24 +861,11 @@ mod tests {
         assert_eq!(profile.period, 2);
         let odd = sg.type_of_word(&word_from_indices(&[0])).unwrap();
         let even = sg.type_of_word(&word_from_indices(&[0, 0])).unwrap();
-        assert_eq!(
-            profile.types_of_length(1),
-            &[odd].into_iter().collect::<BTreeSet<_>>()
-        );
-        assert_eq!(
-            profile.types_of_length(2),
-            &[even].into_iter().collect::<BTreeSet<_>>()
-        );
-        assert_eq!(
-            profile.types_of_length(101),
-            &[odd].into_iter().collect::<BTreeSet<_>>()
-        );
-        assert_eq!(
-            profile.types_of_length(100),
-            &[even].into_iter().collect::<BTreeSet<_>>()
-        );
-        let all = profile.types_of_length_at_least(5);
-        assert_eq!(all.len(), 2);
+        assert!(profile.types_of_length(1).eq([odd]));
+        assert!(profile.types_of_length(2).eq([even]));
+        assert!(profile.types_of_length(101).eq([odd]));
+        assert!(profile.types_of_length(100).eq([even]));
+        assert_eq!(profile.types_of_length_at_least(5), [odd, even]);
     }
 
     #[test]

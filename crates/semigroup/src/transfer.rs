@@ -10,7 +10,6 @@
 
 use crate::{OutRelation, Result, SemigroupError};
 use lcl_problem::{InLabel, Instance, NormalizedLcl, OutLabel, Topology};
-use std::sync::Arc;
 
 /// Pre-computed per-letter transfer relations and the edge relation of a
 /// normalized problem.
@@ -39,9 +38,8 @@ use std::sync::Arc;
 /// ```
 #[derive(Clone, Debug)]
 pub struct TransferSystem {
-    /// Shared, so that the semigroup's copy of the system does not copy the
-    /// problem.
-    problem: Arc<NormalizedLcl>,
+    /// The problem; cloning it copies nothing.
+    problem: NormalizedLcl,
     edge: OutRelation,
     /// `Eᵀ`: `(q, p)` for every allowed edge `(p, q)`.
     edge_back: OutRelation,
@@ -63,7 +61,7 @@ impl TransferSystem {
             })
             .collect();
         TransferSystem {
-            problem: Arc::new(problem.clone()),
+            problem: problem.clone(),
             edge_back: edge.transpose(),
             edge,
             letters,
@@ -72,12 +70,6 @@ impl TransferSystem {
 
     /// The underlying problem.
     pub fn problem(&self) -> &NormalizedLcl {
-        &self.problem
-    }
-
-    /// The underlying problem, shared: holders of the system's results can
-    /// keep it without copying it.
-    pub fn shared_problem(&self) -> &Arc<NormalizedLcl> {
         &self.problem
     }
 
