@@ -472,33 +472,6 @@ impl Engine {
         }
     }
 
-    /// The re-probe half of the zero-serialization lane: serves the attached
-    /// reply payload for a *remembered* structural key, skipping problem
-    /// parsing and normalization entirely.
-    ///
-    /// A front-end that served a request through [`Engine::cached_reply`]
-    /// may remember the problem's `(structural key, name)` pair alongside
-    /// the raw request text and answer a byte-identical later request with
-    /// this call. The probe behaves exactly like any cache lookup — it
-    /// counts an ordinary hit and refreshes the entry's LRU recency — and
-    /// the payload is returned only when the entry is still resident, has
-    /// bytes attached, and those bytes were rendered for the same problem
-    /// `name` (counting a `bytes_hit` on the entry's shard). Any other
-    /// outcome returns `None` with no bytes tally: the remembered mapping
-    /// went stale (the entry was evicted, or recomputed and not yet
-    /// re-rendered), so the caller should forget it and fall back to the
-    /// parse path — whose own probe then counts separately.
-    pub fn cached_reply_for_key(&self, key: &[u8], name: &str) -> Option<Arc<[u8]>> {
-        let entry = self.core.lookup(key)?;
-        let payload = entry.reply.get()?;
-        if payload.name.as_ref() == name {
-            self.core.cache.record_bytes_hit(key);
-            Some(Arc::clone(&payload.bytes))
-        } else {
-            None
-        }
-    }
-
     /// Classifies a problem on the calling thread, serving repeated requests
     /// for structurally identical problems from the memo cache.
     ///
@@ -547,25 +520,23 @@ impl Engine {
         self.pool.submit_with_reply(task)
     }
 
-    /// [`Engine::dispatch`] with a completion hook: `notify` runs on the
-    /// worker after the task's reply became observable on the returned
-    /// receiver — the value was sent, or, if the task panicked, the sender
-    /// was already dropped by the unwind. Either way, a `try_recv` performed
-    /// from inside (or after) the notification is guaranteed to see the
-    /// outcome rather than `Empty`.
+    /// Submits a task that delivers its own results over channels it
+    /// captured, with a completion hook and no reply channel. `notify` runs
+    /// on the worker after the task returned or unwound, so what the task
+    /// sent is observable by then, and a sender it held reads as
+    /// disconnected if it panicked.
     ///
     /// This is the waker half of a readiness-based server: instead of a
-    /// writer thread parked per connection, a single reactor thread sleeps in
-    /// `epoll_wait` and `notify` signals its eventfd when a reply completes.
-    /// The same deadlock rules as [`Engine::dispatch`] apply to `task`;
-    /// `notify` must be cheap and must not touch the pool.
-    pub fn dispatch_notify<T, F, N>(&self, task: F, notify: N) -> mpsc::Receiver<T>
+    /// writer thread parked per connection, a single reactor thread sleeps
+    /// in `epoll_wait` and `notify` signals its eventfd when a request's
+    /// frames are in. The same deadlock rules as [`Engine::dispatch`] apply
+    /// to `task`; `notify` must be cheap and must not touch the pool.
+    pub fn submit_notify<F, N>(&self, task: F, notify: N)
     where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        F: FnOnce() + Send + 'static,
         N: FnOnce() + Send + 'static,
     {
-        self.pool.submit_with_reply_notify(task, notify)
+        self.pool.submit_notify(task, notify);
     }
 
     /// Classifies a batch of problems on the persistent worker pool,
@@ -950,22 +921,6 @@ mod tests {
         gate_tx.send(()).expect("worker parked on the gate");
         assert_eq!(rx.recv().unwrap().unwrap(), Complexity::LogStar);
         gate.recv().expect("gate task completed");
-    }
-
-    #[test]
-    fn dispatch_notify_signals_after_the_reply_exists() {
-        let engine = Engine::builder().parallelism(1).build();
-        let (notified_tx, notified_rx) = mpsc::channel::<()>();
-        let rx = engine.dispatch_notify(
-            || 7u32,
-            move || {
-                let _ = notified_tx.send(());
-            },
-        );
-        notified_rx
-            .recv_timeout(std::time::Duration::from_secs(5))
-            .expect("notify fires");
-        assert_eq!(rx.try_recv(), Ok(7), "reply observable at notify time");
     }
 
     #[test]

@@ -188,6 +188,15 @@ fn classes<T: Eq + Hash + Copy>(values: impl IntoIterator<Item = T>) -> (Vec<usi
     (class, distinct)
 }
 
+/// The facing sets of every quantified type, and each set's index among the
+/// distinct sets of its side (see [`FeasibleStructure`]'s class fields).
+struct Facing {
+    left_facing: Vec<Vec<OutLabel>>,
+    right_facing: Vec<Vec<OutLabel>>,
+    left_class: Vec<usize>,
+    right_class: Vec<usize>,
+}
+
 impl FeasibleStructure {
     /// Assembles a structure from the facing sets (ascending label lists,
     /// one per quantified type) and the pattern labelings, materializing the
@@ -221,21 +230,45 @@ impl FeasibleStructure {
         // the module documentation).
         let (left_class, firsts) = classes(masks(&right_facing)?);
         let (right_class, lasts) = classes(masks(&left_facing)?);
-        let constraints = BlockMasks::new(info.system());
+        let facing = Facing {
+            left_facing,
+            right_facing,
+            left_class,
+            right_class,
+        };
+        Self::assemble(
+            problem,
+            &BlockMasks::new(info.system()),
+            facing,
+            (&firsts, &lasts),
+            patterns,
+        )
+    }
+
+    /// Materializes the feasible function over the distinct right-facing
+    /// sets `firsts` and left-facing sets `lasts` (see
+    /// [`FeasibleStructure::new`]); `None` if some context has no block.
+    fn assemble(
+        problem: &NormalizedLcl,
+        constraints: &BlockMasks,
+        facing: Facing,
+        (firsts, lasts): (&[u64], &[u64]),
+        patterns: Vec<PatternLabeling>,
+    ) -> Option<Self> {
         let mut blocks =
             Vec::with_capacity(firsts.len() * problem.num_inputs().pow(2) * lasts.len());
-        for &first in &firsts {
+        for &first in firsts {
             for s in input_pairs(problem) {
-                for &last in &lasts {
+                for &last in lasts {
                     blocks.push(constraints.first_block(first, last, s)?);
                 }
             }
         }
         Some(FeasibleStructure {
-            left_facing,
-            right_facing,
-            left_class,
-            right_class,
+            left_facing: facing.left_facing,
+            right_facing: facing.right_facing,
+            left_class: facing.left_class,
+            right_class: facing.right_class,
             blocks,
             inputs: problem.num_inputs(),
             right_classes: lasts.len(),
@@ -289,32 +322,47 @@ fn rows_of(relation: &OutRelation) -> &[u64] {
     relation.words()
 }
 
-/// The domain of one connection relation: its formal concepts `(A, B)` with
-/// `B ≠ ∅`, largest `|A|·|B|` first, ties by smallest generating subset (see
-/// the module documentation).
-fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
-    let rows = rows_of(conn);
-    // Intents: the nonzero rows closed under nonzero intersections. A row
-    // that is already an intent adds nothing new.
-    let mut intents: Vec<u64> = Vec::new();
-    let mut seen: HashSet<u64> = HashSet::new();
-    for &row in rows {
-        if row == 0 || !seen.insert(row) {
-            continue;
-        }
-        let before = intents.len();
-        intents.push(row);
-        for i in 0..before {
-            let meet = intents[i] & row;
-            if meet != 0 && seen.insert(meet) {
-                intents.push(meet);
+/// Working buffers of [`DomainScratch::append_domain`], reused from one
+/// connection relation to the next.
+#[derive(Default)]
+struct DomainScratch {
+    intents: Vec<u64>,
+    seen: HashSet<u64>,
+    /// Each concept with its smallest generating subset.
+    concepts: Vec<(Biclique, u64)>,
+}
+
+impl DomainScratch {
+    /// Appends the domain of one connection relation to `out`: its formal
+    /// concepts `(A, B)` with `B ≠ ∅`, largest `|A|·|B|` first, ties by
+    /// smallest generating subset (see the module documentation).
+    fn append_domain(&mut self, conn: &OutRelation, out: &mut Vec<Biclique>) {
+        let rows = rows_of(conn);
+        // Intents: the nonzero rows closed under nonzero intersections. A
+        // row that is already an intent adds nothing new.
+        let DomainScratch {
+            intents,
+            seen,
+            concepts,
+        } = self;
+        intents.clear();
+        seen.clear();
+        for &row in rows {
+            if row == 0 || !seen.insert(row) {
+                continue;
+            }
+            let before = intents.len();
+            intents.push(row);
+            for i in 0..before {
+                let meet = intents[i] & row;
+                if meet != 0 && seen.insert(meet) {
+                    intents.push(meet);
+                }
             }
         }
-    }
-    let intent = |a: u64| bits(a).fold(u64::MAX, |b, p| b & rows[p]);
-    let mut concepts: Vec<(Biclique, u64)> = intents
-        .into_iter()
-        .map(|b| {
+        let intent = |a: u64| bits(a).fold(u64::MAX, |b, p| b & rows[p]);
+        concepts.clear();
+        concepts.extend(intents.iter().map(|&b| {
             let a = (0..rows.len())
                 .filter(|&p| rows[p] & b == b)
                 .fold(0, |a, p| a | 1 << p);
@@ -326,11 +374,12 @@ fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
                 }
             }
             (Biclique { a, b }, generator)
-        })
-        .collect();
-    concepts
-        .sort_by_key(|&(c, generator)| (Reverse(c.a.count_ones() * c.b.count_ones()), generator));
-    concepts.into_iter().map(|(c, _)| c).collect()
+        }));
+        concepts.sort_by_key(|&(c, generator)| {
+            (Reverse(c.a.count_ones() * c.b.count_ones()), generator)
+        });
+        out.extend(concepts.iter().map(|&(c, _)| c));
+    }
 }
 
 /// Every anchor-block input `S = (S₀, S₁) ∈ Σ_in²`.
@@ -971,22 +1020,28 @@ pub(crate) fn facing_structure(
     let num_types = info.quantified().len();
     // Candidate bicliques per distinct connection relation, most permissive
     // first (larger sets let more blocks and patterns through); types with
-    // equal relations share a domain.
+    // equal relations share a domain, and the domains lie end to end in one
+    // buffer.
     let (domain_of, connections) = classes((0..num_types).map(|i| info.connection(i)));
-    let mut domains: Vec<Vec<Biclique>> = Vec::with_capacity(connections.len());
+    let mut domains: Vec<Biclique> = Vec::new();
+    let mut domain_ends: Vec<usize> = Vec::with_capacity(connections.len());
+    let mut scratch = DomainScratch::default();
     for conn in connections {
-        let domain = ordered_domain(conn);
-        if domain.is_empty() {
+        let start = domains.len();
+        scratch.append_domain(conn, &mut domains);
+        if domains.len() == start {
             return Ok(None);
         }
-        domains.push(domain);
+        domain_ends.push(domains.len());
     }
 
     struct Search<'a> {
         problem: &'a NormalizedLcl,
         masks: BlockMasks,
-        /// The distinct domains, and each type's.
-        domains: &'a [Vec<Biclique>],
+        /// The distinct domains end to end, where each ends, and each
+        /// type's.
+        domains: &'a [Biclique],
+        domain_ends: &'a [usize],
         domain_of: &'a [usize],
         /// The choices of the types assigned so far, in type order.
         assignment: Vec<Biclique>,
@@ -1042,7 +1097,8 @@ pub(crate) fn facing_structure(
             if idx == self.domain_of.len() {
                 return Ok(true);
             }
-            for &choice in &self.domains[self.domain_of[idx]] {
+            let domain = span(self.domain_ends, self.domain_of[idx]);
+            for &choice in &self.domains[domain] {
                 if !self.consistent_with(choice) {
                     continue;
                 }
@@ -1060,6 +1116,7 @@ pub(crate) fn facing_structure(
         problem,
         masks: BlockMasks::new(info.system()),
         domains: &domains,
+        domain_ends: &domain_ends,
         domain_of: &domain_of,
         assignment: Vec::with_capacity(num_types),
         distinct: Vec::new(),
@@ -1069,17 +1126,49 @@ pub(crate) fn facing_structure(
     if num_types > 0 && !search.solve()? {
         return Ok(None);
     }
-    // A solved search assigned every type.
-    let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
-    let (left_facing, right_facing) = search
-        .assignment
+    // A solved search assigned every type. Its distinct bicliques are in
+    // order of first occurrence (a biclique whose count drops to zero
+    // leaves the list, and types are assigned in order), so the distinct
+    // facing sets of each side, in order of first occurrence, come from
+    // them without hashing.
+    let Search {
+        masks,
+        assignment,
+        distinct,
+        ..
+    } = search;
+    let (mut firsts, mut lasts) = (Vec::new(), Vec::new());
+    let class_in = |sets: &mut Vec<u64>, set: u64| match sets.iter().position(|&s| s == set) {
+        Some(class) => class,
+        None => {
+            sets.push(set);
+            sets.len() - 1
+        }
+    };
+    let classes_of: Vec<(usize, usize)> = distinct
         .iter()
-        .map(|b| (labels(b.a), labels(b.b)))
-        .unzip();
-    Ok(FeasibleStructure::new(
-        info,
-        left_facing,
-        right_facing,
+        .map(|&(c, _)| (class_in(&mut firsts, c.b), class_in(&mut lasts, c.a)))
+        .collect();
+    let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
+    let mut facing = Facing {
+        left_facing: Vec::with_capacity(num_types),
+        right_facing: Vec::with_capacity(num_types),
+        left_class: Vec::with_capacity(num_types),
+        right_class: Vec::with_capacity(num_types),
+    };
+    for choice in assignment {
+        let at = distinct.iter().position(|&(c, _)| c == choice);
+        let (left, right) = classes_of[at.expect("assigned bicliques are counted")];
+        facing.left_facing.push(labels(choice.a));
+        facing.right_facing.push(labels(choice.b));
+        facing.left_class.push(left);
+        facing.right_class.push(right);
+    }
+    Ok(FeasibleStructure::assemble(
+        problem,
+        &masks,
+        facing,
+        (&firsts, &lasts),
         Vec::new(),
     ))
 }
@@ -1093,6 +1182,13 @@ mod tests {
 
     /// A boolean `β × β` matrix as one row mask per label.
     type Rows = Vec<u64>;
+
+    /// The domain of one connection relation, on fresh buffers.
+    fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
+        let mut out = Vec::new();
+        DomainScratch::default().append_domain(conn, &mut out);
+        out
+    }
 
     /// Boolean matrix product `a · b`.
     fn product(a: &[u64], b: &[u64]) -> Rows {

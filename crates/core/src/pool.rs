@@ -27,7 +27,7 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 
 /// Runs the wrapped hook when dropped — including during a panic unwind, so
 /// completion notifications fire for jobs that died as well as jobs that
-/// delivered (see [`WorkerPool::submit_with_reply_notify`]).
+/// delivered (see [`WorkerPool::submit_notify`]).
 struct NotifyOnDrop<N: FnOnce()>(Option<N>);
 
 impl<N: FnOnce()> Drop for NotifyOnDrop<N> {
@@ -117,49 +117,48 @@ impl WorkerPool {
         }
     }
 
-    /// Injects `task` and hands back the receiver its result will arrive on.
+    /// Injects `task` and hands back the receiver its result will arrive on
+    /// (the primitive behind [`Engine::dispatch`](crate::Engine::dispatch)).
     ///
-    /// This is the reply-channel dispatch primitive behind the server's
-    /// pipelined connections, which must *not* park: submission itself never
-    /// blocks, so the caller is free to stash the receiver and keep reading
-    /// frames while a worker computes. If the task panics on the worker, the sender is dropped by
-    /// the unwind and the receiver observes disconnection instead of a value.
+    /// Submission never blocks, so the caller is free to stash the receiver
+    /// and go on while a worker computes. If the task panics on the worker,
+    /// the sender is dropped by the unwind and the receiver observes
+    /// disconnection instead of a value.
     pub(crate) fn submit_with_reply<T, F>(&self, task: F) -> mpsc::Receiver<T>
     where
         T: Send + 'static,
         F: FnOnce() -> T + Send + 'static,
     {
-        self.submit_with_reply_notify(task, || {})
-    }
-
-    /// [`WorkerPool::submit_with_reply`] with a completion hook: `notify`
-    /// runs on the worker *after* the reply has been made observable — the
-    /// value was sent, or (on a panic) the sender was dropped by the unwind —
-    /// so a receiver probed from the notification always sees the outcome.
-    ///
-    /// This is what lets a readiness-based consumer (the server's reactor
-    /// thread, parked in `epoll_wait`) learn that a reply is ready without
-    /// dedicating a parked thread per connection: the hook signals an eventfd
-    /// instead.
-    pub(crate) fn submit_with_reply_notify<T, F, N>(&self, task: F, notify: N) -> mpsc::Receiver<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-        N: FnOnce() + Send + 'static,
-    {
         let (tx, rx) = mpsc::channel();
         self.submit(move || {
-            // Drop order is load-bearing: on a panic in `task`, locals unwind
-            // in reverse declaration order, so `tx` (declared last) drops
-            // before `guard` fires `notify` — the receiver is guaranteed to
-            // observe disconnection, never a pending-but-unnotified state.
-            let guard = NotifyOnDrop(Some(notify));
-            let tx = tx;
             let _ = tx.send(task());
-            drop(tx);
-            drop(guard);
         });
         rx
+    }
+
+    /// Injects a job that delivers its own results (over channels it
+    /// captured), with a completion hook and no reply channel: `notify`
+    /// runs on the worker after `job` returned or unwound. Everything the
+    /// job captured has been dropped by then, so whatever it sent is
+    /// observable, and a sender it held reads as disconnected if it
+    /// panicked.
+    ///
+    /// This is what lets a readiness-based consumer (the server's reactor
+    /// thread, parked in `epoll_wait`) learn that a job's output is ready
+    /// without dedicating a parked thread per connection: the hook signals
+    /// an eventfd instead.
+    pub(crate) fn submit_notify<F, N>(&self, job: F, notify: N)
+    where
+        F: FnOnce() + Send + 'static,
+        N: FnOnce() + Send + 'static,
+    {
+        self.submit(move || {
+            // Declared before the call: on a panic in `job`, its captures
+            // drop inside the unwinding call, then `guard` fires `notify`.
+            let guard = NotifyOnDrop(Some(notify));
+            job();
+            drop(guard);
+        });
     }
 
     /// The number of worker threads.
@@ -262,11 +261,15 @@ mod tests {
     }
 
     #[test]
-    fn notify_fires_after_the_reply_is_observable() {
+    fn submit_notify_fires_after_the_jobs_frames_are_observable() {
         let pool = WorkerPool::new(1);
+        let (frames_tx, frames_rx) = mpsc::sync_channel::<u32>(2);
         let (notified_tx, notified_rx) = mpsc::channel::<()>();
-        let rx = pool.submit_with_reply_notify(
-            || 41u32,
+        pool.submit_notify(
+            move || {
+                frames_tx.send(1).expect("receiver alive");
+                frames_tx.send(2).expect("receiver alive");
+            },
             move || {
                 let _ = notified_tx.send(());
             },
@@ -274,17 +277,22 @@ mod tests {
         notified_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("notify must fire");
-        // The notification promises the reply is already observable: no
-        // blocking recv needed.
-        assert_eq!(rx.try_recv(), Ok(41));
+        // Both frames are in, and the job's sender is already gone.
+        assert_eq!(frames_rx.try_recv(), Ok(1));
+        assert_eq!(frames_rx.try_recv(), Ok(2));
+        assert_eq!(frames_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
     }
 
     #[test]
-    fn notify_fires_even_when_the_job_panics() {
+    fn submit_notify_fires_even_when_the_job_panics() {
         let pool = WorkerPool::new(1);
+        let (frames_tx, frames_rx) = mpsc::sync_channel::<u32>(2);
         let (notified_tx, notified_rx) = mpsc::channel::<()>();
-        let rx = pool.submit_with_reply_notify(
-            || -> u32 { panic!("job blew up") },
+        pool.submit_notify(
+            move || {
+                frames_tx.send(1).expect("receiver alive");
+                panic!("job blew up");
+            },
             move || {
                 let _ = notified_tx.send(());
             },
@@ -292,8 +300,12 @@ mod tests {
         notified_rx
             .recv_timeout(Duration::from_secs(5))
             .expect("notify must fire on panic too");
-        // By notification time the unwind has already dropped the sender.
-        assert_eq!(rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        // The frame sent before the panic is observable, and the unwind
+        // dropped the sender before the notification.
+        assert_eq!(frames_rx.try_recv(), Ok(1));
+        assert_eq!(frames_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
+        // The worker survived.
+        assert_eq!(pool.submit_with_reply(|| 3u32).recv(), Ok(3));
     }
 
     #[test]

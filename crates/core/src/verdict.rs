@@ -2,7 +2,7 @@
 
 use crate::Result;
 use lcl_local_sim::LocalAlgorithm;
-use lcl_problem::json::JsonValue;
+use lcl_problem::json::{self, JsonValue};
 use lcl_problem::{Instance, NormalizedLcl, ProblemError};
 use std::fmt;
 
@@ -178,6 +178,22 @@ impl Verdict {
         self.to_json().to_json_string()
     }
 
+    /// Appends the bytes of `Verdict::new(problem,
+    /// classification).to_json_string()` to `out`, written directly
+    /// instead of through a [`JsonValue`] tree and without copying the
+    /// name, the algorithm name or the witness into a `Verdict` first.
+    /// `to_json` stays the reference the tests hold this to.
+    pub fn write_json(problem: &NormalizedLcl, classification: &Classification, out: &mut String) {
+        write_verdict(
+            out,
+            &classification.complexity,
+            (classification.num_types, classification.pump_threshold),
+            (problem.name(), problem.canonical_hash()),
+            classification.algorithm().name(),
+            classification.unsolvability_witness(),
+        );
+    }
+
     /// Parses a verdict from its JSON wire form.
     ///
     /// # Errors
@@ -248,6 +264,41 @@ impl Verdict {
     }
 }
 
+/// The canonical verdict object, keys in sorted order as the tree
+/// serializer prints them.
+fn write_verdict(
+    out: &mut String,
+    complexity: &Complexity,
+    (num_types, pump_threshold): (usize, usize),
+    (problem_name, problem_hash): (&str, u64),
+    algorithm: &str,
+    witness: Option<&Instance>,
+) {
+    out.push_str("{\"algorithm\":");
+    json::write_string(algorithm, out);
+    out.push_str(",\"complexity\":\"");
+    out.push_str(complexity.wire_name());
+    out.push_str("\",\"num_types\":");
+    json::write_int(num_types as i64, out);
+    out.push_str(",\"problem_hash\":\"");
+    // `{:016x}`: sixteen lower-case hex digits.
+    for shift in (0..16).rev() {
+        out.push(HEX_DIGITS[(problem_hash >> (4 * shift)) as usize & 0xf] as char);
+    }
+    out.push_str("\",\"problem_name\":");
+    json::write_string(problem_name, out);
+    out.push_str(",\"pump_threshold\":");
+    json::write_int(pump_threshold as i64, out);
+    out.push_str(",\"witness\":");
+    match witness {
+        Some(instance) => instance.write_json(out),
+        None => out.push_str("null"),
+    }
+    out.push('}');
+}
+
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
 impl fmt::Display for Verdict {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -308,6 +359,80 @@ mod tests {
         let back = Verdict::from_json_str(&text).unwrap();
         assert_eq!(back, verdict);
         assert!(verdict.to_string().contains("2-coloring"));
+    }
+
+    #[test]
+    fn the_direct_writer_prints_the_tree_bytes() {
+        let mut problems: Vec<NormalizedLcl> = lcl_problems_for_tests();
+        problems.push(two_coloring());
+        for problem in &problems {
+            let Ok(classification) = classify(problem) else {
+                continue;
+            };
+            let verdict = Verdict::new(problem, &classification);
+            let tree = verdict.to_json_string();
+            let mut direct = String::from("prefix");
+            Verdict::write_json(problem, &classification, &mut direct);
+            assert_eq!(direct, format!("prefix{tree}"), "{}", problem.name());
+        }
+        // Escapes in the names, extreme counts and hashes.
+        let verdict = Verdict {
+            complexity: Complexity::Linear,
+            num_types: usize::MAX >> 1,
+            pump_threshold: 0,
+            problem_name: "q\"u\\o\te\u{1}é".to_string(),
+            problem_hash: u64::MAX,
+            algorithm: "a\nb".to_string(),
+            witness: Some(Instance::from_indices(
+                lcl_problem::Topology::Path,
+                &[0, 65535],
+            )),
+        };
+        let mut direct = String::new();
+        write_verdict(
+            &mut direct,
+            &verdict.complexity,
+            (verdict.num_types, verdict.pump_threshold),
+            (&verdict.problem_name, verdict.problem_hash),
+            &verdict.algorithm,
+            verdict.witness.as_ref(),
+        );
+        assert_eq!(direct, verdict.to_json_string());
+        assert_eq!(Verdict::from_json_str(&direct).unwrap(), verdict);
+    }
+
+    /// Problems of every class, built here: the problem crate's corpus
+    /// lives in a crate that depends on this one.
+    fn lcl_problems_for_tests() -> Vec<NormalizedLcl> {
+        let mut out = Vec::new();
+        for k in 2..=4u16 {
+            let mut b = NormalizedLcl::builder(format!("{k}-colouring"));
+            b.input_labels(&["x"]);
+            b.output_labels(&(0..k).map(|c| c.to_string()).collect::<Vec<_>>());
+            b.allow_all_node_pairs();
+            for p in 0..k {
+                for q in 0..k {
+                    if p != q {
+                        b.allow_edge_idx(p, q);
+                    }
+                }
+            }
+            out.push(b.build().unwrap());
+        }
+        let mut copy = NormalizedLcl::builder("copy input");
+        copy.input_labels(&["a", "b"]);
+        copy.output_labels(&["a", "b"]);
+        copy.allow_node_idx(0, 0);
+        copy.allow_node_idx(1, 1);
+        copy.allow_all_edge_pairs();
+        out.push(copy.build().unwrap());
+        let mut free = NormalizedLcl::builder("anything");
+        free.input_labels(&["x"]);
+        free.output_labels(&["o"]);
+        free.allow_all_node_pairs();
+        free.allow_all_edge_pairs();
+        out.push(free.build().unwrap());
+        out
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! frame shape. See `docs/PROTOCOL.md` at the repository root for the full
 //! protocol specification with examples.
 
-use crate::json::JsonValue;
-use crate::{ProblemError, Result};
+use crate::json::{JsonValue, Reader};
+use crate::{NormalizedLcl, ProblemError, ProblemSpec, Result};
 use std::fmt;
 
 /// The current version of the service protocol. Requests carrying any other
@@ -114,6 +114,66 @@ impl RequestEnvelope {
     /// errors.
     pub fn from_json_str(text: &str) -> Result<Self> {
         Self::from_json(JsonValue::parse(text)?)
+    }
+
+    /// The request front end for `classify`: reads one frame in a single
+    /// pass of the JSON pull reader — envelope fields in any order, the payload's
+    /// `problem` straight into a [`ProblemSpec`] — and builds the problem
+    /// from it ([`ProblemSpec::into_problem`]). No [`JsonValue`] tree is
+    /// built.
+    ///
+    /// Returns `None` on anything it does not accept whole: another kind,
+    /// an unsupported version, a missing, repeated or unknown field at any
+    /// level, a syntax error or trailing bytes, a problem that does not
+    /// build. Where it returns `Some((id, problem))`, the tree path —
+    /// [`RequestEnvelope::from_json_str`], then [`ProblemSpec::from_json`]
+    /// on `payload.problem` and [`ProblemSpec::to_problem`] — succeeds with
+    /// the same id and an equal problem. Where the tree path fails, this
+    /// returns `None`, so a caller that falls back to the tree path on
+    /// `None` replies to every frame exactly as the tree path alone would.
+    pub fn read_classify(text: &str) -> Option<(i64, NormalizedLcl)> {
+        const V: u8 = 1;
+        const ID: u8 = 2;
+        const KIND: u8 = 4;
+        const PAYLOAD: u8 = 8;
+        let mut reader = Reader::new(text);
+        let (mut id, mut spec, mut seen) = (0, None, 0u8);
+        let mut more = reader.begin_object().ok()?;
+        while more {
+            let key = reader.read_key().ok()?;
+            let field = match key.as_ref() {
+                "v" => V,
+                "id" => ID,
+                "kind" => KIND,
+                "payload" => PAYLOAD,
+                _ => return None,
+            };
+            if seen & field != 0 {
+                return None;
+            }
+            seen |= field;
+            match field {
+                V => (reader.read_int().ok()? == PROTOCOL_VERSION).then_some(())?,
+                ID => id = reader.read_int().ok()?,
+                KIND => (reader.read_str().ok()? == "classify").then_some(())?,
+                _ => {
+                    // `{"problem": <spec>}` and nothing else.
+                    if !reader.begin_object().ok()? || reader.read_key().ok()? != "problem" {
+                        return None;
+                    }
+                    spec = Some(ProblemSpec::read(&mut reader)?);
+                    if reader.object_continues().ok()? {
+                        return None;
+                    }
+                }
+            }
+            more = reader.object_continues().ok()?;
+        }
+        reader.finish().ok()?;
+        if seen != V | ID | KIND | PAYLOAD {
+            return None;
+        }
+        Some((id, spec?.into_problem().ok()?))
     }
 }
 

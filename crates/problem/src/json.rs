@@ -8,17 +8,24 @@
 //! arrays, objects) is exactly what the LCL wire format needs, and integers
 //! are kept exact rather than routed through floating point.
 //!
-//! Every request frame goes through [`JsonValue::parse`], so the reader
-//! does no per-byte allocation or UTF-8 work. The input is already a
-//! `&str`, so each unescaped run of a string is copied whole up to the next
-//! quote, backslash or control byte. Object keys move into their map
-//! through the entry API, and integers are accumulated in place with
-//! checked arithmetic. The writer likewise copies unescaped runs whole and
-//! prints integers without a temporary string. The earlier byte-at-a-time
-//! reader is kept as a test oracle (`json/reference.rs`): on valid
-//! documents, malformed ones, truncations and byte flips both readers must
-//! return equal values or equal `(offset, message)` errors.
+//! There is one lexer, the pull `Reader`. It hands out the value the
+//! caller asks for and validates as it goes — nesting depth, escapes and
+//! surrogate pairs, control bytes, number syntax, trailing bytes — without
+//! building anything: strings come back borrowed unless they hold an escape,
+//! and integers are accumulated in place with checked arithmetic. Two
+//! readers sit on top of it. [`JsonValue::parse`] builds a tree (and refuses
+//! duplicate keys through its map); the service's `classify` front end
+//! (`RequestEnvelope::read_classify`) reads a frame straight into a
+//! [`crate::ProblemSpec`] with no tree at all. The writers
+//! ([`write_string`], [`write_int`]) copy unescaped runs whole and print
+//! integers without a temporary string, for the tree serializer and for
+//! types that write their canonical bytes directly. The earlier
+//! byte-at-a-time reader is kept as a test oracle (`json/reference.rs`): on
+//! valid documents, malformed ones, truncations and byte flips,
+//! [`JsonValue::parse`] must return the oracle's value or its `(offset,
+//! message)` error.
 
+use std::borrow::Cow;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -181,20 +188,12 @@ impl JsonValue {
         }
     }
 
-    /// Parses a JSON document, requiring the whole input to be consumed.
+    /// Parses a JSON document, requiring the whole input to be consumed:
+    /// the tree builder over `Reader`.
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser {
-            text,
-            bytes: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.parse_value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(parser.error("trailing characters after document"));
-        }
+        let mut reader = Reader::new(text);
+        let value = reader.value()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -214,7 +213,10 @@ fn type_error(expected: &str, got: &JsonValue) -> JsonError {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Writes `s` as a JSON string literal, escaped exactly as
+/// [`JsonValue::to_json_string`] escapes it. For writers that emit canonical
+/// JSON without building a tree.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     // Every byte that needs an escape is ASCII, so the unescaped runs
     // between them end on character boundaries and are copied whole.
@@ -244,8 +246,9 @@ fn write_string(s: &str, out: &mut String) {
 
 const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
 
-/// Writes `v` in decimal without a temporary string.
-fn write_int(v: i64, out: &mut String) {
+/// Writes `v` in decimal without a temporary string, as
+/// [`JsonValue::to_json_string`] prints an integer.
+pub fn write_int(v: i64, out: &mut String) {
     // |i64::MIN| has 19 digits.
     let mut digits = [0u8; 19];
     let mut at = digits.len();
@@ -266,7 +269,24 @@ fn write_int(v: i64, out: &mut String) {
 
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
+/// A pull reader over one JSON document: the one lexer behind
+/// [`JsonValue::parse`] and the service's `classify` front end.
+///
+/// The caller asks for the value it expects next and the reader checks it
+/// in place: strings come back borrowed from the input unless they hold an
+/// escape, integers are accumulated without a temporary string, and nothing
+/// else is allocated. Every read validates what it consumes — nesting depth
+/// (at most 128 open arrays and objects), escapes and surrogate pairs,
+/// control bytes, number syntax — and [`Reader::finish`] rejects trailing
+/// bytes. Object keys are not remembered, so duplicate keys are the
+/// caller's to refuse: [`JsonValue::parse`] does it with its map, a reader
+/// of a fixed shape with a mask of the fields it has seen.
+///
+/// Errors carry the byte offset they were detected at and the same messages
+/// the tree parser has always produced, because the tree parser is this
+/// reader plus a map.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
     /// The document; `bytes` is the same text, for byte-wise scanning.
     text: &'a str,
     bytes: &'a [u8],
@@ -274,7 +294,18 @@ struct Parser<'a> {
     depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader positioned at the start of `text`.
+    pub(crate) fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            bytes: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// An error at the current offset.
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
@@ -305,33 +336,47 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
-        if self.depth >= MAX_DEPTH {
-            return Err(self.error("document nests too deeply"));
-        }
+    fn unexpected(&self) -> JsonError {
         match self.peek() {
-            Some(b'n') => self.parse_keyword("null", JsonValue::Null),
-            Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
-            Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
-            Some(b'-') | Some(b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.error(format!("unexpected character `{}`", other as char))),
-            None => Err(self.error("unexpected end of input")),
+            Some(other) => self.error(format!("unexpected character `{}`", other as char)),
+            None => self.error("unexpected end of input"),
         }
     }
 
-    fn parse_keyword(&mut self, word: &str, value: JsonValue) -> Result<JsonValue, JsonError> {
+    /// Skips whitespace and checks the nesting depth before a value.
+    fn value_start(&mut self) -> Result<Option<u8>, JsonError> {
+        self.skip_whitespace();
+        if self.depth >= MAX_DEPTH {
+            return Err(self.error("document nests too deeply"));
+        }
+        Ok(self.peek())
+    }
+
+    fn keyword(&mut self, word: &str) -> Result<(), JsonError> {
         if self.bytes[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
-            Ok(value)
+            Ok(())
         } else {
             Err(self.error(format!("expected `{word}`")))
         }
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads an integer. The wire format has no fractions, so `.`, `e` or
+    /// `E` after the digits is an error, as are leading zeros and values
+    /// outside `i64`.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an integer that fits `i64`.
+    pub(crate) fn read_int(&mut self) -> Result<i64, JsonError> {
+        if !matches!(self.value_start()?, Some(b'-' | b'0'..=b'9')) {
+            return Err(self.unexpected());
+        }
+        self.number()
+    }
+
+    /// The integer at the cursor, which is on a `-` or a digit.
+    fn number(&mut self) -> Result<i64, JsonError> {
         let start = self.pos;
         let negative = self.peek() == Some(b'-');
         if negative {
@@ -362,76 +407,61 @@ impl Parser<'_> {
             return Err(self.error(format!("leading zero in number `{text}`")));
         }
         match value {
-            Some(v) if digits > 0 => Ok(JsonValue::Int(v)),
+            Some(v) if digits > 0 => Ok(v),
             _ => Err(self.error(format!("invalid integer `{text}`"))),
         }
     }
 
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string value, borrowed from the input when it holds no
+    /// escape.
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not a well-formed string.
+    pub(crate) fn read_str(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        if self.value_start()? != Some(b'"') {
+            return Err(self.unexpected());
+        }
+        self.string()
+    }
+
+    /// Reads an object key and the `:` after it. Call it where
+    /// [`Reader::begin_object`] or [`Reader::object_continues`] said a
+    /// member follows.
+    ///
+    /// # Errors
+    ///
+    /// When the next token is not a string followed by `:`.
+    pub(crate) fn read_key(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        self.skip_whitespace();
+        let key = self.string()?;
+        self.skip_whitespace();
+        self.expect(b':')?;
+        Ok(key)
+    }
+
+    /// The string at the cursor, opening quote included.
+    fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        // The run up to the next quote, backslash or control byte is taken
+        // whole: all three are ASCII, so the run ends on a character
+        // boundary of the (already valid UTF-8) text. A string without
+        // escapes is one run, borrowed.
+        let run = self.scan_run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&text[run..self.pos - 1]));
+        }
+        let mut out = String::from(&text[run..self.pos]);
         loop {
-            // The run up to the next quote, backslash or control byte is
-            // copied whole: all three are ASCII, so the run ends on a
-            // character boundary of the (already valid UTF-8) text.
-            let run = self.pos;
-            while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' || b < 0x20 {
-                    break;
-                }
-                self.pos += 1;
-            }
-            out.push_str(&self.text[run..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(self.error("unterminated string"));
             };
             self.pos += 1;
             match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.error("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{0008}'),
-                        b'f' => out.push('\u{000c}'),
-                        b'u' => {
-                            let code = self.parse_hex4()?;
-                            // Surrogate pairs: a high surrogate must be
-                            // followed by an escaped low surrogate.
-                            let c = if (0xd800..0xdc00).contains(&code) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let low = self.parse_hex4()?;
-                                    if !(0xdc00..0xe000).contains(&low) {
-                                        return Err(self.error("invalid low surrogate"));
-                                    }
-                                    let combined =
-                                        0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-                                    char::from_u32(combined)
-                                } else {
-                                    None
-                                }
-                            } else {
-                                char::from_u32(code)
-                            };
-                            match c {
-                                Some(c) => out.push(c),
-                                None => return Err(self.error("invalid unicode escape")),
-                            }
-                        }
-                        other => {
-                            return Err(self.error(format!("invalid escape `\\{}`", other as char)))
-                        }
-                    }
-                }
+                b'"' => return Ok(Cow::Owned(out)),
+                b'\\' => self.escape(&mut out)?,
                 // RFC 8259: control characters must be escaped.
                 _ => {
                     return Err(
@@ -439,10 +469,69 @@ impl Parser<'_> {
                     )
                 }
             }
+            let run = self.scan_run();
+            out.push_str(&text[run..self.pos]);
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    /// Advances past bytes that need no escape handling; returns where the
+    /// run began.
+    fn scan_run(&mut self) -> usize {
+        let run = self.pos;
+        while let Some(&b) = self.bytes.get(self.pos) {
+            if b == b'"' || b == b'\\' || b < 0x20 {
+                break;
+            }
+            self.pos += 1;
+        }
+        run
+    }
+
+    /// Decodes one escape (the backslash already consumed) onto `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let Some(esc) = self.peek() else {
+            return Err(self.error("unterminated escape"));
+        };
+        self.pos += 1;
+        match esc {
+            b'"' => out.push('"'),
+            b'\\' => out.push('\\'),
+            b'/' => out.push('/'),
+            b'n' => out.push('\n'),
+            b'r' => out.push('\r'),
+            b't' => out.push('\t'),
+            b'b' => out.push('\u{0008}'),
+            b'f' => out.push('\u{000c}'),
+            b'u' => {
+                let code = self.hex4()?;
+                // Surrogate pairs: a high surrogate must be followed by an
+                // escaped low surrogate.
+                let c = if (0xd800..0xdc00).contains(&code) {
+                    if self.bytes[self.pos..].starts_with(b"\\u") {
+                        self.pos += 2;
+                        let low = self.hex4()?;
+                        if !(0xdc00..0xe000).contains(&low) {
+                            return Err(self.error("invalid low surrogate"));
+                        }
+                        let combined = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                        char::from_u32(combined)
+                    } else {
+                        None
+                    }
+                } else {
+                    char::from_u32(code)
+                };
+                match c {
+                    Some(c) => out.push(c),
+                    None => return Err(self.error("invalid unicode escape")),
+                }
+            }
+            other => return Err(self.error(format!("invalid escape `\\{}`", other as char))),
+        }
+        Ok(())
+    }
+
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.error("truncated unicode escape"));
         };
@@ -458,70 +547,154 @@ impl Parser<'_> {
         Ok(code)
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
+    /// Opens an array: `true` when an item follows, `false` when it was
+    /// `[]` (already closed).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an array, or nests too deeply.
+    pub(crate) fn begin_array(&mut self) -> Result<bool, JsonError> {
+        self.open(b'[', b']')
+    }
+
+    /// After an array item: `true` when another item follows (the `,` is
+    /// consumed), `false` when the array closed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `]` follows.
+    pub(crate) fn array_continues(&mut self) -> Result<bool, JsonError> {
+        self.next_member(b']', "expected `,` or `]` in array")
+    }
+
+    /// Opens an object: `true` when a member follows, `false` when it was
+    /// `{}` (already closed).
+    ///
+    /// # Errors
+    ///
+    /// When the next value is not an object, or nests too deeply.
+    pub(crate) fn begin_object(&mut self) -> Result<bool, JsonError> {
+        self.open(b'{', b'}')
+    }
+
+    /// After an object member's value: `true` when another member follows
+    /// (the `,` is consumed), `false` when the object closed.
+    ///
+    /// # Errors
+    ///
+    /// When neither `,` nor `}` follows.
+    pub(crate) fn object_continues(&mut self) -> Result<bool, JsonError> {
+        self.next_member(b'}', "expected `,` or `}` in object")
+    }
+
+    fn open(&mut self, open: u8, close: u8) -> Result<bool, JsonError> {
+        if self.value_start()? != Some(open) {
+            return Err(self.unexpected());
+        }
+        Ok(self.enter(close))
+    }
+
+    /// Steps into the array or object whose opening bracket is at the
+    /// cursor: `true` when a member follows, `false` when `close` ends it
+    /// at once.
+    fn enter(&mut self, close: u8) -> bool {
+        self.pos += 1;
         self.depth += 1;
-        let mut items = Vec::new();
         self.skip_whitespace();
-        if self.peek() == Some(b']') {
+        if self.peek() == Some(close) {
             self.pos += 1;
             self.depth -= 1;
-            return Ok(JsonValue::Array(items));
+            return false;
         }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Array(items));
-                }
-                _ => return Err(self.error("expected `,` or `]` in array")),
+        true
+    }
+
+    fn next_member(&mut self, close: u8, message: &str) -> Result<bool, JsonError> {
+        self.skip_whitespace();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
             }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(self.error(message)),
         }
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        self.depth += 1;
-        let mut map = BTreeMap::new();
+    /// Ends the document: only whitespace may follow the value read.
+    ///
+    /// # Errors
+    ///
+    /// On trailing bytes.
+    pub(crate) fn finish(mut self) -> Result<(), JsonError> {
         self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            self.depth -= 1;
-            return Ok(JsonValue::Object(map));
+        if self.pos != self.bytes.len() {
+            return Err(self.error("trailing characters after document"));
         }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            match map.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(value);
-                }
-                // Last-one-wins would let a duplicate silently override an
-                // already-validated field; the wire format rejects it.
-                Entry::Occupied(slot) => {
-                    return Err(self.error(format!("duplicate object key `{}`", slot.key())))
-                }
+        Ok(())
+    }
+
+    /// Reads the next value as a tree.
+    fn value(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.value_start()? {
+            Some(b'n') => {
+                self.keyword("null")?;
+                JsonValue::Null
             }
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    self.depth -= 1;
-                    return Ok(JsonValue::Object(map));
-                }
-                _ => return Err(self.error("expected `,` or `}` in object")),
+            Some(b't') => {
+                self.keyword("true")?;
+                JsonValue::Bool(true)
             }
-        }
+            Some(b'f') => {
+                self.keyword("false")?;
+                JsonValue::Bool(false)
+            }
+            Some(b'"') => JsonValue::Str(self.string()?.into_owned()),
+            Some(b'-' | b'0'..=b'9') => JsonValue::Int(self.number()?),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                if self.enter(b']') {
+                    loop {
+                        items.push(self.value()?);
+                        if !self.array_continues()? {
+                            break;
+                        }
+                    }
+                }
+                JsonValue::Array(items)
+            }
+            Some(b'{') => {
+                let mut map = BTreeMap::new();
+                if self.enter(b'}') {
+                    loop {
+                        let key = self.read_key()?.into_owned();
+                        let value = self.value()?;
+                        match map.entry(key) {
+                            Entry::Vacant(slot) => {
+                                slot.insert(value);
+                            }
+                            // Last-one-wins would let a duplicate silently
+                            // override an already-validated field; the wire
+                            // format rejects it.
+                            Entry::Occupied(slot) => {
+                                return Err(
+                                    self.error(format!("duplicate object key `{}`", slot.key()))
+                                )
+                            }
+                        }
+                        if !self.object_continues()? {
+                            break;
+                        }
+                    }
+                }
+                JsonValue::Object(map)
+            }
+            _ => return Err(self.unexpected()),
+        })
     }
 }
 
@@ -531,6 +704,30 @@ mod reference;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn the_reader_pulls_the_values_it_is_asked_for() {
+        let mut reader = Reader::new(r#"{"id": 7, "tags": ["a", "b\n"]}"#);
+        assert!(reader.begin_object().unwrap());
+        assert_eq!(reader.read_key().unwrap(), "id");
+        assert_eq!(reader.read_int().unwrap(), 7);
+        assert!(reader.object_continues().unwrap());
+        assert_eq!(reader.read_key().unwrap(), "tags");
+        let mut tags = Vec::new();
+        if reader.begin_array().unwrap() {
+            loop {
+                tags.push(reader.read_str().unwrap());
+                if !reader.array_continues().unwrap() {
+                    break;
+                }
+            }
+        }
+        // The unescaped string is borrowed; the escaped one is not.
+        assert!(matches!(tags[0], Cow::Borrowed("a")));
+        assert!(matches!(&tags[1], Cow::Owned(s) if s == "b\n"));
+        assert!(!reader.object_continues().unwrap());
+        reader.finish().unwrap();
+    }
 
     #[test]
     fn scalars_roundtrip() {

@@ -477,17 +477,40 @@ impl NormalizedLclBuilder {
     /// references a label outside its alphabet (including pairs recorded with
     /// unknown names).
     pub fn build(&self) -> Result<NormalizedLcl> {
-        if self.input.is_empty() {
+        NormalizedLcl::from_parts(
+            self.name.clone(),
+            self.input.clone(),
+            self.output.clone(),
+            (self.allow_all_nodes, self.node_allowed.iter().copied()),
+            (self.allow_all_edges, self.edge_allowed.iter().copied()),
+        )
+    }
+}
+
+impl NormalizedLcl {
+    /// Builds a problem from owned parts: the name and alphabets move in,
+    /// and each constraint table is `(allow every pair, allowed pairs)`.
+    /// [`NormalizedLclBuilder::build`] and
+    /// [`crate::ProblemSpec::into_problem`] both build through this, so
+    /// they validate alike (see `build` for the errors).
+    pub(crate) fn from_parts(
+        name: String,
+        input: Alphabet,
+        output: Alphabet,
+        node_pairs: (bool, impl IntoIterator<Item = (usize, usize)>),
+        edge_pairs: (bool, impl IntoIterator<Item = (usize, usize)>),
+    ) -> Result<NormalizedLcl> {
+        if input.is_empty() {
             return Err(ProblemError::EmptyInputAlphabet);
         }
-        if self.output.is_empty() {
+        if output.is_empty() {
             return Err(ProblemError::EmptyOutputAlphabet);
         }
-        let alpha = self.input.len();
-        let beta = self.output.len();
-        let mut node_allowed = vec![self.allow_all_nodes; alpha * beta];
-        let mut edge_allowed = vec![self.allow_all_edges; beta * beta];
-        for &(i, o) in &self.node_allowed {
+        let alpha = input.len();
+        let beta = output.len();
+        let mut node_allowed = vec![node_pairs.0; alpha * beta];
+        let mut edge_allowed = vec![edge_pairs.0; beta * beta];
+        for (i, o) in node_pairs.1 {
             if i >= alpha {
                 return Err(ProblemError::LabelOutOfRange {
                     what: "node-constraint input",
@@ -504,7 +527,7 @@ impl NormalizedLclBuilder {
             }
             node_allowed[i * beta + o] = true;
         }
-        for &(p, q) in &self.edge_allowed {
+        for (p, q) in edge_pairs.1 {
             if p >= beta {
                 return Err(ProblemError::LabelOutOfRange {
                     what: "edge-constraint predecessor",
@@ -523,9 +546,9 @@ impl NormalizedLclBuilder {
         }
         Ok(NormalizedLcl {
             tables: Arc::new(Tables {
-                name: self.name.clone(),
-                input: self.input.clone(),
-                output: self.output.clone(),
+                name,
+                input,
+                output,
                 node_allowed,
                 edge_allowed,
             }),

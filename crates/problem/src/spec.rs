@@ -18,7 +18,7 @@
 //! bytes, used where a fixed-width fingerprint is wanted (wire verdicts,
 //! logs); being a digest it can collide, so it is not used as a cache key.
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::{self, JsonError, JsonValue, Reader};
 use crate::{
     Alphabet, InLabel, Instance, Labeling, NormalizedLcl, OutLabel, ProblemError, Result, Topology,
 };
@@ -84,6 +84,16 @@ impl ProblemSpec {
     /// Returns an error if the spec's version is unknown, an alphabet is
     /// empty, or a constraint pair references a label outside its alphabet.
     pub fn to_problem(&self) -> Result<NormalizedLcl> {
+        self.clone().into_problem()
+    }
+
+    /// [`ProblemSpec::to_problem`], consuming the spec: the name and the
+    /// label names move into the problem instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// See [`ProblemSpec::to_problem`].
+    pub fn into_problem(self) -> Result<NormalizedLcl> {
         if self.version != PROBLEM_SPEC_VERSION {
             return Err(ProblemError::Wire {
                 what: format!(
@@ -92,16 +102,62 @@ impl ProblemSpec {
                 ),
             });
         }
-        let mut builder = NormalizedLcl::builder(self.name.clone());
-        builder.input_alphabet(Alphabet::new(self.input_labels.iter().cloned()));
-        builder.output_alphabet(Alphabet::new(self.output_labels.iter().cloned()));
-        for &(i, o) in &self.node_pairs {
-            builder.allow_node_idx(i, o);
+        let widen = |&(a, b): &(u16, u16)| (usize::from(a), usize::from(b));
+        NormalizedLcl::from_parts(
+            self.name,
+            Alphabet::new(self.input_labels),
+            Alphabet::new(self.output_labels),
+            (false, self.node_pairs.iter().map(widen)),
+            (false, self.edge_pairs.iter().map(widen)),
+        )
+    }
+
+    /// Reads a spec straight from `reader`, positioned at the spec object,
+    /// without building a [`JsonValue`] tree.
+    ///
+    /// Returns `None` on anything it does not accept whole: a syntax error,
+    /// a missing, repeated or unknown field, a wrong type, a pair that is
+    /// not two integers, or a label index outside `u16`. Where it returns
+    /// `Some`, [`ProblemSpec::from_json`] on the same text returns an equal
+    /// spec; where it returns `None`, the caller reads the text again with
+    /// `from_json`, which accepts unknown fields and words the error.
+    pub(crate) fn read(reader: &mut Reader<'_>) -> Option<Self> {
+        const FIELDS: [&str; 6] = [
+            "version",
+            "name",
+            "input_labels",
+            "output_labels",
+            "node_pairs",
+            "edge_pairs",
+        ];
+        let mut spec = ProblemSpec {
+            version: 0,
+            name: String::new(),
+            input_labels: Vec::new(),
+            output_labels: Vec::new(),
+            node_pairs: Vec::new(),
+            edge_pairs: Vec::new(),
+        };
+        let mut seen = 0u8;
+        let mut more = reader.begin_object().ok()?;
+        while more {
+            let key = reader.read_key().ok()?;
+            let field = FIELDS.iter().position(|&f| f == key)?;
+            if seen & (1 << field) != 0 {
+                return None;
+            }
+            seen |= 1 << field;
+            match field {
+                0 => spec.version = reader.read_int().ok()?,
+                1 => spec.name = reader.read_str().ok()?.into_owned(),
+                2 => spec.input_labels = read_strings(reader)?,
+                3 => spec.output_labels = read_strings(reader)?,
+                4 => spec.node_pairs = read_pairs(reader)?,
+                _ => spec.edge_pairs = read_pairs(reader)?,
+            }
+            more = reader.object_continues().ok()?;
         }
-        for &(p, q) in &self.edge_pairs {
-            builder.allow_edge_idx(p, q);
-        }
-        builder.build()
+        (seen == (1 << FIELDS.len()) - 1).then_some(spec)
     }
 
     /// Serializes to a JSON document.
@@ -210,6 +266,40 @@ fn string_list(value: &JsonValue) -> Result<Vec<String>> {
         .iter()
         .map(|v| Ok(v.as_str().map_err(wire)?.to_string()))
         .collect()
+}
+
+/// An array of strings, for [`ProblemSpec::read`].
+fn read_strings(reader: &mut Reader<'_>) -> Option<Vec<String>> {
+    let mut out = Vec::new();
+    let mut more = reader.begin_array().ok()?;
+    while more {
+        out.push(reader.read_str().ok()?.into_owned());
+        more = reader.array_continues().ok()?;
+    }
+    Some(out)
+}
+
+/// An array of `[a, b]` label-index pairs, for [`ProblemSpec::read`].
+fn read_pairs(reader: &mut Reader<'_>) -> Option<Vec<(u16, u16)>> {
+    let mut out = Vec::new();
+    let label = |reader: &mut Reader<'_>| u16::try_from(reader.read_int().ok()?).ok();
+    let mut more = reader.begin_array().ok()?;
+    while more {
+        if !reader.begin_array().ok()? {
+            return None;
+        }
+        let a = label(reader)?;
+        if !reader.array_continues().ok()? {
+            return None;
+        }
+        let b = label(reader)?;
+        if reader.array_continues().ok()? {
+            return None;
+        }
+        out.push((a, b));
+        more = reader.array_continues().ok()?;
+    }
+    Some(out)
 }
 
 impl NormalizedLcl {
@@ -428,6 +518,22 @@ impl Instance {
     /// Serializes the instance to its JSON wire form.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_json_string()
+    }
+
+    /// Appends the bytes of [`Instance::to_json_string`] to `out`, without
+    /// building a [`JsonValue`] tree.
+    pub fn write_json(&self, out: &mut String) {
+        out.push_str("{\"inputs\":[");
+        for (i, label) in self.inputs().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            json::write_int(i64::from(label.0), out);
+        }
+        out.push_str(match self.topology() {
+            Topology::Path => "],\"topology\":\"path\"}",
+            Topology::Cycle => "],\"topology\":\"cycle\"}",
+        });
     }
 
     /// Reads an instance back from a JSON document.

@@ -21,7 +21,7 @@
 //! * **Completion signaling**: each connection's [`Origin`] carries a
 //!   notify hook, built once at accept,
 //!   that every pool job it dispatches runs
-//!   ([`lcl_paths::Engine::dispatch_notify`]) to mark the connection dirty
+//!   ([`lcl_paths::Engine::submit_notify`]) to mark the connection dirty
 //!   and signal the eventfd once a frame is observable, so the reactor
 //!   wakes, resolves the connection's queue head and writes. Ready replies
 //!   (spliced hits, sheds, oversized rejections) need no wakeup: they are

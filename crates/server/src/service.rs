@@ -15,18 +15,25 @@
 //!   are cached (an id-splice), an admission rejection, an oversized-frame
 //!   rejection;
 //! * anything else — execution, serialization and, for most frames, the
-//!   JSON parse — becomes one worker-pool job ([`Engine::dispatch_notify`]),
+//!   JSON parse — becomes one worker-pool job ([`Engine::submit_notify`]),
 //!   so N requests from one connection progress concurrently on an N-worker
 //!   pool. Jobs classify and solve on the worker itself — a worker parked
 //!   on *another* pool job could deadlock a narrow pool.
 //!
-//! Each frame is parsed once. To look for a cached reply, the splice
-//! probe parses and normalizes every `classify` frame on the calling
-//! thread. When the problem is not cached, the probe hands the request id
-//! and the normalized problem to the pool job, which classifies without
-//! parsing again. Frames of every other kind, and malformed `classify`
-//! frames, are parsed by their pool job, which also builds their error
-//! replies.
+//! Each frame is parsed once, except a `classify` frame the front end
+//! declines, which the tree parse reads again. A `classify` frame is read by the request
+//! front end ([`RequestEnvelope::read_classify`]): one pass of the JSON pull
+//! reader straight into the problem, with no `JsonValue` tree. The splice
+//! probe reads every `classify` frame that way on the calling thread; when
+//! the problem is not cached, the probe hands the request id and the
+//! problem to the pool job, which classifies without reading again and
+//! writes its verdict reply straight to bytes. Every other kind, and each
+//! `classify` frame the front end does not accept whole (unknown fields,
+//! errors), takes the tree parse ([`JsonValue::parse`], then
+//! [`RequestEnvelope::from_json`]): on the calling thread for a declined
+//! `classify` frame, whose pool job gets the result; in its pool job for
+//! the rest. The pool job builds every error reply from the tree parse,
+//! so each error reply is what the tree path has always produced.
 //!
 //! Front-ends resolve the handles in request order through the connection
 //! core's reply queue (`conn.rs`). [`Service::handle_line`] is the
@@ -47,7 +54,7 @@ use crate::frame::{Frame, MAX_FRAME_BYTES};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
-use lcl_paths::classifier::{ClassifierError, ReplyLane, Verdict};
+use lcl_paths::classifier::{Classification, ClassifierError, ReplyLane, Verdict};
 use lcl_paths::gen::GenConfig;
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{
@@ -55,7 +62,6 @@ use lcl_paths::problem::{
     ResponseEnvelope, StreamInstanceSpec, PROTOCOL_VERSION,
 };
 use lcl_paths::{Engine, Error};
-use std::collections::HashMap;
 use std::fmt;
 use std::io::{self, Write as _};
 use std::net::IpAddr;
@@ -375,13 +381,6 @@ pub struct Service {
     /// (`Service::splice`). On by default; the `server_throughput`
     /// bench toggles it live to measure the lane's effect.
     reply_splice: AtomicBool,
-    /// Learned canonical classify lines: raw payload text → the structural
-    /// key / name / hash that text parsed to, so a repeated hot line skips
-    /// JSON parsing and problem normalization entirely and goes straight to
-    /// the memo cache ([`Engine::cached_reply_for_key`]). Bounded by
-    /// [`HOT_LINES_CAP`]; stale mappings (evicted entries) are dropped on
-    /// probe.
-    hot_lines: Mutex<HashMap<Box<str>, HotLine>>,
     /// Load-shedding thresholds (`--shed-p99-micros` / `--shed-queue-depth`);
     /// `None` when shedding is disabled.
     shed: Option<ShedPolicy>,
@@ -396,35 +395,102 @@ pub struct Service {
     snapshot_write: Mutex<()>,
 }
 
-/// One learned canonical classify line: what its payload text parsed to.
-/// The `Arc`s make the memo value cheap to clone out of the lock.
-#[derive(Clone, Debug)]
-struct HotLine {
-    key: Arc<[u8]>,
-    name: Arc<str>,
-    hash: u64,
-}
-
-/// Bound on remembered canonical lines. At capacity the memo is simply
-/// cleared — crude, but hot workloads re-learn a line on its next parse,
-/// and the bound keeps a high-cardinality (cache-busting) workload from
-/// accumulating request text indefinitely.
-const HOT_LINES_CAP: usize = 1024;
-
-/// What [`Service::respond`] runs: a raw frame, or a `classify` request the
-/// splice probe already parsed on the dispatching thread.
+/// What [`Service::respond`] runs: a raw frame, or a frame the splice
+/// probe already parsed on the dispatching thread.
 enum Request<'a> {
     /// A frame still to be parsed.
     Line(&'a str),
     /// A well-formed `classify` of an uncached problem ([`Splice::Miss`]).
     Classify(ParsedClassify),
+    /// A frame the `classify` front end declined, with the tree parse's
+    /// result ([`Splice::Declined`]).
+    Parsed(TreeParse),
 }
+
+/// What the tree parse ([`Service::parse`]) makes of a frame: its kind and
+/// envelope, or the ready-to-send error reply.
+type TreeParse = Result<(RequestKind, RequestEnvelope), ResponseEnvelope>;
 
 /// A `classify` frame the splice probe parsed and normalized, moved into
 /// the pool job of a cache miss so the job does not parse it again.
 struct ParsedClassify {
     id: i64,
     problem: NormalizedLcl,
+}
+
+/// One request's reply before serialization: what [`Service::respond`]
+/// returns.
+enum Outcome {
+    /// A `classify` that succeeded. A pool job writes its frame straight to
+    /// bytes ([`classify_frame`]); [`Service::handle_line`] wraps it in an
+    /// envelope.
+    Classified {
+        id: i64,
+        problem: NormalizedLcl,
+        classification: Arc<Classification>,
+    },
+    /// Every other reply, errors included.
+    Envelope(ResponseEnvelope),
+}
+
+impl Outcome {
+    fn is_ok(&self) -> bool {
+        match self {
+            Outcome::Classified { .. } => true,
+            Outcome::Envelope(response) => response.is_ok(),
+        }
+    }
+
+    /// The reply as an envelope, its payload a tree.
+    fn into_envelope(self) -> ResponseEnvelope {
+        match self {
+            Outcome::Classified {
+                id,
+                problem,
+                classification,
+            } => ResponseEnvelope::ok(
+                id,
+                RequestKind::Classify.wire_name(),
+                JsonValue::object([("verdict", Verdict::new(&problem, &classification).to_json())]),
+            ),
+            Outcome::Envelope(response) => response,
+        }
+    }
+
+    /// The reply as one serialized frame, byte-identical to
+    /// `self.into_envelope().into_json_string()`.
+    fn into_frame(self) -> String {
+        match self {
+            Outcome::Classified {
+                id,
+                problem,
+                classification,
+            } => classify_frame(id, &problem, &classification),
+            Outcome::Envelope(response) => response.into_json_string(),
+        }
+    }
+}
+
+/// Writes a classify reply's `{"verdict":…}` payload straight to bytes.
+fn write_verdict_payload(
+    problem: &NormalizedLcl,
+    classification: &Classification,
+    out: &mut String,
+) {
+    out.push_str("{\"verdict\":");
+    Verdict::write_json(problem, classification, out);
+    out.push('}');
+}
+
+/// A classify success frame, written directly: the bytes
+/// `ResponseEnvelope::ok(id, "classify", {"verdict": …}).into_json_string()`
+/// prints, without the tree.
+fn classify_frame(id: i64, problem: &NormalizedLcl, classification: &Classification) -> String {
+    let mut out = String::with_capacity(384);
+    crate::splice::write_head(id, &mut out);
+    write_verdict_payload(problem, classification, &mut out);
+    out.push('}');
+    out
 }
 
 /// What the splice probe ([`Service::splice`]) made of one frame.
@@ -434,28 +500,14 @@ enum Splice {
     /// A well-formed `classify` whose problem is not cached: the parse,
     /// handed to the pool job.
     Miss(ParsedClassify),
-    /// Not for the lane; the pool job parses the frame.
+    /// A frame naming `classify` that the front end declined and that is
+    /// not a well-formed `classify` either (a malformed frame or problem,
+    /// or another kind after all): the tree parse's result, handed to the
+    /// pool job, which owns the error reply.
+    Declined(TreeParse),
+    /// Not for the lane (the toggle is off, or the frame does not name
+    /// `classify`); the pool job parses the frame.
     Pass,
-}
-
-/// Splits a *canonical* classify frame — exactly the bytes
-/// [`RequestEnvelope::to_json_string`] produces: sorted keys, no
-/// whitespace, protocol version 1 — into its id and raw payload text.
-/// Anything else (reordered keys, spaces, a non-canonical id spelling like
-/// `007` or `+7` that the strict JSON parser would reject) returns `None`
-/// and takes the parse path; the raw lane must never accept a frame the
-/// parser would refuse.
-fn canonical_classify_parts(line: &str) -> Option<(i64, &str)> {
-    const HEAD: &str = "{\"id\":";
-    const MID: &str = ",\"kind\":\"classify\",\"payload\":";
-    const TAIL: &str = ",\"v\":1}";
-    let rest = line.strip_prefix(HEAD)?;
-    let (id_text, rest) = rest.split_at(rest.find(MID)?);
-    let id: i64 = id_text.parse().ok()?;
-    if id.to_string() != id_text {
-        return None;
-    }
-    Some((id, rest.strip_prefix(MID)?.strip_suffix(TAIL)?))
 }
 
 /// Whether a frame names the `classify` kind: a `"kind"` key, a colon with
@@ -484,7 +536,6 @@ impl Service {
             started: Instant::now(),
             max_chunk_bytes: DEFAULT_MAX_CHUNK_BYTES,
             reply_splice: AtomicBool::new(true),
-            hot_lines: Mutex::new(HashMap::new()),
             shed: None,
             quota: None,
             snapshot_path: None,
@@ -654,6 +705,7 @@ impl Service {
             &mut |_| true,
             trace.as_deref(),
         )
+        .into_envelope()
     }
 
     /// Dispatches one request frame and returns the handle its reply
@@ -688,10 +740,11 @@ impl Service {
             }
         };
         let started = Instant::now();
-        let parsed = match self.splice(&line, started) {
+        let (parsed, declined) = match self.splice(&line, started) {
             Splice::Hit(frame, trace) => return PendingResponse::ready(frame, trace),
-            Splice::Miss(parsed) => Some(parsed),
-            Splice::Pass => None,
+            Splice::Miss(parsed) => (Some(parsed), None),
+            Splice::Declined(tree) => (None, Some(tree)),
+            Splice::Pass => (None, None),
         };
         // A shed reply only occupies the connection's ordered-reply slot,
         // so it stays fast — and the server observable — however deep the
@@ -717,11 +770,11 @@ impl Service {
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
         let notify = origin.notify.clone();
         let job_notify = notify.clone();
-        // The reply travels frame by frame through `tx`, not through the
-        // engine's own result channel (dropped here; the pool tolerates
-        // that). The engine-side hook still fires after the job ends — even
-        // by panic — which is what makes the synthesized error observable.
-        let _ = self.engine.dispatch_notify(
+        // The reply travels frame by frame through `tx`; the job has no
+        // result channel of its own. The engine-side hook fires after the
+        // job ends — even by panic, with `tx` already dropped — which is
+        // what makes the synthesized error observable.
+        self.engine.submit_notify(
             move || {
                 let guard = PipelineGuard(service.metrics());
                 let trace = job_trace.as_deref();
@@ -735,13 +788,14 @@ impl Service {
                     }
                     delivered
                 };
-                let request = match parsed {
-                    Some(parsed) => Request::Classify(parsed),
-                    None => Request::Line(&line),
+                let request = match (parsed, declined) {
+                    (Some(parsed), _) => Request::Classify(parsed),
+                    (None, Some(tree)) => Request::Parsed(tree),
+                    (None, None) => Request::Line(&line),
                 };
                 let reply = service
                     .respond(request, started, &mut emit, trace)
-                    .into_json_string();
+                    .into_frame();
                 if let Some(trace) = trace {
                     trace.mark_serialized();
                 }
@@ -764,46 +818,69 @@ impl Service {
 
     /// The request body every frame runs — on a pool worker for
     /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse
-    /// (unless the splice probe already did), execute, wrap the outcome in
-    /// its envelope and record the latency metrics (from `started`, so
-    /// dispatched requests account their pool-queue wait too), stamping the
-    /// stage trace along the way.
+    /// (unless the splice probe already did), execute, and record the
+    /// latency metrics (from `started`, so dispatched requests account their
+    /// pool-queue wait too), stamping the stage trace along the way. A raw
+    /// frame that names `classify` goes to the `classify` front end
+    /// ([`Service::read_classify`]) first; the tree parse runs only for
+    /// other frames and for those the front end declines.
     fn respond(
         &self,
         request: Request<'_>,
         started: Instant,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
-    ) -> ResponseEnvelope {
-        let (kind, response) = match request {
-            // Parsed, and its parse stage stamped, on the dispatching thread.
-            Request::Classify(ParsedClassify { id, problem }) => {
-                let kind = RequestKind::Classify;
-                let result = self.classify(&problem, trace);
-                (Some(kind), Self::envelope(id, kind, result))
-            }
-            Request::Line(line) => match self.parse(line) {
-                Err(response) => {
+    ) -> Outcome {
+        // A well-formed `classify` with its problem, or the tree parse.
+        let parsed: Result<ParsedClassify, TreeParse> = match request {
+            Request::Line(line) if names_classify(line) => match Self::read_classify(line) {
+                Some(parsed) => {
                     if let Some(trace) = trace {
-                        trace.mark_parsed(None, None);
+                        trace.mark_parsed(Some(RequestKind::Classify), Some(parsed.id));
                     }
-                    (None, response)
+                    Ok(parsed)
                 }
-                Ok((kind, envelope)) => {
-                    if let Some(trace) = trace {
-                        trace.mark_parsed(Some(kind), Some(envelope.id));
-                    }
-                    let result = self.run(kind, &envelope, started, emit, trace);
-                    (Some(kind), Self::envelope(envelope.id, kind, result))
-                }
+                None => Err(self.parse(line)),
             },
+            Request::Line(line) => Err(self.parse(line)),
+            Request::Classify(parsed) => Ok(parsed),
+            Request::Parsed(tree) => Err(tree),
+        };
+        let (kind, outcome) = match parsed {
+            // Parsed, and its parse stage stamped, before this point.
+            Ok(ParsedClassify { id, problem }) => (
+                Some(RequestKind::Classify),
+                self.classify(id, problem, trace),
+            ),
+            Err(Err(response)) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(None, None);
+                }
+                (None, Outcome::Envelope(response))
+            }
+            Err(Ok((kind, envelope))) => {
+                if let Some(trace) = trace {
+                    trace.mark_parsed(Some(kind), Some(envelope.id));
+                }
+                (Some(kind), self.run(kind, &envelope, started, emit, trace))
+            }
         };
         self.metrics
-            .record(kind, started.elapsed(), response.is_ok());
+            .record(kind, started.elapsed(), outcome.is_ok());
         if let Some(trace) = trace {
-            trace.mark_computed(response.is_ok());
+            trace.mark_computed(outcome.is_ok());
         }
-        response
+        outcome
+    }
+
+    /// The request front end for `classify` frames, shared by the splice
+    /// probe and [`Service::respond`]: one pass of a JSON reader straight
+    /// into the problem ([`RequestEnvelope::read_classify`]). `None` for
+    /// anything it does not accept whole — the tree parse then runs, so
+    /// every error reply and every other kind is what it always was.
+    fn read_classify(line: &str) -> Option<ParsedClassify> {
+        let (id, problem) = RequestEnvelope::read_classify(line)?;
+        Some(ParsedClassify { id, problem })
     }
 
     /// Wraps one request's outcome in its reply envelope.
@@ -848,10 +925,15 @@ impl Service {
         started: Instant,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
-    ) -> Result<JsonValue, Error> {
+    ) -> Outcome {
         let payload = &envelope.payload;
-        match kind {
-            RequestKind::Classify => self.classify(&Self::parse_problem(payload)?, trace),
+        let result = match kind {
+            RequestKind::Classify => {
+                return match Self::parse_problem(payload) {
+                    Ok(problem) => self.classify(envelope.id, problem, trace),
+                    Err(e) => Outcome::Envelope(Self::envelope(envelope.id, kind, Err(e))),
+                }
+            }
             RequestKind::ClassifyMany => self.classify_many(payload),
             RequestKind::Solve => self.solve(payload, trace),
             RequestKind::SolveStream => {
@@ -862,7 +944,8 @@ impl Service {
             RequestKind::Health => self.health(),
             RequestKind::Metrics => self.metrics_exposition(),
             RequestKind::Snapshot => self.snapshot(),
-        }
+        };
+        Outcome::Envelope(Self::envelope(envelope.id, kind, result))
     }
 
     fn parse_problem(payload: &JsonValue) -> Result<NormalizedLcl, Error> {
@@ -870,30 +953,24 @@ impl Service {
         Ok(ProblemSpec::from_json(spec)?.to_problem()?)
     }
 
-    /// The `{"verdict": …}` response payload shared by every classify path.
-    fn verdict_payload(
-        problem: &NormalizedLcl,
-        classification: &lcl_paths::classifier::Classification,
-    ) -> JsonValue {
-        JsonValue::object([("verdict", Verdict::new(problem, classification).to_json())])
-    }
-
     /// The zero-serialization classify fast lane of [`Service::dispatch`]:
     /// answers a `classify` frame whose classification is already cached
     /// entirely on the calling thread — no pool round-trip and, when the
     /// reply bytes are attached ([`Engine::cached_reply`]), no
     /// serialization either, just an id-splice ([`StreamFrame::Spliced`]).
-    /// A *canonical* line whose payload text has been served before skips
-    /// even the request parse: the learned structural key ([`HotLine`])
-    /// re-probes the memo cache directly, making the hot path id-parse +
-    /// cache probe + memcpy.
+    /// The frame is read by the `classify` front end
+    /// ([`Service::read_classify`]), and by the tree parse only when the
+    /// front end declines it.
     ///
     /// A well-formed `classify` whose problem is not cached comes back as
     /// [`Splice::Miss`] carrying the parsed request, so its pool job
-    /// classifies without parsing the frame again. Every other frame —
-    /// the splice toggle is off, another kind, a malformed frame or
-    /// problem — is [`Splice::Pass`]: its pool job parses it and owns its
-    /// error reply (errors are never cached, so they are never spliced).
+    /// classifies without parsing the frame again. A frame that names
+    /// `classify` but is not a well-formed one is [`Splice::Declined`],
+    /// carrying the tree parse's result, so its pool job does not parse it
+    /// again either. Every other frame — the splice toggle is off, or the
+    /// frame does not name `classify` — is [`Splice::Pass`]: its pool job
+    /// parses it. The pool job owns every error reply (errors are never
+    /// cached, so they are never spliced).
     ///
     /// On [`Splice::Hit`], the request is fully accounted (latency metrics,
     /// stage trace), with the write stage left for the connection writer.
@@ -902,99 +979,47 @@ impl Service {
         if !self.reply_splice() || !names_classify(line) {
             return Splice::Pass;
         }
-        // The raw-text lane inside the fast lane: a canonical line whose
-        // payload text was already served once skips JSON parsing and
-        // problem normalization — the learned structural key re-probes the
-        // memo cache directly, and the hot reply is an id-splice away.
-        let raw_parts = canonical_classify_parts(line);
-        if let Some((id, payload_text)) = raw_parts {
-            let learned = self
-                .hot_lines
-                .lock()
-                .expect("hot-lines lock")
-                .get(payload_text)
-                .cloned();
-            if let Some(hot) = learned {
-                if let Some(payload) = self.engine.cached_reply_for_key(&hot.key, &hot.name) {
-                    let trace = self.new_trace(started, Some(id));
-                    if let Some(trace) = &trace {
-                        trace.mark_parsed(Some(RequestKind::Classify), Some(id));
-                        trace.set_problem(hot.hash, Some(true));
-                        trace.mark_computed(true);
-                        trace.mark_serialized();
+        let (id, problem) = match Self::read_classify(line) {
+            Some(ParsedClassify { id, problem }) => (id, problem),
+            None => match self.parse(line) {
+                Ok((RequestKind::Classify, envelope)) => {
+                    match Self::parse_problem(&envelope.payload) {
+                        Ok(problem) => (envelope.id, problem),
+                        Err(_) => return Splice::Declined(Ok((RequestKind::Classify, envelope))),
                     }
-                    self.metrics.record_spliced_frame();
-                    self.metrics
-                        .record(Some(RequestKind::Classify), started.elapsed(), true);
-                    return Splice::Hit(
-                        StreamFrame::Spliced(SplicedReply::new(id, payload)),
-                        trace,
-                    );
                 }
-                // Stale mapping: the entry was evicted or lost its bytes.
-                // Forget it; the parse path below re-learns on success.
-                self.hot_lines
-                    .lock()
-                    .expect("hot-lines lock")
-                    .remove(payload_text);
-            }
-        }
-        let Ok((RequestKind::Classify, envelope)) = self.parse(line) else {
-            return Splice::Pass;
-        };
-        let Ok(problem) = Self::parse_problem(&envelope.payload) else {
-            return Splice::Pass;
+                tree => return Splice::Declined(tree),
+            },
         };
         // Only an already-cached classification is served here: a miss
         // runs on the pool, taking this parse along. The render closure
         // only fires for a hit whose reply bytes are not attached yet (then
         // this request pays the one serialization every later hit reuses).
         let lane = self.engine.cached_reply(&problem, |classification| {
-            Self::verdict_payload(&problem, classification)
-                .to_json_string()
-                .into_bytes()
+            let mut payload = String::with_capacity(320);
+            write_verdict_payload(&problem, classification, &mut payload);
+            payload.into_bytes()
         });
         let Some(lane) = lane else {
-            return Splice::Miss(ParsedClassify {
-                id: envelope.id,
-                problem,
-            });
+            return Splice::Miss(ParsedClassify { id, problem });
         };
-        let trace = self.new_trace(started, Some(envelope.id));
+        let trace = self.new_trace(started, Some(id));
         if let Some(trace) = &trace {
-            trace.mark_parsed(Some(RequestKind::Classify), Some(envelope.id));
+            trace.mark_parsed(Some(RequestKind::Classify), Some(id));
             trace.set_problem(problem.canonical_hash(), Some(true));
             trace.mark_computed(true);
         }
         let frame = match lane {
             ReplyLane::Bytes(payload) => {
-                // Learn the canonical line so the next identical payload
-                // text skips straight to the raw-text lane above.
-                if let Some((_, payload_text)) = raw_parts {
-                    let mut hot = self.hot_lines.lock().expect("hot-lines lock");
-                    if hot.len() >= HOT_LINES_CAP {
-                        hot.clear();
-                    }
-                    hot.entry(payload_text.into()).or_insert_with(|| HotLine {
-                        key: problem.structural_key().into(),
-                        name: problem.name().into(),
-                        hash: problem.canonical_hash(),
-                    });
-                }
                 self.metrics.record_spliced_frame();
-                StreamFrame::Spliced(SplicedReply::new(envelope.id, payload))
+                StreamFrame::Spliced(SplicedReply::new(id, payload))
             }
             // The cached bytes were rendered for a structural twin under a
             // different problem name; serve this name a fresh serialization
             // so the reply stays byte-identical to the slow path.
-            ReplyLane::Render(classification) => StreamFrame::Final(
-                ResponseEnvelope::ok(
-                    envelope.id,
-                    RequestKind::Classify.wire_name(),
-                    Self::verdict_payload(&problem, &classification),
-                )
-                .into_json_string(),
-            ),
+            ReplyLane::Render(classification) => {
+                StreamFrame::Final(classify_frame(id, &problem, &classification))
+            }
         };
         if let Some(trace) = &trace {
             trace.mark_serialized();
@@ -1004,15 +1029,23 @@ impl Service {
         Splice::Hit(frame, trace)
     }
 
-    fn classify(&self, problem: &NormalizedLcl, trace: Option<&Trace>) -> Result<JsonValue, Error> {
+    fn classify(&self, id: i64, problem: NormalizedLcl, trace: Option<&Trace>) -> Outcome {
         // The hit flag comes from the classify call itself
         // ([`Engine::classify_observed`]) — probing the cache separately
         // would count a phantom hit and refresh the LRU.
-        let (classification, hit) = self.engine.classify_observed(problem)?;
-        if let Some(trace) = trace {
-            trace.set_problem(problem.canonical_hash(), Some(hit));
+        match self.engine.classify_observed(&problem) {
+            Ok((classification, hit)) => {
+                if let Some(trace) = trace {
+                    trace.set_problem(problem.canonical_hash(), Some(hit));
+                }
+                Outcome::Classified {
+                    id,
+                    problem,
+                    classification,
+                }
+            }
+            Err(e) => Outcome::Envelope(Self::envelope(id, RequestKind::Classify, Err(e.into()))),
         }
-        Ok(Self::verdict_payload(problem, &classification))
     }
 
     /// Classifies a batch sequentially on this thread (the memo cache still
@@ -1477,20 +1510,27 @@ mod tests {
             "input_labels",
             JsonValue::str_array(Vec::<String>::new()),
         );
-        // The probe hands over the parse of a well-formed cold classify;
-        // other kinds and malformed frames or problems pass to the pool.
+        // The probe hands over the parse of a well-formed cold classify,
+        // and the tree parse of a malformed classify frame or problem;
+        // other kinds pass to the pool unparsed.
         assert!(matches!(
             handed.splice(&classify_line(1), Instant::now()),
             Splice::Miss(ParsedClassify { id: 1, .. })
         ));
-        for line in [
-            r#"{"v":1,"id":1,"kind":"health"}"#,
-            r#"{"v":1,"id":1,"kind":"classify""#,
-            &bad_label,
-            &empty_alphabet,
-        ] {
+        assert!(matches!(
+            handed.splice(r#"{"v":1,"id":1,"kind":"health"}"#, Instant::now()),
+            Splice::Pass
+        ));
+        assert!(matches!(
+            handed.splice(r#"{"v":1,"id":1,"kind":"classify""#, Instant::now()),
+            Splice::Declined(Err(_))
+        ));
+        for line in [&bad_label, &empty_alphabet] {
             assert!(
-                matches!(handed.splice(line, Instant::now()), Splice::Pass),
+                matches!(
+                    handed.splice(line, Instant::now()),
+                    Splice::Declined(Ok((RequestKind::Classify, _)))
+                ),
                 "{line}"
             );
         }
@@ -1537,34 +1577,6 @@ mod tests {
                 Ok(_) => assert!(ok, "{line}"),
                 Err(error) => assert!(!ok && error.category == "problem", "{reply}"),
             }
-        }
-    }
-
-    #[test]
-    fn the_raw_lane_accepts_only_canonical_classify_frames() {
-        let payload = JsonValue::object([("problem", problems::coloring(3).to_spec().to_json())]);
-        let text = payload.to_json_string();
-        for id in [7i64, 0, -1, i64::MAX, i64::MIN] {
-            let line = RequestEnvelope::new(id, "classify", payload.clone()).to_json_string();
-            let (got_id, got_text) =
-                canonical_classify_parts(&line).expect("canonical frame splits");
-            assert_eq!(got_id, id);
-            assert_eq!(got_text, text);
-        }
-        // Id spellings the strict JSON parser would reject, other kinds,
-        // whitespace and reordered keys must all fall to the parse path:
-        // the raw lane may never outrun the parser.
-        for line in [
-            format!("{{\"id\":+7,\"kind\":\"classify\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"id\":007,\"kind\":\"classify\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"id\":-0,\"kind\":\"classify\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"id\":\"7\",\"kind\":\"classify\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"id\":7,\"kind\":\"classify_many\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"id\":7, \"kind\":\"classify\",\"payload\":{text},\"v\":1}}"),
-            format!("{{\"v\":1,\"id\":7,\"kind\":\"classify\",\"payload\":{text}}}"),
-            format!("{{\"id\":7,\"kind\":\"classify\",\"payload\":{text},\"v\":2}}"),
-        ] {
-            assert_eq!(canonical_classify_parts(&line), None, "{line}");
         }
     }
 
@@ -1744,12 +1756,14 @@ mod tests {
             chunks.push(frame);
             true
         };
-        let response = service.respond(
-            Request::Line(&stream_line(21, 300)),
-            Instant::now(),
-            &mut emit,
-            None,
-        );
+        let response = service
+            .respond(
+                Request::Line(&stream_line(21, 300)),
+                Instant::now(),
+                &mut emit,
+                None,
+            )
+            .into_envelope();
         assert_eq!(response.id, Some(21));
         let summary = response.result.expect("stream succeeds");
         assert!(summary.require("done").unwrap().as_bool().unwrap());
@@ -1825,12 +1839,14 @@ mod tests {
             emitted += 1;
             false
         };
-        let response = service.respond(
-            Request::Line(&stream_line(23, 300)),
-            Instant::now(),
-            &mut emit,
-            None,
-        );
+        let response = service
+            .respond(
+                Request::Line(&stream_line(23, 300)),
+                Instant::now(),
+                &mut emit,
+                None,
+            )
+            .into_envelope();
         assert_eq!(emitted, 1, "stream must stop at the first refusal");
         let error = response.result.unwrap_err();
         assert_eq!(error.category, "classifier");

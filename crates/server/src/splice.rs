@@ -20,16 +20,25 @@
 //! [`JsonValue`]: lcl_paths::problem::json::JsonValue
 //! [`ResponseEnvelope::ok`]: lcl_paths::problem::ResponseEnvelope::ok
 
-use std::io::Write;
+use lcl_paths::problem::json;
 use std::sync::Arc;
 
 /// The bytes of a success envelope before the id: `{"id":`.
-const HEAD: &[u8] = b"{\"id\":";
+const HEAD: &str = "{\"id\":";
 
 /// The bytes between the id and the payload. The canonical serializer
 /// prints object keys sorted, so for a success envelope the id is always
 /// followed by exactly `,"kind":"classify","ok":true,"payload":`.
-const MID: &[u8] = b",\"kind\":\"classify\",\"ok\":true,\"payload\":";
+const MID: &str = ",\"kind\":\"classify\",\"ok\":true,\"payload\":";
+
+/// Appends everything of a `classify` success frame before its payload —
+/// `{"id":<id>,"kind":"classify","ok":true,"payload":` — to `out`. The
+/// frame ends with the payload and one `}`.
+pub(crate) fn write_head(id: i64, out: &mut String) {
+    out.push_str(HEAD);
+    json::write_int(id, out);
+    out.push_str(MID);
+}
 
 /// The bytes after the payload, newline terminator included: the envelope's
 /// closing brace plus the NDJSON frame separator.
@@ -65,11 +74,9 @@ impl SplicedReply {
     /// payload segment and [`FRAME_TAIL`].
     pub(crate) fn head_bytes(&self) -> Vec<u8> {
         // HEAD + up to 20 id bytes ("-9223372036854775808") + MID.
-        let mut head = Vec::with_capacity(HEAD.len() + 20 + MID.len());
-        head.extend_from_slice(HEAD);
-        write!(head, "{}", self.id).expect("writing to a Vec cannot fail");
-        head.extend_from_slice(MID);
-        head
+        let mut head = String::with_capacity(HEAD.len() + 20 + MID.len());
+        write_head(self.id, &mut head);
+        head.into_bytes()
     }
 
     /// Materializes the reply as the serialized envelope line (without the

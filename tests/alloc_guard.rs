@@ -1,15 +1,19 @@
-//! Allocation guard for a cold classify.
+//! Allocation guards for a cold classify and for the `classify` request
+//! front end.
 //!
 //! A counting global allocator counts the allocations each thread makes.
-//! The test classifies every problem of the feasibility golden (the colouring
-//! and unconstrained ladders, the corpus and 320 seeded `lcl-gen` draws) with
-//! the uncached classifier and bounds the mean number of allocations per
-//! classify. The count is deterministic: it depends on the problems and the
-//! code, not on timing or on other threads.
+//! The tests take every problem of the feasibility golden (the colouring
+//! and unconstrained ladders, the corpus and 320 seeded `lcl-gen` draws):
+//! one classifies each with the uncached classifier, the other reads each
+//! problem's canonical `classify` frame into the problem and its structural
+//! key. Each bounds the mean number of allocations per problem. The counts
+//! are deterministic: they depend on the problems and the code, not on
+//! timing or on other threads.
 
 use lcl_paths::classifier::{classify_with_options, ClassifierOptions};
 use lcl_paths::gen::{generate, Family, GenConfig};
-use lcl_paths::problem::NormalizedLcl;
+use lcl_paths::problem::json::JsonValue;
+use lcl_paths::problem::{NormalizedLcl, RequestEnvelope};
 use lcl_paths::problems;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -77,7 +81,7 @@ fn golden_problems() -> Vec<NormalizedLcl> {
 const PARENT_TOTAL: u64 = 97_146;
 
 #[test]
-fn a_cold_classify_allocates_at_most_sixty_percent_of_the_parent_count() {
+fn a_cold_classify_allocates_at_most_half_the_parent_count() {
     let problems = golden_problems();
     let options = ClassifierOptions::default();
     let mut total = 0u64;
@@ -91,7 +95,50 @@ fn a_cold_classify_allocates_at_most_sixty_percent_of_the_parent_count() {
     let (mean, parent) = (total as f64 / 358.0, PARENT_TOTAL as f64 / 358.0);
     eprintln!("{total} allocations, {mean:.1} per cold classify (was {parent:.1})");
     assert!(
-        mean <= 0.6 * parent,
-        "{mean:.1} allocations per classify, more than 60% of {parent:.1}"
+        mean <= 0.5 * parent,
+        "{mean:.1} allocations per classify, more than 50% of {parent:.1}"
+    );
+}
+
+/// Each golden problem's canonical `classify` frame, spelled as
+/// [`RequestEnvelope::to_json_string`] spells it, with id `i`.
+fn classify_frames(problems: &[NormalizedLcl]) -> Vec<String> {
+    problems
+        .iter()
+        .enumerate()
+        .map(|(i, problem)| {
+            let payload = JsonValue::object([("problem", problem.to_spec().to_json())]);
+            RequestEnvelope::new(i as i64, "classify", payload).to_json_string()
+        })
+        .collect()
+}
+
+/// Allocations (and reallocations) of turning the golden's 358 canonical
+/// `classify` frames into problems and structural keys, measured on the
+/// tree path the service took before the front end existed:
+/// `JsonValue::parse`, `RequestEnvelope::from_json`, `ProblemSpec::from_json`
+/// of `payload.problem`, `ProblemSpec::to_problem`, then
+/// `NormalizedLcl::structural_key`: 118.8 per frame.
+const PARENT_FRONT_END_TOTAL: u64 = 42_539;
+
+#[test]
+fn the_classify_front_end_allocates_at_most_forty_percent_of_the_parent_count() {
+    let problems = golden_problems();
+    let frames = classify_frames(&problems);
+    let mut total = 0u64;
+    for (i, (frame, problem)) in frames.iter().zip(&problems).enumerate() {
+        let before = allocations();
+        let (id, read) = RequestEnvelope::read_classify(frame).expect("a canonical frame reads");
+        let key = read.structural_key();
+        total += allocations() - before;
+        assert_eq!((id, &read), (i as i64, problem));
+        assert_eq!(key, problem.structural_key());
+    }
+    assert_eq!(frames.len(), 358, "the golden's problem list");
+    let (mean, parent) = (total as f64 / 358.0, PARENT_FRONT_END_TOTAL as f64 / 358.0);
+    eprintln!("{total} allocations, {mean:.1} per classify frame (was {parent:.1})");
+    assert!(
+        mean <= 0.4 * parent,
+        "{mean:.1} allocations per classify frame, more than 40% of {parent:.1}"
     );
 }

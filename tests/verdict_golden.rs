@@ -139,3 +139,26 @@ fn verdicts_are_byte_identical_to_the_golden() {
     let witnesses = expected.iter().filter(|l| l.contains("\"cycle\"")).count();
     assert!(witnesses >= 50, "only {witnesses} lines carry a witness");
 }
+
+/// `Verdict::write_json` prints the bytes `to_json` serializes, on every
+/// golden verdict.
+#[test]
+fn the_direct_verdict_writer_prints_the_golden_bytes() {
+    let golden = include_str!("fixtures/verdict_golden.txt");
+    let problems = golden_problems();
+    let mut verdicts = 0;
+    for (line, problem) in golden.lines().zip(&problems) {
+        let (json, _) = line.split_once('\t').expect("a tab-separated line");
+        let classification = classify_with_options(problem, &ClassifierOptions::default())
+            .expect("every golden problem classifies");
+        let mut direct = String::new();
+        Verdict::write_json(problem, &classification, &mut direct);
+        let tree = Verdict::new(problem, &classification)
+            .to_json()
+            .to_json_string();
+        assert_eq!(direct, tree, "{}", problem.name());
+        assert_eq!(direct, json, "{}", problem.name());
+        verdicts += 1;
+    }
+    assert_eq!(verdicts, 673, "every golden problem has a verdict");
+}
