@@ -62,11 +62,27 @@
 //! happens-after the value is resident, so the re-probe under the flight
 //! lock finds it.
 //!
-//! Deadlock rule: waiting happens only on the *leader's in-place
-//! computation*, never on queued pool work — the leader needs no pool
-//! capacity to finish, so a pool worker may safely park as a waiter. (The
-//! engine's rule that pool workers must not park on *pool jobs* is
-//! unaffected; see `Engine::dispatch`.)
+//! Deadlock rule: waiting happens only on a computation some thread runs
+//! *in place*, never on queued pool work — it needs no pool capacity to
+//! finish, so a pool worker may safely park as a waiter. (The engine's rule
+//! that pool workers must not park on *pool jobs* is unaffected; see
+//! `Engine::dispatch`.)
+//!
+//! # Parked flights
+//!
+//! A leader that must not compute to the end on its own thread — the
+//! engine's inline classify lane, which runs a bounded slice of work on a
+//! server's front-end thread — leads without waiting
+//! ([`ShardedLruCache::try_lead`]: a hit, a [`Lead::Busy`] key, or a
+//! [`FlightLease`]) and, when it stops, **parks** the rest of its
+//! computation in the flight ([`FlightLease::park`]). The flight stays
+//! open, so concurrent requesters still find it, but nobody waits on
+//! parked work: the first thread to join the flight takes the work and
+//! runs it in place as the flight's leader, and waiters already parked wake
+//! to take it. The request that parked the work then gets the value with
+//! [`ShardedLruCache::resume`], running the work itself if nobody took it;
+//! it counted its miss when it led, so the resume counts nothing more.
+//! Parked work that fails abandons the flight like a failed leader.
 //!
 //! # Counter discipline
 //!
@@ -496,11 +512,18 @@ impl LruState {
     }
 }
 
+/// The unfinished computation of a flight whose leader parked it
+/// ([`FlightLease::park`]): whoever takes it next runs it in place and
+/// commits its value, or abandons the flight on `None`.
+pub type ParkedWork<V> = Box<dyn FnOnce() -> Option<V> + Send>;
+
 /// The progress of one in-flight computation.
-#[derive(Debug)]
 enum FlightState<V> {
-    /// The leader is still computing.
+    /// A thread is computing in place.
     Running,
+    /// The leader stopped and left the rest of its computation here; the
+    /// next thread to look takes it and runs it.
+    Parked(ParkedWork<V>),
     /// The leader committed this value; joiners clone it.
     Resolved(V),
     /// The leader died (panicked or returned an error) without committing;
@@ -508,9 +531,18 @@ enum FlightState<V> {
     Abandoned,
 }
 
+/// What a thread found on a flight it joined.
+enum Joined<V> {
+    /// The committed value.
+    Value(V),
+    /// Parked work, now this thread's to run in place.
+    Claimed(ParkedWork<V>),
+    /// The flight was abandoned; re-probe.
+    Abandoned,
+}
+
 /// One in-flight computation: the parked-waiter slot installed in the flight
 /// table while a leader computes a cold key.
-#[derive(Debug)]
 struct FlightSlot<V> {
     state: Mutex<FlightState<V>>,
     arrived: Condvar,
@@ -528,22 +560,30 @@ impl<V: Clone> FlightSlot<V> {
         }
     }
 
-    /// Parks until the leader resolves or abandons the flight. `Some` is the
-    /// leader's committed value; `None` means the leader died and the caller
-    /// must retry (possibly leading itself).
-    fn join(&self) -> Option<V> {
+    /// Waits while a thread computes in place, until the flight resolves,
+    /// is abandoned or holds parked work — which this thread then takes:
+    /// nobody waits on work that no thread is running.
+    fn join(&self) -> Joined<V> {
         self.waiters.fetch_add(1, Ordering::SeqCst);
         let mut state = lock(&self.state);
         let outcome = loop {
-            match &*state {
+            match &mut *state {
                 FlightState::Running => {
                     state = self
                         .arrived
                         .wait(state)
                         .unwrap_or_else(|poisoned| poisoned.into_inner());
                 }
-                FlightState::Resolved(value) => break Some(value.clone()),
-                FlightState::Abandoned => break None,
+                FlightState::Parked(_) => {
+                    let FlightState::Parked(work) =
+                        std::mem::replace(&mut *state, FlightState::Running)
+                    else {
+                        unreachable!("matched Parked");
+                    };
+                    break Joined::Claimed(work);
+                }
+                FlightState::Resolved(value) => break Joined::Value(value.clone()),
+                FlightState::Abandoned => break Joined::Abandoned,
             }
         };
         drop(state);
@@ -553,6 +593,11 @@ impl<V: Clone> FlightSlot<V> {
 
     fn resolve(&self, value: V) {
         *lock(&self.state) = FlightState::Resolved(value);
+        self.arrived.notify_all();
+    }
+
+    fn park(&self, work: ParkedWork<V>) {
+        *lock(&self.state) = FlightState::Parked(work);
         self.arrived.notify_all();
     }
 
@@ -569,7 +614,6 @@ type FlightMap<V> = HashMap<Arc<[u8]>, Arc<FlightSlot<V>>>;
 /// order where multiple are held: flight table → LRU mutex → index write
 /// lock; the hit path holds the index *read* lock and only ever `try_lock`s
 /// the LRU mutex (never blocks), so no cycle exists.
-#[derive(Debug)]
 struct CacheShard<V> {
     index: RwLock<Index<V>>,
     lru: Mutex<LruState>,
@@ -603,6 +647,17 @@ impl<V: Clone> CacheShard<V> {
     /// touch. Returns the value and whether the touch was taken (`true` =
     /// locked hit, `false` = fast hit); the matching tally is counted here.
     fn hit(&self, key: &[u8]) -> Option<(V, bool)> {
+        let (value, touched) = self.peek(key)?;
+        if touched {
+            self.locked_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.fast_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Some((value, touched))
+    }
+
+    /// [`CacheShard::hit`] without the tally.
+    fn peek(&self, key: &[u8]) -> Option<(V, bool)> {
         let index = read(&self.index);
         let entry = index.get(key)?;
         let value = entry.value.clone();
@@ -622,11 +677,6 @@ impl<V: Clone> CacheShard<V> {
             }
             Err(TryLockError::WouldBlock) => false,
         };
-        if touched {
-            self.locked_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.fast_hits.fetch_add(1, Ordering::Relaxed);
-        }
         Some((value, touched))
     }
 
@@ -725,21 +775,24 @@ impl<V: Clone> CacheShard<V> {
     }
 }
 
-/// Dissolves a leader's flight exactly once: on [`FlightGuard::commit`] the
-/// waiters receive the committed value; if the guard drops *uncommitted* —
-/// the compute closure panicked or returned an error — the flight is
-/// abandoned and every waiter wakes to re-probe and elect a new leader.
+/// A flight's lead: the right, and the duty, to settle one cold key's
+/// flight exactly once. [`FlightLease::commit`] makes the value resident and
+/// hands it to the waiters; [`FlightLease::park`] leaves the rest of the
+/// computation in the flight for the next thread to take; a lease dropped
+/// without either — its computation panicked or failed — abandons the
+/// flight, and every waiter wakes to re-probe and elect a new leader.
 /// Dissolving before resolving/abandoning means a successor can always
 /// install a fresh flight; waiters already holding the slot's `Arc` are
 /// unaffected by its removal from the table.
-struct FlightGuard<'a, V: Clone> {
+pub struct FlightLease<'a, V: Clone> {
     shard: &'a CacheShard<V>,
+    weigher: fn(&V) -> u64,
     key: Arc<[u8]>,
     slot: Arc<FlightSlot<V>>,
-    committed: bool,
+    settled: bool,
 }
 
-impl<V: Clone> FlightGuard<'_, V> {
+impl<V: Clone> FlightLease<'_, V> {
     fn dissolve(&self) {
         let mut flights = lock(&self.shard.flights);
         let removed = flights.remove(&self.key);
@@ -749,20 +802,60 @@ impl<V: Clone> FlightGuard<'_, V> {
         );
     }
 
-    fn commit(mut self, value: V) {
+    /// Inserts `value` (keep-first, as [`ShardedLruCache::insert`]) and
+    /// resolves the flight with the resident value, which it returns.
+    pub fn commit(mut self, value: V) -> V {
+        // Commit *before* resolving the flight: a requester that misses
+        // the dissolved flight must find the value resident.
+        let value = self
+            .shard
+            .insert(Arc::clone(&self.key), value, self.weigher)
+            .value;
         self.dissolve();
-        self.slot.resolve(value);
-        self.committed = true;
+        self.slot.resolve(value.clone());
+        self.settled = true;
+        value
+    }
+
+    /// Leaves `work`, the rest of this flight's computation, in the flight.
+    /// The flight stays open: the next thread that joins it — or resumes it
+    /// ([`ShardedLruCache::resume`]) — takes the work and runs it in place,
+    /// so no thread ever waits on work that nobody is running. Waiters
+    /// already parked wake to take it.
+    pub fn park(mut self, work: ParkedWork<V>) {
+        self.slot.park(work);
+        self.settled = true;
     }
 }
 
-impl<V: Clone> Drop for FlightGuard<'_, V> {
+impl<V: Clone> Drop for FlightLease<'_, V> {
     fn drop(&mut self) {
-        if !self.committed {
+        if !self.settled {
             self.dissolve();
             self.slot.abandon();
         }
     }
+}
+
+/// What [`ShardedLruCache::try_lead`] found.
+pub enum Lead<'a, V: Clone> {
+    /// The key is resident (a counted hit).
+    Hit(V),
+    /// Another flight for the key is open.
+    Busy,
+    /// The key is cold and this caller leads its flight (a counted miss).
+    Leader(FlightLease<'a, V>),
+}
+
+/// Who is asking a flight for its value.
+#[derive(Copy, Clone, PartialEq, Eq)]
+enum Requester {
+    /// A new request: hits and joins are counted.
+    New,
+    /// The request whose lead parked the flight ([`ShardedLruCache::resume`]):
+    /// it already counted its miss, so nothing more is counted unless it
+    /// must lead a new flight.
+    Owner,
 }
 
 /// A bounded, sharded LRU map from byte keys to cloneable values, with O(1)
@@ -925,7 +1018,9 @@ impl<V: Clone> ShardedLruCache<V> {
     /// immediately; on a cold key exactly one caller — the leader — runs
     /// `compute` on its own thread and commits the result, while concurrent
     /// callers for the same key park and receive the committed value
-    /// ([`FlightOutcome::Joined`]).
+    /// ([`FlightOutcome::Joined`]). A caller that finds the flight's work
+    /// parked ([`FlightLease::park`]) takes it and runs it in place, and is
+    /// served as a join too.
     ///
     /// Errors are not cached: the leader's error is returned to the leader
     /// alone, and its waiters wake to re-probe and elect a new leader (as
@@ -934,81 +1029,165 @@ impl<V: Clone> ShardedLruCache<V> {
     /// leader's thread only). `compute` is called at most once per
     /// `get_or_compute` call.
     ///
-    /// Parking discipline: a waiter blocks only on the leader's in-place
-    /// computation, which needs no pool capacity to finish — so both caller
-    /// threads and pool workers may wait here without violating the
-    /// engine's pool-deadlock rule (workers must never park on queued pool
-    /// *jobs*; see `Engine::dispatch`).
+    /// Parking discipline: a waiter blocks only on a computation some
+    /// thread is running in place, which needs no pool capacity to finish —
+    /// so both caller threads and pool workers may wait here without
+    /// violating the engine's pool-deadlock rule (workers must never park on
+    /// queued pool *jobs*; see `Engine::dispatch`). Parked work is never
+    /// waited on: the waiter runs it.
     pub fn get_or_compute<E>(
         &self,
         key: &[u8],
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<Computed<V>, E> {
+        self.obtain(key, compute, Requester::New)
+    }
+
+    /// The owner's half of a parked flight: the request whose
+    /// [`ShardedLruCache::try_lead`] lease parked the flight's work gets the
+    /// flight's value — running the parked work itself if no other thread
+    /// took it, waiting for the thread that did otherwise. That request
+    /// already counted its miss, so this counts no hit or join. If the
+    /// flight was abandoned (the parked work failed), or its value was
+    /// evicted before this call, the caller leads a new flight with
+    /// `compute`, counted as any leader is.
+    ///
+    /// # Errors
+    ///
+    /// The error of `compute`, when it runs and fails.
+    pub fn resume<E>(
+        &self,
+        key: &[u8],
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Computed<V>, E> {
+        self.obtain(key, compute, Requester::Owner)
+    }
+
+    /// The lead of a cold key's flight, without ever waiting: a resident
+    /// key is a counted hit, a key whose flight is open is
+    /// [`Lead::Busy`], and a cold key makes the caller its leader (a counted
+    /// leader and miss), holding a [`FlightLease`].
+    pub fn try_lead(&self, key: &[u8]) -> Lead<'_, V> {
         let shard = &self.shards[self.shard_of(key)];
+        if let Some((value, _)) = shard.hit(key) {
+            return Lead::Hit(value);
+        }
+        let mut flights = lock(&shard.flights);
+        // Re-probe under the flight lock, as `obtain` does.
+        if let Some((value, _)) = shard.hit(key) {
+            return Lead::Hit(value);
+        }
+        if flights.contains_key(key) {
+            return Lead::Busy;
+        }
+        Lead::Leader(self.lead(shard, &mut flights, key))
+    }
+
+    /// Installs a new flight for `key` and counts its leader and miss.
+    fn lead<'a>(
+        &'a self,
+        shard: &'a CacheShard<V>,
+        flights: &mut FlightMap<V>,
+        key: &[u8],
+    ) -> FlightLease<'a, V> {
+        let key: Arc<[u8]> = key.into();
+        let slot = Arc::new(FlightSlot::new());
+        flights.insert(Arc::clone(&key), Arc::clone(&slot));
+        shard.flight_leaders.fetch_add(1, Ordering::Relaxed);
+        shard.misses.fetch_add(1, Ordering::Relaxed);
+        FlightLease {
+            shard,
+            weigher: self.weigher,
+            key,
+            slot,
+            settled: false,
+        }
+    }
+
+    /// [`ShardedLruCache::get_or_compute`] and [`ShardedLruCache::resume`].
+    fn obtain<E>(
+        &self,
+        key: &[u8],
+        compute: impl FnOnce() -> Result<V, E>,
+        requester: Requester,
+    ) -> Result<Computed<V>, E> {
+        let shard = &self.shards[self.shard_of(key)];
+        let probe = || match requester {
+            Requester::New => shard.hit(key).map(|(value, touched)| Computed {
+                value,
+                outcome: if touched {
+                    FlightOutcome::LockedHit
+                } else {
+                    FlightOutcome::FastHit
+                },
+            }),
+            Requester::Owner => shard.peek(key).map(|(value, _)| Computed {
+                value,
+                outcome: FlightOutcome::Led,
+            }),
+        };
+        // How a value this call did not lead a new flight for is reported.
+        let served = |value| {
+            if requester == Requester::New {
+                shard.flight_joins.fetch_add(1, Ordering::Relaxed);
+                Computed {
+                    value,
+                    outcome: FlightOutcome::Joined,
+                }
+            } else {
+                Computed {
+                    value,
+                    outcome: FlightOutcome::Led,
+                }
+            }
+        };
         let mut compute = Some(compute);
         loop {
-            if let Some((value, touched)) = shard.hit(key) {
-                return Ok(Computed {
-                    value,
-                    outcome: if touched {
-                        FlightOutcome::LockedHit
-                    } else {
-                        FlightOutcome::FastHit
-                    },
-                });
+            if let Some(computed) = probe() {
+                return Ok(computed);
             }
             let mut flights = lock(&shard.flights);
             // Re-probe under the flight lock: a leader may have committed
             // and dissolved its flight between the fast probe and the lock
             // acquisition — without this check we would recompute a value
             // that is already resident.
-            if let Some((value, touched)) = shard.hit(key) {
-                return Ok(Computed {
-                    value,
-                    outcome: if touched {
-                        FlightOutcome::LockedHit
-                    } else {
-                        FlightOutcome::FastHit
-                    },
-                });
+            if let Some(computed) = probe() {
+                return Ok(computed);
             }
             if let Some(slot) = flights.get(key) {
                 let slot = Arc::clone(slot);
                 drop(flights);
-                if let Some(value) = slot.join() {
-                    shard.flight_joins.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Computed {
-                        value,
-                        outcome: FlightOutcome::Joined,
-                    });
+                match slot.join() {
+                    Joined::Value(value) => return Ok(served(value)),
+                    Joined::Claimed(work) => {
+                        // This thread runs the parked work under the
+                        // flight's lease; `None` (or a panic) abandons it.
+                        let lease = FlightLease {
+                            shard,
+                            weigher: self.weigher,
+                            key: key.into(),
+                            slot,
+                            settled: false,
+                        };
+                        if let Some(value) = work() {
+                            return Ok(served(lease.commit(value)));
+                        }
+                    }
+                    // The leader died without committing; retry — this
+                    // thread may find the value, join a successor, or lead
+                    // itself.
+                    Joined::Abandoned => {}
                 }
-                // The leader died without committing; retry — this thread
-                // may find the value, join a successor, or lead itself.
                 continue;
             }
-            // Cold key, no flight: become the leader.
-            let key_arc: Arc<[u8]> = key.to_vec().into();
-            let slot = Arc::new(FlightSlot::new());
-            flights.insert(Arc::clone(&key_arc), Arc::clone(&slot));
+            // Cold key, no flight: become the leader. A panic or `Err` drops
+            // the lease unsettled, which wakes every waiter into
+            // recomputing. No lock is held across the computation.
+            let lease = self.lead(shard, &mut flights, key);
             drop(flights);
-            shard.flight_leaders.fetch_add(1, Ordering::Relaxed);
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            let guard = FlightGuard {
-                shard,
-                key: Arc::clone(&key_arc),
-                slot,
-                committed: false,
-            };
-            // A panic or `Err` here drops `guard` uncommitted, which wakes
-            // every waiter into recomputing. No lock is held across the
-            // computation.
             let fresh = (compute.take().expect("a call leads at most one flight"))()?;
-            // Commit *before* resolving the flight: a requester that misses
-            // the dissolved flight must find the value resident.
-            let value = shard.insert(key_arc, fresh, self.weigher).value;
-            guard.commit(value.clone());
             return Ok(Computed {
-                value,
+                value: lease.commit(fresh),
                 outcome: FlightOutcome::Led,
             });
         }
@@ -1530,6 +1709,91 @@ mod tests {
             (1, 1, 1)
         );
         assert_eq!(cache.flight_waiters(), 0);
+    }
+
+    /// Parked work is never waited on: the next requester runs it in place
+    /// (a join), and the owner's resume then shares the value without
+    /// counting anything.
+    #[test]
+    fn parked_work_runs_on_the_next_thread_that_asks() {
+        let cache = ShardedLruCache::<u32>::new(8, 1);
+        let k = key(4);
+        let Lead::Leader(lease) = cache.try_lead(&k) else {
+            panic!("a cold key is led");
+        };
+        assert!(
+            matches!(cache.try_lead(&k), Lead::Busy),
+            "the flight is open"
+        );
+        lease.park(Box::new(|| Some(40)));
+        let joined = cache
+            .get_or_compute::<()>(&k, || panic!("the parked work computes"))
+            .expect("served");
+        assert_eq!((joined.value, joined.outcome), (40, FlightOutcome::Joined));
+        let resumed = cache
+            .resume::<()>(&k, || panic!("the value is resident"))
+            .expect("served");
+        assert_eq!((resumed.value, resumed.outcome), (40, FlightOutcome::Led));
+        let stats = cache.stats();
+        assert_eq!(
+            (
+                stats.flight_leaders,
+                stats.misses,
+                stats.flight_joins,
+                stats.hits
+            ),
+            (1, 1, 1, 1),
+            "{stats:?}"
+        );
+        assert_eq!(stats.inserts, 1);
+    }
+
+    /// The owner that finds its parked work untaken runs it itself; parked
+    /// work that fails abandons the flight, and the owner leads a new one.
+    #[test]
+    fn the_owner_resumes_its_own_parked_work() {
+        let cache = ShardedLruCache::<u32>::new(8, 1);
+        let (k, failing) = (key(5), key(6));
+        let Lead::Leader(lease) = cache.try_lead(&k) else {
+            panic!("a cold key is led");
+        };
+        lease.park(Box::new(|| Some(50)));
+        let resumed = cache.resume::<()>(&k, || panic!("parked")).expect("ran");
+        assert_eq!((resumed.value, resumed.outcome), (50, FlightOutcome::Led));
+        let Lead::Leader(lease) = cache.try_lead(&failing) else {
+            panic!("a cold key is led");
+        };
+        lease.park(Box::new(|| None));
+        let err = cache
+            .resume(&failing, || Err("recomputed"))
+            .expect_err("the failure is met again");
+        assert_eq!(err, "recomputed");
+        let stats = cache.stats();
+        assert_eq!((stats.flight_leaders, stats.misses), (3, 3), "{stats:?}");
+        assert_eq!((stats.hits, stats.inserts), (0, 1), "{stats:?}");
+        assert_eq!(cache.flight_waiters(), 0);
+    }
+
+    /// A waiter parked on a running flight wakes when the leader parks its
+    /// work, and runs it: no thread is left waiting on work nobody runs.
+    #[test]
+    fn a_waiting_thread_takes_work_parked_after_it_arrived() {
+        let cache = ShardedLruCache::<u32>::new(8, 1);
+        let k = key(7);
+        let Lead::Leader(lease) = cache.try_lead(&k) else {
+            panic!("a cold key is led");
+        };
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| cache.get_or_compute::<()>(&k, || panic!("joins")));
+            while cache.flight_waiters() < 1 {
+                std::thread::yield_now();
+            }
+            lease.park(Box::new(|| Some(70)));
+            let joined = waiter.join().expect("waiter").expect("served");
+            assert_eq!((joined.value, joined.outcome), (70, FlightOutcome::Joined));
+        });
+        assert_eq!(cache.get(&k), Some(70));
+        assert_eq!(cache.stats().flight_leaders, 1);
     }
 
     #[test]

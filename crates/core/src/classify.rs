@@ -1,12 +1,29 @@
 //! The top-level decision procedure: Theorem 8 + Theorem 9 combined.
+//!
+//! A classification runs as five stages, each a resumable step from what
+//! the earlier ones found ([`Progress`]):
+//!
+//! 1. **types** — the type semigroup and the quantified gap types
+//!    ([`GapTypes`]);
+//! 2. **solvability** — a long cycle with no valid labeling, if any;
+//! 3. **facing** — the biclique search for a feasible structure;
+//! 4. **patterns** — periodic labelings of the short primitive patterns;
+//! 5. **synthesis** — the algorithm for the verdict.
+//!
+//! Every stage charges a [`WorkMeter`] the units of work it does.
+//! [`classify_with_options`] runs them all with an unlimited meter; the
+//! engine's inline lane ([`crate::Engine::classify_inline`]) runs them
+//! under a slice and a per-stage cap and leaves the rest to a pool worker,
+//! which continues with the same stages from where the lane stopped.
 
 use crate::feasibility::{facing_structure, pattern_labelings, FeasibleStructure, Patterns};
 use crate::synthesis::{ConstantAlgorithm, LogStarAlgorithm, SynthesizedAlgorithm};
-use crate::types_info::GapTypes;
+use crate::types_info::{GapTypes, TypesBuild};
 use crate::verdict::{Classification, Complexity};
 use crate::Result;
 use lcl_algorithms::GatherAndSolve;
 use lcl_problem::{InLabel, Instance, NormalizedLcl};
+use lcl_semigroup::WorkMeter;
 
 /// Tunable limits of the decision procedure. The defaults are ample for every
 /// problem in the repository's corpus; the budgets exist so that a
@@ -101,29 +118,189 @@ pub fn classify_with_options(
     problem: &NormalizedLcl,
     options: &ClassifierOptions,
 ) -> Result<Classification> {
-    let info = GapTypes::compute(problem, options.type_budget)?;
-    let kappa = pattern_length(&info, options);
-    // 1. Solvability (a prerequisite the paper assumes implicitly).
-    // 2. One biclique search decides both gaps. No feasible function: the
-    //    problem needs Θ(n) (Theorem 8).
-    // 3. The ω(1) — o(log* n) gap (Theorem 9): the same feasible structure
-    //    must additionally provide periodic labelings for every short
-    //    primitive input pattern; without them the problem is Θ(log* n).
-    let answer = if let Some(word) = info.solvability_witness()? {
-        Answer::Unsolvable(word)
-    } else if let Some(mut structure) = facing_structure(&info, options.search_budget)? {
-        let patterns = canonical_patterns(problem.num_inputs(), kappa);
-        match pattern_labelings(&info, &patterns)? {
-            Some(chosen) => {
-                structure.patterns = chosen;
-                Answer::Constant(structure)
-            }
-            None => Answer::LogStar(structure),
+    Progress::Start.finish(problem, options, &mut WorkMeter::unlimited())
+}
+
+/// The stages of a classification, in the order they run (see the module
+/// documentation).
+#[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
+pub enum Stage {
+    /// The type semigroup and the quantified gap types.
+    Types,
+    /// The search for a long cycle with no valid labeling.
+    Solvability,
+    /// The biclique search for a feasible structure.
+    Facing,
+    /// Periodic labelings of the short primitive input patterns.
+    Patterns,
+    /// The synthesized algorithm and the verdict.
+    Synthesis,
+}
+
+impl Stage {
+    /// Every stage, in order.
+    pub const ALL: [Stage; 5] = [
+        Stage::Types,
+        Stage::Solvability,
+        Stage::Facing,
+        Stage::Patterns,
+        Stage::Synthesis,
+    ];
+
+    /// The stage's name: `types`, `solvability`, `facing`, `patterns` or
+    /// `synthesis`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Types => "types",
+            Stage::Solvability => "solvability",
+            Stage::Facing => "facing",
+            Stage::Patterns => "patterns",
+            Stage::Synthesis => "synthesis",
         }
-    } else {
-        Answer::Linear
-    };
-    Ok(answer.into_classification(&info, kappa))
+    }
+}
+
+/// What the stages of a classification run so far found: each stage takes
+/// the owned state of the one before it, so a classification stopped
+/// between stages continues later, on another thread, without redoing any.
+pub(crate) enum Progress {
+    /// No stage has run.
+    Start,
+    /// The types stage stopped partway; it continues where it stopped.
+    Typing(TypesBuild),
+    /// The types are known.
+    Typed(GapTypes),
+    /// Every long cycle has a valid labeling.
+    Solvable(GapTypes),
+    /// A feasible structure without pattern labelings exists.
+    Faced(GapTypes, FeasibleStructure),
+    /// The complexity is decided; the algorithm is not synthesized yet.
+    Answered(GapTypes, Answer),
+    /// The classification is complete.
+    Done(Classification),
+}
+
+impl Progress {
+    /// The stage that runs next; `None` once the classification is done.
+    pub(crate) fn next_stage(&self) -> Option<Stage> {
+        match self {
+            Progress::Start | Progress::Typing(_) => Some(Stage::Types),
+            Progress::Typed(_) => Some(Stage::Solvability),
+            Progress::Solvable(_) => Some(Stage::Facing),
+            Progress::Faced(..) => Some(Stage::Patterns),
+            Progress::Answered(..) => Some(Stage::Synthesis),
+            Progress::Done(_) => None,
+        }
+    }
+
+    /// Runs the next stage under `meter`, opening it as a new stage of the
+    /// meter, and moves to the state after it. A stage that fails — an
+    /// error, or the meter's stage cap — leaves the state from before it, so
+    /// the stage can run again; the types stage keeps how far it got
+    /// instead, and continues from there.
+    pub(crate) fn advance(
+        &mut self,
+        problem: &NormalizedLcl,
+        options: &ClassifierOptions,
+        meter: &mut WorkMeter,
+    ) -> Result<()> {
+        meter.start_stage();
+        if let Progress::Start = self {
+            *self = Progress::Typing(TypesBuild::new(problem, options.type_budget, meter)?);
+        }
+        // Each stage reads the state it needs, and takes it only once it
+        // has succeeded.
+        let next = match self {
+            Progress::Start => unreachable!("the types stage has started"),
+            Progress::Typing(build) => {
+                build.run(meter)?;
+                let Progress::Typing(build) = self.take() else {
+                    unreachable!("matched Typing");
+                };
+                Progress::Typed(build.finish())
+            }
+            // Solvability is a prerequisite the paper assumes implicitly.
+            Progress::Typed(info) => {
+                let witness = info.solvability_witness_metered(meter)?;
+                let Progress::Typed(info) = self.take() else {
+                    unreachable!("matched Typed");
+                };
+                match witness {
+                    Some(word) => Progress::Answered(info, Answer::Unsolvable(word)),
+                    None => Progress::Solvable(info),
+                }
+            }
+            // One biclique search decides both gaps. No feasible function:
+            // the problem needs Θ(n) (Theorem 8).
+            Progress::Solvable(info) => {
+                let structure = facing_structure(info, options.search_budget, meter)?;
+                let Progress::Solvable(info) = self.take() else {
+                    unreachable!("matched Solvable");
+                };
+                match structure {
+                    Some(structure) => Progress::Faced(info, structure),
+                    None => Progress::Answered(info, Answer::Linear),
+                }
+            }
+            // The ω(1) — o(log* n) gap (Theorem 9): the same feasible
+            // structure must additionally provide periodic labelings for
+            // every short primitive input pattern; without them the problem
+            // is Θ(log* n).
+            Progress::Faced(info, _) => {
+                let kappa = pattern_length(info, options);
+                let patterns = canonical_patterns(info.problem().num_inputs(), kappa);
+                let chosen = pattern_labelings(info, &patterns, meter)?;
+                let Progress::Faced(info, mut structure) = self.take() else {
+                    unreachable!("matched Faced");
+                };
+                match chosen {
+                    Some(chosen) => {
+                        structure.patterns = chosen;
+                        Progress::Answered(info, Answer::Constant(structure))
+                    }
+                    None => Progress::Answered(info, Answer::LogStar(structure)),
+                }
+            }
+            Progress::Answered(info, _) => {
+                meter.charge(
+                    GapTypes::transfer_units(info.problem()) + info.quantified().len() as u64,
+                )?;
+                let Progress::Answered(info, answer) = self.take() else {
+                    unreachable!("matched Answered");
+                };
+                let kappa = pattern_length(&info, options);
+                Progress::Done(answer.into_classification(&info, kappa))
+            }
+            Progress::Done(_) => return Ok(()),
+        };
+        *self = next;
+        Ok(())
+    }
+
+    /// The state, leaving [`Progress::Start`] in its place.
+    fn take(&mut self) -> Progress {
+        std::mem::replace(self, Progress::Start)
+    }
+
+    /// Runs every remaining stage under `meter`.
+    ///
+    /// # Errors
+    ///
+    /// The first stage's error (see [`classify_with_options`]).
+    pub(crate) fn finish(
+        mut self,
+        problem: &NormalizedLcl,
+        options: &ClassifierOptions,
+        meter: &mut WorkMeter,
+    ) -> Result<Classification> {
+        while self.next_stage().is_some() {
+            self.advance(problem, options, meter)?;
+        }
+        let Progress::Done(classification) = self else {
+            unreachable!("no stage is left");
+        };
+        Ok(classification)
+    }
 }
 
 /// The primitive-pattern length `κ` of the `O(1)` conditions: the pumping

@@ -21,6 +21,13 @@
 //!   touch-on-hit LRU eviction per shard, hits on a read-locked fast lane
 //!   that never blocks on the shard mutex), and [`Engine::cache_stats`]
 //!   aggregates the per-shard hit/miss/insert/eviction/flight counters;
+//! * **runs bounded slices of a classification inline**:
+//!   [`Engine::classify_inline`] runs a cold classification's stages on the
+//!   calling thread while a deterministic [`WorkMeter`] allows, parks the
+//!   finished stages in the key's flight when it must stop, and
+//!   [`Engine::resume`] finishes them on another thread — a server's
+//!   front-end thread classifies small problems without a pool round-trip
+//!   and never waits on another thread;
 //! * **owns a persistent worker pool**: [`EngineBuilder::build`] spawns
 //!   [`Engine::parallelism`] long-lived worker threads once; batch
 //!   classification and server request dispatch inject jobs into the pool's
@@ -72,13 +79,15 @@
 //! # }
 //! ```
 
-use crate::cache::{CacheStats, ShardStats, ShardedLruCache};
-use crate::classify::{classify_with_options, ClassifierOptions};
+use crate::cache::{CacheStats, Lead, ShardStats, ShardedLruCache};
+use crate::classify::{classify_with_options, ClassifierOptions, Progress, Stage};
 use crate::pool::{PoolStats, WorkerPool};
+use crate::types_info::GapTypes;
 use crate::verdict::{Classification, Complexity, Verdict};
 use crate::Result;
 use lcl_local_sim::{LocalAlgorithm, Network, SyncSimulator};
 use lcl_problem::{Instance, Labeling, NormalizedLcl};
+use lcl_semigroup::WorkMeter;
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread;
@@ -256,6 +265,11 @@ impl CacheEntry {
         }
     }
 
+    /// The entry of a classification just computed.
+    fn fresh(classification: Classification) -> Arc<Self> {
+        Arc::new(CacheEntry::new(Arc::new(classification)))
+    }
+
     /// The cached classification.
     pub fn classification(&self) -> &Arc<Classification> {
         &self.classification
@@ -277,6 +291,26 @@ pub enum ReplyLane {
     /// for a structurally identical problem under a *different* name or
     /// hash; the caller must serialize freshly for this request's identity.
     Render(Arc<Classification>),
+}
+
+/// How [`Engine::classify_inline`] left a classification.
+#[derive(Clone, Debug)]
+pub enum Lane {
+    /// Classified on the calling thread, or found cached (`hit`).
+    Done {
+        /// The classification.
+        classification: Arc<Classification>,
+        /// Whether the memo cache served it.
+        hit: bool,
+    },
+    /// Stopped before `stage`: the stages before it are done, and their
+    /// state waits in the key's flight. Finish with [`Engine::resume`] on a
+    /// pool worker.
+    Parked(Stage),
+    /// Not started: another thread holds the key's flight, or the problem
+    /// does not fit the lane. Classify with [`Engine::classify_keyed`] on a
+    /// pool worker, which joins the flight.
+    Pool,
 }
 
 /// The result of [`Engine::solve`]: the classification together with the
@@ -336,30 +370,43 @@ impl EngineCore {
 
     /// Memoized classification on the calling thread.
     fn classify(&self, problem: &NormalizedLcl) -> Result<Arc<Classification>> {
-        self.classify_observed(problem).map(|(c, _)| c)
+        self.classify_keyed(&problem.structural_key(), problem)
+            .map(|(c, _)| c)
     }
 
-    /// [`EngineCore::classify`] that also reports whether the memo cache
-    /// served the result (`true` = hit), for callers that attribute latency.
-    fn classify_observed(&self, problem: &NormalizedLcl) -> Result<(Arc<Classification>, bool)> {
-        self.classify_entry(problem)
+    /// [`EngineCore::classify`] under the problem's structural key, also
+    /// reporting whether the memo cache served the result (`true` = hit),
+    /// for callers that attribute latency.
+    fn classify_keyed(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+    ) -> Result<(Arc<Classification>, bool)> {
+        self.classify_entry(key, problem)
             .map(|(entry, hit)| (Arc::clone(&entry.classification), hit))
     }
 
-    /// The full memoized path: returns the whole cache entry, so callers
-    /// that splice replies can reach the bytes lane without a second probe.
-    fn classify_entry(&self, problem: &NormalizedLcl) -> Result<(Arc<CacheEntry>, bool)> {
-        let key = problem.structural_key();
+    /// The full memoized path, under the problem's structural key `key`:
+    /// returns the whole cache entry, so callers that splice replies can
+    /// reach the bytes lane without a second probe.
+    fn classify_entry(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+    ) -> Result<(Arc<CacheEntry>, bool)> {
         // Single-flight: at most one thread per cold key runs the closure
         // (counting the miss when it commits to computing); concurrent
         // requesters park on the leader's flight and share its Arc. Waiting
-        // is on the leader's in-place computation, never on pool capacity,
-        // so this is safe from pool workers too (see `Engine::dispatch`).
-        let computed = self.cache.get_or_compute(&key, || {
-            classify_with_options(problem, &self.options)
-                .map(|c| Arc::new(CacheEntry::new(Arc::new(c))))
-        })?;
+        // is on a computation some thread runs in place, never on pool
+        // capacity, so this is safe from pool workers too (see
+        // `Engine::dispatch`).
+        let computed = self.cache.get_or_compute(key, || self.compute(problem))?;
         Ok((computed.value, computed.outcome.served_from_cache()))
+    }
+
+    /// One cold classification, as a cache entry.
+    fn compute(&self, problem: &NormalizedLcl) -> Result<Arc<CacheEntry>> {
+        classify_with_options(problem, &self.options).map(CacheEntry::fresh)
     }
 
     /// The error reported when a pool job died (panicked) before sending its
@@ -450,8 +497,18 @@ impl Engine {
         problem: &NormalizedLcl,
         render: impl FnOnce(&Classification) -> Vec<u8>,
     ) -> Option<ReplyLane> {
-        let key = problem.structural_key();
-        let entry = self.core.lookup(&key)?;
+        self.cached_reply_keyed(&problem.structural_key(), problem, render)
+    }
+
+    /// [`Engine::cached_reply`] for a caller that already holds the
+    /// problem's [structural key](NormalizedLcl::structural_key) `key`.
+    pub fn cached_reply_keyed(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+        render: impl FnOnce(&Classification) -> Vec<u8>,
+    ) -> Option<ReplyLane> {
+        let entry = self.core.lookup(key)?;
         let mut fresh = false;
         let payload = entry.reply.get_or_init(|| {
             fresh = true;
@@ -462,9 +519,9 @@ impl Engine {
         });
         if payload.name.as_ref() == problem.name() {
             if fresh {
-                self.core.cache.record_bytes_miss(&key);
+                self.core.cache.record_bytes_miss(key);
             } else {
-                self.core.cache.record_bytes_hit(&key);
+                self.core.cache.record_bytes_hit(key);
             }
             Some(ReplyLane::Bytes(Arc::clone(&payload.bytes)))
         } else {
@@ -483,19 +540,106 @@ impl Engine {
         self.core.classify(problem)
     }
 
-    /// [`Engine::classify`] that also reports whether the memo cache served
-    /// the result (`true` = hit, `false` = computed now). This is what
-    /// request tracing uses to attribute a request's latency to cache or
-    /// compute without an extra (stats-perturbing) cache probe.
+    /// [`Engine::classify`] for a caller that already holds the problem's
+    /// [structural key](NormalizedLcl::structural_key) `key`, also
+    /// reporting whether the memo cache served the result (`true` = hit or
+    /// join, `false` = computed now). This is what request tracing uses to
+    /// attribute a request's latency to cache or compute without an extra
+    /// (stats-perturbing) cache probe.
     ///
     /// # Errors
     ///
     /// See [`Engine::classify`].
-    pub fn classify_observed(
+    pub fn classify_keyed(
         &self,
+        key: &[u8],
         problem: &NormalizedLcl,
     ) -> Result<(Arc<Classification>, bool)> {
-        self.core.classify_observed(problem)
+        self.core.classify_keyed(key, problem)
+    }
+
+    /// Runs a classification's stages on the calling thread while `meter`
+    /// is under its slice, and never waits on another thread.
+    ///
+    /// A cached problem is [`Lane::Done`] at once. Otherwise the call leads
+    /// the key's flight — one counted miss, as any leader — and runs the
+    /// stages in order, each under the meter's per-stage cap, until the
+    /// classification is done ([`Lane::Done`], committed to the cache) or
+    /// the next stage may not finish here: the meter passed its slice, or
+    /// the stage stopped at its cap or failed. Then the state of the
+    /// finished stages is parked in the flight ([`Lane::Parked`]), and
+    /// [`Engine::resume`] on a pool worker continues from the stage that
+    /// did not finish — the types stage from where it stopped, any other
+    /// from its start. An error is deterministic, so the pool meets it
+    /// again and reports it.
+    ///
+    /// A key whose flight another thread holds is [`Lane::Pool`] without
+    /// any work, as is a problem with 64 or more output labels or whose
+    /// transfer system alone would pass the cap.
+    ///
+    /// A panic in a stage unwinds out of this call; the flight is then
+    /// abandoned, as a panicking leader's is.
+    pub fn classify_inline(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+        meter: &mut WorkMeter,
+    ) -> Lane {
+        if problem.num_outputs() >= 64 || GapTypes::transfer_units(problem) > meter.cap() {
+            return Lane::Pool;
+        }
+        let lease = match self.core.cache.try_lead(key) {
+            Lead::Hit(entry) => {
+                return Lane::Done {
+                    classification: Arc::clone(&entry.classification),
+                    hit: true,
+                }
+            }
+            Lead::Busy => return Lane::Pool,
+            Lead::Leader(lease) => lease,
+        };
+        let options = &self.core.options;
+        let mut progress = Progress::Start;
+        loop {
+            let Some(stage) = progress.next_stage() else {
+                let Progress::Done(classification) = progress else {
+                    unreachable!("only a done classification has no next stage");
+                };
+                let entry = lease.commit(CacheEntry::fresh(classification));
+                return Lane::Done {
+                    classification: Arc::clone(&entry.classification),
+                    hit: false,
+                };
+            };
+            // A stage that stops leaves the state it started from (or, for
+            // the types stage, how far it got), which is parked.
+            if meter.within_slice() && progress.advance(problem, options, meter).is_ok() {
+                continue;
+            }
+            let (problem, options) = (problem.clone(), options.clone());
+            lease.park(Box::new(move || {
+                progress
+                    .finish(&problem, &options, &mut WorkMeter::unlimited())
+                    .ok()
+                    .map(CacheEntry::fresh)
+            }));
+            return Lane::Parked(stage);
+        }
+    }
+
+    /// Finishes a classification that [`Engine::classify_inline`] parked
+    /// (see [`Lane::Parked`]), for the request that parked it: runs the
+    /// parked stages on the calling thread, unless another thread already
+    /// took them, whose result it then shares. Counts no hit or join: the
+    /// request counted its miss when it led. A parked classification that
+    /// failed is recomputed here, and its error returned.
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::classify`].
+    pub fn resume(&self, key: &[u8], problem: &NormalizedLcl) -> Result<Arc<Classification>> {
+        let computed = self.core.cache.resume(key, || self.core.compute(problem))?;
+        Ok(Arc::clone(&computed.value.classification))
     }
 
     /// Submits an arbitrary task to the worker pool **without blocking** and
@@ -1261,6 +1405,65 @@ mod tests {
             (1, 0),
             "an alias probe is neither a bytes hit nor a bytes miss"
         );
+    }
+
+    /// The inline lane returns at once, without charging anything, while
+    /// another thread computes the key in place; the pool path then joins
+    /// that flight.
+    #[test]
+    fn the_inline_lane_never_waits_on_a_running_flight() {
+        let engine = Engine::builder().parallelism(1).build();
+        let problem = three_coloring();
+        let key = problem.structural_key();
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (led_tx, led_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let (engine, problem, key) = (&engine, &problem, &key);
+            scope.spawn(move || {
+                let Lead::Leader(lease) = engine.core.cache.try_lead(key) else {
+                    panic!("a cold key is led");
+                };
+                led_tx.send(()).expect("main thread waits");
+                gate_rx.recv().expect("gate opens");
+                lease.commit(engine.core.compute(problem).expect("classifies"));
+            });
+            led_rx.recv().expect("the flight is open");
+            let mut meter = WorkMeter::unlimited();
+            let lane = engine.classify_inline(key, problem, &mut meter);
+            assert!(matches!(lane, Lane::Pool), "{lane:?}");
+            assert_eq!(meter.used(), 0, "nothing ran here");
+            gate_tx.send(()).expect("leader waits on the gate");
+        });
+        let (classification, hit) = engine.classify_keyed(&key, &problem).unwrap();
+        assert!(hit);
+        assert_eq!(classification.complexity(), Complexity::LogStar);
+        assert_eq!(engine.cache_stats().misses, 1);
+    }
+
+    /// A lane that stops between stages parks the finished stages, and
+    /// resuming them gives the verdict a whole classification gives.
+    #[test]
+    fn a_parked_classification_resumes_to_the_same_verdict() {
+        let engine = Engine::builder().parallelism(1).build();
+        for problem in [three_coloring(), two_coloring(), coloring(5)] {
+            let key = problem.structural_key();
+            let whole = classify_with_options(&problem, engine.options()).unwrap();
+            for slice in 0..6 {
+                engine.clear_cache();
+                // A stage charges at least one unit, so a slice of `s`
+                // units stops after at most `s + 1` stages.
+                let mut meter = WorkMeter::new(slice, u64::MAX);
+                let classification = match engine.classify_inline(&key, &problem, &mut meter) {
+                    Lane::Done { classification, .. } => classification,
+                    Lane::Parked(_) => engine.resume(&key, &problem).unwrap(),
+                    Lane::Pool => panic!("a cold key fits the lane"),
+                };
+                assert_eq!(
+                    Verdict::new(&problem, &classification),
+                    Verdict::new(&problem, &whole)
+                );
+            }
+        }
     }
 
     #[test]

@@ -124,7 +124,7 @@
 use crate::types_info::GapTypes;
 use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
-use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup};
+use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup, WorkMeter};
 use std::cmp::Reverse;
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -335,8 +335,15 @@ struct DomainScratch {
 impl DomainScratch {
     /// Appends the domain of one connection relation to `out`: its formal
     /// concepts `(A, B)` with `B ≠ ∅`, largest `|A|·|B|` first, ties by
-    /// smallest generating subset (see the module documentation).
-    fn append_domain(&mut self, conn: &OutRelation, out: &mut Vec<Biclique>) {
+    /// smallest generating subset (see the module documentation). Charges
+    /// `meter` each intersection of the closure and each concept's row scan
+    /// and generator steps.
+    fn append_domain(
+        &mut self,
+        conn: &OutRelation,
+        out: &mut Vec<Biclique>,
+        meter: &mut WorkMeter,
+    ) -> Result<()> {
         let rows = rows_of(conn);
         // Intents: the nonzero rows closed under nonzero intersections. A
         // row that is already an intent adds nothing new.
@@ -352,6 +359,7 @@ impl DomainScratch {
                 continue;
             }
             let before = intents.len();
+            meter.charge(before as u64 + 1)?;
             intents.push(row);
             for i in 0..before {
                 let meet = intents[i] & row;
@@ -362,10 +370,11 @@ impl DomainScratch {
         }
         let intent = |a: u64| bits(a).fold(u64::MAX, |b, p| b & rows[p]);
         concepts.clear();
-        concepts.extend(intents.iter().map(|&b| {
+        for &b in intents.iter() {
             let a = (0..rows.len())
                 .filter(|&p| rows[p] & b == b)
-                .fold(0, |a, p| a | 1 << p);
+                .fold(0u64, |a, p| a | 1 << p);
+            meter.charge((rows.len() + a.count_ones().pow(2) as usize) as u64)?;
             let mut generator = a;
             for p in (0..rows.len()).rev().filter(|&p| a >> p & 1 == 1) {
                 let without = generator & !(1 << p);
@@ -373,12 +382,13 @@ impl DomainScratch {
                     generator = without;
                 }
             }
-            (Biclique { a, b }, generator)
-        }));
+            concepts.push((Biclique { a, b }, generator));
+        }
         concepts.sort_by_key(|&(c, generator)| {
             (Reverse(c.a.count_ones() * c.b.count_ones()), generator)
         });
         out.extend(concepts.iter().map(|&(c, _)| c));
+        Ok(())
     }
 }
 
@@ -574,31 +584,38 @@ impl<'a> Candidates<'a> {
     /// The candidate of `pattern` after `after` (its first for `None`),
     /// pulled from the pattern's walk if it has not been yet; `None` once the
     /// walk is done.
-    fn next(&mut self, pattern: usize, after: Option<usize>) -> Option<usize> {
+    fn next(
+        &mut self,
+        pattern: usize,
+        after: Option<usize>,
+        meter: &mut WorkMeter,
+    ) -> Result<Option<usize>> {
         let next = after.map_or(self.walks[pattern].head, |c| self.pulled[c].next);
         if next != NONE {
-            return Some(next);
+            return Ok(Some(next));
         }
         debug_assert_eq!(
             after.unwrap_or(NONE),
             self.walks[pattern].tail,
             "pulls append"
         );
-        self.pull(pattern)
+        self.pull(pattern, meter)
     }
 
     /// Runs the walk of `pattern` to its next candidate and appends that to
-    /// the pattern's list.
-    fn pull(&mut self, pattern: usize) -> Option<usize> {
+    /// the pattern's list, charging `meter` one unit per walk step. A walk
+    /// the meter stops keeps its place.
+    fn pull(&mut self, pattern: usize, meter: &mut WorkMeter) -> Result<Option<usize>> {
         let word = self.patterns.get(pattern);
         let steps = &mut self.steps[self.patterns.start(pattern)..];
         let walk = &mut self.walks[pattern];
         let masks = &self.masks;
         while walk.found < self.cap {
+            meter.charge(1)?;
             let i = walk.depth;
             if steps[i].1 == 0 {
                 if i == 0 {
-                    return None;
+                    return Ok(None);
                 }
                 walk.depth -= 1;
                 continue;
@@ -613,11 +630,11 @@ impl<'a> Candidates<'a> {
                 let ends = &mut self.ends[pattern * masks.edges.len() + steps[0].0];
                 if *ends >> label & 1 == 0 {
                     *ends |= 1 << label;
-                    return Some(self.keep(pattern));
+                    return Ok(Some(self.keep(pattern)));
                 }
             }
         }
-        None
+        Ok(None)
     }
 
     /// Appends the walk's current path to the pulled candidates of
@@ -685,36 +702,46 @@ fn padding_types(
 
 /// The `⊆`-minimal elements of a list of relations, without repeats: a
 /// product with a larger relation constrains nothing a smaller one does not.
-/// Kept in place, in order of size.
-fn minimal<R: AsRef<[u64]>>(mut relations: Vec<R>) -> Vec<R> {
+/// Kept in place, in order of size. Charges `meter` the words of each
+/// relation sized and each pair compared.
+fn minimal<R: AsRef<[u64]>>(mut relations: Vec<R>, meter: &mut WorkMeter) -> Result<Vec<R>> {
+    let words = relations.first().map_or(0, |r| r.as_ref().len()) as u64;
+    meter.charge(relations.len() as u64 * words)?;
     let size = |r: &R| r.as_ref().iter().map(|row| row.count_ones()).sum::<u32>();
     relations.sort_by_key(size);
-    keep_minimal(&mut relations, |k: &R, r: &R| {
-        k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0)
-    });
-    relations
+    let below = |k: &R, r: &R| k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0);
+    keep_minimal(&mut relations, below, words, meter)?;
+    Ok(relations)
 }
 
 /// The `⊆`-minimal masks of a list, without repeats: a row (or column) that
 /// contains another meets every set the smaller one meets. Kept in place, in
-/// order of size.
-fn minimal_masks(mut masks: Vec<u64>) -> Vec<u64> {
+/// order of size. Charges `meter` each mask and each pair compared.
+fn minimal_masks(mut masks: Vec<u64>, meter: &mut WorkMeter) -> Result<Vec<u64>> {
+    meter.charge(masks.len() as u64)?;
     masks.sort_unstable_by_key(|m| m.count_ones());
-    keep_minimal(&mut masks, |&k, &m| k & !m == 0);
-    masks
+    keep_minimal(&mut masks, |&k, &m| k & !m == 0, 1, meter)?;
+    Ok(masks)
 }
 
 /// Keeps, in order, each item of a list sorted by size that no item kept
-/// before it lies `below`.
-fn keep_minimal<T>(items: &mut Vec<T>, below: impl Fn(&T, &T) -> bool) {
+/// before it lies `below`, charging `meter` `width` units per comparison.
+fn keep_minimal<T>(
+    items: &mut Vec<T>,
+    below: impl Fn(&T, &T) -> bool,
+    width: u64,
+    meter: &mut WorkMeter,
+) -> Result<()> {
     let mut kept = 0;
     for i in 0..items.len() {
+        meter.charge(kept as u64 * width)?;
         if !items[..kept].iter().any(|k| below(k, &items[i])) {
             items.swap(kept, i);
             kept += 1;
         }
     }
     items.truncate(kept);
+    Ok(())
 }
 
 /// The patterns grouped by type: a pattern enters the `O(1)` conditions
@@ -727,6 +754,16 @@ struct PatternClasses {
 }
 
 impl PatternClasses {
+    /// Groups `patterns` by type, charging `meter` one unit per letter read
+    /// and the words of each class's trace check.
+    fn metered(info: &GapTypes, patterns: &Patterns, meter: &mut WorkMeter) -> Result<Self> {
+        meter.charge(patterns.letters.len() as u64)?;
+        let classes = Self::new(info, patterns)?;
+        let check_units = info.system().edge_relation().words().len() as u64;
+        meter.charge(classes.types.len() as u64 * check_units)?;
+        Ok(classes)
+    }
+
     fn new(info: &GapTypes, patterns: &Patterns) -> Result<Self> {
         let types: Vec<TypeId> = patterns
             .iter()
@@ -745,15 +782,20 @@ impl PatternClasses {
     /// One periodic labeling per pattern such that every ordered pair of
     /// labeled regions bridges, or `None`; settled without enumerating any
     /// labeling if some pattern has none.
-    fn labelings(self, info: &GapTypes, patterns: &Patterns) -> Option<Vec<PatternLabeling>> {
+    fn labelings(
+        self,
+        info: &GapTypes,
+        patterns: &Patterns,
+        meter: &mut WorkMeter,
+    ) -> Result<Option<Vec<PatternLabeling>>> {
         if !self.all_labelable(info) {
-            return None;
+            return Ok(None);
         }
         if patterns.is_empty() {
-            return Some(Vec::new());
+            return Ok(Some(Vec::new()));
         }
         let candidates = Candidates::new(BlockMasks::new(info.system()), patterns, CANDIDATE_CAP);
-        choose_pattern_labelings(info, patterns, self, candidates)
+        choose_pattern_labelings(info, patterns, self, candidates, meter)
     }
 }
 
@@ -790,7 +832,16 @@ struct Bridges<'a> {
 }
 
 impl<'a> Bridges<'a> {
+    #[cfg(test)]
     fn new(info: &'a GapTypes, classes: PatternClasses) -> Self {
+        Self::metered(info, classes, &mut WorkMeter::unlimited())
+            .expect("an unlimited meter stops nothing")
+    }
+
+    /// As [`Bridges::new`], charging `meter` one unit per letter stepped
+    /// through while following the stable paddings, and the rows of every
+    /// type's relation for the minimal middles.
+    fn metered(info: &'a GapTypes, classes: PatternClasses, meter: &mut WorkMeter) -> Result<Self> {
         let semigroup = info.semigroup();
         let PatternClasses { class_of, types } = classes;
         let mut seen = vec![(0, 0); semigroup.len()];
@@ -798,8 +849,11 @@ impl<'a> Bridges<'a> {
         let mut padding_ends = Vec::with_capacity(types.len());
         for (class, &t) in types.iter().enumerate() {
             padding_types(semigroup, t, class + 1, &mut seen, &mut padding_ids);
+            let steps = (padding_ids.len() - padding_ends.last().unwrap_or(&0)).max(1);
+            meter.charge((steps * semigroup.witness(t).len()) as u64)?;
             padding_ends.push(padding_ids.len());
         }
+
         let paddings = padding_ids
             .iter()
             .map(|&padding| {
@@ -812,9 +866,10 @@ impl<'a> Bridges<'a> {
                 .iter()
                 .map(|t| rows_of(semigroup.relation(t)))
                 .collect(),
-        );
+            meter,
+        )?;
         let (beta, classes) = (info.problem().num_outputs(), types.len());
-        Bridges {
+        Ok(Bridges {
             beta,
             middles,
             class_of,
@@ -823,12 +878,28 @@ impl<'a> Bridges<'a> {
             rows: vec![None; classes * beta],
             columns: vec![None; classes * beta],
             answers: vec![None; classes * classes],
-        }
+        })
     }
 
     /// Can a labeled `w_i`-region ending with `last` be followed, across any
     /// middle, by a labeled `w_j`-region starting with `first`?
+    #[cfg(test)]
     fn bridges(&mut self, i: usize, last: OutLabel, j: usize, first: OutLabel) -> bool {
+        self.bridges_metered(i, last, j, first, &mut WorkMeter::unlimited())
+            .expect("an unlimited meter stops nothing")
+    }
+
+    /// As [`Bridges::bridges`], charging `meter` for an entry not decided
+    /// before: the products its rows take, its columns and the row-column
+    /// pairs it checks.
+    fn bridges_metered(
+        &mut self,
+        i: usize,
+        last: OutLabel,
+        j: usize,
+        first: OutLabel,
+        meter: &mut WorkMeter,
+    ) -> Result<bool> {
         let (ci, cj) = (self.class_of[i], self.class_of[j]);
         let (last, first, beta) = (last.index(), first.index(), self.beta);
         let bit = 1u64 << first;
@@ -836,13 +907,20 @@ impl<'a> Bridges<'a> {
         let memo = self.answers[ci * classes + cj].get_or_insert_with(|| vec![(0, 0); beta]);
         let (known, yes) = &mut memo[last];
         if *known & bit == 0 {
-            *known |= bit;
             let left = &self.paddings[span(&self.padding_ends, ci)];
             let right = &self.paddings[span(&self.padding_ends, cj)];
-            let rows = self.rows[ci * beta + last]
-                .get_or_insert_with(|| left_rows(left, &self.middles, last));
-            let columns =
-                self.columns[cj * beta + first].get_or_insert_with(|| right_columns(right, first));
+            let rows = &mut self.rows[ci * beta + last];
+            if rows.is_none() {
+                *rows = Some(left_rows(left, &self.middles, last, meter)?);
+            }
+            let rows = rows.as_ref().expect("just filled");
+            let columns = &mut self.columns[cj * beta + first];
+            if columns.is_none() {
+                *columns = Some(right_columns(right, first, meter)?);
+            }
+            let columns = columns.as_ref().expect("just filled");
+            meter.charge((rows.len() * columns.len()) as u64)?;
+            *known |= bit;
             if rows
                 .iter()
                 .all(|&row| columns.iter().all(|&col| row & col != 0))
@@ -850,15 +928,22 @@ impl<'a> Bridges<'a> {
                 *yes |= bit;
             }
         }
-        *yes & bit != 0
+        Ok(*yes & bit != 0)
     }
 }
 
 /// The minimal rows at `last` of `C(L)·M` over the paddings `L` and the
 /// middles `M`. A row of `C(L)·M` is the union of the middle's rows that
 /// `C(L)`'s row picks, so only the minimal `C(L)` rows are multiplied out.
-fn left_rows(paddings: &[&[u64]], middles: &[&[u64]], last: usize) -> Vec<u64> {
-    let conns = minimal_masks(paddings.iter().map(|conn| conn[last]).collect());
+/// Charges `meter` one unit per product row and the minimal-row passes.
+fn left_rows(
+    paddings: &[&[u64]],
+    middles: &[&[u64]],
+    last: usize,
+    meter: &mut WorkMeter,
+) -> Result<Vec<u64>> {
+    let conns = minimal_masks(paddings.iter().map(|conn| conn[last]).collect(), meter)?;
+    meter.charge((conns.len() * middles.len()) as u64)?;
     let mut rows: Vec<u64> = Vec::with_capacity(conns.len() * middles.len());
     for &row in &conns {
         rows.extend(
@@ -867,19 +952,20 @@ fn left_rows(paddings: &[&[u64]], middles: &[&[u64]], last: usize) -> Vec<u64> {
                 .map(|m| bits(row).fold(0, |out, k| out | m[k])),
         );
     }
-    minimal_masks(rows)
+    minimal_masks(rows, meter)
 }
 
 /// The minimal columns at `first` of `C(R)` over the paddings `R`, as masks
-/// over rows.
-fn right_columns(paddings: &[&[u64]], first: usize) -> Vec<u64> {
+/// over rows. Charges `meter` the rows read and the minimal-column pass.
+fn right_columns(paddings: &[&[u64]], first: usize, meter: &mut WorkMeter) -> Result<Vec<u64>> {
+    meter.charge(paddings.iter().map(|conn| conn.len() as u64).sum())?;
     let column = |conn: &&[u64]| {
         conn.iter()
             .enumerate()
             .filter(|&(_, row)| row >> first & 1 == 1)
             .fold(0, |col, (p, _)| col | 1 << p)
     };
-    minimal_masks(paddings.iter().map(column).collect())
+    minimal_masks(paddings.iter().map(column).collect(), meter)
 }
 
 /// Backtracking choice of one periodic labeling per pattern such that every
@@ -891,48 +977,50 @@ fn choose_pattern_labelings(
     patterns: &Patterns,
     classes: PatternClasses,
     mut candidates: Candidates,
-) -> Option<Vec<PatternLabeling>> {
-    let mut bridges = Bridges::new(info, classes);
+    meter: &mut WorkMeter,
+) -> Result<Option<Vec<PatternLabeling>>> {
+    let mut bridges = Bridges::metered(info, classes, meter)?;
 
     fn solve(
         idx: usize,
         candidates: &mut Candidates,
         chosen: &mut Vec<usize>,
         bridges: &mut Bridges,
-    ) -> bool {
+        meter: &mut WorkMeter,
+    ) -> Result<bool> {
         if idx == candidates.patterns.len() {
-            return true;
+            return Ok(true);
         }
         let mut cursor = None;
-        'cands: while let Some(cand) = candidates.next(idx, cursor) {
+        'cands: while let Some(cand) = candidates.next(idx, cursor, meter)? {
             cursor = Some(cand);
             let (first, last) = candidates.ends(cand);
             // Check against itself and all previously chosen labelings.
-            if !bridges.bridges(idx, last, idx, first) {
+            if !bridges.bridges_metered(idx, last, idx, first, meter)? {
                 continue;
             }
             for (j, &prev) in chosen.iter().enumerate() {
                 let (prev_first, prev_last) = candidates.ends(prev);
-                if !bridges.bridges(idx, last, j, prev_first)
-                    || !bridges.bridges(j, prev_last, idx, first)
+                if !bridges.bridges_metered(idx, last, j, prev_first, meter)?
+                    || !bridges.bridges_metered(j, prev_last, idx, first, meter)?
                 {
                     continue 'cands;
                 }
             }
             chosen.push(cand);
-            if solve(idx + 1, candidates, chosen, bridges) {
-                return true;
+            if solve(idx + 1, candidates, chosen, bridges, meter)? {
+                return Ok(true);
             }
             chosen.pop();
         }
-        false
+        Ok(false)
     }
 
     let mut chosen = Vec::with_capacity(patterns.len());
-    if !solve(0, &mut candidates, &mut chosen, &mut bridges) {
-        return None;
+    if !solve(0, &mut candidates, &mut chosen, &mut bridges, meter)? {
+        return Ok(None);
     }
-    Some(
+    Ok(Some(
         chosen
             .into_iter()
             .enumerate()
@@ -941,7 +1029,7 @@ fn choose_pattern_labelings(
                 labeling: candidates.labeling(i, c).to_vec(),
             })
             .collect(),
-    )
+    ))
 }
 
 /// Searches for a feasible structure.
@@ -971,13 +1059,16 @@ pub fn find_feasible(
     if !classes.all_labelable(info) {
         return Ok(None);
     }
-    let Some(mut structure) = facing_structure(info, budget)? else {
+    let mut meter = WorkMeter::unlimited();
+    let Some(mut structure) = facing_structure(info, budget, &mut meter)? else {
         return Ok(None);
     };
-    Ok(classes.labelings(info, &patterns).map(|chosen| {
-        structure.patterns = chosen;
-        structure
-    }))
+    Ok(classes
+        .labelings(info, &patterns, &mut meter)?
+        .map(|chosen| {
+            structure.patterns = chosen;
+            structure
+        }))
 }
 
 /// Rejects output alphabets too large for `u64` label sets.
@@ -996,12 +1087,14 @@ fn check_outputs(problem: &NormalizedLcl) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Propagates semigroup errors (a pattern over an unknown input label).
+/// Propagates semigroup errors (a pattern over an unknown input label) and
+/// the meter's stage cap.
 pub(crate) fn pattern_labelings(
     info: &GapTypes,
     patterns: &Patterns,
+    meter: &mut WorkMeter,
 ) -> Result<Option<Vec<PatternLabeling>>> {
-    Ok(PatternClasses::new(info, patterns)?.labelings(info, patterns))
+    PatternClasses::metered(info, patterns, meter)?.labelings(info, patterns, meter)
 }
 
 /// The biclique search: facing sets `(A(τ), B(τ))` for every quantified type
@@ -1010,10 +1103,13 @@ pub(crate) fn pattern_labelings(
 ///
 /// # Errors
 ///
-/// As [`find_feasible`].
+/// As [`find_feasible`], and the meter's stage cap: the search charges
+/// `meter` the concept steps of its domains, one unit per node, the block
+/// checks of each choice it tries and the blocks it materializes.
 pub(crate) fn facing_structure(
     info: &GapTypes,
     budget: usize,
+    meter: &mut WorkMeter,
 ) -> Result<Option<FeasibleStructure>> {
     let problem = info.problem();
     check_outputs(problem)?;
@@ -1028,7 +1124,7 @@ pub(crate) fn facing_structure(
     let mut scratch = DomainScratch::default();
     for conn in connections {
         let start = domains.len();
-        scratch.append_domain(conn, &mut domains);
+        scratch.append_domain(conn, &mut domains, meter)?;
         if domains.len() == start {
             return Ok(None);
         }
@@ -1049,6 +1145,9 @@ pub(crate) fn facing_structure(
         distinct: Vec<(Biclique, usize)>,
         nodes: usize,
         budget: usize,
+        meter: &'a mut WorkMeter,
+        /// The block checks of one `labelable` call: `|Σ_in|²`.
+        pairs: u64,
     }
 
     impl Search<'_> {
@@ -1093,12 +1192,16 @@ pub(crate) fn facing_structure(
                     budget: self.budget,
                 });
             }
+            self.meter.charge(1)?;
             let idx = self.assignment.len();
             if idx == self.domain_of.len() {
                 return Ok(true);
             }
             let domain = span(self.domain_ends, self.domain_of[idx]);
             for &choice in &self.domains[domain] {
+                // Both ways round against itself and each distinct choice.
+                let checks = 2 * (1 + self.distinct.len() as u64) * self.pairs;
+                self.meter.charge(checks)?;
                 if !self.consistent_with(choice) {
                     continue;
                 }
@@ -1122,6 +1225,8 @@ pub(crate) fn facing_structure(
         distinct: Vec::new(),
         nodes: 0,
         budget,
+        meter,
+        pairs: (problem.num_inputs() * problem.num_inputs()) as u64,
     };
     if num_types > 0 && !search.solve()? {
         return Ok(None);
@@ -1135,9 +1240,12 @@ pub(crate) fn facing_structure(
         masks,
         assignment,
         distinct,
+        meter,
+        pairs,
         ..
     } = search;
     let (mut firsts, mut lasts) = (Vec::new(), Vec::new());
+    meter.charge(assignment.len() as u64)?;
     let class_in = |sets: &mut Vec<u64>, set: u64| match sets.iter().position(|&s| s == set) {
         Some(class) => class,
         None => {
@@ -1156,6 +1264,7 @@ pub(crate) fn facing_structure(
         left_class: Vec::with_capacity(num_types),
         right_class: Vec::with_capacity(num_types),
     };
+    meter.charge(firsts.len() as u64 * pairs * lasts.len() as u64)?;
     for choice in assignment {
         let at = distinct.iter().position(|&(c, _)| c == choice);
         let (left, right) = classes_of[at.expect("assigned bicliques are counted")];
@@ -1186,7 +1295,9 @@ mod tests {
     /// The domain of one connection relation, on fresh buffers.
     fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
         let mut out = Vec::new();
-        DomainScratch::default().append_domain(conn, &mut out);
+        DomainScratch::default()
+            .append_domain(conn, &mut out, &mut WorkMeter::unlimited())
+            .unwrap();
         out
     }
 
@@ -1345,12 +1456,15 @@ mod tests {
             let system = info.system();
             let semigroup = info.semigroup();
             let edge = rows_of(system.edge_relation());
+            let unlimited = &mut WorkMeter::unlimited();
             let middles = minimal(
                 semigroup
                     .iter()
                     .map(|t| rows_of(semigroup.relation(t)))
                     .collect(),
-            );
+                unlimited,
+            )
+            .unwrap();
             let (mut lefts, mut rights) = (Vec::new(), Vec::new());
             for pattern in patterns.iter() {
                 let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
@@ -1362,8 +1476,8 @@ mod tests {
                     left.push(edge_padding);
                     right.push(conn);
                 }
-                lefts.push(minimal(left));
-                rights.push(minimal(right));
+                lefts.push(minimal(left, unlimited).unwrap());
+                rights.push(minimal(right, unlimited).unwrap());
             }
             Ok(WordBridges {
                 beta: edge.len(),
@@ -1484,7 +1598,10 @@ mod tests {
         while live.contains(&true) {
             for p in 0..n {
                 if live[p] {
-                    match candidates.next(p, cursors[p]) {
+                    match candidates
+                        .next(p, cursors[p], &mut WorkMeter::unlimited())
+                        .unwrap()
+                    {
                         Some(c) => cursors[p] = Some(c),
                         None => live[p] = false,
                     }
@@ -1495,7 +1612,10 @@ mod tests {
             .map(|p| {
                 let mut out = Vec::new();
                 let mut cursor = None;
-                while let Some(c) = candidates.next(p, cursor) {
+                while let Some(c) = candidates
+                    .next(p, cursor, &mut WorkMeter::unlimited())
+                    .unwrap()
+                {
                     assert_eq!(candidates.ends(c), {
                         let l = candidates.labeling(p, c);
                         (l[0], l[l.len() - 1])

@@ -71,14 +71,18 @@ pub mod synthesis;
 mod types_info;
 mod verdict;
 
-pub use cache::{CacheStats, Computed, FlightOutcome, Inserted, ShardStats, ShardedLruCache};
-pub use classify::{classify, classify_with_options, ClassifierOptions};
+pub use cache::{
+    CacheStats, Computed, FlightLease, FlightOutcome, Inserted, Lead, ParkedWork, ShardStats,
+    ShardedLruCache,
+};
+pub use classify::{classify, classify_with_options, ClassifierOptions, Stage};
 pub use engine::{
     approximate_classification_weight, approximate_entry_weight, default_engine, CacheEntry,
-    Engine, EngineBuilder, ReplyLane, Solution, DEFAULT_CACHE_CAPACITY,
+    Engine, EngineBuilder, Lane, ReplyLane, Solution, DEFAULT_CACHE_CAPACITY,
 };
 pub use error::ClassifierError;
 pub use feasibility::{FeasibleStructure, PatternLabeling};
+pub use lcl_semigroup::WorkMeter;
 pub use obs::{HistogramSnapshot, LatencyHistogram, TraceRecord};
 pub use pool::PoolStats;
 pub use snapshot::{RestoreReport, SNAPSHOT_FORMAT, SNAPSHOT_VERSION};

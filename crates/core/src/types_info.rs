@@ -3,7 +3,9 @@
 
 use crate::Result;
 use lcl_problem::NormalizedLcl;
-use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup};
+use lcl_semigroup::{
+    OutRelation, SemigroupBuilder, TransferSystem, TypeId, TypeSemigroup, WorkMeter,
+};
 use std::sync::Arc;
 
 /// Everything the feasibility search needs to know about the problem's types:
@@ -23,6 +25,53 @@ pub struct GapTypes {
     connections: Vec<OutRelation>,
 }
 
+/// The types stage of a classification ([`GapTypes::compute`]) in steps
+/// that a [`WorkMeter`] can stop and a later [`TypesBuild::run`]
+/// continues: the semigroup enumeration, then the connection relations,
+/// one type at a time. Nothing finished before a stop is done again, except
+/// a length profile cut short.
+pub(crate) struct TypesBuild {
+    /// The semigroup enumeration, until it finishes.
+    enumerating: Option<SemigroupBuilder>,
+    /// The type information once the semigroup is known; its connections
+    /// are those computed so far.
+    info: Option<GapTypes>,
+}
+
+impl TypesBuild {
+    /// Starts the types stage, charging `meter` the transfer system.
+    pub(crate) fn new(
+        problem: &NormalizedLcl,
+        type_budget: usize,
+        meter: &mut WorkMeter,
+    ) -> Result<Self> {
+        meter.charge(GapTypes::transfer_units(problem))?;
+        let builder = SemigroupBuilder::new(TransferSystem::new(problem), type_budget)?;
+        Ok(TypesBuild {
+            enumerating: Some(builder),
+            info: None,
+        })
+    }
+
+    /// Runs the stage to its end, charging `meter` the semigroup's walk
+    /// ([`SemigroupBuilder::build`]) and the two products of each
+    /// connection relation. After a stop, the next call continues where
+    /// this one stopped.
+    pub(crate) fn run(&mut self, meter: &mut WorkMeter) -> Result<()> {
+        if let Some(builder) = &mut self.enumerating {
+            builder.build(meter)?;
+            let semigroup = self.enumerating.take().expect("just built").finish();
+            self.info = Some(GapTypes::unconnected(semigroup));
+        }
+        self.info.as_mut().expect("enumerated").connect(meter)
+    }
+
+    /// The type information of a finished [`TypesBuild::run`].
+    pub(crate) fn finish(self) -> GapTypes {
+        self.info.expect("a finished run")
+    }
+}
+
 impl GapTypes {
     /// The position of a type that is not quantified.
     const UNQUANTIFIED: usize = usize::MAX;
@@ -34,26 +83,49 @@ impl GapTypes {
     ///
     /// Returns an error if the semigroup exceeds the budget.
     pub fn compute(problem: &NormalizedLcl, type_budget: usize) -> Result<Self> {
-        let semigroup = TypeSemigroup::with_system(TransferSystem::new(problem), type_budget)?;
+        let meter = &mut WorkMeter::unlimited();
+        let mut build = TypesBuild::new(problem, type_budget, meter)?;
+        build.run(meter)?;
+        Ok(build.finish())
+    }
+
+    /// The work units of building a problem's transfer system: one per row
+    /// of its edge relation, transposed edge relation and letter relations.
+    pub(crate) fn transfer_units(problem: &NormalizedLcl) -> u64 {
+        ((problem.num_inputs() + 2) * problem.num_outputs()) as u64
+    }
+
+    /// The type information of `semigroup` before any connection relation
+    /// is computed ([`GapTypes::connect`]).
+    fn unconnected(semigroup: TypeSemigroup) -> Self {
         let min_gap = semigroup.pump_threshold();
         let quantified = semigroup.length_profile().types_of_length_at_least(min_gap);
         let mut positions = vec![Self::UNQUANTIFIED; semigroup.len()];
-        // `C(τ) = (E · R(τ)) · E`, the left product into one reused buffer.
-        let edge = semigroup.system().edge_relation();
-        let mut edge_then = OutRelation::empty(0);
-        let mut connections = Vec::with_capacity(quantified.len());
         for (i, &t) in quantified.iter().enumerate() {
             positions[t.index()] = i;
-            edge.compose_into(semigroup.relation(t), &mut edge_then)?;
-            connections.push(edge_then.compose(edge)?);
         }
-        Ok(GapTypes {
+        GapTypes {
+            connections: Vec::with_capacity(quantified.len()),
             semigroup: Arc::new(semigroup),
             min_gap,
             quantified,
             positions,
-            connections,
-        })
+        }
+    }
+
+    /// Computes the connection relations not computed yet,
+    /// `C(τ) = (E · R(τ)) · E` with the left product into one reused
+    /// buffer, charging `meter` the words of both products before each.
+    fn connect(&mut self, meter: &mut WorkMeter) -> Result<()> {
+        let edge = self.semigroup.system().edge_relation();
+        let product_units = 2 * edge.words().len() as u64;
+        let mut edge_then = OutRelation::empty(0);
+        for &t in &self.quantified[self.connections.len()..] {
+            meter.charge(product_units)?;
+            edge.compose_into(self.semigroup.relation(t), &mut edge_then)?;
+            self.connections.push(edge_then.compose(edge)?);
+        }
+        Ok(())
     }
 
     /// The problem.
@@ -116,8 +188,23 @@ impl GapTypes {
     /// None: the check reads the relations the semigroup already holds. The
     /// `Result` is kept for callers of the public signature.
     pub fn solvability_witness(&self) -> Result<Option<Vec<lcl_problem::InLabel>>> {
-        let unlabelable = self.quantified.iter().find(|&&t| !self.cycle_labelable(t));
-        Ok(unlabelable.map(|&t| self.long_witness(t)))
+        self.solvability_witness_metered(&mut WorkMeter::unlimited())
+    }
+
+    /// As [`Self::solvability_witness`], charging `meter` the words of each
+    /// trace check and each step of the witness walk.
+    pub(crate) fn solvability_witness_metered(
+        &self,
+        meter: &mut WorkMeter,
+    ) -> Result<Option<Vec<lcl_problem::InLabel>>> {
+        let check_units = self.system().edge_relation().words().len() as u64;
+        for &t in &self.quantified {
+            meter.charge(check_units)?;
+            if !self.cycle_labelable(t) {
+                return Ok(Some(self.long_witness(t, meter)?));
+            }
+        }
+        Ok(None)
     }
 
     /// Whether a cycle whose input word has type `t` admits a valid
@@ -129,53 +216,200 @@ impl GapTypes {
     }
 
     /// A word of length `≥ L_min` whose type is `t` (which must be a
-    /// quantified type), found by a forward walk over the type automaton:
-    /// the shortest such length, and at that length the word the walk meets
-    /// first, visiting types and letters in index order — so every engine
-    /// derives the same witness.
-    fn long_witness(&self, t: TypeId) -> Vec<lcl_problem::InLabel> {
-        let letters = || (0..self.system().num_letters()).map(lcl_problem::InLabel::from_index);
-        // layers[k][τ]: the prefix type and last letter of the first word of
-        // length k + 1 with type τ.
-        let mut layers = vec![vec![None; self.semigroup.len()]];
-        for a in letters() {
-            if let Ok(ty) = self.semigroup.type_of_word(&[a]) {
-                layers[0][ty.index()].get_or_insert((ty, a));
-            }
-        }
-        let profile = self.semigroup.length_profile();
+    /// quantified type): the shortest such length, and at that length the
+    /// word whose last letter, and then each earlier letter in turn, comes
+    /// from the first `(type, letter)` in index order that reaches the type
+    /// needed — so every engine derives the same witness.
+    ///
+    /// The length profile says which types words of each length realize,
+    /// so the length is the first one from `L_min` on whose set holds `t`,
+    /// and the word is rebuilt backwards: a position whose word so far has
+    /// type `τ` takes the first type `u` realized one letter shorter and
+    /// the first letter `a` with `step(u, a) = τ`. This is the word a
+    /// forward walk over the type automaton meets first when it keeps, for
+    /// each type of each length, the first `(type, letter)` that reaches
+    /// it. Each `(type, letter)` tried and each length looked at charges
+    /// `meter` one unit.
+    fn long_witness(&self, t: TypeId, meter: &mut WorkMeter) -> Result<Vec<lcl_problem::InLabel>> {
+        let semigroup = &*self.semigroup;
+        let profile = semigroup.length_profile();
+        let letters = self.system().num_letters();
         let horizon = self.min_gap + profile.preperiod + profile.period + 1;
-        for len in 2..=horizon {
-            let mut next = vec![None; self.semigroup.len()];
-            let reached = &layers[len - 2];
-            for ty in self
-                .semigroup
-                .iter()
-                .filter(|ty| reached[ty.index()].is_some())
-            {
-                for a in letters() {
-                    next[self.semigroup.step(ty, a).index()].get_or_insert((ty, a));
-                }
+        for len in self.min_gap.max(2)..=horizon {
+            meter.charge(1)?;
+            if !profile.types_of_length(len).any(|u| u == t) {
+                continue;
             }
-            layers.push(next);
-            if len >= self.min_gap && layers[len - 1][t.index()].is_some() {
-                let (mut ty, mut word) = (t, vec![lcl_problem::InLabel(0); len]);
-                for (letter, layer) in word.iter_mut().zip(&layers).rev() {
-                    (ty, *letter) = layer[ty.index()].expect("reached types have a prefix");
+            let mut word = vec![lcl_problem::InLabel(0); len];
+            let mut ty = t;
+            for k in (1..len).rev() {
+                let mut found = None;
+                'search: for u in profile.types_of_length(k) {
+                    for a in (0..letters).map(lcl_problem::InLabel::from_index) {
+                        meter.charge(1)?;
+                        if semigroup.step(u, a) == ty {
+                            found = Some((u, a));
+                            break 'search;
+                        }
+                    }
                 }
-                return word;
+                (ty, word[k]) = found.expect("a type of length k + 1 extends one of length k");
             }
+            word[0] = (0..letters)
+                .map(lcl_problem::InLabel::from_index)
+                .find(|&a| semigroup.type_of_word(&[a]) == Ok(ty))
+                .expect("a type of length 1 is a letter's");
+            return Ok(word);
         }
         // Fall back to the stored (possibly short) witness; unreachable for
         // quantified types.
-        self.semigroup.witness(t).to_vec()
+        Ok(semigroup.witness(t).to_vec())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lcl_problem::NormalizedLcl;
+    use lcl_gen::{generate, Family, GenConfig};
+    use lcl_problem::{InLabel, NormalizedLcl};
+    use std::collections::HashSet;
+
+    /// The forward walk over the type automaton that [`GapTypes::long_witness`]
+    /// replaced, kept as its oracle: one `types`-long layer per length,
+    /// keeping for each type the first `(prefix type, letter)` that reaches
+    /// it.
+    fn forward_walk_witness(info: &GapTypes, t: TypeId) -> Vec<InLabel> {
+        let semigroup = info.semigroup();
+        let letters = || (0..info.system().num_letters()).map(InLabel::from_index);
+        let mut layers = vec![vec![None; semigroup.len()]];
+        for a in letters() {
+            if let Ok(ty) = semigroup.type_of_word(&[a]) {
+                layers[0][ty.index()].get_or_insert((ty, a));
+            }
+        }
+        let profile = semigroup.length_profile();
+        let horizon = info.min_gap() + profile.preperiod + profile.period + 1;
+        for len in 2..=horizon {
+            let mut next = vec![None; semigroup.len()];
+            let reached = &layers[len - 2];
+            for ty in semigroup.iter().filter(|ty| reached[ty.index()].is_some()) {
+                for a in letters() {
+                    next[semigroup.step(ty, a).index()].get_or_insert((ty, a));
+                }
+            }
+            layers.push(next);
+            if len >= info.min_gap() && layers[len - 1][t.index()].is_some() {
+                let (mut ty, mut word) = (t, vec![InLabel(0); len]);
+                for (letter, layer) in word.iter_mut().zip(&layers).rev() {
+                    (ty, *letter) = layer[ty.index()].expect("reached types have a prefix");
+                }
+                return word;
+            }
+        }
+        semigroup.witness(t).to_vec()
+    }
+
+    /// The splitmix64 generator the repository benchmark draws its cold
+    /// problem base with.
+    struct Rng(u64);
+
+    impl Rng {
+        fn mix(x: u64) -> u64 {
+            let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            Self::mix(self.0)
+        }
+    }
+
+    /// The problems of both goldens (`tests/feasibility_golden.rs`, then the
+    /// benchmark's cold base that `tests/verdict_golden.rs` adds), `run(L)`
+    /// for `L = 2..=8` and 512 seeded draws.
+    fn witness_oracle_problems() -> Vec<NormalizedLcl> {
+        let draw = |i: usize| {
+            GenConfig::new(i as u64)
+                .family(Family::ALL[i % 4])
+                .input_labels(1 + (i / 4) % 3)
+                .output_labels(3 + (i / 12) % 8)
+        };
+        let mut out: Vec<NormalizedLcl> = (3..=14).map(lcl_problems::coloring).collect();
+        out.extend((1..=16).map(lcl_problems::unconstrained));
+        out.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
+        out.extend((0..320).map(|i| generate(&draw(i)).unwrap()));
+        // The cold base: ladders, then four new structures per cell.
+        let mut rng = Rng(Rng::mix(0x636f_6c64_6261_7365 ^ 0x6c63_6c62_656e_6368));
+        out.extend((3..=14).map(lcl_problems::coloring));
+        out.extend((2..=16).map(lcl_problems::unconstrained));
+        let mut seen: HashSet<Vec<u8>> = out[out.len() - 27..]
+            .iter()
+            .map(NormalizedLcl::structural_key)
+            .collect();
+        for family in Family::ALL {
+            for inputs in 1..=3 {
+                for outputs in 3..=8 {
+                    let mut drawn = 0;
+                    for _ in 0..80 {
+                        if drawn == 4 {
+                            break;
+                        }
+                        let seed = rng.next_u64() >> 1;
+                        rng.next_u64();
+                        rng.next_u64();
+                        let config = GenConfig::new(seed)
+                            .family(family)
+                            .input_labels(inputs)
+                            .output_labels(outputs);
+                        let problem = generate(&config).unwrap();
+                        if seen.insert(problem.structural_key()) {
+                            out.push(problem);
+                            drawn += 1;
+                        }
+                    }
+                }
+            }
+        }
+        out.extend((2..=8).map(lcl_problems::run));
+        out.extend((0..512u64).map(|seed| {
+            let config = GenConfig::new(1_000 + seed)
+                .family(Family::ALL[seed as usize % 4])
+                .input_labels(1 + seed as usize % 3)
+                .output_labels(2 + seed as usize % 7);
+            generate(&config).unwrap()
+        }));
+        out
+    }
+
+    #[test]
+    fn witnesses_from_the_length_profile_equal_the_forward_walk() {
+        let problems = witness_oracle_problems();
+        assert_eq!(problems.len(), 673 + 7 + 512, "both goldens, run(L), draws");
+        let (mut compared, mut unlabelable) = (0, 0);
+        for problem in &problems {
+            let Ok(info) = GapTypes::compute(problem, 10_000) else {
+                continue;
+            };
+            for &t in info.quantified() {
+                let witness = info.long_witness(t, &mut WorkMeter::unlimited()).unwrap();
+                assert_eq!(
+                    witness,
+                    forward_walk_witness(&info, t),
+                    "{}: type {t:?}",
+                    problem.name()
+                );
+                assert_eq!(info.semigroup().type_of_word(&witness), Ok(t));
+                compared += 1;
+                unlabelable += usize::from(!info.cycle_labelable(t));
+            }
+        }
+        eprintln!("{compared} witnesses compared, {unlabelable} of unlabelable types");
+        assert!(compared >= 7_000, "only {compared} witnesses compared");
+        assert!(unlabelable >= 500, "only {unlabelable} unlabelable types");
+    }
 
     fn two_coloring() -> NormalizedLcl {
         let mut b = NormalizedLcl::builder("2-coloring");

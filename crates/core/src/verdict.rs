@@ -184,11 +184,24 @@ impl Verdict {
     /// name, the algorithm name or the witness into a `Verdict` first.
     /// `to_json` stays the reference the tests hold this to.
     pub fn write_json(problem: &NormalizedLcl, classification: &Classification, out: &mut String) {
+        Self::write_json_hashed(problem, problem.canonical_hash(), classification, out);
+    }
+
+    /// [`Verdict::write_json`] for a caller that already holds the
+    /// problem's canonical hash (for instance from its structural key,
+    /// [`NormalizedLcl::hash_of_key`]), so the constraint tables are not
+    /// walked again.
+    pub fn write_json_hashed(
+        problem: &NormalizedLcl,
+        problem_hash: u64,
+        classification: &Classification,
+        out: &mut String,
+    ) {
         write_verdict(
             out,
             &classification.complexity,
             (classification.num_types, classification.pump_threshold),
-            (problem.name(), problem.canonical_hash()),
+            (problem.name(), problem_hash),
             classification.algorithm().name(),
             classification.unsolvability_witness(),
         );

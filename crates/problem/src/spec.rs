@@ -491,15 +491,32 @@ impl NormalizedLcl {
     /// Being a 64-bit digest this can collide; use `structural_key` where an
     /// exact identity is required (the engine's memo cache does).
     pub fn canonical_hash(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-        const FNV_PRIME: u64 = 0x100000001b3;
         let mut hash = FNV_OFFSET;
-        self.structural_bytes(|byte| {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(FNV_PRIME);
-        });
+        self.structural_bytes(|byte| fnv_step(&mut hash, byte));
         hash
     }
+
+    /// [`Self::canonical_hash`] of the problem whose
+    /// [`Self::structural_key`] is `key`, read off the key bytes: a caller
+    /// that already holds the key digests it without walking the
+    /// constraint tables again.
+    pub fn hash_of_key(key: &[u8]) -> u64 {
+        let mut hash = FNV_OFFSET;
+        for &byte in key {
+            fnv_step(&mut hash, byte);
+        }
+        hash
+    }
+}
+
+/// The FNV-1a offset basis and prime of [`NormalizedLcl::canonical_hash`].
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+const FNV_PRIME: u64 = 0x100000001b3;
+
+/// One FNV-1a step.
+fn fnv_step(hash: &mut u64, byte: u8) {
+    *hash ^= u64::from(byte);
+    *hash = hash.wrapping_mul(FNV_PRIME);
 }
 
 impl Instance {

@@ -28,6 +28,11 @@ pub enum SemigroupError {
         /// The configured budget that was exceeded.
         budget: usize,
     },
+    /// A stage of work would have passed its [`crate::WorkMeter`] cap.
+    WorkCapReached {
+        /// The per-stage cap, in work units.
+        cap: u64,
+    },
 }
 
 impl fmt::Display for SemigroupError {
@@ -46,6 +51,9 @@ impl fmt::Display for SemigroupError {
             SemigroupError::EmptyWord => write!(f, "operation requires a non-empty word"),
             SemigroupError::TooManyTypes { budget } => {
                 write!(f, "type semigroup exceeded the budget of {budget} elements")
+            }
+            SemigroupError::WorkCapReached { cap } => {
+                write!(f, "a stage of work passed its cap of {cap} units")
             }
         }
     }
@@ -66,6 +74,9 @@ mod tests {
         assert!(SemigroupError::TooManyTypes { budget: 10 }
             .to_string()
             .contains("10"));
+        assert!(SemigroupError::WorkCapReached { cap: 77 }
+            .to_string()
+            .contains("77 units"));
         assert!(SemigroupError::UnknownInputLabel {
             index: 5,
             alphabet_len: 2

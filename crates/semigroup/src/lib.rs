@@ -36,6 +36,7 @@
 #![warn(missing_docs)]
 
 mod error;
+mod meter;
 pub mod naive;
 mod periodicity;
 mod pumping;
@@ -45,12 +46,13 @@ mod transfer;
 mod tripartition;
 
 pub use error::SemigroupError;
+pub use meter::WorkMeter;
 pub use periodicity::{
     is_primitive, maximal_run_at, primitive_root, primitive_strings_up_to, smallest_period,
 };
 pub use pumping::{pump_decomposition, pump_exponent, PumpDecomposition, PumpExponent};
 pub use relation::OutRelation;
-pub use semigroup::{LengthProfile, TypeId, TypeSemigroup};
+pub use semigroup::{LengthProfile, SemigroupBuilder, TypeId, TypeSemigroup};
 pub use transfer::{word_from_indices, TransferSystem};
 pub use tripartition::{tripartition, Tripartition};
 

@@ -45,7 +45,7 @@
 //! place. [`LengthProfile::types_of_length_at_least`] ORs the bitsets of the
 //! lengths it covers and lists the members of the union.
 
-use crate::{OutRelation, Result, SemigroupError, TransferSystem};
+use crate::{OutRelation, Result, SemigroupError, TransferSystem, WorkMeter};
 use lcl_problem::InLabel;
 
 /// Identifier of a type (an index into the [`TypeSemigroup`]'s element
@@ -271,6 +271,137 @@ fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// A type-semigroup enumeration that a [`WorkMeter`] can stop between two
+/// types and a later [`SemigroupBuilder::build`] continues, so work done
+/// before the stop is never done again; [`SemigroupBuilder::finish`] then
+/// yields the semigroup.
+pub struct SemigroupBuilder {
+    system: TransferSystem,
+    found: Enumeration,
+    letter_types: Vec<TypeId>,
+    /// Each letter's diagonal, as the column mask of its step.
+    masks: Vec<Vec<u64>>,
+    /// The successors of the types walked so far, a row of `|Σ_in|` each.
+    letter_step: Vec<TypeId>,
+    /// Reused buffers: `R(w)·E` and one masked row set.
+    then_edge: OutRelation,
+    next: Vec<u64>,
+    /// The length profile, once the walk is done and it is computed.
+    profile: Option<LengthProfile>,
+}
+
+impl SemigroupBuilder {
+    /// Starts the enumeration of `system`'s semigroup with the letters'
+    /// types; `budget` caps the number of elements.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SemigroupError::TooManyTypes`] if the letters alone exceed
+    /// the budget.
+    pub fn new(system: TransferSystem, budget: usize) -> Result<Self> {
+        let mut found = Enumeration {
+            dim: system.dim(),
+            budget,
+            elements: Vec::new(),
+            index: TypeIndex::new(),
+            witnesses: Witnesses::default(),
+        };
+        let mut letter_types = Vec::with_capacity(system.num_letters());
+        let mut masks = Vec::with_capacity(system.num_letters());
+        for a in (0..system.num_letters()).map(InLabel::from_index) {
+            let rel = system.letter_relation(a)?;
+            letter_types.push(found.intern(rel.words(), None, a)?);
+            masks.push(rel.diagonal_words());
+        }
+        Ok(SemigroupBuilder {
+            system,
+            found,
+            letter_types,
+            masks,
+            letter_step: Vec::new(),
+            then_edge: OutRelation::empty(0),
+            next: Vec::new(),
+            profile: None,
+        })
+    }
+
+    /// Finishes the enumeration and computes the length profile, charging
+    /// `meter` per type walked its product and, per letter, its mask and
+    /// the hash and comparison of the intern probe, a unit per relation
+    /// word each; and per length-profile step its words and letter
+    /// successors.
+    ///
+    /// # Errors
+    ///
+    /// [`SemigroupError::TooManyTypes`] if the budget is exceeded and
+    /// [`SemigroupError::WorkCapReached`] if the meter's stage cap is. The
+    /// builder stays usable: the types walked stay walked, and a profile
+    /// cut short is computed again by the next call.
+    pub fn build(&mut self, meter: &mut WorkMeter) -> Result<()> {
+        self.walk(meter)?;
+        if self.profile.is_none() {
+            self.profile = Some(TypeSemigroup::compute_profile(
+                &self.letter_types,
+                &self.letter_step,
+                self.found.elements.len(),
+                meter,
+            )?);
+        }
+        Ok(())
+    }
+
+    /// The semigroup a finished [`SemigroupBuilder::build`] enumerated.
+    ///
+    /// # Panics
+    ///
+    /// If no call to [`SemigroupBuilder::build`] has finished.
+    pub fn finish(self) -> TypeSemigroup {
+        TypeSemigroup {
+            system: self.system,
+            elements: self.found.elements,
+            index: self.found.index,
+            witnesses: self.found.witnesses,
+            letter_types: self.letter_types,
+            letter_step: self.letter_step,
+            profile: self.profile.expect("a finished build"),
+        }
+    }
+
+    /// BFS by appending single letters: every element of the generated
+    /// semigroup is reachable this way, and BFS order yields shortest
+    /// witnesses. Types get their ids in discovery order, so the queue is
+    /// the id range itself, and the types walked are those with a row in
+    /// the letter table. One product `R(w)·E` per type, then one column
+    /// mask per letter (see the module documentation). A type is charged
+    /// before it is walked, and a type whose walk fails leaves no row.
+    fn walk(&mut self, meter: &mut WorkMeter) -> Result<()> {
+        let letters = self.letter_types.len();
+        let step_units =
+            (3 * letters as u64 + 1) * self.system.edge_relation().words().len() as u64;
+        let mut t = self.letter_step.len().checked_div(letters).unwrap_or(0);
+        while t < self.found.elements.len() {
+            meter.charge(step_units)?;
+            self.found.elements[t]
+                .compose_into(self.system.edge_relation(), &mut self.then_edge)?;
+            for (a, mask) in self.masks.iter().enumerate() {
+                self.then_edge.mask_columns_into(mask, &mut self.next);
+                match self
+                    .found
+                    .intern(&self.next, Some(TypeId(t)), InLabel::from_index(a))
+                {
+                    Ok(id) => self.letter_step.push(id),
+                    Err(e) => {
+                        self.letter_step.truncate(t * letters);
+                        return Err(e);
+                    }
+                }
+            }
+            t += 1;
+        }
+        Ok(())
+    }
+}
+
 impl TypeSemigroup {
     /// Enumerates the semigroup of the given transfer system.
     ///
@@ -292,59 +423,21 @@ impl TypeSemigroup {
     ///
     /// Returns [`SemigroupError::TooManyTypes`] if the budget is exceeded.
     pub fn with_system(system: TransferSystem, budget: usize) -> Result<Self> {
-        let letters = (0..system.num_letters()).map(InLabel::from_index);
-        let mut found = Enumeration {
-            dim: system.dim(),
-            budget,
-            elements: Vec::new(),
-            index: TypeIndex::new(),
-            witnesses: Witnesses::default(),
-        };
-        let mut letter_types = Vec::with_capacity(system.num_letters());
-        let mut masks = Vec::with_capacity(system.num_letters());
-        for a in letters.clone() {
-            let rel = system.letter_relation(a)?;
-            letter_types.push(found.intern(rel.words(), None, a)?);
-            masks.push(rel.diagonal_words());
-        }
-
-        // BFS by appending single letters: every element of the generated
-        // semigroup is reachable this way, and BFS order yields shortest
-        // witnesses. Types get their ids in discovery order, so the queue is
-        // the id range itself. One product `R(w)·E` per type, then one
-        // column mask per letter (see the module documentation).
-        let mut letter_step: Vec<TypeId> = Vec::new();
-        let (mut then_edge, mut next) = (OutRelation::empty(0), Vec::new());
-        let mut t = 0;
-        while t < found.elements.len() {
-            found.elements[t].compose_into(system.edge_relation(), &mut then_edge)?;
-            for (a, mask) in letters.clone().zip(&masks) {
-                then_edge.mask_columns_into(mask, &mut next);
-                letter_step.push(found.intern(&next, Some(TypeId(t)), a)?);
-            }
-            t += 1;
-        }
-
-        let profile = Self::compute_profile(&letter_types, &letter_step, found.elements.len());
-        Ok(TypeSemigroup {
-            system,
-            elements: found.elements,
-            index: found.index,
-            witnesses: found.witnesses,
-            letter_types,
-            letter_step,
-            profile,
-        })
+        let mut builder = SemigroupBuilder::new(system, budget)?;
+        builder.build(&mut WorkMeter::unlimited())?;
+        Ok(builder.finish())
     }
 
     /// The length profile, with each `S_n` a bitset over the `types` type
     /// ids: `S_1` holds the letters' types and
-    /// `S_{n+1} = { step(t, a) : t ∈ S_n }`.
+    /// `S_{n+1} = { step(t, a) : t ∈ S_n }`. Each step charges `meter` its
+    /// words and letter successors.
     fn compute_profile(
         letter_types: &[TypeId],
         letter_step: &[TypeId],
         types: usize,
-    ) -> LengthProfile {
+        meter: &mut WorkMeter,
+    ) -> Result<LengthProfile> {
         let letters = letter_types.len();
         let words = types.div_ceil(64).max(1);
         let mut bits = vec![0u64; words];
@@ -365,21 +458,24 @@ impl TypeSemigroup {
             let recorded = bits.len() / words;
             bits.resize((recorded + 1) * words, 0);
             let (done, next) = bits.split_at_mut(recorded * words);
+            let mut successors = 0;
             for t in members(&done[(recorded - 1) * words..]) {
                 for u in &letter_step[t * letters..(t + 1) * letters] {
                     next[u.index() / 64] |= 1 << (u.index() % 64);
                 }
+                successors += letters;
             }
+            meter.charge((words + successors) as u64)?;
             let (done, next) = bits.split_at(recorded * words);
             match index.find(next, |i| set(done, words, i)) {
                 Ok(first) => {
                     bits.truncate(recorded * words);
-                    return LengthProfile {
+                    return Ok(LengthProfile {
                         preperiod: first + 1,
                         period: recorded - first,
                         words,
                         bits,
-                    };
+                    });
                 }
                 Err(slot) => index.insert(slot, recorded + 1, |i| set(&bits, words, i)),
             }

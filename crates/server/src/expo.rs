@@ -76,7 +76,10 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
         let name = family.name;
         let metric_type = match family.source {
             Source::BuildInfo | Source::Gauge(_) | Source::ShardGauge(_) => "gauge",
-            Source::Counter(_) | Source::KindCounter(_) | Source::ShardCounter(_) => "counter",
+            Source::Counter(_)
+            | Source::KindCounter(_)
+            | Source::ShardCounter(_)
+            | Source::LaneCounter => "counter",
             Source::KindLatency | Source::Histogram(_) => "histogram",
         };
         let _ = writeln!(out, "# HELP lcl_{name} {}", family.help);
@@ -115,6 +118,11 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
             Source::ShardCounter(value) | Source::ShardGauge(value) => {
                 for (at, shard) in snapshot.cache_shard_stats.iter().enumerate() {
                     sample(&mut out, name, &format!("{{shard=\"{at}\"}}"), value(shard));
+                }
+            }
+            Source::LaneCounter => {
+                for (label, count) in snapshot.labelled_lanes() {
+                    sample(&mut out, name, &format!("{{lane=\"{label}\"}}"), count);
                 }
             }
         }
@@ -525,6 +533,9 @@ lcl_x_count{kind=\"b\"} 0
         for _ in 0..3 {
             metrics.record_writev_batch();
         }
+        metrics.record_classify_lane(None);
+        metrics.record_classify_lane(None);
+        metrics.record_classify_lane(Some(lcl_paths::classifier::Stage::Facing));
 
         let engine = service.engine();
         let three = problems::coloring(3);
@@ -703,6 +714,14 @@ lcl_reactor_completions_total 7
 # HELP lcl_spliced_frames_total classify replies answered by splicing cached payload bytes around the request id, skipping serialization and the worker pool.
 # TYPE lcl_spliced_frames_total counter
 lcl_spliced_frames_total 2
+# HELP lcl_classify_lane_total classify misses by lane: inline = classified on the dispatching thread within its work slice; a stage name = handed to a worker-pool job that continues from that stage.
+# TYPE lcl_classify_lane_total counter
+lcl_classify_lane_total{lane="inline"} 2
+lcl_classify_lane_total{lane="types"} 0
+lcl_classify_lane_total{lane="solvability"} 0
+lcl_classify_lane_total{lane="facing"} 1
+lcl_classify_lane_total{lane="patterns"} 0
+lcl_classify_lane_total{lane="synthesis"} 0
 # HELP lcl_writev_batches_total Vectored reply flushes issued by the reactor (one writev per sample; 0 on other backends).
 # TYPE lcl_writev_batches_total counter
 lcl_writev_batches_total 3
@@ -800,5 +819,5 @@ lcl_pool_jobs_completed_total 0
 "##;
 
     /// [`golden_service`]'s `stats` payload, uptime fields removed.
-    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"reactor","cache_shards":2,"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
+    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"reactor","cache_shards":2,"classify_lanes":{"facing":1,"inline":2,"patterns":0,"solvability":0,"synthesis":0,"types":0},"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
 }

@@ -108,8 +108,8 @@ pub use frame::{Frame, MAX_FRAME_BYTES};
 pub use metrics::{KindSnapshot, MetricsSnapshot, ServerMetrics};
 pub use scrape::MetricsListener;
 pub use service::{
-    error_reply, Origin, PendingResponse, RequestKind, Service, StreamFrame,
-    DEFAULT_MAX_CHUNK_BYTES,
+    error_reply, Origin, PendingResponse, RequestKind, Service, StreamFrame, CLASSIFY_SLICE_UNITS,
+    CLASSIFY_STAGE_CAP_UNITS, DEFAULT_MAX_CHUNK_BYTES,
 };
 pub use splice::SplicedReply;
 pub use stdio::serve_stdio;

@@ -27,7 +27,7 @@
 
 use crate::service::RequestKind;
 use lcl_paths::classifier::obs::{HistogramSnapshot, LatencyHistogram};
-use lcl_paths::classifier::{CacheStats, PoolStats, ShardStats};
+use lcl_paths::classifier::{CacheStats, PoolStats, ShardStats, Stage};
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::Engine;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -54,6 +54,16 @@ fn kind_slot(kind: Option<RequestKind>) -> usize {
 /// The serving front-end names [`ServerMetrics::set_backend`] knows, `none`
 /// (nothing registered yet) first.
 const BACKENDS: [&str; 3] = ["none", "reactor", "stdio"];
+
+/// The lanes a `classify` miss can take: `inline`, then one per
+/// classification stage ([`Stage`]) a pool job can continue from.
+const LANES: usize = 1 + Stage::ALL.len();
+
+/// Where a lane's counter sits among the [`LANES`]: `inline` first, then
+/// the stages in order.
+fn lane_slot(handed_off_at: Option<Stage>) -> usize {
+    handed_off_at.map_or(0, |stage| 1 + stage as usize)
+}
 
 /// Lock-free counters for one request kind.
 #[derive(Debug, Default)]
@@ -160,6 +170,9 @@ pub struct ServerMetrics {
     /// connection output (each gathers up to a batch of reply segments —
     /// compare with `reactor_wakeups` for the coalescing ratio).
     writev_batches: AtomicU64,
+    /// `classify` misses by lane, indexed by [`lane_slot`]: answered on the
+    /// dispatching thread, or handed to the pool at a stage.
+    classify_lanes: [AtomicU64; LANES],
 }
 
 impl ServerMetrics {
@@ -266,6 +279,13 @@ impl ServerMetrics {
         self.spliced_frames.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Accounts one `classify` miss by its lane: answered on the
+    /// dispatching thread (`None`), or handed to a pool job that continues
+    /// from `stage`.
+    pub(crate) fn record_classify_lane(&self, handed_off_at: Option<Stage>) {
+        self.classify_lanes[lane_slot(handed_off_at)].fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Accounts one successful vectored write flushing connection output on
     /// the reactor backend.
     pub(crate) fn record_writev_batch(&self) {
@@ -312,6 +332,7 @@ impl ServerMetrics {
             reactor_completions: load(&self.reactor_completions),
             spliced_frames: load(&self.spliced_frames),
             writev_batches: load(&self.writev_batches),
+            classify_lanes: self.classify_lanes.each_ref().map(load),
             cache: engine.cache_stats(),
             cache_shard_stats: engine.cache_shard_stats(),
             pool: engine.pool_stats(),
@@ -364,6 +385,9 @@ pub struct MetricsSnapshot {
     pub spliced_frames: u64,
     /// Successful reactor `writev` flushes (0 on stdio).
     pub writev_batches: u64,
+    /// `classify` misses by lane: `inline` first, then handed off at each
+    /// stage in [`Stage::ALL`] order.
+    pub classify_lanes: [u64; LANES],
     /// The engine's memo-cache counters, summed over shards.
     pub cache: CacheStats,
     /// The engine's memo-cache counters, per shard in shard order.
@@ -382,6 +406,15 @@ impl MetricsSnapshot {
     pub(crate) fn labelled_kinds(&self) -> impl Iterator<Item = (&'static str, &KindSnapshot)> {
         let names = RequestKind::ALL.iter().map(|k| k.wire_name());
         names.chain(["invalid"]).zip(&self.kinds)
+    }
+
+    /// Each lane's name (`inline`, then the stage names) with its count.
+    pub(crate) fn labelled_lanes(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let names = Stage::ALL.iter().map(|stage| stage.name());
+        ["inline"]
+            .into_iter()
+            .chain(names)
+            .zip(self.classify_lanes.iter().copied())
     }
 
     /// Frames handled across all kinds, invalid ones included.
@@ -419,6 +452,8 @@ pub(crate) enum Source {
     ShardCounter(fn(&ShardStats) -> u64),
     /// One gauge per cache shard, labelled `shard`.
     ShardGauge(fn(&ShardStats) -> u64),
+    /// One counter per `classify` lane, labelled `lane`.
+    LaneCounter,
 }
 
 /// One metric family of the catalogue.
@@ -442,7 +477,7 @@ use Source::*;
 /// (without the `lcl_` prefix) and `# HELP` text, its source (type, label
 /// and value), and its place in the `stats` payload.
 #[rustfmt::skip]
-pub(crate) static FAMILIES: [Family; 44] = [
+pub(crate) static FAMILIES: [Family; 45] = [
     Family { name: "build_info", help: "Constant 1; the labels carry the server identity and \
                     configuration.",
              source: BuildInfo, stats: "server" },
@@ -488,6 +523,10 @@ pub(crate) static FAMILIES: [Family; 44] = [
                     payload bytes around the request id, skipping serialization and the worker \
                     pool.",
              source: Counter(|s| s.spliced_frames), stats: "server.spliced_frames" },
+    Family { name: "classify_lane_total", help: "classify misses by lane: inline = classified on \
+                    the dispatching thread within its work slice; a stage name = handed to a \
+                    worker-pool job that continues from that stage.",
+             source: LaneCounter, stats: "server.classify_lanes.*" },
     Family { name: "writev_batches_total", help: "Vectored reply flushes issued by the reactor \
                     (one writev per sample; 0 on other backends).",
              source: Counter(|s| s.writev_batches), stats: "server.writev_batches" },
@@ -637,6 +676,11 @@ pub(crate) fn stats_payload(snapshot: &MetricsSnapshot) -> JsonValue {
             Histogram(histogram) => {
                 let h = histogram(snapshot);
                 place(&mut payload, path, latency_json(h.count, h.sum, h.max, h));
+            }
+            LaneCounter => {
+                for (label, count) in snapshot.labelled_lanes() {
+                    place(&mut payload, &path.replace('*', label), int(count));
+                }
             }
             ShardCounter(_) | ShardGauge(_) => {
                 unreachable!("no per-shard family has a stats path")

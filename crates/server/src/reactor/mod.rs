@@ -24,8 +24,12 @@
 //!   ([`lcl_paths::Engine::submit_notify`]) to mark the connection dirty
 //!   and signal the eventfd once a frame is observable, so the reactor
 //!   wakes, resolves the connection's queue head and writes. Ready replies
-//!   (spliced hits, sheds, oversized rejections) need no wakeup: they are
-//!   resolved in the same pump that dispatched them.
+//!   (spliced hits, `classify` misses the inline lane finished within its
+//!   work slice, sheds, oversized rejections) need no wakeup: they are
+//!   resolved in the same pump that dispatched them. The inline lane is
+//!   the only classification work the reactor thread does, and its work
+//!   meter bounds it (`Service::dispatch`); it never waits on another
+//!   thread.
 //! * **Interest toggling** drives backpressure both ways: read interest is
 //!   dropped while the window is full (the peer's frames pend in kernel
 //!   buffers as plain TCP flow control), write interest is raised only

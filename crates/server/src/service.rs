@@ -12,22 +12,49 @@
 //!
 //! * a frame answerable on the calling thread resolves there as a *ready*
 //!   reply, with no pool job and no channel: a `classify` whose reply bytes
-//!   are cached (an id-splice), an admission rejection, an oversized-frame
-//!   rejection;
+//!   are cached (an id-splice), a `classify` miss whose classification
+//!   finishes within the inline lane's work slice, an admission rejection,
+//!   an oversized-frame rejection;
 //! * anything else — execution, serialization and, for most frames, the
 //!   JSON parse — becomes one worker-pool job ([`Engine::submit_notify`]),
 //!   so N requests from one connection progress concurrently on an N-worker
 //!   pool. Jobs classify and solve on the worker itself — a worker parked
 //!   on *another* pool job could deadlock a narrow pool.
 //!
+//! # The inline classify lane
+//!
+//! A `classify` miss runs its classification stages (types, solvability,
+//! the biclique search, pattern labelings, synthesis) on the calling thread
+//! in order while a [`WorkMeter`] has charged fewer than
+//! [`CLASSIFY_SLICE_UNITS`] units, each stage capped at
+//! [`CLASSIFY_STAGE_CAP_UNITS`] ([`Engine::classify_inline`]). The meter
+//! counts work, not time, so which lane a request takes depends on the
+//! problem alone. A classification done within the slice is a ready reply.
+//! Otherwise the finished stages' state is parked in the key's cache
+//! flight and the request becomes a pool job that continues from the stage
+//! that did not finish ([`Engine::resume`]); a stage stopped at its cap
+//! runs again there, except the types stage, which continues where it
+//! stopped. The lane never waits: a key whose flight another thread holds
+//! goes to a pool job, which joins the flight. Any thread that finds
+//! parked work runs it, so no thread ever waits on work nobody is running,
+//! and each cold key is computed once and counted as one miss. A panic in
+//! the lane never unwinds into the front end: the request gets the reply a
+//! pool job that died would have produced. `lcl_classify_lane_total`
+//! counts each miss by lane.
+//!
+//! # Parsing
+//!
 //! Each frame is parsed once, except a `classify` frame the front end
 //! declines, which the tree parse reads again. A `classify` frame is read by the request
 //! front end ([`RequestEnvelope::read_classify`]): one pass of the JSON pull
 //! reader straight into the problem, with no `JsonValue` tree. The splice
-//! probe reads every `classify` frame that way on the calling thread; when
-//! the problem is not cached, the probe hands the request id and the
-//! problem to the pool job, which classifies without reading again and
-//! writes its verdict reply straight to bytes. Every other kind, and each
+//! probe reads every `classify` frame that way on the calling thread and
+//! builds the problem's structural key once; the cache probe, the inline
+//! lane and the pool job all use that key, and the canonical hash in the
+//! reply is read off it ([`NormalizedLcl::hash_of_key`]). A miss the
+//! inline lane does not finish takes the request id, the problem and the
+//! key to its pool job, which classifies without reading again and writes
+//! its verdict reply straight to bytes. Every other kind, and each
 //! `classify` frame the front end does not accept whole (unknown fields,
 //! errors), takes the tree parse ([`JsonValue::parse`], then
 //! [`RequestEnvelope::from_json`]): on the calling thread for a declined
@@ -54,7 +81,9 @@ use crate::frame::{Frame, MAX_FRAME_BYTES};
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
 use crate::splice::SplicedReply;
 use crate::trace::{Trace, TraceSink};
-use lcl_paths::classifier::{Classification, ClassifierError, ReplyLane, Verdict};
+use lcl_paths::classifier::{
+    Classification, ClassifierError, Lane, ReplyLane, Stage, Verdict, WorkMeter,
+};
 use lcl_paths::gen::GenConfig;
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{
@@ -65,6 +94,7 @@ use lcl_paths::{Engine, Error};
 use std::fmt;
 use std::io::{self, Write as _};
 use std::net::IpAddr;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -361,6 +391,24 @@ impl Drop for PipelineGuard<'_> {
     }
 }
 
+/// The work slice of the inline classify lane ([`Service::dispatch`]), in
+/// [`WorkMeter`] units: a `classify` miss runs its next stage on the
+/// dispatching thread only while it has charged fewer units than this.
+/// A unit is 6–9 ns of classification work on the 2-vCPU host the lane
+/// was sized on, so the slice is 25–35 µs there, and it finishes about
+/// nine in ten cold classifies of the repository benchmark's
+/// `cold_classify` workload inline (`docs/ARCHITECTURE.md`). A constant,
+/// not an option: which lane serves a request depends on the problem
+/// alone.
+pub const CLASSIFY_SLICE_UNITS: u64 = 4_000;
+
+/// The per-stage cap of the inline classify lane, in [`WorkMeter`] units:
+/// a stage that would charge more stops there, and its pool job continues
+/// the types stage where it stopped or runs any other stage again. A miss
+/// therefore charges at most `CLASSIFY_SLICE_UNITS +
+/// CLASSIFY_STAGE_CAP_UNITS` units on the dispatching thread.
+pub const CLASSIFY_STAGE_CAP_UNITS: u64 = 4_000;
+
 /// Default ceiling on a serialized `solve_stream` chunk frame
 /// (`--max-chunk-bytes`): 256 KiB keeps roughly 32k labels per frame while
 /// staying well under [`MAX_FRAME_BYTES`].
@@ -411,11 +459,33 @@ enum Request<'a> {
 /// envelope, or the ready-to-send error reply.
 type TreeParse = Result<(RequestKind, RequestEnvelope), ResponseEnvelope>;
 
-/// A `classify` frame the splice probe parsed and normalized, moved into
-/// the pool job of a cache miss so the job does not parse it again.
+/// A `classify` frame read and normalized, with its problem's structural
+/// key: the splice probe moves it into the pool job of a cache miss, so the
+/// job neither parses the frame nor builds the key again.
 struct ParsedClassify {
     id: i64,
     problem: NormalizedLcl,
+    key: Vec<u8>,
+    /// The inline lane parked this request's own flight: the job resumes it
+    /// ([`Engine::resume`]) instead of classifying as a new request.
+    parked: bool,
+}
+
+impl ParsedClassify {
+    fn new(id: i64, problem: NormalizedLcl) -> ParsedClassify {
+        let key = problem.structural_key();
+        ParsedClassify {
+            id,
+            problem,
+            key,
+            parked: false,
+        }
+    }
+
+    /// The problem's canonical hash, read off the key.
+    fn hash(&self) -> u64 {
+        NormalizedLcl::hash_of_key(&self.key)
+    }
 }
 
 /// One request's reply before serialization: what [`Service::respond`]
@@ -427,6 +497,7 @@ enum Outcome {
     Classified {
         id: i64,
         problem: NormalizedLcl,
+        hash: u64,
         classification: Arc<Classification>,
     },
     /// Every other reply, errors included.
@@ -448,6 +519,7 @@ impl Outcome {
                 id,
                 problem,
                 classification,
+                ..
             } => ResponseEnvelope::ok(
                 id,
                 RequestKind::Classify.wire_name(),
@@ -464,41 +536,58 @@ impl Outcome {
             Outcome::Classified {
                 id,
                 problem,
+                hash,
                 classification,
-            } => classify_frame(id, &problem, &classification),
+            } => classify_frame(id, &problem, hash, &classification),
             Outcome::Envelope(response) => response.into_json_string(),
         }
     }
 }
 
-/// Writes a classify reply's `{"verdict":…}` payload straight to bytes.
+/// Writes a classify reply's `{"verdict":…}` payload straight to bytes;
+/// `hash` is the problem's canonical hash.
 fn write_verdict_payload(
     problem: &NormalizedLcl,
+    hash: u64,
     classification: &Classification,
     out: &mut String,
 ) {
     out.push_str("{\"verdict\":");
-    Verdict::write_json(problem, classification, out);
+    Verdict::write_json_hashed(problem, hash, classification, out);
     out.push('}');
 }
 
 /// A classify success frame, written directly: the bytes
 /// `ResponseEnvelope::ok(id, "classify", {"verdict": …}).into_json_string()`
 /// prints, without the tree.
-fn classify_frame(id: i64, problem: &NormalizedLcl, classification: &Classification) -> String {
+fn classify_frame(
+    id: i64,
+    problem: &NormalizedLcl,
+    hash: u64,
+    classification: &Classification,
+) -> String {
     let mut out = String::with_capacity(384);
     crate::splice::write_head(id, &mut out);
-    write_verdict_payload(problem, classification, &mut out);
+    write_verdict_payload(problem, hash, classification, &mut out);
     out.push('}');
     out
+}
+
+/// What the inline classify lane ([`Service::classify_inline`]) made of a
+/// `classify` miss.
+enum Inline {
+    /// The reply, accounted.
+    Ready(StreamFrame),
+    /// The request, for a pool job.
+    Pool(ParsedClassify),
 }
 
 /// What the splice probe ([`Service::splice`]) made of one frame.
 enum Splice {
     /// A cache hit, answered and accounted on the calling thread.
     Hit(StreamFrame, Option<Arc<Trace>>),
-    /// A well-formed `classify` whose problem is not cached: the parse,
-    /// handed to the pool job.
+    /// A well-formed `classify` whose problem is not cached: the parse, for
+    /// the inline lane and, if it does not finish, the pool job.
     Miss(ParsedClassify),
     /// A frame naming `classify` that the front end declined and that is
     /// not a well-formed `classify` either (a malformed frame or problem,
@@ -714,10 +803,12 @@ impl Service {
     ///
     /// Frames answerable on the calling thread come back as ready replies:
     /// an oversized frame's rejection, a cached `classify` hit (the splice
-    /// lane), an admission rejection. Everything else becomes one pool job
-    /// that executes and serializes the frame. A `classify` miss moves the
-    /// request the splice probe already parsed into its job; any other
-    /// frame is parsed by the job. The job delivers its frames
+    /// lane), a `classify` miss classified within the inline lane's work
+    /// slice, an admission rejection. Everything else becomes one pool job
+    /// that executes and serializes the frame. A `classify` miss the inline
+    /// lane did not finish moves the request the splice probe already
+    /// parsed into its job, which continues from the stage the lane stopped
+    /// before; any other frame is parsed by the job. The job delivers its frames
     /// over a bounded channel (depth 2): a streaming job whose consumer
     /// stops draining parks its pool worker until the writer catches up or
     /// drops the handle (which aborts the stream). The per-connection
@@ -756,15 +847,23 @@ impl Service {
             Some(parsed) => (Some(parsed.id), RequestKind::Classify.to_string()),
             None => (salvage_id(&line), salvage_kind(&line)),
         };
-        let service = Arc::clone(self);
         // The trace is shared three ways: the job stamps queue → serialize,
         // the connection writer (via the PendingResponse) stamps the write,
         // and whichever Arc drops last finalizes it if nobody did.
         let trace = self.new_trace(started, id);
         if let (Some(trace), Some(_)) = (&trace, &parsed) {
-            // A handed-over miss was parsed here, before its queue wait.
+            // A miss was parsed here, before the inline lane and any queue
+            // wait.
             trace.mark_parsed(Some(RequestKind::Classify), id);
         }
+        let parsed = match parsed {
+            Some(parsed) => match self.classify_inline(parsed, started, trace.as_deref()) {
+                Inline::Ready(frame) => return PendingResponse::ready(frame, trace),
+                Inline::Pool(parsed) => Some(parsed),
+            },
+            None => None,
+        };
+        let service = Arc::clone(self);
         let job_trace = trace.clone();
         self.metrics.pipeline_enter();
         let (tx, rx) = mpsc::sync_channel::<StreamFrame>(STREAM_CHANNEL_DEPTH);
@@ -848,10 +947,7 @@ impl Service {
         };
         let (kind, outcome) = match parsed {
             // Parsed, and its parse stage stamped, before this point.
-            Ok(ParsedClassify { id, problem }) => (
-                Some(RequestKind::Classify),
-                self.classify(id, problem, trace),
-            ),
+            Ok(parsed) => (Some(RequestKind::Classify), self.classify(parsed, trace)),
             Err(Err(response)) => {
                 if let Some(trace) = trace {
                     trace.mark_parsed(None, None);
@@ -880,7 +976,7 @@ impl Service {
     /// every error reply and every other kind is what it always was.
     fn read_classify(line: &str) -> Option<ParsedClassify> {
         let (id, problem) = RequestEnvelope::read_classify(line)?;
-        Some(ParsedClassify { id, problem })
+        Some(ParsedClassify::new(id, problem))
     }
 
     /// Wraps one request's outcome in its reply envelope.
@@ -930,7 +1026,7 @@ impl Service {
         let result = match kind {
             RequestKind::Classify => {
                 return match Self::parse_problem(payload) {
-                    Ok(problem) => self.classify(envelope.id, problem, trace),
+                    Ok(problem) => self.classify(ParsedClassify::new(envelope.id, problem), trace),
                     Err(e) => Outcome::Envelope(Self::envelope(envelope.id, kind, Err(e))),
                 }
             }
@@ -963,8 +1059,9 @@ impl Service {
     /// front end declines it.
     ///
     /// A well-formed `classify` whose problem is not cached comes back as
-    /// [`Splice::Miss`] carrying the parsed request, so its pool job
-    /// classifies without parsing the frame again. A frame that names
+    /// [`Splice::Miss`] carrying the parsed request and its structural key,
+    /// so the inline lane and any pool job classify without parsing the
+    /// frame or building the key again. A frame that names
     /// `classify` but is not a well-formed one is [`Splice::Declined`],
     /// carrying the tree parse's result, so its pool job does not parse it
     /// again either. Every other frame — the splice toggle is off, or the
@@ -979,12 +1076,12 @@ impl Service {
         if !self.reply_splice() || !names_classify(line) {
             return Splice::Pass;
         }
-        let (id, problem) = match Self::read_classify(line) {
-            Some(ParsedClassify { id, problem }) => (id, problem),
+        let parsed = match Self::read_classify(line) {
+            Some(parsed) => parsed,
             None => match self.parse(line) {
                 Ok((RequestKind::Classify, envelope)) => {
                     match Self::parse_problem(&envelope.payload) {
-                        Ok(problem) => (envelope.id, problem),
+                        Ok(problem) => ParsedClassify::new(envelope.id, problem),
                         Err(_) => return Splice::Declined(Ok((RequestKind::Classify, envelope))),
                     }
                 }
@@ -992,21 +1089,25 @@ impl Service {
             },
         };
         // Only an already-cached classification is served here: a miss
-        // runs on the pool, taking this parse along. The render closure
-        // only fires for a hit whose reply bytes are not attached yet (then
-        // this request pays the one serialization every later hit reuses).
-        let lane = self.engine.cached_reply(&problem, |classification| {
-            let mut payload = String::with_capacity(320);
-            write_verdict_payload(&problem, classification, &mut payload);
-            payload.into_bytes()
-        });
+        // goes on to the inline lane, taking this parse along. The render
+        // closure only fires for a hit whose reply bytes are not attached
+        // yet (then this request pays the one serialization every later hit
+        // reuses).
+        let (id, problem, hash) = (parsed.id, &parsed.problem, parsed.hash());
+        let lane = self
+            .engine
+            .cached_reply_keyed(&parsed.key, problem, |classification| {
+                let mut payload = String::with_capacity(320);
+                write_verdict_payload(problem, hash, classification, &mut payload);
+                payload.into_bytes()
+            });
         let Some(lane) = lane else {
-            return Splice::Miss(ParsedClassify { id, problem });
+            return Splice::Miss(parsed);
         };
         let trace = self.new_trace(started, Some(id));
         if let Some(trace) = &trace {
             trace.mark_parsed(Some(RequestKind::Classify), Some(id));
-            trace.set_problem(problem.canonical_hash(), Some(true));
+            trace.set_problem(hash, Some(true));
             trace.mark_computed(true);
         }
         let frame = match lane {
@@ -1018,7 +1119,7 @@ impl Service {
             // different problem name; serve this name a fresh serialization
             // so the reply stays byte-identical to the slow path.
             ReplyLane::Render(classification) => {
-                StreamFrame::Final(classify_frame(id, &problem, &classification))
+                StreamFrame::Final(classify_frame(id, problem, hash, &classification))
             }
         };
         if let Some(trace) = &trace {
@@ -1029,18 +1130,98 @@ impl Service {
         Splice::Hit(frame, trace)
     }
 
-    fn classify(&self, id: i64, problem: NormalizedLcl, trace: Option<&Trace>) -> Outcome {
+    /// The inline classify lane of [`Service::dispatch`]: a `classify`
+    /// miss runs its classification stages on the calling thread while its
+    /// [`WorkMeter`] is under [`CLASSIFY_SLICE_UNITS`], each stage capped at
+    /// [`CLASSIFY_STAGE_CAP_UNITS`] ([`Engine::classify_inline`]). A
+    /// classification done here is a ready reply, accounted here; otherwise
+    /// the request goes to a pool job, which resumes the flight this lane
+    /// parked or, when another thread holds the key's flight, joins it. The
+    /// lane never waits on another thread, and a panic here never unwinds
+    /// into the caller: the reply is then the error a pool job that died
+    /// would have produced.
+    fn classify_inline(
+        &self,
+        mut parsed: ParsedClassify,
+        started: Instant,
+        trace: Option<&Trace>,
+    ) -> Inline {
+        let lane = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut meter = WorkMeter::new(CLASSIFY_SLICE_UNITS, CLASSIFY_STAGE_CAP_UNITS);
+            match self
+                .engine
+                .classify_inline(&parsed.key, &parsed.problem, &mut meter)
+            {
+                Lane::Done {
+                    classification,
+                    hit,
+                } => {
+                    let hash = parsed.hash();
+                    if let Some(trace) = trace {
+                        trace.set_problem(hash, Some(hit));
+                        trace.mark_computed(true);
+                    }
+                    let frame = classify_frame(parsed.id, &parsed.problem, hash, &classification);
+                    if let Some(trace) = trace {
+                        trace.mark_serialized();
+                    }
+                    Ok(frame)
+                }
+                Lane::Parked(stage) => {
+                    parsed.parked = true;
+                    Err(stage)
+                }
+                // Nothing ran here: the pool job starts from the first
+                // stage.
+                Lane::Pool => Err(Stage::Types),
+            }
+        }));
+        match lane {
+            Ok(Ok(frame)) => {
+                self.metrics.record_classify_lane(None);
+                self.metrics
+                    .record(Some(RequestKind::Classify), started.elapsed(), true);
+                Inline::Ready(StreamFrame::Final(frame))
+            }
+            Ok(Err(stage)) => {
+                self.metrics.record_classify_lane(Some(stage));
+                Inline::Pool(parsed)
+            }
+            Err(_) => Inline::Ready(dropped_reply(
+                Some(parsed.id),
+                RequestKind::Classify.wire_name(),
+            )),
+        }
+    }
+
+    fn classify(&self, parsed: ParsedClassify, trace: Option<&Trace>) -> Outcome {
+        let hash = parsed.hash();
+        let ParsedClassify {
+            id,
+            problem,
+            key,
+            parked,
+        } = parsed;
         // The hit flag comes from the classify call itself
-        // ([`Engine::classify_observed`]) — probing the cache separately
-        // would count a phantom hit and refresh the LRU.
-        match self.engine.classify_observed(&problem) {
+        // ([`Engine::classify_keyed`]) — probing the cache separately would
+        // count a phantom hit and refresh the LRU. A request whose own
+        // flight the inline lane parked resumes it: its miss is counted.
+        let result = if parked {
+            self.engine
+                .resume(&key, &problem)
+                .map(|classification| (classification, false))
+        } else {
+            self.engine.classify_keyed(&key, &problem)
+        };
+        match result {
             Ok((classification, hit)) => {
                 if let Some(trace) = trace {
-                    trace.set_problem(problem.canonical_hash(), Some(hit));
+                    trace.set_problem(hash, Some(hit));
                 }
                 Outcome::Classified {
                     id,
                     problem,
+                    hash,
                     classification,
                 }
             }

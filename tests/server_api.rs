@@ -18,9 +18,9 @@ fn start_server(workers: usize) -> (ServerHandle, Arc<Service>) {
     (handle, service)
 }
 
-/// The acceptance bar of this PR: every corpus problem round-trips over TCP
-/// through the persistent pool with verdict JSON byte-identical to the
-/// in-process engine, at several pool widths.
+/// Every corpus problem round-trips over TCP with verdict JSON
+/// byte-identical to the in-process engine, at several pool widths, each
+/// classified inline on the reactor or on the persistent pool.
 #[test]
 fn corpus_verdicts_over_tcp_are_byte_identical_to_in_process() {
     let reference = Engine::new();
@@ -47,13 +47,23 @@ fn corpus_verdicts_over_tcp_are_byte_identical_to_in_process() {
                 entry.problem.name()
             );
         }
-        // All classification ran as pool jobs, none on scoped threads.
+        // Each classification ran inline on the reactor, within its work
+        // slice, or as exactly one pool job; none on scoped threads.
+        let lanes = service.metrics_snapshot().classify_lanes;
+        let (inline, handed_off) = (lanes[0], lanes[1..].iter().sum::<u64>());
+        assert_eq!(
+            inline + handed_off,
+            corpus().len() as u64,
+            "every miss takes one lane: {lanes:?}"
+        );
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        while service.engine().pool_stats().jobs_completed < handed_off {
+            assert!(std::time::Instant::now() < deadline, "{lanes:?}");
+            std::thread::yield_now();
+        }
         let pool = service.engine().pool_stats();
         assert_eq!(pool.workers, workers);
-        assert!(
-            pool.jobs_completed > 0,
-            "dispatch must go through the pool: {pool:?}"
-        );
+        assert_eq!(pool.jobs_completed, handed_off, "one job per hand-off");
         drop(client);
         handle.shutdown();
     }
