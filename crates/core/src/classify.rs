@@ -167,7 +167,7 @@ pub(crate) enum Progress {
     /// No stage has run.
     Start,
     /// The types stage stopped partway; it continues where it stopped.
-    Typing(TypesBuild),
+    Typing(Box<TypesBuild>),
     /// The types are known.
     Typed(GapTypes),
     /// Every long cycle has a valid labeling.
@@ -206,7 +206,8 @@ impl Progress {
     ) -> Result<()> {
         meter.start_stage();
         if let Progress::Start = self {
-            *self = Progress::Typing(TypesBuild::new(problem, options.type_budget, meter)?);
+            let build = TypesBuild::new(problem, options.type_budget, meter)?;
+            *self = Progress::Typing(Box::new(build));
         }
         // Each stage reads the state it needs, and takes it only once it
         // has succeeded.
@@ -261,10 +262,12 @@ impl Progress {
                     None => Progress::Answered(info, Answer::LogStar(structure)),
                 }
             }
+            // A unit per row of the problem's constraint tables and per
+            // quantified type.
             Progress::Answered(info, _) => {
-                meter.charge(
-                    GapTypes::transfer_units(info.problem()) + info.quantified().len() as u64,
-                )?;
+                let problem = info.problem();
+                let rows = (problem.num_inputs() + 2) * problem.num_outputs();
+                meter.charge((rows + info.quantified().len()) as u64)?;
                 let Progress::Answered(info, answer) = self.take() else {
                     unreachable!("matched Answered");
                 };

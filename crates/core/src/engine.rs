@@ -746,10 +746,25 @@ impl Engine {
     /// propagates classification errors, and wraps simulator failures in
     /// [`crate::ClassifierError::Sim`].
     pub fn solve(&self, problem: &NormalizedLcl, instance: &Instance) -> Result<Solution> {
+        self.solve_keyed(&problem.structural_key(), problem, instance)
+    }
+
+    /// [`Engine::solve`] for a caller that already holds the problem's
+    /// [structural key](NormalizedLcl::structural_key) `key`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::solve`].
+    pub fn solve_keyed(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+        instance: &Instance,
+    ) -> Result<Solution> {
         // Instances can arrive straight off the wire; validate against the
         // problem's alphabet before the verifier's assertions would panic.
         instance.check_alphabet(problem.num_inputs())?;
-        let classification = self.classify(problem)?;
+        let (classification, _) = self.classify_keyed(key, problem)?;
         self.solve_classified(problem, instance, classification)
     }
 

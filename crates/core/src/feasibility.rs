@@ -315,17 +315,19 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-/// The rows of a relation on at most [`MAX_OUTPUTS`] labels: its words, one
-/// per row.
-fn rows_of(relation: &OutRelation) -> &[u64] {
-    debug_assert!(relation.dim() <= MAX_OUTPUTS, "one word per row");
-    relation.words()
+/// Appends the rows of a relation on at most [`MAX_OUTPUTS`] labels to
+/// `out`, one mask per row ([`OutRelation::row_mask`]): the packed rows
+/// unpacked once, for the searches that index rows by label.
+fn push_rows<W: AsRef<[u64]>>(relation: &OutRelation<W>, out: &mut Vec<u64>) {
+    out.extend((0..relation.dim()).map(|p| relation.row_mask(p)));
 }
 
 /// Working buffers of [`DomainScratch::append_domain`], reused from one
 /// connection relation to the next.
 #[derive(Default)]
 struct DomainScratch {
+    /// The connection relation's rows.
+    rows: Vec<u64>,
     intents: Vec<u64>,
     seen: HashSet<u64>,
     /// Each concept with its smallest generating subset.
@@ -336,22 +338,26 @@ impl DomainScratch {
     /// Appends the domain of one connection relation to `out`: its formal
     /// concepts `(A, B)` with `B ≠ ∅`, largest `|A|·|B|` first, ties by
     /// smallest generating subset (see the module documentation). Charges
-    /// `meter` each intersection of the closure and each concept's row scan
-    /// and generator steps.
+    /// `meter` the rows unpacked, each intersection of the closure and each
+    /// concept's row scan and generator steps.
     fn append_domain(
         &mut self,
-        conn: &OutRelation,
+        conn: &OutRelation<&[u64]>,
         out: &mut Vec<Biclique>,
         meter: &mut WorkMeter,
     ) -> Result<()> {
-        let rows = rows_of(conn);
         // Intents: the nonzero rows closed under nonzero intersections. A
         // row that is already an intent adds nothing new.
         let DomainScratch {
+            rows,
             intents,
             seen,
             concepts,
         } = self;
+        meter.charge(conn.dim() as u64)?;
+        rows.clear();
+        push_rows(conn, rows);
+        let rows = &*rows;
         intents.clear();
         seen.clear();
         for &row in rows {
@@ -414,13 +420,14 @@ impl BlockMasks {
     fn new(system: &TransferSystem) -> Self {
         let letter = |a| {
             let relation = system.letter_relation(InLabel::from_index(a));
-            rows_of(relation.expect("a letter of the alphabet"))
-                .iter()
-                .fold(0, |mask, row| mask | row)
+            let relation = relation.expect("a letter of the alphabet");
+            (0..relation.dim()).fold(0, |mask, p| mask | relation.row_mask(p))
         };
+        let mut edges = Vec::with_capacity(system.dim());
+        push_rows(system.edge_relation(), &mut edges);
         BlockMasks {
             nodes: (0..system.num_letters()).map(letter).collect(),
-            edges: rows_of(system.edge_relation()).to_vec(),
+            edges,
         }
     }
 
@@ -700,17 +707,22 @@ fn padding_types(
     out.drain(start..start + seen[s.index()].1);
 }
 
-/// The `⊆`-minimal elements of a list of relations, without repeats: a
-/// product with a larger relation constrains nothing a smaller one does not.
-/// Kept in place, in order of size. Charges `meter` the words of each
-/// relation sized and each pair compared.
-fn minimal<R: AsRef<[u64]>>(mut relations: Vec<R>, meter: &mut WorkMeter) -> Result<Vec<R>> {
-    let words = relations.first().map_or(0, |r| r.as_ref().len()) as u64;
-    meter.charge(relations.len() as u64 * words)?;
+/// The `⊆`-minimal elements of a list of relations on `beta` labels, given
+/// by their words (packed or a word per row), without repeats: a product
+/// with a larger relation constrains nothing a smaller one does not. Kept
+/// in place, in order of size. Charges `meter` the rows of each relation
+/// sized and of each pair compared.
+fn minimal<R: AsRef<[u64]>>(
+    mut relations: Vec<R>,
+    beta: usize,
+    meter: &mut WorkMeter,
+) -> Result<Vec<R>> {
+    let rows = beta as u64;
+    meter.charge(relations.len() as u64 * rows)?;
     let size = |r: &R| r.as_ref().iter().map(|row| row.count_ones()).sum::<u32>();
     relations.sort_by_key(size);
     let below = |k: &R, r: &R| k.as_ref().iter().zip(r.as_ref()).all(|(k, r)| k & !r == 0);
-    keep_minimal(&mut relations, below, words, meter)?;
+    keep_minimal(&mut relations, below, rows, meter)?;
     Ok(relations)
 }
 
@@ -754,13 +766,13 @@ struct PatternClasses {
 }
 
 impl PatternClasses {
-    /// Groups `patterns` by type, charging `meter` one unit per letter read
-    /// and the words of each class's trace check.
+    /// Groups `patterns` by type, charging `meter` two units per letter
+    /// (generated, then read) and each class's cycle check
+    /// ([`GapTypes::cycle_check_units`]).
     fn metered(info: &GapTypes, patterns: &Patterns, meter: &mut WorkMeter) -> Result<Self> {
-        meter.charge(patterns.letters.len() as u64)?;
+        meter.charge(2 * patterns.letters.len() as u64)?;
         let classes = Self::new(info, patterns)?;
-        let check_units = info.system().edge_relation().words().len() as u64;
-        meter.charge(classes.types.len() as u64 * check_units)?;
+        meter.charge(classes.types.len() as u64 * info.cycle_check_units())?;
         Ok(classes)
     }
 
@@ -808,17 +820,18 @@ impl PatternClasses {
 /// `j` at `first`; rows are cached per `(class, last)`, columns per
 /// `(class, first)` and answers per class pair, each pair's memo allocated
 /// when it is first asked (see the module documentation).
-struct Bridges<'a> {
+struct Bridges {
     /// `|Σ_out|`.
     beta: usize,
-    /// The `⊆`-minimal middle relations.
-    middles: Vec<&'a [u64]>,
+    /// The rows of the `⊆`-minimal middle relations, `β` per relation.
+    middles: Vec<u64>,
     /// Per pattern, its class.
     class_of: Vec<usize>,
-    /// `C(L)` for each stable padding `L`, class after class: the
-    /// connections [`GapTypes`] stores.
-    paddings: Vec<&'a [u64]>,
-    /// `padding_ends[class]`: where the class's paddings end in `paddings`.
+    /// The rows of `C(L)` for each stable padding `L`, `β` per padding,
+    /// class after class: the connections [`GapTypes`] stores, unpacked.
+    paddings: Vec<u64>,
+    /// `padding_ends[class]`: the number of paddings up to the class's
+    /// last.
     padding_ends: Vec<usize>,
     /// `rows[class · β + last]`: the minimal rows at `last` of `C(L)·M`
     /// over the class's paddings `L` and the middles `M`.
@@ -831,17 +844,17 @@ struct Bridges<'a> {
     answers: Vec<Option<Vec<(u64, u64)>>>,
 }
 
-impl<'a> Bridges<'a> {
+impl Bridges {
     #[cfg(test)]
-    fn new(info: &'a GapTypes, classes: PatternClasses) -> Self {
+    fn new(info: &GapTypes, classes: PatternClasses) -> Self {
         Self::metered(info, classes, &mut WorkMeter::unlimited())
             .expect("an unlimited meter stops nothing")
     }
 
     /// As [`Bridges::new`], charging `meter` one unit per letter stepped
-    /// through while following the stable paddings, and the rows of every
-    /// type's relation for the minimal middles.
-    fn metered(info: &'a GapTypes, classes: PatternClasses, meter: &mut WorkMeter) -> Result<Self> {
+    /// through while following the stable paddings, the rows of every
+    /// type's relation for the minimal middles, and the rows unpacked.
+    fn metered(info: &GapTypes, classes: PatternClasses, meter: &mut WorkMeter) -> Result<Self> {
         let semigroup = info.semigroup();
         let PatternClasses { class_of, types } = classes;
         let mut seen = vec![(0, 0); semigroup.len()];
@@ -854,21 +867,27 @@ impl<'a> Bridges<'a> {
             padding_ends.push(padding_ids.len());
         }
 
-        let paddings = padding_ids
-            .iter()
-            .map(|&padding| {
-                let position = info.position(padding);
-                rows_of(info.connection(position.expect("stable paddings are quantified")))
-            })
-            .collect();
-        let middles = minimal(
+        let (beta, classes) = (info.problem().num_outputs(), types.len());
+        meter.charge((padding_ids.len() * beta) as u64)?;
+        let mut paddings = Vec::with_capacity(padding_ids.len() * beta);
+        for &padding in &padding_ids {
+            let position = info.position(padding);
+            let connection = info.connection(position.expect("stable paddings are quantified"));
+            push_rows(&connection, &mut paddings);
+        }
+        let minimal_middles = minimal(
             semigroup
                 .iter()
-                .map(|t| rows_of(semigroup.relation(t)))
+                .map(|t| semigroup.relation(t).into_words())
                 .collect(),
+            beta,
             meter,
         )?;
-        let (beta, classes) = (info.problem().num_outputs(), types.len());
+        meter.charge((minimal_middles.len() * beta) as u64)?;
+        let mut middles = Vec::with_capacity(minimal_middles.len() * beta);
+        for words in minimal_middles {
+            push_rows(&OutRelation::from_words(beta, words), &mut middles);
+        }
         Ok(Bridges {
             beta,
             middles,
@@ -907,16 +926,19 @@ impl<'a> Bridges<'a> {
         let memo = self.answers[ci * classes + cj].get_or_insert_with(|| vec![(0, 0); beta]);
         let (known, yes) = &mut memo[last];
         if *known & bit == 0 {
-            let left = &self.paddings[span(&self.padding_ends, ci)];
-            let right = &self.paddings[span(&self.padding_ends, cj)];
+            let rows_of = |class| {
+                let paddings = span(&self.padding_ends, class);
+                &self.paddings[paddings.start * beta..paddings.end * beta]
+            };
+            let (left, right) = (rows_of(ci), rows_of(cj));
             let rows = &mut self.rows[ci * beta + last];
             if rows.is_none() {
-                *rows = Some(left_rows(left, &self.middles, last, meter)?);
+                *rows = Some(left_rows(left, &self.middles, beta, last, meter)?);
             }
             let rows = rows.as_ref().expect("just filled");
             let columns = &mut self.columns[cj * beta + first];
             if columns.is_none() {
-                *columns = Some(right_columns(right, first, meter)?);
+                *columns = Some(right_columns(right, beta, first, meter)?);
             }
             let columns = columns.as_ref().expect("just filled");
             meter.charge((rows.len() * columns.len()) as u64)?;
@@ -933,39 +955,49 @@ impl<'a> Bridges<'a> {
 }
 
 /// The minimal rows at `last` of `C(L)·M` over the paddings `L` and the
-/// middles `M`. A row of `C(L)·M` is the union of the middle's rows that
-/// `C(L)`'s row picks, so only the minimal `C(L)` rows are multiplied out.
-/// Charges `meter` one unit per product row and the minimal-row passes.
+/// middles `M`, each given by its `beta` rows end to end. A row of `C(L)·M`
+/// is the union of the middle's rows that `C(L)`'s row picks, so only the
+/// minimal `C(L)` rows are multiplied out. Charges `meter` one unit per
+/// product row and the minimal-row passes.
 fn left_rows(
-    paddings: &[&[u64]],
-    middles: &[&[u64]],
+    paddings: &[u64],
+    middles: &[u64],
+    beta: usize,
     last: usize,
     meter: &mut WorkMeter,
 ) -> Result<Vec<u64>> {
-    let conns = minimal_masks(paddings.iter().map(|conn| conn[last]).collect(), meter)?;
+    let conns = paddings.chunks_exact(beta).map(|conn| conn[last]).collect();
+    let conns = minimal_masks(conns, meter)?;
+    let middles = middles.chunks_exact(beta);
     meter.charge((conns.len() * middles.len()) as u64)?;
     let mut rows: Vec<u64> = Vec::with_capacity(conns.len() * middles.len());
     for &row in &conns {
         rows.extend(
             middles
-                .iter()
+                .clone()
                 .map(|m| bits(row).fold(0, |out, k| out | m[k])),
         );
     }
     minimal_masks(rows, meter)
 }
 
-/// The minimal columns at `first` of `C(R)` over the paddings `R`, as masks
-/// over rows. Charges `meter` the rows read and the minimal-column pass.
-fn right_columns(paddings: &[&[u64]], first: usize, meter: &mut WorkMeter) -> Result<Vec<u64>> {
-    meter.charge(paddings.iter().map(|conn| conn.len() as u64).sum())?;
-    let column = |conn: &&[u64]| {
+/// The minimal columns at `first` of `C(R)` over the paddings `R` (their
+/// `beta` rows end to end), as masks over rows. Charges `meter` the rows
+/// read and the minimal-column pass.
+fn right_columns(
+    paddings: &[u64],
+    beta: usize,
+    first: usize,
+    meter: &mut WorkMeter,
+) -> Result<Vec<u64>> {
+    meter.charge(paddings.len() as u64)?;
+    let column = |conn: &[u64]| {
         conn.iter()
             .enumerate()
             .filter(|&(_, row)| row >> first & 1 == 1)
             .fold(0, |col, (p, _)| col | 1 << p)
     };
-    minimal_masks(paddings.iter().map(column).collect(), meter)
+    minimal_masks(paddings.chunks_exact(beta).map(column).collect(), meter)
 }
 
 /// Backtracking choice of one periodic labeling per pattern such that every
@@ -1124,7 +1156,7 @@ pub(crate) fn facing_structure(
     let mut scratch = DomainScratch::default();
     for conn in connections {
         let start = domains.len();
-        scratch.append_domain(conn, &mut domains, meter)?;
+        scratch.append_domain(&conn, &mut domains, meter)?;
         if domains.len() == start {
             return Ok(None);
         }
@@ -1293,12 +1325,19 @@ mod tests {
     type Rows = Vec<u64>;
 
     /// The domain of one connection relation, on fresh buffers.
-    fn ordered_domain(conn: &OutRelation) -> Vec<Biclique> {
+    fn ordered_domain(conn: OutRelation<&[u64]>) -> Vec<Biclique> {
         let mut out = Vec::new();
         DomainScratch::default()
-            .append_domain(conn, &mut out, &mut WorkMeter::unlimited())
+            .append_domain(&conn, &mut out, &mut WorkMeter::unlimited())
             .unwrap();
         out
+    }
+
+    /// The rows of a relation, one mask per row.
+    fn rows_of<W: AsRef<[u64]>>(relation: &OutRelation<W>) -> Rows {
+        let mut rows = Vec::new();
+        push_rows(relation, &mut rows);
+        rows
     }
 
     /// Boolean matrix product `a · b`.
@@ -1389,7 +1428,7 @@ mod tests {
     /// its common successors `B` and, if `B ≠ ∅`, to the concept
     /// `({p : row_p ⊇ B}, B)`; first occurrences are kept and stably sorted
     /// by `|A|·|B|`, largest first.
-    fn subset_walk_domain(conn: &OutRelation, beta: usize) -> Vec<Biclique> {
+    fn subset_walk_domain(conn: OutRelation<&[u64]>, beta: usize) -> Vec<Biclique> {
         let mut out: Vec<Biclique> = Vec::new();
         for a_mask in 1u64..(1 << beta) {
             // B = common successors of A.
@@ -1460,24 +1499,25 @@ mod tests {
             let middles = minimal(
                 semigroup
                     .iter()
-                    .map(|t| rows_of(semigroup.relation(t)))
+                    .map(|t| rows_of(&semigroup.relation(t)))
                     .collect(),
+                edge.len(),
                 unlimited,
             )
             .unwrap();
             let (mut lefts, mut rights) = (Vec::new(), Vec::new());
             for pattern in patterns.iter() {
-                let base = rows_of(semigroup.relation(semigroup.type_of_word(pattern)?));
+                let base = rows_of(&semigroup.relation(semigroup.type_of_word(pattern)?));
                 let (mut left, mut right) = (Vec::new(), Vec::new());
-                for padding in stable_paddings(edge, base) {
-                    let edge_padding = product(edge, &padding);
-                    let conn = product(&edge_padding, edge);
+                for padding in stable_paddings(&edge, &base) {
+                    let edge_padding = product(&edge, &padding);
+                    let conn = product(&edge_padding, &edge);
                     left.extend(middles.iter().map(|m| product(&conn, m)));
                     left.push(edge_padding);
                     right.push(conn);
                 }
-                lefts.push(minimal(left, unlimited).unwrap());
-                rights.push(minimal(right, unlimited).unwrap());
+                lefts.push(minimal(left, edge.len(), unlimited).unwrap());
+                rights.push(minimal(right, edge.len(), unlimited).unwrap());
             }
             Ok(WordBridges {
                 beta: edge.len(),
@@ -1709,15 +1749,15 @@ mod tests {
                 padding_types(semigroup, t, t.index() + 1, &mut seen, &mut paddings);
                 let relations: Vec<Rows> = paddings
                     .iter()
-                    .map(|&p| rows_of(semigroup.relation(p)).to_vec())
+                    .map(|&p| rows_of(&semigroup.relation(p)))
                     .collect();
-                let want = stable_paddings(edge, rows_of(semigroup.relation(t)));
+                let want = stable_paddings(&edge, &rows_of(&semigroup.relation(t)));
                 assert_eq!(relations, want, "{}: type {t:?}", problem.name());
                 for (&padding, relation) in paddings.iter().zip(&relations) {
                     let position = info.position(padding).expect("a quantified padding");
                     assert_eq!(
-                        rows_of(info.connection(position)),
-                        product(&product(edge, relation), edge),
+                        rows_of(&info.connection(position)),
+                        product(&product(&edge, relation), &edge),
                         "{}: C(L) of type {padding:?}",
                         problem.name()
                     );

@@ -266,8 +266,23 @@ impl Engine {
         problem: &NormalizedLcl,
         spec: &StreamInstanceSpec,
     ) -> Result<StreamSolution> {
+        self.solve_stream_keyed(&problem.structural_key(), problem, spec)
+    }
+
+    /// [`Engine::solve_stream`] for a caller that already holds the
+    /// problem's [structural key](NormalizedLcl::structural_key) `key`.
+    ///
+    /// # Errors
+    ///
+    /// See [`Engine::solve_stream`].
+    pub fn solve_stream_keyed(
+        &self,
+        key: &[u8],
+        problem: &NormalizedLcl,
+        spec: &StreamInstanceSpec,
+    ) -> Result<StreamSolution> {
         spec.validate(problem.num_inputs())?;
-        let classification = self.classify(problem)?;
+        let (classification, _) = self.classify_keyed(key, problem)?;
         StreamSolution::new(problem, spec, classification)
     }
 }

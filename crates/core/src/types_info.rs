@@ -22,7 +22,9 @@ pub struct GapTypes {
     /// `positions[t]`: the position of type `t` within `quantified`, or
     /// [`GapTypes::UNQUANTIFIED`].
     positions: Vec<usize>,
-    connections: Vec<OutRelation>,
+    /// The connection relations computed so far, in `quantified` order:
+    /// their packed words end to end, the same number per relation.
+    connections: Vec<u64>,
 }
 
 /// The types stage of a classification ([`GapTypes::compute`]) in steps
@@ -54,9 +56,8 @@ impl TypesBuild {
     }
 
     /// Runs the stage to its end, charging `meter` the semigroup's walk
-    /// ([`SemigroupBuilder::build`]) and the two products of each
-    /// connection relation. After a stop, the next call continues where
-    /// this one stopped.
+    /// ([`SemigroupBuilder::build`]) and each connection relation. After a
+    /// stop, the next call continues where this one stopped.
     pub(crate) fn run(&mut self, meter: &mut WorkMeter) -> Result<()> {
         if let Some(builder) = &mut self.enumerating {
             builder.build(meter)?;
@@ -89,10 +90,12 @@ impl GapTypes {
         Ok(build.finish())
     }
 
-    /// The work units of building a problem's transfer system: one per row
-    /// of its edge relation, transposed edge relation and letter relations.
+    /// The work units of building a problem's transfer system and starting
+    /// its semigroup: per relation built (the edge relation, its transpose,
+    /// each letter's relation and the two product tables), one unit per row
+    /// and 64 for the relation itself.
     pub(crate) fn transfer_units(problem: &NormalizedLcl) -> u64 {
-        ((problem.num_inputs() + 2) * problem.num_outputs()) as u64
+        ((problem.num_inputs() + 4) * (problem.num_outputs() + 64)) as u64
     }
 
     /// The type information of `semigroup` before any connection relation
@@ -104,8 +107,9 @@ impl GapTypes {
         for (i, &t) in quantified.iter().enumerate() {
             positions[t.index()] = i;
         }
+        let words = semigroup.system().edge_relation().words().len();
         GapTypes {
-            connections: Vec::with_capacity(quantified.len()),
+            connections: Vec::with_capacity(quantified.len() * words),
             semigroup: Arc::new(semigroup),
             min_gap,
             quantified,
@@ -113,17 +117,28 @@ impl GapTypes {
         }
     }
 
+    /// The number of connection relations computed so far.
+    fn connected(&self) -> usize {
+        let words = self.system().edge_relation().words().len();
+        self.connections.len().checked_div(words).unwrap_or(0)
+    }
+
     /// Computes the connection relations not computed yet,
-    /// `C(τ) = (E · R(τ)) · E` with the left product into one reused
-    /// buffer, charging `meter` the words of both products before each.
+    /// `C(τ) = E · R(τ) · E` by the transfer system's product tables
+    /// ([`TransferSystem::connection_into`]) into two reused buffers,
+    /// appending each to the arena. Charges `meter` per relation before
+    /// computing it: a unit per four lookups of its two table products
+    /// (`β·⌈β/8⌉` each) and one per transpose.
     fn connect(&mut self, meter: &mut WorkMeter) -> Result<()> {
-        let edge = self.semigroup.system().edge_relation();
-        let product_units = 2 * edge.words().len() as u64;
-        let mut edge_then = OutRelation::empty(0);
-        for &t in &self.quantified[self.connections.len()..] {
-            meter.charge(product_units)?;
-            edge.compose_into(self.semigroup.relation(t), &mut edge_then)?;
-            self.connections.push(edge_then.compose(edge)?);
+        let system = self.semigroup.system();
+        let beta = system.dim();
+        let units = ((beta * beta.div_ceil(8)).div_ceil(2) + 2) as u64;
+        let (mut scratch, mut out) = (OutRelation::empty(0), OutRelation::empty(0));
+        for i in self.connected()..self.quantified.len() {
+            meter.charge(units)?;
+            let relation = self.semigroup.relation(self.quantified[i]);
+            system.connection_into(&relation, &mut scratch, &mut out)?;
+            self.connections.extend_from_slice(out.words());
         }
         Ok(())
     }
@@ -171,8 +186,10 @@ impl GapTypes {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn connection(&self, i: usize) -> &OutRelation {
-        &self.connections[i]
+    pub fn connection(&self, i: usize) -> OutRelation<&[u64]> {
+        let words = self.system().edge_relation().words().len();
+        let relation = &self.connections[i * words..(i + 1) * words];
+        OutRelation::from_words(self.system().dim(), relation)
     }
 
     /// Whether every *sufficiently long* cycle admits a valid labeling: the
@@ -191,13 +208,13 @@ impl GapTypes {
         self.solvability_witness_metered(&mut WorkMeter::unlimited())
     }
 
-    /// As [`Self::solvability_witness`], charging `meter` the words of each
-    /// trace check and each step of the witness walk.
+    /// As [`Self::solvability_witness`], charging `meter` each cycle check
+    /// ([`Self::cycle_check_units`]) and each step of the witness walk.
     pub(crate) fn solvability_witness_metered(
         &self,
         meter: &mut WorkMeter,
     ) -> Result<Option<Vec<lcl_problem::InLabel>>> {
-        let check_units = self.system().edge_relation().words().len() as u64;
+        let check_units = self.cycle_check_units();
         for &t in &self.quantified {
             meter.charge(check_units)?;
             if !self.cycle_labelable(t) {
@@ -207,11 +224,17 @@ impl GapTypes {
         Ok(None)
     }
 
+    /// The work units of one [`Self::cycle_labelable`] check: three for the
+    /// check and one per packed word it reads.
+    pub(crate) fn cycle_check_units(&self) -> u64 {
+        3 + self.system().edge_relation().words().len() as u64
+    }
+
     /// Whether a cycle whose input word has type `t` admits a valid
     /// labeling ([`TransferSystem::closes_cycle`]).
     pub(crate) fn cycle_labelable(&self, t: TypeId) -> bool {
         self.system()
-            .closes_cycle(self.semigroup.relation(t))
+            .closes_cycle(&self.semigroup.relation(t))
             .expect("the semigroup's relations have the system's dimension")
     }
 
@@ -491,7 +514,7 @@ mod tests {
         for problem in &problems {
             let info = GapTypes::compute(problem, 10_000).unwrap();
             for t in info.semigroup().iter() {
-                let cycle = info.system().cycle_relation(info.semigroup().relation(t));
+                let cycle = info.system().cycle_relation(&info.semigroup().relation(t));
                 assert_eq!(
                     info.cycle_labelable(t),
                     cycle.unwrap().has_nonzero_diagonal(),

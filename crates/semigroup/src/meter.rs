@@ -1,8 +1,9 @@
 //! A deterministic count of the work a classification does.
 //!
 //! [`WorkMeter`] counts abstract *units* that the decision procedure
-//! charges as it goes: composed relation words, search nodes,
-//! candidate-walk steps, bridging entries, concept and witness-walk steps.
+//! charges as it goes: product-table lookups, relation rows and words,
+//! search nodes, candidate-walk steps, bridging entries, concept and
+//! witness-walk steps.
 //! Nothing in it reads a clock, so the same problem always charges the
 //! same units, on any host and under any load.
 //!

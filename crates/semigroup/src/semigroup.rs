@@ -18,16 +18,21 @@
 //! are shortest words. A letter's relation `D_a` is diagonal (it only marks
 //! the outputs allowed at a node with input `a`), so
 //! `R(w·a) = R(w)·E·D_a = (R(w)·E)·D_a` keeps the columns of `R(w)·E` that
-//! `a` allows. The walk computes the product `R(w)·E` once per type, into a
-//! reused relation, and then, for each letter, ANDs the letter's diagonal
-//! mask into every row of a reused buffer. When a row is one word
-//! (`β ≤ 64`) the product is one fold per row and the mask one AND per row.
+//! `a` allows. Relations are packed bit matrices ([`OutRelation`]): on
+//! `β ≤ 8` labels a relation is one word, on `β ≤ 16` four. The walk
+//! computes the product `R(w)·E` once per type, into a reused relation, by
+//! the transfer system's table of right products by `E`
+//! (`ProductTable` in `relation.rs`): `⌈β/8⌉` lookups per row. Then, for each
+//! letter, it ANDs the letter's column mask, replicated into every row slot
+//! of a word, into each word of a reused buffer: one AND per word.
 //!
 //! The buffer is looked up by its words in an open-addressed table of type
-//! ids. The table hashes the words and compares them against the relations
-//! the element table already holds, so each type is stored once. A step that
-//! lands on a known type allocates nothing; only a new type stores its
-//! relation and appends its witness, its prefix's followed by the letter.
+//! ids. The table hashes the packed words and compares them against the
+//! relations already found, which lie end to end in one arena, the same
+//! number of words each, so each type is stored once. A step that lands on
+//! a known type allocates nothing; a new type appends its words to the
+//! arena and its witness, its prefix's followed by the letter, and the
+//! buffers have room for the first types before they grow.
 //!
 //! Witnesses and the letter table are flat arenas: the witnesses' letters
 //! end to end with one end offset per type, and the successors of a type
@@ -122,10 +127,8 @@ impl LengthProfile {
 #[derive(Clone, Debug)]
 pub struct TypeSemigroup {
     system: TransferSystem,
-    elements: Vec<OutRelation>,
-    /// The id of each element, found by its words.
-    index: TypeIndex,
-    witnesses: Witnesses,
+    /// The elements, their ids' table and their witnesses.
+    found: Enumeration,
     /// `letter_types[a]`: the type of the one-letter word `a`.
     letter_types: Vec<TypeId>,
     /// `letter_step[t · |Σ_in| + a]` = type of `witness(t) · a`.
@@ -159,7 +162,7 @@ impl Witnesses {
 }
 
 /// An open-addressed hash table of ids `0..len`, keyed by word slices the
-/// caller already stores (the words of the semigroup's relations,
+/// caller already stores (the packed words of the semigroup's relations,
 /// [`OutRelation::words`], or the length profile's bitsets): each key is
 /// stored once, and a probe compares words in place. Linear probing, at most
 /// half full. The hash is a fast unkeyed one, and its keys derive from the
@@ -205,7 +208,9 @@ impl TypeIndex {
         loop {
             match self.slots[slot] {
                 Self::EMPTY => return Err(slot),
-                id if key(id) == words => return Ok(id),
+                // Word by word: a key is one word or a few, for which a
+                // slice `==` (a `memcmp` call) costs more than the loop.
+                id if key(id).iter().zip(words).all(|(k, w)| k == w) => return Ok(id),
                 _ => slot = (slot + 1) & mask,
             }
         }
@@ -225,37 +230,57 @@ impl TypeIndex {
     }
 }
 
-/// The elements found so far by [`TypeSemigroup::compute`].
+/// The elements found so far by [`TypeSemigroup::compute`]: their relations'
+/// packed words end to end in one arena, `words` per type, the table that
+/// finds a type by its words, and the witnesses.
+#[derive(Clone, Debug)]
 struct Enumeration {
     dim: usize,
     budget: usize,
-    elements: Vec<OutRelation>,
+    /// Words per relation ([`OutRelation::words`]).
+    words: usize,
+    relations: Vec<u64>,
     index: TypeIndex,
     witnesses: Witnesses,
 }
 
+/// The words of relation `id` in an arena of `words` words per relation.
+fn arena_words(relations: &[u64], words: usize, id: usize) -> &[u64] {
+    &relations[id * words..(id + 1) * words]
+}
+
 impl Enumeration {
+    /// The number of types found.
+    fn len(&self) -> usize {
+        self.witnesses.ends.len()
+    }
+
+    /// The relation of type `id`, borrowed from the arena.
+    fn relation(&self, id: usize) -> OutRelation<&[u64]> {
+        OutRelation::from_words(self.dim, arena_words(&self.relations, self.words, id))
+    }
+
     /// The type of the relation with words `words`, found by the word `w · a`
-    /// with `w` the witness of `prefix` (or the empty word). A new type is
-    /// stored with that word as its witness; a known one costs one probe.
+    /// with `w` the witness of `prefix` (or the empty word). A new type
+    /// appends its words to the arena and that word as its witness; a known
+    /// one costs one probe.
     fn intern(&mut self, words: &[u64], prefix: Option<TypeId>, a: InLabel) -> Result<TypeId> {
-        let elements = &self.elements;
-        let slot = match self.index.find(words, |id| elements[id].words()) {
+        let (relations, w) = (&self.relations, self.words);
+        let slot = match self.index.find(words, |id| arena_words(relations, w, id)) {
             Ok(id) => return Ok(TypeId(id)),
             Err(slot) => slot,
         };
-        if self.elements.len() >= self.budget {
+        if self.len() >= self.budget {
             return Err(SemigroupError::TooManyTypes {
                 budget: self.budget,
             });
         }
-        self.elements
-            .push(OutRelation::from_words(self.dim, words.to_vec()));
+        self.relations.extend_from_slice(words);
         self.witnesses.push(prefix, a);
-        let elements = &self.elements;
+        let (relations, len) = (&self.relations, self.len());
         self.index
-            .insert(slot, elements.len(), |id| elements[id].words());
-        Ok(TypeId(elements.len() - 1))
+            .insert(slot, len, |id| arena_words(relations, w, id));
+        Ok(TypeId(len - 1))
     }
 }
 
@@ -271,6 +296,10 @@ fn members(set: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// The number of types a [`SemigroupBuilder`] has room for before its
+/// buffers grow.
+const RESERVED_TYPES: usize = 16;
+
 /// A type-semigroup enumeration that a [`WorkMeter`] can stop between two
 /// types and a later [`SemigroupBuilder::build`] continues, so work done
 /// before the stop is never done again; [`SemigroupBuilder::finish`] then
@@ -279,11 +308,13 @@ pub struct SemigroupBuilder {
     system: TransferSystem,
     found: Enumeration,
     letter_types: Vec<TypeId>,
-    /// Each letter's diagonal, as the column mask of its step.
-    masks: Vec<Vec<u64>>,
+    /// Each letter's diagonal as the column mask of its step
+    /// ([`OutRelation::diagonal_columns`]), `mask_words` words each.
+    masks: Vec<u64>,
+    mask_words: usize,
     /// The successors of the types walked so far, a row of `|Σ_in|` each.
     letter_step: Vec<TypeId>,
-    /// Reused buffers: `R(w)·E` and one masked row set.
+    /// Reused buffers: `R(w)·E` and one masked relation's words.
     then_edge: OutRelation,
     next: Vec<u64>,
     /// The length profile, once the walk is done and it is computed.
@@ -299,37 +330,45 @@ impl SemigroupBuilder {
     /// Returns [`SemigroupError::TooManyTypes`] if the letters alone exceed
     /// the budget.
     pub fn new(system: TransferSystem, budget: usize) -> Result<Self> {
+        // Room for the first `RESERVED_TYPES` types, so a small semigroup
+        // grows no buffer while it is walked.
+        let (words, letters) = (system.edge_relation().words().len(), system.num_letters());
         let mut found = Enumeration {
             dim: system.dim(),
             budget,
-            elements: Vec::new(),
+            words,
+            relations: Vec::with_capacity(RESERVED_TYPES * words),
             index: TypeIndex::new(),
-            witnesses: Witnesses::default(),
+            witnesses: Witnesses {
+                letters: Vec::with_capacity(4 * RESERVED_TYPES),
+                ends: Vec::with_capacity(RESERVED_TYPES),
+            },
         };
         let mut letter_types = Vec::with_capacity(system.num_letters());
-        let mut masks = Vec::with_capacity(system.num_letters());
+        let mut masks = Vec::new();
         for a in (0..system.num_letters()).map(InLabel::from_index) {
             let rel = system.letter_relation(a)?;
             letter_types.push(found.intern(rel.words(), None, a)?);
-            masks.push(rel.diagonal_words());
+            masks.extend(rel.diagonal_columns());
         }
+        let found_dim = found.dim;
         Ok(SemigroupBuilder {
+            mask_words: masks.len().checked_div(letter_types.len()).unwrap_or(1),
             system,
             found,
             letter_types,
             masks,
-            letter_step: Vec::new(),
-            then_edge: OutRelation::empty(0),
-            next: Vec::new(),
+            letter_step: Vec::with_capacity(RESERVED_TYPES * letters),
+            then_edge: OutRelation::empty(found_dim),
+            next: Vec::with_capacity(words),
             profile: None,
         })
     }
 
     /// Finishes the enumeration and computes the length profile, charging
-    /// `meter` per type walked its product and, per letter, its mask and
-    /// the hash and comparison of the intern probe, a unit per relation
-    /// word each; and per length-profile step its words and letter
-    /// successors.
+    /// `meter` per type walked its table product and, per letter, its mask,
+    /// intern probe and letter-table entry (`Self::step_units`); and per
+    /// length-profile step its words and letter successors.
     ///
     /// # Errors
     ///
@@ -343,7 +382,7 @@ impl SemigroupBuilder {
             self.profile = Some(TypeSemigroup::compute_profile(
                 &self.letter_types,
                 &self.letter_step,
-                self.found.elements.len(),
+                self.found.len(),
                 meter,
             )?);
         }
@@ -358,32 +397,40 @@ impl SemigroupBuilder {
     pub fn finish(self) -> TypeSemigroup {
         TypeSemigroup {
             system: self.system,
-            elements: self.found.elements,
-            index: self.found.index,
-            witnesses: self.found.witnesses,
+            found: self.found,
             letter_types: self.letter_types,
             letter_step: self.letter_step,
             profile: self.profile.expect("a finished build"),
         }
     }
 
+    /// The work units of walking one type on `dim` labels, `words` words
+    /// per relation and `letters` letters: a unit per lookup of the table
+    /// product `R(w)·E` (`⌈β/8⌉` per row), and per letter four for its
+    /// column mask, intern probe and letter-table entry and two per relation
+    /// word hashed and compared.
+    fn step_units(dim: usize, words: usize, letters: usize) -> u64 {
+        (dim.div_ceil(8) * dim + letters * (4 + 2 * words)) as u64
+    }
+
     /// BFS by appending single letters: every element of the generated
     /// semigroup is reachable this way, and BFS order yields shortest
     /// witnesses. Types get their ids in discovery order, so the queue is
     /// the id range itself, and the types walked are those with a row in
-    /// the letter table. One product `R(w)·E` per type, then one column
-    /// mask per letter (see the module documentation). A type is charged
-    /// before it is walked, and a type whose walk fails leaves no row.
+    /// the letter table. One table product `R(w)·E` per type, then one
+    /// column mask per letter (see the module documentation). A type is
+    /// charged before it is walked, and a type whose walk fails leaves no
+    /// row.
     fn walk(&mut self, meter: &mut WorkMeter) -> Result<()> {
         let letters = self.letter_types.len();
-        let step_units =
-            (3 * letters as u64 + 1) * self.system.edge_relation().words().len() as u64;
+        let step_units = Self::step_units(self.found.dim, self.found.words, letters);
         let mut t = self.letter_step.len().checked_div(letters).unwrap_or(0);
-        while t < self.found.elements.len() {
+        while t < self.found.len() {
             meter.charge(step_units)?;
-            self.found.elements[t]
-                .compose_into(self.system.edge_relation(), &mut self.then_edge)?;
-            for (a, mask) in self.masks.iter().enumerate() {
+            self.system
+                .then_edge()
+                .product_into(&self.found.relation(t), &mut self.then_edge)?;
+            for (a, mask) in self.masks.chunks_exact(self.mask_words).enumerate() {
                 self.then_edge.mask_columns_into(mask, &mut self.next);
                 match self
                     .found
@@ -489,22 +536,23 @@ impl TypeSemigroup {
 
     /// Number of distinct types.
     pub fn len(&self) -> usize {
-        self.elements.len()
+        self.found.len()
     }
 
     /// Returns `true` if the semigroup has no elements (empty input alphabet —
     /// cannot happen for well-formed problems).
     pub fn is_empty(&self) -> bool {
-        self.elements.is_empty()
+        self.len() == 0
     }
 
-    /// The transfer relation of a type.
+    /// The transfer relation of a type, borrowed from the semigroup's arena.
     ///
     /// # Panics
     ///
     /// Panics if `id` is out of range.
-    pub fn relation(&self, id: TypeId) -> &OutRelation {
-        &self.elements[id.index()]
+    pub fn relation(&self, id: TypeId) -> OutRelation<&[u64]> {
+        assert!(id.index() < self.len(), "type id out of range");
+        self.found.relation(id.index())
     }
 
     /// A shortest word whose transfer relation is the given type.
@@ -513,22 +561,24 @@ impl TypeSemigroup {
     ///
     /// Panics if `id` is out of range.
     pub fn witness(&self, id: TypeId) -> &[InLabel] {
-        &self.witnesses.letters[self.witnesses.range(id)]
+        &self.found.witnesses.letters[self.found.witnesses.range(id)]
     }
 
     /// All types, in enumeration order.
     pub fn iter(&self) -> impl Iterator<Item = TypeId> + '_ {
-        (0..self.elements.len()).map(TypeId)
+        (0..self.len()).map(TypeId)
     }
 
     /// Looks up the type of a relation, if it belongs to the semigroup.
-    pub fn id_of(&self, relation: &OutRelation) -> Option<TypeId> {
+    pub fn id_of<W: AsRef<[u64]>>(&self, relation: &OutRelation<W>) -> Option<TypeId> {
         if relation.dim() != self.system.dim() {
             return None;
         }
+        let (relations, w) = (&self.found.relations, self.found.words);
         let found = self
+            .found
             .index
-            .find(relation.words(), |id| self.elements[id].words());
+            .find(relation.words(), |id| arena_words(relations, w, id));
         found.ok().map(TypeId)
     }
 
@@ -576,7 +626,7 @@ impl TypeSemigroup {
     pub fn join(&self, left: TypeId, right: TypeId) -> Result<TypeId> {
         let rel = self
             .system
-            .join(self.relation(left), self.relation(right))?;
+            .join(&self.relation(left), &self.relation(right))?;
         Ok(self.id_of(&rel).expect("semigroup is closed under join"))
     }
 
@@ -589,7 +639,7 @@ impl TypeSemigroup {
         if k == 0 {
             return Err(SemigroupError::EmptyWord);
         }
-        let rel = self.system.power(self.relation(t), k)?;
+        let rel = self.system.power(&self.relation(t), k)?;
         Ok(self.id_of(&rel).expect("semigroup is closed under powers"))
     }
 
@@ -680,7 +730,9 @@ mod tests {
         let profile = sg.length_profile();
         let recorded = profile.preperiod + profile.period - 1;
         (
-            sg.iter().map(|t| sg.relation(t).clone()).collect(),
+            sg.iter()
+                .map(|t| sg.relation(t).to_owned_relation())
+                .collect(),
             sg.iter().map(|t| sg.witness(t).to_vec()).collect(),
             sg.iter().map(|t| sg.steps(t).to_vec()).collect(),
             OldProfile {
@@ -790,7 +842,7 @@ mod tests {
                     enumerated(&sg) == want,
                     "{name}: enumeration differs from the reference"
                 );
-                (sg, want.3)
+                (sg, want)
             }
             (Err(got), Err(want)) => {
                 assert_eq!(got, want, "{name}");
@@ -798,7 +850,7 @@ mod tests {
             }
             (got, want) => panic!("{name}: {:?} vs {:?}", got.err(), want.err()),
         };
-        for (id, rel) in sg.elements.iter().enumerate() {
+        for (id, rel) in want.0.iter().enumerate() {
             assert_eq!(sg.id_of(rel), Some(TypeId(id)), "{name}: lookup");
             let witness = sg.witness(TypeId(id));
             assert_eq!(sg.type_of_word(witness), Ok(TypeId(id)), "{name}: witness");
@@ -812,14 +864,14 @@ mod tests {
             assert!(
                 profile
                     .types_of_length(n)
-                    .eq(want.types_of_length(n).iter().copied()),
+                    .eq(want.3.types_of_length(n).iter().copied()),
                 "{name}: length {n}"
             );
             assert!(
                 profile
                     .types_of_length_at_least(n)
                     .into_iter()
-                    .eq(want.types_of_length_at_least(n)),
+                    .eq(want.3.types_of_length_at_least(n)),
                 "{name}: length at least {n}"
             );
         }
@@ -833,9 +885,10 @@ mod tests {
         problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
         // More than 14 patterns per classify, 27–129 types.
         problems.extend((2..=8).map(lcl_problems::run));
-        // A row of more than one word.
-        problems.push(lcl_problems::coloring(70));
-        problems.push(lcl_problems::unconstrained(70));
+        // Both sides of the 16-bit row stride, and rows of more than one
+        // word.
+        problems.extend([17, 31, 33, 70].map(lcl_problems::coloring));
+        problems.extend([17, 70].map(lcl_problems::unconstrained));
         // 512 draws: families rotate fastest, then 1–4 input labels, then
         // 3–10 output labels.
         problems.extend((0..512usize).map(|i| {
@@ -858,13 +911,15 @@ mod tests {
     fn intern_table_finds_each_type_and_nothing_else() {
         let mut problems: Vec<NormalizedLcl> = (2..=8).map(lcl_problems::run).collect();
         problems.extend(lcl_problems::corpus().into_iter().map(|e| e.problem));
-        problems.push(lcl_problems::coloring(70));
+        // Both sides of the 8- and 16-bit row strides, and rows of more
+        // than one word.
+        problems.extend([3, 8, 9, 16, 17, 70].map(lcl_problems::coloring));
         for problem in &problems {
             let name = problem.name();
             let sg = TypeSemigroup::compute(&TransferSystem::new(problem), 5_000).unwrap();
             // The table starts at 16 slots and doubles past half full.
             for t in sg.iter() {
-                assert_eq!(sg.id_of(sg.relation(t)), Some(t), "{name}");
+                assert_eq!(sg.id_of(&sg.relation(t)), Some(t), "{name}");
             }
             // Relations outside the semigroup: every element with one bit
             // flipped, and a few fixed ones; a linear scan decides each.
@@ -876,12 +931,12 @@ mod tests {
             ];
             for t in sg.iter() {
                 let (i, j) = (t.index() % n, t.index() / n % n);
-                let mut flipped = sg.relation(t).clone();
+                let mut flipped = sg.relation(t).to_owned_relation();
                 flipped.set(i, j, !flipped.get(i, j));
                 probes.push(flipped);
             }
             for probe in &probes {
-                let scan = sg.iter().find(|&t| sg.relation(t) == probe);
+                let scan = sg.iter().find(|&t| sg.relation(t) == *probe);
                 assert_eq!(sg.id_of(probe), scan, "{name}");
             }
             // Another dimension is never a member, even with matching bits.
@@ -929,7 +984,7 @@ mod tests {
             assert_eq!(sg.type_of_word(w).unwrap(), t);
             assert_eq!(
                 ts.relation_of_word(w).unwrap(),
-                *sg.relation(t),
+                sg.relation(t),
                 "witness relation matches stored relation"
             );
         }

@@ -8,11 +8,14 @@
 //! morphism property that makes the set of transfer relations a finite
 //! semigroup (the algebraic counterpart of the paper's Lemma 12).
 
+use crate::relation::ProductTable;
 use crate::{OutRelation, Result, SemigroupError};
 use lcl_problem::{InLabel, Instance, NormalizedLcl, OutLabel, Topology};
 
 /// Pre-computed per-letter transfer relations and the edge relation of a
-/// normalized problem.
+/// normalized problem, with the tables of right products by `E` and by
+/// `Eᵀ`, built once: every product with `E` on either side is table
+/// lookups, the left product `E·R` as `(Rᵀ·Eᵀ)ᵀ`.
 ///
 /// # Example
 ///
@@ -44,25 +47,37 @@ pub struct TransferSystem {
     /// `Eᵀ`: `(q, p)` for every allowed edge `(p, q)`.
     edge_back: OutRelation,
     letters: Vec<OutRelation>,
+    /// Right products by `E` and by `Eᵀ`.
+    then_edge: ProductTable,
+    then_edge_back: ProductTable,
 }
 
 impl TransferSystem {
     /// Builds the transfer system of a normalized problem.
     pub fn new(problem: &NormalizedLcl) -> Self {
         let beta = problem.num_outputs();
-        let edge = OutRelation::from_fn(beta, |p, q| {
-            problem.edge_ok(OutLabel::from_index(p), OutLabel::from_index(q))
-        });
+        // Row by row off the constraint tables.
+        let mut edge = OutRelation::empty(beta);
+        for p in (0..beta).map(OutLabel::from_index) {
+            for q in problem.successors_of(p) {
+                edge.set(p.index(), q.index(), true);
+            }
+        }
         let letters = (0..problem.num_inputs())
             .map(|a| {
-                OutRelation::diagonal(beta, |o| {
-                    problem.node_ok(InLabel::from_index(a), OutLabel::from_index(o))
-                })
+                let mut letter = OutRelation::empty(beta);
+                for o in problem.outputs_for_input(InLabel::from_index(a)) {
+                    letter.set(o.index(), o.index(), true);
+                }
+                letter
             })
             .collect();
+        let edge_back = edge.transpose();
         TransferSystem {
             problem: problem.clone(),
-            edge_back: edge.transpose(),
+            then_edge: ProductTable::new(&edge),
+            then_edge_back: ProductTable::new(&edge_back),
+            edge_back,
             edge,
             letters,
         }
@@ -88,6 +103,11 @@ impl TransferSystem {
         &self.edge
     }
 
+    /// The table of right products by the edge relation, `R ↦ R·E`.
+    pub(crate) fn then_edge(&self) -> &ProductTable {
+        &self.then_edge
+    }
+
     /// The single-letter relation `R(a)` (a diagonal relation marking the
     /// outputs allowed at a node with input `a`).
     ///
@@ -109,8 +129,12 @@ impl TransferSystem {
     /// # Errors
     ///
     /// Returns an error on dimension mismatch.
-    pub fn join(&self, left: &OutRelation, right: &OutRelation) -> Result<OutRelation> {
-        left.compose(&self.edge)?.compose(right)
+    pub fn join<W: AsRef<[u64]>, V: AsRef<[u64]>>(
+        &self,
+        left: &OutRelation<W>,
+        right: &OutRelation<V>,
+    ) -> Result<OutRelation> {
+        self.then_edge.product(left)?.compose(right)
     }
 
     /// The transfer relation `R(w)` of a non-empty word.
@@ -134,8 +158,14 @@ impl TransferSystem {
     /// # Errors
     ///
     /// Returns [`SemigroupError::EmptyWord`] if `k == 0`.
-    pub fn power(&self, relation: &OutRelation, k: usize) -> Result<OutRelation> {
-        relation.power_with(k, |a, b| self.join(a, b))
+    pub fn power<W: AsRef<[u64]>>(
+        &self,
+        relation: &OutRelation<W>,
+        k: usize,
+    ) -> Result<OutRelation> {
+        relation
+            .to_owned_relation()
+            .power_with(k, |a, b| self.join(a, b))
     }
 
     /// The connection relation `C(w) = E · R(w) · E`:
@@ -147,8 +177,29 @@ impl TransferSystem {
     /// # Errors
     ///
     /// Returns an error on dimension mismatch.
-    pub fn connection(&self, relation: &OutRelation) -> Result<OutRelation> {
-        self.edge.compose(relation)?.compose(&self.edge)
+    pub fn connection<W: AsRef<[u64]>>(&self, relation: &OutRelation<W>) -> Result<OutRelation> {
+        let (mut scratch, mut out) = (OutRelation::empty(0), OutRelation::empty(0));
+        self.connection_into(relation, &mut scratch, &mut out)?;
+        Ok(out)
+    }
+
+    /// [`Self::connection`] into `out`, with `scratch` as the one working
+    /// buffer: `E·R = (Rᵀ·Eᵀ)ᵀ` and then `(E·R)·E`, two transposes and two
+    /// table products, reusing both buffers' storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error on dimension mismatch.
+    pub fn connection_into<W: AsRef<[u64]>>(
+        &self,
+        relation: &OutRelation<W>,
+        scratch: &mut OutRelation,
+        out: &mut OutRelation,
+    ) -> Result<()> {
+        relation.transpose_into(scratch);
+        self.then_edge_back.product_into(scratch, out)?;
+        out.transpose_into(scratch);
+        self.then_edge.product_into(scratch, out)
     }
 
     /// Shorthand: `C(w)` computed directly from the word.
@@ -186,7 +237,7 @@ impl TransferSystem {
     /// # Errors
     ///
     /// Returns an error on dimension mismatch.
-    pub fn closes_cycle(&self, relation: &OutRelation) -> Result<bool> {
+    pub fn closes_cycle<W: AsRef<[u64]>>(&self, relation: &OutRelation<W>) -> Result<bool> {
         if relation.dim() != self.edge_back.dim() {
             return Err(SemigroupError::DimensionMismatch {
                 left: relation.dim(),
@@ -223,8 +274,11 @@ impl TransferSystem {
     /// # Errors
     ///
     /// Returns an error on dimension mismatch.
-    pub fn cycle_relation(&self, relation: &OutRelation) -> Result<OutRelation> {
-        relation.compose(&self.edge)
+    pub fn cycle_relation<W: AsRef<[u64]>>(
+        &self,
+        relation: &OutRelation<W>,
+    ) -> Result<OutRelation> {
+        self.then_edge.product(relation)
     }
 
     /// Checks whether a *periodic* output labeling exists for the periodic

@@ -394,12 +394,14 @@ impl Drop for PipelineGuard<'_> {
 /// The work slice of the inline classify lane ([`Service::dispatch`]), in
 /// [`WorkMeter`] units: a `classify` miss runs its next stage on the
 /// dispatching thread only while it has charged fewer units than this.
-/// A unit is 6–9 ns of classification work on the 2-vCPU host the lane
-/// was sized on, so the slice is 25–35 µs there, and it finishes about
-/// nine in ten cold classifies of the repository benchmark's
-/// `cold_classify` workload inline (`docs/ARCHITECTURE.md`). A constant,
-/// not an option: which lane serves a request depends on the problem
-/// alone.
+/// The units were weighed, stage by stage, against the time each stage
+/// takes on the 2-vCPU host the lane was sized on, until every stage's
+/// unit came within 2× of the others: a unit is 5–9 ns of classification
+/// work there (more when the shared host runs slow), so the slice is
+/// about 25–35 µs, and it finishes about nine in ten cold classifies of
+/// the repository benchmark's `cold_classify` workload inline
+/// (`docs/ARCHITECTURE.md`). A constant, not an option: which lane serves
+/// a request depends on the problem alone.
 pub const CLASSIFY_SLICE_UNITS: u64 = 4_000;
 
 /// The per-stage cap of the inline classify lane, in [`WorkMeter`] units:
@@ -1264,12 +1266,15 @@ impl Service {
 
     fn solve(&self, payload: &JsonValue, trace: Option<&Trace>) -> Result<JsonValue, Error> {
         let problem = Self::parse_problem(payload)?;
+        // One walk of the constraint tables: the key classifies, and its
+        // digest is the trace's problem hash.
+        let key = problem.structural_key();
         if let Some(trace) = trace {
-            trace.set_problem(problem.canonical_hash(), None);
+            trace.set_problem(NormalizedLcl::hash_of_key(&key), None);
         }
         let instance =
             Instance::from_json(payload.require("instance").map_err(ProblemError::from)?)?;
-        let solution = self.engine.solve(&problem, &instance)?;
+        let solution = self.engine.solve_keyed(&key, &problem, &instance)?;
         Ok(JsonValue::object([
             (
                 "complexity",
@@ -1305,13 +1310,14 @@ impl Service {
         trace: Option<&Trace>,
     ) -> Result<JsonValue, Error> {
         let problem = Self::parse_problem(payload)?;
+        let key = problem.structural_key();
         if let Some(trace) = trace {
-            trace.set_problem(problem.canonical_hash(), None);
+            trace.set_problem(NormalizedLcl::hash_of_key(&key), None);
         }
         let spec = StreamInstanceSpec::from_json(
             payload.require("instance").map_err(ProblemError::from)?,
         )?;
-        let mut solution = self.engine.solve_stream(&problem, &spec)?;
+        let mut solution = self.engine.solve_stream_keyed(&key, &problem, &spec)?;
         let chunk_nodes = self.chunk_nodes();
         let mut seq = 0i64;
         let mut offset = 0i64;
@@ -1911,6 +1917,123 @@ mod tests {
             .require("outputs")
             .unwrap();
         assert_eq!(outputs.as_array().unwrap().len(), 24);
+    }
+
+    /// A `solve` and a `solve_stream` line for `problem` on a 40-node cycle
+    /// with uniform input.
+    fn solve_lines(problem: &NormalizedLcl, id: i64) -> [String; 2] {
+        let with_instance = |instance: JsonValue| {
+            JsonValue::object([
+                ("problem", problem.to_spec().to_json()),
+                ("instance", instance),
+            ])
+        };
+        let cycle = lcl_paths::problem::Topology::Cycle;
+        let instance = Instance::from_indices(cycle, &[0; 40]).to_json();
+        let stream = lcl_paths::problem::StreamInstanceSpec {
+            topology: cycle,
+            length: 40,
+            inputs: lcl_paths::problem::StreamInputs::Uniform { label: 0 },
+        };
+        [
+            RequestEnvelope::new(id, "solve", with_instance(instance)).to_json_string(),
+            RequestEnvelope::new(id + 1, "solve_stream", with_instance(stream.to_json()))
+                .to_json_string(),
+        ]
+    }
+
+    #[test]
+    fn keyed_solves_reply_as_the_engine_solves_and_trace_the_canonical_hash() {
+        let lines = Arc::new(Mutex::new(Vec::new()));
+        let captured = Arc::clone(&lines);
+        let sink = Arc::new(TraceSink::with_emitter(move |line| {
+            captured.lock().unwrap().push(line.to_string());
+        }));
+        sink.set_slow_micros(Some(1));
+        let traced = service().with_trace_sink(sink);
+        let plain = service();
+        // Every frame the service writes for a line, stream chunks first.
+        let frames = |service: &Service, line: &str| {
+            let mut frames = Vec::new();
+            let started = Instant::now();
+            let trace = service.new_trace(started, None);
+            let mut emit = |frame| {
+                frames.push(frame);
+                true
+            };
+            let reply = service.respond(Request::Line(line), started, &mut emit, trace.as_deref());
+            frames.push(reply.into_envelope().into_json_string());
+            frames
+        };
+        let engine = Engine::builder().parallelism(1).build();
+        for (i, problem) in [problems::coloring(3), problems::coloring(5)]
+            .iter()
+            .enumerate()
+        {
+            let [solve, stream] = solve_lines(problem, 10 * i as i64);
+            for line in [&solve, &stream] {
+                let before = lines.lock().unwrap().len();
+                let got = frames(&traced, line);
+                assert_eq!(got, frames(&plain, line), "{line}");
+                let record = JsonValue::parse(&lines.lock().unwrap()[before]).unwrap();
+                assert_eq!(
+                    record.require("problem_hash").unwrap().as_str().unwrap(),
+                    format!("{:016x}", problem.canonical_hash()),
+                    "{line}"
+                );
+            }
+            // The solve reply is the unkeyed engine solve's.
+            let instance = Instance::from_indices(lcl_paths::problem::Topology::Cycle, &[0; 40]);
+            let solution = engine.solve(problem, &instance).unwrap();
+            let reply = ResponseEnvelope::from_json_str(&frames(&plain, &solve)[0]).unwrap();
+            let payload = reply.result.expect("solve succeeds");
+            let outputs: Vec<i64> = solution
+                .labeling()
+                .outputs()
+                .iter()
+                .map(|l| i64::from(l.0))
+                .collect();
+            assert_eq!(
+                payload
+                    .require("labeling")
+                    .unwrap()
+                    .require("outputs")
+                    .unwrap(),
+                &JsonValue::int_array(outputs.iter().copied())
+            );
+            assert_eq!(
+                payload.require("rounds").unwrap().as_int().unwrap(),
+                solution.rounds() as i64
+            );
+            // The streamed labels are the unkeyed engine stream's.
+            let spec = lcl_paths::problem::StreamInstanceSpec {
+                topology: lcl_paths::problem::Topology::Cycle,
+                length: 40,
+                inputs: lcl_paths::problem::StreamInputs::Uniform { label: 0 },
+            };
+            let mut cursor = engine.solve_stream(problem, &spec).unwrap();
+            let mut streamed = Vec::new();
+            while let Some(chunk) = cursor.next_chunk(64) {
+                streamed.extend(chunk.unwrap().iter().map(|l| i64::from(l.0)));
+            }
+            let mut wire = Vec::new();
+            for frame in &frames(&plain, &stream) {
+                let payload = ResponseEnvelope::from_json_str(frame)
+                    .unwrap()
+                    .result
+                    .unwrap();
+                if let Ok(chunk) = payload.require("outputs") {
+                    wire.extend(
+                        chunk
+                            .as_array()
+                            .unwrap()
+                            .iter()
+                            .map(|v| v.as_int().unwrap()),
+                    );
+                }
+            }
+            assert_eq!(wire, streamed);
+        }
     }
 
     fn stream_line(id: i64, length: u64) -> String {

@@ -80,6 +80,12 @@ fn golden_problems() -> Vec<NormalizedLcl> {
 /// instead of rebuilding it: 271.4 per classify.
 const PARENT_TOTAL: u64 = 97_146;
 
+/// The share of [`PARENT_TOTAL`] a cold classify may allocate. With the
+/// semigroup's relations and the connection relations in arenas, it
+/// measures 110.4 per classify (40.7%); the bound leaves a margin of about
+/// a tenth.
+const CLASSIFY_SHARE: f64 = 0.45;
+
 #[test]
 fn a_cold_classify_allocates_at_most_half_the_parent_count() {
     let problems = golden_problems();
@@ -95,8 +101,9 @@ fn a_cold_classify_allocates_at_most_half_the_parent_count() {
     let (mean, parent) = (total as f64 / 358.0, PARENT_TOTAL as f64 / 358.0);
     eprintln!("{total} allocations, {mean:.1} per cold classify (was {parent:.1})");
     assert!(
-        mean <= 0.5 * parent,
-        "{mean:.1} allocations per classify, more than 50% of {parent:.1}"
+        mean <= CLASSIFY_SHARE * parent,
+        "{mean:.1} allocations per classify, more than {:.0}% of {parent:.1}",
+        100.0 * CLASSIFY_SHARE
     );
 }
 
