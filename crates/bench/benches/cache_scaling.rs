@@ -1,4 +1,4 @@
-//! C-CACHE: the sharded memo cache's three scalability claims, measured.
+//! C-CACHE: the memo cache's two cost claims, measured.
 //!
 //! 1. **O(1) eviction** — per-insert cost into a *full* cache (every insert
 //!    evicts) must stay flat as the capacity grows 1k → 10k → 100k. "Flat"
@@ -10,31 +10,17 @@
 //!    — the cache's overhead must stay within 2x from 1k to 100k; (b) the
 //!    raw per-insert cost must stay within 4x, a backstop no O(entries)
 //!    algorithm could sneak under (the old scan, reimplemented inline below,
-//!    is already ~50x slower at 1k and ~500x at 10k). Eviction scanning the
-//!    entries, the bug this PR deletes, fails both gates instantly.
-//! 2. **Multi-thread hit throughput** — 4 threads hammering `get` on a warm
-//!    cache at 1/4/8 shards. Shards split the lock, so on multi-core hosts
-//!    throughput rises with the shard count; on this repository's 1-core
-//!    benchmark container the numbers mostly show the lock-splitting is not
-//!    a regression.
-//! 3. **The hot-key read fast lane** — 1/4/8 threads hammering `get` on ONE
-//!    key (the worst case sharding cannot help with: every hit lands on one
-//!    shard). Two asserted gates, both designed to hold on the 1-core CI
-//!    container where throughput numbers cannot show scaling: (a) at one
-//!    thread the fast-lane read (RwLock read + `try_lock` touch: two lock
-//!    words where the old path took one) stays within a small constant
-//!    (< 3x) of the bare mutex-map probe *floor* — a floor no recency-
-//!    tracking hit can actually reach — and the contention counter stays
-//!    *flat* (`fast_hits == 0`: an uncontended `try_lock` never fails, so
-//!    recency tracking is never skipped single-threaded); (b)
-//!    under 8-thread contention the fast lane provably engages
-//!    (`fast_hits > 0`: some hit found the LRU mutex busy and was served
-//!    without blocking — the old code would have serialized there).
+//!    is already ~50x slower at 1k and ~500x at 10k). An eviction that scans
+//!    the entries fails both gates instantly.
+//! 2. **Hit cost** — one thread hammering `get` on one key: the hit (lock,
+//!    probe, recency touch, value clone) must stay within a small constant
+//!    (< 3x) of the bare mutex-map probe *floor*, a floor no
+//!    recency-tracking hit can actually reach. The gate is a ratio of two
+//!    interleaved best-of timings on one thread, so it holds on a 2-core
+//!    container as on a many-core host.
 
 use lcl_bench::banner;
-use lcl_classifier::ShardedLruCache;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use lcl_classifier::LruCache;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -42,9 +28,8 @@ use std::time::{Duration, Instant};
 const INSERTS: usize = 50_000;
 /// Timed repetitions (best-of, to shed container noise).
 const REPS: usize = 7;
-/// Per-thread `get`s in experiment 2.
+/// `get`s per timed repetition of experiment 3.
 const GETS: usize = 200_000;
-const THREADS: usize = 4;
 
 /// Keys sized like the engine's real `structural_key()`s (the corpus keys
 /// run 17–21 bytes): a 24-byte buffer carrying the counter.
@@ -57,15 +42,14 @@ fn key(i: u64) -> Vec<u8> {
 fn main() {
     banner(
         "C-CACHE",
-        "the sharded O(1)-LRU memo cache (this repository's addition)",
+        "the O(1)-LRU memo cache (this repository's addition)",
         "insert+evict cost vs capacity (flatness asserted), old-scan baseline, \
-         multi-thread hits, one-key fast-lane proof",
+         one-thread hit cost vs a bare mutex-map probe",
     );
 
     let measured = insert_evict_vs_capacity();
     old_scan_baseline();
-    hit_throughput_by_shards();
-    one_key_hit_scaling();
+    one_key_hit_cost();
 
     // The acceptance gates: O(1) eviction means capacity must not buy
     // per-insert cost beyond what the memory hierarchy charges any bounded
@@ -96,17 +80,14 @@ fn main() {
 /// All six (capacity, structure) cells are measured interleaved round-robin
 /// with best-of-`REPS` per cell, so container-wide noise hits every cell
 /// alike instead of biasing one side of a flatness ratio. Returns per
-/// capacity the (sharded cache, plain map) per-insert costs.
+/// capacity the (cache, plain map) per-insert costs.
 fn insert_evict_vs_capacity() -> [(Duration, Duration); 3] {
-    println!(
-        "\n[1] insert+evict into a full cache (single shard, every insert evicts), \
-         vs plain-map churn"
-    );
+    println!("\n[1] insert+evict into a full cache (every insert evicts), vs plain-map churn");
     let capacities = [1_000usize, 10_000, 100_000];
-    let caches: Vec<(ShardedLruCache<u64>, std::cell::Cell<u64>)> = capacities
+    let caches: Vec<(LruCache<u64>, std::cell::Cell<u64>)> = capacities
         .iter()
         .map(|&capacity| {
-            let cache = ShardedLruCache::new(capacity, 1);
+            let cache = LruCache::new(capacity);
             // Fill to capacity so every timed insert takes the eviction path.
             for i in 0..capacity as u64 {
                 cache.insert(key(i), i);
@@ -212,64 +193,15 @@ fn old_scan_baseline() {
     }
 }
 
-/// Experiment 2: aggregate hit throughput, 4 threads, shard count 1/4/8.
-fn hit_throughput_by_shards() {
-    println!("\n[3] warm-cache hit throughput, {THREADS} threads x {GETS} gets, by shard count");
-    let capacity = 1_024usize;
-    // Keys hash-route unevenly, so a working set at exactly `capacity` would
-    // overflow some shard and evict; half capacity keeps every key resident
-    // whatever the shard count, so the sweep measures pure hits.
-    let working_set = (capacity / 2) as u64;
-    for shards in [1usize, 4, 8] {
-        let cache = ShardedLruCache::new(capacity, shards);
-        for i in 0..working_set {
-            cache.insert(key(i), i);
-        }
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for t in 0..THREADS {
-                let cache = &cache;
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xBEEF + t as u64);
-                    for _ in 0..GETS {
-                        let k = rng.gen_range(0..working_set);
-                        assert!(cache.get(&key(k)).is_some(), "warm cache must hit");
-                    }
-                });
-            }
-        });
-        let elapsed = start.elapsed();
-        let total = (THREADS * GETS) as f64;
-        let mops = total / elapsed.as_secs_f64() / 1e6;
-        let stats = cache.stats();
-        assert_eq!(stats.hits, (THREADS * GETS) as u64);
-        println!(
-            "  {} shard(s): {mops:>6.2} M hits/s  ({elapsed:.2?} total)",
-            stats.shards
-        );
-    }
-    println!("  (shards split the lock; gains need multiple cores — this container has one)");
-}
-
-/// Experiment 3: hits on ONE key — the case sharding cannot help with, and
-/// the workload the read fast lane exists for. Wall-clock scaling is
-/// invisible on a 1-core container, so both gates are counter-based:
-/// single-threaded the contention counter must stay flat (`fast_hits == 0`,
-/// every hit tracked recency) while staying within 3x of the bare mutex-map
-/// probe floor (the fast lane takes two lock words — RwLock read plus the
-/// touch's `try_lock` — where the old path took one, so ~2x the no-touch
-/// floor is the expected constant and 3x is the regression backstop); under
-/// 8-thread contention the fast lane must provably engage (`fast_hits > 0`
-/// — a hit found the LRU mutex busy and was served without blocking on it).
-fn one_key_hit_scaling() {
-    println!("\n[4] one-key hit scaling (every hit lands on one shard's one entry)");
+/// Experiment 3: the hit cost on one thread, interleaved best-of-`REPS`
+/// against a bare mutex-map probe — one mutex around a plain map, lock +
+/// probe per hit, no recency tracking (the touch is a no-op for a key that
+/// is already the LRU head, so the cache pays only its bookkeeping). About
+/// 1–2x is the expected constant; 3x is the regression backstop.
+fn one_key_hit_cost() {
+    println!("\n[3] one-thread hit cost on one key");
     let hot = key(0);
-
-    // Single-threaded cost, interleaved best-of-REPS against the path the
-    // fast lane replaced: one mutex around the whole map, lock + probe per
-    // hit (the touch is a no-op for a key that is already the LRU head,
-    // there and here alike).
-    let cache = ShardedLruCache::new(16, 1);
+    let cache = LruCache::new(16);
     cache.insert(hot.clone(), 42u64);
     let mutex_map = std::sync::Mutex::new(HashMap::from([(hot.clone(), 42u64)]));
     let mut cache_best = Duration::MAX;
@@ -290,82 +222,17 @@ fn one_key_hit_scaling() {
         mutex_best = mutex_best.min(start.elapsed());
     }
     let stats = cache.stats();
-    assert_eq!(
-        stats.fast_hits, 0,
-        "single-threaded, an uncontended try_lock never fails — the contention \
-         counter must stay flat: {stats}"
-    );
-    assert_eq!(
-        stats.locked_hits, stats.hits,
-        "single-threaded, every hit takes the recency-tracking path: {stats}"
-    );
+    assert_eq!(stats.hits, (REPS * GETS) as u64, "every get hit: {stats}");
     let per_get = cache_best / GETS as u32;
     let floor = mutex_best / GETS as u32;
     let ratio = cache_best.as_secs_f64() / mutex_best.as_secs_f64().max(1e-12);
     println!(
         "  1 thread: {per_get:>7.1?} per hit vs {floor:>7.1?} mutex-map probe floor \
-         ({ratio:.2}x, gate < 3x); fast_hits 0 of {} hits",
-        stats.hits
+         ({ratio:.2}x, gate < 3x)"
     );
     assert!(
         ratio < 3.0,
-        "the fast-lane read (RwLock read + try_lock touch, two lock words) must \
-         stay within 3x of the bare no-touch mutex-map probe floor, got {ratio:.2}x"
+        "a hit (lock, probe, recency touch) must stay within 3x of the bare \
+         no-touch mutex-map probe floor, got {ratio:.2}x"
     );
-
-    // Contended: 4 then 8 threads on the same single key. Throughput numbers
-    // are printed for multi-core hosts; the asserted proof is the counter —
-    // at 8 threads some hit must have found the LRU mutex busy and taken the
-    // fast lane. One round is nearly always enough (any preemption inside a
-    // touch's lock hold strands the other threads into try_lock failures for
-    // a whole timeslice); the bounded retry shrugs off a lucky schedule.
-    for threads in [4usize, 8] {
-        let cache = ShardedLruCache::new(16, 1);
-        cache.insert(hot.clone(), 42u64);
-        let per_thread = 100_000usize;
-        let mut first_round = Duration::ZERO;
-        let mut rounds = 0usize;
-        let stats = loop {
-            rounds += 1;
-            let start = Instant::now();
-            std::thread::scope(|scope| {
-                for _ in 0..threads {
-                    let cache = &cache;
-                    let hot = &hot;
-                    scope.spawn(move || {
-                        for _ in 0..per_thread {
-                            assert_eq!(cache.get(hot), Some(42), "hot key evaporated");
-                        }
-                    });
-                }
-            });
-            if rounds == 1 {
-                first_round = start.elapsed();
-            }
-            let stats = cache.stats();
-            if stats.fast_hits > 0 || rounds >= 50 {
-                break stats;
-            }
-        };
-        let total = (threads * per_thread) as f64;
-        let mops = total / first_round.as_secs_f64().max(1e-12) / 1e6;
-        println!(
-            "  {threads} threads: {mops:>6.2} M hits/s  (round 1 of {rounds}; \
-             {} fast / {} locked hits)",
-            stats.fast_hits, stats.locked_hits
-        );
-        assert_eq!(
-            stats.hits,
-            stats.fast_hits + stats.locked_hits,
-            "pure-hit run: {stats}"
-        );
-        if threads == 8 {
-            assert!(
-                stats.fast_hits > 0,
-                "8 threads on one key must drive some hit through the fast lane \
-                 (try_lock found the LRU mutex busy), got none after {rounds} \
-                 rounds: {stats}"
-            );
-        }
-    }
 }

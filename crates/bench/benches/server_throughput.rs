@@ -359,14 +359,12 @@ fn shed_latency() -> (Duration, usize) {
     const PROBES: usize = 200;
     const SHED_QUEUE_DEPTH: usize = 2;
     let service = Arc::new(
-        Service::new(Engine::builder().parallelism(1).cache_shards(1).build()).with_admission(
-            AdmissionConfig {
-                shed_queue_depth: SHED_QUEUE_DEPTH,
-                shed_p99_micros: 0,
-                quota_rps: 0,
-                quota_burst: 0,
-            },
-        ),
+        Service::new(Engine::builder().parallelism(1).build()).with_admission(AdmissionConfig {
+            shed_queue_depth: SHED_QUEUE_DEPTH,
+            shed_p99_micros: 0,
+            quota_rps: 0,
+            quota_burst: 0,
+        }),
     );
     // Keep probes on the dispatch path: a cache hit would answer from the
     // splice lane, which bypasses admission by design.

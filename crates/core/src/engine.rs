@@ -13,14 +13,13 @@
 //!   the rest park and receive the committed value, so N concurrent requests
 //!   for one cold problem perform exactly one classification (a leader that
 //!   panics or errors wakes its waiters into electing a successor — see
-//!   [`ShardedLruCache::get_or_compute`]). [`Engine::classify_many`]
+//!   [`LruCache::get_or_compute`]). [`Engine::classify_many`]
 //!   additionally deduplicates its batch up front so duplicates never even
-//!   reach the flight table. The cache is a bounded [`ShardedLruCache`]
-//!   ([`EngineBuilder::cache_capacity`] entries split across
-//!   [`EngineBuilder::cache_shards`] independently locked shards, O(1)
-//!   touch-on-hit LRU eviction per shard, hits on a read-locked fast lane
-//!   that never blocks on the shard mutex), and [`Engine::cache_stats`]
-//!   aggregates the per-shard hit/miss/insert/eviction/flight counters;
+//!   reach the flight table. The cache is one bounded [`LruCache`] under
+//!   one lock ([`EngineBuilder::cache_capacity`] entries, or
+//!   [`EngineBuilder::cache_weight_capacity`] approximate bytes; O(1)
+//!   touch-on-hit LRU eviction), and [`Engine::cache_stats`] reads its
+//!   hit/miss/insert/eviction/flight counters in one critical section;
 //! * **runs bounded slices of a classification inline**:
 //!   [`Engine::classify_inline`] runs a cold classification's stages on the
 //!   calling thread while a deterministic [`WorkMeter`] allows, parks the
@@ -79,7 +78,7 @@
 //! # }
 //! ```
 
-use crate::cache::{CacheStats, Lead, ShardStats, ShardedLruCache};
+use crate::cache::{CacheStats, Lead, LruCache};
 use crate::classify::{classify_with_options, ClassifierOptions, Progress, Stage};
 use crate::pool::{PoolStats, WorkerPool};
 use crate::types_info::GapTypes;
@@ -124,7 +123,6 @@ pub struct EngineBuilder {
     options: ClassifierOptions,
     parallelism: Option<usize>,
     cache_capacity: Option<usize>,
-    cache_shards: Option<usize>,
     cache_weight_capacity: Option<u64>,
 }
 
@@ -176,18 +174,6 @@ impl EngineBuilder {
         self
     }
 
-    /// Sets the number of independently locked memo-cache shards. Rounded up
-    /// to a power of two and clamped so every shard owns at least one cache
-    /// slot (see [`ShardedLruCache::new`](crate::cache::ShardedLruCache::new)).
-    /// Defaults to the next power of two of the worker-pool width, so there
-    /// are at least as many shard locks as pool workers (keys hash-route, so
-    /// workers whose keys land on the same shard still contend — just
-    /// rarely).
-    pub fn cache_shards(mut self, shards: usize) -> Self {
-        self.cache_shards = Some(shards.max(1));
-        self
-    }
-
     /// Bounds the memo cache by approximate resident **bytes** instead of
     /// entry count: each cached entry is priced by
     /// [`approximate_entry_weight`] (classification plus the reply-bytes
@@ -206,13 +192,9 @@ impl EngineBuilder {
         let parallelism = self
             .parallelism
             .unwrap_or_else(|| thread::available_parallelism().map_or(1, |p| p.get()));
-        let capacity = self.cache_capacity.unwrap_or(DEFAULT_CACHE_CAPACITY);
-        let shards = self
-            .cache_shards
-            .unwrap_or_else(|| parallelism.next_power_of_two());
         let cache = match self.cache_weight_capacity {
-            Some(bytes) => ShardedLruCache::with_weigher(bytes, shards, entry_weight),
-            None => ShardedLruCache::new(capacity, shards),
+            Some(bytes) => LruCache::with_weigher(bytes, entry_weight),
+            None => LruCache::new(self.cache_capacity.unwrap_or(DEFAULT_CACHE_CAPACITY)),
         };
         let core = Arc::new(EngineCore {
             options: self.options,
@@ -355,9 +337,8 @@ struct EngineCore {
     /// The memo store: [`CacheEntry`]s (classification + lazily attached
     /// reply bytes) keyed by the problem's exact
     /// [`structural key`](NormalizedLcl::structural_key) (collision-free,
-    /// unlike the 64-bit canonical hash), sharded for uncontended access
-    /// from the worker pool.
-    cache: ShardedLruCache<Arc<CacheEntry>>,
+    /// unlike the 64-bit canonical hash).
+    cache: LruCache<Arc<CacheEntry>>,
 }
 
 impl EngineCore {
@@ -422,10 +403,9 @@ impl EngineCore {
 /// A long-lived, concurrency-safe classification service.
 ///
 /// See the [module documentation](self) for the design and an example. An
-/// engine is cheap to share: all methods take `&self`, and the memo cache is
-/// sharded ([`EngineBuilder::cache_shards`]), so concurrent classifications
-/// only contend when their keys land on the same shard — and each shard
-/// operation is O(1). Construction spawns the persistent worker pool;
+/// engine is cheap to share: all methods take `&self`, and every memo-cache
+/// operation is O(1) under the cache's one lock, which no computation
+/// holds. Construction spawns the persistent worker pool;
 /// dropping the engine closes the pool's queue and joins every worker.
 #[derive(Debug)]
 pub struct Engine {
@@ -481,7 +461,7 @@ impl Engine {
     ///
     /// Accounting: a hit counts one ordinary cache hit (exactly like
     /// [`Engine::cached`]); serving previously attached bytes additionally
-    /// counts a `bytes_hit` on the entry's shard, and the one-time attach
+    /// counts a `bytes_hit`, and the one-time attach
     /// counts a `bytes_miss`. A cache miss returns `None` and counts
     /// nothing — route it to the ordinary compute path.
     ///
@@ -519,9 +499,9 @@ impl Engine {
         });
         if payload.name.as_ref() == problem.name() {
             if fresh {
-                self.core.cache.record_bytes_miss(key);
+                self.core.cache.record_bytes_miss();
             } else {
-                self.core.cache.record_bytes_hit(key);
+                self.core.cache.record_bytes_hit();
             }
             Some(ReplyLane::Bytes(Arc::clone(&payload.bytes)))
         } else {
@@ -836,23 +816,11 @@ impl Engine {
         Ok(Verdict::new(problem, &classification))
     }
 
-    /// Current cache counters: one internally consistent snapshot per shard
-    /// (each shard's numbers are read in a single critical section, so
-    /// `entries + evictions == inserts` holds for every snapshot),
-    /// aggregated.
+    /// Current cache counters, read in one critical section, so
+    /// `entries + evictions == inserts` holds for every snapshot (see
+    /// [`CacheStats::is_consistent`]).
     pub fn cache_stats(&self) -> CacheStats {
         self.core.cache.stats()
-    }
-
-    /// Per-shard cache counters, in shard order; each entry is an
-    /// internally consistent snapshot (see [`Engine::cache_stats`]).
-    pub fn cache_shard_stats(&self) -> Vec<ShardStats> {
-        self.core.cache.shard_stats()
-    }
-
-    /// The effective (power-of-two) number of memo-cache shards.
-    pub fn cache_shards(&self) -> usize {
-        self.core.cache.shards()
     }
 
     /// Current worker-pool counters.
@@ -870,7 +838,7 @@ impl Engine {
     /// checksummed snapshot document (see [`crate::snapshot`]): key bytes,
     /// complexity and the feasibility search's answer, coldest entries
     /// first, volatile reply bytes excluded. Safe to call under live traffic
-    /// — each shard is captured in one consistent critical section.
+    /// — the cache is captured in one consistent critical section.
     pub fn snapshot_document(&self) -> String {
         crate::snapshot::serialize_entries(&self.core.cache.snapshot_entries())
     }
@@ -900,17 +868,24 @@ impl Engine {
 
 /// Prices a cached classification in approximate resident bytes, for
 /// [`EngineBuilder::cache_weight_capacity`]: a fixed overhead for the entry
-/// itself (key, slab node, map slot, synthesized algorithm core), plus the
-/// per-type tables and the unsolvability witness, the two components that
-/// actually grow with the problem. Deliberately coarse — the bound exists to
-/// keep cache memory proportional to what is cached, not to audit the
-/// allocator.
+/// itself (key, slab node, map slot, synthesized algorithm core), the
+/// per-type tables and the unsolvability witness, plus the buffers of the
+/// type semigroup an `O(1)` or `Θ(log* n)` algorithm keeps
+/// ([`TypeSemigroup::resident_bytes`](lcl_semigroup::TypeSemigroup::resident_bytes):
+/// its relation arena, witnesses and transfer system, whose two product
+/// tables alone are 4 KiB at `|Σ_out| = 8`). Deliberately coarse — the bound
+/// exists to keep cache memory proportional to what is cached, not to audit
+/// the allocator.
 pub fn approximate_classification_weight(classification: &Arc<Classification>) -> u64 {
     let types = classification.num_types() as u64;
     let witness = classification
         .unsolvability_witness()
         .map_or(0, |w| w.len() as u64);
-    256 + 64 * types + 2 * witness
+    let semigroup = classification
+        .algorithm()
+        .semigroup()
+        .map_or(0, |s| s.resident_bytes() as u64);
+    256 + 64 * types + 2 * witness + semigroup
 }
 
 /// Prices a whole [`CacheEntry`] in approximate resident bytes:
@@ -984,13 +959,10 @@ mod tests {
                 peak_entries: 1,
                 weight: 1,
                 peak_weight: 1,
-                fast_hits: 0,
-                locked_hits: 0,
                 flight_leaders: 1,
                 flight_joins: 0,
                 bytes_hits: 0,
                 bytes_misses: 0,
-                shards: engine.cache_shards(),
             }
         );
         let second = engine.classify(&three_coloring()).unwrap();
@@ -1134,32 +1106,16 @@ mod tests {
             .search_budget(10)
             .pattern_length_cap(2)
             .parallelism(3)
-            .cache_shards(2)
             .build();
         assert_eq!(engine.options().type_budget, 1);
         assert_eq!(engine.options().search_budget, 10);
         assert_eq!(engine.options().pattern_length_cap, 2);
         assert_eq!(engine.parallelism(), 3);
-        assert_eq!(engine.cache_shards(), 2);
         // A budget of one type is too small for any real problem.
         assert!(engine.classify(&three_coloring()).is_err());
         // Errors are not cached.
         assert_eq!(engine.cache_stats().entries, 0);
         assert_eq!(engine.cache_stats().misses, 1);
-    }
-
-    #[test]
-    fn cache_shards_default_to_pool_width() {
-        // next_pow2(workers), so at default settings no two pool workers
-        // must contend on one shard lock.
-        let engine = Engine::builder().parallelism(3).build();
-        assert_eq!(engine.cache_shards(), 4);
-        assert_eq!(engine.cache_stats().shards, 4);
-        // A tiny capacity clamps the shard count: every shard keeps >= 1 slot.
-        let tiny = Engine::builder().parallelism(8).cache_capacity(2).build();
-        assert_eq!(tiny.cache_shards(), 2);
-        // Per-shard snapshots are exposed in shard order.
-        assert_eq!(engine.cache_shard_stats().len(), 4);
     }
 
     #[test]
@@ -1206,16 +1162,10 @@ mod tests {
 
     #[test]
     fn lru_eviction_prefers_least_recently_used() {
-        // Regression test for the FIFO → LRU upgrade, ported to the sharded
-        // cache: pinned to one shard, where per-shard LRU *is* the exact
-        // global LRU the old single-lock cache implemented (the raw-cache
-        // twin asserting the victim keys lives in cache.rs:
-        // `one_shard_reproduces_global_lru_victim_order`).
-        let engine = Engine::builder()
-            .cache_capacity(2)
-            .cache_shards(1)
-            .parallelism(1)
-            .build();
+        // Regression test for the FIFO → LRU upgrade (the raw-cache twin
+        // asserting the victim keys lives in cache.rs:
+        // `victims_follow_the_global_lru_order`).
+        let engine = Engine::builder().cache_capacity(2).parallelism(1).build();
         let a = three_coloring();
         let b = two_coloring();
         let c = coloring(4);
@@ -1250,39 +1200,17 @@ mod tests {
             peak_entries: 1,
             weight: 1,
             peak_weight: 1,
-            fast_hits: 1,
-            locked_hits: 2,
             flight_leaders: 1,
-            flight_joins: 0,
+            flight_joins: 1,
             bytes_hits: 0,
             bytes_misses: 0,
-            shards: 2,
         };
         assert!((stats.hit_ratio() - 0.75).abs() < 1e-12);
+        assert!(stats.is_consistent());
         let shown = stats.to_string();
-        assert!(shown.contains("3 hits"), "{shown}");
-        assert!(shown.contains("1 fast"), "{shown}");
-        assert!(shown.contains("2 locked"), "{shown}");
+        assert!(shown.contains("3 hits (1 joined)"), "{shown}");
         assert!(shown.contains("75.0%"), "{shown}");
-        assert!(shown.contains("2 shards"), "{shown}");
-        let empty = CacheStats {
-            hits: 0,
-            misses: 0,
-            entries: 0,
-            evictions: 0,
-            inserts: 0,
-            peak_entries: 0,
-            weight: 0,
-            peak_weight: 0,
-            fast_hits: 0,
-            locked_hits: 0,
-            flight_leaders: 0,
-            flight_joins: 0,
-            bytes_hits: 0,
-            bytes_misses: 0,
-            shards: 1,
-        };
-        assert_eq!(empty.hit_ratio(), 0.0);
+        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
     }
 
     #[test]
@@ -1298,7 +1226,6 @@ mod tests {
         );
         let engine = Engine::builder()
             .parallelism(1)
-            .cache_shards(1)
             .cache_weight_capacity(weight)
             .build();
         engine.classify(&three_coloring()).unwrap();
@@ -1344,9 +1271,7 @@ mod tests {
             THREADS as u64,
             "every thread is exactly one of hit/join/leader: {stats:?}"
         );
-        for shard in engine.cache_shard_stats() {
-            assert!(shard.is_consistent(), "{shard:?}");
-        }
+        assert!(stats.is_consistent(), "{stats:?}");
     }
 
     #[test]

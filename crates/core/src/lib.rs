@@ -72,8 +72,7 @@ mod types_info;
 mod verdict;
 
 pub use cache::{
-    CacheStats, Computed, FlightLease, FlightOutcome, Inserted, Lead, ParkedWork, ShardStats,
-    ShardedLruCache,
+    CacheStats, Computed, FlightLease, FlightOutcome, Inserted, Lead, LruCache, ParkedWork,
 };
 pub use classify::{classify, classify_with_options, ClassifierOptions, Stage};
 pub use engine::{

@@ -31,13 +31,15 @@
 //! version skew or a checksum mismatch rejects the whole document, because a
 //! file that fails its own framing cannot be partially trusted.
 //!
-//! Entries are written coldest-first per shard
-//! ([`ShardedLruCache::snapshot_entries`](crate::ShardedLruCache::snapshot_entries)),
-//! and restore re-inserts them in file order through the cache's ordinary
+//! Entries are written coldest-first over the whole cache
+//! ([`LruCache::snapshot_entries`](crate::LruCache::snapshot_entries)), and
+//! restore re-inserts them in file order through the cache's ordinary
 //! insert path: LRU recency is reproduced, a smaller restore target keeps
-//! the hottest entries, and every shard-stats invariant
+//! exactly the most recently used entries, and every stats invariant
 //! (`entries + evictions == inserts`) holds afterwards because no counter is
-//! ever written directly.
+//! ever written directly. Entry order is not part of the envelope, so
+//! documents that earlier builds wrote coldest-first per cache shard
+//! restore unchanged under the same version.
 
 use crate::classify::{canonical_patterns, pattern_length, Answer, ClassifierOptions};
 use crate::engine::CacheEntry;
@@ -120,7 +122,7 @@ fn wire(what: String) -> crate::ClassifierError {
 }
 
 /// Serializes cache entries (as returned by
-/// [`ShardedLruCache::snapshot_entries`](crate::ShardedLruCache::snapshot_entries))
+/// [`LruCache::snapshot_entries`](crate::LruCache::snapshot_entries))
 /// into a snapshot document.
 pub(crate) fn serialize_entries(entries: &[(Arc<[u8]>, Arc<CacheEntry>)]) -> String {
     let mut out = String::new();
@@ -429,10 +431,7 @@ mod tests {
         let stats = fresh.cache_stats();
         assert_eq!(stats.misses, 0, "all verdicts came from the snapshot");
         assert_eq!(stats.hits, 3);
-        assert_eq!(stats.entries as u64 + stats.evictions, stats.inserts);
-        for shard in fresh.cache_shard_stats() {
-            assert!(shard.is_consistent(), "{shard:?}");
-        }
+        assert!(stats.is_consistent(), "{stats:?}");
     }
 
     #[test]

@@ -52,6 +52,16 @@ impl SynthesizedAlgorithm {
             SynthesizedAlgorithm::GatherAll(_) => None,
         }
     }
+
+    /// The type semigroup the algorithm keeps to classify gap words (`None`
+    /// for the gather-everything algorithm).
+    pub fn semigroup(&self) -> Option<&TypeSemigroup> {
+        match self {
+            SynthesizedAlgorithm::Constant(a) => Some(&a.core.semigroup),
+            SynthesizedAlgorithm::LogStar(a) => Some(&a.core.semigroup),
+            SynthesizedAlgorithm::GatherAll(_) => None,
+        }
+    }
 }
 
 impl LocalAlgorithm for SynthesizedAlgorithm {

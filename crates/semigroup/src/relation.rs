@@ -561,6 +561,11 @@ impl ProductTable {
         ProductTable { n, entry, table }
     }
 
+    /// The bytes the table's buffer holds.
+    pub(crate) fn resident_bytes(&self) -> usize {
+        std::mem::size_of_val(self.table.as_slice())
+    }
+
     /// Writes `a · B` into `out`, reusing its storage: per row of `a`, one
     /// lookup per byte.
     ///

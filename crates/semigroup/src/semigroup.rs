@@ -539,6 +539,23 @@ impl TypeSemigroup {
         self.found.len()
     }
 
+    /// The bytes the semigroup's buffers hold, its transfer system's
+    /// included ([`TransferSystem::resident_bytes`]): the relation arena,
+    /// the type index, the witnesses, the letter tables and the length
+    /// profile. What a cached classification keeps alive through it.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let found = &self.found;
+        self.system.resident_bytes()
+            + size_of_val(found.relations.as_slice())
+            + size_of_val(found.index.slots.as_slice())
+            + size_of_val(found.witnesses.letters.as_slice())
+            + size_of_val(found.witnesses.ends.as_slice())
+            + size_of_val(self.letter_types.as_slice())
+            + size_of_val(self.letter_step.as_slice())
+            + size_of_val(self.profile.bits.as_slice())
+    }
+
     /// Returns `true` if the semigroup has no elements (empty input alphabet —
     /// cannot happen for well-formed problems).
     pub fn is_empty(&self) -> bool {

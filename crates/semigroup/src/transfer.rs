@@ -103,6 +103,23 @@ impl TransferSystem {
         &self.edge
     }
 
+    /// The bytes this system's own buffers hold: the edge relation and its
+    /// transpose, the letter relations and the two product tables (4 KiB at
+    /// `|Σ_out| = 8`). The shared problem is not counted.
+    pub fn resident_bytes(&self) -> usize {
+        let letters: usize = self
+            .letters
+            .iter()
+            .map(|letter| std::mem::size_of_val(letter.words()))
+            .sum();
+        std::mem::size_of_val(self.edge.words())
+            + std::mem::size_of_val(self.edge_back.words())
+            + letters
+            + std::mem::size_of_val(self.letters.as_slice())
+            + self.then_edge.resident_bytes()
+            + self.then_edge_back.resident_bytes()
+    }
+
     /// The table of right products by the edge relation, `R ↦ R·E`.
     pub(crate) fn then_edge(&self) -> &ProductTable {
         &self.then_edge

@@ -2,7 +2,7 @@
 //!
 //! [`render_exposition`] renders one [`MetricsSnapshot`] — the per-kind
 //! request counters and latency histograms, the connection and reactor
-//! gauges, the engine's cache (total and per-shard) and worker-pool stats,
+//! gauges, the engine's cache and worker-pool stats,
 //! and the stream time-to-first-chunk histogram — as one text document in
 //! the Prometheus exposition format (version 0.0.4): `# HELP` / `# TYPE`
 //! headers per family, one `name{labels} value` sample per line,
@@ -75,11 +75,8 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
     for family in &FAMILIES {
         let name = family.name;
         let metric_type = match family.source {
-            Source::BuildInfo | Source::Gauge(_) | Source::ShardGauge(_) => "gauge",
-            Source::Counter(_)
-            | Source::KindCounter(_)
-            | Source::ShardCounter(_)
-            | Source::LaneCounter => "counter",
+            Source::BuildInfo | Source::Gauge(_) => "gauge",
+            Source::Counter(_) | Source::KindCounter(_) | Source::LaneCounter => "counter",
             Source::KindLatency | Source::Histogram(_) => "histogram",
         };
         let _ = writeln!(out, "# HELP lcl_{name} {}", family.help);
@@ -115,11 +112,6 @@ pub fn render_exposition(snapshot: &MetricsSnapshot) -> String {
                 }
             }
             Source::Histogram(value) => histogram(&mut out, name, "", value(snapshot)),
-            Source::ShardCounter(value) | Source::ShardGauge(value) => {
-                for (at, shard) in snapshot.cache_shard_stats.iter().enumerate() {
-                    sample(&mut out, name, &format!("{{shard=\"{at}\"}}"), value(shard));
-                }
-            }
             Source::LaneCounter => {
                 for (label, count) in snapshot.labelled_lanes() {
                     sample(&mut out, name, &format!("{{lane=\"{label}\"}}"), count);
@@ -496,7 +488,7 @@ lcl_x_count{kind=\"b\"} 0
     /// deterministic apart from the uptime fields.
     fn golden_service() -> Service {
         use lcl_paths::problems;
-        let service = Service::new(Engine::builder().parallelism(2).cache_shards(2).build());
+        let service = Service::new(Engine::builder().parallelism(2).build());
         let metrics = service.metrics();
         metrics.set_backend("reactor");
         let kinds = RequestKind::ALL.iter().map(|&k| Some(k)).chain([None]);
@@ -586,7 +578,7 @@ lcl_x_count{kind=\"b\"} 0
     /// [`golden_service`]'s exposition, `lcl_uptime_seconds` sample removed.
     const GOLDEN_EXPOSITION: &str = r##"# HELP lcl_build_info Constant 1; the labels carry the server identity and configuration.
 # TYPE lcl_build_info gauge
-lcl_build_info{backend="reactor",cache_shards="2",version="0.2.0",workers="2"} 1
+lcl_build_info{backend="reactor",version="0.2.0",workers="2"} 1
 # HELP lcl_uptime_seconds Wall-clock seconds since the service was constructed.
 # TYPE lcl_uptime_seconds gauge
 # HELP lcl_requests_total Frames handled, by request kind (invalid = never resolved to one).
@@ -728,12 +720,6 @@ lcl_writev_batches_total 3
 # HELP lcl_cache_hits_total Classification lookups served from the memo cache.
 # TYPE lcl_cache_hits_total counter
 lcl_cache_hits_total 3
-# HELP lcl_cache_fast_hits_total Cache hits served on the read fast lane with the LRU recency touch skipped (the shard's LRU mutex was busy).
-# TYPE lcl_cache_fast_hits_total counter
-lcl_cache_fast_hits_total 0
-# HELP lcl_cache_locked_hits_total Cache hits that also refreshed LRU recency under the shard mutex.
-# TYPE lcl_cache_locked_hits_total counter
-lcl_cache_locked_hits_total 3
 # HELP lcl_cache_flight_leaders_total Single-flight leaders elected: cold-key classifications started.
 # TYPE lcl_cache_flight_leaders_total counter
 lcl_cache_flight_leaders_total 3
@@ -767,46 +753,6 @@ lcl_cache_peak_entries 3
 # HELP lcl_cache_peak_weight Upper bound on resident weight ever held at once.
 # TYPE lcl_cache_peak_weight gauge
 lcl_cache_peak_weight 3
-# HELP lcl_cache_shard_hits_total Memo-cache hits, by shard.
-# TYPE lcl_cache_shard_hits_total counter
-lcl_cache_shard_hits_total{shard="0"} 3
-lcl_cache_shard_hits_total{shard="1"} 0
-# HELP lcl_cache_shard_fast_hits_total Fast-lane hits with the recency touch skipped, by shard.
-# TYPE lcl_cache_shard_fast_hits_total counter
-lcl_cache_shard_fast_hits_total{shard="0"} 0
-lcl_cache_shard_fast_hits_total{shard="1"} 0
-# HELP lcl_cache_shard_locked_hits_total Hits that refreshed LRU recency, by shard.
-# TYPE lcl_cache_shard_locked_hits_total counter
-lcl_cache_shard_locked_hits_total{shard="0"} 3
-lcl_cache_shard_locked_hits_total{shard="1"} 0
-# HELP lcl_cache_shard_flight_leaders_total Single-flight leaders elected, by shard.
-# TYPE lcl_cache_shard_flight_leaders_total counter
-lcl_cache_shard_flight_leaders_total{shard="0"} 2
-lcl_cache_shard_flight_leaders_total{shard="1"} 1
-# HELP lcl_cache_shard_flight_joins_total Requests that joined an in-flight computation, by shard.
-# TYPE lcl_cache_shard_flight_joins_total counter
-lcl_cache_shard_flight_joins_total{shard="0"} 0
-lcl_cache_shard_flight_joins_total{shard="1"} 0
-# HELP lcl_cache_shard_misses_total Memo-cache misses, by shard.
-# TYPE lcl_cache_shard_misses_total counter
-lcl_cache_shard_misses_total{shard="0"} 2
-lcl_cache_shard_misses_total{shard="1"} 1
-# HELP lcl_cache_shard_bytes_hits_total Reply-bytes splices served, by shard.
-# TYPE lcl_cache_shard_bytes_hits_total counter
-lcl_cache_shard_bytes_hits_total{shard="0"} 1
-lcl_cache_shard_bytes_hits_total{shard="1"} 0
-# HELP lcl_cache_shard_bytes_misses_total Reply-bytes renders attached, by shard.
-# TYPE lcl_cache_shard_bytes_misses_total counter
-lcl_cache_shard_bytes_misses_total{shard="0"} 1
-lcl_cache_shard_bytes_misses_total{shard="1"} 0
-# HELP lcl_cache_shard_entries Resident memo-cache entries, by shard.
-# TYPE lcl_cache_shard_entries gauge
-lcl_cache_shard_entries{shard="0"} 2
-lcl_cache_shard_entries{shard="1"} 1
-# HELP lcl_cache_shard_evictions_total Memo-cache evictions, by shard.
-# TYPE lcl_cache_shard_evictions_total counter
-lcl_cache_shard_evictions_total{shard="0"} 0
-lcl_cache_shard_evictions_total{shard="1"} 0
 # HELP lcl_pool_workers Long-lived worker threads.
 # TYPE lcl_pool_workers gauge
 lcl_pool_workers 2
@@ -819,5 +765,5 @@ lcl_pool_jobs_completed_total 0
 "##;
 
     /// [`golden_service`]'s `stats` payload, uptime fields removed.
-    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"fast_hits":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"locked_hits":3,"misses":3,"peak_entries":3,"peak_weight":3,"shards":2,"summary":"cache: 3 hits (0 fast / 3 locked / 0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses, 2 shards","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"reactor","cache_shards":2,"classify_lanes":{"facing":1,"inline":2,"patterns":0,"solvability":0,"synthesis":0,"types":0},"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
+    const GOLDEN_STATS: &str = r##"{"cache":{"bytes_hits":1,"bytes_misses":1,"entries":3,"evictions":0,"flight_joins":0,"flight_leaders":3,"hit_ratio":"0.5000","hits":3,"inserts":3,"misses":3,"peak_entries":3,"peak_weight":3,"summary":"cache: 3 hits (0 joined) / 3 misses (50.0% hit ratio), 3 flight leaders, 3 entries (peak 3), weight 3 (peak 3), 0 evictions / 3 inserts, 1 bytes hits / 1 bytes misses","weight":3},"pool":{"jobs_completed":0,"queue_depth":0,"summary":"pool: 2 workers, queue depth 0, 0 jobs completed","workers":2},"server":{"backend":"reactor","classify_lanes":{"facing":1,"inline":2,"patterns":0,"solvability":0,"synthesis":0,"types":0},"connections":{"accepted":4,"open":3,"peak":4,"rejected":2},"kinds":{"classify":{"count":2,"errors":1,"max_micros":3,"mean_micros":2,"p50_micros":1,"p90_micros":3,"p999_micros":3,"p99_micros":3,"shed":1,"total_micros":4},"classify_many":{"count":2,"errors":1,"max_micros":1113,"mean_micros":606,"p50_micros":103,"p90_micros":1113,"p999_micros":1113,"p99_micros":1113,"shed":0,"total_micros":1213},"generate":{"count":3,"errors":2,"max_micros":1404,"mean_micros":598,"p50_micros":415,"p90_micros":1404,"p999_micros":1404,"p99_micros":1404,"shed":1,"total_micros":1796},"health":{"count":1,"errors":0,"max_micros":585,"mean_micros":585,"p50_micros":585,"p90_micros":585,"p999_micros":585,"p99_micros":585,"shed":0,"total_micros":585},"invalid":{"count":1,"errors":0,"max_micros":876,"mean_micros":876,"p50_micros":876,"p90_micros":876,"p999_micros":876,"p99_micros":876,"shed":0,"total_micros":876},"metrics":{"count":2,"errors":1,"max_micros":1695,"mean_micros":1188,"p50_micros":703,"p90_micros":1695,"p999_micros":1695,"p99_micros":1695,"shed":0,"total_micros":2377},"snapshot":{"count":4,"errors":2,"max_micros":2805,"mean_micros":1344,"p50_micros":831,"p90_micros":2805,"p999_micros":2805,"p99_micros":2805,"shed":1,"total_micros":5377},"solve":{"count":3,"errors":1,"max_micros":2223,"mean_micros":1210,"p50_micros":1279,"p90_micros":2223,"p999_micros":2223,"p99_micros":2223,"shed":0,"total_micros":3630},"solve_stream":{"count":1,"errors":0,"max_micros":294,"mean_micros":294,"p50_micros":294,"p90_micros":294,"p999_micros":294,"p99_micros":294,"shed":0,"total_micros":294},"stats":{"count":3,"errors":1,"max_micros":2514,"mean_micros":1501,"p50_micros":1535,"p90_micros":2514,"p999_micros":2514,"p99_micros":2514,"shed":0,"total_micros":4503}},"pipeline":{"inflight":2,"peak_inflight":3},"reactor":{"completions":7,"wakeups":5},"requests_served":22,"spliced_frames":2,"stream_first_chunk":{"count":3,"max_micros":12000,"mean_micros":4313,"p50_micros":959,"p90_micros":12000,"p999_micros":12000,"p99_micros":12000,"total_micros":12940},"version":"0.2.0","workers":2,"writev_batches":3}}"##;
 }

@@ -34,17 +34,13 @@ USAGE:
 
 OPTIONS:
     --workers N           persistent pool workers (default: available cores)
-    --cache-capacity N    memo cache bound (default: 4096)
-    --cache-shards N      memo cache shard count, rounded up to a power of
-                          two and capped so every shard owns at least one
-                          slot (default: next power of two of the worker
-                          count, so concurrent workers rarely share a
-                          shard lock)
+    --cache-capacity N    memo cache bound in entries: one LRU under one
+                          lock (default: 4096)
     --cache-weight-bytes N
-                          approximate byte budget for resident memo-cache
-                          entries, priced per entry by result size; the
-                          entry-count bound still applies (default:
-                          unbounded — count-bound only)
+                          bound the memo cache by approximate resident
+                          bytes instead, priced per entry by result size;
+                          replaces the --cache-capacity bound (default:
+                          unset — count-bound only)
     --max-chunk-bytes N   ceiling on one serialized solve_stream chunk
                           frame; clamped to 1024..=1048576
                           (default: 262144)
@@ -89,7 +85,6 @@ struct Options {
     smoke: bool,
     workers: Option<usize>,
     cache_capacity: Option<usize>,
-    cache_shards: Option<usize>,
     cache_weight_bytes: Option<u64>,
     max_chunk_bytes: Option<usize>,
     max_inflight: Option<usize>,
@@ -133,16 +128,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                     return Err("--cache-capacity must be at least 1".to_string());
                 }
                 options.cache_capacity = Some(parsed);
-            }
-            "--cache-shards" => {
-                let value = iter.next().ok_or("--cache-shards requires a count")?;
-                let parsed: usize = value
-                    .parse()
-                    .map_err(|_| format!("invalid --cache-shards value `{value}`"))?;
-                if parsed == 0 {
-                    return Err("--cache-shards must be at least 1".to_string());
-                }
-                options.cache_shards = Some(parsed);
             }
             "--cache-weight-bytes" => {
                 let value = iter
@@ -279,9 +264,6 @@ fn build_service(options: &Options) -> Arc<Service> {
     }
     if let Some(capacity) = options.cache_capacity {
         builder = builder.cache_capacity(capacity);
-    }
-    if let Some(shards) = options.cache_shards {
-        builder = builder.cache_shards(shards);
     }
     if let Some(weight) = options.cache_weight_bytes {
         builder = builder.cache_weight_capacity(weight);
@@ -699,7 +681,6 @@ mod tests {
         for flag in [
             "--workers",
             "--cache-capacity",
-            "--cache-shards",
             "--cache-weight-bytes",
             "--max-inflight",
             "--max-conns",
@@ -764,6 +745,15 @@ mod tests {
         // Missing or empty values are rejected.
         assert!(parse(&["--stdio", "--cache-snapshot", ""]).is_err());
         assert!(parse(&["--stdio", "--quota-rps"]).is_err());
+    }
+
+    #[test]
+    fn removed_cache_shards_flag_is_a_usage_error() {
+        let error = parse(&["--stdio", "--cache-shards", "2"]).expect_err("no such flag");
+        assert!(
+            error.contains("unknown argument `--cache-shards`"),
+            "{error}"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! throughput bench compares against to bound observability overhead.
 //!
 //! [`MetricsSnapshot`] is the reading side: [`Service::metrics_snapshot`]
-//! reads every counter once — these, the engine's cache (total and per
-//! shard) and pool counters, and the server identity — into one plain
+//! reads every counter once — these, the engine's cache and pool counters,
+//! and the server identity — into one plain
 //! value. [`FAMILIES`] is the one metric catalogue: for each family its
 //! name, type, label, HELP text and place in the `stats` payload. The
 //! `stats` payload ([`stats_payload`]) and the exposition
@@ -27,7 +27,7 @@
 
 use crate::service::RequestKind;
 use lcl_paths::classifier::obs::{HistogramSnapshot, LatencyHistogram};
-use lcl_paths::classifier::{CacheStats, PoolStats, ShardStats, Stage};
+use lcl_paths::classifier::{CacheStats, PoolStats, Stage};
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::Engine;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -318,7 +318,6 @@ impl ServerMetrics {
             backend: self.backend_name(),
             version: env!("CARGO_PKG_VERSION"),
             workers: engine.parallelism(),
-            cache_shards: engine.cache_shards(),
             uptime,
             kinds: self.kinds.each_ref().map(KindCounters::snapshot),
             stream_first_chunk: self.stream_first_chunk.snapshot(),
@@ -334,7 +333,6 @@ impl ServerMetrics {
             writev_batches: load(&self.writev_batches),
             classify_lanes: self.classify_lanes.each_ref().map(load),
             cache: engine.cache_stats(),
-            cache_shard_stats: engine.cache_shard_stats(),
             pool: engine.pool_stats(),
         }
     }
@@ -355,8 +353,6 @@ pub struct MetricsSnapshot {
     pub version: &'static str,
     /// Worker-pool threads.
     pub workers: usize,
-    /// Effective memo-cache shard count.
-    pub cache_shards: usize,
     /// Wall-clock time since the service was constructed.
     pub uptime: Duration,
     /// Per-kind counters, in [`RequestKind::ALL`] order and then the
@@ -388,10 +384,8 @@ pub struct MetricsSnapshot {
     /// `classify` misses by lane: `inline` first, then handed off at each
     /// stage in [`Stage::ALL`] order.
     pub classify_lanes: [u64; LANES],
-    /// The engine's memo-cache counters, summed over shards.
+    /// The engine's memo-cache counters.
     pub cache: CacheStats,
-    /// The engine's memo-cache counters, per shard in shard order.
-    pub cache_shard_stats: Vec<ShardStats>,
     /// The engine's worker-pool counters.
     pub pool: PoolStats,
 }
@@ -424,10 +418,9 @@ impl MetricsSnapshot {
 
     /// The server identity: the `stats` reply's `server` fields and the
     /// labels of the build-info gauge.
-    pub(crate) fn identity(&self) -> [(&'static str, JsonValue); 4] {
+    pub(crate) fn identity(&self) -> [(&'static str, JsonValue); 3] {
         [
             ("backend", JsonValue::Str(self.backend.to_string())),
-            ("cache_shards", int(self.cache_shards as u64)),
             ("version", JsonValue::Str(self.version.to_string())),
             ("workers", int(self.workers as u64)),
         ]
@@ -448,10 +441,6 @@ pub(crate) enum Source {
     KindLatency,
     /// One unlabelled latency histogram.
     Histogram(fn(&MetricsSnapshot) -> &HistogramSnapshot),
-    /// One counter per cache shard, labelled `shard`.
-    ShardCounter(fn(&ShardStats) -> u64),
-    /// One gauge per cache shard, labelled `shard`.
-    ShardGauge(fn(&ShardStats) -> u64),
     /// One counter per `classify` lane, labelled `lane`.
     LaneCounter,
 }
@@ -477,7 +466,7 @@ use Source::*;
 /// (without the `lcl_` prefix) and `# HELP` text, its source (type, label
 /// and value), and its place in the `stats` payload.
 #[rustfmt::skip]
-pub(crate) static FAMILIES: [Family; 45] = [
+pub(crate) static FAMILIES: [Family; 33] = [
     Family { name: "build_info", help: "Constant 1; the labels carry the server identity and \
                     configuration.",
              source: BuildInfo, stats: "server" },
@@ -532,12 +521,6 @@ pub(crate) static FAMILIES: [Family; 45] = [
              source: Counter(|s| s.writev_batches), stats: "server.writev_batches" },
     Family { name: "cache_hits_total", help: "Classification lookups served from the memo cache.",
              source: Counter(|s| s.cache.hits), stats: "cache.hits" },
-    Family { name: "cache_fast_hits_total", help: "Cache hits served on the read fast lane with \
-                    the LRU recency touch skipped (the shard's LRU mutex was busy).",
-             source: Counter(|s| s.cache.fast_hits), stats: "cache.fast_hits" },
-    Family { name: "cache_locked_hits_total", help: "Cache hits that also refreshed LRU recency \
-                    under the shard mutex.",
-             source: Counter(|s| s.cache.locked_hits), stats: "cache.locked_hits" },
     Family { name: "cache_flight_leaders_total", help: "Single-flight leaders elected: cold-key \
                     classifications started.",
              source: Counter(|s| s.cache.flight_leaders), stats: "cache.flight_leaders" },
@@ -565,31 +548,6 @@ pub(crate) static FAMILIES: [Family; 45] = [
              source: Gauge(|s| s.cache.peak_entries as u64), stats: "cache.peak_entries" },
     Family { name: "cache_peak_weight", help: "Upper bound on resident weight ever held at once.",
              source: Gauge(|s| s.cache.peak_weight), stats: "cache.peak_weight" },
-    Family { name: "cache_shard_hits_total", help: "Memo-cache hits, by shard.",
-             source: ShardCounter(|s| s.hits), stats: "" },
-    Family { name: "cache_shard_fast_hits_total", help: "Fast-lane hits with the recency touch \
-                    skipped, by shard.",
-             source: ShardCounter(|s| s.fast_hits), stats: "" },
-    Family { name: "cache_shard_locked_hits_total", help: "Hits that refreshed LRU recency, by \
-                    shard.",
-             source: ShardCounter(|s| s.locked_hits), stats: "" },
-    Family { name: "cache_shard_flight_leaders_total", help: "Single-flight leaders elected, by \
-                    shard.",
-             source: ShardCounter(|s| s.flight_leaders), stats: "" },
-    Family { name: "cache_shard_flight_joins_total", help: "Requests that joined an in-flight \
-                    computation, by shard.",
-             source: ShardCounter(|s| s.flight_joins), stats: "" },
-    Family { name: "cache_shard_misses_total", help: "Memo-cache misses, by shard.",
-             source: ShardCounter(|s| s.misses), stats: "" },
-    Family { name: "cache_shard_bytes_hits_total", help: "Reply-bytes splices served, by shard.",
-             source: ShardCounter(|s| s.bytes_hits), stats: "" },
-    Family { name: "cache_shard_bytes_misses_total", help: "Reply-bytes renders attached, by \
-                    shard.",
-             source: ShardCounter(|s| s.bytes_misses), stats: "" },
-    Family { name: "cache_shard_entries", help: "Resident memo-cache entries, by shard.",
-             source: ShardGauge(|s| s.entries as u64), stats: "" },
-    Family { name: "cache_shard_evictions_total", help: "Memo-cache evictions, by shard.",
-             source: ShardCounter(|s| s.evictions), stats: "" },
     Family { name: "pool_workers", help: "Long-lived worker threads.",
              source: Gauge(|s| s.pool.workers as u64), stats: "pool.workers" },
     Family { name: "pool_queue_depth", help: "Jobs submitted but not yet picked up by a worker.",
@@ -641,7 +599,7 @@ fn place(root: &mut JsonValue, path: &str, value: JsonValue) {
 
 /// The `stats` reply payload: every catalogue family placed at its `stats`
 /// path, plus the fields derived from them (`requests_served`, the cache
-/// hit ratio and shard count, the human-readable summaries and
+/// hit ratio, the human-readable summaries and
 /// `uptime_ms`).
 pub(crate) fn stats_payload(snapshot: &MetricsSnapshot) -> JsonValue {
     let mut payload = JsonValue::object([]);
@@ -682,15 +640,11 @@ pub(crate) fn stats_payload(snapshot: &MetricsSnapshot) -> JsonValue {
                     place(&mut payload, &path.replace('*', label), int(count));
                 }
             }
-            ShardCounter(_) | ShardGauge(_) => {
-                unreachable!("no per-shard family has a stats path")
-            }
         }
     }
     let cache = &snapshot.cache;
     for (path, value) in [
         ("server.requests_served", int(snapshot.requests_served())),
-        ("cache.shards", int(cache.shards as u64)),
         (
             "cache.hit_ratio",
             JsonValue::Str(format!("{:.4}", cache.hit_ratio())),

@@ -34,10 +34,7 @@ impl Drop for TempDir {
 }
 
 fn service_with_path(path: PathBuf) -> Arc<Service> {
-    Arc::new(
-        Service::new(Engine::builder().parallelism(2).cache_shards(2).build())
-            .with_cache_snapshot_path(path),
-    )
+    Arc::new(Service::new(Engine::builder().parallelism(2).build()).with_cache_snapshot_path(path))
 }
 
 fn classify_line(id: i64, colors: usize) -> String {
@@ -139,14 +136,8 @@ fn restored_warmth_survives_capacity_pressure_with_the_invariant_intact() {
     // A 4-entry cache restores what fits; the rest are evictions, never an
     // accounting leak.
     let tight = Arc::new(
-        Service::new(
-            Engine::builder()
-                .parallelism(2)
-                .cache_shards(2)
-                .cache_capacity(4)
-                .build(),
-        )
-        .with_cache_snapshot_path(path),
+        Service::new(Engine::builder().parallelism(2).cache_capacity(4).build())
+            .with_cache_snapshot_path(path),
     );
     tight
         .restore_cache_snapshot()

@@ -17,12 +17,10 @@ fn a_flood_past_capacity_sheds_structurally_and_recovers() {
     // One worker and a shallow shed threshold: the pipelined flood
     // below outruns the pool by construction.
     let service = Arc::new(
-        Service::new(Engine::builder().parallelism(1).cache_shards(1).build()).with_admission(
-            AdmissionConfig {
-                shed_queue_depth: 4,
-                ..AdmissionConfig::default()
-            },
-        ),
+        Service::new(Engine::builder().parallelism(1).build()).with_admission(AdmissionConfig {
+            shed_queue_depth: 4,
+            ..AdmissionConfig::default()
+        }),
     );
     // Cache hits would bypass the pool (and the queue) on the splice
     // lane; keep every frame on the dispatch path.

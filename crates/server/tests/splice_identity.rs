@@ -15,9 +15,7 @@ use lcl_server::{serve_stdio, Client, Server, Service};
 use std::sync::Arc;
 
 fn service() -> Arc<Service> {
-    Arc::new(Service::new(
-        Engine::builder().parallelism(2).cache_shards(2).build(),
-    ))
+    Arc::new(Service::new(Engine::builder().parallelism(2).build()))
 }
 
 fn frame(id: i64, kind: &str, payload: JsonValue) -> String {

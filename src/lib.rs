@@ -100,8 +100,7 @@ pub use error::{Error, Result};
 pub use lcl_algorithms as algorithms;
 pub use lcl_classifier as classifier;
 pub use lcl_classifier::{
-    CacheStats, Computed, Engine, EngineBuilder, FlightOutcome, ShardStats, ShardedLruCache,
-    Solution,
+    CacheStats, Computed, Engine, EngineBuilder, FlightOutcome, LruCache, Solution,
 };
 pub use lcl_gen as gen;
 pub use lcl_hardness as hardness;

@@ -1,38 +1,31 @@
-//! Model-based correctness suite for the sharded O(1)-LRU memo cache.
+//! Model-based correctness suite for the O(1)-LRU memo cache.
 //!
 //! The same random op trace (peeks, classify-style get→miss→insert cycles,
-//! blind inserts, occasional clears — at tiny capacities, so evictions are
-//! constant) is driven through [`ShardedLruCache`] and a naive single-map
-//! reference model whose per-shard recency is a plain `Vec` with linear
-//! scans: obviously-correct LRU semantics, none of the slab/intrusive-list
-//! machinery under test. Every op must agree exactly — returned values,
-//! keep-first winners, *which keys* were evicted — and the final per-shard
-//! and aggregate counters must be identical. With one shard the reference
-//! model *is* the old engine's global LRU, so that configuration doubles as
-//! the old-victim-order regression at property-test scale.
+//! `get_or_compute` calls with occasionally failing closures, blind inserts,
+//! occasional clears — at tiny budgets, so evictions are constant) is driven
+//! through [`LruCache`] and a naive reference model whose recency is a plain
+//! `Vec` with linear scans: obviously-correct exact-LRU semantics, none of
+//! the slab/intrusive-list machinery under test. Every op must agree
+//! exactly — returned values, flight outcomes, keep-first winners, *which
+//! keys* were evicted — and the final counters must be identical, peaks
+//! included.
 //!
 //! The suite runs the matrix twice: once **count-bounded** (the unit-weigher
 //! default, where an insert evicts at most one victim) and once
-//! **weight-bounded** (`ShardedLruCache::with_weigher` with a deterministic
+//! **weight-bounded** (`LruCache::with_weigher` with a deterministic
 //! non-unit weigher, where one heavy insert may evict several light entries
-//! and an over-heavy entry parks alone). The model mirrors both with the
+//! and an over-heavy entry stays alone). The model mirrors both with the
 //! same evict-from-the-back loop.
 //!
-//! Since the single-flight/fast-lane change, the suite also covers the
-//! **concurrency semantics**: the sequential traces exercise
-//! `get_or_compute` (with failing closures — errors are never cached) and
-//! the reference model mirrors the hit/leader accounting, while the
-//! multi-threaded tests at the bottom assert the single-flight contract
+//! The multi-threaded tests at the bottom assert the single-flight contract
 //! itself — exactly one leader per cold key per generation, every joiner
-//! observing the leader's value, panicking leaders recovered by a successor
-//! — at shard counts 1, 2 and 8. Single-threaded, the `try_lock` recency
-//! touch always succeeds, so every hit is a *locked* hit and the exact-LRU
-//! victim agreement asserted here is untouched by the fast lane.
+//! observing the leader's value, panicking leaders recovered by a
+//! successor.
 //!
 //! Per house style (see tests/properties.rs) the generators are seeded
 //! `StdRng`s, so every failure reproduces exactly from its case index.
 
-use lcl_paths::classifier::cache::{FlightOutcome, ShardStats, ShardedLruCache};
+use lcl_paths::classifier::cache::{CacheStats, FlightOutcome, LruCache};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,9 +37,9 @@ const OPS: usize = 500;
 /// How the cache under test is bounded.
 #[derive(Copy, Clone, Debug)]
 enum Bound {
-    /// `ShardedLruCache::new(capacity, _)`: every entry weighs 1.
+    /// `LruCache::new(capacity)`: every entry weighs 1.
     Count(usize),
-    /// `ShardedLruCache::with_weigher(total_weight, _, weigh)`.
+    /// `LruCache::with_weigher(budget, weigh)`.
     Weight(u64),
 }
 
@@ -56,136 +49,75 @@ fn weigh(value: &u64) -> u64 {
     *value % 7 + 1
 }
 
-/// One shard of the reference model: a recency-ordered vector (front = most
-/// recently used) plus the same counters and budgets the real shard keeps.
-struct ModelShard {
-    capacity: usize,
-    weight_capacity: u64,
+/// The reference model: a recency-ordered vector (front = most recently
+/// used) plus the counters the real cache keeps.
+struct Model {
+    budget: u64,
     weigher: fn(&u64) -> u64,
     /// Front = most recently used; eviction victims pop off the back.
     /// Each entry remembers the weight it was priced at insert time.
     entries: Vec<(Vec<u8>, u64, u64)>,
-    /// Single-threaded, the recency `try_lock` always succeeds, so every
-    /// model hit is a *locked* hit (`fast_hits` and `flight_joins` stay 0).
-    locked_hits: u64,
-    misses: u64,
-    flight_leaders: u64,
-    inserts: u64,
-    evictions: u64,
-    peak_entries: usize,
-    weight: u64,
-    peak_weight: u64,
+    stats: CacheStats,
 }
 
-impl ModelShard {
-    fn new(capacity: usize, weight_capacity: u64, weigher: fn(&u64) -> u64) -> Self {
-        ModelShard {
-            capacity,
-            weight_capacity,
+impl Model {
+    fn new(bound: Bound) -> Self {
+        let (budget, weigher): (u64, fn(&u64) -> u64) = match bound {
+            Bound::Count(capacity) => (capacity as u64, |_| 1),
+            Bound::Weight(budget) => (budget, weigh),
+        };
+        Model {
+            budget,
             weigher,
             entries: Vec::new(),
-            locked_hits: 0,
-            misses: 0,
-            flight_leaders: 0,
-            inserts: 0,
-            evictions: 0,
-            peak_entries: 0,
-            weight: 0,
-            peak_weight: 0,
+            stats: CacheStats::default(),
         }
     }
 
-    fn get(&mut self, key: &[u8]) -> Option<u64> {
+    /// The value under `key`, moved to the front; counts nothing.
+    fn touch(&mut self, key: &[u8]) -> Option<u64> {
         let at = self.entries.iter().position(|(k, _, _)| k == key)?;
         let entry = self.entries.remove(at);
         let value = entry.1;
         self.entries.insert(0, entry);
-        self.locked_hits += 1;
+        Some(value)
+    }
+
+    fn get(&mut self, key: &[u8]) -> Option<u64> {
+        let value = self.touch(key)?;
+        self.stats.hits += 1;
         Some(value)
     }
 
     /// Returns `(winning value, fresh, evicted keys)` with the same
     /// keep-first and evict-until-it-fits semantics as the real cache.
     fn insert(&mut self, key: Vec<u8>, value: u64) -> (u64, bool, Vec<Vec<u8>>) {
-        if let Some(at) = self.entries.iter().position(|(k, _, _)| *k == key) {
-            let entry = self.entries.remove(at);
-            let winner = entry.1;
-            self.entries.insert(0, entry);
+        if let Some(winner) = self.touch(&key) {
             return (winner, false, Vec::new());
         }
         let weight = (self.weigher)(&value);
         self.entries.insert(0, (key, value, weight));
-        self.weight += weight;
+        let stats = &mut self.stats;
+        stats.weight += weight;
         let mut evicted = Vec::new();
-        while (self.entries.len() > self.capacity || self.weight > self.weight_capacity)
-            && self.entries.len() > 1
-        {
+        while stats.weight > self.budget && self.entries.len() > 1 {
             let (victim, _, victim_weight) = self.entries.pop().expect("guarded non-empty");
-            self.weight -= victim_weight;
-            self.evictions += 1;
+            stats.weight -= victim_weight;
+            stats.evictions += 1;
             evicted.push(victim);
         }
-        self.inserts += 1;
-        self.peak_entries = self.peak_entries.max(self.entries.len());
-        self.peak_weight = self.peak_weight.max(self.weight);
+        stats.entries = self.entries.len();
+        stats.inserts += 1;
+        stats.peak_entries = stats.peak_entries.max(stats.entries);
+        stats.peak_weight = stats.peak_weight.max(stats.weight);
         (value, true, evicted)
     }
 
     fn clear(&mut self) {
-        self.evictions += self.entries.len() as u64;
+        self.stats.evictions += self.entries.len() as u64;
         self.entries.clear();
-        self.weight = 0;
-    }
-
-    fn stats(&self) -> ShardStats {
-        ShardStats {
-            hits: self.locked_hits,
-            misses: self.misses,
-            entries: self.entries.len(),
-            evictions: self.evictions,
-            inserts: self.inserts,
-            peak_entries: self.peak_entries,
-            weight: self.weight,
-            peak_weight: self.peak_weight,
-            fast_hits: 0,
-            locked_hits: self.locked_hits,
-            flight_leaders: self.flight_leaders,
-            flight_joins: 0,
-            // The reply-bytes lane is driven by the engine's reply
-            // attachment, never by raw cache ops, so the model stays at 0.
-            bytes_hits: 0,
-            bytes_misses: 0,
-        }
-    }
-}
-
-/// The reference model: one naive shard per real shard, with the routing
-/// delegated to the real cache's public `shard_of` (the placement function is
-/// shared; the LRU/counter semantics are what differ and what we compare).
-/// Budgets are partitioned across shards exactly as the real cache does it:
-/// base share plus one unit of remainder for the first shards.
-struct Model {
-    shards: Vec<ModelShard>,
-}
-
-impl Model {
-    fn new(cache: &ShardedLruCache<u64>, bound: Bound) -> Self {
-        let n = cache.shards();
-        let shards = (0..n)
-            .map(|i| match bound {
-                Bound::Count(capacity) => {
-                    let base = capacity / n;
-                    let extra = capacity % n;
-                    ModelShard::new(base + usize::from(i < extra), u64::MAX, |_| 1)
-                }
-                Bound::Weight(total) => {
-                    let base = total / n as u64;
-                    let extra = total % n as u64;
-                    ModelShard::new(usize::MAX, base + u64::from((i as u64) < extra), weigh)
-                }
-            })
-            .collect();
-        Model { shards }
+        self.stats.entries = 0;
+        self.stats.weight = 0;
     }
 }
 
@@ -195,42 +127,41 @@ fn key(i: u64) -> Vec<u8> {
 
 /// Drives one seeded trace through both implementations, asserting agreement
 /// op by op and counter by counter.
-fn run_trace(case: u64, bound: Bound, shards: usize) {
+fn run_trace(case: u64, bound: Bound) {
     let mut rng = StdRng::seed_from_u64(0xCAC4E + case);
     let cache = match bound {
-        Bound::Count(capacity) => ShardedLruCache::new(capacity, shards),
-        Bound::Weight(total) => ShardedLruCache::with_weigher(total, shards, weigh),
+        Bound::Count(capacity) => LruCache::new(capacity),
+        Bound::Weight(budget) => LruCache::with_weigher(budget, weigh),
     };
-    let mut model = Model::new(&cache, bound);
+    let mut model = Model::new(bound);
     // Keys overlap heavily: a universe of ~3x the expected resident entry
     // count keeps both hits and evictions frequent at these tiny budgets
-    // (weighted entries average weight 4, so ~total/4 fit).
+    // (weighted entries average weight 4, so ~budget/4 fit).
     let universe = match bound {
         Bound::Count(capacity) => (capacity as u64) * 3,
-        Bound::Weight(total) => (total * 3 / 4).max(4),
+        Bound::Weight(budget) => (budget * 3 / 4).max(4),
     };
     let mut next_value = 0u64;
 
     for op in 0..OPS {
         let k = key(rng.gen_range(0..universe));
-        let shard = cache.shard_of(&k);
-        let ctx = format!("case {case}, op {op}, {bound:?}, shards {shards}");
+        let ctx = format!("case {case}, op {op}, {bound:?}");
         match rng.gen_range(0..100u32) {
             // Peek (Engine::cached): a hit touches and counts, a miss is free.
             0..=24 => {
-                assert_eq!(cache.get(&k), model.shards[shard].get(&k), "{ctx}");
+                assert_eq!(cache.get(&k), model.get(&k), "{ctx}");
             }
             // Classify-shaped cycle driven by hand: get, and on a miss
             // record the miss and insert the freshly "computed" value.
             25..=54 => {
                 let got = cache.get(&k);
-                assert_eq!(got, model.shards[shard].get(&k), "{ctx}");
+                assert_eq!(got, model.get(&k), "{ctx}");
                 if got.is_none() {
-                    cache.record_miss(&k);
-                    model.shards[shard].misses += 1;
+                    cache.record_miss();
+                    model.stats.misses += 1;
                     next_value += 1;
                     let real = cache.insert(k.clone(), next_value);
-                    let (value, fresh, evicted) = model.shards[shard].insert(k, next_value);
+                    let (value, fresh, evicted) = model.insert(k, next_value);
                     assert_eq!(real.value, value, "{ctx}");
                     assert_eq!(real.fresh, fresh, "{ctx}");
                     let real_evicted: Vec<Vec<u8>> =
@@ -240,14 +171,13 @@ fn run_trace(case: u64, bound: Bound, shards: usize) {
             }
             // The same cycle through the single-flight front door, with the
             // occasional failing computation (errors are never cached).
-            // Single-threaded there is no one to join and the recency
-            // try_lock always succeeds, so the outcome must be LockedHit on
-            // a warm key and Led on a cold one.
+            // Single-threaded there is no one to join, so the outcome must
+            // be Hit on a warm key and Led on a cold one.
             55..=74 => {
                 let fails = rng.gen_range(0..8u32) == 0;
                 next_value += 1;
                 let candidate = next_value;
-                let expected = model.shards[shard].get(&k);
+                let expected = model.get(&k);
                 let real = cache.get_or_compute(&k, || {
                     if fails {
                         Err("compute failed")
@@ -259,24 +189,22 @@ fn run_trace(case: u64, bound: Bound, shards: usize) {
                     Some(value) => {
                         let computed = real.unwrap_or_else(|e| panic!("{ctx}: hit errored: {e}"));
                         assert_eq!(computed.value, value, "{ctx}");
-                        assert_eq!(computed.outcome, FlightOutcome::LockedHit, "{ctx}");
-                        assert!(computed.outcome.served_from_cache(), "{ctx}");
+                        assert_eq!(computed.outcome, FlightOutcome::Hit, "{ctx}");
                     }
                     None if fails => {
                         // The failed leader counted its miss and election
                         // but inserted nothing.
                         assert_eq!(real.unwrap_err(), "compute failed", "{ctx}");
-                        model.shards[shard].misses += 1;
-                        model.shards[shard].flight_leaders += 1;
+                        model.stats.misses += 1;
+                        model.stats.flight_leaders += 1;
                     }
                     None => {
                         let computed = real.unwrap_or_else(|e| panic!("{ctx}: led errored: {e}"));
                         assert_eq!(computed.value, candidate, "{ctx}");
                         assert_eq!(computed.outcome, FlightOutcome::Led, "{ctx}");
-                        assert!(!computed.outcome.served_from_cache(), "{ctx}");
-                        model.shards[shard].misses += 1;
-                        model.shards[shard].flight_leaders += 1;
-                        let (value, fresh, _evicted) = model.shards[shard].insert(k, candidate);
+                        model.stats.misses += 1;
+                        model.stats.flight_leaders += 1;
+                        let (value, fresh, _evicted) = model.insert(k, candidate);
                         assert_eq!(value, candidate, "{ctx}");
                         assert!(fresh, "{ctx}: the key was cold");
                     }
@@ -286,7 +214,7 @@ fn run_trace(case: u64, bound: Bound, shards: usize) {
             75..=97 => {
                 next_value += 1;
                 let real = cache.insert(k.clone(), next_value);
-                let (value, fresh, evicted) = model.shards[shard].insert(k, next_value);
+                let (value, fresh, evicted) = model.insert(k, next_value);
                 assert_eq!(real.value, value, "{ctx}");
                 assert_eq!(real.fresh, fresh, "{ctx}");
                 let real_evicted: Vec<Vec<u8>> = real.evicted.iter().map(|k| k.to_vec()).collect();
@@ -295,119 +223,62 @@ fn run_trace(case: u64, bound: Bound, shards: usize) {
             // Rare clear: counters survive, dropped entries count as evicted.
             _ => {
                 cache.clear();
-                for shard in &mut model.shards {
-                    shard.clear();
-                }
+                model.clear();
             }
         }
-    }
-
-    // Identical outcomes imply identical counters — per shard and aggregate.
-    let real = cache.shard_stats();
-    let reference: Vec<ShardStats> = model.shards.iter().map(ModelShard::stats).collect();
-    assert_eq!(real, reference, "case {case}: per-shard stats diverged");
-    let total = cache.stats();
-    assert_eq!(total.shards, cache.shards(), "case {case}");
-    assert_eq!(
-        (
-            total.hits,
-            total.misses,
-            total.entries,
-            total.evictions,
-            total.weight
-        ),
-        (
-            reference.iter().map(|s| s.hits).sum::<u64>(),
-            reference.iter().map(|s| s.misses).sum::<u64>(),
-            reference.iter().map(|s| s.entries).sum::<usize>(),
-            reference.iter().map(|s| s.evictions).sum::<u64>(),
-            reference.iter().map(|s| s.weight).sum::<u64>(),
-        ),
-        "case {case}: aggregate stats diverged"
-    );
-    assert_eq!(
-        (total.fast_hits, total.locked_hits, total.flight_joins),
-        (0, reference.iter().map(|s| s.locked_hits).sum::<u64>(), 0),
-        "case {case}: single-threaded hits are all locked hits"
-    );
-    assert_eq!(
-        total.hits,
-        total.fast_hits + total.locked_hits + total.flight_joins,
-        "case {case}: hit accounting"
-    );
-    assert_eq!(
-        total.flight_leaders,
-        reference.iter().map(|s| s.flight_leaders).sum::<u64>(),
-        "case {case}: leader elections diverged"
-    );
-    for (i, shard) in real.iter().enumerate() {
+        let stats = cache.stats();
+        assert!(stats.is_consistent(), "{ctx}: {stats:?}");
         assert!(
-            shard.is_consistent(),
-            "case {case}, shard {i}: snapshot invariants violated: {shard:?}"
+            stats.weight <= model.budget || stats.entries == 1,
+            "{ctx}: over budget with several entries: {stats:?}"
         );
     }
-    match bound {
-        Bound::Count(capacity) => {
-            assert!(total.entries <= capacity, "case {case}: capacity exceeded");
-            assert_eq!(
-                total.weight, total.entries as u64,
-                "case {case}: unit weigher must price every entry at 1"
-            );
-        }
-        Bound::Weight(_) => {
-            // Each shard respects its weight budget, except for the
-            // documented single-over-heavy-entry allowance.
-            for (i, (shard, reference)) in real.iter().zip(&model.shards).enumerate() {
-                assert!(
-                    shard.weight <= reference.weight_capacity || shard.entries == 1,
-                    "case {case}, shard {i}: over budget with multiple entries: {shard:?}"
-                );
-            }
-        }
+
+    // Identical outcomes imply identical counters, peaks included.
+    assert_eq!(cache.stats(), model.stats, "case {case}: stats diverged");
+    // And the same recency order: the snapshot lists it coldest first.
+    let order: Vec<Vec<u8>> = cache
+        .snapshot_entries()
+        .iter()
+        .map(|(k, _)| k.to_vec())
+        .collect();
+    let expected: Vec<Vec<u8>> = model
+        .entries
+        .iter()
+        .rev()
+        .map(|(k, _, _)| k.clone())
+        .collect();
+    assert_eq!(order, expected, "case {case}: recency order diverged");
+    if let Bound::Count(capacity) = bound {
+        let stats = cache.stats();
+        assert!(stats.entries <= capacity, "case {case}: capacity exceeded");
+        assert_eq!(
+            stats.weight, stats.entries as u64,
+            "case {case}: unit weigher"
+        );
     }
 }
 
-/// The count-bounded acceptance matrix: shard counts 1, 2 and 8 at several
-/// tiny capacities, each driven through `CASES` independently seeded traces.
+/// The count-bounded matrix: several tiny capacities, each driven through
+/// `CASES` independently seeded traces.
 #[test]
-fn sharded_cache_agrees_with_naive_reference_model() {
-    for &(capacity, shards) in &[(4, 1), (7, 1), (5, 2), (8, 2), (8, 8), (13, 8), (32, 8)] {
+fn cache_agrees_with_naive_reference_model() {
+    for capacity in [1, 2, 4, 7, 13, 32] {
         for case in 0..CASES {
-            run_trace(case, Bound::Count(capacity), shards);
+            run_trace(case, Bound::Count(capacity));
         }
     }
 }
 
 /// The weight-bounded matrix: the same trace shapes against tiny weight
 /// budgets, where single inserts evict several victims and over-heavy
-/// entries park alone.
+/// entries stay alone.
 #[test]
 fn weighted_cache_agrees_with_weighted_reference_model() {
-    for &(total_weight, shards) in &[(6, 1), (11, 1), (16, 2), (29, 2), (40, 8), (64, 8)] {
+    for budget in [3, 6, 11, 16, 29, 64] {
         for case in 0..CASES {
-            run_trace(case, Bound::Weight(total_weight), shards);
+            run_trace(case, Bound::Weight(budget));
         }
-    }
-}
-
-/// A requested shard count the capacity cannot sustain is clamped, and the
-/// clamped cache still matches the model built on the effective count.
-#[test]
-fn clamped_shard_counts_still_match_the_model() {
-    let cache = ShardedLruCache::<u64>::new(3, 8);
-    assert_eq!(
-        cache.shards(),
-        2,
-        "largest power of two with >= 1 slot each"
-    );
-    for case in 0..CASES {
-        run_trace(case, Bound::Count(3), 8);
-    }
-    // Same clamp under a weight bound: budget 3 sustains at most 2 shards.
-    let weighted = ShardedLruCache::<u64>::with_weigher(3, 8, weigh);
-    assert_eq!(weighted.shards(), 2);
-    for case in 0..CASES {
-        run_trace(case, Bound::Weight(3), 8);
     }
 }
 
@@ -427,153 +298,137 @@ fn committed_value(key_index: u64) -> u64 {
 fn concurrent_get_or_compute_elects_exactly_one_leader_per_key() {
     const THREADS: usize = 8;
     const KEYS: u64 = 16;
-    for &shards in &[1usize, 2, 8] {
-        let cache = Arc::new(ShardedLruCache::<u64>::new(64, shards));
-        let computed: Arc<Vec<AtomicU64>> =
-            Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
-        let barrier = Arc::new(Barrier::new(THREADS));
+    let cache = Arc::new(LruCache::<u64>::new(64));
+    let computed: Arc<Vec<AtomicU64>> = Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
+    let barrier = Arc::new(Barrier::new(THREADS));
 
-        std::thread::scope(|scope| {
-            for thread in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                let computed = Arc::clone(&computed);
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    // Each thread walks the keys in its own seeded order, so
-                    // different keys are cold for different threads at
-                    // different times.
-                    let mut rng = StdRng::seed_from_u64(0xF11657 + thread as u64);
-                    let mut order: Vec<u64> = (0..KEYS).collect();
-                    use rand::seq::SliceRandom;
-                    order.shuffle(&mut rng);
-                    barrier.wait();
-                    for &i in &order {
-                        let slow = i % 3 == 0;
-                        let result = cache
-                            .get_or_compute::<()>(&key(i), || {
-                                computed[i as usize].fetch_add(1, Ordering::SeqCst);
-                                if slow {
-                                    // A slow leader keeps its flight open long
-                                    // enough for joiners to pile up.
-                                    std::thread::sleep(std::time::Duration::from_millis(1));
-                                }
-                                Ok(committed_value(i))
-                            })
-                            .expect("compute never fails here");
-                        assert_eq!(
-                            result.value,
-                            committed_value(i),
-                            "shards {shards}: every thread observes the leader's value"
-                        );
-                    }
-                });
-            }
-        });
-
-        for (i, count) in computed.iter().enumerate() {
-            assert_eq!(
-                count.load(Ordering::SeqCst),
-                1,
-                "shards {shards}, key {i}: cold key computed more than once"
-            );
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let cache = Arc::clone(&cache);
+            let computed = Arc::clone(&computed);
+            let barrier = Arc::clone(&barrier);
+            scope.spawn(move || {
+                // Each thread walks the keys in its own seeded order, so
+                // different keys are cold for different threads at
+                // different times.
+                let mut rng = StdRng::seed_from_u64(0xF11657 + thread as u64);
+                let mut order: Vec<u64> = (0..KEYS).collect();
+                use rand::seq::SliceRandom;
+                order.shuffle(&mut rng);
+                barrier.wait();
+                for &i in &order {
+                    let slow = i % 3 == 0;
+                    let result = cache
+                        .get_or_compute::<()>(&key(i), || {
+                            computed[i as usize].fetch_add(1, Ordering::SeqCst);
+                            if slow {
+                                // A slow leader keeps its flight open long
+                                // enough for joiners to pile up.
+                                std::thread::sleep(std::time::Duration::from_millis(1));
+                            }
+                            Ok(committed_value(i))
+                        })
+                        .expect("compute never fails here");
+                    assert_eq!(
+                        result.value,
+                        committed_value(i),
+                        "every thread observes the leader's value"
+                    );
+                }
+            });
         }
-        let total = cache.stats();
-        assert_eq!(total.flight_leaders, KEYS, "shards {shards}");
-        assert_eq!(total.misses, KEYS, "shards {shards}");
-        assert_eq!(total.inserts, KEYS, "shards {shards}");
-        assert_eq!(total.entries, KEYS as usize, "nothing was evicted");
+    });
+
+    for (i, count) in computed.iter().enumerate() {
         assert_eq!(
-            total.hits + total.misses,
-            (THREADS as u64) * KEYS,
-            "shards {shards}: every call is exactly one of hit/join/lead: {total:?}"
+            count.load(Ordering::SeqCst),
+            1,
+            "key {i}: cold key computed more than once"
         );
-        for (i, shard) in cache.shard_stats().iter().enumerate() {
-            assert!(
-                shard.is_consistent(),
-                "shards {shards}, shard {i}: {shard:?}"
-            );
-        }
-        assert_eq!(cache.flight_waiters(), 0, "no flight outlives the trace");
     }
+    let total = cache.stats();
+    assert_eq!(total.flight_leaders, KEYS);
+    assert_eq!(total.misses, KEYS);
+    assert_eq!(total.inserts, KEYS);
+    assert_eq!(total.entries, KEYS as usize, "nothing was evicted");
+    assert_eq!(
+        total.hits + total.misses,
+        (THREADS as u64) * KEYS,
+        "every call is exactly one of hit/join/lead: {total:?}"
+    );
+    assert!(total.is_consistent(), "{total:?}");
+    assert_eq!(cache.flight_waiters(), 0, "no flight outlives the trace");
 }
 
-/// Panic recovery at every shard count: the first computation of every even
-/// key panics its leader. Waiters must wake, elect a successor, and end up
-/// with the committed value; the pool of threads never deadlocks and no
-/// cache lock stays poisoned. The per-key attempt counter proves the
-/// recovery is *minimal*: exactly one extra computation per panicked key.
+/// Panic recovery: the first computation of every even key panics its
+/// leader. Waiters must wake, elect a successor, and end up with the
+/// committed value; the pool of threads never deadlocks and no cache lock
+/// stays poisoned. The per-key attempt counter proves the recovery is
+/// *minimal*: exactly one extra computation per panicked key.
 #[test]
 fn panicking_leaders_are_replaced_without_extra_computations() {
     const THREADS: usize = 8;
     const KEYS: u64 = 8;
-    for &shards in &[1usize, 2, 8] {
-        let cache = Arc::new(ShardedLruCache::<u64>::new(64, shards));
-        let attempts: Arc<Vec<AtomicU64>> =
-            Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
-        let barrier = Arc::new(Barrier::new(THREADS));
+    let cache = Arc::new(LruCache::<u64>::new(64));
+    let attempts: Arc<Vec<AtomicU64>> = Arc::new((0..KEYS).map(|_| AtomicU64::new(0)).collect());
+    let barrier = Arc::new(Barrier::new(THREADS));
 
-        std::thread::scope(|scope| {
-            for thread in 0..THREADS {
-                let cache = Arc::clone(&cache);
-                let attempts = Arc::clone(&attempts);
-                let barrier = Arc::clone(&barrier);
-                scope.spawn(move || {
-                    let mut rng = StdRng::seed_from_u64(0xDEAD + thread as u64);
-                    let mut order: Vec<u64> = (0..KEYS).collect();
-                    use rand::seq::SliceRandom;
-                    order.shuffle(&mut rng);
-                    barrier.wait();
-                    for &i in &order {
-                        // Retry until served: a thread that inherits the
-                        // panicking first attempt propagates that panic (as
-                        // the engine would) and must be able to come back.
-                        loop {
-                            let outcome =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    cache.get_or_compute::<()>(&key(i), || {
-                                        let n = attempts[i as usize].fetch_add(1, Ordering::SeqCst);
-                                        if n == 0 && i % 2 == 0 {
-                                            panic!("first leader of an even key dies");
-                                        }
-                                        Ok(committed_value(i))
-                                    })
-                                }));
-                            if let Ok(Ok(computed)) = outcome {
-                                assert_eq!(computed.value, committed_value(i));
-                                break;
-                            }
+    std::thread::scope(|scope| {
+        for thread in 0..THREADS {
+            let cache = Arc::clone(&cache);
+            let attempts = Arc::clone(&attempts);
+            let barrier = Arc::clone(&barrier);
+            scope.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(0xDEAD + thread as u64);
+                let mut order: Vec<u64> = (0..KEYS).collect();
+                use rand::seq::SliceRandom;
+                order.shuffle(&mut rng);
+                barrier.wait();
+                for &i in &order {
+                    // Retry until served: a thread that inherits the
+                    // panicking first attempt propagates that panic (as the
+                    // engine would) and must be able to come back.
+                    loop {
+                        let outcome =
+                            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                                cache.get_or_compute::<()>(&key(i), || {
+                                    let n = attempts[i as usize].fetch_add(1, Ordering::SeqCst);
+                                    if n == 0 && i % 2 == 0 {
+                                        panic!("first leader of an even key dies");
+                                    }
+                                    Ok(committed_value(i))
+                                })
+                            }));
+                        if let Ok(Ok(computed)) = outcome {
+                            assert_eq!(computed.value, committed_value(i));
+                            break;
                         }
                     }
-                });
-            }
-        });
+                }
+            });
+        }
+    });
 
-        for i in 0..KEYS {
-            let expected = if i % 2 == 0 { 2 } else { 1 };
-            assert_eq!(
-                attempts[i as usize].load(Ordering::SeqCst),
-                expected,
-                "shards {shards}, key {i}: recovery must cost exactly one retry"
-            );
-        }
-        let total = cache.stats();
-        let evens = KEYS / 2;
-        assert_eq!(total.flight_leaders, KEYS + evens, "shards {shards}");
-        assert_eq!(total.misses, KEYS + evens, "shards {shards}");
-        assert_eq!(total.inserts, KEYS, "only successful leaders insert");
-        for i in 0..KEYS {
-            assert_eq!(
-                cache.get(&key(i)),
-                Some(committed_value(i)),
-                "shards {shards}: the cache survived its panicking leaders"
-            );
-        }
-        for (at, shard) in cache.shard_stats().iter().enumerate() {
-            assert!(
-                shard.is_consistent(),
-                "shards {shards}, shard {at}: {shard:?}"
-            );
-        }
-        assert_eq!(cache.flight_waiters(), 0);
+    for i in 0..KEYS {
+        let expected = if i % 2 == 0 { 2 } else { 1 };
+        assert_eq!(
+            attempts[i as usize].load(Ordering::SeqCst),
+            expected,
+            "key {i}: recovery must cost exactly one retry"
+        );
     }
+    let total = cache.stats();
+    let evens = KEYS / 2;
+    assert_eq!(total.flight_leaders, KEYS + evens);
+    assert_eq!(total.misses, KEYS + evens);
+    assert_eq!(total.inserts, KEYS, "only successful leaders insert");
+    for i in 0..KEYS {
+        assert_eq!(
+            cache.get(&key(i)),
+            Some(committed_value(i)),
+            "the cache survived its panicking leaders"
+        );
+    }
+    assert!(cache.stats().is_consistent());
+    assert_eq!(cache.flight_waiters(), 0);
 }

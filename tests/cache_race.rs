@@ -1,7 +1,7 @@
-//! Concurrency stress for the single-flight, fast-lane memo cache.
+//! Concurrency stress for the single-flight memo cache.
 //!
 //! Where tests/cache_model.rs proves the *semantics* against a reference
-//! model, this suite hammers the real [`ShardedLruCache`] with a hot-key
+//! model, this suite hammers the real [`LruCache`] with a hot-key
 //! skewed multi-threaded workload and asserts the concurrency invariants
 //! that only show up under real interleavings:
 //!
@@ -9,10 +9,10 @@
 //!   per-key `AtomicU64`; at the end the executions must equal the cache's
 //!   `inserts` exactly — one computation per key per eviction generation,
 //!   never a duplicate (N threads racing one cold key do one computation);
-//! * **live snapshot consistency**: an observer thread snapshots per-shard
-//!   stats *while* the workers run, asserting `entries + evictions ==
-//!   inserts` and the `hits == fast + locked + joined` accounting on every
-//!   mid-run snapshot (the counters live inside the shard's critical
+//! * **live snapshot consistency**: an observer thread snapshots the stats
+//!   *while* the workers run, asserting `entries + evictions == inserts`,
+//!   `flight_joins <= hits`, the capacity bound and monotone counters on
+//!   every mid-run snapshot (the counters live inside the cache's critical
 //!   sections, so no torn snapshot is ever visible);
 //! * **panic recovery**: a leader that dies on a hot key wakes its pile of
 //!   waiters into electing exactly one successor — nobody deadlocks, no
@@ -23,7 +23,7 @@
 //! CI can dial the suite to its wall-clock budget (the release-mode stress
 //! step raises it; plain `cargo test -q` stays cheap).
 
-use lcl_paths::classifier::cache::ShardedLruCache;
+use lcl_paths::classifier::cache::LruCache;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,8 +45,8 @@ fn ops_per_thread() -> usize {
 /// A zipf-ish skew from the seeded shim: the minimum of three uniform draws
 /// cubes the density toward low indices, so key 0 is drawn roughly 60x as
 /// often as the median key — a hot head with a long cold tail, which is
-/// exactly the shape that exercises both the fast lane (hot hits) and
-/// single-flight (cold tail keys being re-led after eviction).
+/// exactly the shape that exercises both hot hits and single-flight (cold
+/// tail keys being re-led after eviction).
 fn skewed_key(rng: &mut StdRng) -> u64 {
     let a = rng.gen_range(0..UNIVERSE);
     let b = rng.gen_range(0..UNIVERSE);
@@ -73,7 +73,7 @@ fn skewed_race_computes_each_generation_exactly_once() {
     let ops = ops_per_thread();
     // Capacity 32 over a 48-key universe: the hot head stays resident, the
     // tail churns through eviction generations.
-    let cache = Arc::new(ShardedLruCache::<u64>::new(32, 8));
+    let cache = Arc::new(LruCache::<u64>::new(32));
     let computed: Arc<Vec<AtomicU64>> =
         Arc::new((0..UNIVERSE).map(|_| AtomicU64::new(0)).collect());
     let barrier = Arc::new(Barrier::new(THREADS));
@@ -88,20 +88,23 @@ fn skewed_race_computes_each_generation_exactly_once() {
             let done = Arc::clone(&done);
             scope.spawn(move || {
                 let mut snapshots = 0u64;
+                let mut last = cache.stats();
                 while !done.load(Ordering::SeqCst) {
-                    for (i, shard) in cache.shard_stats().iter().enumerate() {
-                        assert!(
-                            shard.is_consistent(),
-                            "mid-run shard {i} snapshot violates the invariants: {shard:?}"
-                        );
-                    }
                     let total = cache.stats();
-                    assert!(total.entries <= 32, "capacity exceeded mid-run: {total:?}");
-                    assert_eq!(
-                        total.hits,
-                        total.fast_hits + total.locked_hits + total.flight_joins,
-                        "mid-run hit accounting tore: {total:?}"
+                    assert!(
+                        total.is_consistent(),
+                        "mid-run snapshot violates the invariants: {total:?}"
                     );
+                    assert!(total.entries <= 32, "capacity exceeded mid-run: {total:?}");
+                    assert!(
+                        total.hits >= last.hits
+                            && total.misses >= last.misses
+                            && total.inserts >= last.inserts
+                            && total.evictions >= last.evictions
+                            && total.flight_joins >= last.flight_joins,
+                        "a counter went backwards: {last:?} -> {total:?}"
+                    );
+                    last = total;
                     snapshots += 1;
                     std::thread::yield_now();
                 }
@@ -153,16 +156,9 @@ fn skewed_race_computes_each_generation_exactly_once() {
     assert_eq!(
         total.hits + total.misses,
         (THREADS * ops) as u64,
-        "every call is exactly one of fast/locked/joined/led: {total:?}"
+        "every call is exactly one of hit/joined/led: {total:?}"
     );
-    // The hot head was hammered from 8 threads for the whole run; the
-    // fast lane plus recency-holding inserts make it overwhelmingly likely
-    // some hit skipped its touch — but that is scheduling-dependent, so
-    // only the *accounting* is asserted here (the deterministic fast-hit
-    // proof lives in the cache_scaling bench experiment).
-    for (i, shard) in cache.shard_stats().iter().enumerate() {
-        assert!(shard.is_consistent(), "final shard {i}: {shard:?}");
-    }
+    assert!(total.is_consistent(), "final snapshot: {total:?}");
     assert_eq!(
         cache.flight_waiters(),
         0,
@@ -176,7 +172,7 @@ fn skewed_race_computes_each_generation_exactly_once() {
 /// stay fully usable afterwards.
 #[test]
 fn a_dying_leader_on_a_hot_key_wakes_everyone_into_recovery() {
-    let cache = Arc::new(ShardedLruCache::<u64>::new(8, 1));
+    let cache = Arc::new(LruCache::<u64>::new(8));
     let attempts = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(Barrier::new(THREADS));
     let hot = key(7);
@@ -223,8 +219,6 @@ fn a_dying_leader_on_a_hot_key_wakes_everyone_into_recovery() {
     // all still work.
     assert_eq!(cache.get(&hot), Some(77));
     assert!(cache.insert(key(8), 88).fresh);
-    for shard in cache.shard_stats() {
-        assert!(shard.is_consistent(), "{shard:?}");
-    }
+    assert!(cache.stats().is_consistent());
     assert_eq!(cache.flight_waiters(), 0);
 }

@@ -202,9 +202,9 @@ fn verdicts_roundtrip_over_the_corpus() {
     }
 }
 
-/// Concurrency stress for the sharded memo cache: 8 threads hammer
-/// `classify` over an overlapping keyspace with the cache squeezed to 8
-/// entries (one slot per shard), so hit-touch, miss-stampede, insert-race
+/// Concurrency stress for the memo cache: 8 threads hammer `classify` over
+/// an overlapping keyspace with the cache squeezed to 8 entries, so
+/// hit-touch, miss-stampede, insert-race
 /// and eviction all interleave constantly. While they run, an observer
 /// samples `cache_stats()` and checks the live invariants; afterwards the
 /// quiescent counters must balance exactly.
@@ -233,9 +233,7 @@ fn concurrent_classify_stress_keeps_cache_invariants() {
     let engine = Engine::builder()
         .parallelism(2)
         .cache_capacity(CAPACITY)
-        .cache_shards(CAPACITY)
         .build();
-    assert_eq!(engine.cache_shards(), CAPACITY);
 
     // Counted via a drop guard so a panicking worker still counts down —
     // otherwise the observer loop below would spin forever and turn a test
@@ -276,7 +274,7 @@ fn concurrent_classify_stress_keeps_cache_invariants() {
             });
         }
         // Observer: every sample, even mid-stampede, must respect the
-        // capacity bound and the per-shard snapshot consistency that the
+        // capacity bound and the snapshot consistency that the
         // single-critical-section counter updates guarantee.
         while finished.load(Ordering::Acquire) < THREADS {
             let stats = engine.cache_stats();
@@ -285,12 +283,10 @@ fn concurrent_classify_stress_keeps_cache_invariants() {
                 "live entries {} exceeded capacity {CAPACITY}",
                 stats.entries
             );
-            for (i, shard) in engine.cache_shard_stats().iter().enumerate() {
-                assert!(
-                    shard.is_consistent(),
-                    "shard {i} snapshot inconsistent mid-run: {shard:?}"
-                );
-            }
+            assert!(
+                stats.is_consistent(),
+                "snapshot inconsistent mid-run: {stats:?}"
+            );
             std::thread::yield_now();
         }
     });
@@ -318,16 +314,12 @@ fn concurrent_classify_stress_keeps_cache_invariants() {
 /// The `cache_stats()` consistency fix: the old implementation sampled the
 /// entry count and the eviction counters from different synchronization
 /// domains, so `entries + evictions` could disagree with `inserts` even at
-/// rest. The per-shard snapshot must balance exactly after a quiescent run —
+/// rest. The snapshot must balance exactly after a quiescent run —
 /// and stay balanced across an explicit `clear_cache`.
 #[test]
 fn cache_stats_snapshot_balances_after_quiescence() {
     let problems: Vec<NormalizedLcl> = corpus().into_iter().map(|e| e.problem).collect();
-    let engine = Engine::builder()
-        .parallelism(4)
-        .cache_capacity(4)
-        .cache_shards(2)
-        .build();
+    let engine = Engine::builder().parallelism(4).cache_capacity(4).build();
     std::thread::scope(|scope| {
         for t in 0..4 {
             let engine = &engine;
@@ -347,9 +339,7 @@ fn cache_stats_snapshot_balances_after_quiescence() {
         stats.inserts,
         "{stats}"
     );
-    for shard in engine.cache_shard_stats() {
-        assert!(shard.is_consistent(), "{shard:?}");
-    }
+    assert!(stats.is_consistent(), "{stats:?}");
     engine.clear_cache();
     let cleared = engine.cache_stats();
     assert_eq!(cleared.entries, 0);
@@ -481,9 +471,7 @@ fn restored_engine_equals_a_freshly_classified_one() {
     let stats = restored.cache_stats();
     assert_eq!((stats.misses, stats.evictions), (0, 0), "{stats}");
     assert_eq!(stats.entries, report.restored);
-    for shard in restored.cache_shard_stats() {
-        assert!(shard.is_consistent(), "{shard:?}");
-    }
+    assert!(stats.is_consistent(), "{stats:?}");
     // The solves left the restored verdicts untouched.
     for problem in &problems {
         assert_eq!(
@@ -493,4 +481,109 @@ fn restored_engine_equals_a_freshly_classified_one() {
             problem.name()
         );
     }
+}
+
+/// `peak_entries` is the high-water mark of the one cache: two batches
+/// separated by a clear never were resident together, so the peak is the
+/// larger batch, not the sum of per-part marks reached at different times.
+#[test]
+fn peak_entries_is_the_true_high_water_mark() {
+    let problems: Vec<NormalizedLcl> = corpus().into_iter().map(|e| e.problem).collect();
+    let (first, second) = problems.split_at(problems.len() / 2);
+    let engine = Engine::builder().parallelism(2).build();
+    for problem in first {
+        engine.classify(problem).expect("classify");
+    }
+    engine.clear_cache();
+    for problem in second {
+        engine.classify(problem).expect("classify");
+    }
+    let stats = engine.cache_stats();
+    assert_eq!(stats.entries, second.len());
+    assert_eq!(
+        stats.peak_entries,
+        first.len().max(second.len()),
+        "{stats:?}"
+    );
+    assert!(stats.is_consistent(), "{stats:?}");
+}
+
+/// A snapshot lists the cache coldest first, so restoring it into a smaller
+/// engine keeps exactly the most recently used entries, whatever the size.
+#[test]
+fn a_smaller_restore_target_keeps_exactly_the_most_recent_entries() {
+    let problems: Vec<NormalizedLcl> = corpus().into_iter().map(|e| e.problem).collect();
+    let engine = Engine::builder().parallelism(2).build();
+    for problem in &problems {
+        engine.classify(problem).expect("classify");
+    }
+    // Touch the first three again: recency is now problems[3..], then 0, 1, 2.
+    let mut recency: Vec<usize> = (3..problems.len()).collect();
+    for (at, problem) in problems.iter().enumerate().take(3) {
+        engine.classify(problem).expect("hit");
+        recency.push(at);
+    }
+    let document = engine.snapshot_document();
+
+    for keep in 1..problems.len() {
+        let hottest = &recency[recency.len() - keep..];
+        let small = Engine::builder()
+            .parallelism(2)
+            .cache_capacity(keep)
+            .build();
+        let report = small.restore_snapshot(&document).expect("restore");
+        assert_eq!(report.restored, problems.len());
+        for (at, problem) in problems.iter().enumerate() {
+            assert_eq!(
+                small.cached(problem).is_some(),
+                hottest.contains(&at),
+                "{}: kept iff among the {keep} most recently used",
+                problem.name()
+            );
+        }
+    }
+}
+
+/// The weigher charges the type semigroup a cached `O(1)` or `Θ(log* n)`
+/// algorithm keeps: every corpus entry's weight covers its semigroup's
+/// resident bytes, and at 8 output labels the two product tables alone add
+/// 4 KiB over the per-type estimate.
+#[test]
+fn cached_weight_covers_the_kept_semigroup() {
+    use lcl_paths::classifier::{approximate_classification_weight, Classification};
+
+    fn per_type_estimate(c: &Arc<Classification>) -> u64 {
+        let witness = c.unsolvability_witness().map_or(0, |w| w.len() as u64);
+        256 + 64 * c.num_types() as u64 + 2 * witness
+    }
+
+    let engine = Engine::builder().parallelism(1).build();
+    let mut priced = 0;
+    for entry in corpus() {
+        let classification = engine.classify(&entry.problem).expect("classify");
+        let weight = approximate_classification_weight(&classification);
+        assert!(weight >= per_type_estimate(&classification));
+        if let Some(semigroup) = classification.algorithm().semigroup() {
+            assert!(
+                weight >= semigroup.resident_bytes() as u64,
+                "{}: weight {weight} < {} resident semigroup bytes",
+                entry.problem.name(),
+                semigroup.resident_bytes()
+            );
+            priced += 1;
+        }
+    }
+    assert!(priced > 0, "the corpus has O(1) and log* entries");
+
+    let eight = engine
+        .classify(&lcl_paths::problems::coloring(8))
+        .expect("8-coloring classifies");
+    assert!(
+        eight.algorithm().semigroup().is_some(),
+        "8-coloring is log*"
+    );
+    assert!(
+        approximate_classification_weight(&eight) >= per_type_estimate(&eight) + 4096,
+        "the two 2 KiB product tables are charged"
+    );
 }

@@ -4,7 +4,7 @@
 //! ~500 seeded generated problems sweeping every [`Family`] (including
 //! `unsolvable` and `near-threshold`, per the acceptance criteria):
 //!
-//! 1. the **memoized** path — [`Engine::classify`] through the sharded LRU
+//! 1. the **memoized** path — [`Engine::classify`] through the LRU memo
 //!    cache, exactly as the server serves it, and
 //! 2. the **naive semigroup** path — a fresh [`classify_with_options`] per
 //!    problem, straight through the transfer-relation machinery with no
