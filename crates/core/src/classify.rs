@@ -32,7 +32,10 @@ use lcl_semigroup::WorkMeter;
 pub struct ClassifierOptions {
     /// Maximum number of types (transfer relations) to enumerate.
     pub type_budget: usize,
-    /// Maximum number of backtracking nodes in the feasibility search.
+    /// Maximum number of backtracking nodes in the feasibility search. The
+    /// search has one variable per connection class (quantified types with
+    /// equal connection relations), so a node is a class assigned, not a
+    /// type.
     pub search_budget: usize,
     /// Maximum primitive-pattern length `κ` used for the `O(1)` conditions
     /// (the effective `κ` is the minimum of this cap and the computed pumping

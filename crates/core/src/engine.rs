@@ -147,7 +147,9 @@ impl EngineBuilder {
         self
     }
 
-    /// Caps the number of backtracking nodes in the feasibility search.
+    /// Caps the number of backtracking nodes in the feasibility search (see
+    /// [`ClassifierOptions::search_budget`]: a node is a connection class
+    /// assigned).
     pub fn search_budget(mut self, budget: usize) -> Self {
         self.options.search_budget = budget;
         self
@@ -873,19 +875,22 @@ impl Engine {
 /// type semigroup an `O(1)` or `Θ(log* n)` algorithm keeps
 /// ([`TypeSemigroup::resident_bytes`](lcl_semigroup::TypeSemigroup::resident_bytes):
 /// its relation arena, witnesses and transfer system, whose two product
-/// tables alone are 4 KiB at `|Σ_out| = 8`). Deliberately coarse — the bound
-/// exists to keep cache memory proportional to what is cached, not to audit
-/// the allocator.
+/// tables alone are 4 KiB at `|Σ_out| = 8`) and of its feasible structure
+/// ([`FeasibleStructure::resident_bytes`](crate::FeasibleStructure::resident_bytes):
+/// the facing sets, the block table and the pattern labelings). Deliberately
+/// coarse — the bound exists to keep cache memory proportional to what is
+/// cached, not to audit the allocator.
 pub fn approximate_classification_weight(classification: &Arc<Classification>) -> u64 {
     let types = classification.num_types() as u64;
     let witness = classification
         .unsolvability_witness()
         .map_or(0, |w| w.len() as u64);
-    let semigroup = classification
-        .algorithm()
-        .semigroup()
-        .map_or(0, |s| s.resident_bytes() as u64);
-    256 + 64 * types + 2 * witness + semigroup
+    let algorithm = classification.algorithm();
+    let semigroup = algorithm.semigroup().map_or(0, |s| s.resident_bytes());
+    let structure = algorithm
+        .feasible_structure()
+        .map_or(0, |s| s.resident_bytes());
+    256 + 64 * types + 2 * witness + (semigroup + structure) as u64
 }
 
 /// Prices a whole [`CacheEntry`] in approximate resident bytes:

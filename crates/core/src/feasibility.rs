@@ -33,6 +33,14 @@
 //! nonzero rows under intersection, so it costs time in proportion to the
 //! number of concepts, not to the `2^β` label subsets.
 //!
+//! The closure needs no set of the intents met so far. Take the rows in
+//! order. The *hull* of a mask `m` over the earlier rows is the meet of
+//! those that contain `m`: the smallest intent so far that holds `m`. A
+//! row `r` adds itself if no earlier row contains it, and adds `I ∧ r` for
+//! an intent `I` iff `I ∧ r` is nonzero, differs from `I` and has hull `I`.
+//! Every new intent `m` is met exactly once that way, from the intent that
+//! is its hull, and an intent met before is its own hull.
+//!
 //! The domain order is the one a walk over every nonempty subset `A₀` (as an
 //! integer, ascending) produces when it maps `A₀` to the concept generated
 //! by its common successors and keeps first occurrences, followed by a
@@ -103,21 +111,47 @@
 //! replaced, up to the same cap of 4,096 valid labelings per pattern, and
 //! the tests keep that enumeration as its oracle.
 //!
+//! # One variable per connection class
+//!
+//! A type enters the search only through its connection relation `C(τ)`,
+//! and many types share one, so types are grouped into *classes* by
+//! `C(τ)`, numbered in order of first occurrence. The search assigns one
+//! biclique per class, in class order, and each type takes its class's.
+//! This finds exactly the structure a search with one variable per type,
+//! in type order, finds. Block constraints hold between the bicliques
+//! assigned, and a set of bicliques that satisfies them still does after
+//! any is removed. So at a type whose class already has a choice `X`:
+//!
+//! * a domain entry before `X` was rejected at the class's first type,
+//!   either because it broke a constraint with bicliques that are still
+//!   assigned, or because no completion existed with it there; a completion
+//!   with it at the later type and `X` at the first would give one with it
+//!   at both, so it fails again;
+//! * `X` itself adds no biclique, so it adds no constraint;
+//! * an entry after `X` is tried only once `X` failed, and any completion
+//!   with it would stay one with `X` in its place.
+//!
+//! So the per-type search gives every type its class's first choice, and
+//! its choices at the classes' first types are the class search's. The
+//! tests keep the per-type search as the oracle.
+//!
 //! # Blocks are bitmask checks
 //!
 //! The node constraints of each input and the successors of each output are
-//! bitmasks, so the first block labeling of a context is found with a few
-//! word operations. The search's block checks and the block table of
-//! [`FeasibleStructure`] use the same routine, so they agree by
-//! construction.
+//! bitmasks. For a chosen `B`, the *reach mask* of input `S₀` is the union
+//! of the successors of the labels of `B` that `S₀` allows. The block of
+//! input `(S₀, S₁)` between `B` and a left-facing set `A` has a labeling iff
+//! some label of `A` that `S₁` allows lies in the reach mask of `S₀`. The
+//! search computes the `α` reach masks once per biclique it tries and
+//! keeps them while the biclique stays chosen, so a check is `α²` word
+//! operations against each earlier class's choice. The block table of
+//! [`FeasibleStructure`] takes the first `(first, last)` pair of each
+//! context with the same masks, and the tests check that the two agree on
+//! every context.
 //!
-//! Blocks depend on the types only through their facing sets, and many
-//! types share them. Types with equal connection relations share one
-//! domain. The search keeps the distinct bicliques assigned so far, with
-//! counts, and checks a choice against itself and each of them once: a
-//! repeated biclique adds no constraint. The structure keeps, per type, the
-//! index of its `B(τ)` among the distinct right-facing sets and of its
-//! `A(τ)` among the distinct left-facing sets, and one block per distinct
+//! Blocks depend on the types only through their facing sets. The structure
+//! keeps each distinct `B(τ)` and each distinct `A(τ)` once, the index of
+//! each type's among them, and one block per distinct
 //! `(B(τ_left), S, A(τ_right))`; [`FeasibleStructure::block`] looks a
 //! context up through the two indices.
 
@@ -126,7 +160,7 @@ use crate::{ClassifierError, Result};
 use lcl_problem::{InLabel, NormalizedLcl, OutLabel};
 use lcl_semigroup::{OutRelation, TransferSystem, TypeId, TypeSemigroup, WorkMeter};
 use std::cmp::Reverse;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// The largest output alphabet the search accepts.
@@ -142,14 +176,19 @@ pub struct PatternLabeling {
 }
 
 /// The outcome of a successful feasibility search.
+///
+/// The facing sets are kept once per distinct set: many quantified types
+/// share them (see the module documentation). [`FeasibleStructure::left_facing`]
+/// and [`FeasibleStructure::right_facing`] read a type's sets through its
+/// class indices.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FeasibleStructure {
-    /// `A(τ)` for each quantified type (labels allowed to face the gap from
-    /// the left).
-    pub left_facing: Vec<Vec<OutLabel>>,
-    /// `B(τ)` for each quantified type (labels allowed to face the gap from
-    /// the right).
-    pub right_facing: Vec<Vec<OutLabel>>,
+    /// The distinct right-facing sets, then the distinct left-facing sets,
+    /// each in order of first occurrence, as ascending label lists end to
+    /// end.
+    sets: Vec<OutLabel>,
+    /// `set_ends[i]`: where distinct set `i` ends in `sets`.
+    set_ends: Vec<usize>,
     /// Per quantified type, the index of its `B(τ)` among the distinct
     /// right-facing sets, in order of first occurrence.
     left_class: Vec<usize>,
@@ -162,6 +201,8 @@ pub struct FeasibleStructure {
     blocks: Vec<(OutLabel, OutLabel)>,
     /// `|Σ_in|`.
     inputs: usize,
+    /// The number of distinct right-facing sets.
+    left_classes: usize,
     /// The number of distinct left-facing sets.
     right_classes: usize,
     /// Periodic labelings per pattern (empty when only the `Θ(log* n)`-level
@@ -188,11 +229,13 @@ fn classes<T: Eq + Hash + Copy>(values: impl IntoIterator<Item = T>) -> (Vec<usi
     (class, distinct)
 }
 
-/// The facing sets of every quantified type, and each set's index among the
-/// distinct sets of its side (see [`FeasibleStructure`]'s class fields).
+/// The facing sets of every quantified type, each kept once: the distinct
+/// right-facing sets `firsts` and left-facing sets `lasts` as masks, each
+/// in order of first occurrence, and per type the index of its sets among
+/// them (see [`FeasibleStructure`]'s class fields).
 struct Facing {
-    left_facing: Vec<Vec<OutLabel>>,
-    right_facing: Vec<Vec<OutLabel>>,
+    firsts: Vec<u64>,
+    lasts: Vec<u64>,
     left_class: Vec<usize>,
     right_class: Vec<usize>,
 }
@@ -231,49 +274,106 @@ impl FeasibleStructure {
         let (left_class, firsts) = classes(masks(&right_facing)?);
         let (right_class, lasts) = classes(masks(&left_facing)?);
         let facing = Facing {
-            left_facing,
-            right_facing,
+            firsts,
+            lasts,
             left_class,
             right_class,
         };
-        Self::assemble(
-            problem,
-            &BlockMasks::new(info.system()),
-            facing,
-            (&firsts, &lasts),
-            patterns,
-        )
+        Self::assemble(problem, &BlockMasks::new(info.system()), facing, patterns)
     }
 
-    /// Materializes the feasible function over the distinct right-facing
-    /// sets `firsts` and left-facing sets `lasts` (see
-    /// [`FeasibleStructure::new`]); `None` if some context has no block.
+    /// Materializes the feasible function over the distinct facing sets
+    /// (see [`FeasibleStructure::new`]) and keeps each set once as a label
+    /// list; `None` if some context has no block.
     fn assemble(
         problem: &NormalizedLcl,
         constraints: &BlockMasks,
         facing: Facing,
-        (firsts, lasts): (&[u64], &[u64]),
         patterns: Vec<PatternLabeling>,
     ) -> Option<Self> {
+        let Facing {
+            firsts,
+            lasts,
+            left_class,
+            right_class,
+        } = facing;
         let mut blocks =
             Vec::with_capacity(firsts.len() * problem.num_inputs().pow(2) * lasts.len());
-        for &first in firsts {
+        for &first in &firsts {
             for s in input_pairs(problem) {
-                for &last in lasts {
+                for &last in &lasts {
                     blocks.push(constraints.first_block(first, last, s)?);
                 }
             }
         }
+        let distinct = firsts.iter().chain(&lasts);
+        let size = distinct.clone().map(|set| set.count_ones() as usize).sum();
+        let mut sets = Vec::with_capacity(size);
+        let mut set_ends = Vec::with_capacity(firsts.len() + lasts.len());
+        for &set in distinct {
+            sets.extend(bits(set).map(OutLabel::from_index));
+            set_ends.push(sets.len());
+        }
         Some(FeasibleStructure {
-            left_facing: facing.left_facing,
-            right_facing: facing.right_facing,
-            left_class: facing.left_class,
-            right_class: facing.right_class,
+            sets,
+            set_ends,
+            left_class,
+            right_class,
             blocks,
             inputs: problem.num_inputs(),
+            left_classes: firsts.len(),
             right_classes: lasts.len(),
             patterns,
         })
+    }
+
+    /// The number of quantified types.
+    pub fn num_types(&self) -> usize {
+        self.left_class.len()
+    }
+
+    /// `A(τ)` of quantified type `t`: the labels allowed to face the gap
+    /// from the left, ascending.
+    ///
+    /// # Panics
+    ///
+    /// If `t` is not below [`FeasibleStructure::num_types`].
+    pub fn left_facing(&self, t: usize) -> &[OutLabel] {
+        self.set(self.left_classes + self.right_class[t])
+    }
+
+    /// `B(τ)` of quantified type `t`: the labels allowed to face the gap
+    /// from the right, ascending.
+    ///
+    /// # Panics
+    ///
+    /// If `t` is not below [`FeasibleStructure::num_types`].
+    pub fn right_facing(&self, t: usize) -> &[OutLabel] {
+        self.set(self.left_class[t])
+    }
+
+    /// Distinct facing set `i` (see the `sets` field).
+    fn set(&self, i: usize) -> &[OutLabel] {
+        &self.sets[span(&self.set_ends, i)]
+    }
+
+    /// The bytes the structure's buffers hold: the distinct facing sets,
+    /// the per-type class indices, the block table and the pattern
+    /// labelings. What a cached classification keeps alive through it.
+    pub fn resident_bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        let patterns: usize = self
+            .patterns
+            .iter()
+            .map(|p| size_of_val(p.pattern.as_slice()) + size_of_val(p.labeling.as_slice()))
+            .sum();
+        size_of_val(self.sets.as_slice())
+            + size_of_val(self.set_ends.as_slice())
+            + size_of_val(self.left_class.as_slice())
+            + size_of_val(self.right_class.as_slice())
+            + size_of_val(self.blocks.as_slice())
+            + size_of_val(self.patterns.as_slice())
+            + patterns
     }
 
     /// Looks up the block labeling for a context.
@@ -329,7 +429,6 @@ struct DomainScratch {
     /// The connection relation's rows.
     rows: Vec<u64>,
     intents: Vec<u64>,
-    seen: HashSet<u64>,
     /// Each concept with its smallest generating subset.
     concepts: Vec<(Biclique, u64)>,
 }
@@ -346,12 +445,11 @@ impl DomainScratch {
         out: &mut Vec<Biclique>,
         meter: &mut WorkMeter,
     ) -> Result<()> {
-        // Intents: the nonzero rows closed under nonzero intersections. A
-        // row that is already an intent adds nothing new.
+        // Intents: the nonzero rows closed under nonzero intersections, each
+        // met once (see the module documentation).
         let DomainScratch {
             rows,
             intents,
-            seen,
             concepts,
         } = self;
         meter.charge(conn.dim() as u64)?;
@@ -359,17 +457,26 @@ impl DomainScratch {
         push_rows(conn, rows);
         let rows = &*rows;
         intents.clear();
-        seen.clear();
-        for &row in rows {
-            if row == 0 || !seen.insert(row) {
+        for (g, &row) in rows.iter().enumerate() {
+            if row == 0 {
                 continue;
             }
+            // The smallest intent of the earlier rows that holds `m`: the
+            // meet of those rows that hold it (all ones if none does).
+            let hull = |m: u64| {
+                rows[..g]
+                    .iter()
+                    .filter(|&&r| r & m == m)
+                    .fold(u64::MAX, |hull, &r| hull & r)
+            };
             let before = intents.len();
-            meter.charge(before as u64 + 1)?;
-            intents.push(row);
+            meter.charge((before as u64 + 1) * (1 + g as u64 / 8))?;
+            if hull(row) == u64::MAX {
+                intents.push(row);
+            }
             for i in 0..before {
-                let meet = intents[i] & row;
-                if meet != 0 && seen.insert(meet) {
+                let (intent, meet) = (intents[i], intents[i] & row);
+                if meet != 0 && meet != intent && hull(meet) == intent {
                     intents.push(meet);
                 }
             }
@@ -445,6 +552,31 @@ impl BlockMasks {
             let last = bits(lasts & self.edges[first]).next()?;
             Some((OutLabel::from_index(first), OutLabel::from_index(last)))
         })
+    }
+
+    /// Appends the reach masks of a right-facing set `firsts` to `out`, one
+    /// per input `S₀`: the labels allowed right after some label of
+    /// `firsts` that `S₀` allows.
+    fn push_reach(&self, firsts: u64, out: &mut Vec<u64>) {
+        out.extend(
+            self.nodes
+                .iter()
+                .map(|&node| bits(firsts & node).fold(0, |reach, first| reach | self.edges[first])),
+        );
+    }
+
+    /// Whether the block of input `(S₀, S₁)` between a right-facing set
+    /// with reach mask `reach` at `S₀` and the left-facing set `lasts` has a
+    /// labeling: some label of `lasts` that `S₁` allows lies in `reach`,
+    /// which is [`BlockMasks::first_block`] finding a pair.
+    fn reaches(&self, reach: u64, lasts: u64, s1: usize) -> bool {
+        reach & lasts & self.nodes[s1] != 0
+    }
+
+    /// Whether every anchor block between a right-facing set, given by its
+    /// reach masks, and the left-facing set `lasts` has a labeling.
+    fn labelable(&self, reach: &[u64], lasts: u64) -> bool {
+        (0..self.nodes.len()).all(|s1| reach.iter().all(|&r| self.reaches(r, lasts, s1)))
     }
 }
 
@@ -1068,7 +1200,8 @@ fn choose_pattern_labelings(
 ///
 /// `patterns` lists the canonical primitive input patterns for which periodic
 /// labelings are additionally required (pass an empty slice to decide only the
-/// `ω(log* n) — o(n)` gap). `budget` bounds the number of backtracking nodes.
+/// `ω(log* n) — o(n)` gap). `budget` bounds the number of backtracking nodes,
+/// one per connection class assigned.
 ///
 /// The classifier decides both gaps from one biclique search; this runs the
 /// same steps for one gap.
@@ -1133,24 +1266,37 @@ pub(crate) fn pattern_labelings(
 /// such that every anchor block has a labeling, and the feasible function
 /// they give, without pattern labelings. `None` if no assignment exists.
 ///
+/// The search decides one biclique per connection class, and each type
+/// takes its class's (see the module documentation).
+///
 /// # Errors
 ///
-/// As [`find_feasible`], and the meter's stage cap: the search charges
-/// `meter` the concept steps of its domains, one unit per node, the block
-/// checks of each choice it tries and the blocks it materializes.
+/// As [`find_feasible`] (the budget counts class nodes), and the meter's
+/// stage cap: the search charges `meter` the concept steps of its domains,
+/// one unit per node, the reach masks and block checks of each choice it
+/// tries and the blocks it materializes.
 pub(crate) fn facing_structure(
     info: &GapTypes,
     budget: usize,
     meter: &mut WorkMeter,
 ) -> Result<Option<FeasibleStructure>> {
+    facing_search(info, budget, meter).map(|(structure, _)| structure)
+}
+
+/// [`facing_structure`], and the number of search nodes it visited.
+fn facing_search(
+    info: &GapTypes,
+    budget: usize,
+    meter: &mut WorkMeter,
+) -> Result<(Option<FeasibleStructure>, usize)> {
     let problem = info.problem();
     check_outputs(problem)?;
     let num_types = info.quantified().len();
-    // Candidate bicliques per distinct connection relation, most permissive
-    // first (larger sets let more blocks and patterns through); types with
-    // equal relations share a domain, and the domains lie end to end in one
-    // buffer.
-    let (domain_of, connections) = classes((0..num_types).map(|i| info.connection(i)));
+    // One variable per distinct connection relation, in order of first
+    // occurrence. Its domain: the candidate bicliques, most permissive first
+    // (larger sets let more blocks and patterns through); the domains lie
+    // end to end in one buffer.
+    let (class_of, connections) = classes((0..num_types).map(|i| info.connection(i)));
     let mut domains: Vec<Biclique> = Vec::new();
     let mut domain_ends: Vec<usize> = Vec::with_capacity(connections.len());
     let mut scratch = DomainScratch::default();
@@ -1158,126 +1304,38 @@ pub(crate) fn facing_structure(
         let start = domains.len();
         scratch.append_domain(&conn, &mut domains, meter)?;
         if domains.len() == start {
-            return Ok(None);
+            return Ok((None, 0));
         }
         domain_ends.push(domains.len());
     }
 
-    struct Search<'a> {
-        problem: &'a NormalizedLcl,
-        masks: BlockMasks,
-        /// The distinct domains end to end, where each ends, and each
-        /// type's.
-        domains: &'a [Biclique],
-        domain_ends: &'a [usize],
-        domain_of: &'a [usize],
-        /// The choices of the types assigned so far, in type order.
-        assignment: Vec<Biclique>,
-        /// The distinct bicliques of `assignment`, with their counts.
-        distinct: Vec<(Biclique, usize)>,
-        nodes: usize,
-        budget: usize,
-        meter: &'a mut WorkMeter,
-        /// The block checks of one `labelable` call: `|Σ_in|²`.
-        pairs: u64,
-    }
-
-    impl Search<'_> {
-        /// Whether every anchor block between a gap whose right-facing set
-        /// is `firsts` and one whose left-facing set is `lasts` has a
-        /// labeling.
-        fn labelable(&self, firsts: u64, lasts: u64) -> bool {
-            input_pairs(self.problem).all(|s| self.masks.first_block(firsts, lasts, s).is_some())
-        }
-
-        /// Block constraints between the next type's `choice` and itself and
-        /// every assigned type, both ways round. Types assigned the same
-        /// biclique impose the same constraints, so each is checked once.
-        fn consistent_with(&self, choice: Biclique) -> bool {
-            std::iter::once(choice)
-                .chain(self.distinct.iter().map(|&(other, _)| other))
-                .all(|other| self.labelable(other.b, choice.a) && self.labelable(choice.b, other.a))
-        }
-
-        fn push(&mut self, choice: Biclique) {
-            self.assignment.push(choice);
-            match self.distinct.iter_mut().find(|(b, _)| *b == choice) {
-                Some((_, count)) => *count += 1,
-                None => self.distinct.push((choice, 1)),
-            }
-        }
-
-        fn pop(&mut self) {
-            let choice = self.assignment.pop().expect("a type is assigned");
-            let at = self.distinct.iter().position(|&(b, _)| b == choice);
-            let at = at.expect("assigned bicliques are counted");
-            self.distinct[at].1 -= 1;
-            if self.distinct[at].1 == 0 {
-                self.distinct.remove(at);
-            }
-        }
-
-        fn solve(&mut self) -> Result<bool> {
-            self.nodes += 1;
-            if self.nodes > self.budget {
-                return Err(ClassifierError::SearchBudgetExceeded {
-                    budget: self.budget,
-                });
-            }
-            self.meter.charge(1)?;
-            let idx = self.assignment.len();
-            if idx == self.domain_of.len() {
-                return Ok(true);
-            }
-            let domain = span(self.domain_ends, self.domain_of[idx]);
-            for &choice in &self.domains[domain] {
-                // Both ways round against itself and each distinct choice.
-                let checks = 2 * (1 + self.distinct.len() as u64) * self.pairs;
-                self.meter.charge(checks)?;
-                if !self.consistent_with(choice) {
-                    continue;
-                }
-                self.push(choice);
-                if self.solve()? {
-                    return Ok(true);
-                }
-                self.pop();
-            }
-            Ok(false)
-        }
-    }
-
-    let mut search = Search {
-        problem,
+    let alpha = problem.num_inputs();
+    let mut search = ClassSearch {
         masks: BlockMasks::new(info.system()),
         domains: &domains,
         domain_ends: &domain_ends,
-        domain_of: &domain_of,
-        assignment: Vec::with_capacity(num_types),
-        distinct: Vec::new(),
+        chosen: Vec::with_capacity(domain_ends.len()),
+        reach: Vec::with_capacity(domain_ends.len() * alpha),
+        alpha,
         nodes: 0,
         budget,
         meter,
-        pairs: (problem.num_inputs() * problem.num_inputs()) as u64,
     };
-    if num_types > 0 && !search.solve()? {
-        return Ok(None);
+    if !domain_ends.is_empty() && !search.solve()? {
+        return Ok((None, search.nodes));
     }
-    // A solved search assigned every type. Its distinct bicliques are in
-    // order of first occurrence (a biclique whose count drops to zero
-    // leaves the list, and types are assigned in order), so the distinct
-    // facing sets of each side, in order of first occurrence, come from
-    // them without hashing.
-    let Search {
+    // Classes are numbered in order of first occurrence and each type takes
+    // its class's choice, so the distinct facing sets of each side, in
+    // order of first occurrence over the types, come from the choices in
+    // class order, without hashing.
+    let ClassSearch {
         masks,
-        assignment,
-        distinct,
+        chosen,
+        nodes,
         meter,
-        pairs,
         ..
     } = search;
     let (mut firsts, mut lasts) = (Vec::new(), Vec::new());
-    meter.charge(assignment.len() as u64)?;
     let class_in = |sets: &mut Vec<u64>, set: u64| match sets.iter().position(|&s| s == set) {
         Some(class) => class,
         None => {
@@ -1285,41 +1343,105 @@ pub(crate) fn facing_structure(
             sets.len() - 1
         }
     };
-    let classes_of: Vec<(usize, usize)> = distinct
+    let set_classes: Vec<(usize, usize)> = chosen
         .iter()
-        .map(|&(c, _)| (class_in(&mut firsts, c.b), class_in(&mut lasts, c.a)))
+        .map(|c| (class_in(&mut firsts, c.b), class_in(&mut lasts, c.a)))
         .collect();
-    let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
-    let mut facing = Facing {
-        left_facing: Vec::with_capacity(num_types),
-        right_facing: Vec::with_capacity(num_types),
-        left_class: Vec::with_capacity(num_types),
-        right_class: Vec::with_capacity(num_types),
+    let blocks = firsts.len() * alpha * alpha * lasts.len();
+    meter.charge((num_types + chosen.len() + blocks) as u64)?;
+    let (left_class, right_class) = class_of.iter().map(|&c| set_classes[c]).unzip();
+    let facing = Facing {
+        firsts,
+        lasts,
+        left_class,
+        right_class,
     };
-    meter.charge(firsts.len() as u64 * pairs * lasts.len() as u64)?;
-    for choice in assignment {
-        let at = distinct.iter().position(|&(c, _)| c == choice);
-        let (left, right) = classes_of[at.expect("assigned bicliques are counted")];
-        facing.left_facing.push(labels(choice.a));
-        facing.right_facing.push(labels(choice.b));
-        facing.left_class.push(left);
-        facing.right_class.push(right);
+    let structure = FeasibleStructure::assemble(problem, &masks, facing, Vec::new());
+    Ok((structure, nodes))
+}
+
+/// The backtracking search of [`facing_structure`]: one biclique per
+/// connection class, in class order, each checked against itself and the
+/// choice of every earlier class by reach masks (see the module
+/// documentation).
+struct ClassSearch<'a> {
+    masks: BlockMasks,
+    /// The domains end to end, and where each class's ends.
+    domains: &'a [Biclique],
+    domain_ends: &'a [usize],
+    /// The choices of the classes assigned so far, in class order.
+    chosen: Vec<Biclique>,
+    /// The reach masks ([`BlockMasks::push_reach`]) of each choice's `B`,
+    /// `α` per choice, end to end; while a choice is tried, its own follow.
+    reach: Vec<u64>,
+    /// `|Σ_in|`.
+    alpha: usize,
+    nodes: usize,
+    budget: usize,
+    meter: &'a mut WorkMeter,
+}
+
+impl ClassSearch<'_> {
+    /// The reach masks of class `c`'s choice (or of the choice being
+    /// tried, for the next class).
+    fn reach_of(&self, c: usize) -> &[u64] {
+        &self.reach[c * self.alpha..(c + 1) * self.alpha]
     }
-    Ok(FeasibleStructure::assemble(
-        problem,
-        &masks,
-        facing,
-        (&firsts, &lasts),
-        Vec::new(),
-    ))
+
+    /// Block constraints between the next class's `choice`, whose reach
+    /// masks have been pushed, and itself and every earlier choice, both
+    /// ways round.
+    fn consistent(&self, choice: Biclique) -> bool {
+        let own = self.reach_of(self.chosen.len());
+        self.masks.labelable(own, choice.a)
+            && self.chosen.iter().enumerate().all(|(c, other)| {
+                self.masks.labelable(self.reach_of(c), choice.a)
+                    && self.masks.labelable(own, other.a)
+            })
+    }
+
+    fn solve(&mut self) -> Result<bool> {
+        self.nodes += 1;
+        if self.nodes > self.budget {
+            return Err(ClassifierError::SearchBudgetExceeded {
+                budget: self.budget,
+            });
+        }
+        self.meter.charge(1)?;
+        let class = self.chosen.len();
+        if class == self.domain_ends.len() {
+            return Ok(true);
+        }
+        // Its reach masks, then both ways round against itself and each
+        // earlier choice.
+        let alpha = self.alpha as u64;
+        let checks = alpha + 2 * (1 + class as u64) * alpha * alpha;
+        let domains = self.domains;
+        for &choice in &domains[span(self.domain_ends, class)] {
+            self.meter.charge(checks)?;
+            self.masks.push_reach(choice.b, &mut self.reach);
+            if self.consistent(choice) {
+                self.chosen.push(choice);
+                if self.solve()? {
+                    return Ok(true);
+                }
+                self.chosen.pop();
+            }
+            self.reach.truncate(class * self.alpha);
+        }
+        Ok(false)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ClassifierOptions;
     use lcl_gen::{generate, Family, GenConfig};
     use lcl_problem::NormalizedLcl;
     use lcl_semigroup::primitive_strings_up_to;
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
 
     /// A boolean `β × β` matrix as one row mask per label.
     type Rows = Vec<u64>;
@@ -1862,7 +1984,7 @@ mod tests {
             .expect("block exists");
         assert!(first.index() < 2 && last.index() < 2);
         // Contexts outside the table have no block.
-        let types = structure.left_facing.len();
+        let types = structure.num_types();
         assert_eq!(structure.block(types, InLabel(0), InLabel(0), 0), None);
         assert_eq!(structure.block(0, InLabel(0), InLabel(0), types), None);
         assert_eq!(structure.block(0, InLabel(1), InLabel(0), 0), None);
@@ -2001,5 +2123,194 @@ mod tests {
         assert_eq!(long.len(), 6);
         let capped = periodic_candidates(&masks, &[InLabel(0); 4], 4);
         assert_eq!(capped.len(), 2, "2121, 2120, 2101, 2021");
+    }
+
+    /// The per-type search the class search replaced, kept as its oracle:
+    /// one variable per quantified type, in type order, over its connection
+    /// relation's domain, each choice checked by
+    /// [`BlockMasks::first_block`] on every anchor input against itself and
+    /// every type assigned so far.
+    fn per_type_facing_structure(
+        info: &GapTypes,
+        budget: usize,
+    ) -> Result<Option<FeasibleStructure>> {
+        struct Search<'a> {
+            masks: BlockMasks,
+            pairs: Vec<(InLabel, InLabel)>,
+            domains: &'a [Vec<Biclique>],
+            assignment: Vec<Biclique>,
+            nodes: usize,
+            budget: usize,
+        }
+
+        impl Search<'_> {
+            fn labelable(&self, firsts: u64, lasts: u64) -> bool {
+                self.pairs
+                    .iter()
+                    .all(|&s| self.masks.first_block(firsts, lasts, s).is_some())
+            }
+
+            fn solve(&mut self) -> Result<bool> {
+                self.nodes += 1;
+                if self.nodes > self.budget {
+                    return Err(ClassifierError::SearchBudgetExceeded {
+                        budget: self.budget,
+                    });
+                }
+                let idx = self.assignment.len();
+                if idx == self.domains.len() {
+                    return Ok(true);
+                }
+                for &choice in &self.domains[idx] {
+                    let consistent = std::iter::once(&choice)
+                        .chain(&self.assignment)
+                        .all(|o| self.labelable(o.b, choice.a) && self.labelable(choice.b, o.a));
+                    if !consistent {
+                        continue;
+                    }
+                    self.assignment.push(choice);
+                    if self.solve()? {
+                        return Ok(true);
+                    }
+                    self.assignment.pop();
+                }
+                Ok(false)
+            }
+        }
+
+        check_outputs(info.problem())?;
+        let domains: Vec<Vec<Biclique>> = (0..info.quantified().len())
+            .map(|i| ordered_domain(info.connection(i)))
+            .collect();
+        if domains.iter().any(Vec::is_empty) {
+            return Ok(None);
+        }
+        let mut search = Search {
+            masks: BlockMasks::new(info.system()),
+            pairs: input_pairs(info.problem()).collect(),
+            domains: &domains,
+            assignment: Vec::new(),
+            nodes: 0,
+            budget,
+        };
+        if !domains.is_empty() && !search.solve()? {
+            return Ok(None);
+        }
+        let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
+        let left = search.assignment.iter().map(|c| labels(c.a)).collect();
+        let right = search.assignment.iter().map(|c| labels(c.b)).collect();
+        Ok(FeasibleStructure::new(info, left, right, Vec::new()))
+    }
+
+    /// Draws shaped like the benchmark's cold base: every family, 1–3 input
+    /// and 3–8 output labels, families rotating fastest, then the input and
+    /// output alphabets, then three edge densities (the generator's default
+    /// among them).
+    fn cold_shaped_draws(count: usize) -> Vec<NormalizedLcl> {
+        let density = [GenConfig::new(0).edge_density_pct, 35, 85];
+        (0..count)
+            .map(|i| {
+                let config = GenConfig::new(0xc1a5_5000 + i as u64)
+                    .family(Family::ALL[i % 4])
+                    .input_labels(1 + (i / 4) % 3)
+                    .output_labels(3 + (i / 12) % 6)
+                    .edge_density_pct(density[(i / 72) % 3]);
+                generate(&config).unwrap()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_class_search_finds_what_the_per_type_search_finds() {
+        let budget = ClassifierOptions::default().search_budget;
+        let mut problems = golden_problems();
+        problems.extend((2..=8).map(lcl_problems::run));
+        problems.extend(cold_shaped_draws(1_536));
+        let (mut compared, mut found, mut backtracked) = (0, 0, 0);
+        for problem in &problems {
+            let Ok(info) = GapTypes::compute(problem, 10_000) else {
+                continue;
+            };
+            let got = facing_search(&info, budget, &mut WorkMeter::unlimited());
+            let want = per_type_facing_structure(&info, budget);
+            let nodes = got.as_ref().map_or(0, |&(_, nodes)| nodes);
+            let got = got.map(|(structure, _)| structure);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{}",
+                problem.name()
+            );
+            let types = info.quantified().len();
+            let (_, connections) = classes((0..types).map(|i| info.connection(i)));
+            backtracked += usize::from(nodes > connections.len() + 1);
+            found += usize::from(matches!(got, Ok(Some(_))));
+            compared += 1;
+        }
+        assert!(compared >= 1_800, "only {compared} problems compared");
+        assert!(found >= 1_000, "only {found} structures found");
+        assert!(backtracked >= 10, "only {backtracked} searches backtrack");
+    }
+
+    /// Node and edge masks over `beta` labels for `alpha` inputs, each bit
+    /// set with probability one half.
+    fn seeded_masks(rng: &mut StdRng, alpha: usize, beta: usize) -> BlockMasks {
+        let full = u64::MAX >> (64 - beta);
+        BlockMasks {
+            nodes: (0..alpha).map(|_| rng.next_u64() & full).collect(),
+            edges: (0..beta).map(|_| rng.next_u64() & full).collect(),
+        }
+    }
+
+    /// Asserts that the reach masks of `firsts` decide every block against
+    /// `lasts` as [`BlockMasks::first_block`] does, and all of them as
+    /// [`BlockMasks::labelable`] does.
+    fn assert_reach_decides_blocks(masks: &BlockMasks, firsts: u64, lasts: u64) {
+        let mut reach = Vec::new();
+        masks.push_reach(firsts, &mut reach);
+        let alpha = masks.nodes.len();
+        assert_eq!(reach.len(), alpha);
+        let mut all = true;
+        for (s0, &reach) in reach.iter().enumerate() {
+            for s1 in 0..alpha {
+                let s = (InLabel::from_index(s0), InLabel::from_index(s1));
+                let block = masks.first_block(firsts, lasts, s).is_some();
+                assert_eq!(masks.reaches(reach, lasts, s1), block, "{s:?}");
+                all &= block;
+            }
+        }
+        assert_eq!(masks.labelable(&reach, lasts), all);
+    }
+
+    #[test]
+    fn reach_masks_decide_blocks_as_first_block_does() {
+        let mut rng = StdRng::seed_from_u64(0x7eac4);
+        // Every pair of label sets up to five labels.
+        for beta in 1..=5 {
+            for alpha in 1..=3 {
+                for _ in 0..8 {
+                    let masks = seeded_masks(&mut rng, alpha, beta);
+                    for firsts in 0..1u64 << beta {
+                        for lasts in 0..1u64 << beta {
+                            assert_reach_decides_blocks(&masks, firsts, lasts);
+                        }
+                    }
+                }
+            }
+        }
+        // Seeded sets up to the mask width.
+        for beta in 6..=MAX_OUTPUTS {
+            let full = u64::MAX >> (64 - beta);
+            for alpha in 1..=3 {
+                let masks = seeded_masks(&mut rng, alpha, beta);
+                for _ in 0..64 {
+                    let (firsts, lasts) = (rng.next_u64() & full, rng.next_u64() & full);
+                    assert_reach_decides_blocks(&masks, firsts, lasts);
+                    // Sparse sets, so that some blocks have no labeling.
+                    let sparse = rng.next_u64() & rng.next_u64() & rng.next_u64();
+                    assert_reach_decides_blocks(&masks, firsts & sparse, lasts & sparse);
+                }
+            }
+        }
     }
 }

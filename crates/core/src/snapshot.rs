@@ -143,10 +143,13 @@ pub(crate) fn serialize_entries(entries: &[(Arc<[u8]>, Arc<CacheEntry>)]) -> Str
             ("key", JsonValue::Str(hex_encode(key))),
         ];
         if let Some(structure) = classification.algorithm().feasible_structure() {
-            fields.push(("left_facing", lists_json(&structure.left_facing)));
-            fields.push(("right_facing", lists_json(&structure.right_facing)));
+            let types = 0..structure.num_types();
+            let left = types.clone().map(|t| structure.left_facing(t));
+            fields.push(("left_facing", lists_json(left)));
+            let right = types.map(|t| structure.right_facing(t));
+            fields.push(("right_facing", lists_json(right)));
             if !structure.patterns.is_empty() {
-                let labelings = structure.patterns.iter().map(|p| &p.labeling);
+                let labelings = structure.patterns.iter().map(|p| p.labeling.as_slice());
                 fields.push(("patterns", lists_json(labelings)));
             }
         }
@@ -161,9 +164,8 @@ pub(crate) fn serialize_entries(entries: &[(Arc<[u8]>, Arc<CacheEntry>)]) -> Str
 }
 
 /// Renders output-label lists as nested arrays of label indices.
-fn lists_json<'a>(lists: impl IntoIterator<Item = &'a Vec<OutLabel>>) -> JsonValue {
-    let indices =
-        |labels: &Vec<OutLabel>| JsonValue::int_array(labels.iter().map(|l| i64::from(l.0)));
+fn lists_json<'a>(lists: impl IntoIterator<Item = &'a [OutLabel]>) -> JsonValue {
+    let indices = |labels: &[OutLabel]| JsonValue::int_array(labels.iter().map(|l| i64::from(l.0)));
     JsonValue::Array(lists.into_iter().map(indices).collect())
 }
 

@@ -396,7 +396,7 @@ impl Drop for PipelineGuard<'_> {
 /// dispatching thread only while it has charged fewer units than this.
 /// The units were weighed, stage by stage, against the time each stage
 /// takes on the 2-vCPU host the lane was sized on, until every stage's
-/// unit came within 2× of the others: a unit is 5–9 ns of classification
+/// unit came within 2× of the others: a unit is 4–9 ns of classification
 /// work there (more when the shared host runs slow), so the slice is
 /// about 25–35 µs, and it finishes about nine in ten cold classifies of
 /// the repository benchmark's `cold_classify` workload inline

@@ -81,10 +81,11 @@ fn golden_problems() -> Vec<NormalizedLcl> {
 const PARENT_TOTAL: u64 = 97_146;
 
 /// The share of [`PARENT_TOTAL`] a cold classify may allocate. With the
-/// semigroup's relations and the connection relations in arenas, it
-/// measures 110.4 per classify (40.7%); the bound leaves a margin of about
-/// a tenth.
-const CLASSIFY_SHARE: f64 = 0.45;
+/// semigroup's relations and the connection relations in arenas, and the
+/// facing sets kept once per distinct set instead of two label lists per
+/// quantified type, it measures 93.4 per classify (34.4%); the bound is
+/// that share rounded up to the next five points.
+const CLASSIFY_SHARE: f64 = 0.35;
 
 #[test]
 fn a_cold_classify_allocates_at_most_half_the_parent_count() {

@@ -13,6 +13,10 @@
 //! The problems: the colouring ladder up to `coloring(14)`, the unconstrained
 //! ladder up to `unconstrained(16)`, the corpus and 320 seeded `lcl-gen` draws
 //! over all four families with 1–3 input and 3–10 output labels.
+//!
+//! The facing sets are read through `left_facing(t)` and `right_facing(t)`,
+//! and a second test checks that the cache weigher prices every golden
+//! structure's resident bytes.
 
 use lcl_paths::classifier::{classify_with_options, ClassifierOptions, FeasibleStructure};
 use lcl_paths::gen::{generate, Family, GenConfig};
@@ -45,8 +49,8 @@ fn labels(set: &[OutLabel]) -> String {
     indices.join(",")
 }
 
-fn sets(sets: &[Vec<OutLabel>]) -> String {
-    let rendered: Vec<String> = sets.iter().map(|s| labels(s)).collect();
+fn sets<'a>(sets: impl Iterator<Item = &'a [OutLabel]>) -> String {
+    let rendered: Vec<String> = sets.map(labels).collect();
     rendered.join(" ")
 }
 
@@ -54,7 +58,7 @@ fn sets(sets: &[Vec<OutLabel>]) -> String {
 /// one `first.last` token per context (`-` if a context has none), with a
 /// run of `n > 1` equal tokens written once as `token*n`.
 fn blocks(structure: &FeasibleStructure, alpha: usize) -> String {
-    let types = structure.left_facing.len();
+    let types = structure.num_types();
     let mut runs: Vec<(String, usize)> = Vec::new();
     for left in 0..types {
         for s0 in 0..alpha {
@@ -102,10 +106,11 @@ fn render(problem: &NormalizedLcl) -> String {
                 format!("{}:{}", pattern.join(","), labels(&p.labeling))
             })
             .collect();
+        let types = 0..structure.num_types();
         line.push_str(&format!(
             "\tA {}\tB {}\tP {}\tK {}",
-            sets(&structure.left_facing),
-            sets(&structure.right_facing),
+            sets(types.clone().map(|t| structure.left_facing(t))),
+            sets(types.map(|t| structure.right_facing(t))),
             patterns.join(" "),
             blocks(structure, problem.num_inputs()),
         ));
@@ -133,4 +138,35 @@ fn feasible_structures_are_byte_identical_to_the_golden() {
         structures >= 100,
         "only {structures} problems carry a structure"
     );
+}
+
+/// The cache weigher charges what a cached structure holds: every golden
+/// entry's weight covers the resident bytes of its feasible structure and
+/// its type semigroup.
+#[test]
+fn cached_weight_covers_every_golden_structure() {
+    use lcl_paths::classifier::{approximate_classification_weight, Engine};
+
+    let engine = Engine::builder().parallelism(1).build();
+    let mut priced = 0;
+    for problem in golden_problems() {
+        let Ok(classification) = engine.classify(&problem) else {
+            continue;
+        };
+        let algorithm = classification.algorithm();
+        let Some(structure) = algorithm.feasible_structure() else {
+            continue;
+        };
+        let semigroup = algorithm.semigroup().map_or(0, |s| s.resident_bytes());
+        let bytes = (structure.resident_bytes() + semigroup) as u64;
+        let weight = approximate_classification_weight(&classification);
+        assert!(
+            weight >= bytes,
+            "{}: weight {weight} < {bytes} resident bytes",
+            problem.name()
+        );
+        assert!(structure.resident_bytes() >= 2 * structure.num_types() * 8);
+        priced += 1;
+    }
+    assert!(priced >= 100, "only {priced} structures priced");
 }
