@@ -311,7 +311,7 @@ impl Progress {
 
 /// The primitive-pattern length `κ` of the `O(1)` conditions: the pumping
 /// threshold, capped by [`ClassifierOptions::pattern_length_cap`].
-pub(crate) fn pattern_length(info: &GapTypes, options: &ClassifierOptions) -> usize {
+fn pattern_length(info: &GapTypes, options: &ClassifierOptions) -> usize {
     info.semigroup()
         .pump_threshold()
         .min(options.pattern_length_cap)
@@ -320,8 +320,8 @@ pub(crate) fn pattern_length(info: &GapTypes, options: &ClassifierOptions) -> us
 
 /// What the decision procedure found, before synthesis: a word whose long
 /// cycles admit no valid labeling, a feasible structure with or without
-/// pattern labelings, or nothing. A cache snapshot persists the structures
-/// ([`crate::snapshot`]).
+/// pattern labelings, or nothing. Only this module builds or reads one; the
+/// type is as visible as [`Progress`], whose `Answered` state carries it.
 pub(crate) enum Answer {
     Unsolvable(Vec<InLabel>),
     Constant(FeasibleStructure),
@@ -331,9 +331,8 @@ pub(crate) enum Answer {
 
 impl Answer {
     /// Synthesizes the algorithm for this answer and assembles the verdict;
-    /// the type count and pumping threshold come from `info`. Classification
-    /// and snapshot restore both end here.
-    pub(crate) fn into_classification(self, info: &GapTypes, kappa: usize) -> Classification {
+    /// the type count and pumping threshold come from `info`.
+    fn into_classification(self, info: &GapTypes, kappa: usize) -> Classification {
         let gather = || SynthesizedAlgorithm::GatherAll(GatherAndSolve::new(info.problem()));
         let (complexity, witness, synthesized) = match self {
             Answer::Unsolvable(word) => (

@@ -836,11 +836,11 @@ impl Engine {
         self.core.cache.clear();
     }
 
-    /// Serializes the memo cache's resident classifications into a versioned,
-    /// checksummed snapshot document (see [`crate::snapshot`]): key bytes,
-    /// complexity and the feasibility search's answer, coldest entries
-    /// first, volatile reply bytes excluded. Safe to call under live traffic
-    /// — the cache is captured in one consistent critical section.
+    /// Serializes the structural keys of the memo cache's resident
+    /// classifications into a versioned, checksummed snapshot document (see
+    /// [`crate::snapshot`]), coldest entries first. No verdict or search
+    /// answer is written: restore recomputes them. Safe to call under live
+    /// traffic — the cache is captured in one consistent critical section.
     pub fn snapshot_document(&self) -> String {
         crate::snapshot::serialize_entries(&self.core.cache.snapshot_entries())
     }
@@ -848,17 +848,18 @@ impl Engine {
     /// Restores a snapshot produced by [`Engine::snapshot_document`] into
     /// this engine's memo cache, re-inserting entries in file order through
     /// the ordinary insert path (recency reproduced, stats invariants
-    /// preserved, present keys kept). Each entry is rebuilt with this
-    /// engine's options by the code a classification runs, minus the
-    /// feasibility search, so it serves verdicts and solves exactly like a
-    /// freshly classified one.
+    /// preserved, present keys kept). Each key is decoded back into its
+    /// problem and classified with this engine's options
+    /// ([`crate::classify_with_options`]), so a restored entry is a freshly
+    /// classified one; restoring counts no cache miss.
     ///
     /// # Errors
     ///
     /// Returns a wire-format error when the document's envelope is invalid
-    /// (bad header, version skew, checksum mismatch, truncation); individual
-    /// invalid entries (types beyond this engine's `type_budget` included)
-    /// are skipped and counted in the report instead.
+    /// (bad header, version skew, entry-count mismatch, checksum mismatch,
+    /// truncation), before any entry is installed; a key that fails to
+    /// decode or to classify under this engine's budgets (types beyond its
+    /// `type_budget`, say) is skipped and counted in the report instead.
     /// Callers treating snapshots as best-effort warmth should log the error
     /// and continue with a cold cache.
     pub fn restore_snapshot(&self, document: &str) -> Result<crate::snapshot::RestoreReport> {

@@ -241,50 +241,12 @@ struct Facing {
 }
 
 impl FeasibleStructure {
-    /// Assembles a structure from the facing sets (ascending label lists,
-    /// one per quantified type) and the pattern labelings, materializing the
-    /// feasible function: each anchor-block context gets the first
-    /// `(first, last)` pair in label order with `first ∈ B(τ_left)`,
-    /// `last ∈ A(τ_right)`, the node constraints of `S` and the internal edge
-    /// constraint. Returns `None` if some context has no such pair or a
-    /// label lies outside the problem's output alphabet, or if the two lists
-    /// of facing sets differ in length.
-    pub(crate) fn new(
-        info: &GapTypes,
-        left_facing: Vec<Vec<OutLabel>>,
-        right_facing: Vec<Vec<OutLabel>>,
-        patterns: Vec<PatternLabeling>,
-    ) -> Option<Self> {
-        let problem = info.problem();
-        let beta = problem.num_outputs();
-        if beta > MAX_OUTPUTS || right_facing.len() != left_facing.len() {
-            return None;
-        }
-        let masks = |sets: &[Vec<OutLabel>]| -> Option<Vec<u64>> {
-            sets.iter()
-                .map(|set| {
-                    set.iter().try_fold(0u64, |mask, l| {
-                        (l.index() < beta).then_some(mask | 1 << l.index())
-                    })
-                })
-                .collect()
-        };
-        // A block depends on the types only through their facing sets (see
-        // the module documentation).
-        let (left_class, firsts) = classes(masks(&right_facing)?);
-        let (right_class, lasts) = classes(masks(&left_facing)?);
-        let facing = Facing {
-            firsts,
-            lasts,
-            left_class,
-            right_class,
-        };
-        Self::assemble(problem, &BlockMasks::new(info.system()), facing, patterns)
-    }
-
-    /// Materializes the feasible function over the distinct facing sets
-    /// (see [`FeasibleStructure::new`]) and keeps each set once as a label
-    /// list; `None` if some context has no block.
+    /// Assembles a structure from the distinct facing sets and the pattern
+    /// labelings, materializing the feasible function: each anchor-block
+    /// context gets the first `(first, last)` pair in label order with
+    /// `first ∈ B(τ_left)`, `last ∈ A(τ_right)`, the node constraints of `S`
+    /// and the internal edge constraint. Keeps each set once as a label
+    /// list; `None` if some context has no such pair.
     fn assemble(
         problem: &NormalizedLcl,
         constraints: &BlockMasks,
@@ -2196,10 +2158,20 @@ mod tests {
         if !domains.is_empty() && !search.solve()? {
             return Ok(None);
         }
-        let labels = |mask| bits(mask).map(OutLabel::from_index).collect::<Vec<_>>();
-        let left = search.assignment.iter().map(|c| labels(c.a)).collect();
-        let right = search.assignment.iter().map(|c| labels(c.b)).collect();
-        Ok(FeasibleStructure::new(info, left, right, Vec::new()))
+        let (left_class, firsts) = classes(search.assignment.iter().map(|c| c.b));
+        let (right_class, lasts) = classes(search.assignment.iter().map(|c| c.a));
+        let facing = Facing {
+            firsts,
+            lasts,
+            left_class,
+            right_class,
+        };
+        Ok(FeasibleStructure::assemble(
+            info.problem(),
+            &search.masks,
+            facing,
+            Vec::new(),
+        ))
     }
 
     /// Draws shaped like the benchmark's cold base: every family, 1–3 input

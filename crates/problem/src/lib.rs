@@ -65,7 +65,7 @@ pub use envelope::{ErrorReply, RequestEnvelope, ResponseEnvelope, PROTOCOL_VERSI
 pub use error::ProblemError;
 pub use instance::{Instance, Labeling, Topology};
 pub use normalized::{NormalizedLcl, NormalizedLclBuilder};
-pub use spec::{ProblemSpec, PROBLEM_SPEC_VERSION};
+pub use spec::{fnv1a, ProblemSpec, PROBLEM_SPEC_VERSION};
 pub use stream::{StreamInputs, StreamInstanceSpec, MAX_STREAM_NODES};
 pub use transform::{
     lift_path_instance, lift_path_to_cycle, product_output_with_input, project_lifted_labeling,

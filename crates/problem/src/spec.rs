@@ -501,17 +501,24 @@ impl NormalizedLcl {
     /// that already holds the key digests it without walking the
     /// constraint tables again.
     pub fn hash_of_key(key: &[u8]) -> u64 {
-        let mut hash = FNV_OFFSET;
-        for &byte in key {
-            fnv_step(&mut hash, byte);
-        }
-        hash
+        fnv1a(key)
     }
 }
 
-/// The FNV-1a offset basis and prime of [`NormalizedLcl::canonical_hash`].
+/// The FNV-1a offset basis and prime of [`fnv1a`].
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
+
+/// FNV-1a 64-bit of `bytes`, the digest behind
+/// [`NormalizedLcl::canonical_hash`]: dependency-free and deterministic
+/// across processes and builds.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut hash = FNV_OFFSET;
+    for &byte in bytes {
+        fnv_step(&mut hash, byte);
+    }
+    hash
+}
 
 /// One FNV-1a step.
 fn fnv_step(hash: &mut u64, byte: u8) {

@@ -1,9 +1,9 @@
 //! Warm-cache snapshot/restore integration tests: a snapshot taken over the
 //! wire mid-flood restores into a fresh engine with byte-identical
 //! verdicts, the cache accounting invariant survives a restore, concurrent
-//! writers never fail or tear the file, and corrupt, truncated or
-//! version-skewed files are rejected without ever panicking or failing
-//! startup.
+//! writers never fail or tear the file, and corrupt, truncated, miscounted
+//! or version-skewed files are rejected whole, without ever panicking,
+//! failing startup or leaving an entry resident.
 
 use lcl_paths::classifier::SNAPSHOT_VERSION;
 use lcl_paths::{problems, Engine};
@@ -233,9 +233,11 @@ fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
     let good = std::fs::read_to_string(&path).expect("read snapshot");
 
     // Truncated mid-document (no trailer), flipped checksum, version skew,
-    // outright garbage, and an empty file: every one is reported and
-    // ignored, and the service then works cold.
+    // a header whose entry count disagrees with the body, outright garbage,
+    // and an empty file: every one is reported and ignored, and the service
+    // then works cold.
     let header_end = good.find('\n').expect("header line") + 1;
+    let carried = good.lines().count() - 2;
     let cases: Vec<(String, String)> = vec![
         ("truncated".into(), good[..good.len() * 2 / 3].to_string()),
         (
@@ -248,6 +250,16 @@ fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
                 body.replacen(
                     &format!("\"version\":{SNAPSHOT_VERSION}"),
                     &format!("\"version\":{}", SNAPSHOT_VERSION - 1),
+                    1,
+                )
+            }),
+        ),
+        (
+            "wrong-count".into(),
+            reseal(&good, |body| {
+                body.replacen(
+                    &format!("\"entries\":{carried}"),
+                    &format!("\"entries\":{}", carried + 2),
                     1,
                 )
             }),
@@ -271,6 +283,9 @@ fn corrupt_truncated_and_version_skewed_snapshots_never_panic_or_serve() {
         assert!(error.contains("ignoring cache snapshot"), "[{tag}] {error}");
         if tag == "version-skew" {
             assert!(error.contains("unsupported snapshot version"), "{error}");
+        }
+        if tag == "wrong-count" {
+            assert!(error.contains(&format!("but carries {carried}")), "{error}");
         }
         // Startup continues cold: nothing restored, service fully usable.
         assert_eq!(victim.engine().cache_stats().entries, 0, "[{tag}]");
