@@ -39,7 +39,7 @@
 //! *in place*, never on queued pool work — it needs no pool capacity to
 //! finish, so a pool worker may safely wait as a joiner. (The engine's rule
 //! that pool workers must not park on *pool jobs* is unaffected; see
-//! `Engine::dispatch`.)
+//! `Engine::submit_notify`.)
 //!
 //! # Parked flights
 //!
@@ -717,7 +717,7 @@ impl<V: Clone> LruCache<V> {
     /// thread is running in place, which needs no pool capacity to finish —
     /// so both caller threads and pool workers may wait here without
     /// violating the engine's pool-deadlock rule (workers must never park on
-    /// queued pool *jobs*; see `Engine::dispatch`). Parked work is never
+    /// queued pool *jobs*; see `Engine::submit_notify`). Parked work is never
     /// waited on: the waiter runs it.
     pub fn get_or_compute<E>(
         &self,

@@ -382,7 +382,7 @@ impl EngineCore {
         // requesters park on the leader's flight and share its Arc. Waiting
         // is on a computation some thread runs in place, never on pool
         // capacity, so this is safe from pool workers too (see
-        // `Engine::dispatch`).
+        // `Engine::submit_notify`).
         let computed = self.cache.get_or_compute(key, || self.compute(problem))?;
         Ok((computed.value, computed.outcome.served_from_cache()))
     }
@@ -450,7 +450,7 @@ impl Engine {
     /// is actually computed). Use this when a thread must never block on
     /// classification work — e.g. to answer memoized requests on a
     /// latency-sensitive thread and route only the misses to
-    /// [`Engine::dispatch`].
+    /// [`Engine::submit_notify`].
     pub fn cached(&self, problem: &NormalizedLcl) -> Option<Arc<Classification>> {
         self.core
             .lookup(&problem.structural_key())
@@ -624,39 +624,24 @@ impl Engine {
         Ok(Arc::clone(&computed.value.classification))
     }
 
-    /// Submits an arbitrary task to the worker pool **without blocking** and
-    /// returns the receiver its result will arrive on.
+    /// Submits a task to the worker pool **without blocking**, with a
+    /// completion hook and no reply channel: the task delivers its own
+    /// results over channels it captured. `notify` runs on the worker after
+    /// the task returned or unwound, so what the task sent is observable by
+    /// then, and a sender it held reads as disconnected if it panicked.
+    /// Submission never blocks (the pool queue is unbounded).
     ///
-    /// This is the dispatch primitive of the server's *pipelined* connection
-    /// path: the connection's reader thread submits one task per request
-    /// frame and immediately goes back to reading, while the writer thread
-    /// later parks on each receiver in request order. Submission never
-    /// blocks (the pool queue is unbounded); the receiver disconnects
-    /// without a value if the task panics on its worker.
+    /// This is the dispatch primitive of the server: the front end submits
+    /// one task per request frame and goes straight back to reading, and
+    /// instead of a writer thread parked per connection, a single reactor
+    /// thread sleeps in `epoll_wait` while `notify` signals its eventfd when
+    /// a request's frames are in. `notify` must be cheap and must not touch
+    /// the pool.
     ///
-    /// Deadlock warning: the task runs *on* a pool worker, so it must not
+    /// Deadlock rule: the task runs *on* a pool worker, so it must not
     /// itself park on other pool jobs ([`Engine::classify_many`]) — with a
     /// single-worker pool that self-wait can never be served. Every other
     /// engine method works on the calling thread and is safe here.
-    pub fn dispatch<T, F>(&self, task: F) -> mpsc::Receiver<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        self.pool.submit_with_reply(task)
-    }
-
-    /// Submits a task that delivers its own results over channels it
-    /// captured, with a completion hook and no reply channel. `notify` runs
-    /// on the worker after the task returned or unwound, so what the task
-    /// sent is observable by then, and a sender it held reads as
-    /// disconnected if it panicked.
-    ///
-    /// This is the waker half of a readiness-based server: instead of a
-    /// writer thread parked per connection, a single reactor thread sleeps
-    /// in `epoll_wait` and `notify` signals its eventfd when a request's
-    /// frames are in. The same deadlock rules as [`Engine::dispatch`] apply
-    /// to `task`; `notify` must be cheap and must not touch the pool.
     pub fn submit_notify<F, N>(&self, task: F, notify: N)
     where
         F: FnOnce() + Send + 'static,
@@ -717,7 +702,8 @@ impl Engine {
     /// Classifies the problem, then runs the synthesized optimal algorithm on
     /// the instance (sequential identifiers, ball-view simulator) and verifies
     /// the output: classify → synthesize → execute in one call, all on the
-    /// calling thread (so it is safe inside an [`Engine::dispatch`]ed task).
+    /// calling thread (so it is safe inside an [`Engine::submit_notify`]
+    /// task).
     ///
     /// # Errors
     ///
@@ -1045,38 +1031,55 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_returns_before_the_task_runs() {
+    fn submit_notify_returns_before_the_task_runs() {
         let engine = Engine::builder().parallelism(1).build();
-        // Park the only worker: dispatch must still return immediately.
+        // Park the only worker: submission must still return immediately.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
-        let gate = engine.dispatch(move || {
-            let _ = gate_rx.recv();
-        });
+        let (gate_done, gate_finished) = mpsc::channel::<()>();
+        engine.submit_notify(
+            move || {
+                let _ = gate_rx.recv();
+            },
+            move || {
+                let _ = gate_done.send(());
+            },
+        );
         let problem = three_coloring();
         let core_engine = Engine::builder().parallelism(1).build();
-        let rx = engine.dispatch(move || core_engine.classify(&problem).map(|c| c.complexity()));
+        let (tx, rx) = mpsc::channel();
+        engine.submit_notify(
+            move || {
+                let _ = tx.send(core_engine.classify(&problem).map(|c| c.complexity()));
+            },
+            || {},
+        );
         gate_tx.send(()).expect("worker parked on the gate");
         assert_eq!(rx.recv().unwrap().unwrap(), Complexity::LogStar);
-        gate.recv().expect("gate task completed");
+        gate_finished.recv().expect("gate task completed");
     }
 
     #[test]
-    fn solve_is_safe_inside_a_dispatched_job() {
+    fn solve_is_safe_inside_a_pool_job() {
         let engine = Engine::builder().parallelism(1).build();
         let problem = three_coloring();
         let instance = Instance::from_indices(Topology::Cycle, &[0; 30]);
         let direct = engine.solve(&problem, &instance).unwrap();
         // solve classifies on the calling thread, so it returns from a
-        // dispatched task even on this single-worker pool. The Arc must
-        // outlive the task: an engine dropped on its own worker would
-        // self-join.
+        // pool job even on this single-worker pool. The Arc must outlive
+        // the task: an engine dropped on its own worker would self-join.
         let inner = std::sync::Arc::new(Engine::builder().parallelism(1).build());
         let inner_for_task = std::sync::Arc::clone(&inner);
-        let rx = inner.dispatch(move || {
-            inner_for_task
-                .solve(&problem, &instance)
-                .map(|s| (s.labeling().clone(), s.rounds()))
-        });
+        let (tx, rx) = mpsc::channel();
+        inner.submit_notify(
+            move || {
+                let solved = inner_for_task
+                    .solve(&problem, &instance)
+                    .map(|s| (s.labeling().clone(), s.rounds()));
+                drop(inner_for_task);
+                let _ = tx.send(solved);
+            },
+            || {},
+        );
         let (labeling, rounds) = rx.recv().unwrap().unwrap();
         assert_eq!(&labeling, direct.labeling());
         assert_eq!(rounds, direct.rounds());

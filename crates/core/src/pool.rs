@@ -19,7 +19,7 @@
 use crossbeam::channel::{self, Receiver, Sender};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread;
 
 /// A unit of work executed on a pool worker.
@@ -117,27 +117,10 @@ impl WorkerPool {
         }
     }
 
-    /// Injects `task` and hands back the receiver its result will arrive on
-    /// (the primitive behind [`Engine::dispatch`](crate::Engine::dispatch)).
-    ///
-    /// Submission never blocks, so the caller is free to stash the receiver
-    /// and go on while a worker computes. If the task panics on the worker,
-    /// the sender is dropped by the unwind and the receiver observes
-    /// disconnection instead of a value.
-    pub(crate) fn submit_with_reply<T, F>(&self, task: F) -> mpsc::Receiver<T>
-    where
-        T: Send + 'static,
-        F: FnOnce() -> T + Send + 'static,
-    {
-        let (tx, rx) = mpsc::channel();
-        self.submit(move || {
-            let _ = tx.send(task());
-        });
-        rx
-    }
-
     /// Injects a job that delivers its own results (over channels it
-    /// captured), with a completion hook and no reply channel: `notify`
+    /// captured), with a completion hook and no reply channel (the
+    /// primitive behind
+    /// [`Engine::submit_notify`](crate::Engine::submit_notify)): `notify`
     /// runs on the worker after `job` returned or unwound. Everything the
     /// job captured has been dropped by then, so whatever it sent is
     /// observable, and a sender it held reads as disconnected if it
@@ -243,17 +226,26 @@ mod tests {
     }
 
     #[test]
-    fn submit_with_reply_returns_without_blocking_and_delivers() {
+    fn submit_notify_returns_without_blocking_and_delivers() {
         let pool = WorkerPool::new(1);
         // Park the only worker so the submissions below cannot have run yet
-        // when submit_with_reply returns: returning at all proves the call
-        // does not wait for a worker.
+        // when submit_notify returns: returning at all proves the call does
+        // not wait for a worker.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         pool.submit(move || {
             let _ = gate_rx.recv();
         });
         let replies: Vec<mpsc::Receiver<u64>> = (0..4u64)
-            .map(|i| pool.submit_with_reply(move || i * i))
+            .map(|i| {
+                let (tx, rx) = mpsc::channel();
+                pool.submit_notify(
+                    move || {
+                        let _ = tx.send(i * i);
+                    },
+                    || {},
+                );
+                rx
+            })
             .collect();
         gate_tx.send(()).expect("worker parked on the gate");
         let got: Vec<u64> = replies.iter().map(|rx| rx.recv().unwrap()).collect();
@@ -305,16 +297,9 @@ mod tests {
         assert_eq!(frames_rx.try_recv(), Ok(1));
         assert_eq!(frames_rx.try_recv(), Err(mpsc::TryRecvError::Disconnected));
         // The worker survived.
-        assert_eq!(pool.submit_with_reply(|| 3u32).recv(), Ok(3));
-    }
-
-    #[test]
-    fn submit_with_reply_panic_drops_the_sender() {
-        let pool = WorkerPool::new(1);
-        let rx = pool.submit_with_reply(|| -> u32 { panic!("job blew up") });
-        assert!(rx.recv().is_err(), "panicked job must disconnect its reply");
-        // The worker survived the panic.
-        assert_eq!(pool.submit_with_reply(|| 3u32).recv(), Ok(3));
+        let (tx, rx) = mpsc::channel();
+        pool.submit(move || tx.send(3u32).expect("collector alive"));
+        assert_eq!(rx.recv(), Ok(3));
     }
 
     #[test]

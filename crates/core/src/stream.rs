@@ -252,7 +252,7 @@ impl StreamSolution {
 
 impl Engine {
     /// Classifies the problem on the calling thread (like [`Engine::solve`],
-    /// so it is safe inside an [`Engine::dispatch`]ed task), then returns a
+    /// so it is safe inside an [`Engine::submit_notify`] task), then returns a
     /// [`StreamSolution`] cursor that labels the streamed instance chunk by
     /// chunk in O(chunk + radius) memory.
     ///
@@ -462,16 +462,24 @@ mod tests {
         let problem = coloring(3);
         let s = spec(Topology::Cycle, 64, StreamInputs::Uniform { label: 0 });
         let direct = drain(&mut engine.solve_stream(&problem, &s).unwrap(), 10);
-        // Safe from a dispatched job even on a single-worker pool.
+        // Safe from a pool job even on a single-worker pool.
         let engine_for_task = Arc::clone(&engine);
-        let rx = engine.dispatch(move || {
-            let mut sol = engine_for_task.solve_stream(&problem, &s)?;
-            let mut labels = Vec::new();
-            while let Some(chunk) = sol.next_chunk(16) {
-                labels.extend(chunk?);
-            }
-            Ok::<_, ClassifierError>(labels)
-        });
+        let (tx, rx) = std::sync::mpsc::channel();
+        engine.submit_notify(
+            move || {
+                let labels = (|| {
+                    let mut sol = engine_for_task.solve_stream(&problem, &s)?;
+                    let mut labels = Vec::new();
+                    while let Some(chunk) = sol.next_chunk(16) {
+                        labels.extend(chunk?);
+                    }
+                    Ok::<_, ClassifierError>(labels)
+                })();
+                drop(engine_for_task);
+                let _ = tx.send(labels);
+            },
+            || {},
+        );
         assert_eq!(rx.recv().unwrap().unwrap(), direct);
     }
 

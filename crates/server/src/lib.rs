@@ -26,11 +26,13 @@
 //! Every front-end hands each [`Frame`] to one entry point,
 //! [`Service::dispatch`], with the connection's [`Origin`] (peer address
 //! plus completion hook), and writes the returned [`PendingResponse`]s in
-//! request order. Cached `classify` hits (an id-splice), admission
-//! rejections and oversized-frame rejections resolve on the calling thread;
-//! every other frame runs as one job on the engine's *persistent worker
-//! pool*. [`Service::handle_line`] runs that job body inline for lock-step
-//! embedders.
+//! request order. One reader runs on the calling thread for every frame: a
+//! `classify` is parsed there, every other kind by its pool job. Cached
+//! `classify` hits (an id-splice), `classify` misses the inline lane
+//! finishes, admission rejections and oversized-frame rejections resolve on
+//! the calling thread; every other frame runs as one job on the engine's
+//! *persistent worker pool*. [`Service::handle_line`] runs the same reader
+//! and that job body inline for lock-step embedders.
 //!
 //! One sans-IO connection core (`conn.rs`) holds the only frame decoder
 //! and the only ordered reply queue; every front end drives it, so the wire

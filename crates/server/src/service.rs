@@ -23,11 +23,12 @@
 //!
 //! # The inline classify lane
 //!
-//! A `classify` miss runs its classification stages (types, solvability,
-//! the biclique search, pattern labelings, synthesis) on the calling thread
-//! in order while a [`WorkMeter`] has charged fewer than
-//! [`CLASSIFY_SLICE_UNITS`] units, each stage capped at
-//! [`CLASSIFY_STAGE_CAP_UNITS`] ([`Engine::classify_inline`]). The meter
+//! A `classify` the cache probe missed and admission let through runs its
+//! classification stages (types, solvability, the biclique search, pattern
+//! labelings, synthesis) on the calling thread in order while a
+//! [`WorkMeter`] has charged fewer than [`CLASSIFY_SLICE_UNITS`] units,
+//! each stage capped at [`CLASSIFY_STAGE_CAP_UNITS`]
+//! ([`Engine::classify_inline`]). The meter
 //! counts work, not time, so which lane a request takes depends on the
 //! problem alone. A classification done within the slice is a ready reply.
 //! Otherwise the finished stages' state is parked in the key's cache
@@ -44,28 +45,30 @@
 //!
 //! # Parsing
 //!
-//! Each frame is parsed once, except a `classify` frame the front end
-//! declines, which the tree parse reads again. A `classify` frame is read by the request
+//! One frame reader, [`Service::read`], runs on the calling thread for both
+//! [`Service::dispatch`] and [`Service::handle_line`], and each frame is
+//! parsed once. A frame that names `classify` (one whitespace-tolerant scan
+//! for its `"kind"` member, which admission shares) is read by the request
 //! front end ([`RequestEnvelope::read_classify`]): one pass of the JSON pull
-//! reader straight into the problem, with no `JsonValue` tree. The splice
-//! probe reads every `classify` frame that way on the calling thread and
-//! builds the problem's structural key once; the cache probe, the inline
+//! reader straight into the problem, with no `JsonValue` tree, and the
+//! problem's structural key is built once. The cache probe, the inline
 //! lane and the pool job all use that key, and the canonical hash in the
-//! reply is read off it ([`NormalizedLcl::hash_of_key`]). A miss the
+//! reply is read off it ([`NormalizedLcl::hash_of_key`]); a miss the
 //! inline lane does not finish takes the request id, the problem and the
 //! key to its pool job, which classifies without reading again and writes
-//! its verdict reply straight to bytes. Every other kind, and each
-//! `classify` frame the front end does not accept whole (unknown fields,
-//! errors), takes the tree parse ([`JsonValue::parse`], then
-//! [`RequestEnvelope::from_json`]): on the calling thread for a declined
-//! `classify` frame, whose pool job gets the result; in its pool job for
-//! the rest. The pool job builds every error reply from the tree parse,
-//! so each error reply is what the tree path has always produced.
+//! its verdict reply straight to bytes. A `classify` frame the front end
+//! does not accept whole (unknown fields, errors) takes the tree parse
+//! ([`JsonValue::parse`], then [`RequestEnvelope::from_json`]) in the same
+//! reader: a well-formed one is still a parsed `classify`, and anything
+//! else carries the tree parse's result to its pool job, which builds the
+//! error reply from it, so each error reply is what the tree path has
+//! always produced. Every other kind is parsed by its pool job, so a large
+//! `solve` or `classify_many` frame never holds up the front end.
 //!
 //! Front-ends resolve the handles in request order through the connection
 //! core's reply queue (`conn.rs`). [`Service::handle_line`] is the
-//! lock-step helper for embedders: it runs the pool-job body inline on the
-//! calling thread and returns the envelope.
+//! lock-step helper for embedders: it runs the same reader and then the
+//! pool-job body inline on the calling thread and returns the envelope.
 //!
 //! Most kinds produce exactly one reply frame. `solve_stream` additionally
 //! *streams*: zero or more already-serialized [`StreamFrame::Chunk`]s precede
@@ -96,7 +99,6 @@ use std::io::{self, Write as _};
 use std::net::IpAddr;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::Instant;
 
@@ -353,27 +355,38 @@ fn dropped_reply(id: Option<i64>, kind: &str) -> StreamFrame {
     StreamFrame::Final(ResponseEnvelope::error(id, kind, reply).into_json_string())
 }
 
-/// Best-effort scan for the frame's `"id":<int>` field without a JSON
-/// parse. Only used to label the synthesized reply after a job panic, so a
-/// wrong match on pathological input (the literal `"id":` inside a string
-/// value) costs nothing but a mislabeled error frame.
+/// The text after the first `"<key>"` in `line` that a colon follows, with
+/// optional JSON whitespace on either side of the colon. A scan without a
+/// JSON parse: a wrong match on pathological input (the key's literal
+/// inside a string value) costs nothing worse than a mislabeled frame,
+/// because the parse decides everything else.
+fn member_value<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    fn skip_space(text: &str) -> &str {
+        text.trim_start_matches([' ', '\t', '\n', '\r'])
+    }
+    line.match_indices(key)
+        .find_map(|(at, _)| skip_space(&line[at + key.len()..]).strip_prefix(':'))
+        .map(skip_space)
+}
+
+/// Best-effort scan for the frame's `"id"` integer, for a frame not parsed
+/// yet: labels its admission rejection and the synthesized reply of a job
+/// that dies.
 fn salvage_id(line: &str) -> Option<i64> {
-    let rest = line[line.find("\"id\":")? + 5..].trim_start();
+    let rest = member_value(line, "\"id\"")?;
     let end = rest
         .find(|c: char| !c.is_ascii_digit() && c != '-')
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
 }
 
-/// Best-effort scan for `"kind":"…"`; `invalid` when unrecognizable (the
-/// same pseudo-kind unparseable frames report).
-fn salvage_kind(line: &str) -> String {
-    line.find("\"kind\":\"")
-        .and_then(|at| {
-            let rest = &line[at + 8..];
-            rest.find('"').map(|end| rest[..end].to_string())
-        })
-        .unwrap_or_else(|| "invalid".to_string())
+/// The one scan of a raw frame for its kind: the string value of its
+/// `"kind"` member, `None` when there is none. [`Service::read`] uses it to
+/// spot `classify` frames (the closing quote keeps `classify_many` out) and
+/// admission to name a frame that is still to be parsed.
+fn frame_kind(line: &str) -> Option<&str> {
+    let value = member_value(line, "\"kind\"")?.strip_prefix('"')?;
+    value.find('"').map(|end| &value[..end])
 }
 
 /// What one cache-snapshot write put on disk.
@@ -427,10 +440,6 @@ pub struct Service {
     trace: Arc<TraceSink>,
     started: Instant,
     max_chunk_bytes: usize,
-    /// Gates the zero-serialization classify fast lane
-    /// (`Service::splice`). On by default; the `server_throughput`
-    /// bench toggles it live to measure the lane's effect.
-    reply_splice: AtomicBool,
     /// Load-shedding thresholds (`--shed-p99-micros` / `--shed-queue-depth`);
     /// `None` when shedding is disabled.
     shed: Option<ShedPolicy>,
@@ -445,16 +454,47 @@ pub struct Service {
     snapshot_write: Mutex<()>,
 }
 
-/// What [`Service::respond`] runs: a raw frame, or a frame the splice
-/// probe already parsed on the dispatching thread.
-enum Request<'a> {
-    /// A frame still to be parsed.
-    Line(&'a str),
-    /// A well-formed `classify` of an uncached problem ([`Splice::Miss`]).
+/// What [`Service::read`] made of a frame `L`, and what
+/// [`Service::respond`] runs.
+enum Request<L> {
+    /// A frame that does not name `classify`, still to be parsed: by its
+    /// pool job, so a large `solve` or `classify_many` frame is never
+    /// parsed on the front end.
+    Line(L),
+    /// A well-formed `classify`.
     Classify(ParsedClassify),
-    /// A frame the `classify` front end declined, with the tree parse's
-    /// result ([`Splice::Declined`]).
+    /// A frame naming `classify` that is not a well-formed one (a malformed
+    /// frame or problem, or another kind after all), with the tree parse's
+    /// result, from which its reply is built.
     Parsed(TreeParse),
+}
+
+impl<L: AsRef<str>> Request<L> {
+    /// The request id and kind name: as [`Service::read`] parsed them or,
+    /// for a frame still to be parsed, as the best-effort scans find them
+    /// (`invalid` when no kind is found, the pseudo-kind unparseable frames
+    /// report).
+    fn label(&self) -> (Option<i64>, &str) {
+        match self {
+            Request::Line(line) => {
+                let line = line.as_ref();
+                (salvage_id(line), frame_kind(line).unwrap_or("invalid"))
+            }
+            Request::Classify(parsed) => (Some(parsed.id), RequestKind::Classify.wire_name()),
+            Request::Parsed(Ok((kind, envelope))) => (Some(envelope.id), kind.wire_name()),
+            Request::Parsed(Err(response)) => (response.id, &response.kind),
+        }
+    }
+
+    /// Stamps the parse stage of a frame [`Service::read`] parsed; a frame
+    /// still to be parsed is stamped by [`Service::respond`], which parses
+    /// it.
+    fn mark_parsed(&self, trace: Option<&Trace>) {
+        if let (Some(trace), Request::Classify(_) | Request::Parsed(_)) = (trace, self) {
+            let (id, kind) = self.label();
+            trace.mark_parsed(RequestKind::from_wire_name(kind), id);
+        }
+    }
 }
 
 /// What the tree parse ([`Service::parse`]) makes of a frame: its kind and
@@ -462,8 +502,9 @@ enum Request<'a> {
 type TreeParse = Result<(RequestKind, RequestEnvelope), ResponseEnvelope>;
 
 /// A `classify` frame read and normalized, with its problem's structural
-/// key: the splice probe moves it into the pool job of a cache miss, so the
-/// job neither parses the frame nor builds the key again.
+/// key: a cache miss moves it into the inline lane and, if that does not
+/// finish, into the pool job, so neither parses the frame nor builds the
+/// key again.
 struct ParsedClassify {
     id: i64,
     problem: NormalizedLcl,
@@ -584,39 +625,6 @@ enum Inline {
     Pool(ParsedClassify),
 }
 
-/// What the splice probe ([`Service::splice`]) made of one frame.
-enum Splice {
-    /// A cache hit, answered and accounted on the calling thread.
-    Hit(StreamFrame, Option<Arc<Trace>>),
-    /// A well-formed `classify` whose problem is not cached: the parse, for
-    /// the inline lane and, if it does not finish, the pool job.
-    Miss(ParsedClassify),
-    /// A frame naming `classify` that the front end declined and that is
-    /// not a well-formed `classify` either (a malformed frame or problem,
-    /// or another kind after all): the tree parse's result, handed to the
-    /// pool job, which owns the error reply.
-    Declined(TreeParse),
-    /// Not for the lane (the toggle is off, or the frame does not name
-    /// `classify`); the pool job parses the frame.
-    Pass,
-}
-
-/// Whether a frame names the `classify` kind: a `"kind"` key, a colon with
-/// optional JSON whitespace on either side, then the string `"classify"`
-/// (its closing quote keeps `classify_many` out). A cheap scan before the
-/// parse, which decides; a frame it misses never reaches the splice lane.
-fn names_classify(line: &str) -> bool {
-    const KEY: &str = "\"kind\"";
-    fn skip_space(text: &str) -> &str {
-        text.trim_start_matches([' ', '\t', '\n', '\r'])
-    }
-    line.match_indices(KEY).any(|(at, _)| {
-        skip_space(&line[at + KEY.len()..])
-            .strip_prefix(':')
-            .is_some_and(|value| skip_space(value).starts_with("\"classify\""))
-    })
-}
-
 impl Service {
     /// Wraps an engine for serving.
     pub fn new(engine: Engine) -> Self {
@@ -626,7 +634,6 @@ impl Service {
             trace: Arc::new(TraceSink::default()),
             started: Instant::now(),
             max_chunk_bytes: DEFAULT_MAX_CHUNK_BYTES,
-            reply_splice: AtomicBool::new(true),
             shed: None,
             quota: None,
             snapshot_path: None,
@@ -675,26 +682,6 @@ impl Service {
         self.max_chunk_bytes
     }
 
-    /// Builder form of [`Service::set_reply_splice`].
-    pub fn with_reply_splice(self, enabled: bool) -> Self {
-        self.set_reply_splice(enabled);
-        self
-    }
-
-    /// Enables or disables the zero-serialization classify fast lane at
-    /// runtime. Replies are byte-identical either way — the toggle only
-    /// decides whether a hot hit re-serializes its verdict per frame — so
-    /// flipping it mid-stream is safe; the `server_throughput` bench does
-    /// exactly that to isolate the lane's cost.
-    pub fn set_reply_splice(&self, enabled: bool) {
-        self.reply_splice.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether the zero-serialization classify fast lane is on.
-    pub fn reply_splice(&self) -> bool {
-        self.reply_splice.load(Ordering::Relaxed)
-    }
-
     /// How many labels fit one chunk under [`Self::max_chunk_bytes`]: a
     /// label costs at most 6 wire bytes (`u16` digits plus comma), budgeted
     /// at 8 after reserving envelope overhead, so the serialized frame
@@ -735,25 +722,25 @@ impl Service {
             .then(|| Arc::new(Trace::new(Arc::clone(&self.trace), started, id)))
     }
 
-    /// The admission decision for one frame, taken on its salvaged kind
-    /// before it takes a pool job or a pipeline-window slot: `Some(reply)`
-    /// — already accounted — when the frame must be rejected (per-peer
-    /// quota exhausted, or the server is shedding load). Only compute kinds
-    /// are ever denied (a frame whose kind cannot be salvaged is admitted:
-    /// its reply is a parse error, not engine work worth shedding); the
-    /// quota is consulted first so one greedy client is rejected
-    /// individually before the global shed signals even matter.
+    /// The admission decision for one frame, taken on its kind before it
+    /// takes a pool job or a pipeline-window slot: `Some(reply)` — already
+    /// accounted — when the frame must be rejected (per-peer quota
+    /// exhausted, or the server is shedding load). Only compute kinds are
+    /// ever denied (a frame without a known kind is admitted: its reply is
+    /// a parse error, not engine work worth shedding); the quota is
+    /// consulted first so one greedy client is rejected individually before
+    /// the global shed signals even matter.
     fn admission_denial(
         &self,
-        line: &str,
+        id: Option<i64>,
+        kind: Option<RequestKind>,
         peer: Option<IpAddr>,
         started: Instant,
     ) -> Option<ResponseEnvelope> {
         if self.shed.is_none() && self.quota.is_none() {
             return None;
         }
-        let kind_name = salvage_kind(line);
-        let kind = RequestKind::from_wire_name(&kind_name).filter(|k| k.is_compute())?;
+        let kind = kind.filter(|k| k.is_compute())?;
         let denial = self
             .quota
             .as_ref()
@@ -776,45 +763,44 @@ impl Service {
         self.metrics.record_shed(Some(kind));
         self.metrics.record(Some(kind), started.elapsed(), false);
         let reply = ErrorReply::overloaded(denial.message, denial.retry_after_millis);
-        Some(ResponseEnvelope::error(salvage_id(line), kind_name, reply))
+        Some(ResponseEnvelope::error(id, kind.wire_name(), reply))
     }
 
     /// Handles one request frame in lock-step, returning exactly one
-    /// response envelope: the body of a [`Service::dispatch`] pool job, run
-    /// inline on the calling thread (no splice lane, no admission). Never
-    /// panics on wire input. `solve_stream` chunk frames have nowhere to go
-    /// in this shape and are discarded; the terminal summary is still
-    /// computed and returned.
+    /// response envelope: the frame's read (`Service::read`) and then the
+    /// body of a [`Service::dispatch`] pool job, both on the calling thread
+    /// (no cache probe, no inline lane, no admission). Never panics on wire
+    /// input. `solve_stream` chunk frames have nowhere to go in this shape
+    /// and are discarded; the terminal summary is still computed and
+    /// returned.
     pub fn handle_line(&self, line: &str) -> ResponseEnvelope {
         let started = Instant::now();
         // The trace finalizes into the sink when it drops here: lock-step
         // embedders cannot observe the write.
         let trace = self.new_trace(started, None);
-        self.respond(
-            Request::Line(line),
-            started,
-            &mut |_| true,
-            trace.as_deref(),
-        )
-        .into_envelope()
+        let request = Self::read(line);
+        request.mark_parsed(trace.as_deref());
+        self.respond(request, started, &mut |_| true, trace.as_deref())
+            .into_envelope()
     }
 
     /// Dispatches one request frame and returns the handle its reply
     /// arrives on, without blocking. This is the one entry point every
     /// front-end uses.
     ///
-    /// Frames answerable on the calling thread come back as ready replies:
-    /// an oversized frame's rejection, a cached `classify` hit (the splice
-    /// lane), a `classify` miss classified within the inline lane's work
-    /// slice, an admission rejection. Everything else becomes one pool job
-    /// that executes and serializes the frame. A `classify` miss the inline
-    /// lane did not finish moves the request the splice probe already
-    /// parsed into its job, which continues from the stage the lane stopped
-    /// before; any other frame is parsed by the job. The job delivers its frames
-    /// over a bounded channel (depth 2): a streaming job whose consumer
-    /// stops draining parks its pool worker until the writer catches up or
-    /// drops the handle (which aborts the stream). The per-connection
-    /// in-flight window bounds how many workers one slow peer can park.
+    /// On the calling thread, in order: the frame's read (`Service::read`);
+    /// for a `classify`, the cache probe (the splice lane); admission; for a
+    /// `classify` miss, the inline lane. Each of the last three can resolve
+    /// the frame as a ready reply, as does an oversized frame's rejection.
+    /// Everything else becomes one pool job that executes and serializes
+    /// the request: a `classify` miss the inline lane did not finish
+    /// continues from the stage the lane stopped before, a frame `read`
+    /// parsed is not parsed again, and any other frame is parsed by the
+    /// job. The job delivers its frames over a bounded channel (depth 2): a
+    /// streaming job whose consumer stops draining parks its pool worker
+    /// until the writer catches up or drops the handle (which aborts the
+    /// stream). The per-connection in-flight window bounds how many
+    /// workers one slow peer can park.
     ///
     /// The caller must resolve the returned handles in dispatch order to
     /// uphold the protocol's per-connection reply-ordering guarantee.
@@ -833,37 +819,37 @@ impl Service {
             }
         };
         let started = Instant::now();
-        let (parsed, declined) = match self.splice(&line, started) {
-            Splice::Hit(frame, trace) => return PendingResponse::ready(frame, trace),
-            Splice::Miss(parsed) => (Some(parsed), None),
-            Splice::Declined(tree) => (None, Some(tree)),
-            Splice::Pass => (None, None),
-        };
+        let request = Self::read(line);
+        if let Request::Classify(parsed) = &request {
+            if let Some(hit) = self.splice(parsed, started) {
+                return hit;
+            }
+        }
+        let (id, kind) = request.label();
+        let kind = kind.to_string();
         // A shed reply only occupies the connection's ordered-reply slot,
         // so it stays fast — and the server observable — however deep the
         // pool backlog is.
-        if let Some(reply) = self.admission_denial(&line, origin.peer, started) {
+        let denial =
+            self.admission_denial(id, RequestKind::from_wire_name(&kind), origin.peer, started);
+        if let Some(reply) = denial {
             return PendingResponse::ready(StreamFrame::Final(reply.into_json_string()), None);
         }
-        let (id, kind) = match &parsed {
-            Some(parsed) => (Some(parsed.id), RequestKind::Classify.to_string()),
-            None => (salvage_id(&line), salvage_kind(&line)),
-        };
         // The trace is shared three ways: the job stamps queue → serialize,
         // the connection writer (via the PendingResponse) stamps the write,
         // and whichever Arc drops last finalizes it if nobody did.
         let trace = self.new_trace(started, id);
-        if let (Some(trace), Some(_)) = (&trace, &parsed) {
-            // A miss was parsed here, before the inline lane and any queue
-            // wait.
-            trace.mark_parsed(Some(RequestKind::Classify), id);
-        }
-        let parsed = match parsed {
-            Some(parsed) => match self.classify_inline(parsed, started, trace.as_deref()) {
-                Inline::Ready(frame) => return PendingResponse::ready(frame, trace),
-                Inline::Pool(parsed) => Some(parsed),
-            },
-            None => None,
+        // A frame `read` parsed was parsed here, before the inline lane and
+        // any queue wait.
+        request.mark_parsed(trace.as_deref());
+        let request = match request {
+            Request::Classify(parsed) => {
+                match self.classify_inline(parsed, started, trace.as_deref()) {
+                    Inline::Ready(frame) => return PendingResponse::ready(frame, trace),
+                    Inline::Pool(parsed) => Request::Classify(parsed),
+                }
+            }
+            request => request,
         };
         let service = Arc::clone(self);
         let job_trace = trace.clone();
@@ -889,11 +875,6 @@ impl Service {
                     }
                     delivered
                 };
-                let request = match (parsed, declined) {
-                    (Some(parsed), _) => Request::Classify(parsed),
-                    (None, Some(tree)) => Request::Parsed(tree),
-                    (None, None) => Request::Line(&line),
-                };
                 let reply = service
                     .respond(request, started, &mut emit, trace)
                     .into_frame();
@@ -917,49 +898,55 @@ impl Service {
         }
     }
 
+    /// The one frame reader, run on the calling thread for both
+    /// [`Service::dispatch`] and [`Service::handle_line`]. A frame naming
+    /// `classify` ([`frame_kind`]) goes to the request front end
+    /// ([`RequestEnvelope::read_classify`]): one pass of a JSON reader
+    /// straight into the problem. If the front end declines it (unknown
+    /// fields, errors), the tree parse decides: a well-formed `classify` is
+    /// still [`Request::Classify`], anything else [`Request::Parsed`], so
+    /// every error reply is what the tree path has always produced. Every
+    /// other frame stays [`Request::Line`], for its pool job to parse.
+    fn read<L: AsRef<str>>(line: L) -> Request<L> {
+        let text = line.as_ref();
+        if frame_kind(text) != Some(RequestKind::Classify.wire_name()) {
+            return Request::Line(line);
+        }
+        if let Some((id, problem)) = RequestEnvelope::read_classify(text) {
+            return Request::Classify(ParsedClassify::new(id, problem));
+        }
+        match Self::parse(text) {
+            Ok((RequestKind::Classify, envelope)) => match Self::parse_problem(&envelope.payload) {
+                Ok(problem) => Request::Classify(ParsedClassify::new(envelope.id, problem)),
+                Err(_) => Request::Parsed(Ok((RequestKind::Classify, envelope))),
+            },
+            tree => Request::Parsed(tree),
+        }
+    }
+
     /// The request body every frame runs — on a pool worker for
-    /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse
-    /// (unless the splice probe already did), execute, and record the
-    /// latency metrics (from `started`, so dispatched requests account their
-    /// pool-queue wait too), stamping the stage trace along the way. A raw
-    /// frame that names `classify` goes to the `classify` front end
-    /// ([`Service::read_classify`]) first; the tree parse runs only for
-    /// other frames and for those the front end declines.
-    fn respond(
+    /// [`Service::dispatch`], inline for [`Service::handle_line`]: parse a
+    /// frame [`Service::read`] left to it, execute, and record the latency
+    /// metrics (from `started`, so dispatched requests account their
+    /// pool-queue wait too), stamping the stage trace along the way.
+    fn respond<L: AsRef<str>>(
         &self,
-        request: Request<'_>,
+        request: Request<L>,
         started: Instant,
         emit: &mut dyn FnMut(String) -> bool,
         trace: Option<&Trace>,
     ) -> Outcome {
-        // A well-formed `classify` with its problem, or the tree parse.
-        let parsed: Result<ParsedClassify, TreeParse> = match request {
-            Request::Line(line) if names_classify(line) => match Self::read_classify(line) {
-                Some(parsed) => {
-                    if let Some(trace) = trace {
-                        trace.mark_parsed(Some(RequestKind::Classify), Some(parsed.id));
-                    }
-                    Ok(parsed)
-                }
-                None => Err(self.parse(line)),
-            },
-            Request::Line(line) => Err(self.parse(line)),
-            Request::Classify(parsed) => Ok(parsed),
-            Request::Parsed(tree) => Err(tree),
-        };
-        let (kind, outcome) = match parsed {
-            // Parsed, and its parse stage stamped, before this point.
-            Ok(parsed) => (Some(RequestKind::Classify), self.classify(parsed, trace)),
-            Err(Err(response)) => {
-                if let Some(trace) = trace {
-                    trace.mark_parsed(None, None);
-                }
-                (None, Outcome::Envelope(response))
+        let (kind, outcome) = match request {
+            Request::Line(line) => {
+                let request: Request<L> = Request::Parsed(Self::parse(line.as_ref()));
+                request.mark_parsed(trace);
+                return self.respond(request, started, emit, trace);
             }
-            Err(Ok((kind, envelope))) => {
-                if let Some(trace) = trace {
-                    trace.mark_parsed(Some(kind), Some(envelope.id));
-                }
+            Request::Classify(parsed) => {
+                (Some(RequestKind::Classify), self.classify(parsed, trace))
+            }
+            Request::Parsed(Err(response)) => (None, Outcome::Envelope(response)),
+            Request::Parsed(Ok((kind, envelope))) => {
                 (Some(kind), self.run(kind, &envelope, started, emit, trace))
             }
         };
@@ -971,16 +958,6 @@ impl Service {
         outcome
     }
 
-    /// The request front end for `classify` frames, shared by the splice
-    /// probe and [`Service::respond`]: one pass of a JSON reader straight
-    /// into the problem ([`RequestEnvelope::read_classify`]). `None` for
-    /// anything it does not accept whole — the tree parse then runs, so
-    /// every error reply and every other kind is what it always was.
-    fn read_classify(line: &str) -> Option<ParsedClassify> {
-        let (id, problem) = RequestEnvelope::read_classify(line)?;
-        Some(ParsedClassify::new(id, problem))
-    }
-
     /// Wraps one request's outcome in its reply envelope.
     fn envelope(id: i64, kind: RequestKind, result: Result<JsonValue, Error>) -> ResponseEnvelope {
         match result {
@@ -989,9 +966,10 @@ impl Service {
         }
     }
 
-    /// Parses one frame up to (but not including) payload interpretation.
-    /// Any failure comes back as the ready-to-send error response.
-    fn parse(&self, line: &str) -> Result<(RequestKind, RequestEnvelope), ResponseEnvelope> {
+    /// The tree parse of one frame, up to (but not including) payload
+    /// interpretation. Any failure comes back as the ready-to-send error
+    /// response.
+    fn parse(line: &str) -> TreeParse {
         let value = JsonValue::parse(line)
             .map_err(|e| protocol_error(None, format!("malformed request frame: {e}")))?;
         // Salvage the request id if the envelope itself is broken, so the
@@ -1051,50 +1029,21 @@ impl Service {
         Ok(ProblemSpec::from_json(spec)?.to_problem()?)
     }
 
-    /// The zero-serialization classify fast lane of [`Service::dispatch`]:
-    /// answers a `classify` frame whose classification is already cached
-    /// entirely on the calling thread — no pool round-trip and, when the
-    /// reply bytes are attached ([`Engine::cached_reply`]), no
+    /// The zero-serialization classify fast lane of [`Service::dispatch`]
+    /// (the splice lane): answers a `classify` whose classification is
+    /// already cached entirely on the calling thread — no pool round-trip
+    /// and, when the reply bytes are attached ([`Engine::cached_reply`]), no
     /// serialization either, just an id-splice ([`StreamFrame::Spliced`]).
-    /// The frame is read by the `classify` front end
-    /// ([`Service::read_classify`]), and by the tree parse only when the
-    /// front end declines it.
+    /// `None` on a miss, which goes on to admission and the inline lane with
+    /// the same parse and key. Errors are never cached, so an error reply is
+    /// never spliced.
     ///
-    /// A well-formed `classify` whose problem is not cached comes back as
-    /// [`Splice::Miss`] carrying the parsed request and its structural key,
-    /// so the inline lane and any pool job classify without parsing the
-    /// frame or building the key again. A frame that names
-    /// `classify` but is not a well-formed one is [`Splice::Declined`],
-    /// carrying the tree parse's result, so its pool job does not parse it
-    /// again either. Every other frame — the splice toggle is off, or the
-    /// frame does not name `classify` — is [`Splice::Pass`]: its pool job
-    /// parses it. The pool job owns every error reply (errors are never
-    /// cached, so they are never spliced).
-    ///
-    /// On [`Splice::Hit`], the request is fully accounted (latency metrics,
-    /// stage trace), with the write stage left for the connection writer.
-    fn splice(&self, line: &str, started: Instant) -> Splice {
-        // Cheap scan before the parse: the lane only serves `classify`.
-        if !self.reply_splice() || !names_classify(line) {
-            return Splice::Pass;
-        }
-        let parsed = match Self::read_classify(line) {
-            Some(parsed) => parsed,
-            None => match self.parse(line) {
-                Ok((RequestKind::Classify, envelope)) => {
-                    match Self::parse_problem(&envelope.payload) {
-                        Ok(problem) => ParsedClassify::new(envelope.id, problem),
-                        Err(_) => return Splice::Declined(Ok((RequestKind::Classify, envelope))),
-                    }
-                }
-                tree => return Splice::Declined(tree),
-            },
-        };
-        // Only an already-cached classification is served here: a miss
-        // goes on to the inline lane, taking this parse along. The render
-        // closure only fires for a hit whose reply bytes are not attached
-        // yet (then this request pays the one serialization every later hit
-        // reuses).
+    /// A hit is fully accounted here (latency metrics, stage trace), with
+    /// the write stage left for the connection writer.
+    fn splice(&self, parsed: &ParsedClassify, started: Instant) -> Option<PendingResponse> {
+        // The render closure only fires for a hit whose reply bytes are not
+        // attached yet (then this request pays the one serialization every
+        // later hit reuses).
         let (id, problem, hash) = (parsed.id, &parsed.problem, parsed.hash());
         let lane = self
             .engine
@@ -1102,10 +1051,7 @@ impl Service {
                 let mut payload = String::with_capacity(320);
                 write_verdict_payload(problem, hash, classification, &mut payload);
                 payload.into_bytes()
-            });
-        let Some(lane) = lane else {
-            return Splice::Miss(parsed);
-        };
+            })?;
         let trace = self.new_trace(started, Some(id));
         if let Some(trace) = &trace {
             trace.mark_parsed(Some(RequestKind::Classify), Some(id));
@@ -1129,7 +1075,7 @@ impl Service {
         }
         self.metrics
             .record(Some(RequestKind::Classify), started.elapsed(), true);
-        Splice::Hit(frame, trace)
+        Some(PendingResponse::ready(frame, trace))
     }
 
     /// The inline classify lane of [`Service::dispatch`]: a `classify`
@@ -1523,7 +1469,14 @@ mod tests {
     }
 
     fn classify_line(id: i64) -> String {
-        let payload = JsonValue::object([("problem", problems::coloring(3).to_spec().to_json())]);
+        cold_classify_line(id, 3)
+    }
+
+    /// A classify frame of `colors`-coloring: distinct `colors` are
+    /// distinct cold problems, which reach admission.
+    fn cold_classify_line(id: i64, colors: usize) -> String {
+        let spec = problems::coloring(colors).to_spec();
+        let payload = JsonValue::object([("problem", spec.to_json())]);
         RequestEnvelope::new(id, "classify", payload).to_json_string()
     }
 
@@ -1615,13 +1568,6 @@ mod tests {
 
         // The lane never takes a pipeline-window slot.
         assert_eq!(service.metrics_snapshot().pipeline_inflight, 0);
-
-        // Toggled off, the same hot frame goes through the pool and still
-        // serializes identically — the lane is invisible on the wire.
-        service.set_reply_splice(false);
-        let slow = dispatch(&service, classify_line(4)).wait();
-        assert_eq!(slow, lock_step(&service, &classify_line(4)));
-        assert_eq!(service.metrics().spliced_frames(), 2, "lane was off");
     }
 
     #[test]
@@ -1637,7 +1583,7 @@ mod tests {
             (r#"{"kind" "classify"}"#, false),
             (r#"{"kinds": "classify"}"#, false),
         ] {
-            assert_eq!(names_classify(line), classify, "{line}");
+            assert_eq!(frame_kind(line) == Some("classify"), classify, "{line}");
         }
 
         // Three canonical frames of one problem: a miss, then two spliced
@@ -1684,7 +1630,6 @@ mod tests {
         }));
         sink.set_slow_micros(Some(1));
         let handed = Arc::new(service().with_trace_sink(sink));
-        let unspliced = Arc::new(service().with_reply_splice(false));
         let lock_stepped = service();
 
         let bad_label = classify_line_with(
@@ -1697,26 +1642,26 @@ mod tests {
             "input_labels",
             JsonValue::str_array(Vec::<String>::new()),
         );
-        // The probe hands over the parse of a well-formed cold classify,
-        // and the tree parse of a malformed classify frame or problem;
-        // other kinds pass to the pool unparsed.
+        // The reader parses a well-formed classify, and hands the tree
+        // parse of a malformed classify frame or problem on; other kinds
+        // stay unparsed for their pool job.
         assert!(matches!(
-            handed.splice(&classify_line(1), Instant::now()),
-            Splice::Miss(ParsedClassify { id: 1, .. })
+            Service::read(classify_line(1).as_str()),
+            Request::Classify(ParsedClassify { id: 1, .. })
         ));
         assert!(matches!(
-            handed.splice(r#"{"v":1,"id":1,"kind":"health"}"#, Instant::now()),
-            Splice::Pass
+            Service::read(r#"{"v":1,"id":1,"kind":"health"}"#),
+            Request::Line(_)
         ));
         assert!(matches!(
-            handed.splice(r#"{"v":1,"id":1,"kind":"classify""#, Instant::now()),
-            Splice::Declined(Err(_))
+            Service::read(r#"{"v":1,"id":1,"kind":"classify""#),
+            Request::Parsed(Err(_))
         ));
         for line in [&bad_label, &empty_alphabet] {
             assert!(
                 matches!(
-                    handed.splice(line, Instant::now()),
-                    Splice::Declined(Ok((RequestKind::Classify, _)))
+                    Service::read(line.as_str()),
+                    Request::Parsed(Ok((RequestKind::Classify, _)))
                 ),
                 "{line}"
             );
@@ -1736,11 +1681,10 @@ mod tests {
         assert!(!record.require("cache_hit").unwrap().as_bool().unwrap());
         assert!(field("parse_micros") > 0, "{record:?}");
         assert!(field("parse_micros") + field("queue_micros") <= field("total_micros"));
-        assert_eq!(cold, dispatch(&unspliced, classify_line(5)).wait());
         assert_eq!(cold, lock_step(&lock_stepped, &classify_line(5)));
 
-        // Every path gives the same bytes (an error for a bad problem),
-        // and each frame counts exactly once.
+        // Both paths give the same bytes (an error for a bad problem), and
+        // each frame counts exactly once.
         let spaced = classify_line(6).replace(',', ", ");
         for (line, ok) in [
             (classify_line(6), true),
@@ -1758,7 +1702,6 @@ mod tests {
             let before = served(&handed);
             let reply = dispatch(&handed, line.clone()).wait();
             assert_eq!(served(&handed), (before.0 + 1, before.1 + 1), "{line}");
-            assert_eq!(reply, dispatch(&unspliced, line.clone()).wait(), "{line}");
             assert_eq!(reply, lock_step(&lock_stepped, &line), "{line}");
             match ResponseEnvelope::from_json_str(&reply).unwrap().result {
                 Ok(_) => assert!(ok, "{line}"),
@@ -1799,8 +1742,19 @@ mod tests {
         assert_eq!(salvage_id(r#"{"id": -7}"#), Some(-7));
         assert_eq!(salvage_id("not json"), None);
         assert_eq!(salvage_id(r#"{"id":"text"}"#), None);
-        assert_eq!(salvage_kind(r#"{"kind":"classify_many"}"#), "classify_many");
-        assert_eq!(salvage_kind("garbage"), "invalid");
+        assert_eq!(salvage_id("{\"id\" \t:\r\n 7}"), Some(7));
+        assert_eq!(salvage_id(r#"{"kind":"id","id" : 8}"#), Some(8));
+        assert_eq!(
+            frame_kind(r#"{"kind":"classify_many"}"#),
+            Some("classify_many")
+        );
+        assert_eq!(frame_kind(r#"{"kind" : "solve"}"#), Some("solve"));
+        assert_eq!(
+            frame_kind(r#"{"id":"kind","kind": "health"}"#),
+            Some("health")
+        );
+        assert_eq!(frame_kind(r#"{"kind":7}"#), None);
+        assert_eq!(frame_kind("garbage"), None);
     }
 
     #[test]
@@ -2263,17 +2217,16 @@ mod tests {
             ..AdmissionConfig::default()
         }));
         // The splice lane legitimately bypasses admission (cache hits cost
-        // nothing); turn it off so the second frame reaches the quota.
-        service.set_reply_splice(false);
+        // nothing), so every frame names a distinct cold problem.
         let peer = Origin::new(Some("10.0.0.7".parse().unwrap()));
 
         // The burst admits the first frame…
-        let first = dispatch_from(&service, classify_line(1), &peer).wait();
+        let first = dispatch_from(&service, cold_classify_line(1, 3), &peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());
 
         // …and the second is rejected before taking a pool slot, with the
         // structured retry hint on the wire.
-        let second = dispatch_from(&service, classify_line(2), &peer).wait();
+        let second = dispatch_from(&service, cold_classify_line(2, 4), &peer).wait();
         let reply = ResponseEnvelope::from_json_str(&second).unwrap();
         assert_eq!(reply.id, Some(2), "denials still echo the request id");
         assert_eq!(reply.kind, "classify");
@@ -2284,7 +2237,7 @@ mod tests {
 
         // A different peer still has its own untouched bucket.
         let other = Origin::new(Some("10.0.0.8".parse().unwrap()));
-        let third = dispatch_from(&service, classify_line(3), &other).wait();
+        let third = dispatch_from(&service, cold_classify_line(3, 5), &other).wait();
         assert!(ResponseEnvelope::from_json_str(&third).unwrap().is_ok());
 
         // Latency accounting stays symmetric: the shed frame is counted,
@@ -2295,6 +2248,117 @@ mod tests {
         assert_eq!(stats.errors, 1);
         assert_eq!(stats.count, 3);
         assert_eq!(stats.latency.count, 3);
+    }
+
+    /// Four distinct cold classifies, ids `7..=10`, in one spelling.
+    fn spelled_classifies(spelling: &str) -> Vec<String> {
+        (0..4)
+            .map(|at| {
+                let id = 7 + at as i64;
+                let canonical = cold_classify_line(id, 3 + at);
+                match spelling {
+                    "canonical" => canonical,
+                    "spaced" => canonical.replacen("\"kind\":", "\"kind\": ", 1),
+                    "wide" => canonical.replacen("\"kind\":", "\"kind\" : ", 1).replacen(
+                        "\"id\":",
+                        "\"id\" : ",
+                        1,
+                    ),
+                    "reordered" => {
+                        let spec = problems::coloring(3 + at).to_spec().to_json_string();
+                        format!(
+                            "{{\"payload\":{{\"problem\":{spec}}},\"v\":1,\
+                             \"id\":{id},\"kind\":\"classify\"}}"
+                        )
+                    }
+                    _ => unreachable!("{spelling}"),
+                }
+            })
+            .collect()
+    }
+
+    /// The id and error category of each reply.
+    fn outcomes(replies: Vec<String>) -> Vec<(Option<i64>, Option<String>)> {
+        replies
+            .iter()
+            .map(|reply| {
+                let reply = ResponseEnvelope::from_json_str(reply).unwrap();
+                (reply.id, reply.result.err().map(|error| error.category))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn admission_reads_every_spelling_of_a_frame_alike() {
+        let overloaded = Some("overloaded".to_string());
+        for spelling in ["canonical", "spaced", "wide", "reordered"] {
+            let frames = spelled_classifies(spelling);
+            // Quota 1, burst 1: exactly the first frame is admitted.
+            let service = Arc::new(service().with_admission(AdmissionConfig {
+                quota_rps: 1,
+                quota_burst: 1,
+                ..AdmissionConfig::default()
+            }));
+            let peer = Origin::new(Some("10.0.0.9".parse().unwrap()));
+            let replies = frames
+                .iter()
+                .map(|frame| dispatch_from(&service, frame.clone(), &peer).wait())
+                .collect();
+            assert_eq!(
+                outcomes(replies),
+                [
+                    (Some(7), None),
+                    (Some(8), overloaded.clone()),
+                    (Some(9), overloaded.clone()),
+                    (Some(10), overloaded.clone()),
+                ],
+                "{spelling}"
+            );
+
+            // Queue-depth shedding against a pinned worker: one gate job
+            // runs, one waits in the queue, and every frame sheds.
+            let service = Arc::new(
+                Service::new(Engine::builder().parallelism(1).build()).with_admission(
+                    AdmissionConfig {
+                        shed_queue_depth: 1,
+                        ..AdmissionConfig::default()
+                    },
+                ),
+            );
+            let (release, hold) = mpsc::channel::<()>();
+            let hold = Arc::new(Mutex::new(hold));
+            let (done_tx, done) = mpsc::channel::<()>();
+            for _ in 0..2 {
+                let hold = Arc::clone(&hold);
+                let done_tx = done_tx.clone();
+                service.engine().submit_notify(
+                    move || {
+                        let _ = hold.lock().unwrap().recv();
+                    },
+                    move || {
+                        let _ = done_tx.send(());
+                    },
+                );
+            }
+            while service.engine().pool_stats().queue_depth != 1 {
+                std::thread::yield_now();
+            }
+            let replies = frames
+                .iter()
+                .map(|frame| dispatch(&service, frame.clone()).wait())
+                .collect();
+            assert_eq!(
+                outcomes(replies),
+                (7..=10)
+                    .map(|id| (Some(id), overloaded.clone()))
+                    .collect::<Vec<_>>(),
+                "{spelling}"
+            );
+            drop(release);
+            for _ in 0..2 {
+                done.recv().expect("gate job finishes once released");
+            }
+        }
     }
 
     #[test]
@@ -2357,7 +2421,6 @@ mod tests {
             quota_burst: 1,
             ..AdmissionConfig::default()
         }));
-        service.set_reply_splice(false);
         let peer = Origin::new(Some("192.168.1.20".parse().unwrap()));
         let first = dispatch_from(&service, classify_line(1), &peer).wait();
         assert!(ResponseEnvelope::from_json_str(&first).unwrap().is_ok());

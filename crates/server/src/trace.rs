@@ -278,7 +278,7 @@ impl Trace {
     /// each stamped stage lasts from the stamp before it in time to its
     /// own, an unstamped stage lasts 0, and the total is the wall clock
     /// from frame read to the finish call. Stages are taken in the order
-    /// they ended, not in a fixed order: a `classify` miss the splice probe
+    /// they ended, not in a fixed order: a `classify` miss the frame reader
     /// handed to the pool was parsed before its queue wait.
     fn record(&self, total_micros: u64) -> TraceRecord {
         let offsets = [

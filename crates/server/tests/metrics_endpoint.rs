@@ -388,9 +388,6 @@ fn shed_frames_stay_in_the_latency_accounting_over_tcp() {
             ..AdmissionConfig::default()
         }),
     );
-    // The splice lane legitimately bypasses admission; keep every frame
-    // on the quota'd path so the shed count is predictable.
-    service.set_reply_splice(false);
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind")
         .start()
@@ -398,7 +395,9 @@ fn shed_frames_stay_in_the_latency_accounting_over_tcp() {
     let mut client = Client::connect(handle.addr()).expect("connect");
 
     // Flood eight distinct problems down one pipelined connection: the
-    // burst of two admits the head, the rest shed.
+    // burst of two admits the head, the rest shed. Distinct cold problems
+    // miss the cache, so no frame is answered by the splice lane, which
+    // legitimately bypasses admission, and the shed count is predictable.
     let specs: Vec<_> = (2..=9).map(|k| problems::coloring(k).to_spec()).collect();
     let outcomes = client
         .classify_many_pipelined(&specs, 0)

@@ -4,6 +4,7 @@
 //! deadlock, no connection loss, no unstructured failure — and once the
 //! flood drains the server must admit work again.
 
+use lcl_paths::gen::GenConfig;
 use lcl_paths::problem::json::JsonValue;
 use lcl_paths::problem::{Instance, RequestEnvelope, ResponseEnvelope, Topology};
 use lcl_paths::{problems, Engine};
@@ -22,9 +23,6 @@ fn a_flood_past_capacity_sheds_structurally_and_recovers() {
             ..AdmissionConfig::default()
         }),
     );
-    // Cache hits would bypass the pool (and the queue) on the splice
-    // lane; keep every frame on the dispatch path.
-    service.set_reply_splice(false);
     let handle = Server::bind(Arc::clone(&service), "127.0.0.1:0")
         .expect("bind")
         .start()
@@ -42,9 +40,11 @@ fn a_flood_past_capacity_sheds_structurally_and_recovers() {
         use std::io::Write;
         // The head of the flood is a handful of slow solves (a few
         // hundred LOCAL rounds each on one worker): they pin the pool
-        // while the classify flood behind them piles into the queue and
-        // trips the threshold. The classifies cycle through a few cheap
-        // specs — arrival rate is what matters, not per-frame cost.
+        // while the flood behind them piles into the queue and trips the
+        // threshold. The flood is cheap `generate` frames, a kind that
+        // always takes a pool job (a classify could be answered on the
+        // front end by the cache or the inline lane, and never queue) —
+        // arrival rate is what matters, not per-frame cost.
         let spec = problems::coloring(3).to_spec();
         let instance = Instance::from_indices(Topology::Cycle, &[0; 400]);
         for id in 0..FLOOD {
@@ -59,13 +59,8 @@ fn a_flood_past_capacity_sheds_structurally_and_recovers() {
                 )
                 .to_json_string()
             } else {
-                let spec = problems::coloring(2 + (id % 8)).to_spec();
-                RequestEnvelope::new(
-                    id as i64,
-                    "classify",
-                    JsonValue::object([("problem", spec.to_json())]),
-                )
-                .to_json_string()
+                RequestEnvelope::new(id as i64, "generate", GenConfig::new(id as u64).to_json())
+                    .to_json_string()
             };
             line.push('\n');
             flood_writer.write_all(line.as_bytes()).expect("flood send");

@@ -199,33 +199,47 @@ fn every_reply_is_canonical_envelope_bytes_on_stdio() {
 }
 
 #[test]
-fn splicing_on_and_off_produce_the_same_bytes_for_deterministic_kinds() {
+fn spliced_stdio_replies_equal_handle_line_for_deterministic_kinds() {
     // `stats` and `metrics` replies embed wall-clock fields, so the
     // byte-for-byte comparison drives every *deterministic* kind; those two
     // are still covered by the canonical-roundtrip tests above.
-    let deterministic: String = all_kind_frames()
+    let frames: Vec<(String, bool)> = all_kind_frames()
         .into_iter()
         .filter(|(request, _)| !request.contains("\"stats\"") && !request.contains("\"metrics\""))
+        .collect();
+    let input: String = frames
+        .iter()
         .map(|(request, _)| format!("{request}\n"))
         .collect();
-    let run = |splice: bool| -> (Vec<String>, u64) {
-        let service = Arc::new(
-            Service::new(Engine::builder().parallelism(1).build()).with_reply_splice(splice),
+    let served = Arc::new(Service::new(Engine::builder().parallelism(1).build()));
+    let mut output = Vec::new();
+    serve_stdio(&served, input.as_bytes(), &mut output).expect("stdio session");
+    let lines: Vec<&str> = std::str::from_utf8(&output).unwrap().lines().collect();
+
+    // Frame by frame, in the same order on a second service: every reply
+    // is the lock-step reply, spliced hits included.
+    let lock_step = Service::new(Engine::builder().parallelism(1).build());
+    let (stream, single) = frames.split_last().expect("frames");
+    assert!(stream.1, "the streaming solve goes last");
+    for (line, (request, _)) in lines.iter().zip(single) {
+        assert_eq!(
+            *line,
+            lock_step.handle_line(request).into_json_string(),
+            "the splice lane may never change the wire: {request}"
         );
-        let mut output = Vec::new();
-        serve_stdio(&service, deterministic.as_bytes(), &mut output).expect("stdio session");
-        let lines = std::str::from_utf8(&output)
-            .unwrap()
-            .lines()
-            .map(str::to_string)
-            .collect();
-        (lines, service.metrics().spliced_frames())
-    };
-    let (spliced, fast) = run(true);
-    let (rendered, slow) = run(false);
-    assert_eq!(spliced, rendered, "the fast lane may never change the wire");
-    assert_eq!(fast, 3, "the spliced run took the fast lane");
-    assert_eq!(slow, 0, "the toggled-off run never spliced");
+    }
+    // `handle_line` discards stream chunks; the terminal frame must match.
+    let streamed = &lines[single.len()..];
+    assert!(streamed.len() >= 2, "chunks precede the terminal frame");
+    assert_eq!(
+        streamed[streamed.len() - 1],
+        lock_step.handle_line(&stream.0).into_json_string()
+    );
+    assert_eq!(
+        served.metrics().spliced_frames(),
+        3,
+        "the stdio run spliced"
+    );
 }
 
 #[test]

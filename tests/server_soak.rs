@@ -243,12 +243,21 @@ fn stampede_once() -> i64 {
         STAMPEDE_CLIENTS as u64,
         "every request is exactly one of hit/join/lead: {cache:?}"
     );
-    // One pool job per pipelined frame — the stampede did not fan out 64
-    // classifications onto the pool (the job bookkeeping settles just after
-    // the replies are written).
-    wait_until("64 frame jobs complete", 10, || {
-        service.engine().pool_stats().jobs_completed == STAMPEDE_CLIENTS as u64
-    });
+    // One pool job per frame that missed the cache — the stampede did not
+    // fan out 64 classifications onto the pool. A frame that arrives after
+    // the leader committed is a cache hit answered on the front end: the
+    // splice lane, or the inline lane if the commit landed between the
+    // cache probe and the lane. Neither takes a pool job (the job
+    // bookkeeping settles just after the replies are written).
+    wait_until(
+        "64 frames answered by a job or on the front end",
+        10,
+        || {
+            let metrics = service.metrics_snapshot();
+            let inline = metrics.classify_lanes[0];
+            metrics.pool.jobs_completed + metrics.spliced_frames + inline == STAMPEDE_CLIENTS as u64
+        },
+    );
 
     // The join count is also visible over the wire, in the stats reply.
     let mut probe = Client::connect(addr).expect("connect stats probe");
